@@ -7,8 +7,11 @@
 
 Comparison is on the ``normalized`` values (kernel seconds divided by a
 calibration matmul timed in the same process), so a baseline recorded on
-one machine transfers to another.  Exit status 1 when any shared kernel
-is more than ``--threshold`` (default 20 %) slower than baseline.
+one machine transfers to another.  Exit status 1 when any gated kernel
+is more than ``--threshold`` (default 20 %) slower than baseline, or is
+missing (or no longer measurable) in the candidate.  Baseline entries
+whose ``normalized`` is ``0.0`` cannot be gated by a ratio and are listed
+as ``ungated``.
 """
 
 from __future__ import annotations
@@ -46,11 +49,20 @@ def compare(baseline: dict, candidate: dict, threshold: float) -> List[str]:
             continue
         ref = base_marks[name].get("normalized")
         new = cand_marks[name].get("normalized")
-        if not ref or not new:
+        if not ref:
+            # No ratio can be formed against a zero (or absent) baseline:
+            # say so, rather than pass in silence.
+            print(f"  {'ungated':7s} {name:32s} baseline norm {ref!r}, candidate {new!r}")
+            continue
+        if not new:
+            failures.append(
+                f"{name}: gated in the baseline (norm {ref:.3f}) but the "
+                f"candidate reports {new!r}"
+            )
             continue
         ratio = new / ref
         marker = "FAIL" if ratio > 1.0 + threshold else "ok"
-        print(f"  {marker:4s} {name:32s} {ratio:6.2f}x baseline "
+        print(f"  {marker:7s} {name:32s} {ratio:6.2f}x baseline "
               f"(norm {ref:.3f} -> {new:.3f})")
         if ratio > 1.0 + threshold:
             failures.append(

@@ -40,7 +40,7 @@ import shutil
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.util.digest import HASH_SLICE, digest_file, fsync_dir, sha256_file
+from repro.util.digest import digest_file, fsync_dir, read_chunks, write_digested
 
 __all__ = ["CASStore", "object_relpath", "CACHE_COUNTERS"]
 
@@ -193,24 +193,12 @@ class CASStore:
         staging = os.path.join(self.root, _OBJECTS, "incoming")
         os.makedirs(staging, exist_ok=True)
         temp_path = self._temp_name(os.path.join(staging, "obj"))
-        import hashlib
-
-        sha = hashlib.sha256()
-        nbytes = 0
-        buffer = bytearray(HASH_SLICE)
-        view = memoryview(buffer)
-        with open(path, "rb") as src, open(temp_path, "wb") as dst:
-            while True:
-                got = src.readinto(buffer)
-                if not got:
-                    break
-                dst.write(view[:got])
-                sha.update(view[:got])
-                nbytes += got
+        with open(temp_path, "wb") as dst:
+            nbytes, digest = write_digested(dst, read_chunks(path))
             if self.durable:
                 dst.flush()
                 os.fsync(dst.fileno())
-        return sha.hexdigest(), nbytes, temp_path
+        return digest, nbytes, temp_path
 
     def _publish(self, temp_path: str, digest: str, nbytes: int) -> str:
         final_path = self._object_path(digest)

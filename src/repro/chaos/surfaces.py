@@ -22,7 +22,6 @@ nothing when chaos is off.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import time
@@ -31,10 +30,9 @@ import urllib.request
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chaos.engine import FaultInjector
-from repro.journal.manifest import sha256_file
-from repro.netcdf import Dataset, to_bytes
+from repro.netcdf import WRITE_BUFFER, Dataset, to_bytes, to_chunks
 from repro.transfer import LocalTransferClient, TransferError
-from repro.util.atomic import fsync_dir
+from repro.util.digest import TEMP_SUFFIX, digest_file, fsync_dir, write_digested
 
 __all__ = [
     "CRASH_EXIT_CODE",
@@ -106,11 +104,14 @@ def chaos_atomic_write(
 ) -> Tuple[int, str]:
     """Atomic (temp + rename) NetCDF write with torn/corrupt injection.
 
-    Returns ``(nbytes, sha256_hex)`` of the *published* file: the digest
-    is computed while the bytes stream to the temp file (no second read),
-    except under ``corrupt_tile`` where the damaged on-disk content is
-    re-digested — the manifest must describe what the filesystem actually
-    holds, so the integrity gate and resume logic see the corruption.
+    Returns ``(nbytes, sha256_hex)`` of the *published* file.  The
+    dataset is never serialized into one blob: its chunks (header, each
+    variable's own buffer, record slab) stream to the temp file and are
+    hashed on the way, so publication costs one pass over the bytes and
+    no copy of them.  Under ``corrupt_tile`` the damaged on-disk content
+    is re-digested — the manifest must describe what the filesystem
+    actually holds, so the integrity gate and resume logic see the
+    corruption.
 
     * ``torn_write`` — the writer "dies" mid-file: a truncated ``.part``
       temp file is left behind (never renamed) and :class:`OSError` is
@@ -127,16 +128,15 @@ def chaos_atomic_write(
     triple: temp write, file fsync, atomic rename, directory fsync.
     """
     key = key or final_path
-    temp_path = final_path + ".part"
-    blob = to_bytes(ds)
+    temp_path = final_path + TEMP_SUFFIX
     if chaos is not None and chaos.fire(stage, "torn_write", key):
+        blob = to_bytes(ds)
         with open(temp_path, "wb") as handle:
             handle.write(blob[: max(1, len(blob) // 3)])
         raise OSError(f"chaos: torn write, partial left at {os.path.basename(temp_path)}")
-    digest = hashlib.sha256()
-    with open(temp_path, "wb") as handle:
-        handle.write(blob)
-        digest.update(blob)
+    chunks = to_chunks(ds)  # validates first: a refused dataset leaves no temp file
+    with open(temp_path, "wb", buffering=WRITE_BUFFER) as handle:
+        nbytes, digest = write_digested(handle, chunks)
         handle.flush()
         os.fsync(handle.fileno())
     chaos_crash(chaos, stage, key)
@@ -144,8 +144,8 @@ def chaos_atomic_write(
     fsync_dir(os.path.dirname(final_path))
     if chaos is not None and chaos.fire(stage, "corrupt_tile", key):
         damage_file(final_path)
-        return os.path.getsize(final_path), sha256_file(final_path)
-    return len(blob), digest.hexdigest()
+        digest, nbytes = digest_file(final_path)
+    return nbytes, digest
 
 
 class ChaosArchive:

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.chaos.engine import FaultInjector
 from repro.chaos.surfaces import ChaosTransferClient
 from repro.core.config import EOMLConfig
-from repro.journal import WorkflowJournal, sha256_file
+from repro.journal import WorkflowJournal
 from repro.runtime import (
     CACHED,
     FAILED,
@@ -39,6 +39,7 @@ from repro.runtime import (
     build_executor,
 )
 from repro.transfer import LocalTransferClient, TransferError
+from repro.util.digest import sha256_file
 
 __all__ = ["ShipmentReport", "ShipmentStage"]
 
@@ -104,25 +105,18 @@ class ShipmentStage:
 
         def body(ctx) -> UnitResult:
             ctx.begin()
-            dst_path, _, _ = self.client.move_one(
+            # Destination-side verification: ``delivered`` is what the
+            # client re-read and digested where the bytes landed, after
+            # the rename — and it already had to equal the digest of the
+            # source as copied.  What is left to check is the journal:
+            # the digest the labelled file was *published* with, so a
+            # transfer-out copy that rotted before shipping is caught.
+            dst_path, delivered, _ = self.client.move_one(
                 self.config.transfer_out, self.config.destination, name
             )
-            # Destination-side verification: trust nothing the copy loop
-            # reported; re-digest the delivered bytes where they landed.
-            try:
-                delivered = sha256_file(dst_path)
-            except OSError:
-                return UnitResult(
-                    outcome="done", artifact=dst_path, value="mismatch", journal=False
-                )
             expected: Optional[str] = None
             if ctx.journal is not None:
                 expected = ctx.journal.expected_sha(src_path)
-            if expected is None:
-                try:
-                    expected = sha256_file(src_path)
-                except OSError:
-                    expected = None
             if expected is not None and delivered != expected:
                 return UnitResult(
                     outcome="done",

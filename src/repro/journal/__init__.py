@@ -7,7 +7,7 @@ from repro.journal.journal import (
     JournalState,
     RunJournal,
 )
-from repro.journal.manifest import IntegrityManifest, sha256_file
+from repro.journal.manifest import IntegrityManifest
 from repro.journal.checkpoint import (
     FRESH,
     JOURNAL_NAME,
@@ -21,7 +21,7 @@ from repro.journal.checkpoint import (
 
 __all__ = [
     "INTENT", "COMPLETE", "JournalRecord", "RunJournal", "JournalState",
-    "IntegrityManifest", "sha256_file",
+    "IntegrityManifest",
     "FRESH", "RESUMED", "REPLAY", "ResumeDecision", "WorkflowJournal",
     "JOURNAL_NAME", "MANIFEST_NAME", "verify_file",
 ]

@@ -28,7 +28,8 @@ from typing import Any, Dict, Optional, Set
 
 from repro.journal import manifest as manifest_mod
 from repro.journal.journal import JournalState, RunJournal
-from repro.journal.manifest import IntegrityManifest, sha256_file
+from repro.journal.manifest import IntegrityManifest
+from repro.util.digest import sha256_file
 
 __all__ = [
     "FRESH", "RESUMED", "REPLAY",

@@ -22,13 +22,9 @@ import threading
 from typing import Any, Dict, List, Optional
 
 from repro.util.atomic import atomic_write_bytes
+from repro.util.digest import digest_file, sha256_file
 
-# Deprecated re-export: the digest loop's canonical home is now
-# repro.util.digest (shared with the content-addressed store); this name
-# stays importable from here so existing callers keep working.
-from repro.util.digest import digest_file, sha256_file  # noqa: F401
-
-__all__ = ["sha256_file", "IntegrityManifest"]
+__all__ = ["IntegrityManifest"]
 
 # Verification outcomes for IntegrityManifest.check().
 OK = "ok"

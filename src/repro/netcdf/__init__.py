@@ -9,7 +9,7 @@ pure NumPy: :class:`Dataset` is the in-memory model; :func:`write` /
 from repro.netcdf.dataset import Dataset, Dimension, Variable
 from repro.netcdf.reader import from_bytes, read
 from repro.netcdf.types import NcFormatError, NcType
-from repro.netcdf.writer import to_bytes, write
+from repro.netcdf.writer import WRITE_BUFFER, to_bytes, to_chunks, write
 
 __all__ = [
     "Dataset",
@@ -20,5 +20,7 @@ __all__ = [
     "read",
     "write",
     "to_bytes",
+    "to_chunks",
+    "WRITE_BUFFER",
     "from_bytes",
 ]

@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.netcdf.dataset import Dataset, Variable
 from repro.netcdf.types import NcFormatError, NcType, TYPE_INFO
 
-__all__ = ["write", "to_bytes", "CanonicalLayout", "canonical_layout", "splice_bytes"]
+__all__ = [
+    "write", "to_bytes", "to_chunks", "WRITE_BUFFER",
+    "CanonicalLayout", "canonical_layout", "splice_bytes",
+]
 
 NC_DIMENSION = 0x0A
 NC_VARIABLE = 0x0B
@@ -29,6 +32,11 @@ NC_ATTRIBUTE = 0x0C
 ABSENT = b"\x00\x00\x00\x00\x00\x00\x00\x00"
 
 _MAX_CDF1_OFFSET = 2**31 - 1
+
+# Buffer size for a file that receives :func:`to_chunks`: chunks below
+# it (header, padding, small variables) are coalesced by the file object
+# instead of costing a syscall each; larger ones bypass the buffer.
+WRITE_BUFFER = 64 * 1024
 
 
 def _pad4(n: int) -> int:
@@ -177,72 +185,96 @@ def _choose_layout(dataset: Dataset) -> Tuple[int, Dict[str, int], int, int, Dic
     return offset_width, begins, header_size, recsize, vsizes
 
 
-def _write_record_slabs(
-    out: bytearray,
+def _record_slab(
     record_vars: Sequence[Variable],
     begins: Dict[str, int],
     recsize: int,
     numrecs: int,
-) -> None:
-    """Fill the record region with one strided scatter per variable.
+) -> memoryview:
+    """The record region, filled with one strided scatter per variable.
 
     The region is pre-zeroed (so inter-record padding needs no explicit
     writes); each record variable's slices land ``recsize`` bytes apart.
     Assigning through a big-endian view keeps on-disk byte order without
-    the per-record ``ascontiguousarray(...).tobytes()`` loop.
+    a per-record ``ascontiguousarray(...).tobytes()`` loop.
     """
-    base = len(out)
-    if base != min(begins[v.name] for v in record_vars):
-        raise NcFormatError(
-            f"internal offset mismatch for record slabs: at {base}, "
-            f"planned {min(begins[v.name] for v in record_vars)}"
-        )
-    out += b"\x00" * (numrecs * recsize)
-    if numrecs == 0:
-        return
-    view_buffer = memoryview(out)
+    base = min(begins[v.name] for v in record_vars)
+    slab = np.zeros(numrecs * recsize, dtype=np.uint8)
     for var in record_vars:
         info = TYPE_INFO[var.nc_type]
-        per_rec = _per_record_size(var)
-        count = per_rec // info.size
+        count = _per_record_size(var) // info.size
         if count == 0:
             continue
         target = np.ndarray(
             shape=(numrecs, count),
             dtype=info.dtype,
-            buffer=view_buffer,
-            offset=begins[var.name],
+            buffer=slab,
+            offset=begins[var.name] - base,
             strides=(recsize, info.size),
         )
         target[:] = np.ascontiguousarray(var.data).reshape(numrecs, count)
+    return memoryview(slab)
 
 
-def to_bytes(dataset: Dataset) -> bytes:
-    """Serialize a dataset to NetCDF classic bytes."""
+def to_chunks(dataset: Dataset) -> Iterator[Union[bytes, memoryview]]:
+    """The serialization as byte buffers in file order, for streaming.
+
+    Yields the header, then each fixed-size variable's array *as it sits
+    in memory* (variables are held big-endian, so a ``memoryview`` is the
+    on-disk form — no ``tobytes`` copy) followed by its zero padding,
+    then the record slab.  ``b"".join`` of the chunks is the file;
+    writers that hash or write chunk by chunk never hold a second copy
+    of a fixed variable.  The dataset is validated and laid out here,
+    before the first chunk is asked for, so a caller can open its
+    output file knowing the serialization will not be refused.
+    """
     for var in dataset.variables.values():
         if var.is_record and var.shape[0] != dataset.num_records:
             raise NcFormatError(f"record variable {var.name!r} has inconsistent record count")
-
     offset_width, begins, _header_size, recsize, vsizes = _choose_layout(dataset)
-    out = bytearray(_serialize_header(dataset, begins, vsizes, offset_width))
+    header = _serialize_header(dataset, begins, vsizes, offset_width)
+    return _chunks(dataset, header, begins, recsize, vsizes)
+
+
+def _chunks(
+    dataset: Dataset,
+    header: bytes,
+    begins: Dict[str, int],
+    recsize: int,
+    vsizes: Dict[str, int],
+) -> Iterator[Union[bytes, memoryview]]:
+    yield header
+    cursor = len(header)
 
     # Fixed-size variable data, in definition order, zero-padded to vsize.
     for var in dataset.variables.values():
         if var.is_record:
             continue
-        if len(out) != begins[var.name]:
+        if cursor != begins[var.name]:
             raise NcFormatError(
                 f"internal offset mismatch for {var.name!r}: "
-                f"at {len(out)}, planned {begins[var.name]}"
+                f"at {cursor}, planned {begins[var.name]}"
             )
-        payload = np.ascontiguousarray(var.data, dtype=var.data.dtype).tobytes()
-        out += payload
-        out += b"\x00" * (vsizes[var.name] - len(payload))
+        data = np.ascontiguousarray(var.data, dtype=TYPE_INFO[var.nc_type].dtype)
+        yield memoryview(data.reshape(-1).view(np.uint8))
+        if vsizes[var.name] > data.nbytes:
+            yield b"\x00" * (vsizes[var.name] - data.nbytes)
+        cursor += vsizes[var.name]
 
     record_vars = [v for v in dataset.variables.values() if v.is_record]
     if record_vars:
-        _write_record_slabs(out, record_vars, begins, recsize, dataset.num_records)
-    return bytes(out)
+        if cursor != min(begins[v.name] for v in record_vars):
+            raise NcFormatError(
+                f"internal offset mismatch for record slabs: at {cursor}, "
+                f"planned {min(begins[v.name] for v in record_vars)}"
+            )
+        if dataset.num_records:
+            yield _record_slab(record_vars, begins, recsize, dataset.num_records)
+
+
+def to_bytes(dataset: Dataset) -> bytes:
+    """Serialize a dataset to NetCDF classic bytes."""
+    return b"".join(to_chunks(dataset))
 
 
 @dataclass(frozen=True)
@@ -353,10 +385,16 @@ def splice_bytes(
 
 def write(dataset: Dataset, target: Union[str, BinaryIO]) -> int:
     """Write a dataset to a path or binary file object; returns byte count."""
-    payload = to_bytes(dataset)
+    chunks = to_chunks(dataset)  # validates before a path is opened
     if isinstance(target, str):
-        with open(target, "wb") as handle:
-            handle.write(payload)
-    else:
-        target.write(payload)
-    return len(payload)
+        with open(target, "wb", buffering=WRITE_BUFFER) as handle:
+            return _write_chunks(handle, chunks)
+    return _write_chunks(target, chunks)
+
+
+def _write_chunks(handle: BinaryIO, chunks: Iterator[Union[bytes, memoryview]]) -> int:
+    nbytes = 0
+    for chunk in chunks:
+        handle.write(chunk)
+        nbytes += len(chunk)
+    return nbytes

@@ -178,24 +178,10 @@ class AICCAModel:
 
     @classmethod
     def load(cls, path: str) -> "AICCAModel":
-        data = np.load(path)
-        tile_shape = tuple(int(v) for v in data["tile_shape"])
-        latent_dim = int(data["latent_dim"][0])
-        hidden = []
-        index = 0
-        while f"model.enc.layer{index}.w" in data:
-            hidden.append(data[f"model.enc.layer{index}.w"].shape[1])
-            index += 2
-        hidden = hidden[:-1]
-        autoencoder = RotationInvariantAutoencoder(
-            tile_shape, latent_dim=latent_dim, hidden=tuple(hidden)
-        )
-        autoencoder.load_state_dict(
-            {k[len("model."):]: data[k] for k in data.files if k.startswith("model.")}
-        )
-        centroids = data["centroids"]
-        clustering = AgglomerativeClustering(
-            n_clusters=centroids.shape[0], linkage=str(data["linkage"][0])
-        )
+        with np.load(path) as data:
+            centroids = data["centroids"]
+            linkage = str(data["linkage"][0])
+        autoencoder = RotationInvariantAutoencoder.load(path, prefix="model.")
+        clustering = AgglomerativeClustering(n_clusters=centroids.shape[0], linkage=linkage)
         clustering.centroids_ = centroids
         return cls(autoencoder, clustering)

@@ -17,7 +17,7 @@ autoencoder (lambda_inv = 0) on rotated test sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +50,22 @@ class RotationInvariantAutoencoder:
         lambda_rec: float = 1.0,
         seed: int = 0,
     ):
+        self._configure(tile_shape, latent_dim, lambda_inv, lambda_rec)
+        rng = np.random.default_rng(seed)
+        self.encoder = _stack(
+            Dense(i, o, rng) for _key, i, o in self._affine_layers("enc", hidden)
+        )
+        self._decoder = _stack(
+            Dense(i, o, rng) for _key, i, o in self._affine_layers("dec", hidden)
+        )
+
+    def _configure(
+        self,
+        tile_shape: Tuple[int, int, int],
+        latent_dim: int,
+        lambda_inv: float,
+        lambda_rec: float,
+    ) -> None:
         height, width, channels = tile_shape
         if height != width:
             raise ValueError("tiles must be square")
@@ -60,22 +76,38 @@ class RotationInvariantAutoencoder:
         self.latent_dim = latent_dim
         self.lambda_inv = lambda_inv
         self.lambda_rec = lambda_rec
-        rng = np.random.default_rng(seed)
-
-        enc_layers: List = []
-        dims = [self.input_dim, *hidden]
-        for in_dim, out_dim in zip(dims, dims[1:]):
-            enc_layers += [Dense(in_dim, out_dim, rng), Activation("relu")]
-        enc_layers.append(Dense(dims[-1], latent_dim, rng))
-        self.encoder = Sequential(enc_layers)
-
-        dec_layers: List = []
-        rev = [latent_dim, *reversed(hidden)]
-        for in_dim, out_dim in zip(rev, rev[1:]):
-            dec_layers += [Dense(in_dim, out_dim, rng), Activation("relu")]
-        dec_layers.append(Dense(rev[-1], self.input_dim, rng))
-        self.decoder = Sequential(dec_layers)
         self.trained_epochs = 0
+        # A loaded model's decoder stays on disk until something needs it:
+        # (path, key prefix, hidden widths) says where to read it from.
+        self._decoder: Optional[Sequential] = None
+        self._decoder_source: Optional[Tuple[str, str, Tuple[int, ...]]] = None
+
+    def _affine_layers(self, net: str, hidden: Sequence[int]) -> List[Tuple[str, int, int]]:
+        """``(parameter key, in_dim, out_dim)`` of each dense layer of
+        ``"enc"`` or ``"dec"`` (the decoder mirrors the encoder)."""
+        dims = [self.input_dim, *hidden, self.latent_dim]
+        if net == "dec":
+            dims.reverse()
+        return [
+            (f"{net}.layer{2 * index}", i, o)
+            for index, (i, o) in enumerate(zip(dims, dims[1:]))
+        ]
+
+    @property
+    def decoder(self) -> Sequential:
+        """The decoder; a loaded model reads it from its file on first
+        use, because label assignment — every loader's job but the
+        trainer's — never calls it."""
+        if self._decoder is None:
+            path, prefix, hidden = self._decoder_source
+            with np.load(path) as data:
+                self._decoder = self._read_net(data, prefix, "dec", hidden)
+            self._decoder_source = None
+        return self._decoder
+
+    def __getstate__(self) -> Dict[str, object]:
+        self.decoder  # a pickle must not depend on the file it was loaded from
+        return dict(self.__dict__)
 
     # -- inference ------------------------------------------------------------
 
@@ -252,20 +284,78 @@ class RotationInvariantAutoencoder:
             **self.state_dict(),
         )
 
+    def _check_saved(
+        self, data: "np.lib.npyio.NpzFile", prefix: str, net: str, hidden: Sequence[int]
+    ) -> None:
+        """Every parameter of ``net`` is in the archive with the shape
+        the architecture needs (read from the array headers alone)."""
+        for key, in_dim, out_dim in self._affine_layers(net, hidden):
+            for name, shape in ((f"{key}.w", (in_dim, out_dim)), (f"{key}.b", (out_dim,))):
+                if prefix + name not in data.files:
+                    raise KeyError(f"missing parameter {name!r}")
+                if _saved_shape(data, prefix + name) != shape:
+                    raise ValueError(f"shape mismatch for {name!r}")
+
+    def _read_net(
+        self, data: "np.lib.npyio.NpzFile", prefix: str, net: str, hidden: Sequence[int]
+    ) -> Sequential:
+        """Build ``net`` straight from the saved arrays, adopted as read:
+        no random initialisation to overwrite, no second copy."""
+        self._check_saved(data, prefix, net, hidden)
+        return _stack(
+            Dense.from_arrays(data[f"{prefix}{key}.w"], data[f"{prefix}{key}.b"])
+            for key, _in, _out in self._affine_layers(net, hidden)
+        )
+
     @classmethod
-    def load(cls, path: str, **kwargs) -> "RotationInvariantAutoencoder":
-        data = np.load(path)
-        tile_shape = tuple(int(v) for v in data["tile_shape"])
-        latent_dim = int(data["latent_dim"][0])
-        hidden = kwargs.pop("hidden", None)
-        if hidden is None:
-            # Recover hidden widths from the encoder weight shapes.
-            hidden = []
-            index = 0
-            while f"enc.layer{index}.w" in data:
-                hidden.append(data[f"enc.layer{index}.w"].shape[1])
-                index += 2
-            hidden = hidden[:-1]  # last dense maps to the latent
-        model = cls(tile_shape, latent_dim=latent_dim, hidden=tuple(hidden), **kwargs)
-        model.load_state_dict({k: data[k] for k in data.files if "." in k})
+    def load(
+        cls,
+        path: str,
+        hidden: Optional[Sequence[int]] = None,
+        lambda_inv: float = 1.0,
+        lambda_rec: float = 1.0,
+        prefix: str = "",
+    ) -> "RotationInvariantAutoencoder":
+        """Load a saved model (``prefix``: where its arrays sit inside a
+        larger archive).  The whole file is validated, but only the
+        encoder is read; see :attr:`decoder`."""
+        with np.load(path) as data:
+            tile_shape = tuple(int(v) for v in data["tile_shape"])
+            latent_dim = int(data["latent_dim"][0])
+            if hidden is None:
+                # Recover hidden widths from the encoder weight shapes.
+                hidden = []
+                index = 0
+                while f"{prefix}enc.layer{index}.w" in data.files:
+                    hidden.append(_saved_shape(data, f"{prefix}enc.layer{index}.w")[1])
+                    index += 2
+                hidden = hidden[:-1]  # last dense maps to the latent
+            model = cls.__new__(cls)
+            model._configure(tile_shape, latent_dim, lambda_inv, lambda_rec)
+            model.encoder = model._read_net(data, prefix, "enc", hidden)
+            model._check_saved(data, prefix, "dec", hidden)
+        model._decoder_source = (path, prefix, tuple(hidden))
         return model
+
+
+def _stack(denses: Iterable[Dense]) -> Sequential:
+    """Dense layers with a ReLU between each pair."""
+    layers: List = []
+    for dense in denses:
+        if layers:
+            layers.append(Activation("relu"))
+        layers.append(dense)
+    return Sequential(layers)
+
+
+def _saved_shape(data: "np.lib.npyio.NpzFile", key: str) -> Tuple[int, ...]:
+    """Shape of one array in an ``.npz``, from its header alone."""
+    with data.zip.open(key + ".npy") as member:
+        version = np.lib.format.read_magic(member)
+        read_header = (
+            np.lib.format.read_array_header_1_0
+            if version == (1, 0)
+            else np.lib.format.read_array_header_2_0
+        )
+        shape, _fortran_order, _dtype = read_header(member)
+    return shape

@@ -76,11 +76,44 @@ class Dense:
             raise ValueError("layer dimensions must be positive")
         if scale is None:
             scale = np.sqrt(2.0 / in_dim)
-        self.w = rng.normal(0.0, scale, size=(in_dim, out_dim)).astype(np.float64)
-        self.b = np.zeros(out_dim, dtype=np.float64)
-        self.grad_w = np.zeros_like(self.w)
-        self.grad_b = np.zeros_like(self.b)
+        self._adopt(
+            rng.normal(0.0, scale, size=(in_dim, out_dim)).astype(np.float64),
+            np.zeros(out_dim, dtype=np.float64),
+        )
+
+    def _adopt(self, w: np.ndarray, b: np.ndarray) -> None:
+        self.w = w
+        self.b = b
+        # Gradient buffers are as large as the weights and only training
+        # touches them: allocated on first use, so a model loaded to
+        # assign labels never pays for them.
+        self._grad_w: Optional[np.ndarray] = None
+        self._grad_b: Optional[np.ndarray] = None
         self._x: Optional[np.ndarray] = None
+
+    @property
+    def grad_w(self) -> np.ndarray:
+        if self._grad_w is None:
+            self._grad_w = np.zeros_like(self.w)
+        return self._grad_w
+
+    @property
+    def grad_b(self) -> np.ndarray:
+        if self._grad_b is None:
+            self._grad_b = np.zeros_like(self.b)
+        return self._grad_b
+
+    @classmethod
+    def from_arrays(cls, w: np.ndarray, b: np.ndarray) -> "Dense":
+        """A layer that owns saved parameters as they are: no random
+        draw to overwrite, no copy (float64 arrays are adopted in place)."""
+        w = np.asarray(w, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if w.ndim != 2 or b.shape != (w.shape[1],):
+            raise ValueError(f"weights {w.shape} and bias {b.shape} do not form a layer")
+        layer = cls.__new__(cls)
+        layer._adopt(w, b)
+        return layer
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
@@ -96,16 +129,19 @@ class Dense:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward before forward")
-        self.grad_w += self._x.T @ grad
-        self.grad_b += grad.sum(axis=0)
+        grad_w, grad_b = self.grad_w, self.grad_b
+        grad_w += self._x.T @ grad
+        grad_b += grad.sum(axis=0)
         return grad @ self.w.T
 
     def params(self) -> List[Tuple[str, np.ndarray, np.ndarray]]:
         return [("w", self.w, self.grad_w), ("b", self.b, self.grad_b)]
 
     def zero_grad(self) -> None:
-        self.grad_w[:] = 0.0
-        self.grad_b[:] = 0.0
+        if self._grad_w is not None:
+            self._grad_w[:] = 0.0
+        if self._grad_b is not None:
+            self._grad_b[:] = 0.0
 
 
 class Activation:

@@ -578,6 +578,11 @@ class ProcWorkerPool:
         self._terminated = False
         self._thread: Optional[threading.Thread] = None
         self._started = False
+        # Self-pipe in the dispatch thread's wait set (open while the
+        # thread runs): submit() and close() write a byte, so new work is
+        # dispatched at once and ``poll_interval`` is only the
+        # liveness-sweep period.
+        self._wake_r = self._wake_w = -1
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -585,6 +590,9 @@ class ProcWorkerPool:
         if self._started:
             raise RuntimeError("pool already started")
         self._started = True
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
         for _ in range(max(1, self.policy.min_workers)):
             self._spawn()
         self._thread = threading.Thread(
@@ -607,7 +615,32 @@ class ProcWorkerPool:
             self._tickets[ticket_id] = ticket
             self._pending.append(ticket_id)
             self._stats.submitted += 1
+            self._wake()
         return future
+
+    def _wake(self) -> None:
+        """Interrupt the dispatch thread's wait (call with the lock held)."""
+        if self._wake_w < 0:
+            return
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # pipe full: a wake-up is already pending
+
+    def _join_dispatch(self, timeout: float) -> bool:
+        """Join the dispatch thread; once it is gone, close its wake pipe."""
+        thread = self._thread
+        if thread is not None:
+            thread.join(timeout=timeout)
+            if thread.is_alive():
+                return False
+            self._thread = None
+        with self._lock:
+            for fd in (self._wake_r, self._wake_w):
+                if fd >= 0:
+                    os.close(fd)
+            self._wake_r = self._wake_w = -1
+        return True
 
     def gather(self, futures: Iterable[PoolFuture]) -> Iterator[Any]:
         """Yield results in completion order; raises on the first
@@ -656,20 +689,17 @@ class ProcWorkerPool:
             return
         with self._lock:
             self._closing = True
-        self._thread.join(timeout=timeout)
-        if self._thread.is_alive():  # wedged: fall back to terminate
+            self._wake()
+        if not self._join_dispatch(timeout):  # wedged: fall back to terminate
             self.terminate()
-            return
-        self._thread = None
 
     def terminate(self) -> None:
         """Kill every worker now; outstanding futures fail (idempotent)."""
         with self._lock:
             self._closing = True
             self._terminated = True
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
+            self._wake()
+        self._join_dispatch(10.0)
         for handle in list(self._workers.values()):
             if handle.process.is_alive():
                 handle.process.terminate()
@@ -828,13 +858,22 @@ class ProcWorkerPool:
         return progressed
 
     def _forget(self, handle: _WorkerHandle) -> None:
+        """Retire ``handle``: live worker -> one final ``WorkerStats`` row.
+
+        The transition happens once.  ``_reap_dead`` drains a dead
+        worker's pipe first, which can deliver its pending ``retired``
+        message and retire the handle right there; whoever arrives
+        second finds the worker gone and must not report it again.
+        """
+        with self._lock:
+            if self._workers.pop(handle.worker_id, None) is None:
+                return
         handle.process.join(timeout=0.1)
         try:
             handle.conn.close()
         except OSError:
             pass
         with self._lock:
-            self._workers.pop(handle.worker_id, None)
             final = WorkerStats(
                 worker_id=handle.stats.worker_id,
                 pid=handle.stats.pid,
@@ -937,16 +976,18 @@ class ProcWorkerPool:
         sweep owns the consequences."""
         with self._lock:
             conns = {h.conn: h for h in self._workers.values() if not h.broken}
-        if not conns:
-            if timeout > 0:
-                time.sleep(timeout)
-            return False
         try:
-            ready = mp_connection.wait(list(conns), timeout=timeout)
+            ready = mp_connection.wait([*conns, self._wake_r], timeout=timeout)
         except OSError:
             return False
         progressed = False
         for conn in ready:
+            if conn == self._wake_r:
+                try:
+                    os.read(self._wake_r, 4096)
+                except BlockingIOError:
+                    pass
+                continue
             handle = conns[conn]
             while True:
                 try:

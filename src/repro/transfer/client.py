@@ -10,7 +10,6 @@ does the same thing for real on local directories: copy + SHA-256 verify.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from pathlib import Path
@@ -21,6 +20,7 @@ from repro.net.retry import BackoffPolicy, RetryExhausted, retry_call
 from repro.net.wan import WanLink
 from repro.sim import Simulation, Store
 from repro.transfer.task import TransferItem, TransferState, TransferTask
+from repro.util.digest import TEMP_SUFFIX, read_chunks, sha256_file, write_digested
 from repro.util.logging import EventLog
 
 __all__ = ["SimTransferClient", "LocalTransferClient", "TransferError"]
@@ -181,14 +181,6 @@ class LocalTransferClient:
         # the delivered checksum populated (end-to-end integrity).
         self.last_records: List[TransferItem] = []
 
-    @staticmethod
-    def _digest(path: Path) -> str:
-        sha = hashlib.sha256()
-        with open(path, "rb") as handle:
-            for chunk in iter(lambda: handle.read(1 << 20), b""):
-                sha.update(chunk)
-        return sha.hexdigest()
-
     def _move_one(
         self, src_root: Path, dst_root: Path, name: str, sync: bool
     ) -> Tuple[str, str, bool]:
@@ -198,27 +190,32 @@ class LocalTransferClient:
         atomic at the destination (temp name + fsync + ``os.replace``):
         a consumer or a resumed run never observes a half-copied file
         under the final name, even if this process dies mid-move.
+
+        The source is read once — hashed while it is copied — and the
+        destination once, after the rename: ``delivered_sha256`` is the
+        digest of the bytes where they landed, never the copy loop's
+        own account of them, and must equal the source digest.
         """
         src = src_root / name
         if not src.is_file():
             raise TransferError(f"source missing: {src}")
         dst = dst_root / name
-        src_digest = self._digest(src)
-        if sync and dst.is_file() and src_digest == self._digest(dst):
-            self.files_skipped += 1
-            return str(dst), src_digest, True
-        temp = dst_root / (name + ".part")
-        with open(src, "rb") as reader, open(temp, "wb") as writer:
-            for chunk in iter(lambda: reader.read(1 << 20), b""):
-                writer.write(chunk)
+        if sync and dst.is_file():
+            src_digest = sha256_file(src)
+            if src_digest == sha256_file(dst):
+                self.files_skipped += 1
+                return str(dst), src_digest, True
+        temp = dst_root / (name + TEMP_SUFFIX)
+        with open(temp, "wb") as writer:
+            nbytes, src_digest = write_digested(writer, read_chunks(src))
             writer.flush()
             os.fsync(writer.fileno())
         os.replace(temp, dst)
-        delivered = self._digest(dst)
+        delivered = sha256_file(dst)
         if src_digest != delivered:
             dst.unlink(missing_ok=True)
             raise TransferError(f"integrity check failed for {name}")
-        self.bytes_transferred += src.stat().st_size
+        self.bytes_transferred += nbytes
         return str(dst), delivered, False
 
     def move_one(

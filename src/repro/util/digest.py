@@ -1,36 +1,42 @@
 """Shared digest + atomic-publish primitives: one hash loop for everyone.
 
-The workflow's integrity story rests on exactly two operations, and every
-layer (journal manifest, content-addressed store, shipment verification,
-chaos surfaces) must perform them *identically*:
+The workflow's integrity story rests on a handful of operations, and
+every layer (journal manifest, content-addressed store, transfer and
+shipment verification, chaos surfaces) must perform them *identically*:
 
-* :func:`sha256_file` / :func:`digest_file` — streaming SHA-256 of a
-  file's content, reading into one reusable buffer so the loop is pure
-  hashing, not allocator churn.  ``digest_file`` additionally counts the
-  bytes *while hashing*, so callers that need ``(digest, size)`` get a
-  pair observed from the same read pass — no second ``stat`` racing a
-  concurrent writer.
+* :func:`read_chunks` — a file's content as views of one reusable
+  buffer, so a read loop is pure I/O, not allocator churn.
+* :func:`sha256_file` / :func:`digest_file` — streaming SHA-256 over
+  those chunks.  ``digest_file`` additionally counts the bytes *while
+  hashing*, so callers that need ``(digest, size)`` get a pair observed
+  from the same read pass — no second ``stat`` racing a concurrent
+  writer.
+* :func:`write_digested` — write buffers to an open file and hash them
+  on the way: publishing a dataset chunk by chunk, copying a file into
+  the store or to the destination, all cost one pass over the bytes.
 * :func:`atomic_publish_bytes` — the crash-consistency triple (temp name
   in the same directory, file fsync, ``os.replace``, directory fsync)
-  that digests the payload as it streams to disk, so publication and
-  integrity recording cost one pass over the bytes.
+  around :func:`write_digested`.
 
-This module sits below ``repro.util.atomic`` and ``repro.journal`` in
-the import graph; both re-export these names for compatibility.
+This module sits below ``repro.util.atomic``, ``repro.journal``,
+``repro.cas`` and ``repro.transfer`` in the import graph; import from
+here directly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from typing import Tuple
+from typing import BinaryIO, Iterable, Iterator, Tuple, Union
 
 __all__ = [
     "TEMP_SUFFIX",
     "HASH_SLICE",
     "fsync_dir",
     "sha256_file",
+    "read_chunks",
     "digest_file",
+    "write_digested",
     "atomic_publish_bytes",
 ]
 
@@ -41,6 +47,9 @@ TEMP_SUFFIX = ".part"
 # Digest-while-writing slice: large enough to amortize hashlib call
 # overhead, small enough to stay cache-friendly.
 HASH_SLICE = 4 * 1024 * 1024
+
+Buffer = Union[bytes, bytearray, memoryview]
+PathLike = Union[str, "os.PathLike[str]"]
 
 
 def fsync_dir(directory: str) -> None:
@@ -57,33 +66,66 @@ def fsync_dir(directory: str) -> None:
         os.close(fd)
 
 
-def sha256_file(path: str, chunk_size: int = HASH_SLICE) -> str:
+def sha256_file(path: PathLike, chunk_size: int = HASH_SLICE) -> str:
     """Streaming SHA-256 of a file's content."""
     digest, _ = digest_file(path, chunk_size=chunk_size)
     return digest
 
 
-def digest_file(path: str, chunk_size: int = HASH_SLICE) -> Tuple[str, int]:
-    """Streaming SHA-256 plus byte count, from one read pass.
+def read_chunks(path: PathLike, chunk_size: int = HASH_SLICE) -> Iterator[memoryview]:
+    """A file's content as successive views of one reusable buffer.
 
-    Reads into one reusable 4 MiB buffer (``readinto``) instead of
-    allocating a fresh bytes object per chunk.  The size is summed from
-    the same reads that feed the hash, so the ``(digest, nbytes)`` pair
-    always describes a single observation of the file — a concurrent
-    writer can never make the size disagree with the digest.
+    ``readinto`` fills the same ``chunk_size`` buffer every time instead
+    of allocating a fresh bytes object per chunk, so each view is only
+    valid until the next one is requested.
     """
-    sha = hashlib.sha256()
-    nbytes = 0
     buffer = bytearray(chunk_size)
     view = memoryview(buffer)
     with open(path, "rb") as handle:
         while True:
             got = handle.readinto(buffer)
             if not got:
-                break
-            sha.update(view[:got])
-            nbytes += got
+                return
+            yield view[:got]
+
+
+def digest_file(path: PathLike, chunk_size: int = HASH_SLICE) -> Tuple[str, int]:
+    """Streaming SHA-256 plus byte count, from one read pass.
+
+    The size is summed from the same reads that feed the hash, so the
+    ``(digest, nbytes)`` pair always describes a single observation of
+    the file — a concurrent writer can never make the size disagree
+    with the digest.
+    """
+    sha = hashlib.sha256()
+    nbytes = 0
+    for chunk in read_chunks(path, chunk_size):
+        sha.update(chunk)
+        nbytes += len(chunk)
     return sha.hexdigest(), nbytes
+
+
+def write_digested(handle: BinaryIO, chunks: Iterable[Buffer]) -> Tuple[int, str]:
+    """Write ``chunks`` to ``handle`` in order, hashing each slice right
+    after it is written; returns ``(nbytes, sha256_hex)``.
+
+    The one write-while-hashing loop: publication, copy-in and shipment
+    all touch a byte once for both purposes instead of writing a file
+    and reading it back.  Chunks are buffers of bytes (``bytes``, or a
+    1-D ``B`` memoryview) and are never copied here; runs of small ones
+    are merged by the handle's own write buffer.  Flushing and fsync
+    stay with the caller, who owns the handle.
+    """
+    digest = hashlib.sha256()
+    nbytes = 0
+    for chunk in chunks:
+        view = memoryview(chunk)
+        for start in range(0, view.nbytes, HASH_SLICE):
+            piece = view[start : start + HASH_SLICE]
+            handle.write(piece)
+            digest.update(piece)
+        nbytes += view.nbytes
+    return nbytes, digest.hexdigest()
 
 
 def atomic_publish_bytes(
@@ -98,18 +140,13 @@ def atomic_publish_bytes(
     so a crash at any instant leaves either the previous content or the
     complete new content — never a torn file under the final name.
     """
-    digest = hashlib.sha256()
-    view = memoryview(payload)
     temp_path = path + TEMP_SUFFIX
     with open(temp_path, "wb") as handle:
-        for start in range(0, len(view), HASH_SLICE):
-            chunk = view[start : start + HASH_SLICE]
-            handle.write(chunk)
-            digest.update(chunk)
+        nbytes, digest = write_digested(handle, (payload,))
         if durable:
             handle.flush()
             os.fsync(handle.fileno())
     os.replace(temp_path, path)
     if durable:
         fsync_dir(os.path.dirname(path))
-    return len(payload), digest.hexdigest()
+    return nbytes, digest

@@ -1,0 +1,148 @@
+"""I/O budget: how often a mini run reads and hashes what it ships.
+
+The stages are supposed to touch every byte once per purpose.  These
+tests count it from outside — ``hashlib.sha256`` and ``open`` wrapped for
+the duration of a real stage run — so a re-introduced verification pass
+or blob copy shows up as a number, not as a slower benchmark.
+"""
+
+import builtins
+import hashlib
+import os
+from collections import Counter
+
+import pytest
+
+from repro.chaos import surfaces
+from repro.core import DownloadStage, ShipmentStage, load_config
+from repro.journal import WorkflowJournal
+from repro.modis import MINI_SWATH, LaadsArchive
+from repro.util.digest import atomic_publish_bytes
+
+FILES = {f"tiles_{index}.nc": b"CDF\x01" + bytes([index]) * (40_000 + index) for index in range(3)}
+
+
+class IoCounter:
+    """Counts read-opens by path, and SHA-256 passes by the bytes each
+    hasher was fed (key-derivation hashes of a few bytes are not passes
+    over an artifact and are ignored)."""
+
+    def __init__(self, monkeypatch):
+        self.reads = Counter()
+        self._fed = []  # one [nbytes] cell per hasher created
+        real_open, real_sha256 = builtins.open, hashlib.sha256
+        counter = self
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if "r" in mode and "+" not in mode and isinstance(file, (str, os.PathLike)):
+                counter.reads[os.path.abspath(os.fspath(file))] += 1
+            return real_open(file, mode, *args, **kwargs)
+
+        class CountingSha256:
+            def __init__(self, data=b""):
+                self._inner = real_sha256()
+                self._cell = [0]
+                counter._fed.append(self._cell)
+                self.update(data)
+
+            def update(self, data):
+                self._cell[0] += memoryview(data).nbytes
+                self._inner.update(data)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(hashlib, "sha256", CountingSha256)
+
+    @property
+    def passes(self):
+        """Bytes fed to each hasher that digested an artifact."""
+        return sorted(cell[0] for cell in self._fed if cell[0] >= 1024)
+
+
+def make_config(tmp_path):
+    return load_config(
+        {
+            "archive": {"start_date": "2022-01-01", "max_granules_per_day": 1, "seed": 3},
+            "paths": {
+                "staging": str(tmp_path / "raw"),
+                "preprocessed": str(tmp_path / "tiles"),
+                "transfer_out": str(tmp_path / "outbox"),
+                "destination": str(tmp_path / "orion"),
+            },
+            "journal": {"dir": str(tmp_path / "journal")},
+        }
+    )
+
+
+@pytest.fixture
+def outbox(tmp_path):
+    """Labelled files published the way inference publishes them: bytes
+    on disk, digest in the journal."""
+    config = make_config(tmp_path)
+    os.makedirs(config.transfer_out)
+    journal = WorkflowJournal(str(tmp_path / "journal"), durable=False)
+    journal.start()
+    for name, payload in FILES.items():
+        path = os.path.join(config.transfer_out, name)
+        nbytes, digest = atomic_publish_bytes(path, payload, durable=False)
+        journal.complete("inference", name, artifact=path, sha256=digest, nbytes=nbytes)
+    yield config, journal
+    journal.close()
+
+
+class TestShipmentBudget:
+    def test_two_reads_and_two_hash_passes_per_shipped_file(self, outbox, monkeypatch):
+        config, journal = outbox
+        counter = IoCounter(monkeypatch)
+        report = ShipmentStage(config, journal=journal).run()
+        monkeypatch.undo()
+
+        assert report.error is None and report.mismatches == []
+        assert report.verified == len(FILES)
+        shipped_bytes = sum(len(payload) for payload in FILES.values())
+        assert report.nbytes == shipped_bytes
+        for name, payload in FILES.items():
+            src = os.path.abspath(os.path.join(config.transfer_out, name))
+            dst = os.path.abspath(os.path.join(config.destination, name))
+            # One read of the source (copied and hashed in the same
+            # pass), one of the destination (re-digested where it landed).
+            assert counter.reads[src] == 1, name
+            assert counter.reads[dst] == 1, name
+            assert report.checksums[name] == hashlib.sha256(payload).hexdigest()
+        assert counter.passes == sorted(2 * [len(payload) for payload in FILES.values()])
+
+    def test_journal_digest_still_catches_a_rotted_outbox_file(self, outbox):
+        config, journal = outbox
+        victim = sorted(FILES)[1]
+        with open(os.path.join(config.transfer_out, victim), "r+b") as handle:
+            handle.seek(10)
+            handle.write(b"\xff\xff")
+        report = ShipmentStage(config, journal=journal).run()
+        assert report.mismatches == [victim]
+        assert report.verified == len(FILES) - 1
+
+
+class TestDownloadBudget:
+    def test_granules_are_published_without_a_serialized_blob(self, tmp_path, monkeypatch):
+        """Download streams each fetched dataset's own buffers to disk:
+        ``to_bytes`` (the blob serializer) is never called, and every
+        published byte is hashed exactly once, while it is written."""
+        config = make_config(tmp_path)
+
+        def no_blob(_dataset):
+            raise AssertionError("download serialized a granule into one blob")
+
+        monkeypatch.setattr(surfaces, "to_bytes", no_blob)
+        counter = IoCounter(monkeypatch)
+        report = DownloadStage(config, archive=LaadsArchive(seed=3, swath=MINI_SWATH)).run()
+        monkeypatch.undo()
+
+        assert report.files == 3
+        staged = [
+            os.path.join(config.staging, name) for name in sorted(os.listdir(config.staging))
+        ]
+        assert len(staged) == 3 and not any(p.endswith(".part") for p in staged)
+        assert counter.passes == sorted(os.path.getsize(p) for p in staged)
+        assert all(counter.reads[os.path.abspath(p)] == 0 for p in staged)

@@ -15,10 +15,10 @@ from repro.journal import (
     JournalState,
     RunJournal,
     WorkflowJournal,
-    sha256_file,
     verify_file,
 )
 from repro.journal import manifest as manifest_mod
+from repro.util.digest import sha256_file
 
 
 class TestRunJournal:

@@ -18,6 +18,7 @@ import pytest
 from repro.runtime.channel import StreamClosed
 from repro.runtime.elastic import ElasticPolicy
 from repro.runtime.proc import (
+    _WorkerHandle,
     EnvelopeResult,
     ProcChannel,
     ProcWorkerPool,
@@ -356,3 +357,83 @@ class TestProcWorkerPool:
         assert stats.scale_out_events == 0
         assert stats.scale_in_events == 0
         assert stats.units_executed == 0
+
+
+# ---------------------------------------------------------------------------
+# Worker retirement is one state transition
+# ---------------------------------------------------------------------------
+
+
+class _ExitedProcess:
+    """A worker process that has already exited."""
+
+    def is_alive(self) -> bool:
+        return False
+
+    def join(self, timeout=None) -> None:
+        pass
+
+
+class _ScriptedConn:
+    """A result pipe still holding ``messages`` when its writer exited."""
+
+    def __init__(self, messages):
+        self._messages = list(messages)
+        self.closed = 0
+
+    def poll(self, timeout=0.0) -> bool:
+        return bool(self._messages)
+
+    def recv(self):
+        if not self._messages:
+            raise EOFError
+        return self._messages.pop(0)
+
+    def close(self) -> None:
+        self.closed += 1
+
+
+class TestRetirementIsOneTransition:
+    def test_retired_message_drained_by_reap_reports_worker_once(self):
+        """The tier-1 flake, made deterministic: the worker exits right
+        after sending its last result and ``retired``; the liveness sweep
+        sees it dead, drains the pipe (which retires it) and then retires
+        it itself.  One worker, one ``WorkerStats`` row."""
+        pool = ProcWorkerPool(ECHO, ElasticPolicy.fixed(1), name="t")
+        result = EnvelopeResult(
+            ticket=0, kind="s", key="k", ok=True, value=1, seconds=0.25, worker_id=0, pid=4242
+        )
+        conn = _ScriptedConn([("result", result), ("retired", 0)])
+        handle = _WorkerHandle(0, _ExitedProcess(), channel=None, conn=conn)
+        handle.retiring = True
+        pool._workers[0] = handle
+
+        assert pool._reap_dead() is True
+        stats = pool.stats()
+        assert [(w.worker_id, w.units, w.alive) for w in stats.workers] == [(0, 1, False)]
+        assert sum(w.units for w in stats.workers) == stats.units_executed == 1
+        assert stats.busy_seconds == 0.25
+        assert conn.closed == 1
+        assert pool._workers == {}
+
+        # A third caller (the close-time sweep) changes nothing either.
+        pool._forget(handle)
+        assert len(pool.stats().workers) == 1
+
+
+class TestSubmitWakesDispatch:
+    def test_roundtrip_does_not_wait_out_the_poll_interval(self):
+        """``poll_interval`` is the liveness-sweep period, not a floor on
+        dispatch latency: with a 2 s sweep, ten round trips still finish
+        in well under one sweep."""
+        with ProcWorkerPool(
+            ECHO, ElasticPolicy.fixed(1), name="t", poll_interval=2.0
+        ) as pool:
+            pool.submit(WorkEnvelope("s", "warm")).result(timeout=30.0)
+            time.sleep(0.05)  # let the dispatch thread go back to waiting
+            started = time.monotonic()
+            for index in range(10):
+                pool.submit(WorkEnvelope("s", f"k{index}")).result(timeout=30.0)
+                time.sleep(0.01)
+            elapsed = time.monotonic() - started
+        assert elapsed < 1.5

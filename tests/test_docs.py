@@ -356,6 +356,36 @@ class TestCacheDocs:
             assert marks["campaign_cache_cold"]["reference"] == 1.0
 
 
+class TestDataPathDocs:
+    """The per-stage data-path table names things that exist."""
+
+    def section(self):
+        text = (ROOT / "docs" / "architecture.md").read_text()
+        start = text.index("### Data path: passes per artifact")
+        return text[start:text.index("### Regenerating the baselines")]
+
+    def test_one_row_per_stage(self):
+        rows = [
+            line.split("|")[1].strip()
+            for line in self.section().splitlines()
+            if line.startswith("| ") and not line.startswith("| stage")
+        ]
+        assert rows == ["download", "preprocess", "model", "inference", "shipment"]
+
+    def test_named_functions_exist(self):
+        from repro import netcdf
+        from repro.netcdf import writer
+        from repro.util import digest
+
+        section = self.section()
+        for module, name in ((netcdf, "to_chunks"), (netcdf, "to_bytes"),
+                             (writer, "splice_bytes"), (digest, "write_digested")):
+            assert f"`{name}" in section, f"{name} not in the data-path table"
+            assert callable(getattr(module, name))
+        assert (ROOT / "tests" / "core" / "test_io_budget.py").is_file()
+        assert "tests/core/test_io_budget.py" in section
+
+
 class TestExamples:
     def test_every_example_has_docstring_and_main(self):
         for path in sorted((ROOT / "examples").glob("*.py")):

@@ -1,5 +1,8 @@
 """Transfer service tests: simulated WAN transfers and real local copies."""
 
+import hashlib
+import os
+
 import pytest
 
 from repro.hpc.filesystem import SharedFilesystem
@@ -11,6 +14,7 @@ from repro.transfer import (
     TransferError,
     TransferState,
 )
+from repro.util.digest import digest_file
 
 
 def make_sites(bandwidth=100.0, concurrent_files=4):
@@ -156,3 +160,42 @@ class TestLocalTransfer:
         client = LocalTransferClient()
         with pytest.raises(TransferError, match="missing"):
             client.transfer(str(tmp_path), str(tmp_path / "dst"), ["nope.nc"])
+
+    def test_delivered_digest_is_of_the_destination(self, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        payload = b"CDF\x01" + bytes(range(256)) * 40
+        (src / "tile.nc").write_bytes(payload)
+        dst_path, delivered, skipped = LocalTransferClient().move_one(
+            str(src), str(tmp_path / "dst"), "tile.nc"
+        )
+        assert not skipped
+        assert delivered == hashlib.sha256(payload).hexdigest()
+        assert delivered == digest_file(dst_path)[0]
+
+    def test_destination_corrupted_after_rename_is_rejected_and_unlinked(
+        self, tmp_path, monkeypatch
+    ):
+        """The source is hashed while it is copied, but that digest is
+        never taken as proof of delivery: the destination is re-read after
+        the rename, so damage landing in between is caught."""
+        src = tmp_path / "src"
+        dst = tmp_path / "dst"
+        src.mkdir()
+        (src / "tile.nc").write_bytes(b"CDF\x01" + b"z" * 5000)
+        real_replace = os.replace
+
+        def replace_then_rot(temp, final):
+            real_replace(temp, final)
+            with open(final, "r+b") as handle:
+                handle.seek(100)
+                handle.write(b"\xff")
+
+        monkeypatch.setattr("repro.transfer.client.os.replace", replace_then_rot)
+        client = LocalTransferClient()
+        with pytest.raises(TransferError, match="integrity check failed for tile.nc"):
+            client.move_one(str(src), str(dst), "tile.nc")
+        assert not (dst / "tile.nc").exists()
+        assert not (dst / "tile.nc.part").exists()
+        assert client.bytes_transferred == 0
+        assert (src / "tile.nc").exists()
