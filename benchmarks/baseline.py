@@ -34,7 +34,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.core.tiles import Tile, extract_tiles, tiles_to_dataset  # noqa: E402
+from repro.instruments.tiling import Tile, extract_tiles, tiles_to_dataset  # noqa: E402
 from repro.netcdf import from_bytes, to_bytes  # noqa: E402
 from repro.netcdf.writer import canonical_layout, splice_bytes  # noqa: E402
 from repro.ricc import AICCAModel, AgglomerativeClustering, RotationInvariantAutoencoder  # noqa: E402
@@ -273,6 +273,7 @@ def bench_makespan(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
 
     from repro.core import EOMLWorkflow, load_config
     from repro.modis import MINI_SWATH, LaadsArchive
+    from repro.runtime import PlanRunner
 
     # Sized so wide-area latency and local compute are comparable —
     # the regime where pipelining pays (either extreme hides it).  The
@@ -321,9 +322,8 @@ def bench_makespan(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
     # modes share, so bootstrap training cost cancels out of the ratio.
     warm_root = tempfile.mkdtemp(prefix="bench_makespan_warm_")
     try:
-        warm = build(warm_root, model=None)
-        warm.run(provenance=False, streaming=False)
-        model = warm.model
+        # Driving the plan directly returns the model node's value.
+        model = PlanRunner().run(build(warm_root, model=None).build_plan())["model"]
     finally:
         shutil.rmtree(warm_root, ignore_errors=True)
 
@@ -395,6 +395,7 @@ def bench_campaign(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
 
     from repro.core import EOMLWorkflow, load_config
     from repro.modis import MINI_SWATH, LaadsArchive
+    from repro.runtime import PlanRunner
 
     days = 2 if quick else 3
     granules = 4 if quick else 6
@@ -462,8 +463,8 @@ def bench_campaign(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
             },
             "journal": {"enabled": False},
         }), archive=LaadsArchive(seed=3, swath=MINI_SWATH))
-        warm.run(provenance=False)
-        model = warm.model
+        # Driving the plan directly returns the model node's value.
+        model = PlanRunner().run(warm.build_plan())["model"]
     finally:
         shutil.rmtree(warm_root, ignore_errors=True)
 

@@ -8,7 +8,7 @@ the real library surface here.
 import numpy as np
 import pytest
 
-from repro.core.tiles import extract_tiles, tiles_to_dataset
+from repro.instruments.tiling import extract_tiles, tiles_to_dataset
 from repro.netcdf import from_bytes, to_bytes
 from repro.ricc import AgglomerativeClustering, RotationInvariantAutoencoder
 

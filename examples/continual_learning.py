@@ -16,7 +16,7 @@ import datetime as dt
 
 import numpy as np
 
-from repro.core.tiles import extract_tiles
+from repro.instruments.tiling import extract_tiles
 from repro.modis import MINI_SWATH, GranuleId, generate_granule
 from repro.ricc import EWCTrainer, RotationInvariantAutoencoder
 

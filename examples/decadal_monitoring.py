@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from repro.analysis import class_frequency_series, detect_changing_classes
-from repro.core.tiles import Tile, tiles_to_dataset
+from repro.instruments.tiling import Tile, tiles_to_dataset
 from repro.modis.synthesis import synthesize_scene
 from repro.netcdf import write as nc_write
 from repro.ricc import AICCAModel

@@ -19,9 +19,12 @@ collisions are avoided by branch-qualified journal keys (the model
 node's ``model-<tag>`` key, the inference/shipment ``<tag>:`` key
 prefix) and by the per-instrument granule/scene key namespaces.
 
-A single-branch config (one instrument, one model) derives *nothing*:
-the classic pipeline runs on the root paths, byte-identical to the
-pre-fan-out layout.
+A single-branch config (one instrument, one model) is the product of
+size one whose tag is ``""``: it derives *nothing* — the pipeline runs
+on the root paths under bare names, byte-identical to the pre-fan-out
+layout.  This module is also the only place that spells or parses the
+``base[@tag]`` name grammar shared by plan nodes, pool envelope kinds
+and control-plane unit names.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ __all__ = [
     "is_fanout",
     "instrument_config",
     "branch_config",
+    "unit_name",
+    "split_unit",
+    "unit_slice",
+    "key_prefix",
+    "model_slot",
 ]
 
 
@@ -112,3 +120,44 @@ def branch_config(config: EOMLConfig, instrument: str, model: str) -> EOMLConfig
         transfer_out=os.path.join(config.transfer_out, tag),
         destination=os.path.join(config.destination, tag),
     )
+
+
+def unit_name(base: str, tag: str) -> str:
+    """``base@tag`` — or the bare ``base`` for the single branch's ``""``."""
+    return f"{base}@{tag}" if tag else base
+
+
+def split_unit(name: str) -> Tuple[str, str]:
+    """Inverse of :func:`unit_name`: ``(base, tag)``."""
+    base, _, tag = name.partition("@")
+    return base, tag
+
+
+def unit_slice(config: EOMLConfig, name: str) -> Tuple[str, str, EOMLConfig]:
+    """``(base, tag, config slice)`` a node, envelope or unit runs under.
+
+    An ``<instrument>+<model>`` tag selects the branch slice, a plain
+    ``<instrument>`` tag the instrument slice, and ``""`` the root
+    config — which is what both slices are for a single-branch config.
+    """
+    base, tag = split_unit(name)
+    instrument, _, model = tag.partition("+")
+    if model:
+        return base, tag, branch_config(config, instrument, model)
+    if instrument:
+        return base, tag, instrument_config(config, instrument)
+    return base, tag, config
+
+
+def key_prefix(tag: str) -> str:
+    """Journal-key namespace of a branch's inference/shipment items."""
+    return f"{tag}:" if tag else ""
+
+
+def model_slot(tag: str) -> Tuple[str, str]:
+    """``(journal key, file name)`` of a branch's bootstrapped model.
+
+    The single branch keeps the names it had before fan-out existed, so
+    old run directories still resume.
+    """
+    return (f"model-{tag}", f"model_{tag}.npz") if tag else ("aicca-model", "model.npz")

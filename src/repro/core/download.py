@@ -30,6 +30,7 @@ from repro.chaos.engine import FaultInjector
 from repro.chaos.surfaces import ChaosArchive, chaos_atomic_write
 from repro.compute import LocalComputeEndpoint
 from repro.core.artifact_cache import granule_key
+from repro.core.branches import unit_name
 from repro.core.config import EOMLConfig
 from repro.instruments.registry import get_instrument
 from repro.journal import WorkflowJournal
@@ -115,9 +116,7 @@ class DownloadStage:
         self._host = instrument.archive_host
         # Scale-out envelopes carry the branch tag so pool workers
         # rebuild the right per-instrument context ("" = classic kind).
-        self._kind = (
-            f"download@{config.branch}" if config.branch else "download"
-        )
+        self._kind = unit_name("download", config.branch)
         if chaos is not None:
             self.archive = ChaosArchive(self.archive, chaos, sleeper=sleeper)
         self.backoff = config.download_backoff

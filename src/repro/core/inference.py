@@ -30,6 +30,7 @@ import numpy as np
 from repro.chaos.engine import FaultInjector
 from repro.chaos.surfaces import chaos_crash
 from repro.core.artifact_cache import TileRefiner
+from repro.core.branches import key_prefix, unit_name
 from repro.core.config import EOMLConfig
 from repro.core.contracts import TILE_FILE
 from repro.core.preprocess import QuarantineRecord
@@ -46,7 +47,7 @@ from repro.runtime import (
     build_executor,
 )
 from repro.telemetry.metrics import MetricsRegistry
-from repro.util.atomic import atomic_publish_bytes
+from repro.util.digest import atomic_publish_bytes
 
 __all__ = ["InferenceResult", "infer_tile_file", "InferenceWorker"]
 
@@ -163,7 +164,6 @@ class InferenceWorker:
         on_result: Optional[Callable[[InferenceResult], None]] = None,
         pool: Optional[ProcWorkerPool] = None,
         model_ref: Optional[Tuple[str, Any]] = None,
-        key_prefix: str = "",
         cache: Optional[Any] = None,
     ):
         self.model = model
@@ -186,12 +186,10 @@ class InferenceWorker:
         # Fan-out plans share one journal across branches; the per-branch
         # key prefix ("<instrument>+<model>:") keeps same-named tile files
         # from colliding in it.  "" preserves the classic key namespace.
-        self.key_prefix = key_prefix
+        self.key_prefix = key_prefix(config.branch)
         # Scale-out envelopes carry the branch tag so pool workers
         # rebuild the right per-branch context ("" = classic kind).
-        self._kind = (
-            f"inference@{config.branch}" if config.branch else "inference"
-        )
+        self._kind = unit_name("inference", config.branch)
         # Scale-out path: when a pool is given, submit() ships each tile
         # file as an envelope instead of enqueueing for the local
         # threads; model_ref tells workers how to obtain the model.

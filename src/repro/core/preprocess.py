@@ -23,17 +23,17 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, List, Optional, Tuple
+from typing import Deque, Iterable, List, Optional
 
 from repro.chaos.engine import FaultInjector
 from repro.chaos.surfaces import chaos_atomic_write
 from repro.compute import LocalComputeEndpoint
 from repro.core.artifact_cache import input_digest, tiles_key
+from repro.core.branches import unit_name
 from repro.core.config import EOMLConfig
 from repro.core.download import GranuleSet
-from repro.core.tiles import extract_tiles, tiles_to_dataset
 from repro.instruments.registry import get_instrument
-from repro.instruments.tiling import FIDELITY_COARSE
+from repro.instruments.tiling import FIDELITY_COARSE, extract_tiles, tiles_to_dataset
 from repro.journal import WorkflowJournal
 from repro.netcdf import read as nc_read
 from repro.pexec import DataFlowKernel
@@ -308,98 +308,63 @@ class PreprocessStage:
         self._executor = build_executor(journal=journal, chaos=chaos, cache=cache)
         # Scale-out envelopes carry the branch tag so pool workers
         # rebuild the right per-instrument context ("" = classic kind).
-        self._kind = (
-            f"preprocess@{config.branch}" if config.branch else "preprocess"
-        )
+        self._kind = unit_name("preprocess", config.branch)
 
-    def run(self, granule_sets: List[GranuleSet]) -> PreprocessReport:
-        return self.run_stream(granule_sets)
-
-    def run_stream(self, granule_sets: Iterable[GranuleSet]) -> PreprocessReport:
+    def run(self, granule_sets: Iterable[GranuleSet]) -> PreprocessReport:
         """Fan out over an iterable that may still be producing.
 
         Each granule set is submitted the moment it arrives (for a plain
-        list this is identical to barrier mode), so tiling overlaps the
+        list this is the barrier fan-out), so tiling overlaps the
         upstream downloads when the input is a stream channel.  Finished
         tasks are settled eagerly in submission order — quarantine-and-
-        continue per task, exactly as in barrier mode — and the call
-        returns only when every submitted task has settled.
+        continue per task: one corrupt granule must not abort its
+        siblings — and the call returns only when every submitted task
+        has settled.
+
+        Where a task runs is the submit callable's business: the
+        Parsl-style DataFlowKernel in-process, or one pool envelope per
+        scene (sharded by scene key).  Quarantine-and-continue holds
+        across the process boundary — a task failure comes back as
+        :class:`WorkerTaskError` carrying the worker-side message, so
+        the quarantine record matches the in-process path byte for
+        byte.  A :class:`WorkerCrashed` (the worker died and requeues
+        are exhausted) is *not* a bad granule and propagates, like any
+        infrastructure failure.
         """
         os.makedirs(self.config.preprocessed, exist_ok=True)
         started = time.monotonic()
+        dfk: Optional[DataFlowKernel] = None
         if self.pool is not None:
-            results, quarantined = self._run_pooled(granule_sets)
+            def submit(granules: GranuleSet):
+                return self.pool.submit(
+                    WorkEnvelope(self._kind, granules.key, granules)
+                )
         else:
-            results, quarantined = self._run_dfk(granule_sets)
-        return PreprocessReport(
-            results=results, seconds=time.monotonic() - started, quarantined=quarantined
-        )
-
-    def _run_dfk(
-        self, granule_sets: Iterable[GranuleSet]
-    ) -> Tuple[List[PreprocessResult], List[QuarantineRecord]]:
-        dfk = self._dfk or DataFlowKernel(
-            {
-                "preprocess": LocalComputeEndpoint(
-                    "preprocess", max_workers=self.config.workers.preprocess
-                )
-            }
-        )
-        results: List[PreprocessResult] = []
-        quarantined: List[QuarantineRecord] = []
-        pending: Deque = deque()
-
-        # Settle each task independently: one corrupt granule must
-        # not abort its siblings (quarantine-and-continue).
-        def settle(block: bool) -> None:
-            while pending and (block or pending[0][1].done()):
-                granules, future = pending.popleft()
-                try:
-                    results.append(future.result())
-                except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                    quarantined.append(QuarantineRecord(key=granules.key, error=str(exc)))
-
-        try:
-            for granules in granule_sets:
-                pending.append(
-                    (
-                        granules,
-                        dfk.submit(
-                            preprocess_granule_set,
-                            args=(
-                                granules,
-                                self.config.preprocessed,
-                                self.config.tile_size,
-                                self.config.cloud_threshold,
-                                self.config.max_land_fraction,
-                            ),
-                            kwargs={
-                                "executor": self._executor,
-                                "instrument": self.config.instrument,
-                                "coarse_stride": self.config.coarse_stride,
-                            },
-                        ),
+            dfk = self._dfk or DataFlowKernel(
+                {
+                    "preprocess": LocalComputeEndpoint(
+                        "preprocess", max_workers=self.config.workers.preprocess
                     )
+                }
+            )
+
+            def submit(granules: GranuleSet):
+                return dfk.submit(
+                    preprocess_granule_set,
+                    args=(
+                        granules,
+                        self.config.preprocessed,
+                        self.config.tile_size,
+                        self.config.cloud_threshold,
+                        self.config.max_land_fraction,
+                    ),
+                    kwargs={
+                        "executor": self._executor,
+                        "instrument": self.config.instrument,
+                        "coarse_stride": self.config.coarse_stride,
+                    },
                 )
-                settle(block=False)
-            settle(block=True)
-        finally:
-            if self._owns_dfk:
-                dfk.shutdown()
-        return results, quarantined
 
-    def _run_pooled(
-        self, granule_sets: Iterable[GranuleSet]
-    ) -> Tuple[List[PreprocessResult], List[QuarantineRecord]]:
-        """Scale-out path: one envelope per scene, sharded by scene key.
-
-        Quarantine-and-continue holds across the process boundary — a
-        task failure comes back as :class:`WorkerTaskError` carrying the
-        worker-side message, so the quarantine record matches the
-        in-process path byte for byte.  A :class:`WorkerCrashed` (the
-        worker died and requeues are exhausted) is *not* a bad granule
-        and propagates, like any infrastructure failure.
-        """
         results: List[PreprocessResult] = []
         quarantined: List[QuarantineRecord] = []
         pending: Deque = deque()
@@ -414,15 +379,14 @@ class PreprocessStage:
                 except Exception as exc:  # noqa: BLE001 - recorded, not fatal
                     quarantined.append(QuarantineRecord(key=granules.key, error=str(exc)))
 
-        for granules in granule_sets:
-            pending.append(
-                (
-                    granules,
-                    self.pool.submit(
-                        WorkEnvelope(self._kind, granules.key, granules)
-                    ),
-                )
-            )
-            settle(block=False)
-        settle(block=True)
-        return results, quarantined
+        try:
+            for granules in granule_sets:
+                pending.append((granules, submit(granules)))
+                settle(block=False)
+            settle(block=True)
+        finally:
+            if dfk is not None and self._owns_dfk:
+                dfk.shutdown()
+        return PreprocessReport(
+            results=results, seconds=time.monotonic() - started, quarantined=quarantined
+        )

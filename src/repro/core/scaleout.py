@@ -28,10 +28,11 @@ inference[@branch] tile-file basename ``(tile_path, model_ref)``
 
 The optional ``@`` suffix carries the fan-out branch: an instrument name
 for download/preprocess, an ``<instrument>+<model>`` tag for inference.
-A bare kind is the classic single-branch pipeline; suffixed kinds make
-the worker derive the matching per-branch config through the same
-:mod:`repro.core.branches` helpers the drivers use, so sharded work can
-never disagree with the in-process plan about paths or knobs.
+The worker resolves every kind to its config slice through
+:func:`repro.core.branches.unit_slice` — the same function the drivers
+use, for which a bare kind is simply the single branch's root config —
+so sharded work can never disagree with the in-process plan about paths
+or knobs.
 
 ``model_ref`` is ``("path", path)`` — each worker loads and caches the
 model once, through the branch's registered model type — or
@@ -47,7 +48,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.chaos import build_injector
 from repro.core.artifact_cache import open_store
-from repro.core.branches import branch_config, instrument_config
+from repro.core.branches import unit_slice
 from repro.core.config import EOMLConfig, load_config
 from repro.core.download import DownloadStage
 from repro.core.inference import InferenceWorker
@@ -116,24 +117,9 @@ class StageWorker:
 
     # -- per-kind contexts ----------------------------------------------------
 
-    def _branch_config(self, base: str, tag: str) -> EOMLConfig:
-        """The config slice an envelope kind executes under.
-
-        A bare kind ("" tag) is the classic single-branch pipeline and
-        runs on the root config; a suffixed kind derives the branch
-        slice through the shared :mod:`repro.core.branches` helpers.
-        """
-        if not tag:
-            return self.config
-        if base == "inference":
-            instrument, _, model = tag.partition("+")
-            return branch_config(self.config, instrument, model)
-        return instrument_config(self.config, tag)
-
-    def _ensure_download(self, tag: str) -> DownloadStage:
+    def _ensure_download(self, tag: str, cfg: EOMLConfig) -> DownloadStage:
         if tag not in self._downloads:
-            cfg = self._branch_config("download", tag)
-            primary = not tag or tag == self.config.instruments[0]
+            primary = cfg.instrument == self.config.instruments[0]
             os.makedirs(cfg.staging, exist_ok=True)
             self._downloads[tag] = DownloadStage(
                 cfg,
@@ -160,20 +146,20 @@ class StageWorker:
                 self._models[tag] = value
         return self._models[tag]
 
-    def _ensure_inference(self, tag: str, model_ref: Tuple[str, Any]) -> InferenceWorker:
+    def _ensure_inference(
+        self, tag: str, cfg: EOMLConfig, model_ref: Tuple[str, Any]
+    ) -> InferenceWorker:
         if tag not in self._inference:
             # batch_files=1 keeps per-file labels byte-identical to the
             # in-process micro-batched path (the PR 2 equivalence
             # guarantee); the worker is never start()ed — _process_batch
             # runs synchronously on the envelope loop.
-            cfg = self._branch_config("inference", tag)
             self._inference[tag] = InferenceWorker(
                 self._load_model(tag, cfg, model_ref),
                 cfg,
                 chaos=self.chaos,
                 batch_files=1,
                 journal=self.journal,
-                key_prefix=f"{tag}:" if tag else "",
                 cache=self.cache,
             )
         return self._inference[tag]
@@ -181,12 +167,11 @@ class StageWorker:
     # -- envelope execution ---------------------------------------------------
 
     def __call__(self, envelope: WorkEnvelope) -> Any:
-        base, _, tag = envelope.kind.partition("@")
+        base, tag, cfg = unit_slice(self.config, envelope.kind)
         if base == "download":
-            return self._ensure_download(tag)._fetch_one(envelope.payload)
+            return self._ensure_download(tag, cfg)._fetch_one(envelope.payload)
         if base == "preprocess":
             granules = envelope.payload
-            cfg = self._branch_config("preprocess", tag)
             return preprocess_granule_set(
                 granules,
                 cfg.preprocessed,
@@ -198,10 +183,12 @@ class StageWorker:
                 coarse_stride=cfg.coarse_stride,
             )
         if base == "inference":
-            return self._infer(tag, envelope.payload)
+            return self._infer(tag, cfg, envelope.payload)
         raise ValueError(f"unknown envelope kind {envelope.kind!r}")
 
-    def _infer(self, tag: str, payload: Tuple[str, Tuple[str, Any]]) -> Tuple[str, Any]:
+    def _infer(
+        self, tag: str, cfg: EOMLConfig, payload: Tuple[str, Tuple[str, Any]]
+    ) -> Tuple[str, Any]:
         """Label one tile file; returns a tagged outcome tuple.
 
         The quarantine move (when the file is bad) happens here in the
@@ -209,7 +196,7 @@ class StageWorker:
         ``("quarantined", msg)``, ``("error", msg)``.
         """
         path, model_ref = payload
-        worker = self._ensure_inference(tag, model_ref)
+        worker = self._ensure_inference(tag, cfg, model_ref)
         results_before = len(worker.results)
         quarantined_before = len(worker.quarantined)
         errors_before = len(worker.errors)

@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.chaos.engine import FaultInjector
 from repro.chaos.surfaces import ChaosTransferClient
+from repro.core.branches import key_prefix
 from repro.core.config import EOMLConfig
 from repro.journal import WorkflowJournal
 from repro.runtime import (
@@ -66,7 +67,6 @@ class ShipmentStage:
         client: LocalTransferClient | None = None,
         chaos: Optional[FaultInjector] = None,
         journal: Optional[WorkflowJournal] = None,
-        key_prefix: str = "",
         cache: Optional[object] = None,
     ):
         self.config = config
@@ -74,7 +74,7 @@ class ShipmentStage:
         self.cache = cache
         # Fan-out plans share one journal across branches; the per-branch
         # key prefix keeps same-named labelled files from colliding in it.
-        self.key_prefix = key_prefix
+        self.key_prefix = key_prefix(config.branch)
         if client is not None:
             self.client = client
         else:
@@ -215,8 +215,17 @@ class ShipmentStage:
             if name.endswith(".nc") and not name.endswith(".part")
         )
 
-    def run(self) -> ShipmentReport:
-        """Ship everything currently in the transfer-out directory.
+    def run(self, names: Iterable[str] = ()) -> ShipmentReport:
+        """Ship ``names`` as they arrive, then sweep the transfer-out directory.
+
+        ``names`` are labelled-file basenames an upstream producer
+        announces (a stream channel, so delivery overlaps the inference
+        drain); with nothing announced the sweep alone ships everything
+        currently in the directory.  Names are deduplicated, the batch
+        deadline starts at the *first* move (not while idly waiting on
+        the stream), and the closing sweep picks up anything not
+        announced — files published by a prior crashed run must still
+        ship.
 
         With a journal, delivery is idempotent: a file whose journaled
         shipment still verifies at the destination is skipped outright,
@@ -224,24 +233,6 @@ class ShipmentStage:
         destination* and compared against the labelled artifact's
         journaled digest — the end-to-end integrity check.
         """
-        if not os.path.isdir(self.config.transfer_out):
-            return ShipmentReport(moved=[], nbytes=0, seconds=0.0)
-        return self._drive(self._pending_names(), sweep=False)
-
-    def run_stream(self, names: Iterable[str]) -> ShipmentReport:
-        """Ship file names as an upstream producer announces them.
-
-        Each arriving name (a labelled file's basename) moves
-        immediately, so delivery overlaps the inference drain.  Names
-        are deduplicated, the batch deadline starts at the *first* move
-        (not while idly waiting on the stream), and once the stream
-        ends the transfer-out directory is swept for anything not
-        announced — files published by a prior crashed run must still
-        ship.  Accounting and failure semantics match :meth:`run`.
-        """
-        return self._drive(names, sweep=True)
-
-    def _drive(self, names: Iterable[str], sweep: bool) -> ShipmentReport:
         started = time.monotonic()
         before = self.client.bytes_transferred
         deadline: Optional[float] = None
@@ -304,7 +295,7 @@ class ShipmentStage:
             ship(name)
             if stopped:
                 break
-        if sweep and not stopped:
+        if not stopped:
             for name in self._pending_names():
                 ship(name)
                 if stopped:

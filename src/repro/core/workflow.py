@@ -29,18 +29,28 @@ plan out into per-``<instrument>+<model>`` branches.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cas import CACHE_COUNTERS
 from repro.chaos import build_injector
 from repro.core.artifact_cache import open_store
-from repro.core.branches import branch_config, branch_tag, expand_branches, instrument_config, is_fanout
+from repro.core.branches import (
+    branch_config,
+    expand_branches,
+    instrument_config,
+    is_fanout,
+    key_prefix,
+    model_slot,
+    split_unit,
+    unit_name,
+)
 from repro.core.config import EOMLConfig
 from repro.journal import WorkflowJournal
 from repro.core.download import DownloadReport, DownloadStage, GranuleSet
@@ -156,21 +166,22 @@ class EOMLWorkflow:
 
     # -- model bootstrap ------------------------------------------------------
 
+    @staticmethod
     def _effective_model_path(
-        self, journal: Optional[WorkflowJournal], tag: str = ""
+        config: EOMLConfig, journal: Optional[WorkflowJournal]
     ) -> Optional[str]:
-        """Where the bootstrapped model persists.
+        """Where the model of ``config``'s branch persists.
 
         Without an explicit ``inference.model_path`` the journal directory
         hosts it, so a resumed run reloads instead of retraining.  Fan-out
-        branches always live in the journal directory, one file per
-        branch tag (``model_path`` names *one* model file).
+        branch configs never carry a ``model_path`` (it names *one* model
+        file), so their models always live in the journal directory, one
+        file per branch tag.
         """
-        if not tag and self.config.model_path:
-            return self.config.model_path
+        if config.model_path:
+            return config.model_path
         if journal is not None:
-            name = f"model_{tag}.npz" if tag else "model.npz"
-            return os.path.join(journal.directory, name)
+            return os.path.join(journal.directory, model_slot(config.branch)[1])
         return None
 
     def _bootstrap_model(
@@ -179,10 +190,10 @@ class EOMLWorkflow:
         tile_paths: List[str],
         model_path: Optional[str],
         journal: Optional[WorkflowJournal],
-        journal_key: str,
     ) -> Any:
         """Load-or-train ``config.model_name`` through the registry."""
         model_type = get_model(config.model_name)
+        journal_key = model_slot(config.branch)[0]
         if model_path and os.path.exists(model_path):
             model = model_type.load(model_path)
             if journal is not None:
@@ -206,47 +217,7 @@ class EOMLWorkflow:
                 journal.complete("model", journal_key, artifact=model_path)
         return model
 
-    def _ensure_model(
-        self,
-        tile_paths: List[str],
-        model_path: Optional[str] = None,
-        journal: Optional[WorkflowJournal] = None,
-    ) -> Any:
-        if self.model is not None:
-            return self.model
-        self.model = self._bootstrap_model(
-            self.config,
-            tile_paths,
-            model_path or self.config.model_path,
-            journal,
-            "aicca-model",
-        )
-        return self.model
-
     # -- the declarative plan -------------------------------------------------
-
-    @staticmethod
-    def _await_model(state: Dict[str, Any], handles: Dict[str, Any]) -> Any:
-        """The model the inference window labels with.
-
-        Barrier mode reads it straight from the state (the ``after``
-        edge guarantees it).  Streaming mode may open the window while
-        the model node is still relaying scenes, so the model thread
-        publishes the trained/loaded model through ``handles`` and sets
-        the ``model_ready`` event — on both its success and error paths,
-        so this wait can never hang.
-        """
-        model = state.get("model") or handles.get("model")
-        if model is not None:
-            return model
-        event = handles.get("model_ready")
-        if event is None:
-            raise RuntimeError("inference window opened before the model node ran")
-        event.wait()
-        error = handles.get("model_error")
-        if error is not None:
-            raise RuntimeError(f"model bootstrap failed: {error}")
-        return handles["model"]
 
     def build_plan(
         self,
@@ -261,520 +232,294 @@ class EOMLWorkflow:
     ) -> PipelinePlan:
         """The pipeline as data: nodes are stages, edges are policies.
 
+        One graph, instantiated per instrument ``I`` (the acquisition
+        chain, on :func:`~repro.core.branches.instrument_config`'s slice)
+        and per branch ``tag = I+M`` (the labelling chain, on
+        :func:`~repro.core.branches.branch_config`'s slice)::
+
+            download@I -> model@I+M1 -> ... -> model@I+Mk -> preprocess@I
+                                                                 | overlaps
+                                        inference@tag  ->  shipment@tag
+
+        A single-instrument, single-model config is the product of size
+        one whose tag is ``""``: the same five nodes under their bare
+        names, on the root config.
+
         Barrier topology (``streaming=False``, the paper's Fig. 2):
 
-        * ``preprocess.after = (download, model)`` is the download
-          barrier;
+        * every node of the acquisition chain runs ``after`` all of its
+          predecessors — ``preprocess.after = (download, model)`` is the
+          download barrier;
         * ``inference.overlaps = (preprocess,)`` opens the crawler +
           worker concurrency window while preprocessing runs, and
           ``inference``'s own body is the drain;
         * ``shipment.when = config.ship`` gates delivery.
 
         Streaming topology (``streaming=True``, Fig. 6's pipelining
-        carried through every stage): the download barrier becomes the
-        ``download -> model -> preprocess`` stream chain — each completed
-        granule scene flows to preprocessing the moment its last product
-        lands (the model node bootstraps from the sorted-first tile-
-        yielding scene, exactly the scene barrier mode trains on, then
-        relays) — and labelled files flow over ``inference -> shipment``
-        so delivery overlaps the drain.  Work bodies, middleware, journal
-        phases, and the shipped bytes are identical in both topologies;
-        only the edges change.
+        carried through every stage): the chain's barriers become
+        ``stream`` edges — each completed granule scene flows to
+        preprocessing the moment its last product lands (a model node
+        bootstraps from the sorted-first tile-yielding scene, exactly
+        the scene barrier mode trains on, then relays) — and labelled
+        files flow over ``inference -> shipment`` so delivery overlaps
+        the drain.  Every node has one body; ``streaming`` only picks
+        the edge kind, and with it whether a body's upstream is a
+        channel or its predecessor's finished report.
 
-        ``handles`` (shared with the caller) receives the live
-        ``worker``/``crawler`` objects plus the model-bootstrap
-        bookkeeping, since those outlive their nodes.  Any driver that
-        honours the edges — the local :class:`PlanRunner` or
-        :class:`StreamingPlanRunner`, the flows engine, the zambeze
-        orchestrator — can execute either plan.
+        ``handles`` (shared with the caller) receives, under
+        ``base[@tag]`` names, the live ``worker``/``crawler`` objects
+        plus the model-bootstrap bookkeeping, since those outlive their
+        nodes.  Any driver that honours the edges — the local
+        :class:`PlanRunner` or :class:`StreamingPlanRunner`, the flows
+        engine, the zambeze orchestrator — can execute either plan.
         """
         config = self.config
         handles = handles if handles is not None else {}
-        handles.setdefault("bootstrap_reports", [])
-        handles.setdefault("consumed", 0)
-        if is_fanout(config):
-            return self._build_fanout_plan(
-                metrics=metrics, prov=prov, chaos=chaos, journal=journal,
-                handles=handles, streaming=streaming, pool=pool, cache=cache,
-            )
-        if streaming:
-            handles.setdefault("model_ready", threading.Event())
         config_entity = (
             prov.entity("config", f"config:{config.name}", name=config.name)
             if prov
             else None
         )
-        preprocess_stage = PreprocessStage(
-            config, chaos=chaos, journal=journal, pool=pool, cache=cache
-        )
 
-        def record_download_prov(download: DownloadReport) -> None:
-            if not prov:
-                return
-            activity = prov.start_activity(
-                "download", "globus-compute", workers=config.workers.download
-            )
-            prov.record_use(activity, config_entity)
-            for granule_set in download.granule_sets:
-                for product, path in granule_set.paths.items():
-                    prov.record_generation(
-                        activity, prov.entity("granule", path, product=product)
-                    )
-            prov.end_activity(activity)
+        def link(*upstream: str) -> Dict[str, Tuple[str, ...]]:
+            """A node's incoming edges; ``upstream[-1]`` is what feeds it."""
+            return {"stream": upstream[-1:]} if streaming else {"after": upstream}
 
-        def run_download(state: Dict[str, Any]) -> DownloadReport:
-            stage = DownloadStage(
-                config, archive=self.archive, chaos=chaos, journal=journal,
-                cache=cache,
-            )
-            download = stage.run(pool=pool)
-            record_download_prov(download)
-            return download
+        def sink(state: Dict[str, Any], name: str) -> Callable[[Any], None]:
+            """Where a body hands each item downstream (nowhere, at a barrier)."""
+            if streaming:
+                return state[STREAMS_KEY].writer(name).put
+            return lambda item: None
 
-        def run_model(state: Dict[str, Any]) -> Any:
-            # The model must exist before the first trigger fires.
-            # Bootstrap from a quick serial preprocess of the leading
-            # granule sets when training data is needed — advancing past
-            # quarantined or tileless granules until one yields tiles, so
-            # a single corrupt scene can not sink the whole run.
-            model_path = self._effective_model_path(journal)
-            if journal is not None and self.model is None:
-                model_decision = journal.resume("model", "aicca-model")
-                if (
-                    model_decision.redo
-                    and model_path
-                    and not config.model_path
-                    and os.path.exists(model_path)
-                ):
-                    # A mid-train crash (or digest mismatch) makes the
-                    # journal-owned bootstrap model untrustworthy; retrain.
-                    # An explicitly configured model file is the user's —
-                    # never deleted here.
-                    os.remove(model_path)
-            bootstrap_paths: List[str] = []
-            if self.model is None and not (
-                model_path and os.path.exists(model_path)
-            ):
-                for granule_set in state["download"].granule_sets:
-                    head = preprocess_stage.run([granule_set])
-                    handles["bootstrap_reports"].append(head)
-                    handles["consumed"] += 1
-                    bootstrap_paths = [
-                        r.tile_path for r in head.results if r.tile_path
-                    ]
-                    if bootstrap_paths:
-                        break
-            return self._ensure_model(
-                bootstrap_paths, model_path=model_path, journal=journal
-            )
-
-        def run_preprocess(state: Dict[str, Any]) -> PreprocessReport:
-            remaining = state["download"].granule_sets[handles["consumed"]:]
-            return preprocess_stage.run(remaining)
-
-        @contextmanager
-        def inference_scope(state: Dict[str, Any]):
-            model = self._await_model(state, handles)
-            on_result = None
-            hub = state.get(STREAMS_KEY)
-            if hub is not None:
-                ship_writer = hub.writer("inference")
-                if len(ship_writer):
-                    # Labelled files stream to shipment by basename the
-                    # moment they publish — eager delivery while the
-                    # inference queue is still draining.
-                    def on_result(result: InferenceResult) -> None:
-                        ship_writer.put(os.path.basename(result.out_path))
-            model_ref = None
-            if pool is not None:
-                # Workers load the persisted model file when one exists
-                # (one load per worker, cached); otherwise the model
-                # object itself rides the first envelope.
-                model_path = self._effective_model_path(journal)
-                if model_path and os.path.exists(model_path):
-                    model_ref = ("path", model_path)
-                else:
-                    model_ref = ("object", model)
-            worker = InferenceWorker(
-                model, config, chaos=chaos, metrics=metrics, journal=journal,
-                on_result=on_result, pool=pool, model_ref=model_ref,
-                cache=cache,
-            )
-            crawler = DirectoryCrawler(
-                config.preprocessed,
-                trigger=worker.submit,
-                poll_interval=config.poll_interval,
-                gate=journal.artifact_ok if journal is not None else None,
-                executor=build_executor(chaos=chaos, metrics=metrics),
-            )
-            handles["worker"] = worker
-            handles["crawler"] = crawler
-            with worker, crawler:
-                yield
-
-        def run_inference(state: Dict[str, Any]) -> InferenceWorker:
-            handles["crawler"].scan_once()
-            worker = handles["worker"]
-            worker.drain(timeout=config.inference_drain_timeout)
-            return worker
-
-        def record_shipment_prov(shipment: ShipmentReport) -> None:
-            if not (prov and shipment.moved):
-                return
-            activity = prov.start_activity("shipment", "globus-transfer")
-            for inf in handles["worker"].results:
-                prov.record_use(activity, prov.entity("labelled_file", inf.out_path))
-            for path in shipment.moved:
-                prov.record_generation(
-                    activity,
-                    prov.entity(
-                        "delivered_file", path,
-                        checksum=shipment.checksums.get(os.path.basename(path)),
-                    ),
-                )
-            prov.end_activity(activity)
-
-        def run_shipment(state: Dict[str, Any]) -> ShipmentReport:
-            shipment = ShipmentStage(
-                config, chaos=chaos, journal=journal, cache=cache
-            ).run()
-            record_shipment_prov(shipment)
-            return shipment
-
-        # -- streaming bodies: same work, per-item hand-offs ------------------
-
-        def run_download_stream(state: Dict[str, Any]) -> DownloadReport:
-            writer = state[STREAMS_KEY].writer("download")
-            stage = DownloadStage(
-                config, archive=self.archive, chaos=chaos, journal=journal,
-                cache=cache,
-            )
-            download = stage.run(
-                on_planned=lambda keys: writer.put(("planned", list(keys))),
-                on_scene=lambda key, gs: writer.put(("scene", key, gs)),
-                pool=pool,
-            )
-            record_download_prov(download)
-            return download
-
-        def run_model_stream(state: Dict[str, Any]) -> Any:
-            """Bootstrap deterministically, then relay scenes.
-
-            Scenes arrive in completion order, but the bootstrap must
-            train on exactly the scene barrier mode trains on (the
-            sorted-first complete scene that yields tiles) or the model
-            — and every label downstream — would drift with thread
-            timing.  So arrivals are buffered and the planned keys are
-            walked in sorted order; once the model exists it is
-            published through ``handles`` (the inference window may
-            already be waiting on it) and everything else is forwarded
-            to preprocess as it arrives.
-            """
-            reader = state[STREAMS_KEY].reader("model", src="download")
-            forward = state[STREAMS_KEY].writer("model")
-            try:
-                model_path = self._effective_model_path(journal)
-                if journal is not None and self.model is None:
-                    model_decision = journal.resume("model", "aicca-model")
-                    if (
-                        model_decision.redo
-                        and model_path
-                        and not config.model_path
-                        and os.path.exists(model_path)
-                    ):
-                        # Same rule as barrier mode: a journal-owned
-                        # bootstrap model that crashed mid-train is
-                        # untrustworthy; a user-configured file is never
-                        # deleted here.
-                        os.remove(model_path)
-
-                planned_keys: Optional[List[str]] = None
-                arrived: Dict[str, Optional[GranuleSet]] = {}
-                order: List[str] = []
-
-                def pump() -> bool:
-                    nonlocal planned_keys
-                    ok, token = reader.get()
-                    if not ok:
-                        return False
-                    if token[0] == "planned":
-                        planned_keys = list(token[1])
-                    else:
-                        _, key, granule_set = token
-                        arrived[key] = granule_set
-                        if granule_set is not None:
-                            order.append(key)
-                    return True
-
-                consumed: set = set()
-                bootstrap_paths: List[str] = []
-                if self.model is None and not (
-                    model_path and os.path.exists(model_path)
-                ):
-                    while planned_keys is None and pump():
-                        pass
-                    for key in planned_keys or []:
-                        while key not in arrived and pump():
-                            pass
-                        if key not in arrived:
-                            break  # stream ended before the scene settled
-                        granule_set = arrived[key]
-                        if granule_set is None:
-                            continue  # incomplete scene; never preprocessed
-                        head = preprocess_stage.run([granule_set])
-                        handles["bootstrap_reports"].append(head)
-                        handles["consumed"] += 1
-                        consumed.add(key)
-                        bootstrap_paths = [
-                            r.tile_path for r in head.results if r.tile_path
-                        ]
-                        if bootstrap_paths:
-                            break
-                model = self._ensure_model(
-                    bootstrap_paths, model_path=model_path, journal=journal
-                )
-                handles["model"] = model
-                handles["model_ready"].set()
-                for key in order:
-                    if key not in consumed:
-                        forward.put(arrived[key])
-                while True:
-                    ok, token = reader.get()
-                    if not ok:
-                        break
-                    if token[0] == "scene" and token[2] is not None:
-                        forward.put(token[2])
-                return model
-            except BaseException as exc:
-                handles["model_error"] = exc
-                handles["model_ready"].set()
-                raise
-
-        def run_preprocess_stream(state: Dict[str, Any]) -> PreprocessReport:
-            reader = state[STREAMS_KEY].reader("preprocess", src="model")
-            return preprocess_stage.run_stream(iter(reader))
-
-        def run_shipment_stream(state: Dict[str, Any]) -> ShipmentReport:
-            reader = state[STREAMS_KEY].reader("shipment", src="inference")
-            shipment = ShipmentStage(
-                config, chaos=chaos, journal=journal, cache=cache
-            ).run_stream(iter(reader))
-            record_shipment_prov(shipment)
-            return shipment
-
-        if streaming:
-            return PipelinePlan(
-                [
-                    StageNode(
-                        "download",
-                        run_download_stream,
-                        workers=config.workers.download,
-                        counts=lambda r: {"files": r.files},
-                    ),
-                    StageNode("model", run_model_stream, stream=("download",)),
-                    StageNode(
-                        "preprocess",
-                        run_preprocess_stream,
-                        workers=config.workers.preprocess,
-                        stream=("model",),
-                        counts=lambda r: {"tiles": r.total_tiles},
-                    ),
-                    StageNode(
-                        "inference",
-                        run_inference,
-                        workers=config.workers.inference,
-                        after=("preprocess", "model"),
-                        overlaps=("preprocess",),
-                        scope=inference_scope,
-                        counts=lambda worker: {"files": len(worker.results)},
-                    ),
-                    StageNode(
-                        "shipment",
-                        run_shipment_stream,
-                        stream=("inference",),
-                        when=lambda state: bool(config.ship),
-                        counts=lambda r: {"files": len(r.moved)},
-                    ),
-                ]
-            )
-        return PipelinePlan(
-            [
-                StageNode(
-                    "download",
-                    run_download,
-                    workers=config.workers.download,
-                    counts=lambda r: {"files": r.files},
-                ),
-                StageNode("model", run_model, after=("download",)),
-                StageNode(
-                    "preprocess",
-                    run_preprocess,
-                    workers=config.workers.preprocess,
-                    after=("download", "model"),
-                    counts=lambda r: {"tiles": r.total_tiles},
-                ),
-                StageNode(
-                    "inference",
-                    run_inference,
-                    workers=config.workers.inference,
-                    after=("preprocess", "model"),
-                    overlaps=("preprocess",),
-                    scope=inference_scope,
-                    counts=lambda worker: {"files": len(worker.results)},
-                ),
-                StageNode(
-                    "shipment",
-                    run_shipment,
-                    after=("inference",),
-                    when=lambda state: bool(config.ship),
-                    counts=lambda r: {"files": len(r.moved)},
-                ),
-            ]
-        )
-
-    # -- the fan-out plan -----------------------------------------------------
-
-    def _build_fanout_plan(
-        self,
-        metrics: Optional[MetricsRegistry] = None,
-        prov: Optional[ProvenanceStore] = None,
-        chaos: Any = None,
-        journal: Optional[WorkflowJournal] = None,
-        handles: Optional[Dict[str, Any]] = None,
-        streaming: bool = False,
-        pool: Optional[ProcWorkerPool] = None,
-        cache: Any = None,
-    ) -> PipelinePlan:
-        """One plan, fanned out per instrument x model branch.
-
-        Per instrument ``I`` the acquisition side runs once —
-        ``download@I -> preprocess@I`` on the per-instrument config slice
-        (:func:`~repro.core.branches.instrument_config`) — and per branch
-        ``tag = I+M`` the labelling side runs on the branch slice
-        (:func:`~repro.core.branches.branch_config`):
-        ``model@tag -> inference@tag -> shipment@tag``.  Each branch
-        bootstraps its own model from the instrument's sorted-first tile
-        file (deterministic under every driver), labels into its own
-        transfer-out directory, and ships to its own destination.
-
-        The topology differs from the single-branch plan in one way: the
-        inference window opens *after* its instrument's preprocess
-        barrier (the worker + crawler live inside the node body), so N
-        branches never contend for the monitor-overlap window.  Under
-        ``streaming=True`` the ``download@I -> preprocess@I`` and
-        ``inference@tag -> shipment@tag`` hand-offs become stream edges;
-        the model nodes stay barriers.
-        """
-        config = self.config
-        handles = handles if handles is not None else {}
-
-        def make_download(inst: str):
+        def acquisition(inst: str) -> List[StageNode]:
+            """``download -> model... -> preprocess`` for one instrument."""
             icfg = instrument_config(config, inst)
-            primary = inst == config.instruments[0]
+            download_name = unit_name("download", icfg.branch)
+            preprocess_name = unit_name("preprocess", icfg.branch)
+            # Scenes the bootstrap tiled ahead of the preprocess node:
+            # scene key -> that tiling's report, in the order they ran.
+            heads_key = unit_name("heads", icfg.branch)
+            handles.setdefault(heads_key, {})
+            preprocess_stage = PreprocessStage(
+                icfg, chaos=chaos, journal=journal, pool=pool, cache=cache
+            )
+
+            def scene_tokens(state: Dict[str, Any], name: str, src: str):
+                """``("planned", keys)`` then ``("scene", key, set-or-None)``
+                tokens: off the channel, or replayed from the finished
+                download report at a barrier."""
+                if streaming:
+                    return iter(state[STREAMS_KEY].reader(name, src=src))
+                sets = state[download_name].granule_sets
+                return iter(
+                    [("planned", [gs.key for gs in sets])]
+                    + [("scene", gs.key, gs) for gs in sets]
+                )
 
             def run_download(state: Dict[str, Any]) -> DownloadReport:
                 stage = DownloadStage(
                     icfg,
-                    archive=self.archive if primary else None,
-                    chaos=chaos,
-                    journal=journal,
-                    cache=cache,
+                    # An injected archive speaks the primary instrument's
+                    # granule grammar only.
+                    archive=self.archive if inst == config.instruments[0] else None,
+                    chaos=chaos, journal=journal, cache=cache,
                 )
-                return stage.run(pool=pool)
-
-            def run_download_stream(state: Dict[str, Any]) -> DownloadReport:
-                writer = state[STREAMS_KEY].writer(f"download@{inst}")
-                stage = DownloadStage(
-                    icfg,
-                    archive=self.archive if primary else None,
-                    chaos=chaos,
-                    journal=journal,
-                    cache=cache,
-                )
-                return stage.run(
-                    on_scene=lambda key, gs: writer.put(("scene", key, gs)),
+                emit = sink(state, download_name)
+                download = stage.run(
+                    on_planned=lambda keys: emit(("planned", list(keys))),
+                    on_scene=lambda key, gs: emit(("scene", key, gs)),
                     pool=pool,
                 )
+                if prov:
+                    activity = prov.start_activity(
+                        "download", "globus-compute", workers=config.workers.download
+                    )
+                    prov.record_use(activity, config_entity)
+                    for granule_set in download.granule_sets:
+                        for product, path in granule_set.paths.items():
+                            prov.record_generation(
+                                activity, prov.entity("granule", path, product=product)
+                            )
+                    prov.end_activity(activity)
+                return download
 
-            return run_download_stream if streaming else run_download
+            def head_tiles(tokens, held: List[Any]) -> List[str]:
+                """Tile files of the instrument's bootstrap scene.
 
-        def make_preprocess(inst: str):
-            icfg = instrument_config(config, inst)
-            stage = PreprocessStage(
-                icfg, chaos=chaos, journal=journal, pool=pool, cache=cache
-            )
+                Scenes arrive in completion order, but every model must
+                train on the same scene whatever the thread timing — the
+                sorted-first complete scene that yields tiles — or the
+                model, and every label downstream, would drift.  So
+                tokens are pulled (into ``held``, for the relay) only
+                until that scene settles, advancing past quarantined or
+                tileless scenes so a single corrupt one can not sink the
+                whole run.  The scenes tiled here are remembered per
+                instrument: a sibling model reuses the result, and the
+                preprocess node skips them.
+                """
+                heads = handles[heads_key]
+                planned: Optional[List[str]] = None
+                arrived: Dict[str, Optional[GranuleSet]] = {}
+
+                def pump() -> bool:
+                    nonlocal planned
+                    token = next(tokens, None)
+                    if token is None:
+                        return False
+                    held.append(token)
+                    if token[0] == "planned":
+                        planned = list(token[1])
+                    else:
+                        arrived[token[1]] = token[2]
+                    return True
+
+                while planned is None and pump():
+                    pass
+                for key in planned or []:
+                    while key not in arrived and pump():
+                        pass
+                    if key not in arrived:
+                        break  # stream ended before the scene settled
+                    if arrived[key] is None:
+                        continue  # incomplete scene; never preprocessed
+                    if key not in heads:
+                        heads[key] = preprocess_stage.run([arrived[key]])
+                    paths = [r.tile_path for r in heads[key].results if r.tile_path]
+                    if paths:
+                        return paths
+                return []
+
+            def model_node(mdl: str, upstream: List[str]) -> StageNode:
+                bcfg = branch_config(config, inst, mdl)
+                name = unit_name("model", bcfg.branch)
+                journal_key = model_slot(bcfg.branch)[0]
+                ready = handles.setdefault(
+                    unit_name("model_ready", bcfg.branch), threading.Event()
+                )
+
+                def run_model(state: Dict[str, Any]) -> Any:
+                    """Bootstrap deterministically, then relay scenes.
+
+                    The model must exist before the first trigger fires,
+                    so it is published through ``handles`` (a streaming
+                    inference window may already be waiting on it) before
+                    anything is forwarded downstream.
+                    """
+                    try:
+                        tokens = scene_tokens(state, name, upstream[-1])
+                        forward = sink(state, name)
+                        held: List[Any] = []
+                        model = self.model
+                        if model is None:
+                            model_path = self._effective_model_path(bcfg, journal)
+                            redo = (
+                                journal is not None
+                                and journal.resume("model", journal_key).redo
+                            )
+                            if (
+                                redo
+                                and model_path
+                                and not bcfg.model_path
+                                and os.path.exists(model_path)
+                            ):
+                                # A mid-train crash (or digest mismatch)
+                                # makes the journal-owned bootstrap model
+                                # untrustworthy; retrain.  An explicitly
+                                # configured model file is the user's —
+                                # never deleted here.
+                                os.remove(model_path)
+                            tile_paths: List[str] = []
+                            if not (model_path and os.path.exists(model_path)):
+                                tile_paths = head_tiles(tokens, held)
+                            model = self._bootstrap_model(
+                                bcfg, tile_paths, model_path, journal
+                            )
+                        handles[name] = model
+                        ready.set()
+                        for token in itertools.chain(held, tokens):
+                            forward(token)
+                        return model
+                    except BaseException as exc:
+                        handles[unit_name("model_error", bcfg.branch)] = exc
+                        ready.set()
+                        raise
+
+                return StageNode(name, run_model, **link(*upstream))
 
             def run_preprocess(state: Dict[str, Any]) -> PreprocessReport:
-                return stage.run(state[f"download@{inst}"].granule_sets)
-
-            def run_preprocess_stream(state: Dict[str, Any]) -> PreprocessReport:
-                reader = state[STREAMS_KEY].reader(
-                    f"preprocess@{inst}", src=f"download@{inst}"
+                heads = handles[heads_key]
+                return preprocess_stage.run(
+                    token[2]
+                    for token in scene_tokens(state, preprocess_name, chain[-1])
+                    if token[0] == "scene"
+                    and token[2] is not None
+                    and token[1] not in heads
                 )
 
-                def scenes():
-                    for token in iter(reader):
-                        if token[0] == "scene" and token[2] is not None:
-                            yield token[2]
+            download_node = StageNode(
+                download_name,
+                run_download,
+                workers=config.workers.download,
+                counts=lambda r: {"files": r.files},
+            )
+            chain = [download_name]
+            model_nodes = []
+            for mdl in config.models:
+                model_nodes.append(model_node(mdl, list(chain)))
+                chain.append(model_nodes[-1].name)
+            preprocess_node = StageNode(
+                preprocess_name,
+                run_preprocess,
+                workers=config.workers.preprocess,
+                counts=lambda r: {"tiles": r.total_tiles},
+                **link(*chain),
+            )
+            return [download_node, *model_nodes, preprocess_node]
 
-                return stage.run_stream(scenes())
-
-            return run_preprocess_stream if streaming else run_preprocess
-
-        def make_model(inst: str, mdl: str):
-            tag = branch_tag(inst, mdl)
+        def labelling(inst: str, mdl: str) -> List[StageNode]:
+            """``inference -> shipment`` for one instrument x model branch."""
             bcfg = branch_config(config, inst, mdl)
-            journal_key = f"model-{tag}"
+            tag = bcfg.branch
+            preprocess_name = unit_name(
+                "preprocess", instrument_config(config, inst).branch
+            )
+            model_name = unit_name("model", tag)
+            inference_name = unit_name("inference", tag)
+            shipment_name = unit_name("shipment", tag)
 
-            def run_model(state: Dict[str, Any]) -> Any:
-                if self.model is not None:
-                    return self.model
-                model_path = self._effective_model_path(journal, tag)
-                if journal is not None:
-                    decision = journal.resume("model", journal_key)
-                    if decision.redo and model_path and os.path.exists(model_path):
-                        # A mid-train crash makes the journal-owned
-                        # bootstrap model untrustworthy; retrain.
-                        os.remove(model_path)
-                # The sorted-first tile file in the branch's preprocessed
-                # directory: deterministic under every driver regardless
-                # of preprocess completion order, and rebuildable by a
-                # control-plane agent without any report hand-off.
-                pre_dir = bcfg.preprocessed
-                names = sorted(
-                    n for n in os.listdir(pre_dir) if n.endswith(".nc")
-                ) if os.path.isdir(pre_dir) else []
-                tile_paths = [os.path.join(pre_dir, n) for n in names[:1]]
-                return self._bootstrap_model(
-                    bcfg, tile_paths, model_path, journal, journal_key
-                )
-
-            return run_model
-
-        def make_inference(inst: str, mdl: str):
-            tag = branch_tag(inst, mdl)
-            bcfg = branch_config(config, inst, mdl)
-
-            def run_inference(state: Dict[str, Any]) -> InferenceWorker:
-                model = self.model if self.model is not None else state[f"model@{tag}"]
-                on_result = None
-                hub = state.get(STREAMS_KEY)
-                if hub is not None:
-                    ship_writer = hub.writer(f"inference@{tag}")
-                    if len(ship_writer):
-                        def on_result(result: InferenceResult) -> None:
-                            ship_writer.put(os.path.basename(result.out_path))
+            @contextmanager
+            def inference_scope(state: Dict[str, Any]):
+                # At a barrier (and on a remote agent, which rehydrates
+                # it) the state already holds the model.  A streaming
+                # window may open while the model node is still relaying
+                # scenes, so that node publishes through ``handles`` and
+                # sets ``model_ready`` — on both its success and error
+                # paths, so this wait can never hang.
+                model = state.get(model_name)
+                if model is None:
+                    handles[unit_name("model_ready", tag)].wait()
+                    error = handles.get(unit_name("model_error", tag))
+                    if error is not None:
+                        raise RuntimeError(f"model bootstrap failed: {error}")
+                    model = handles[model_name]
+                # Labelled files stream to shipment by basename the
+                # moment they publish — eager delivery while the
+                # inference queue is still draining.
+                ship = sink(state, inference_name)
                 model_ref = None
                 if pool is not None:
-                    model_path = self._effective_model_path(journal, tag)
+                    # Workers load the persisted model file when one exists
+                    # (one load per worker, cached); otherwise the model
+                    # object itself rides the first envelope.
+                    model_path = self._effective_model_path(bcfg, journal)
                     if model_path and os.path.exists(model_path):
                         model_ref = ("path", model_path)
                     else:
                         model_ref = ("object", model)
                 worker = InferenceWorker(
                     model, bcfg, chaos=chaos, metrics=metrics, journal=journal,
-                    on_result=on_result, pool=pool, model_ref=model_ref,
-                    key_prefix=f"{tag}:", cache=cache,
+                    on_result=lambda result: ship(os.path.basename(result.out_path)),
+                    pool=pool, model_ref=model_ref, cache=cache,
                 )
                 crawler = DirectoryCrawler(
                     bcfg.preprocessed,
@@ -783,108 +528,68 @@ class EOMLWorkflow:
                     gate=journal.artifact_ok if journal is not None else None,
                     executor=build_executor(chaos=chaos, metrics=metrics),
                 )
-                handles[f"worker@{tag}"] = worker
-                handles[f"crawler@{tag}"] = crawler
+                handles[unit_name("worker", tag)] = worker
+                handles[unit_name("crawler", tag)] = crawler
                 with worker, crawler:
-                    crawler.scan_once()
-                    worker.drain(timeout=bcfg.inference_drain_timeout)
+                    yield
+
+            def run_inference(state: Dict[str, Any]) -> InferenceWorker:
+                handles[unit_name("crawler", tag)].scan_once()
+                worker = handles[unit_name("worker", tag)]
+                worker.drain(timeout=bcfg.inference_drain_timeout)
                 return worker
 
-            return run_inference
-
-        def make_shipment(inst: str, mdl: str):
-            tag = branch_tag(inst, mdl)
-            bcfg = branch_config(config, inst, mdl)
-
             def run_shipment(state: Dict[str, Any]) -> ShipmentReport:
-                return ShipmentStage(
-                    bcfg, chaos=chaos, journal=journal, key_prefix=f"{tag}:",
-                    cache=cache,
-                ).run()
+                announced = (
+                    iter(state[STREAMS_KEY].reader(shipment_name, src=inference_name))
+                    if streaming
+                    else ()
+                )
+                shipment = ShipmentStage(
+                    bcfg, chaos=chaos, journal=journal, cache=cache
+                ).run(announced)
+                if prov and shipment.moved:
+                    activity = prov.start_activity("shipment", "globus-transfer")
+                    for inf in handles[unit_name("worker", tag)].results:
+                        prov.record_use(
+                            activity, prov.entity("labelled_file", inf.out_path)
+                        )
+                    for path in shipment.moved:
+                        prov.record_generation(
+                            activity,
+                            prov.entity(
+                                "delivered_file", path,
+                                checksum=shipment.checksums.get(os.path.basename(path)),
+                            ),
+                        )
+                    prov.end_activity(activity)
+                return shipment
 
-            def run_shipment_stream(state: Dict[str, Any]) -> ShipmentReport:
-                reader = state[STREAMS_KEY].reader(
-                    f"shipment@{tag}", src=f"inference@{tag}"
-                )
-                return ShipmentStage(
-                    bcfg, chaos=chaos, journal=journal, key_prefix=f"{tag}:",
-                    cache=cache,
-                ).run_stream(iter(reader))
-
-            return run_shipment_stream if streaming else run_shipment
-
-        nodes: List[StageNode] = []
-        for inst in config.instruments:
-            nodes.append(
+            return [
                 StageNode(
-                    f"download@{inst}",
-                    make_download(inst),
-                    workers=config.workers.download,
-                    counts=lambda r: {"files": r.files},
-                )
-            )
-        for inst in config.instruments:
-            if streaming:
-                nodes.append(
-                    StageNode(
-                        f"preprocess@{inst}",
-                        make_preprocess(inst),
-                        workers=config.workers.preprocess,
-                        stream=(f"download@{inst}",),
-                        counts=lambda r: {"tiles": r.total_tiles},
-                    )
-                )
-            else:
-                nodes.append(
-                    StageNode(
-                        f"preprocess@{inst}",
-                        make_preprocess(inst),
-                        workers=config.workers.preprocess,
-                        after=(f"download@{inst}",),
-                        counts=lambda r: {"tiles": r.total_tiles},
-                    )
-                )
-        for inst, mdl in expand_branches(config):
-            tag = branch_tag(inst, mdl)
-            nodes.append(
-                StageNode(
-                    f"model@{tag}",
-                    make_model(inst, mdl),
-                    after=(f"preprocess@{inst}",),
-                )
-            )
-            nodes.append(
-                StageNode(
-                    f"inference@{tag}",
-                    make_inference(inst, mdl),
+                    inference_name,
+                    run_inference,
                     workers=config.workers.inference,
-                    after=(f"preprocess@{inst}", f"model@{tag}"),
+                    after=(preprocess_name, model_name),
+                    overlaps=(preprocess_name,),
+                    scope=inference_scope,
                     counts=lambda worker: {"files": len(worker.results)},
-                )
-            )
-            if streaming:
-                nodes.append(
-                    StageNode(
-                        f"shipment@{tag}",
-                        make_shipment(inst, mdl),
-                        stream=(f"inference@{tag}",),
-                        when=lambda state: bool(config.ship),
-                        counts=lambda r: {"files": len(r.moved)},
-                    )
-                )
-            else:
-                nodes.append(
-                    StageNode(
-                        f"shipment@{tag}",
-                        make_shipment(inst, mdl),
-                        after=(f"inference@{tag}",),
-                        when=lambda state: bool(config.ship),
-                        counts=lambda r: {"files": len(r.moved)},
-                    )
-                )
-        return PipelinePlan(nodes)
+                ),
+                StageNode(
+                    shipment_name,
+                    run_shipment,
+                    when=lambda state: bool(config.ship),
+                    counts=lambda r: {"files": len(r.moved)},
+                    **link(inference_name),
+                ),
+            ]
 
-    # -- fan-out report merging ----------------------------------------------
+        return PipelinePlan(
+            [node for inst in config.instruments for node in acquisition(inst)]
+            + [node for inst, mdl in expand_branches(config) for node in labelling(inst, mdl)]
+        )
+
+    # -- per-branch report merging (the identity for one branch) -------------
 
     @staticmethod
     def _merge_downloads(reports: List[DownloadReport]) -> DownloadReport:
@@ -927,10 +632,11 @@ class EOMLWorkflow:
         for tag, report in zip(tags, reports):
             if report is None:
                 continue
+            prefix = key_prefix(tag)
             checksums.update(
-                {f"{tag}:{name}": sha for name, sha in report.checksums.items()}
+                {prefix + name: sha for name, sha in report.checksums.items()}
             )
-            mismatches.extend(f"{tag}:{name}" for name in report.mismatches)
+            mismatches.extend(prefix + name for name in report.mismatches)
         errors = [r.error for r in actual if r.error]
         return ShipmentReport(
             moved=[path for r in actual for path in r.moved],
@@ -959,13 +665,12 @@ class EOMLWorkflow:
         # config; an explicit bool overrides it (the benchmark harness
         # runs both topologies off one config).
         use_stream = config.stream.enabled if streaming is None else bool(streaming)
-        fanout = is_fanout(config)
         # Created up front so hot-path stages (inference micro-batching)
         # can record live histograms; the rollup below adds the rest.
         metrics = MetricsRegistry(prefix="eo_ml")
         # Provenance is a single-branch feature for now: the fan-out
         # report has no one model/lineage to attribute artifacts to.
-        prov = ProvenanceStore() if provenance and not fanout else None
+        prov = ProvenanceStore() if provenance and not is_fanout(config) else None
         # None when the chaos plan is absent/disabled: every stage hook
         # below degenerates to the exact production path.
         chaos = build_injector(config.chaos)
@@ -982,312 +687,310 @@ class EOMLWorkflow:
         if config.journal_enabled:
             journal = WorkflowJournal(config.journal_dir, durable=config.journal_durable)
             journal.start(resume=resume)
-
-        def on_end(name: str, **counts: Any) -> None:
-            timeline.end(name, **counts)
-            # A consistent on-disk view after each checkpointable stage.
-            if journal is not None and name in ("download", "inference", "shipment"):
-                journal.checkpoint()
-
-        # Horizontal scale-out: a process pool shared by the download,
-        # preprocess, and inference nodes.  Created after the journal is
-        # open (workers append to the same journal file; O_APPEND keeps
-        # concurrent single-line appends safe) and only when configured —
-        # the default is the exact single-process path.
-        pool: Optional[ProcWorkerPool] = None
-        pool_stats: Optional[PoolStats] = None
-        if config.runtime_workers > 1 or config.elastic.enabled:
-            from repro.core.scaleout import build_pool
-
-            pool = build_pool(config, archive=self.archive)
-            pool.start()
-
-        handles: Dict[str, Any] = {}
-        plan = self.build_plan(
-            metrics=metrics, prov=prov, chaos=chaos, journal=journal,
-            handles=handles, streaming=use_stream, pool=pool, cache=cas,
-        )
-        if use_stream:
-            runner: PlanRunner = StreamingPlanRunner(
-                on_begin=timeline.begin, on_end=on_end,
-                on_workers=timeline.workers, stream=config.stream,
-            )
-        else:
-            runner = PlanRunner(
-                on_begin=timeline.begin, on_end=on_end, on_workers=timeline.workers
-            )
+        # Whatever happens below — a stage raising included — the journal
+        # file handle is released, so the same process can resume the run.
         try:
-            state = runner.run(plan)
-        except BaseException:
-            if pool is not None:
-                pool.terminate()
-            raise
-        if pool is not None:
-            pool.close()
-            pool_stats = pool.stats()
+            def on_end(name: str, **counts: Any) -> None:
+                timeline.end(name, **counts)
+                # A consistent on-disk view after each checkpointable stage.
+                if journal is not None and split_unit(name)[0] in (
+                    "download", "inference", "shipment"
+                ):
+                    journal.checkpoint()
 
-        if fanout:
-            tags = [branch_tag(i, m) for i, m in expand_branches(config)]
+            # Horizontal scale-out: a process pool shared by the download,
+            # preprocess, and inference nodes.  Created after the journal is
+            # open (workers append to the same journal file; O_APPEND keeps
+            # concurrent single-line appends safe) and only when configured —
+            # the default is the exact single-process path.
+            pool: Optional[ProcWorkerPool] = None
+            pool_stats: Optional[PoolStats] = None
+            if config.runtime_workers > 1 or config.elastic.enabled:
+                from repro.core.scaleout import build_pool
+
+                pool = build_pool(config, archive=self.archive)
+                pool.start()
+
+            handles: Dict[str, Any] = {}
+            plan = self.build_plan(
+                metrics=metrics, prov=prov, chaos=chaos, journal=journal,
+                handles=handles, streaming=use_stream, pool=pool, cache=cas,
+            )
+            if use_stream:
+                runner: PlanRunner = StreamingPlanRunner(
+                    on_begin=timeline.begin, on_end=on_end,
+                    on_workers=timeline.workers, stream=config.stream,
+                )
+            else:
+                runner = PlanRunner(
+                    on_begin=timeline.begin, on_end=on_end, on_workers=timeline.workers
+                )
+            try:
+                state = runner.run(plan)
+            except BaseException:
+                if pool is not None:
+                    pool.terminate()
+                raise
+            if pool is not None:
+                pool.close()
+                pool_stats = pool.stats()
+
+            # One report over every branch; with one instrument and one
+            # model each merge below is the identity.
+            itags = [instrument_config(config, i).branch for i in config.instruments]
+            tags = [branch_config(config, i, m).branch for i, m in expand_branches(config)]
             download = self._merge_downloads(
-                [state[f"download@{inst}"] for inst in config.instruments]
+                [state[unit_name("download", itag)] for itag in itags]
             )
+            # The bootstrap scenes were tiled ahead of their preprocess node:
+            # fold them back in, in the order they ran.
             preprocess = self._merge_preprocess(
-                [state[f"preprocess@{inst}"] for inst in config.instruments]
+                [
+                    report
+                    for itag in itags
+                    for report in (
+                        *handles[unit_name("heads", itag)].values(),
+                        state[unit_name("preprocess", itag)],
+                    )
+                ]
             )
-            workers = [handles[f"worker@{tag}"] for tag in tags]
+            workers = [handles[unit_name("worker", tag)] for tag in tags]
             inference_results = [r for w in workers for r in w.results]
             inference_errors = [e for w in workers for e in w.errors]
             inference_quarantined = [q for w in workers for q in w.quarantined]
             crawler_errors = [
-                e for tag in tags for e in handles[f"crawler@{tag}"].errors
+                e for tag in tags for e in handles[unit_name("crawler", tag)].errors
             ]
             refined_tiles = sum(w.refined_tiles for w in workers)
             shipment = self._merge_shipments(
-                tags, [state[f"shipment@{tag}"] for tag in tags]
+                tags, [state[unit_name("shipment", tag)] for tag in tags]
             )
-            model = self.model
-        else:
-            download = state["download"]
-            preprocess = state["preprocess"]
-            shipment = state["shipment"]
-            model = state["model"]
-            inference: InferenceWorker = handles["worker"]
-            crawler: DirectoryCrawler = handles["crawler"]
-            inference_results = list(inference.results)
-            inference_errors = list(inference.errors)
-            inference_quarantined = list(inference.quarantined)
-            crawler_errors = list(crawler.errors)
-            refined_tiles = inference.refined_tiles
 
-            # Fold the bootstrap granules back into the report.
-            for head in reversed(handles["bootstrap_reports"]):
-                preprocess.results = head.results + preprocess.results
-                preprocess.quarantined = head.quarantined + preprocess.quarantined
+            if prov:
+                sets_by_key = {gs.key: gs for gs in download.granule_sets}
+                model_entity = prov.entity(
+                    "model", config.model_path or "model:bootstrapped",
+                    num_classes=state[unit_name("model", tags[0])].num_classes,
+                )
+                for result in preprocess.results:
+                    if result.tile_path is None:
+                        continue
+                    activity = prov.start_activity(
+                        "preprocess", "parsl", tile_size=config.tile_size,
+                        cloud_threshold=config.cloud_threshold,
+                    )
+                    source = sets_by_key.get(result.key)
+                    if source is not None:
+                        for path in source.paths.values():
+                            prov.record_use(activity, prov.entity("granule", path))
+                    prov.record_generation(
+                        activity, prov.entity("tile_file", result.tile_path, tiles=result.tiles)
+                    )
+                    prov.end_activity(activity)
+                for inf in inference_results:
+                    activity = prov.start_activity("inference", "globus-flow")
+                    prov.record_use(activity, prov.entity("tile_file", inf.src_path))
+                    prov.record_use(activity, model_entity)
+                    prov.record_generation(
+                        activity,
+                        prov.entity("labelled_file", inf.out_path, classes=inf.classes_seen),
+                    )
+                    prov.end_activity(activity)
 
-        if prov:
-            sets_by_key = {gs.key: gs for gs in download.granule_sets}
-            model_entity = prov.entity(
-                "model", config.model_path or "model:bootstrapped",
-                num_classes=model.num_classes,
+            # Telemetry rollup (Section V-A's workflow-insight goal).
+            metrics.counter("files").inc(download.files, stage="download")
+            metrics.counter("bytes").inc(download.nbytes, stage="download")
+            metrics.counter("files_skipped").inc(download.skipped, stage="download")
+            metrics.counter("tiles").inc(preprocess.total_tiles)
+            metrics.counter("files").inc(
+                sum(1 for r in preprocess.results if r.tile_path), stage="preprocess"
+            )
+            metrics.counter("files").inc(len(inference_results), stage="inference")
+            task_seconds = metrics.histogram(
+                "task_seconds", buckets=(0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0)
             )
             for result in preprocess.results:
-                if result.tile_path is None:
-                    continue
-                activity = prov.start_activity(
-                    "preprocess", "parsl", tile_size=config.tile_size,
-                    cloud_threshold=config.cloud_threshold,
-                )
-                source = sets_by_key.get(result.key)
-                if source is not None:
-                    for path in source.paths.values():
-                        prov.record_use(activity, prov.entity("granule", path))
-                prov.record_generation(
-                    activity, prov.entity("tile_file", result.tile_path, tiles=result.tiles)
-                )
-                prov.end_activity(activity)
-            for inf in inference_results:
-                activity = prov.start_activity("inference", "globus-flow")
-                prov.record_use(activity, prov.entity("tile_file", inf.src_path))
-                prov.record_use(activity, model_entity)
-                prov.record_generation(
-                    activity,
-                    prov.entity("labelled_file", inf.out_path, classes=inf.classes_seen),
-                )
-                prov.end_activity(activity)
-
-        # Telemetry rollup (Section V-A's workflow-insight goal).
-        metrics.counter("files").inc(download.files, stage="download")
-        metrics.counter("bytes").inc(download.nbytes, stage="download")
-        metrics.counter("files_skipped").inc(download.skipped, stage="download")
-        metrics.counter("tiles").inc(preprocess.total_tiles)
-        metrics.counter("files").inc(
-            sum(1 for r in preprocess.results if r.tile_path), stage="preprocess"
-        )
-        metrics.counter("files").inc(len(inference_results), stage="inference")
-        task_seconds = metrics.histogram(
-            "task_seconds", buckets=(0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0)
-        )
-        for result in preprocess.results:
-            task_seconds.observe(result.seconds)
-        stage_seconds = metrics.histogram(
-            "stage_seconds", buckets=(0.1, 1.0, 10.0, 60.0, 600.0)
-        )
-        for span in timeline.breakdown():
-            stage_seconds.observe(span.duration)
-        if shipment is not None:
-            metrics.counter("files").inc(len(shipment.moved), stage="shipment")
-            metrics.counter("bytes").inc(shipment.nbytes, stage="shipment")
-
-        # Resilience accounting (always present, so dashboards can rely
-        # on the keys; all zeros on a clean run).
-        retries = metrics.counter("retries")
-        retries.inc(download.retry_attempts, stage="download")
-        if shipment is not None:
-            retries.inc(shipment.retries, stage="shipment")
-        metrics.counter("breaker_open").inc(download.breaker_trips)
-        quarantined = metrics.counter("quarantined")
-        quarantined.inc(len(download.failed) + len(download.incomplete), stage="download")
-        quarantined.inc(len(preprocess.quarantined), stage="preprocess")
-        quarantined.inc(len(inference_quarantined), stage="inference")
-        faults = metrics.counter("faults_injected")
-        if chaos is not None:
-            for kind, count in sorted(chaos.counts_by_kind().items()):
-                faults.inc(count, kind=kind)
-
-        # Checkpoint/resume accounting (always present, zeros on fresh
-        # clean runs, so dashboards can rely on the keys).
-        journal_counters = (
-            dict(journal.counters()) if journal is not None
-            else {"resumed_items": 0, "replayed_items": 0, "manifest_mismatches": 0}
-        )
-        if pool_stats is not None:
-            # Worker processes journal their own units; their counter
-            # deltas arrive with each envelope result and fold into the
-            # same rollup the single-process path reports.
-            for key in ("resumed_items", "replayed_items", "manifest_mismatches"):
-                journal_counters[key] += int(pool_stats.counters.get(key, 0))
-            metrics.counter("breaker_open").inc(
-                int(pool_stats.counters.get("breaker_trips", 0))
+                task_seconds.observe(result.seconds)
+            stage_seconds = metrics.histogram(
+                "stage_seconds", buckets=(0.1, 1.0, 10.0, 60.0, 600.0)
             )
-        metrics.counter("resumed_items").inc(journal_counters["resumed_items"])
-        metrics.counter("replayed_items").inc(journal_counters["replayed_items"])
-        metrics.counter("manifest_mismatches").inc(journal_counters["manifest_mismatches"])
+            for span in timeline.breakdown():
+                stage_seconds.observe(span.duration)
+            if shipment is not None:
+                metrics.counter("files").inc(len(shipment.moved), stage="shipment")
+                metrics.counter("bytes").inc(shipment.nbytes, stage="shipment")
 
-        # Scale-out accounting (satellite of the pool above): pool-level
-        # counters plus a per-worker breakdown, zeros when the run never
-        # left the parent process.
-        scaleout: Dict[str, object] = {
-            "enabled": pool_stats is not None,
-            "units_executed": 0,
-            "busy_seconds": 0.0,
-            "requeues": 0,
-            "respawns": 0,
-            "scale_out_events": 0,
-            "scale_in_events": 0,
-            "workers_launched": 0,
-            "per_worker": [],
-        }
-        if pool_stats is not None:
-            scaleout.update(
-                units_executed=pool_stats.units_executed,
-                busy_seconds=pool_stats.busy_seconds,
-                requeues=pool_stats.requeues,
-                respawns=pool_stats.respawns,
-                scale_out_events=pool_stats.scale_out_events,
-                scale_in_events=pool_stats.scale_in_events,
-                workers_launched=pool_stats.workers_launched,
-                per_worker=[
-                    {
-                        "worker_id": ws.worker_id,
-                        "pid": ws.pid,
-                        "units": ws.units,
-                        "busy_seconds": ws.busy_seconds,
-                    }
-                    for ws in pool_stats.workers
-                ],
+            # Resilience accounting (always present, so dashboards can rely
+            # on the keys; all zeros on a clean run).
+            retries = metrics.counter("retries")
+            retries.inc(download.retry_attempts, stage="download")
+            if shipment is not None:
+                retries.inc(shipment.retries, stage="shipment")
+            metrics.counter("breaker_open").inc(download.breaker_trips)
+            quarantined = metrics.counter("quarantined")
+            quarantined.inc(len(download.failed) + len(download.incomplete), stage="download")
+            quarantined.inc(len(preprocess.quarantined), stage="preprocess")
+            quarantined.inc(len(inference_quarantined), stage="inference")
+            faults = metrics.counter("faults_injected")
+            if chaos is not None:
+                for kind, count in sorted(chaos.counts_by_kind().items()):
+                    faults.inc(count, kind=kind)
+
+            # Checkpoint/resume accounting (always present, zeros on fresh
+            # clean runs, so dashboards can rely on the keys).
+            journal_counters = (
+                dict(journal.counters()) if journal is not None
+                else {"resumed_items": 0, "replayed_items": 0, "manifest_mismatches": 0}
             )
-        metrics.counter("pool.units_executed").inc(int(scaleout["units_executed"]))
-        metrics.counter("pool.busy_seconds").inc(float(scaleout["busy_seconds"]))
-        metrics.counter("pool.requeues").inc(int(scaleout["requeues"]))
-        metrics.counter("pool.respawns").inc(int(scaleout["respawns"]))
-        metrics.counter("pool.scale_out_events").inc(int(scaleout["scale_out_events"]))
-        metrics.counter("pool.scale_in_events").inc(int(scaleout["scale_in_events"]))
-        metrics.counter("pool.workers_launched").inc(int(scaleout["workers_launched"]))
+            if pool_stats is not None:
+                # Worker processes journal their own units; their counter
+                # deltas arrive with each envelope result and fold into the
+                # same rollup the single-process path reports.
+                for key in ("resumed_items", "replayed_items", "manifest_mismatches"):
+                    journal_counters[key] += int(pool_stats.counters.get(key, 0))
+                metrics.counter("breaker_open").inc(
+                    int(pool_stats.counters.get("breaker_trips", 0))
+                )
+            metrics.counter("resumed_items").inc(journal_counters["resumed_items"])
+            metrics.counter("replayed_items").inc(journal_counters["replayed_items"])
+            metrics.counter("manifest_mismatches").inc(journal_counters["manifest_mismatches"])
 
-        # Partition-tolerance accounting: the local path never crosses a
-        # wire, so these are structural zeros — registered anyway so the
-        # clean-run baseline ("no partitions means every counter is 0")
-        # is checkable rather than merely absent.
-        partition: Dict[str, object] = {"enabled": False}
-        for key in PARTITION_COUNTERS:
-            partition[key] = 0
-            metrics.counter(f"partition.{key}").inc(0)
+            # Scale-out accounting (satellite of the pool above): pool-level
+            # counters plus a per-worker breakdown, zeros when the run never
+            # left the parent process.
+            scaleout: Dict[str, object] = {
+                "enabled": pool_stats is not None,
+                "units_executed": 0,
+                "busy_seconds": 0.0,
+                "requeues": 0,
+                "respawns": 0,
+                "scale_out_events": 0,
+                "scale_in_events": 0,
+                "workers_launched": 0,
+                "per_worker": [],
+            }
+            if pool_stats is not None:
+                scaleout.update(
+                    units_executed=pool_stats.units_executed,
+                    busy_seconds=pool_stats.busy_seconds,
+                    requeues=pool_stats.requeues,
+                    respawns=pool_stats.respawns,
+                    scale_out_events=pool_stats.scale_out_events,
+                    scale_in_events=pool_stats.scale_in_events,
+                    workers_launched=pool_stats.workers_launched,
+                    per_worker=[
+                        {
+                            "worker_id": ws.worker_id,
+                            "pid": ws.pid,
+                            "units": ws.units,
+                            "busy_seconds": ws.busy_seconds,
+                        }
+                        for ws in pool_stats.workers
+                    ],
+                )
+            metrics.counter("pool.units_executed").inc(int(scaleout["units_executed"]))
+            metrics.counter("pool.busy_seconds").inc(float(scaleout["busy_seconds"]))
+            metrics.counter("pool.requeues").inc(int(scaleout["requeues"]))
+            metrics.counter("pool.respawns").inc(int(scaleout["respawns"]))
+            metrics.counter("pool.scale_out_events").inc(int(scaleout["scale_out_events"]))
+            metrics.counter("pool.scale_in_events").inc(int(scaleout["scale_in_events"]))
+            metrics.counter("pool.workers_launched").inc(int(scaleout["workers_launched"]))
 
-        # Content-addressed cache accounting: the CAS counter family is
-        # always present (zeros with caching off), so the bench gates and
-        # dashboards never branch on key existence.  Stage-level
-        # short-circuit counts come from the reports — they survive the
-        # pool path, where workers hold their own store handles and the
-        # parent's in-process counters stay at zero.
-        cache_summary: Dict[str, object] = {"enabled": cas is not None}
-        for key in CACHE_COUNTERS:
-            cache_summary[key] = 0
-        if cas is not None:
-            cache_summary.update(cas.counters())
-            cache_summary["dir"] = config.cache_dir
-        cache_summary["download_cached"] = download.cached
-        cache_summary["preprocess_cached"] = preprocess.cached
-        cache_summary["shipment_deduped"] = (
-            shipment.deduped if shipment is not None else 0
-        )
-        cache_summary["fetched_bytes"] = download.fetched_bytes
-        cache_summary["refined_tiles"] = refined_tiles
-        for key in CACHE_COUNTERS:
-            metrics.counter(f"cache.{key}").inc(int(cache_summary[key]))
-        stage_hits = metrics.counter("cache.stage_hits")
-        stage_hits.inc(download.cached, stage="download")
-        stage_hits.inc(preprocess.cached, stage="preprocess")
-        if shipment is not None:
-            stage_hits.inc(shipment.deduped, stage="shipment")
-        metrics.counter("cache.refined_tiles").inc(refined_tiles)
-        metrics.counter("bytes_fetched").inc(
-            download.fetched_bytes, stage="download"
-        )
+            # Partition-tolerance accounting: the local path never crosses a
+            # wire, so these are structural zeros — registered anyway so the
+            # clean-run baseline ("no partitions means every counter is 0")
+            # is checkable rather than merely absent.
+            partition: Dict[str, object] = {"enabled": False}
+            for key in PARTITION_COUNTERS:
+                partition[key] = 0
+                metrics.counter(f"partition.{key}").inc(0)
 
-        # Streaming dataflow accounting: per-edge queue depth / stall /
-        # wait rollups plus the measured stage-overlap seconds that the
-        # pipelining bought (empty/zero under barrier mode).
-        hub = state.get(STREAMS_KEY)
-        stream_summary: Optional[Dict[str, object]] = None
-        if hub is not None:
-            edge_stats = {s.edge: s.as_dict() for s in hub.stats()}
-            stream_summary = {"enabled": use_stream, "edges": edge_stats}
-            items = metrics.counter("stream.items")
-            stalls = metrics.counter("stream.producer_stall_seconds")
-            waits = metrics.counter("stream.consumer_wait_seconds")
-            depth = metrics.gauge("stream.max_queue_depth")
-            for stat in hub.stats():
-                items.inc(stat.items, edge=stat.edge)
-                stalls.inc(stat.producer_stall_seconds, edge=stat.edge)
-                waits.inc(stat.consumer_wait_seconds, edge=stat.edge)
-                depth.set(stat.max_depth, edge=stat.edge)
-        overlap = timeline.overlaps()
-        overlap_gauge = metrics.gauge("stage_overlap_seconds")
-        for stages, seconds in overlap.items():
-            overlap_gauge.set(seconds, stages=stages)
-
-        errors = list(crawler_errors) + list(inference_errors)
-        errors.extend(download.failed)
-        errors.extend(f"incomplete scene dropped: {key}" for key in download.incomplete)
-        errors.extend(f"preprocess quarantined {q.describe()}" for q in preprocess.quarantined)
-        if shipment is not None and shipment.error:
-            errors.append(f"shipment: {shipment.error}")
-        if shipment is not None:
-            errors.extend(
-                f"shipment integrity mismatch at destination: {name}"
-                for name in shipment.mismatches
+            # Content-addressed cache accounting: the CAS counter family is
+            # always present (zeros with caching off), so the bench gates and
+            # dashboards never branch on key existence.  Stage-level
+            # short-circuit counts come from the reports — they survive the
+            # pool path, where workers hold their own store handles and the
+            # parent's in-process counters stay at zero.
+            cache_summary: Dict[str, object] = {"enabled": cas is not None}
+            for key in CACHE_COUNTERS:
+                cache_summary[key] = 0
+            if cas is not None:
+                cache_summary.update(cas.counters())
+                cache_summary["dir"] = config.cache_dir
+            cache_summary["download_cached"] = download.cached
+            cache_summary["preprocess_cached"] = preprocess.cached
+            cache_summary["shipment_deduped"] = (
+                shipment.deduped if shipment is not None else 0
             )
-        if journal is not None:
-            journal.close()
-        return WorkflowReport(
-            download=download,
-            preprocess=preprocess,
-            inference=inference_results,
-            shipment=shipment,
-            breakdown=timeline.breakdown(),
-            timeline=timeline,
-            errors=errors,
-            provenance=prov,
-            metrics=metrics,
-            chaos=chaos.summary() if chaos is not None else None,
-            inference_quarantined=inference_quarantined,
-            resumed_items=journal_counters["resumed_items"],
-            replayed_items=journal_counters["replayed_items"],
-            manifest_mismatches=journal_counters["manifest_mismatches"],
-            journal=journal.summary() if journal is not None else None,
-            stream=stream_summary,
-            stage_overlap_seconds=overlap,
-            scaleout=scaleout,
-            partition=partition,
-            cache=cache_summary,
-        )
+            cache_summary["fetched_bytes"] = download.fetched_bytes
+            cache_summary["refined_tiles"] = refined_tiles
+            for key in CACHE_COUNTERS:
+                metrics.counter(f"cache.{key}").inc(int(cache_summary[key]))
+            stage_hits = metrics.counter("cache.stage_hits")
+            stage_hits.inc(download.cached, stage="download")
+            stage_hits.inc(preprocess.cached, stage="preprocess")
+            if shipment is not None:
+                stage_hits.inc(shipment.deduped, stage="shipment")
+            metrics.counter("cache.refined_tiles").inc(refined_tiles)
+            metrics.counter("bytes_fetched").inc(
+                download.fetched_bytes, stage="download"
+            )
+
+            # Streaming dataflow accounting: per-edge queue depth / stall /
+            # wait rollups plus the measured stage-overlap seconds that the
+            # pipelining bought (empty/zero under barrier mode).
+            hub = state.get(STREAMS_KEY)
+            stream_summary: Optional[Dict[str, object]] = None
+            if hub is not None:
+                edge_stats = {s.edge: s.as_dict() for s in hub.stats()}
+                stream_summary = {"enabled": use_stream, "edges": edge_stats}
+                items = metrics.counter("stream.items")
+                stalls = metrics.counter("stream.producer_stall_seconds")
+                waits = metrics.counter("stream.consumer_wait_seconds")
+                depth = metrics.gauge("stream.max_queue_depth")
+                for stat in hub.stats():
+                    items.inc(stat.items, edge=stat.edge)
+                    stalls.inc(stat.producer_stall_seconds, edge=stat.edge)
+                    waits.inc(stat.consumer_wait_seconds, edge=stat.edge)
+                    depth.set(stat.max_depth, edge=stat.edge)
+            overlap = timeline.overlaps()
+            overlap_gauge = metrics.gauge("stage_overlap_seconds")
+            for stages, seconds in overlap.items():
+                overlap_gauge.set(seconds, stages=stages)
+
+            errors = list(crawler_errors) + list(inference_errors)
+            errors.extend(download.failed)
+            errors.extend(f"incomplete scene dropped: {key}" for key in download.incomplete)
+            errors.extend(f"preprocess quarantined {q.describe()}" for q in preprocess.quarantined)
+            if shipment is not None and shipment.error:
+                errors.append(f"shipment: {shipment.error}")
+            if shipment is not None:
+                errors.extend(
+                    f"shipment integrity mismatch at destination: {name}"
+                    for name in shipment.mismatches
+                )
+            return WorkflowReport(
+                download=download,
+                preprocess=preprocess,
+                inference=inference_results,
+                shipment=shipment,
+                breakdown=timeline.breakdown(),
+                timeline=timeline,
+                errors=errors,
+                provenance=prov,
+                metrics=metrics,
+                chaos=chaos.summary() if chaos is not None else None,
+                inference_quarantined=inference_quarantined,
+                resumed_items=journal_counters["resumed_items"],
+                replayed_items=journal_counters["replayed_items"],
+                manifest_mismatches=journal_counters["manifest_mismatches"],
+                journal=journal.summary() if journal is not None else None,
+                stream=stream_summary,
+                stage_overlap_seconds=overlap,
+                scaleout=scaleout,
+                partition=partition,
+                cache=cache_summary,
+            )
+        finally:
+            if journal is not None:
+                journal.close()

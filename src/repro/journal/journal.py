@@ -32,7 +32,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.util.atomic import atomic_write_bytes
+from repro.util.digest import atomic_publish_bytes
 
 __all__ = ["INTENT", "COMPLETE", "JournalRecord", "RunJournal", "JournalState"]
 
@@ -139,7 +139,7 @@ class RunJournal:
                 mapping["sha"] = _record_checksum(record.to_mapping())
                 lines.append(_canonical(mapping))
             payload = ("\n".join(lines) + "\n") if lines else b"".decode()
-            atomic_write_bytes(self.path, payload.encode("utf-8"),
+            atomic_publish_bytes(self.path, payload.encode("utf-8"),
                                durable=self.durable)
             self._seq = records[-1].seq if records else 0
 

@@ -21,8 +21,7 @@ import os
 import threading
 from typing import Any, Dict, List, Optional
 
-from repro.util.atomic import atomic_write_bytes
-from repro.util.digest import digest_file, sha256_file
+from repro.util.digest import atomic_publish_bytes, digest_file, sha256_file
 
 __all__ = ["IntegrityManifest"]
 
@@ -78,7 +77,7 @@ class IntegrityManifest:
                 sort_keys=True, indent=0, separators=(",", ":"),
             ).encode("utf-8")
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        atomic_write_bytes(self.path, payload, durable=self.durable)
+        atomic_publish_bytes(self.path, payload, durable=self.durable)
 
     def reset(self) -> None:
         with self._lock:

@@ -180,6 +180,10 @@ class PlanExecution:
         self._on_end = on_end
         self._on_workers = on_workers
         self._lock = threading.RLock()
+        # Entering a scope may block (the inference window waits for its
+        # model), so it is serialized per owner — never under ``_lock``,
+        # which every node start and finish takes.
+        self._scope_locks = {node.name: threading.Lock() for node in plan.nodes}
         self.stream_config = stream or StreamConfig()
         self.hub = StreamHub()
         for src, dst in plan.stream_edges():
@@ -197,14 +201,16 @@ class PlanExecution:
             self.state[STREAMS_KEY] = self.hub
 
     def _enter(self, node: StageNode) -> None:
-        with self._lock:
-            if node.name in self._entered or node.name in self.done:
-                return
+        with self._scope_locks[node.name]:
+            with self._lock:
+                if node.name in self._entered or node.name in self.done:
+                    return
             scope = (
                 node.scope(self.state) if node.scope is not None else nullcontext()
             )
             scope.__enter__()
-            self._entered[node.name] = scope
+            with self._lock:
+                self._entered[node.name] = scope
             if self._on_workers is not None and node.workers:
                 self._on_workers(node.name, node.workers)
 
@@ -238,9 +244,9 @@ class PlanExecution:
                 self._enter(owner)
         # An overlap owner whose partners were all skipped still needs
         # its own scope before its body runs.
+        if node.overlaps:
+            self._enter(node)
         with self._lock:
-            if node.overlaps and name not in self._entered:
-                self._enter(node)
             entered_as_owner = name in self._entered
         if self._on_begin is not None:
             self._on_begin(name)

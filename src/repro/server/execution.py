@@ -29,8 +29,10 @@ from contextlib import nullcontext
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core import EOMLWorkflow, load_config
+from repro.core.branches import instrument_config, split_unit, unit_name, unit_slice
 from repro.core.config import EOMLConfig
 from repro.journal import WorkflowJournal
+from repro.runtime import StageNode
 from repro.server import wire
 
 __all__ = ["LeaseLost", "unit_graph", "validate_remote_config", "execute_unit"]
@@ -85,70 +87,60 @@ def validate_remote_config(raw: Mapping[str, Any]) -> EOMLConfig:
 
 
 def _rehydrate(
-    workflow: EOMLWorkflow,
     journal: Optional[WorkflowJournal],
-    unit: str,
+    node: StageNode,
     config: EOMLConfig,
     handles: Dict[str, Any],
     state: Dict[str, Any],
 ) -> None:
     """Load the dependency state this node's body actually reads.
 
-    Unit names carry the fan-out branch as an ``@`` suffix (an
-    instrument for download/preprocess, an ``<instrument>+<model>`` tag
-    for model/inference/shipment); a bare name is the classic
-    single-branch plan.
+    Driven by the node's own ``after`` edges: a download dependency is
+    its published report, a model dependency is the consumed-scene
+    cursor (for preprocess) or the persisted model file (for inference).
+    Preprocess and shipment dependencies carry nothing — their products
+    are the directories the dependent sweeps.
     """
-    base, _, tag = unit.partition("@")
-    if tag:
-        from repro.core.branches import branch_config
-
-        if base == "preprocess":
-            state[f"download@{tag}"] = wire.download_report_from_wire(
-                wire.load_state(config.journal_dir, f"download@{tag}")
+    base, _tag, cfg = unit_slice(config, node.name)
+    consumed = 0
+    for dep in node.after:
+        dep_base, _dep_tag, dep_cfg = unit_slice(config, dep)
+        if dep_base == "download":
+            state[dep] = wire.download_report_from_wire(
+                wire.load_state(config.journal_dir, dep)
             )
-        if base == "inference":
+        elif dep_base == "model" and base == "preprocess":
+            consumed = max(
+                consumed,
+                int(wire.load_state(config.journal_dir, dep).get("consumed", 0)),
+            )
+        elif dep_base == "model" and base == "inference":
             from repro.instruments.registry import get_model
 
-            instrument, _, model_name = tag.partition("+")
-            bcfg = branch_config(config, instrument, model_name)
-            model_path = workflow._effective_model_path(journal, tag)
+            model_path = EOMLWorkflow._effective_model_path(dep_cfg, journal)
             if model_path is None:
                 raise RuntimeError(
-                    "no model path: remote inference needs the journal "
-                    "directory to carry the bootstrapped branch model"
+                    "no model path: remote inference needs the journal directory "
+                    "(or inference.model_path) to carry the bootstrapped model"
                 )
-            state[f"model@{tag}"] = get_model(bcfg.model_name).load(model_path)
-        # model@tag scans its branch's preprocessed directory and
-        # shipment@tag sweeps its branch's transfer-out directory:
-        # neither needs rehydrated state.
-        return
-    if unit in ("model", "preprocess"):
-        state["download"] = wire.download_report_from_wire(
-            wire.load_state(config.journal_dir, "download")
+            state[dep] = get_model(dep_cfg.model_name).load(model_path)
+    if base == "preprocess":
+        # The bootstrap walks scenes in sorted order, so what the model
+        # units consumed is a prefix of the download report; preprocess
+        # only asks which keys to skip (the reports stayed with the unit
+        # that tiled them).
+        download = state[unit_name("download", cfg.branch)]
+        handles[unit_name("heads", cfg.branch)] = dict.fromkeys(
+            gs.key for gs in download.granule_sets[:consumed]
         )
-    if unit == "preprocess":
-        handles["consumed"] = int(
-            wire.load_state(config.journal_dir, "model").get("consumed", 0)
-        )
-    if unit == "inference":
-        from repro.instruments.registry import get_model
-
-        model_path = workflow._effective_model_path(journal)
-        if model_path is None:
-            raise RuntimeError(
-                "no model path: remote inference needs the journal directory "
-                "(or inference.model_path) to carry the bootstrapped model"
-            )
-        state["model"] = get_model(config.model_name).load(model_path)
 
 
-def _result_payload(unit: str, value: Any, handles: Dict[str, Any]) -> Dict[str, Any]:
+def _result_payload(
+    config: EOMLConfig, unit: str, value: Any, handles: Dict[str, Any]
+) -> Dict[str, Any]:
     """The completion record POSTed back to the control plane."""
-    base, _, tag = unit.partition("@")
-    suffix = f"@{tag}" if tag else ""
-    unit = base
-    if unit == "download":
+    base, tag, cfg = unit_slice(config, unit)
+    if base == "download":
         return {
             "files": value.files, "nbytes": value.nbytes,
             "skipped": value.skipped, "resumed": value.resumed,
@@ -156,26 +148,28 @@ def _result_payload(unit: str, value: Any, handles: Dict[str, Any]) -> Dict[str,
             "scenes": len(value.granule_sets),
             "failed": len(value.failed), "incomplete": len(value.incomplete),
         }
-    if unit == "model":
+    if base == "model":
+        instrument_tag = instrument_config(config, cfg.instrument).branch
         return {
             "num_classes": value.num_classes,
-            "consumed": handles.get("consumed", 0),
+            "consumed": len(handles[unit_name("heads", instrument_tag)]),
         }
-    if unit == "preprocess":
+    if base == "preprocess":
         return {
             "tiles": value.total_tiles,
             "files": sum(1 for r in value.results if r.tile_path),
             "quarantined": len(value.quarantined),
         }
-    if unit == "inference":
-        worker = handles[f"worker{suffix}"]
+    if base == "inference":
+        worker = handles[unit_name("worker", tag)]
         return {
             "files": len(worker.results),
             "tiles": sum(r.tiles for r in worker.results),
             "quarantined": len(worker.quarantined),
-            "errors": list(worker.errors) + list(handles[f"crawler{suffix}"].errors),
+            "errors": list(worker.errors)
+            + list(handles[unit_name("crawler", tag)].errors),
         }
-    if unit == "shipment":
+    if base == "shipment":
         return {
             "files": len(value.moved), "nbytes": value.nbytes,
             "retries": value.retries, "mismatches": len(value.mismatches),
@@ -225,7 +219,6 @@ def execute_unit(
         workflow = EOMLWorkflow(config)
         handles: Dict[str, Any] = {}
         state: Dict[str, Any] = {}
-        _rehydrate(workflow, journal, unit, config, handles, state)
         # The agent's handle on the run's CAS directory.  Co-located
         # agents (shared filesystem) dedupe into one object space; an
         # agent on its own filesystem simply opens an empty store there
@@ -239,6 +232,7 @@ def execute_unit(
             cache=cas,
         )
         node = plan.node(unit)
+        _rehydrate(journal, node, config, handles, state)
         if node.when is not None and not node.when(state):
             return {"skipped": True}
         _check_cancel("before node body")
@@ -251,15 +245,15 @@ def execute_unit(
         # work for whoever re-executes, and the new owner's POST is the
         # only one the server will accept anyway.
         _check_cancel("after node body")
-        if unit.partition("@")[0] == "download":
-            # Saved under the full unit name, so each fan-out branch's
-            # preprocess rehydrates its own instrument's report.
+        result = _result_payload(config, unit, value, handles)
+        # Cross-unit state is saved under the full unit name, so each
+        # fan-out branch's dependents rehydrate their own instrument's.
+        if split_unit(unit)[0] == "download":
             wire.save_state(
                 config.journal_dir, unit, wire.download_report_to_wire(value)
             )
-        result = _result_payload(unit, value, handles)
-        if unit == "model":
-            wire.save_state(config.journal_dir, "model", dict(result))
+        if split_unit(unit)[0] == "model":
+            wire.save_state(config.journal_dir, unit, dict(result))
         journal.checkpoint()
         return result
     finally:

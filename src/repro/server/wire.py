@@ -22,7 +22,7 @@ import os
 from typing import Any, Dict
 
 from repro.core.download import DownloadReport, GranuleSet
-from repro.util.atomic import atomic_write_bytes
+from repro.util.digest import atomic_publish_bytes
 
 __all__ = [
     "STATE_DIRNAME",
@@ -88,7 +88,7 @@ def save_state(journal_dir: str, unit: str, payload: Dict[str, Any]) -> str:
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{unit}.json")
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    atomic_write_bytes(path, blob)
+    atomic_publish_bytes(path, blob)
     return path
 
 

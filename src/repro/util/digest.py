@@ -18,9 +18,8 @@ shipment verification, chaos surfaces) must perform them *identically*:
   in the same directory, file fsync, ``os.replace``, directory fsync)
   around :func:`write_digested`.
 
-This module sits below ``repro.util.atomic``, ``repro.journal``,
-``repro.cas`` and ``repro.transfer`` in the import graph; import from
-here directly.
+This module sits below ``repro.journal``, ``repro.cas`` and
+``repro.transfer`` in the import graph; import from here directly.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from repro.analysis.climatology import (
     linear_trend,
     mann_kendall,
 )
-from repro.core.tiles import Tile, tiles_to_dataset
+from repro.instruments.tiling import Tile, tiles_to_dataset
 from repro.netcdf import write as nc_write
 
 

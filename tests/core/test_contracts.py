@@ -14,7 +14,7 @@ from repro.core.contracts import (
     TILE_FILE,
     contract_for_product,
 )
-from repro.core.tiles import extract_tiles, tiles_to_dataset
+from repro.instruments.tiling import extract_tiles, tiles_to_dataset
 from repro.modis import MINI_SWATH, GranuleId, generate_granule
 from repro.netcdf import Dataset
 

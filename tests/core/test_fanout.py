@@ -23,6 +23,9 @@ from tests.core.test_crash_resume import (
 from repro.chaos.surfaces import CRASH_EXIT_CODE
 from repro.core import EOMLWorkflow, load_config
 from repro.core.branches import branch_tag, expand_branches, is_fanout
+from repro.core.download import DownloadReport, GranuleSet
+from repro.core.preprocess import PreprocessReport, PreprocessResult, QuarantineRecord
+from repro.core.shipment import ShipmentReport
 from repro.flows import RunStatus, run_plan_with_flows
 from repro.instruments import get_model
 from repro.modis import MINI_SWATH, LaadsArchive
@@ -89,6 +92,142 @@ class TestBranchExpansion:
         config = load_config(build_raw_config(str(tmp_path), 1))
         assert not is_fanout(config)
         assert expand_branches(config) == [("modis", "ricc")]
+
+
+# The five-stage graph as (name, after, overlaps, stream, has_scope)
+# rows.  ``{i}`` is an instrument tag and ``{b}`` a branch tag; the
+# single-branch plan is the instantiation whose tags are empty.
+ACQUISITION = {
+    False: [
+        ("download{i}", (), (), (), False),
+        ("model{b}", ("download{i}",), (), (), False),
+        ("preprocess{i}", ("download{i}", "model{b}"), (), (), False),
+    ],
+    True: [
+        ("download{i}", (), (), (), False),
+        ("model{b}", (), (), ("download{i}",), False),
+        ("preprocess{i}", (), (), ("model{b}",), False),
+    ],
+}
+LABELLING = {
+    False: [
+        ("inference{b}", ("preprocess{i}", "model{b}"), ("preprocess{i}",), (), True),
+        ("shipment{b}", ("inference{b}",), (), (), False),
+    ],
+    True: [
+        ("inference{b}", ("preprocess{i}", "model{b}"), ("preprocess{i}",), (), True),
+        ("shipment{b}", (), (), ("inference{b}",), False),
+    ],
+}
+# With two models the instrument's model nodes chain: the second one is
+# fed by the first, and preprocess by the last (a barrier waits for all).
+ACQUISITION_TWO_MODELS = {
+    False: [
+        ("download{i}", (), (), (), False),
+        ("model{i}+ricc", ("download{i}",), (), (), False),
+        ("model{i}+heuristic", ("download{i}", "model{i}+ricc"), (), (), False),
+        ("preprocess{i}",
+         ("download{i}", "model{i}+ricc", "model{i}+heuristic"), (), (), False),
+    ],
+    True: [
+        ("download{i}", (), (), (), False),
+        ("model{i}+ricc", (), (), ("download{i}",), False),
+        ("model{i}+heuristic", (), (), ("model{i}+ricc",), False),
+        ("preprocess{i}", (), (), ("model{i}+heuristic",), False),
+    ],
+}
+
+
+def instantiate(rows, i="", b=""):
+    def fill(names):
+        return tuple(name.format(i=i, b=b) for name in names)
+
+    return [
+        (name.format(i=i, b=b), fill(after), fill(overlaps), fill(stream), scope)
+        for name, after, overlaps, stream, scope in rows
+    ]
+
+
+def topology(plan):
+    return [
+        (n.name, n.after, n.overlaps, n.stream, n.scope is not None)
+        for n in plan.nodes
+    ]
+
+
+class TestPlanTopology:
+    """One graph: the single-branch plan and the fan-out plan are the
+    same table, instantiated once or per instrument / branch."""
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_single_branch_plan_is_the_table_with_empty_tags(
+        self, streaming, tmp_path
+    ):
+        config = load_config(build_raw_config(str(tmp_path), 1))
+        plan = EOMLWorkflow(config).build_plan(streaming=streaming)
+        assert topology(plan) == instantiate(
+            ACQUISITION[streaming] + LABELLING[streaming]
+        )
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_fanout_plan_is_the_table_per_instrument_and_branch(
+        self, streaming, tmp_path
+    ):
+        config = load_config(fanout_raw(tmp_path))
+        plan = EOMLWorkflow(config).build_plan(streaming=streaming)
+        expected = []
+        for inst in INSTRUMENTS:
+            expected += instantiate(ACQUISITION_TWO_MODELS[streaming], i=f"@{inst}")
+        for branch in BRANCHES:
+            inst = branch.split("+")[0]
+            expected += instantiate(
+                LABELLING[streaming], i=f"@{inst}", b=f"@{branch}"
+            )
+        assert topology(plan) == expected
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_one_model_fanout_chain_is_the_single_branch_chain(
+        self, streaming, tmp_path
+    ):
+        # Two instruments, one model: each instrument's acquisition chain
+        # is exactly the single-branch rows under its own tags.
+        raw = fanout_raw(tmp_path)
+        raw["inference"] = dict(raw["inference"], models=["ricc"])
+        plan = EOMLWorkflow(load_config(raw)).build_plan(streaming=streaming)
+        expected = []
+        for inst in INSTRUMENTS:
+            expected += instantiate(
+                ACQUISITION[streaming], i=f"@{inst}", b=f"@{inst}+ricc"
+            )
+        for inst in INSTRUMENTS:
+            expected += instantiate(
+                LABELLING[streaming], i=f"@{inst}", b=f"@{inst}+ricc"
+            )
+        assert topology(plan) == expected
+
+    def test_one_branch_merges_are_the_identity(self):
+        download = DownloadReport(
+            granule_sets=[GranuleSet("A2022001.0000", {"MOD021KM": "/raw/a.nc"})],
+            files=3, nbytes=30, seconds=1.5, per_file_seconds=[0.5, 0.5, 0.5],
+            skipped=1, resumed=1, cached=1, retried=1, retry_attempts=2,
+            fetched_bytes=10, failed=["download of x failed"],
+            incomplete=["A2022001.0005"], breaker_trips=1,
+        )
+        assert EOMLWorkflow._merge_downloads([download]) == download
+        preprocess = PreprocessReport(
+            results=[PreprocessResult("A2022001.0000", "/tiles/a.nc", 4, 0.2)],
+            seconds=0.3,
+            quarantined=[QuarantineRecord("A2022001.0005", "corrupt")],
+        )
+        assert EOMLWorkflow._merge_preprocess([preprocess]) == preprocess
+        shipment = ShipmentReport(
+            moved=["/orion/a.nc"], nbytes=7, seconds=0.1, retries=1,
+            error="transfer timed out", resumed=1, verified=1, deduped=1,
+            mismatches=["b.nc"], checksums={"a.nc": "ab" * 32},
+        )
+        # The single branch's tag is "": per-file keys stay un-prefixed.
+        assert EOMLWorkflow._merge_shipments([""], [shipment]) == shipment
+        assert EOMLWorkflow._merge_shipments([""], [None]) is None
 
 
 class TestBarrierFanout:

@@ -12,6 +12,7 @@ import json
 import os
 
 from tests.core.crash_driver import build_raw_config
+from tests.core.test_fanout import topology
 
 from repro.core import EOMLWorkflow, load_config
 from repro.modis import MINI_SWATH, LaadsArchive
@@ -27,6 +28,36 @@ def sha256_file(path):
     return digest.hexdigest()
 
 
+def delivered(config):
+    return {
+        name: sha256_file(os.path.join(config.destination, name))
+        for name in sorted(os.listdir(config.destination))
+    }
+
+
+def test_plural_spelling_of_the_single_branch_is_the_same_plan_and_corpus(tmp_path):
+    """``instruments: [modis]`` x ``models: [ricc]`` is a product of size
+    one: bare node names, root paths, golden bytes."""
+    with open(GOLDEN) as handle:
+        golden = json.load(handle)
+
+    singular = load_config(build_raw_config(str(tmp_path / "s"), golden["granules"]))
+    raw = build_raw_config(str(tmp_path), golden["granules"])
+    raw["archive"]["instruments"] = ["modis"]
+    raw["inference"] = dict(raw["inference"], models=["ricc"])
+    config = load_config(raw)
+    for streaming in (False, True):
+        assert topology(EOMLWorkflow(config).build_plan(streaming=streaming)) == \
+            topology(EOMLWorkflow(singular).build_plan(streaming=streaming))
+
+    workflow = EOMLWorkflow(
+        config, archive=LaadsArchive(seed=golden["seed"], swath=MINI_SWATH)
+    )
+    report = workflow.run(provenance=False)
+    assert report.errors == []
+    assert delivered(config) == golden["files"]
+
+
 def test_fixed_seed_run_ships_the_golden_corpus(tmp_path):
     with open(GOLDEN) as handle:
         golden = json.load(handle)
@@ -37,9 +68,4 @@ def test_fixed_seed_run_ships_the_golden_corpus(tmp_path):
     )
     report = workflow.run(provenance=False)
     assert report.errors == []
-
-    delivered = {
-        name: sha256_file(os.path.join(config.destination, name))
-        for name in sorted(os.listdir(config.destination))
-    }
-    assert delivered == golden["files"]
+    assert delivered(config) == golden["files"]

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.config import load_config
 from repro.core.inference import InferenceWorker, infer_tile_file
-from repro.core.tiles import extract_tiles, tiles_to_dataset
+from repro.instruments.tiling import extract_tiles, tiles_to_dataset
 from repro.netcdf import write as nc_write
 from repro.ricc import AICCAModel
 

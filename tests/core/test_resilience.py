@@ -350,6 +350,39 @@ class TestResume:
         assert again.tiles == first.tiles
         assert again.tile_path == first.tile_path
 
+    def test_failed_run_releases_the_journal_and_resumes_in_process(
+        self, tmp_path, monkeypatch
+    ):
+        """A run that dies mid-plan must not leak the journal's file
+        handle: the same process resumes the run from that journal."""
+        import repro.core.workflow as workflow_module
+
+        opened = []
+
+        class RecordingJournal(workflow_module.WorkflowJournal):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(workflow_module, "WorkflowJournal", RecordingJournal)
+        outage = {"seed": 0, "faults": [
+            {"stage": "download", "kind": "http_permanent", "rate": 1.0},
+        ]}
+        doomed = make_config(tmp_path, retries=1, on_exhausted="raise",
+                             breaker_threshold=50, chaos=outage)
+        with pytest.raises(Exception, match="download of"):
+            EOMLWorkflow(doomed, archive=fresh_archive()).run(provenance=False)
+        assert len(opened) == 1
+        assert opened[0].journal._handle is None   # closed on the error path
+
+        healed = make_config(tmp_path, retries=1, on_exhausted="raise")
+        report = EOMLWorkflow(healed, archive=fresh_archive()).run(
+            provenance=False, resume=True
+        )
+        assert report.errors == []
+        assert report.shipment.moved
+        assert opened[1].journal._handle is None   # and on the normal one
+
     def test_rerun_after_chaos_run_heals_the_damage(self, tmp_path):
         """A chaos-free re-run on the same directories completes the work
         a faulted run left behind (the operational recovery story)."""

@@ -12,7 +12,7 @@ from repro.core.sharding import (
     tokenize,
     write_shards,
 )
-from repro.core.tiles import Tile, tiles_to_dataset
+from repro.instruments.tiling import Tile, tiles_to_dataset
 from repro.netcdf import read as nc_read, write as nc_write
 
 

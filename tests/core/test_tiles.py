@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.tiles import dataset_to_tiles, extract_tiles, tiles_to_dataset
+from repro.instruments.tiling import dataset_to_tiles, extract_tiles, tiles_to_dataset
 from repro.netcdf import from_bytes, to_bytes
 
 

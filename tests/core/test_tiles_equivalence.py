@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.tiles import Tile, extract_tiles, tiles_to_dataset
+from repro.instruments.tiling import Tile, extract_tiles, tiles_to_dataset
 from repro.netcdf import to_bytes
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.download import GranuleSet
-from repro.core.tiles import extract_tiles
+from repro.instruments.tiling import extract_tiles
 from repro.instruments import available_instruments, get_instrument
 from repro.netcdf import to_bytes, write as nc_write
 

@@ -86,3 +86,19 @@ class TestCheckerLogic:
         found = check_layering.violations(str(bad), ("repro.core",))
         assert len(found) == 1
         assert "mod.py:1" in found[0]
+
+    def test_shim_rule_flags_only_pure_reexport_modules(self, tmp_path):
+        package = tmp_path / "pkg"
+        package.mkdir()
+        (package / "__init__.py").write_text("from pkg.real import thing\n")
+        (package / "shim.py").write_text(
+            '"""Moved."""\nfrom pkg.real import thing  # noqa: F401\n'
+            '__all__ = ["thing"]\n'
+        )
+        (package / "real.py").write_text("import os\n\ndef thing():\n    return os.sep\n")
+        (package / "empty.py").write_text('"""Nothing here."""\n')
+        found = check_layering.shims(str(package))
+        assert len(found) == 1 and "shim.py" in found[0]
+
+    def test_the_source_tree_has_no_shims(self):
+        assert check_layering.shims(os.path.join(REPO_ROOT, "src", "repro")) == []

@@ -337,6 +337,41 @@ class TestStreamingPlanRunner:
         StreamingPlanRunner().run(plan)
         assert order == ["a", "b", "c"]
 
+    def test_a_scope_that_blocks_does_not_stall_other_nodes(self):
+        """An overlap owner's scope may wait on another node (the
+        inference window waits for its model): entering it must not hold
+        the execution lock that node needs to start and finish."""
+        entering = threading.Event()
+        trained = threading.Event()
+
+        @contextmanager
+        def window(state):
+            entering.set()
+            assert trained.wait(5.0), "the model node never got to run"
+            yield
+
+        def gate(state):
+            # Finishes — and so releases "model" — only once the window
+            # is being entered, the moment the old lock was held.
+            assert entering.wait(5.0)
+
+        plan = PipelinePlan([
+            StageNode("gate", run=gate),
+            StageNode("model", run=lambda s: trained.set(), after=("gate",)),
+            StageNode("work", run=lambda s: "tiles"),
+            StageNode("window", run=lambda s: "drained", after=("work", "model"),
+                      overlaps=("work",), scope=window),
+        ])
+        done = {}
+        runner = threading.Thread(
+            target=lambda: done.update(StreamingPlanRunner().run(plan)),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(15.0)
+        assert not runner.is_alive(), "plan deadlocked on a blocking scope"
+        assert done["window"] == "drained"
+
     def test_skipped_consumer_relaxes_the_producer(self):
         def produce(state):
             writer = state[STREAMS_KEY].writer("producer")

@@ -207,6 +207,14 @@ class TestInstrumentDocs:
                      "model@modis+ricc", "inference@abi+heuristic",
                      "shipment@modis+heuristic"):
             assert node in text, f"fan-out node {node!r} undocumented"
+        # One graph in both shapes: the overlap window and the model
+        # relay are drawn for the single branch and for the fan-out.
+        section = text.split("### Fan-out: one plan per instrument x model")[1]
+        section = section.split("## Stage runtime & middleware")[0]
+        for needle in ("download ──▶ model ──▶ preprocess",
+                       "model@I+M2 ──▶ preprocess@I", "┆ overlaps",
+                       "inference@I+M1 ──▶ shipment@I+M1", "unit_slice"):
+            assert needle in section, f"plan diagram missing {needle!r}"
 
     def test_readme_and_design_point_at_the_section(self):
         readme = (ROOT / "README.md").read_text()

@@ -1,6 +1,6 @@
 """Crash-consistency contracts of the atomic publication helpers.
 
-``atomic_write_bytes`` is the one primitive every publishing stage
+``atomic_publish_bytes`` is the one primitive every publishing stage
 trusts to leave either the old file or the complete new file — never a
 torn one.  These tests cover the edges the happy path never exercises:
 a stale ``.part`` survivor from a dead writer, a crash injected in the
@@ -18,11 +18,10 @@ import repro.chaos.surfaces as surfaces
 from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.chaos.surfaces import CRASH_EXIT_CODE, chaos_atomic_write
 from repro.netcdf import Dataset, read
-from repro.util.atomic import (
+from repro.util.digest import (
     HASH_SLICE,
     TEMP_SUFFIX,
     atomic_publish_bytes,
-    atomic_write_bytes,
     fsync_dir,
 )
 
@@ -51,7 +50,7 @@ def tiny_dataset():
 class TestAtomicWriteBytes:
     def test_returns_byte_count_and_publishes(self, tmp_path):
         path = str(tmp_path / "artifact.nc")
-        assert atomic_write_bytes(path, b"payload") == 7
+        assert atomic_publish_bytes(path, b"payload")[0] == 7
         with open(path, "rb") as handle:
             assert handle.read() == b"payload"
         assert not os.path.exists(path + TEMP_SUFFIX)
@@ -62,15 +61,15 @@ class TestAtomicWriteBytes:
         path = str(tmp_path / "artifact.nc")
         with open(path + TEMP_SUFFIX, "wb") as handle:
             handle.write(b"torn half-writ")
-        atomic_write_bytes(path, b"complete")
+        atomic_publish_bytes(path, b"complete")
         with open(path, "rb") as handle:
             assert handle.read() == b"complete"
         assert not os.path.exists(path + TEMP_SUFFIX)
 
     def test_replaces_previous_content_atomically(self, tmp_path):
         path = str(tmp_path / "artifact.nc")
-        atomic_write_bytes(path, b"old")
-        atomic_write_bytes(path, b"new")
+        atomic_publish_bytes(path, b"old")
+        atomic_publish_bytes(path, b"new")
         with open(path, "rb") as handle:
             assert handle.read() == b"new"
 
@@ -115,7 +114,7 @@ class TestAtomicWriteBytes:
         monkeypatch.setattr(os, "fsync", failing_fsync)
         path = str(tmp_path / "artifact.nc")
         with pytest.raises(OSError, match="disk on fire"):
-            atomic_write_bytes(path, b"payload")
+            atomic_publish_bytes(path, b"payload")
         assert not os.path.exists(path)          # nothing published
 
     def test_non_durable_write_skips_fsync(self, tmp_path, monkeypatch):
@@ -124,7 +123,7 @@ class TestAtomicWriteBytes:
 
         monkeypatch.setattr(os, "fsync", failing_fsync)
         path = str(tmp_path / "artifact.nc")
-        assert atomic_write_bytes(path, b"payload", durable=False) == 7
+        assert atomic_publish_bytes(path, b"payload", durable=False)[0] == 7
         with open(path, "rb") as handle:
             assert handle.read() == b"payload"
 

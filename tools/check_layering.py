@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Layering check: ``repro.runtime`` must never import ``repro.core``.
+"""Layering check: ``repro.runtime`` must never import ``repro.core``,
+and no module may be a re-export shim.
 
 The unified stage runtime is the layer *under* the stages — the flows
 engine and the zambeze orchestrator execute runtime plans without the
@@ -7,7 +8,10 @@ local stage implementations, so an import edge from ``repro.runtime``
 into ``repro.core`` would invert the architecture (and reintroduce the
 cycle the refactor removed).  This script walks the runtime package's
 ASTs and fails loudly on any ``import``/``from`` that resolves into a
-forbidden layer.  Run from the repo root:
+forbidden layer.  It also fails on any non-``__init__`` module under
+``src/repro`` that consists only of imports and ``__all__``: a moved
+name's import sites move with it, so deleted shims stay deleted.  Run
+from the repo root:
 
     python tools/check_layering.py
 
@@ -71,8 +75,38 @@ def violations(package_dir: str, forbidden: tuple) -> list:
     return found
 
 
+def is_shim(tree: ast.Module) -> bool:
+    """True for a module whose whole body is imports and ``__all__``."""
+    body = [
+        node for node in tree.body
+        if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+    ]
+    return bool(body) and all(
+        isinstance(node, (ast.Import, ast.ImportFrom))
+        or (
+            isinstance(node, ast.Assign)
+            and all(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        )
+        for node in body
+    )
+
+
+def shims(package_dir: str) -> list:
+    found = []
+    for dirpath, _dirnames, filenames in os.walk(package_dir):
+        for filename in sorted(filenames):
+            if not filename.endswith(".py") or filename == "__init__.py":
+                continue
+            path = os.path.join(dirpath, filename)
+            with open(path, encoding="utf-8") as handle:
+                if is_shim(ast.parse(handle.read(), filename=path)):
+                    found.append(f"{path}: re-export shim (only imports and "
+                                 "__all__); move the import sites instead")
+    return found
+
+
 def main(root: str = ".") -> int:
-    failures = []
+    failures = shims(os.path.join(root, "src/repro"))
     for package, forbidden in RULES:
         package_dir = os.path.join(root, package)
         if not os.path.isdir(package_dir):
@@ -84,7 +118,7 @@ def main(root: str = ".") -> int:
             print(failure, file=sys.stderr)
         return 1
     print("layering ok: runtime, core, instruments, and cas respect "
-          "the forbidden-layer rules")
+          "the forbidden-layer rules; no re-export shims")
     return 0
 
 
