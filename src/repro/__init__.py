@@ -11,7 +11,7 @@ Top-level package. Subpackages:
 - :mod:`repro.compute`  — Globus-Compute-like function service
 - :mod:`repro.transfer` — Globus-Transfer-like data movement
 - :mod:`repro.flows`    — Globus-Flows-like state-machine automation
-- :mod:`repro.pexec`    — Parsl-like parallel executor
+- :mod:`repro.pexec`    — Parsl's simulated twin (HTEX over Slurm blocks)
 - :mod:`repro.ricc`     — rotationally invariant cloud clustering + AICCA
 - :mod:`repro.core`     — the five-stage EO-ML workflow
 - :mod:`repro.analysis` — experiment drivers regenerating every figure/table

@@ -2,7 +2,7 @@
 
 Two endpoint flavours share the submit/future shape: the simulated
 endpoint runs behaviours on the discrete-event kernel (used by the
-benchmarks), the local endpoint runs real callables on threads/processes
+benchmarks), the local endpoint runs real callables on a thread pool
 (used by the examples and the real execution path).
 """
 

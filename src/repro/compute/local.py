@@ -1,4 +1,4 @@
-"""Real local execution endpoint (threads or processes).
+"""Real local execution endpoint (a named thread pool).
 
 The laptop-scale execution path of the workflow runs genuine Python
 callables — granule synthesis, tiling, inference — through the same
@@ -15,29 +15,22 @@ __all__ = ["LocalComputeEndpoint"]
 
 
 class LocalComputeEndpoint:
-    """A worker pool executing real callables.
-
-    ``kind`` selects threads (default; fine for NumPy-heavy work that
-    releases the GIL) or processes (for pure-Python CPU-bound functions).
-    Usable as a context manager.
+    """A thread pool executing real callables (fine for the NumPy-heavy
+    stage work, which releases the GIL; process-level parallelism is
+    :class:`repro.runtime.proc.ProcWorkerPool`'s job).  Usable as a
+    context manager.
     """
 
-    def __init__(self, name: str, max_workers: int, kind: str = "thread"):
+    def __init__(self, name: str, max_workers: int):
         if not isinstance(max_workers, int) or max_workers < 1:
             raise ValueError(
                 f"endpoint {name!r} needs max_workers >= 1, got {max_workers!r}"
             )
-        if kind not in ("thread", "process"):
-            raise ValueError(f"kind must be 'thread' or 'process', got {kind!r}")
         self.name = name
         self.max_workers = max_workers
-        self.kind = kind
-        if kind == "thread":
-            self._pool: cf.Executor = cf.ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix=name
-            )
-        else:
-            self._pool = cf.ProcessPoolExecutor(max_workers=max_workers)
+        self._pool = cf.ThreadPoolExecutor(
+            max_workers=max_workers, thread_name_prefix=name
+        )
         self.tasks_submitted = 0
         self._closed = False
 

@@ -9,7 +9,6 @@ from repro.core.preprocess import (
     PreprocessResult,
     PreprocessStage,
     QuarantineRecord,
-    preprocess_granule_set,
 )
 from repro.core.shipment import ShipmentReport, ShipmentStage
 from repro.core.simflow import SimulatedEOMLWorkflow, SimWorkflowParams, SimWorkflowResult
@@ -34,7 +33,6 @@ __all__ = [
     "PreprocessReport",
     "PreprocessResult",
     "QuarantineRecord",
-    "preprocess_granule_set",
     "DirectoryCrawler",
     "InferenceWorker",
     "InferenceResult",

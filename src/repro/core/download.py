@@ -26,14 +26,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.chaos.engine import FaultInjector
 from repro.chaos.surfaces import ChaosArchive, chaos_atomic_write
-from repro.compute import LocalComputeEndpoint
 from repro.core.artifact_cache import granule_key
 from repro.core.branches import unit_name
 from repro.core.config import EOMLConfig
+from repro.core.context import RunContext
 from repro.instruments.registry import get_instrument
-from repro.journal import WorkflowJournal
 from repro.net.retry import CircuitBreaker
 from repro.runtime import (
     CACHED,
@@ -46,9 +44,7 @@ from repro.runtime import (
     RetrySpec,
     UnitResult,
     WorkUnit,
-    build_executor,
 )
-from repro.runtime.proc import ProcWorkerPool, WorkEnvelope
 
 __all__ = ["GranuleSet", "DownloadReport", "DownloadStage"]
 
@@ -96,37 +92,31 @@ class DownloadReport:
 
 
 class DownloadStage:
-    """Parallel downloads via a local worker pool."""
+    """Parallel downloads: one submitted unit per granule file."""
 
     def __init__(
         self,
         config: EOMLConfig,
+        ctx: Optional[RunContext] = None,
         archive: Optional[Any] = None,
-        chaos: Optional[FaultInjector] = None,
-        sleeper: Callable[[float], None] = time.sleep,
-        journal: Optional[WorkflowJournal] = None,
-        cache: Optional[Any] = None,
     ):
         self.config = config
-        self.chaos = chaos
-        self.journal = journal
-        self.cache = cache
+        self.ctx = ctx or RunContext()
         instrument = get_instrument(config.instrument)
         self.archive = archive or instrument.build_archive(seed=config.seed)
         self._host = instrument.archive_host
-        # Scale-out envelopes carry the branch tag so pool workers
-        # rebuild the right per-instrument context ("" = classic kind).
-        self._kind = unit_name("download", config.branch)
-        if chaos is not None:
-            self.archive = ChaosArchive(self.archive, chaos, sleeper=sleeper)
+        # The unit kind carries the branch tag, so whoever executes a
+        # unit resolves the right per-instrument slice ("" = bare kind).
+        self.kind = unit_name("download", config.branch)
+        self.workers = config.workers.download
+        if self.ctx.chaos is not None:
+            self.archive = ChaosArchive(
+                self.archive, self.ctx.chaos, sleeper=self.ctx.sleeper
+            )
         self.backoff = config.download_backoff
         self.breaker = CircuitBreaker(
             failure_threshold=config.breaker_threshold,
             reset_after=config.breaker_reset,
-        )
-        self._sleeper = sleeper
-        self._executor = build_executor(
-            journal=journal, chaos=chaos, sleeper=sleeper, cache=cache
         )
 
     def plan(self) -> List[Any]:
@@ -171,7 +161,7 @@ class DownloadStage:
             ctx.begin()
             ds = self.archive.fetch(ref)
             nbytes, digest = chaos_atomic_write(
-                ds, final_path, chaos=self.chaos, stage="download", key=key
+                ds, final_path, chaos=self.ctx.chaos, stage="download", key=key
             )
             return UnitResult(
                 outcome="done",
@@ -232,7 +222,7 @@ class DownloadStage:
                 breaker=self.breaker,
                 host=self._host,
                 retry_on=(OSError, RuntimeError),
-                sleeper=self._sleeper,
+                sleeper=self.ctx.sleeper,
             ),
             failure=FailurePolicy(
                 on_exhausted=(
@@ -245,10 +235,11 @@ class DownloadStage:
             ),
         )
 
-    def _fetch_one(
+    def execute(
         self, ref: Any
-    ) -> Tuple[GranuleRef, Optional[str], int, float, str, int, Optional[str]]:
-        """Download one granule through the stage runtime.
+    ) -> Tuple[Any, Optional[str], int, float, str, int, Optional[str]]:
+        """The unit entry point: download one granule through the stage
+        runtime, wherever this copy of the stage lives.
 
         Returns (ref, path, nbytes, seconds, outcome, retry_attempts,
         error) with outcome one of "fetched", "resumed" (journaled
@@ -260,7 +251,7 @@ class DownloadStage:
         """
         started = time.monotonic()
         final_path = os.path.join(self.config.staging, ref.filename + ".nc")
-        result = self._executor.execute(self._unit_for(ref))
+        result = self.ctx.executor.execute(self._unit_for(ref))
         if result.outcome == RESUMED:
             nbytes = int(result.payload.get("nbytes", 0)) or os.path.getsize(final_path)
             return ref, final_path, nbytes, 0.0, "resumed", 0, None
@@ -276,11 +267,8 @@ class DownloadStage:
 
     def run(
         self,
-        on_file: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None,
         on_planned: Optional[Callable[[List[str]], None]] = None,
         on_scene: Optional[Callable[[str, Optional[GranuleSet]], None]] = None,
-        pool: Optional["ProcWorkerPool"] = None,
     ) -> DownloadReport:
         """Execute all downloads; returns the manifest grouped by granule.
 
@@ -340,8 +328,6 @@ class DownloadStage:
                 retried += outcome == "retried"
                 if outcome in ("fetched", "retried"):
                     fetched_bytes += nbytes
-                if on_file is not None:
-                    on_file(path)
             settled_products[scene_key] = settled_products.get(scene_key, 0) + 1
             if settled_products[scene_key] < len(planned[scene_key]):
                 return
@@ -356,23 +342,11 @@ class DownloadStage:
                 if on_scene is not None:
                     on_scene(scene_key, granule_set)
 
-        if pool is not None:
-            # Scale-out path: each granule is one envelope, sharded by
-            # filename across the process pool.  settle() is
-            # order-independent, so completion order does not matter.
-            futures = [
-                pool.submit(WorkEnvelope(self._kind, ref.filename, ref))
-                for ref in refs
-            ]
-            for result in pool.gather(futures):
-                settle(*result)
-        else:
-            with LocalComputeEndpoint(
-                "download", workers or self.config.workers.download
-            ) as endpoint:
-                futures = endpoint.map(self._fetch_one, refs)
-                for result in endpoint.gather(futures):
-                    settle(*result)
+        # One unit per granule, keyed by filename.  settle() is
+        # order-independent, so units settle in completion order.
+        futures = [self.ctx.submit(self, ref.filename, ref) for ref in refs]
+        for result in self.ctx.gather(futures):
+            settle(*result)
         for scene_key in sorted(by_scene):
             paths = by_scene[scene_key]
             if not (set(paths) < planned.get(scene_key, set())):

@@ -3,8 +3,8 @@
 Real-execution flavour of Section III stage 4 (the Globus Flow's body):
 for each tile NetCDF, encode the tiles, assign nearest-centroid labels,
 append the labels to the dataset, and publish the updated file to the
-transfer-out directory.  An :class:`InferenceWorker` consumes discovered
-files from a queue, so it composes directly with the crawler.
+transfer-out directory.  An :class:`InferenceWorker` takes discovered
+files one at a time, so it composes directly with the crawler.
 
 Two hot-path optimizations live here.  *Label append*: a canonical tile
 file is re-serialized by rewriting only its header and label column
@@ -22,31 +22,29 @@ import os
 import queue
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.chaos.engine import FaultInjector
 from repro.chaos.surfaces import chaos_crash
 from repro.core.artifact_cache import TileRefiner
 from repro.core.branches import key_prefix, unit_name
 from repro.core.config import EOMLConfig
+from repro.core.context import RunContext
 from repro.core.contracts import TILE_FILE
 from repro.core.preprocess import QuarantineRecord
-from repro.journal import WorkflowJournal
 from repro.netcdf import Dataset, from_bytes as nc_from_bytes, to_bytes as nc_to_bytes
 from repro.netcdf.writer import canonical_layout, splice_bytes
-from repro.runtime.proc import ProcWorkerPool, WorkEnvelope, WorkerCrashed
 from repro.runtime import (
     QUARANTINED,
     RESUMED,
     FailurePolicy,
     UnitResult,
+    WorkerCrashed,
     WorkUnit,
-    build_executor,
 )
-from repro.telemetry.metrics import MetricsRegistry
 from repro.util.digest import atomic_publish_bytes
 
 __all__ = ["InferenceResult", "infer_tile_file", "InferenceWorker"]
@@ -137,48 +135,47 @@ class _ParsedFile:
     radiance: np.ndarray  # (tiles, y, x, band) float32
 
 
-class InferenceWorker:
-    """Threaded consumer: crawler enqueues paths, worker labels them.
+# One file's labelling outcome, the same tuple wherever the file was
+# labelled: ("result", InferenceResult) or ("quarantined", error text).
+Outcome = Tuple[str, Any]
 
-    The paper allocates a single inference worker in the Fig. 6 run;
-    ``workers`` generalizes that.  Each worker micro-batches: after
-    dequeuing one path it drains up to ``batch_files - 1`` more without
-    blocking, fuses all their tiles into one encoder/assign call, and
-    scatters the labels back per file.
+
+class InferenceWorker:
+    """The labelling stage: the crawler submits paths, units label them.
+
+    In-process the units run on this worker's own threads (the paper
+    allocates a single inference worker in the Fig. 6 run; ``workers``
+    generalizes that), and each thread micro-batches: after dequeuing
+    one path it drains up to ``batch_files - 1`` more without blocking,
+    fuses all their tiles into one encoder/assign call, and scatters the
+    labels back per file.
 
     A tile file that cannot be labelled (corrupt bytes, contract
-    violation) is moved into the quarantine directory and recorded —
-    the worker keeps consuming, so one crawler-visible partial never
-    stalls the stage.
+    violation) is moved into the quarantine directory by whoever found
+    it and recorded here — labelling keeps going, so one
+    crawler-visible partial never stalls the stage.
     """
 
     def __init__(
         self,
         model: Any,
         config: EOMLConfig,
+        ctx: Optional[RunContext] = None,
         workers: Optional[int] = None,
-        chaos: Optional[FaultInjector] = None,
         batch_files: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        journal: Optional[WorkflowJournal] = None,
         on_result: Optional[Callable[[InferenceResult], None]] = None,
-        pool: Optional[ProcWorkerPool] = None,
-        model_ref: Optional[Tuple[str, Any]] = None,
-        cache: Optional[Any] = None,
     ):
         self.model = model
         self._on_result = on_result
         self.config = config
-        self.chaos = chaos
-        self.journal = journal
-        self.cache = cache
+        self.ctx = ctx or RunContext()
         # Progressive fidelity: with a refine threshold configured (and
         # a model that reports margins), low-margin tiles from coarse
         # tile files get a full-resolution second pass.
         threshold = getattr(config, "refine_threshold", None)
         self._refine_threshold = float(threshold) if threshold is not None else None
         self._refiner = (
-            TileRefiner(config, cas=cache)
+            TileRefiner(config, cas=self.ctx.cache)
             if self._refine_threshold is not None
             else None
         )
@@ -187,19 +184,22 @@ class InferenceWorker:
         # key prefix ("<instrument>+<model>:") keeps same-named tile files
         # from colliding in it.  "" preserves the classic key namespace.
         self.key_prefix = key_prefix(config.branch)
-        # Scale-out envelopes carry the branch tag so pool workers
-        # rebuild the right per-branch context ("" = classic kind).
-        self._kind = unit_name("inference", config.branch)
-        # Scale-out path: when a pool is given, submit() ships each tile
-        # file as an envelope instead of enqueueing for the local
-        # threads; model_ref tells workers how to obtain the model.
-        self.pool = pool
-        self.model_ref = model_ref if model_ref is not None else ("object", model)
+        # The unit kind carries the branch tag, so whoever executes a
+        # unit resolves the right per-branch slice ("" = bare kind).
+        self.kind = unit_name("inference", config.branch)
+        # How a copy of this stage in another process obtains the model:
+        # the persisted file when one exists (loaded once per process),
+        # else the object itself rides with the unit.
+        model_path = self.ctx.model_path(config)
+        self._model_source: Tuple[str, Any] = (
+            ("path", model_path)
+            if model_path and os.path.exists(model_path)
+            else ("object", model)
+        )
         self._fatal: List[str] = []
         self._durable = bool(getattr(config, "journal_durable", True))
         self.workers = workers or config.workers.inference
         self.batch_files = max(1, batch_files or getattr(config, "inference_batch_files", 1))
-        self.metrics = metrics
         self.queue: "queue.Queue" = queue.Queue()
         self.results: List[InferenceResult] = []
         self.errors: List[str] = []
@@ -210,78 +210,72 @@ class InferenceWorker:
         # so drain() blocks on progress instead of busy-polling.
         self._done = threading.Condition(self._lock)
         self._submitted = 0
-        self._executor = build_executor(journal=journal, chaos=chaos, metrics=metrics)
 
-    def _quarantine(self, path: str, error: str) -> None:
-        """Set a bad tile file aside so re-runs do not trip on it again."""
-        record = QuarantineRecord(key=path, error=error)
+    def _set_aside(self, path: str) -> None:
+        """Move a bad tile file out of the crawl directory so re-runs do
+        not trip on it again (best-effort: the record is what matters)."""
         try:
             os.makedirs(self.config.quarantine, exist_ok=True)
             os.replace(path, os.path.join(self.config.quarantine, os.path.basename(path)))
         except OSError:
-            pass  # the record is what matters; the move is best-effort
-        with self._done:
-            self.quarantined.append(record)
-
-    def _record_result(self, result: InferenceResult) -> None:
-        # The streaming hand-off happens *before* the result is counted:
-        # a backpressured put must finish before drain() can observe the
-        # queue as settled, so every labelled file reaches its consumer.
-        if self._on_result is not None and result.out_path:
-            self._on_result(result)
-        with self._done:
-            self.results.append(result)
-            self._done.notify_all()
-
-    def _record_error(self, path: str, error: str) -> None:
-        with self._done:
-            self.errors.append(f"{path}: {error}")
-            self._done.notify_all()
+            pass
 
     # The crawler's trigger callback.
     def submit(self, path: str) -> None:
         with self._done:
             self._submitted += 1
-        if self.pool is not None:
-            future = self.pool.submit(
-                WorkEnvelope(self._kind, os.path.basename(path), (path, self.model_ref))
-            )
-            future.add_done_callback(
-                lambda f, path=path: self._settle_remote(path, f)
-            )
-            return
-        self.queue.put(path)
+        future = self.ctx.submit(
+            self, os.path.basename(path), (path, self._model_source)
+        )
+        future.add_done_callback(lambda settled, path=path: self._settle(path, settled))
 
-    def _settle_remote(self, path: str, future) -> None:
-        """Fold one pool future back into the local result/error books.
+    def _settle(self, path: str, future: Any) -> None:
+        """Fold one unit's outcome into the result/error books — the one
+        fold, whichever thread or process labelled the file.
 
-        Worker outcomes arrive as tagged tuples (the quarantine move
-        already happened worker-side).  A :class:`WorkerCrashed` is an
-        infrastructure failure, not a bad file: it is recorded so
-        drain() settles, and drain() then raises.
+        A :class:`WorkerCrashed` is an infrastructure failure, not a bad
+        file: it is recorded so drain() settles, and drain() then raises.
         """
         try:
             tag, value = future.result()
         except WorkerCrashed as exc:
             with self._done:
                 self._fatal.append(f"{path}: {exc}")
-            self._record_error(path, str(exc))
-            return
+            tag, value = "error", str(exc)
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-            self._record_error(path, str(exc))
-            return
+            tag, value = "error", str(exc)
         if tag == "result":
-            self._record_result(value)
-        elif tag == "quarantined":
-            self._record_error(path, value)
+            # The streaming hand-off happens *before* the result is
+            # counted: a backpressured put must finish before drain() can
+            # observe the queue as settled, so every labelled file
+            # reaches its consumer.
+            if self._on_result is not None and value.out_path:
+                self._on_result(value)
             with self._done:
+                self.results.append(value)
+                self._done.notify_all()
+            return
+        with self._done:
+            if tag == "quarantined":
                 self.quarantined.append(QuarantineRecord(key=path, error=value))
-        else:
-            self._record_error(path, value)
+            self.errors.append(f"{path}: {value}")
+            self._done.notify_all()
+
+    def execute(self, payload: Tuple[str, Tuple[str, Any]]) -> Outcome:
+        """The unit entry point: label one tile file, wherever this copy
+        of the stage lives (the payload's model source already served
+        its purpose when the copy was built)."""
+        return self.label([payload[0]])[0]
+
+    # -- the in-process executor: queue + micro-batching threads -------------
+
+    def enqueue(self, payload: Tuple[str, Tuple[str, Any]]) -> Future:
+        """Queue one unit for this worker's own threads."""
+        future: Future = Future()
+        self.queue.put((payload[0], future))
+        return future
 
     def start(self) -> None:
-        if self.pool is not None:
-            return  # pool mode: no local threads to start
         if self._threads:
             raise RuntimeError("inference workers already started")
         for index in range(self.workers):
@@ -308,19 +302,25 @@ class InferenceWorker:
                     saw_stop = True
                     break
                 batch.append(extra)
-            self._process_batch(batch)
+            try:
+                outcomes = self.label([path for path, _ in batch])
+            except Exception as exc:  # noqa: BLE001 - settle, never hang drain()
+                for _, future in batch:
+                    future.set_exception(exc)
+            else:
+                for (_, future), outcome in zip(batch, outcomes):
+                    future.set_result(outcome)
             if saw_stop:
                 return
 
+    # -- labelling ------------------------------------------------------------
+
     def _quarantine_policy(self, path: str) -> FailurePolicy:
-        """Record-and-quarantine instead of raising: one bad file must
-        never sink its batch or stall the consumer loop."""
-
-        def on_caught(message: str) -> None:
-            self._record_error(path, message)
-            self._quarantine(path, message)
-
-        return FailurePolicy(catch=(Exception,), on_caught=on_caught)
+        """Quarantine instead of raising: one bad file must never sink
+        its batch or stall the consumer loop."""
+        return FailurePolicy(
+            catch=(Exception,), on_caught=lambda message: self._set_aside(path)
+        )
 
     def _parse_unit(self, path: str) -> WorkUnit:
         """Read + validate one tile file ("open" phase: resume decisions
@@ -361,7 +361,7 @@ class InferenceWorker:
             # Injected death in the window between labelling and
             # publication — resume must redo this file from its tile.
             chaos_crash(
-                self.chaos, "inference",
+                self.ctx.chaos, "inference",
                 self.key_prefix + os.path.basename(entry.path),
             )
             out_path, digest = _publish(payload, entry.path, self.config.transfer_out,
@@ -388,49 +388,56 @@ class InferenceWorker:
             failure=self._quarantine_policy(entry.path),
         )
 
-    def _process_batch(self, paths: Sequence[str]) -> None:
+    def label(self, paths: Sequence[str]) -> List[Outcome]:
+        """Label tile files as one fused batch; one outcome per path."""
         started = time.monotonic()
+        outcomes: Dict[str, Outcome] = {}
         parsed: List[_ParsedFile] = []
         for path in paths:
-            result = self._executor.execute(self._parse_unit(path))
+            result = self.ctx.executor.execute(self._parse_unit(path))
             if result.outcome == RESUMED:
                 # A prior run labelled this file and the published
                 # output still verifies: surface the journaled result.
                 payload = result.payload
-                self._record_result(
+                outcomes[path] = (
+                    "result",
                     InferenceResult(
                         src_path=path,
                         out_path=str(payload.get("artifact", "")),
                         tiles=int(payload.get("tiles", 0)),
                         classes_seen=int(payload.get("classes_seen", 0)),
                         seconds=0.0,
-                    )
+                    ),
                 )
-                continue
-            if result.outcome == QUARANTINED:
-                continue  # recorded by the failure policy
-            parsed.append(result.value)
-        if not parsed:
-            return
-        if self.metrics is not None:
-            self.metrics.histogram(
-                "inference.batch_files", "tile files fused per assign call"
-            ).observe(len(parsed))
-
-        # Fuse per tile shape: files in one batch normally share a shape,
-        # but a mixed directory must not break the fusion.
-        groups: Dict[Tuple[int, ...], List[_ParsedFile]] = {}
-        for entry in parsed:
-            groups.setdefault(entry.radiance.shape[1:], []).append(entry)
-        for entries in groups.values():
-            self._assign_group(entries, started)
+            elif result.outcome == QUARANTINED:
+                outcomes[path] = ("quarantined", result.error)
+            else:
+                parsed.append(result.value)
+        if parsed:
+            if self.ctx.metrics is not None:
+                self.ctx.metrics.histogram(
+                    "inference.batch_files", "tile files fused per assign call"
+                ).observe(len(parsed))
+            # Fuse per tile shape: files in one batch normally share a
+            # shape, but a mixed directory must not break the fusion.
+            groups: Dict[Tuple[int, ...], List[_ParsedFile]] = {}
+            for entry in parsed:
+                groups.setdefault(entry.radiance.shape[1:], []).append(entry)
+            for entries in groups.values():
+                self._assign_group(entries, started, outcomes)
+        return [outcomes[path] for path in paths]
 
     @property
     def refined_tiles(self) -> int:
         """Tiles re-labelled at full fidelity this run."""
         return self._refiner.refined_tiles if self._refiner is not None else 0
 
-    def _assign_group(self, entries: List[_ParsedFile], started: float) -> None:
+    def _assign_group(
+        self,
+        entries: List[_ParsedFile],
+        started: float,
+        outcomes: Dict[str, Outcome],
+    ) -> None:
         labels: Optional[np.ndarray] = None
         margins: Optional[np.ndarray] = None
         if len(entries) == 1:
@@ -452,8 +459,8 @@ class InferenceWorker:
             return self.model.assign(stacked), None
 
         try:
-            if self.metrics is not None:
-                with self.metrics.timer("inference.assign_seconds"):
+            if self.ctx.metrics is not None:
+                with self.ctx.metrics.timer("inference.assign_seconds"):
                     labels, margins = call_model()
             else:
                 labels, margins = call_model()
@@ -463,7 +470,7 @@ class InferenceWorker:
             # The fused call failed: retry per file so a single poisonous
             # file quarantines alone.
             for entry in entries:
-                self._assign_group([entry], started)
+                self._assign_group([entry], started, outcomes)
             return
         if labels is not None and margins is not None:
             labels = self._refine_group(entries, labels, margins)
@@ -473,18 +480,20 @@ class InferenceWorker:
             count = entry.radiance.shape[0]
             file_labels = None if labels is None else labels[offset: offset + count]
             offset += count
-            result = self._executor.execute(self._publish_unit(entry, file_labels))
+            result = self.ctx.executor.execute(self._publish_unit(entry, file_labels))
             if not result.ok:
-                continue  # recorded and quarantined by the failure policy
+                outcomes[entry.path] = ("quarantined", result.error)
+                continue
             out_path, classes_seen = result.value
-            self._record_result(
+            outcomes[entry.path] = (
+                "result",
                 InferenceResult(
                     src_path=entry.path,
                     out_path=out_path,
                     tiles=count,
                     classes_seen=classes_seen,
                     seconds=time.monotonic() - started,
-                )
+                ),
             )
 
     def _refine_group(

@@ -3,8 +3,9 @@
 Real-execution flavour of Section III stage 2: for each granule set, fuse
 MOD02 radiances with MOD03 geolocation and MOD06 cloud/land masks,
 extract ocean-cloud tiles, and write one tile NetCDF per granule.  Work
-fans out through the Parsl-like DataFlowKernel (one app invocation per
-granule), matching the paper's one-file-per-task decomposition.
+fans out one submitted unit per granule set — the paper's Parsl
+one-file-per-task decomposition; the run context decides where each
+unit executes.
 
 Output files appear atomically (temp + rename), so the Monitor stage can
 treat presence as completeness.
@@ -25,36 +26,30 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Iterable, List, Optional
 
-from repro.chaos.engine import FaultInjector
 from repro.chaos.surfaces import chaos_atomic_write
-from repro.compute import LocalComputeEndpoint
 from repro.core.artifact_cache import input_digest, tiles_key
 from repro.core.branches import unit_name
 from repro.core.config import EOMLConfig
+from repro.core.context import RunContext
 from repro.core.download import GranuleSet
 from repro.instruments.registry import get_instrument
 from repro.instruments.tiling import FIDELITY_COARSE, extract_tiles, tiles_to_dataset
-from repro.journal import WorkflowJournal
 from repro.netcdf import read as nc_read
-from repro.pexec import DataFlowKernel
 from repro.runtime import (
     CACHED,
     RESUMED,
     SKIPPED,
     CachePolicy,
-    StageExecutor,
     UnitResult,
+    WorkerCrashed,
     WorkUnit,
-    build_executor,
 )
-from repro.runtime.proc import ProcWorkerPool, WorkEnvelope, WorkerCrashed
 
 __all__ = [
     "PreprocessResult",
     "PreprocessReport",
     "PreprocessStage",
     "QuarantineRecord",
-    "preprocess_granule_set",
 ]
 
 
@@ -100,215 +95,169 @@ class PreprocessReport:
         return self.total_tiles / self.seconds if self.seconds > 0 else float("inf")
 
 
-def _preprocess_unit(
-    granules: GranuleSet,
-    out_dir: str,
-    tile_size: int,
-    cloud_threshold: float,
-    max_land_fraction: float,
-    skip_existing: bool,
-    instrument: str = "modis",
-    coarse_stride: int = 1,
-) -> WorkUnit:
-    """One granule set's tiling as a work unit."""
-    final_path = os.path.join(out_dir, f"tiles_{granules.key.replace('.', '_')}.nc")
-    fidelity = FIDELITY_COARSE if coarse_stride > 1 else None
+class PreprocessStage:
+    """Tile granule sets: one submitted unit per scene."""
 
-    def precheck(ctx) -> Optional[UnitResult]:
-        # A journal redo decision means the same-named file cannot be
-        # trusted; otherwise a previously produced tile file
-        # short-circuits the work, making re-runs idempotent.
-        if not ctx.redo and skip_existing and os.path.exists(final_path):
-            existing = nc_read(final_path)
-            tiles = int(existing.get_attr("num_tiles")[0])
-            return UnitResult(
-                outcome=SKIPPED, artifact=final_path, payload={"tiles": tiles}
-            )
-        return None
+    def __init__(self, config: EOMLConfig, ctx: Optional[RunContext] = None):
+        self.config = config
+        self.ctx = ctx or RunContext()
+        # The unit kind carries the branch tag, so whoever executes a
+        # unit resolves the right per-instrument slice ("" = bare kind).
+        self.kind = unit_name("preprocess", config.branch)
+        self.workers = config.workers.preprocess
 
-    # The derived key binds the output to the tiler knobs AND the input
-    # digests, so a changed granule or parameter can never replay a
-    # stale tile file.  Hashing the inputs is paid lazily — only when a
-    # CAS is actually attached — and usually comes free from the
-    # manifest (the download stage already recorded every digest).
-    key_box: dict = {}
+    def _unit_for(self, granules: GranuleSet) -> WorkUnit:
+        """One granule set's tiling as a work unit."""
+        config = self.config
+        final_path = os.path.join(
+            config.preprocessed, f"tiles_{granules.key.replace('.', '_')}.nc"
+        )
+        fidelity = FIDELITY_COARSE if config.coarse_stride > 1 else None
 
-    def _cache_key(ctx) -> str:
-        if "key" not in key_box:
-            digests = [
-                input_digest(path, journal=ctx.journal)
-                for path in granules.paths.values()
-            ]
-            key_box["key"] = tiles_key(
-                instrument, granules.key, tile_size, cloud_threshold,
-                max_land_fraction, coarse_stride, digests,
-            )
-        return key_box["key"]
-
-    def cache_lookup(ctx, cas) -> Optional[UnitResult]:
-        if not ctx.redo and skip_existing and os.path.exists(final_path):
-            return None  # the precheck owns an already-present file
-        record = cas.get_key(_cache_key(ctx))
-        if record is None:
+        def precheck(ctx) -> Optional[UnitResult]:
+            # A journal redo decision means the same-named file cannot be
+            # trusted; otherwise a previously produced tile file
+            # short-circuits the work, making re-runs idempotent.
+            if not ctx.redo and os.path.exists(final_path):
+                existing = nc_read(final_path)
+                tiles = int(existing.get_attr("num_tiles")[0])
+                return UnitResult(
+                    outcome=SKIPPED, artifact=final_path, payload={"tiles": tiles}
+                )
             return None
-        digest = record.get("digest")
-        if digest is None:
-            # A tileless granule set: the (empty) result itself is cached.
+
+        # The derived key binds the output to the tiler knobs AND the input
+        # digests, so a changed granule or parameter can never replay a
+        # stale tile file.  Hashing the inputs is paid lazily — only when a
+        # CAS is actually attached — and usually comes free from the
+        # manifest (the download stage already recorded every digest).
+        key_box: dict = {}
+
+        def _cache_key(ctx) -> str:
+            if "key" not in key_box:
+                digests = [
+                    input_digest(path, journal=ctx.journal)
+                    for path in granules.paths.values()
+                ]
+                key_box["key"] = tiles_key(
+                    config.instrument, granules.key, config.tile_size,
+                    config.cloud_threshold, config.max_land_fraction,
+                    config.coarse_stride, digests,
+                )
+            return key_box["key"]
+
+        def cache_lookup(ctx, cas) -> Optional[UnitResult]:
+            if not ctx.redo and os.path.exists(final_path):
+                return None  # the precheck owns an already-present file
+            record = cas.get_key(_cache_key(ctx))
+            if record is None:
+                return None
+            digest = record.get("digest")
+            if digest is None:
+                # A tileless granule set: the (empty) result itself is cached.
+                return UnitResult(
+                    outcome=CACHED, artifact=None,
+                    payload={"tiles": int(record.get("tiles", 0))},
+                )
+            nbytes = cas.materialize(digest, final_path)
+            if nbytes is None:
+                return None
             return UnitResult(
-                outcome=CACHED, artifact=None,
-                payload={"tiles": int(record.get("tiles", 0))},
-            )
-        nbytes = cas.materialize(digest, final_path)
-        if nbytes is None:
-            return None
-        return UnitResult(
-            outcome=CACHED,
-            artifact=final_path,
-            payload={
-                "tiles": int(record.get("tiles", 0)),
-                "sha256": digest,
-                "nbytes": nbytes,
-            },
-        )
-
-    def cache_store(ctx, cas, result) -> None:
-        payload = result.payload or {}
-        if result.artifact is None:
-            if int(payload.get("tiles", -1)) == 0:
-                cas.put_key(_cache_key(ctx), {"digest": None, "tiles": 0})
-            return
-        digest = cas.store_file(result.artifact, digest=payload.get("sha256"))
-        if digest:
-            cas.put_key(
-                _cache_key(ctx),
-                {"digest": digest, "tiles": int(payload.get("tiles", 0))},
+                outcome=CACHED,
+                artifact=final_path,
+                payload={
+                    "tiles": int(record.get("tiles", 0)),
+                    "sha256": digest,
+                    "nbytes": nbytes,
+                },
             )
 
-    def body(ctx) -> UnitResult:
-        ctx.begin()
-        # The instrument owns its product families, file contracts, and
-        # mask fusion (interface validation happens inside load_scene,
-        # Section V-A): the stage body is instrument-agnostic science.
-        scene = get_instrument(instrument).load_scene(granules)
-        tiles = extract_tiles(
-            radiance=scene.radiance,
-            cloud_mask=scene.cloud_mask,
-            land_mask=scene.land_mask,
-            latitude=scene.latitude,
-            longitude=scene.longitude,
-            tile_size=tile_size,
-            optical_thickness=scene.optical_thickness,
-            cloud_top_pressure=scene.cloud_top_pressure,
-            cloud_threshold=cloud_threshold,
-            max_land_fraction=max_land_fraction,
-            source=granules.key,
-            coarse_stride=coarse_stride,
-        )
-        if not tiles:
-            # A tileless granule is a real completion (nothing to redo).
-            return UnitResult(outcome="done", artifact=None, payload={"tiles": 0})
-        ds = tiles_to_dataset(
-            tiles,
-            source=granules.key,
-            fidelity=fidelity,
-            coarse_stride=coarse_stride,
-            source_files=dict(granules.paths) if fidelity else None,
-        )
-        ds.set_attr("true_regime", scene.attrs.get("true_regime", "unknown"))
-        nbytes, digest = chaos_atomic_write(
-            ds, final_path, chaos=ctx.chaos, stage="preprocess", key=granules.key
-        )
-        return UnitResult(
-            outcome="done",
-            artifact=final_path,
-            payload={"tiles": len(tiles), "sha256": digest, "nbytes": nbytes},
+        def cache_store(ctx, cas, result) -> None:
+            payload = result.payload or {}
+            if result.artifact is None:
+                if int(payload.get("tiles", -1)) == 0:
+                    cas.put_key(_cache_key(ctx), {"digest": None, "tiles": 0})
+                return
+            digest = cas.store_file(result.artifact, digest=payload.get("sha256"))
+            if digest:
+                cas.put_key(
+                    _cache_key(ctx),
+                    {"digest": digest, "tiles": int(payload.get("tiles", 0))},
+                )
+
+        def body(ctx) -> UnitResult:
+            ctx.begin()
+            # The instrument owns its product families, file contracts, and
+            # mask fusion (interface validation happens inside load_scene,
+            # Section V-A): the stage body is instrument-agnostic science.
+            scene = get_instrument(config.instrument).load_scene(granules)
+            tiles = extract_tiles(
+                radiance=scene.radiance,
+                cloud_mask=scene.cloud_mask,
+                land_mask=scene.land_mask,
+                latitude=scene.latitude,
+                longitude=scene.longitude,
+                tile_size=config.tile_size,
+                optical_thickness=scene.optical_thickness,
+                cloud_top_pressure=scene.cloud_top_pressure,
+                cloud_threshold=config.cloud_threshold,
+                max_land_fraction=config.max_land_fraction,
+                source=granules.key,
+                coarse_stride=config.coarse_stride,
+            )
+            if not tiles:
+                # A tileless granule is a real completion (nothing to redo).
+                return UnitResult(outcome="done", artifact=None, payload={"tiles": 0})
+            ds = tiles_to_dataset(
+                tiles,
+                source=granules.key,
+                fidelity=fidelity,
+                coarse_stride=config.coarse_stride,
+                source_files=dict(granules.paths) if fidelity else None,
+            )
+            ds.set_attr("true_regime", scene.attrs.get("true_regime", "unknown"))
+            nbytes, digest = chaos_atomic_write(
+                ds, final_path, chaos=ctx.chaos, stage="preprocess", key=granules.key
+            )
+            return UnitResult(
+                outcome="done",
+                artifact=final_path,
+                payload={"tiles": len(tiles), "sha256": digest, "nbytes": nbytes},
+            )
+
+        return WorkUnit(
+            stage="preprocess", key=granules.key, body=body, precheck=precheck,
+            cache=CachePolicy(lookup=cache_lookup, store=cache_store),
         )
 
-    return WorkUnit(
-        stage="preprocess", key=granules.key, body=body, precheck=precheck,
-        cache=CachePolicy(lookup=cache_lookup, store=cache_store),
-    )
+    def execute(self, granules: GranuleSet) -> PreprocessResult:
+        """The unit entry point: tile one granule set, wherever this copy
+        of the stage lives.
 
-
-def preprocess_granule_set(
-    granules: GranuleSet,
-    out_dir: str,
-    tile_size: int,
-    cloud_threshold: float,
-    max_land_fraction: float,
-    skip_existing: bool = True,
-    chaos: Optional[FaultInjector] = None,
-    journal: Optional[WorkflowJournal] = None,
-    executor: Optional[StageExecutor] = None,
-    instrument: str = "modis",
-    coarse_stride: int = 1,
-    cache: Optional[object] = None,
-) -> PreprocessResult:
-    """The per-granule task body (pure function; safe for any executor).
-
-    With ``skip_existing`` a previously produced tile file short-circuits
-    the work, making re-runs of an interrupted workflow idempotent.
-    With a journal, resume decisions take precedence: a journaled
-    completion whose manifest entry verifies is returned without any
-    file I/O, and a mid-flight or mismatched item is redone even if a
-    same-named file exists (it cannot be trusted).  Errors propagate to
-    the caller — the fan-out stage quarantines at its fan-in.
-    """
-    started = time.monotonic()
-    os.makedirs(out_dir, exist_ok=True)
-    if executor is None:
-        executor = build_executor(journal=journal, chaos=chaos, cache=cache)
-    unit = _preprocess_unit(
-        granules,
-        out_dir,
-        tile_size,
-        cloud_threshold,
-        max_land_fraction,
-        skip_existing,
-        instrument=instrument,
-        coarse_stride=coarse_stride,
-    )
-    result = executor.execute(unit)
-    if result.outcome == RESUMED:
+        A previously produced tile file short-circuits the work, making
+        re-runs of an interrupted workflow idempotent.  With a journal,
+        resume decisions take precedence: a journaled completion whose
+        manifest entry verifies is returned without any file I/O, and a
+        mid-flight or mismatched item is redone even if a same-named
+        file exists (it cannot be trusted).  Errors propagate to the
+        caller — :meth:`run` quarantines at its fan-in.
+        """
+        started = time.monotonic()
+        os.makedirs(self.config.preprocessed, exist_ok=True)
+        result = self.ctx.executor.execute(self._unit_for(granules))
+        # A resumed unit's artifact is whatever the journal recorded.
+        tile_path = (
+            result.payload.get("artifact") or None
+            if result.outcome == RESUMED
+            else result.artifact
+        )
         return PreprocessResult(
             key=granules.key,
-            tile_path=result.payload.get("artifact") or None,
+            tile_path=tile_path,
             tiles=int(result.payload.get("tiles", 0)),
             seconds=time.monotonic() - started,
             outcome=result.outcome,
         )
-    return PreprocessResult(
-        key=granules.key,
-        tile_path=result.artifact,
-        tiles=int(result.payload.get("tiles", 0)),
-        seconds=time.monotonic() - started,
-        outcome=result.outcome,
-    )
-
-
-class PreprocessStage:
-    """Fan granule sets over a DataFlowKernel (Parsl-style)."""
-
-    def __init__(
-        self,
-        config: EOMLConfig,
-        dfk: Optional[DataFlowKernel] = None,
-        chaos: Optional[FaultInjector] = None,
-        journal: Optional[WorkflowJournal] = None,
-        pool: Optional[ProcWorkerPool] = None,
-        cache: Optional[object] = None,
-    ):
-        self.config = config
-        self.chaos = chaos
-        self.journal = journal
-        self.pool = pool
-        self.cache = cache
-        self._dfk = dfk
-        self._owns_dfk = dfk is None
-        self._executor = build_executor(journal=journal, chaos=chaos, cache=cache)
-        # Scale-out envelopes carry the branch tag so pool workers
-        # rebuild the right per-instrument context ("" = classic kind).
-        self._kind = unit_name("preprocess", config.branch)
 
     def run(self, granule_sets: Iterable[GranuleSet]) -> PreprocessReport:
         """Fan out over an iterable that may still be producing.
@@ -316,55 +265,19 @@ class PreprocessStage:
         Each granule set is submitted the moment it arrives (for a plain
         list this is the barrier fan-out), so tiling overlaps the
         upstream downloads when the input is a stream channel.  Finished
-        tasks are settled eagerly in submission order — quarantine-and-
-        continue per task: one corrupt granule must not abort its
-        siblings — and the call returns only when every submitted task
+        units are settled eagerly in submission order — quarantine-and-
+        continue per unit: one corrupt granule must not abort its
+        siblings — and the call returns only when every submitted unit
         has settled.
 
-        Where a task runs is the submit callable's business: the
-        Parsl-style DataFlowKernel in-process, or one pool envelope per
-        scene (sharded by scene key).  Quarantine-and-continue holds
-        across the process boundary — a task failure comes back as
-        :class:`WorkerTaskError` carrying the worker-side message, so
-        the quarantine record matches the in-process path byte for
-        byte.  A :class:`WorkerCrashed` (the worker died and requeues
-        are exhausted) is *not* a bad granule and propagates, like any
-        infrastructure failure.
+        Quarantine-and-continue holds wherever a unit ran: its failure
+        comes back through the future carrying the unit's own message,
+        so the quarantine record is byte-identical.  A
+        :class:`WorkerCrashed` (the process executing the unit was lost)
+        is *not* a bad granule and propagates, like any infrastructure
+        failure.
         """
-        os.makedirs(self.config.preprocessed, exist_ok=True)
         started = time.monotonic()
-        dfk: Optional[DataFlowKernel] = None
-        if self.pool is not None:
-            def submit(granules: GranuleSet):
-                return self.pool.submit(
-                    WorkEnvelope(self._kind, granules.key, granules)
-                )
-        else:
-            dfk = self._dfk or DataFlowKernel(
-                {
-                    "preprocess": LocalComputeEndpoint(
-                        "preprocess", max_workers=self.config.workers.preprocess
-                    )
-                }
-            )
-
-            def submit(granules: GranuleSet):
-                return dfk.submit(
-                    preprocess_granule_set,
-                    args=(
-                        granules,
-                        self.config.preprocessed,
-                        self.config.tile_size,
-                        self.config.cloud_threshold,
-                        self.config.max_land_fraction,
-                    ),
-                    kwargs={
-                        "executor": self._executor,
-                        "instrument": self.config.instrument,
-                        "coarse_stride": self.config.coarse_stride,
-                    },
-                )
-
         results: List[PreprocessResult] = []
         quarantined: List[QuarantineRecord] = []
         pending: Deque = deque()
@@ -379,14 +292,10 @@ class PreprocessStage:
                 except Exception as exc:  # noqa: BLE001 - recorded, not fatal
                     quarantined.append(QuarantineRecord(key=granules.key, error=str(exc)))
 
-        try:
-            for granules in granule_sets:
-                pending.append((granules, submit(granules)))
-                settle(block=False)
-            settle(block=True)
-        finally:
-            if dfk is not None and self._owns_dfk:
-                dfk.shutdown()
+        for granules in granule_sets:
+            pending.append((granules, self.ctx.submit(self, granules.key, granules)))
+            settle(block=False)
+        settle(block=True)
         return PreprocessReport(
             results=results, seconds=time.monotonic() - started, quarantined=quarantined
         )

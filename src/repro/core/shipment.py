@@ -22,11 +22,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from repro.chaos.engine import FaultInjector
 from repro.chaos.surfaces import ChaosTransferClient
 from repro.core.branches import key_prefix
 from repro.core.config import EOMLConfig
-from repro.journal import WorkflowJournal
+from repro.core.context import RunContext
 from repro.runtime import (
     CACHED,
     FAILED,
@@ -37,7 +36,6 @@ from repro.runtime import (
     RetrySpec,
     UnitResult,
     WorkUnit,
-    build_executor,
 )
 from repro.transfer import LocalTransferClient, TransferError
 from repro.util.digest import sha256_file
@@ -55,23 +53,24 @@ class ShipmentReport:
     resumed: int = 0                  # journaled deliveries still intact
     verified: int = 0                 # destination digests confirmed this run
     deduped: int = 0                  # satisfied without a WAN transfer (CAS)
-    mismatches: List[str] = field(default_factory=list)
+    # Keyed by file name; ``per_file`` tells the fan-out merge to qualify
+    # the names with the branch (branches can ship same-named files).
+    mismatches: List[str] = field(default_factory=list, metadata={"per_file": True})
     # file name -> SHA-256 of the delivered bytes (end-to-end identity)
-    checksums: Dict[str, str] = field(default_factory=dict)
+    checksums: Dict[str, str] = field(
+        default_factory=dict, metadata={"per_file": True}
+    )
 
 
 class ShipmentStage:
     def __init__(
         self,
         config: EOMLConfig,
+        ctx: Optional[RunContext] = None,
         client: LocalTransferClient | None = None,
-        chaos: Optional[FaultInjector] = None,
-        journal: Optional[WorkflowJournal] = None,
-        cache: Optional[object] = None,
     ):
         self.config = config
-        self.journal = journal
-        self.cache = cache
+        self.ctx = ctx or RunContext()
         # Fan-out plans share one journal across branches; the per-branch
         # key prefix keeps same-named labelled files from colliding in it.
         self.key_prefix = key_prefix(config.branch)
@@ -84,11 +83,10 @@ class ShipmentStage:
                 timeout=config.shipment_timeout,
             )
             self.client = (
-                ChaosTransferClient(chaos, **kwargs)
-                if chaos is not None
+                ChaosTransferClient(self.ctx.chaos, **kwargs)
+                if self.ctx.chaos is not None
                 else LocalTransferClient(**kwargs)
             )
-        self._executor = build_executor(journal=journal, chaos=chaos, cache=cache)
 
     def _unit_for(self, name: str, deadline: Optional[float]) -> WorkUnit:
         """One file's move + destination verification as a work unit."""
@@ -255,7 +253,7 @@ class ShipmentStage:
             seen.add(name)
             if deadline is None and self.config.shipment_timeout is not None:
                 deadline = time.monotonic() + self.config.shipment_timeout
-            result = self._executor.execute(self._unit_for(name, deadline))
+            result = self.ctx.executor.execute(self._unit_for(name, deadline))
             if result.outcome == RESUMED:
                 moved.append(
                     result.payload.get("artifact")

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.config import EOMLConfig
 from repro.core.download import GranuleSet
-from repro.core.preprocess import preprocess_granule_set
+from repro.core.preprocess import PreprocessStage
 from repro.netcdf import read as nc_read
 from repro.ricc import AICCAModel
 
@@ -49,13 +49,7 @@ class StreamingClassifier:
     def process(self, granules: GranuleSet) -> StreamBatchResult:
         """Preprocess + classify one granule set immediately."""
         started = time.monotonic()
-        result = preprocess_granule_set(
-            granules,
-            out_dir=self.config.preprocessed,
-            tile_size=self.config.tile_size,
-            cloud_threshold=self.config.cloud_threshold,
-            max_land_fraction=self.config.max_land_fraction,
-        )
+        result = PreprocessStage(self.config).execute(granules)
         counts: Dict[int, int] = {}
         if result.tile_path is not None:
             ds = nc_read(result.tile_path)

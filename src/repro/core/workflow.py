@@ -29,18 +29,18 @@ plan out into per-``<instrument>+<model>`` branches.
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import itertools
 import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cas import CACHE_COUNTERS
-from repro.chaos import build_injector
-from repro.core.artifact_cache import open_store
 from repro.core.branches import (
     branch_config,
     expand_branches,
@@ -52,7 +52,7 @@ from repro.core.branches import (
     unit_name,
 )
 from repro.core.config import EOMLConfig
-from repro.journal import WorkflowJournal
+from repro.core.context import RunContext, open_run
 from repro.core.download import DownloadReport, DownloadStage, GranuleSet
 from repro.core.inference import InferenceResult, InferenceWorker
 from repro.core.monitor import DirectoryCrawler
@@ -68,12 +68,11 @@ from repro.runtime import (
     PlanRunner,
     StageNode,
     StreamingPlanRunner,
-    build_executor,
 )
-from repro.runtime.proc import PoolStats, ProcWorkerPool
+from repro.runtime.proc import PoolStats
 from repro.telemetry import MetricsRegistry
 
-__all__ = ["PARTITION_COUNTERS", "WorkflowReport", "EOMLWorkflow"]
+__all__ = ["PARTITION_COUNTERS", "WorkflowReport", "EOMLWorkflow", "merge_reports"]
 
 # The degraded-mode counter schema shared by the local report (structural
 # zeros), the site agent's stats, and the server's /metrics namespace.
@@ -148,6 +147,43 @@ class WorkflowReport:
         )
 
 
+def merge_reports(tags: Sequence[str], reports: Sequence[Any]) -> Any:
+    """One stage report over every branch (the identity for one branch).
+
+    Driven by the report dataclass itself, so a new field can not be
+    dropped from fan-out reports: numbers sum, lists concatenate in
+    branch order, and an optional text (``error``) joins with ``"; "``.
+    Fields declared ``per_file`` are keyed by file name, and branches can
+    ship same-named files (two models over one instrument's tiles), so
+    their merged keys carry the branch's ``key_prefix(tag)``.  A branch
+    whose stage never ran (``None``) contributes nothing; all-``None``
+    merges to ``None``.
+    """
+    ran = [(key_prefix(tag), r) for tag, r in zip(tags, reports) if r is not None]
+    if not ran:
+        return None
+    merged: Dict[str, Any] = {}
+    for spec in dataclasses.fields(ran[0][1]):
+        values = [(prefix, getattr(report, spec.name)) for prefix, report in ran]
+        first = values[0][1]
+        if isinstance(first, dict):
+            merged[spec.name] = {
+                (prefix if spec.metadata.get("per_file") else "") + name: item
+                for prefix, value in values for name, item in value.items()
+            }
+        elif isinstance(first, list):
+            merged[spec.name] = [
+                prefix + item if spec.metadata.get("per_file") else item
+                for prefix, value in values for item in value
+            ]
+        elif all(isinstance(value, (int, float)) for _, value in values):
+            merged[spec.name] = sum(value for _, value in values)
+        else:
+            texts = [value for _, value in values if value]
+            merged[spec.name] = "; ".join(texts) if texts else None
+    return type(ran[0][1])(**merged)
+
+
 class EOMLWorkflow:
     """Five-stage orchestrator over the real local substrate."""
 
@@ -165,24 +201,6 @@ class EOMLWorkflow:
         self.archive = archive
 
     # -- model bootstrap ------------------------------------------------------
-
-    @staticmethod
-    def _effective_model_path(
-        config: EOMLConfig, journal: Optional[WorkflowJournal]
-    ) -> Optional[str]:
-        """Where the model of ``config``'s branch persists.
-
-        Without an explicit ``inference.model_path`` the journal directory
-        hosts it, so a resumed run reloads instead of retraining.  Fan-out
-        branch configs never carry a ``model_path`` (it names *one* model
-        file), so their models always live in the journal directory, one
-        file per branch tag.
-        """
-        if config.model_path:
-            return config.model_path
-        if journal is not None:
-            return os.path.join(journal.directory, model_slot(config.branch)[1])
-        return None
 
     def _bootstrap_model(
         self,
@@ -221,14 +239,10 @@ class EOMLWorkflow:
 
     def build_plan(
         self,
-        metrics: Optional[MetricsRegistry] = None,
+        ctx: Optional[RunContext] = None,
         prov: Optional[ProvenanceStore] = None,
-        chaos: Any = None,
-        journal: Optional[WorkflowJournal] = None,
         handles: Optional[Dict[str, Any]] = None,
         streaming: bool = False,
-        pool: Optional[ProcWorkerPool] = None,
-        cache: Any = None,
     ) -> PipelinePlan:
         """The pipeline as data: nodes are stages, edges are policies.
 
@@ -266,7 +280,9 @@ class EOMLWorkflow:
         the edge kind, and with it whether a body's upstream is a
         channel or its predecessor's finished report.
 
-        ``handles`` (shared with the caller) receives, under
+        ``ctx`` is the run every stage executes under (journal, chaos,
+        cache, metrics, and where submitted units run); ``None`` is the
+        bare context.  ``handles`` (shared with the caller) receives, under
         ``base[@tag]`` names, the live ``worker``/``crawler`` objects
         plus the model-bootstrap bookkeeping, since those outlive their
         nodes.  Any driver that honours the edges — the local
@@ -274,6 +290,8 @@ class EOMLWorkflow:
         engine, the zambeze orchestrator — can execute either plan.
         """
         config = self.config
+        ctx = ctx or RunContext()
+        journal = ctx.journal
         handles = handles if handles is not None else {}
         config_entity = (
             prov.entity("config", f"config:{config.name}", name=config.name)
@@ -300,9 +318,7 @@ class EOMLWorkflow:
             # scene key -> that tiling's report, in the order they ran.
             heads_key = unit_name("heads", icfg.branch)
             handles.setdefault(heads_key, {})
-            preprocess_stage = PreprocessStage(
-                icfg, chaos=chaos, journal=journal, pool=pool, cache=cache
-            )
+            preprocess_stage = PreprocessStage(icfg, ctx)
 
             def scene_tokens(state: Dict[str, Any], name: str, src: str):
                 """``("planned", keys)`` then ``("scene", key, set-or-None)``
@@ -318,17 +334,15 @@ class EOMLWorkflow:
 
             def run_download(state: Dict[str, Any]) -> DownloadReport:
                 stage = DownloadStage(
-                    icfg,
+                    icfg, ctx,
                     # An injected archive speaks the primary instrument's
                     # granule grammar only.
                     archive=self.archive if inst == config.instruments[0] else None,
-                    chaos=chaos, journal=journal, cache=cache,
                 )
                 emit = sink(state, download_name)
                 download = stage.run(
                     on_planned=lambda keys: emit(("planned", list(keys))),
                     on_scene=lambda key, gs: emit(("scene", key, gs)),
-                    pool=pool,
                 )
                 if prov:
                     activity = prov.start_activity(
@@ -411,7 +425,7 @@ class EOMLWorkflow:
                         held: List[Any] = []
                         model = self.model
                         if model is None:
-                            model_path = self._effective_model_path(bcfg, journal)
+                            model_path = ctx.model_path(bcfg)
                             redo = (
                                 journal is not None
                                 and journal.resume("model", journal_key).redo
@@ -506,27 +520,16 @@ class EOMLWorkflow:
                 # moment they publish — eager delivery while the
                 # inference queue is still draining.
                 ship = sink(state, inference_name)
-                model_ref = None
-                if pool is not None:
-                    # Workers load the persisted model file when one exists
-                    # (one load per worker, cached); otherwise the model
-                    # object itself rides the first envelope.
-                    model_path = self._effective_model_path(bcfg, journal)
-                    if model_path and os.path.exists(model_path):
-                        model_ref = ("path", model_path)
-                    else:
-                        model_ref = ("object", model)
                 worker = InferenceWorker(
-                    model, bcfg, chaos=chaos, metrics=metrics, journal=journal,
+                    model, bcfg, ctx,
                     on_result=lambda result: ship(os.path.basename(result.out_path)),
-                    pool=pool, model_ref=model_ref, cache=cache,
                 )
                 crawler = DirectoryCrawler(
                     bcfg.preprocessed,
                     trigger=worker.submit,
                     poll_interval=bcfg.poll_interval,
                     gate=journal.artifact_ok if journal is not None else None,
-                    executor=build_executor(chaos=chaos, metrics=metrics),
+                    executor=ctx.executor,
                 )
                 handles[unit_name("worker", tag)] = worker
                 handles[unit_name("crawler", tag)] = crawler
@@ -545,9 +548,7 @@ class EOMLWorkflow:
                     if streaming
                     else ()
                 )
-                shipment = ShipmentStage(
-                    bcfg, chaos=chaos, journal=journal, cache=cache
-                ).run(announced)
+                shipment = ShipmentStage(bcfg, ctx).run(announced)
                 if prov and shipment.moved:
                     activity = prov.start_activity("shipment", "globus-transfer")
                     for inf in handles[unit_name("worker", tag)].results:
@@ -589,68 +590,6 @@ class EOMLWorkflow:
             + [node for inst, mdl in expand_branches(config) for node in labelling(inst, mdl)]
         )
 
-    # -- per-branch report merging (the identity for one branch) -------------
-
-    @staticmethod
-    def _merge_downloads(reports: List[DownloadReport]) -> DownloadReport:
-        return DownloadReport(
-            granule_sets=[gs for r in reports for gs in r.granule_sets],
-            files=sum(r.files for r in reports),
-            nbytes=sum(r.nbytes for r in reports),
-            seconds=sum(r.seconds for r in reports),
-            per_file_seconds=[s for r in reports for s in r.per_file_seconds],
-            skipped=sum(r.skipped for r in reports),
-            resumed=sum(r.resumed for r in reports),
-            cached=sum(r.cached for r in reports),
-            fetched_bytes=sum(r.fetched_bytes for r in reports),
-            retried=sum(r.retried for r in reports),
-            retry_attempts=sum(r.retry_attempts for r in reports),
-            failed=[msg for r in reports for msg in r.failed],
-            incomplete=[key for r in reports for key in r.incomplete],
-            breaker_trips=sum(r.breaker_trips for r in reports),
-        )
-
-    @staticmethod
-    def _merge_preprocess(reports: List[PreprocessReport]) -> PreprocessReport:
-        return PreprocessReport(
-            results=[res for r in reports for res in r.results],
-            seconds=sum(r.seconds for r in reports),
-            quarantined=[q for r in reports for q in r.quarantined],
-        )
-
-    @staticmethod
-    def _merge_shipments(
-        tags: List[str], reports: List[Optional[ShipmentReport]]
-    ) -> Optional[ShipmentReport]:
-        actual = [r for r in reports if r is not None]
-        if not actual:
-            return None
-        # Branches can ship same-named files (two models over one
-        # instrument's tiles), so merged per-file keys carry the tag.
-        checksums: Dict[str, str] = {}
-        mismatches: List[str] = []
-        for tag, report in zip(tags, reports):
-            if report is None:
-                continue
-            prefix = key_prefix(tag)
-            checksums.update(
-                {prefix + name: sha for name, sha in report.checksums.items()}
-            )
-            mismatches.extend(prefix + name for name in report.mismatches)
-        errors = [r.error for r in actual if r.error]
-        return ShipmentReport(
-            moved=[path for r in actual for path in r.moved],
-            nbytes=sum(r.nbytes for r in actual),
-            seconds=sum(r.seconds for r in actual),
-            retries=sum(r.retries for r in actual),
-            error="; ".join(errors) if errors else None,
-            resumed=sum(r.resumed for r in actual),
-            verified=sum(r.verified for r in actual),
-            deduped=sum(r.deduped for r in actual),
-            mismatches=mismatches,
-            checksums=checksums,
-        )
-
     # -- the run ------------------------------------------------------------
 
     def run(
@@ -665,28 +604,16 @@ class EOMLWorkflow:
         # config; an explicit bool overrides it (the benchmark harness
         # runs both topologies off one config).
         use_stream = config.stream.enabled if streaming is None else bool(streaming)
-        # Created up front so hot-path stages (inference micro-batching)
-        # can record live histograms; the rollup below adds the rest.
-        metrics = MetricsRegistry(prefix="eo_ml")
         # Provenance is a single-branch feature for now: the fan-out
         # report has no one model/lineage to attribute artifacts to.
         prov = ProvenanceStore() if provenance and not is_fanout(config) else None
-        # None when the chaos plan is absent/disabled: every stage hook
-        # below degenerates to the exact production path.
-        chaos = build_injector(config.chaos)
-        # The content-addressed store (None with caching off): one handle
-        # shared by every stage and every fan-out branch — branch configs
-        # inherit the root ``cache_dir``, so all branches dedupe into the
-        # same object space.
-        cas = open_store(config, chaos=chaos)
-
-        # The run journal: write-ahead intents/completions plus the
-        # integrity manifest.  ``resume`` replays a dead run's journal
-        # and turns every stage below into an idempotent consumer.
-        journal: Optional[WorkflowJournal] = None
-        if config.journal_enabled:
-            journal = WorkflowJournal(config.journal_dir, durable=config.journal_durable)
-            journal.start(resume=resume)
+        # The run's world: journal (write-ahead intents/completions plus
+        # the integrity manifest), chaos, the one CAS handle every stage
+        # and branch shares, and the metrics registry — created up front
+        # so hot-path stages (inference micro-batching) can record live
+        # histograms; the rollup below adds the rest.
+        ctx = open_run(config, resume=resume)
+        metrics, chaos, journal = ctx.metrics, ctx.chaos, ctx.journal
         # Whatever happens below — a stage raising included — the journal
         # file handle is released, so the same process can resume the run.
         try:
@@ -698,23 +625,21 @@ class EOMLWorkflow:
                 ):
                     journal.checkpoint()
 
-            # Horizontal scale-out: a process pool shared by the download,
-            # preprocess, and inference nodes.  Created after the journal is
-            # open (workers append to the same journal file; O_APPEND keeps
+            # Horizontal scale-out: a process pool the context ships every
+            # submitted unit to.  Created after the journal is open
+            # (workers append to the same journal file; O_APPEND keeps
             # concurrent single-line appends safe) and only when configured —
             # the default is the exact single-process path.
-            pool: Optional[ProcWorkerPool] = None
             pool_stats: Optional[PoolStats] = None
             if config.runtime_workers > 1 or config.elastic.enabled:
                 from repro.core.scaleout import build_pool
 
-                pool = build_pool(config, archive=self.archive)
-                pool.start()
+                ctx.pool = build_pool(config, archive=self.archive)
+                ctx.pool.start()
 
             handles: Dict[str, Any] = {}
             plan = self.build_plan(
-                metrics=metrics, prov=prov, chaos=chaos, journal=journal,
-                handles=handles, streaming=use_stream, pool=pool, cache=cas,
+                ctx, prov=prov, handles=handles, streaming=use_stream
             )
             if use_stream:
                 runner: PlanRunner = StreamingPlanRunner(
@@ -728,32 +653,40 @@ class EOMLWorkflow:
             try:
                 state = runner.run(plan)
             except BaseException:
-                if pool is not None:
-                    pool.terminate()
+                if ctx.pool is not None:
+                    ctx.pool.terminate()
                 raise
-            if pool is not None:
-                pool.close()
-                pool_stats = pool.stats()
+            if ctx.pool is not None:
+                ctx.pool.close()
+                pool_stats = ctx.pool.stats()
+            # Counters come home one way: what this process's context
+            # accrued plus the deltas every pool worker shipped with its
+            # envelope results (journal, store, breaker, refined tiles),
+            # so the rollups below read the same wherever the units ran.
+            totals = collections.Counter(ctx.counters())
+            if pool_stats is not None:
+                totals.update(pool_stats.counters)
 
             # One report over every branch; with one instrument and one
             # model each merge below is the identity.
             itags = [instrument_config(config, i).branch for i in config.instruments]
             tags = [branch_config(config, i, m).branch for i, m in expand_branches(config)]
-            download = self._merge_downloads(
-                [state[unit_name("download", itag)] for itag in itags]
+            download = merge_reports(
+                itags, [state[unit_name("download", itag)] for itag in itags]
             )
+            download.breaker_trips += int(totals["breaker_trips"])
             # The bootstrap scenes were tiled ahead of their preprocess node:
             # fold them back in, in the order they ran.
-            preprocess = self._merge_preprocess(
-                [
-                    report
-                    for itag in itags
-                    for report in (
-                        *handles[unit_name("heads", itag)].values(),
-                        state[unit_name("preprocess", itag)],
-                    )
-                ]
-            )
+            pieces = [
+                report
+                for itag in itags
+                for report in (
+                    *handles[unit_name("heads", itag)].values(),
+                    state[unit_name("preprocess", itag)],
+                )
+            ]
+            # (No per-file fields in this report, so the tags are moot.)
+            preprocess = merge_reports([""] * len(pieces), pieces)
             workers = [handles[unit_name("worker", tag)] for tag in tags]
             inference_results = [r for w in workers for r in w.results]
             inference_errors = [e for w in workers for e in w.errors]
@@ -761,8 +694,10 @@ class EOMLWorkflow:
             crawler_errors = [
                 e for tag in tags for e in handles[unit_name("crawler", tag)].errors
             ]
-            refined_tiles = sum(w.refined_tiles for w in workers)
-            shipment = self._merge_shipments(
+            refined_tiles = sum(w.refined_tiles for w in workers) + int(
+                totals["refined_tiles"]
+            )
+            shipment = merge_reports(
                 tags, [state[unit_name("shipment", tag)] for tag in tags]
             )
 
@@ -838,22 +773,12 @@ class EOMLWorkflow:
 
             # Checkpoint/resume accounting (always present, zeros on fresh
             # clean runs, so dashboards can rely on the keys).
-            journal_counters = (
-                dict(journal.counters()) if journal is not None
-                else {"resumed_items": 0, "replayed_items": 0, "manifest_mismatches": 0}
-            )
-            if pool_stats is not None:
-                # Worker processes journal their own units; their counter
-                # deltas arrive with each envelope result and fold into the
-                # same rollup the single-process path reports.
-                for key in ("resumed_items", "replayed_items", "manifest_mismatches"):
-                    journal_counters[key] += int(pool_stats.counters.get(key, 0))
-                metrics.counter("breaker_open").inc(
-                    int(pool_stats.counters.get("breaker_trips", 0))
-                )
-            metrics.counter("resumed_items").inc(journal_counters["resumed_items"])
-            metrics.counter("replayed_items").inc(journal_counters["replayed_items"])
-            metrics.counter("manifest_mismatches").inc(journal_counters["manifest_mismatches"])
+            journal_counters = {
+                key: int(totals[key])
+                for key in ("resumed_items", "replayed_items", "manifest_mismatches")
+            }
+            for key, count in journal_counters.items():
+                metrics.counter(key).inc(count)
 
             # Scale-out accounting (satellite of the pool above): pool-level
             # counters plus a per-worker breakdown, zeros when the run never
@@ -907,15 +832,11 @@ class EOMLWorkflow:
 
             # Content-addressed cache accounting: the CAS counter family is
             # always present (zeros with caching off), so the bench gates and
-            # dashboards never branch on key existence.  Stage-level
-            # short-circuit counts come from the reports — they survive the
-            # pool path, where workers hold their own store handles and the
-            # parent's in-process counters stay at zero.
-            cache_summary: Dict[str, object] = {"enabled": cas is not None}
+            # dashboards never branch on key existence.
+            cache_summary: Dict[str, object] = {"enabled": ctx.cache is not None}
             for key in CACHE_COUNTERS:
-                cache_summary[key] = 0
-            if cas is not None:
-                cache_summary.update(cas.counters())
+                cache_summary[key] = int(totals[f"cache.{key}"])
+            if ctx.cache is not None:
                 cache_summary["dir"] = config.cache_dir
             cache_summary["download_cached"] = download.cached
             cache_summary["preprocess_cached"] = preprocess.cached
@@ -992,5 +913,4 @@ class EOMLWorkflow:
                 cache=cache_summary,
             )
         finally:
-            if journal is not None:
-                journal.close()
+            ctx.close()

@@ -1,18 +1,16 @@
-"""Parsl-like parallel execution: apps + DFK (real) and SimHtex (simulated)."""
+"""Parsl's role in the simulated twin: the HighThroughputExecutor over
+Slurm blocks (:class:`SimHtexExecutor`) and its elastic scaling strategy.
 
-from repro.pexec.apps import clear, current_dfk, load, python_app
-from repro.pexec.dfk import AppFuture, DataFlowKernel, DependencyError
+On the real execution path Parsl's job — fan one task per granule set
+over provisioned workers — is done by ``RunContext.submit`` in
+:mod:`repro.core.context`: a thread pool in-process, or
+:class:`repro.runtime.proc.ProcWorkerPool` across processes.
+"""
+
 from repro.pexec.simexec import Block, SimHtexExecutor, SimTaskSpec, TaskResult
 from repro.pexec.strategy import ElasticStrategy
 
 __all__ = [
-    "python_app",
-    "load",
-    "clear",
-    "current_dfk",
-    "DataFlowKernel",
-    "AppFuture",
-    "DependencyError",
     "SimHtexExecutor",
     "SimTaskSpec",
     "TaskResult",

@@ -1,9 +1,9 @@
 """The stage executor: one composed middleware chain under every stage.
 
-Stages keep their own concurrency substrates (the Globus-Compute-like
-endpoint, the Parsl-like DataFlowKernel, inference worker threads) and
-submit ``executor.execute(unit)`` closures to them; the executor itself
-is thread-safe because all per-execution state lives in the
+Whatever concurrency substrate runs a stage's units (a thread pool,
+the inference worker threads, a pool worker process) calls
+``executor.execute(unit)``; the executor itself is thread-safe because
+all per-execution state lives in the
 :class:`~repro.runtime.unit.UnitContext`.
 """
 

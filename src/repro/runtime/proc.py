@@ -642,9 +642,12 @@ class ProcWorkerPool:
             self._wake_r = self._wake_w = -1
         return True
 
-    def gather(self, futures: Iterable[PoolFuture]) -> Iterator[Any]:
+    @staticmethod
+    def gather(futures: Iterable[Any]) -> Iterator[Any]:
         """Yield results in completion order; raises on the first
-        failed future (same shape as ``LocalComputeEndpoint.gather``)."""
+        failed future (same shape as ``LocalComputeEndpoint.gather``).
+        Needs only ``add_done_callback``/``result``, so it serves
+        ``concurrent.futures`` futures as well as :class:`PoolFuture`."""
         futures = list(futures)
         settled: "queue_mod.Queue[PoolFuture]" = queue_mod.Queue()
         for future in futures:

@@ -12,10 +12,11 @@ local driver's job is the node's immediate needs:
   equivalent of the in-process plan ``state`` dict;
 * the node's ``scope`` (the inference crawler/worker window) is entered
   around its body, and ``when`` gates are honoured;
-* the run journal is opened with ``resume=True`` every time, so a
-  requeued or retried unit replays its history and every stage behaves
-  as the idempotent journal consumer it already is — re-execution can
-  never double-ship or corrupt artifacts.
+* the run is opened through :func:`repro.core.context.open_run` — the
+  same opener the local driver and the pool workers use — with
+  ``resume=True`` every time, so a requeued or retried unit replays its
+  history and every stage behaves as the idempotent journal consumer it
+  already is — re-execution can never double-ship or corrupt artifacts.
 
 Stage bodies still run through the :class:`~repro.runtime.executor.
 StageExecutor` middleware stack (journal, chaos, retry, quarantine,
@@ -26,12 +27,12 @@ remotely.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.core import EOMLWorkflow, load_config
 from repro.core.branches import instrument_config, split_unit, unit_name, unit_slice
 from repro.core.config import EOMLConfig
-from repro.journal import WorkflowJournal
+from repro.core.context import RunContext, open_run
 from repro.runtime import StageNode
 from repro.server import wire
 
@@ -87,7 +88,7 @@ def validate_remote_config(raw: Mapping[str, Any]) -> EOMLConfig:
 
 
 def _rehydrate(
-    journal: Optional[WorkflowJournal],
+    ctx: RunContext,
     node: StageNode,
     config: EOMLConfig,
     handles: Dict[str, Any],
@@ -117,7 +118,7 @@ def _rehydrate(
         elif dep_base == "model" and base == "inference":
             from repro.instruments.registry import get_model
 
-            model_path = EOMLWorkflow._effective_model_path(dep_cfg, journal)
+            model_path = ctx.model_path(dep_cfg)
             if model_path is None:
                 raise RuntimeError(
                     "no model path: remote inference needs the journal directory "
@@ -205,34 +206,21 @@ def execute_unit(
 
     _check_cancel("before start")
     config = validate_remote_config(raw_config)
-    if chaos is None:
-        # Same wiring as the local path: a chaos: section in the
-        # submitted config drives the stage fault surfaces remotely too.
-        from repro.chaos import build_injector
-
-        chaos = build_injector(config.chaos)
-    journal = WorkflowJournal(config.journal_dir, durable=config.journal_durable)
-    # Always resume: a fresh run directory replays an empty journal, a
-    # requeued unit replays its own half-finished history.
-    journal.start(resume=True)
+    # Same wiring as the local path (a chaos: section in the submitted
+    # config drives the stage fault surfaces remotely too), and always
+    # resume: a fresh run directory replays an empty journal, a requeued
+    # unit replays its own half-finished history.  Co-located agents
+    # (shared filesystem) dedupe into one CAS object space; an agent on
+    # its own filesystem simply opens an empty store there and every
+    # lookup misses — the stages fall back to a real fetch, which is
+    # exactly the non-cached path.
+    ctx = open_run(config, resume=True, chaos=chaos)
     try:
-        workflow = EOMLWorkflow(config)
         handles: Dict[str, Any] = {}
         state: Dict[str, Any] = {}
-        # The agent's handle on the run's CAS directory.  Co-located
-        # agents (shared filesystem) dedupe into one object space; an
-        # agent on its own filesystem simply opens an empty store there
-        # and every lookup misses — the stages fall back to a real fetch,
-        # which is exactly the non-cached path.
-        from repro.core.artifact_cache import open_store
-
-        cas = open_store(config, chaos=chaos)
-        plan = workflow.build_plan(
-            chaos=chaos, journal=journal, handles=handles, streaming=False,
-            cache=cas,
-        )
+        plan = EOMLWorkflow(config).build_plan(ctx, handles=handles, streaming=False)
         node = plan.node(unit)
-        _rehydrate(journal, node, config, handles, state)
+        _rehydrate(ctx, node, config, handles, state)
         if node.when is not None and not node.when(state):
             return {"skipped": True}
         _check_cancel("before node body")
@@ -254,7 +242,7 @@ def execute_unit(
             )
         if split_unit(unit)[0] == "model":
             wire.save_state(config.journal_dir, unit, dict(result))
-        journal.checkpoint()
+        ctx.journal.checkpoint()
         return result
     finally:
-        journal.close()
+        ctx.close()

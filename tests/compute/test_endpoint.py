@@ -174,10 +174,6 @@ class TestLocalEndpoint:
             with pytest.raises(ValueError, match="bad granule"):
                 future.result()
 
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            LocalComputeEndpoint("x", 1, kind="quantum")
-
     def test_worker_count_validated_with_context(self):
         # The error names the endpoint and the offending value.
         with pytest.raises(ValueError, match=r"'download'.*max_workers >= 1.*0"):

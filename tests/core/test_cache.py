@@ -21,6 +21,7 @@ from tests.core.test_crash_resume import parse_stats, run_driver
 from repro.chaos.surfaces import CRASH_EXIT_CODE
 from repro.core import EOMLWorkflow, load_config
 from repro.core.artifact_cache import open_store
+from repro.core.context import RunContext
 from repro.flows import run_plan_with_flows
 from repro.modis import MINI_SWATH, LaadsArchive
 from repro.zambeze import run_plan_with_zambeze
@@ -46,13 +47,16 @@ def delivered_digests(destination):
     }
 
 
-def cached_config(root, cas_dir, chaos=None, streaming=False, fidelity=None):
+def cached_config(root, cas_dir, chaos=None, streaming=False, fidelity=None,
+                  workers=None):
     raw = build_raw_config(str(root), _GOLDEN["granules"])
     raw["cache"] = {"enabled": True, "dir": str(cas_dir)}
     if chaos is not None:
         raw["chaos"] = chaos
     if streaming:
         raw["runtime"] = {"stream": {"enabled": True}}
+    if workers is not None:
+        raw["runtime"] = dict(raw.get("runtime", {}), workers=workers)
     if fidelity is not None:
         stride, threshold = fidelity
         raw["preprocess"] = dict(raw.get("preprocess", {}), coarse_stride=stride)
@@ -120,7 +124,7 @@ class TestGoldenIdentity:
                 archive=LaadsArchive(seed=_GOLDEN["seed"], swath=MINI_SWATH),
             )
             cas = open_store(config)
-            plan = workflow.build_plan(cache=cas)
+            plan = workflow.build_plan(RunContext(cache=cas))
             drive(plan)
             assert delivered_digests(config.destination) == _GOLDEN["files"]
             # Everything the plan consumed was served out of the store.
@@ -196,6 +200,25 @@ class TestCrashResume:
         assert stats["fetched_bytes"] == 0
         dest = os.path.join(str(tmp_path / "b"), "data", "orion")
         assert delivered_digests(dest) == _GOLDEN["files"]
+        # ... and their store handles' counters came home with their
+        # envelopes: the report reads as the single-process one does.
+        assert parse_stats(cold.stdout)["cache_stores"] > 0
+        assert stats["cache_hits"] > 0
+        _, pooled = run_cached(tmp_path / "c", cas_dir, workers=2)
+        assert pooled.errors == []
+        assert pooled.cache["hits"] > 0
+        assert pooled.cache["misses"] == 0
+        assert pooled.cache["bytes_saved"] > 0
+
+    def test_pool_workers_report_their_refined_tiles(self, tmp_path):
+        cas_dir = tmp_path / "cas"
+        fidelity = (2, 1e9)  # refine every tile: margin always below 1e9
+        _, cold = run_cached(tmp_path / "a", cas_dir, fidelity=fidelity)
+        _, single = run_cached(tmp_path / "b", cas_dir, fidelity=fidelity)
+        _, pooled = run_cached(tmp_path / "c", cas_dir, fidelity=fidelity, workers=2)
+        assert cold.errors == single.errors == pooled.errors == []
+        assert pooled.cache["refined_tiles"] == single.cache["refined_tiles"] > 0
+        assert pooled.cache["hits"] > 0 and pooled.cache["misses"] == 0
 
 
 class TestProgressiveFidelity:

@@ -8,6 +8,7 @@ streaming, flows, zambeze, sharded worker pool), including across a
 crash and ``--resume``.
 """
 
+import dataclasses
 import hashlib
 import os
 
@@ -26,6 +27,7 @@ from repro.core.branches import branch_tag, expand_branches, is_fanout
 from repro.core.download import DownloadReport, GranuleSet
 from repro.core.preprocess import PreprocessReport, PreprocessResult, QuarantineRecord
 from repro.core.shipment import ShipmentReport
+from repro.core.workflow import merge_reports
 from repro.flows import RunStatus, run_plan_with_flows
 from repro.instruments import get_model
 from repro.modis import MINI_SWATH, LaadsArchive
@@ -213,21 +215,40 @@ class TestPlanTopology:
             fetched_bytes=10, failed=["download of x failed"],
             incomplete=["A2022001.0005"], breaker_trips=1,
         )
-        assert EOMLWorkflow._merge_downloads([download]) == download
         preprocess = PreprocessReport(
             results=[PreprocessResult("A2022001.0000", "/tiles/a.nc", 4, 0.2)],
             seconds=0.3,
             quarantined=[QuarantineRecord("A2022001.0005", "corrupt")],
         )
-        assert EOMLWorkflow._merge_preprocess([preprocess]) == preprocess
         shipment = ShipmentReport(
             moved=["/orion/a.nc"], nbytes=7, seconds=0.1, retries=1,
             error="transfer timed out", resumed=1, verified=1, deduped=1,
             mismatches=["b.nc"], checksums={"a.nc": "ab" * 32},
         )
-        # The single branch's tag is "": per-file keys stay un-prefixed.
-        assert EOMLWorkflow._merge_shipments([""], [shipment]) == shipment
-        assert EOMLWorkflow._merge_shipments([""], [None]) is None
+        for report in (download, preprocess, shipment):
+            # The single branch's tag is "": per-file keys stay un-prefixed.
+            assert merge_reports([""], [report]) == report
+            # Every field of the report type takes part in the merge: a
+            # sample that leaves one at a falsy default could not tell a
+            # merged field from a dropped one, and two branches must each
+            # contribute to it.
+            twice = merge_reports(["x+m", "y+m"], [report, report])
+            for spec in dataclasses.fields(report):
+                one = getattr(report, spec.name)
+                both = getattr(twice, spec.name)
+                assert one, f"{type(report).__name__}.{spec.name} not exercised"
+                if isinstance(one, str):
+                    assert both == f"{one}; {one}", spec.name
+                elif isinstance(one, (list, dict)):
+                    assert len(both) == 2 * len(one), spec.name
+                else:
+                    assert both == 2 * one, spec.name
+        assert merge_reports([""], [None]) is None
+        twice = merge_reports(["x+m", "y+m"], [shipment, shipment])
+        assert twice.mismatches == ["x+m:b.nc", "y+m:b.nc"]
+        assert twice.checksums == {"x+m:a.nc": "ab" * 32, "y+m:a.nc": "ab" * 32}
+        assert twice.moved == ["/orion/a.nc", "/orion/a.nc"]  # paths, not names
+        assert merge_reports(["x+m", "y+m"], [None, shipment]).mismatches == ["y+m:b.nc"]
 
 
 class TestBarrierFanout:

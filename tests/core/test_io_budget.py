@@ -15,6 +15,7 @@ import pytest
 
 from repro.chaos import surfaces
 from repro.core import DownloadStage, ShipmentStage, load_config
+from repro.core.context import RunContext
 from repro.journal import WorkflowJournal
 from repro.modis import MINI_SWATH, LaadsArchive
 from repro.util.digest import atomic_publish_bytes
@@ -96,7 +97,7 @@ class TestShipmentBudget:
     def test_two_reads_and_two_hash_passes_per_shipped_file(self, outbox, monkeypatch):
         config, journal = outbox
         counter = IoCounter(monkeypatch)
-        report = ShipmentStage(config, journal=journal).run()
+        report = ShipmentStage(config, RunContext(journal=journal)).run()
         monkeypatch.undo()
 
         assert report.error is None and report.mismatches == []
@@ -119,7 +120,7 @@ class TestShipmentBudget:
         with open(os.path.join(config.transfer_out, victim), "r+b") as handle:
             handle.seek(10)
             handle.write(b"\xff\xff")
-        report = ShipmentStage(config, journal=journal).run()
+        report = ShipmentStage(config, RunContext(journal=journal)).run()
         assert report.mismatches == [victim]
         assert report.verified == len(FILES) - 1
 

@@ -25,8 +25,8 @@ from repro.core import (
     PreprocessStage,
     ShipmentStage,
     load_config,
-    preprocess_granule_set,
 )
+from repro.core.context import RunContext
 from repro.core.download import ARCHIVE_HOST
 from repro.modis import MINI_SWATH, LaadsArchive
 from repro.net import CircuitBreaker, HttpServer
@@ -86,8 +86,8 @@ class TestDownloadResilience:
         config = make_config(tmp_path, retries=3)
         chaos = injector("download", kind, rate=1.0, times=1)
         sleeper = RecordingSleeper()
-        stage = DownloadStage(config, archive=fresh_archive(), chaos=chaos,
-                              sleeper=sleeper)
+        stage = DownloadStage(config, RunContext(chaos=chaos, sleeper=sleeper),
+                              archive=fresh_archive())
         report = stage.run()
         assert report.files == 6
         assert len(report.granule_sets) == 2
@@ -106,8 +106,8 @@ class TestDownloadResilience:
         config = make_config(tmp_path)
         chaos = injector("download", "slow_fetch", latency=0.001)
         sleeper = RecordingSleeper()
-        report = DownloadStage(config, archive=fresh_archive(), chaos=chaos,
-                               sleeper=sleeper).run()
+        report = DownloadStage(config, RunContext(chaos=chaos, sleeper=sleeper),
+                              archive=fresh_archive()).run()
         assert report.files == 6
         assert report.retried == 0          # latency is not failure
         assert chaos.counts_by_kind() == {"slow_fetch": 6}
@@ -118,7 +118,7 @@ class TestDownloadResilience:
         config = make_config(tmp_path, retries=1, on_exhausted="skip",
                              breaker_threshold=50)
         chaos = injector("download", "http_permanent")
-        report = DownloadStage(config, archive=fresh_archive(), chaos=chaos).run()
+        report = DownloadStage(config, RunContext(chaos=chaos), archive=fresh_archive()).run()
         assert report.granule_sets == []    # every product of every scene failed
         assert len(report.failed) == 6
         assert all("failed after 2 attempts" in message for message in report.failed)
@@ -129,7 +129,7 @@ class TestDownloadResilience:
         config = make_config(tmp_path, retries=1)
         chaos = injector("download", "http_permanent")
         with pytest.raises(RuntimeError, match="failed after"):
-            DownloadStage(config, archive=fresh_archive(), chaos=chaos).run()
+            DownloadStage(config, RunContext(chaos=chaos), archive=fresh_archive()).run()
 
     def test_partial_scene_dropped_not_returned(self, tmp_path):
         """A scene that lost one product never reaches the barrier."""
@@ -138,7 +138,7 @@ class TestDownloadResilience:
         # Seed 3 at rate 0.15 deterministically hits a strict subset of
         # the six filenames; the hit scenes are dropped, the rest survive.
         chaos = injector("download", "http_permanent", rate=0.15, seed=3)
-        stage = DownloadStage(config, archive=fresh_archive(), chaos=chaos)
+        stage = DownloadStage(config, RunContext(chaos=chaos), archive=fresh_archive())
         hit = [ref for ref in stage.plan()
                if chaos.would_select("download", "http_permanent", ref.filename)]
         assert 0 < len(hit) < 6  # the probe confirms a genuine subset
@@ -159,8 +159,8 @@ class TestDownloadResilience:
         config = make_config(tmp_path, retries=3, workers=1)
         chaos = injector("download", "http_transient", rate=1.0, times=2)
         sleeper = RecordingSleeper()
-        stage = DownloadStage(config, archive=fresh_archive(), chaos=chaos,
-                              sleeper=sleeper)
+        stage = DownloadStage(config, RunContext(chaos=chaos, sleeper=sleeper),
+                              archive=fresh_archive())
         report = stage.run()
         assert report.files == 6 and report.retry_attempts == 12
         expected = sorted(
@@ -176,7 +176,7 @@ class TestDownloadResilience:
         config = make_config(tmp_path, retries=1, on_exhausted="skip",
                              workers=1, breaker_threshold=3)
         chaos = injector("download", "http_permanent")
-        stage = DownloadStage(config, archive=fresh_archive(), chaos=chaos)
+        stage = DownloadStage(config, RunContext(chaos=chaos), archive=fresh_archive())
         report = stage.run()
         assert report.breaker_trips >= 1
         assert stage.breaker.state(ARCHIVE_HOST) != CircuitBreaker.CLOSED
@@ -202,7 +202,7 @@ class TestPreprocessResilience:
         """Matrix: preprocess x worker_stall -> recovered (slower only)."""
         config, granule_sets = downloaded
         chaos = injector("preprocess", "worker_stall", latency=0.001)
-        report = PreprocessStage(config, chaos=chaos).run(granule_sets)
+        report = PreprocessStage(config, RunContext(chaos=chaos)).run(granule_sets)
         assert report.quarantined == []
         assert len(report.results) == 2 and report.total_tiles > 0
         assert chaos.counts_by_kind() == {"worker_stall": 2}
@@ -212,7 +212,7 @@ class TestPreprocessResilience:
         config, granule_sets = downloaded
         # Seed 0 at rate 0.5 deterministically tears exactly scene .000.
         chaos = injector("preprocess", "torn_write", rate=0.5, seed=0)
-        report = PreprocessStage(config, chaos=chaos).run(granule_sets)
+        report = PreprocessStage(config, RunContext(chaos=chaos)).run(granule_sets)
         assert [q.key for q in report.quarantined] == ["scene.terra.2022-01-01.000"]
         assert "torn write" in report.quarantined[0].error
         assert "scene.terra.2022-01-01.000" in report.quarantined[0].describe()
@@ -224,7 +224,7 @@ class TestPreprocessResilience:
         """Matrix: preprocess x corrupt_tile -> inference quarantines it."""
         config, granule_sets = downloaded
         chaos = injector("preprocess", "corrupt_tile")
-        report = PreprocessStage(config, chaos=chaos).run(granule_sets)
+        report = PreprocessStage(config, RunContext(chaos=chaos)).run(granule_sets)
         # The write "succeeded": well-named files a crawler will trigger on.
         tile_paths = [r.tile_path for r in report.results if r.tile_path]
         assert len(tile_paths) == 2
@@ -280,7 +280,7 @@ class TestShipmentResilience:
         config = make_config(tmp_path)
         names = stage_outbox(config)
         chaos = injector("shipment", "wan_degrade", times=1, latency=0.0)
-        report = ShipmentStage(config, chaos=chaos).run()
+        report = ShipmentStage(config, RunContext(chaos=chaos)).run()
         assert report.error is None
         assert sorted(os.path.basename(p) for p in report.moved) == sorted(names)
         assert report.retries >= len(names)  # each file's first move failed
@@ -291,14 +291,14 @@ class TestShipmentResilience:
         config = make_config(tmp_path)
         stage_outbox(config)
         chaos = injector("shipment", "wan_degrade", times=None, latency=0.0)
-        report = ShipmentStage(config, chaos=chaos).run()   # must not raise
+        report = ShipmentStage(config, RunContext(chaos=chaos)).run()   # must not raise
         assert report.moved == []
         assert report.error is not None and "WAN degraded" in report.error
         assert report.retries == config.shipment_retries
 
     def test_empty_outbox_is_a_clean_no_op(self, tmp_path):
         config = make_config(tmp_path)
-        report = ShipmentStage(config, chaos=injector("shipment", "wan_degrade")).run()
+        report = ShipmentStage(config, RunContext(chaos=injector("shipment", "wan_degrade"))).run()
         assert report.moved == [] and report.error is None
 
 
@@ -345,8 +345,8 @@ class TestResume:
         archive = fresh_archive()
         download = DownloadStage(config, archive=archive).run()
         gs = download.granule_sets[0]
-        first = preprocess_granule_set(gs, config.preprocessed, 16, 0.3, 0.0)
-        again = preprocess_granule_set(gs, config.preprocessed, 16, 0.3, 0.0)
+        first = PreprocessStage(config).execute(gs)
+        again = PreprocessStage(config).execute(gs)
         assert again.tiles == first.tiles
         assert again.tile_path == first.tile_path
 
@@ -355,16 +355,16 @@ class TestResume:
     ):
         """A run that dies mid-plan must not leak the journal's file
         handle: the same process resumes the run from that journal."""
-        import repro.core.workflow as workflow_module
+        import repro.core.context as context_module
 
         opened = []
 
-        class RecordingJournal(workflow_module.WorkflowJournal):
+        class RecordingJournal(context_module.WorkflowJournal):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 opened.append(self)
 
-        monkeypatch.setattr(workflow_module, "WorkflowJournal", RecordingJournal)
+        monkeypatch.setattr(context_module, "WorkflowJournal", RecordingJournal)
         outage = {"seed": 0, "faults": [
             {"stage": "download", "kind": "http_permanent", "rate": 1.0},
         ]}
@@ -389,7 +389,7 @@ class TestResume:
         config = make_config(tmp_path, retries=1, on_exhausted="skip",
                              breaker_threshold=50)
         chaos = injector("download", "http_permanent", rate=0.15, seed=3)
-        faulted = DownloadStage(config, archive=fresh_archive(), chaos=chaos).run()
+        faulted = DownloadStage(config, RunContext(chaos=chaos), archive=fresh_archive()).run()
         assert faulted.incomplete  # the fault cost at least one scene
         healed = DownloadStage(config, archive=fresh_archive()).run()
         assert healed.incomplete == [] and healed.failed == []

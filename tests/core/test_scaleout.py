@@ -17,8 +17,16 @@ import pytest
 
 from tests.core.crash_driver import build_raw_config
 
-from repro.core import EOMLWorkflow, load_config
+from repro.core import DownloadStage, EOMLWorkflow, InferenceWorker, PreprocessStage, load_config
+from repro.core.branches import unit_name, unit_slice
+from repro.core.context import open_run
+from repro.core.download import GranuleSet
+from repro.core.scaleout import StageWorker, worker_payload
+from repro.instruments import get_model
+from repro.journal import WorkflowJournal
 from repro.modis import MINI_SWATH, LaadsArchive
+from repro.netcdf import read as nc_read
+from repro.runtime import WorkEnvelope
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_corpus.json")
 DRIVER = os.path.join(os.path.dirname(__file__), "crash_driver.py")
@@ -142,6 +150,147 @@ class TestGoldenEquivalence:
             "eo_ml.pool.workers_launched",
         ):
             assert snapshot[key] == 0
+
+
+class TestCountersComeHome:
+    @pytest.mark.parametrize("runtime", [None, {"workers": 2}], ids=["inline", "pool"])
+    def test_breaker_trips_reach_the_report_wherever_downloads_ran(
+        self, tmp_path, runtime
+    ):
+        """The breakers that trip live in whichever process fetched; the
+        report and the metric must agree with them in every mode."""
+        raw = build_raw_config(str(tmp_path), 4)
+        raw["download"] = {
+            "workers": 2, "retries": 1, "on_exhausted": "skip",
+            "breaker_threshold": 2, "backoff_base": 0.001, "backoff_total": 0.05,
+        }
+        raw["chaos"] = {"seed": 0, "faults": [
+            {"stage": "download", "kind": "http_permanent", "rate": 1.0},
+        ]}
+        if runtime:
+            raw["runtime"] = runtime
+        # Every fetch fails, so no scene survives to bootstrap from: the
+        # supplied (never used) model lets the run finish and report.
+        workflow = EOMLWorkflow(
+            load_config(raw), model=object(),
+            archive=LaadsArchive(seed=3, swath=MINI_SWATH),
+        )
+        report = workflow.run(provenance=False)
+        assert report.download.failed and not report.download.granule_sets
+        snapshot = report.metrics.snapshot()
+        assert report.download.breaker_trips == snapshot["eo_ml.breaker_open"] > 0
+
+
+def _tree(root):
+    """Every file under ``root`` -> its bytes."""
+    out = {}
+    for dirpath, _dirs, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as handle:
+                out[os.path.relpath(path, root)] = handle.read()
+    return out
+
+
+def _completions(journal_dir):
+    """(stage, key) -> journaled payload (minus the run-directory-specific
+    artifact path), replayed from the journal file itself."""
+    with WorkflowJournal(journal_dir) as journal:
+        journal.start(resume=True)
+        return {
+            site: {k: v for k, v in payload.items() if k != "artifact"}
+            for site, payload in journal.state.completions.items()
+        }
+
+
+class TestExecutorEquivalence:
+    """One unit, two executors: ``stage.execute(payload)`` called here and
+    the same payload shipped as a ``WorkEnvelope`` to a ``StageWorker``
+    must return equal results, leave byte-identical artifacts, and
+    journal equal completions — for the bare kind and a ``@tag`` kind."""
+
+    FANOUT = {"instruments": ["modis", "abi"], "models": ["ricc", "heuristic"]}
+
+    def _config(self, root, fanout):
+        raw = build_raw_config(str(root), 1)
+        if fanout:
+            raw["archive"]["instruments"] = self.FANOUT["instruments"]
+            raw["inference"] = dict(raw["inference"], models=self.FANOUT["models"])
+        return load_config(raw)
+
+    def _run_units(self, root, fanout, remote):
+        """Drive one download ref, one granule set and one tile file
+        through ``call(kind, key, stage_factory, payload)``; returns the
+        three results plus the run directory's bytes and completions."""
+        config = self._config(root, fanout)
+        archive = LaadsArchive(seed=3, swath=MINI_SWATH)
+        tag_i, tag_b = ("modis", "modis+ricc") if fanout else ("", "")
+        if remote:
+            worker = StageWorker(worker_payload(config, archive))
+            ctx = worker.ctx
+
+            def call(kind, key, _build, payload):
+                return worker(WorkEnvelope(kind, key, payload))
+        else:
+            ctx = open_run(config, resume=True)
+
+            def call(kind, _key, build, payload):
+                return build(unit_slice(config, kind)[2]).execute(payload)
+
+        try:
+            icfg = unit_slice(config, unit_name("download", tag_i))[2]
+            bcfg = unit_slice(config, unit_name("inference", tag_b))[2]
+            planner = DownloadStage(icfg, archive=archive)
+            os.makedirs(icfg.staging, exist_ok=True)
+            refs = [r for r in planner.plan()
+                    if r.gid.scene_key == planner.plan()[0].gid.scene_key]
+            fetched = [
+                call(unit_name("download", tag_i), ref.filename,
+                     lambda cfg: DownloadStage(cfg, ctx, archive=archive), ref)
+                for ref in refs
+            ]
+            granules = GranuleSet(
+                key=refs[0].gid.scene_key,
+                paths={r.gid.product: path for r, path, *_ in fetched},
+            )
+            tiled = call(unit_name("preprocess", tag_i), granules.key,
+                         lambda cfg: PreprocessStage(cfg, ctx), granules)
+            tiles = nc_read(tiled.tile_path)["radiance"].data
+            model = get_model(bcfg.model_name).bootstrap(
+                tiles, num_classes=2, seed=bcfg.seed
+            )
+            labelled = call(
+                unit_name("inference", tag_b), os.path.basename(tiled.tile_path),
+                lambda cfg: InferenceWorker(model, cfg, ctx, batch_files=1),
+                (tiled.tile_path, ("object", model)),
+            )
+        finally:
+            ctx.close()
+        completions = _completions(config.journal_dir)
+        data = os.path.join(str(root), "data")
+        files = {name: blob for name, blob in _tree(data).items()
+                 if not name.startswith("journal")}
+        strip = lambda path: os.path.relpath(path, str(root))  # noqa: E731
+        results = (
+            [(r.filename, strip(path), nbytes, outcome, attempts, error)
+             for r, path, nbytes, _s, outcome, attempts, error in fetched],
+            (tiled.key, strip(tiled.tile_path), tiled.tiles, tiled.outcome),
+            (labelled[0], strip(labelled[1].src_path), strip(labelled[1].out_path),
+             labelled[1].tiles, labelled[1].classes_seen),
+        )
+        return results, files, completions
+
+    @pytest.mark.parametrize("fanout", [False, True], ids=["bare-kind", "tagged-kind"])
+    def test_in_process_and_worker_agree(self, tmp_path, fanout):
+        inline = self._run_units(tmp_path / "inline", fanout, remote=False)
+        shipped = self._run_units(tmp_path / "worker", fanout, remote=True)
+        assert inline[0] == shipped[0]          # returned results
+        assert inline[1] == shipped[1]          # artifacts, byte for byte
+        assert inline[1]                        # ... and there were some
+        assert inline[2] == shipped[2]          # journal completions
+        assert {stage for stage, _ in inline[2]} == {
+            "download", "preprocess", "inference"
+        }
 
 
 class TestMultiprocessCrashRecovery:

@@ -102,3 +102,50 @@ class TestCheckerLogic:
 
     def test_the_source_tree_has_no_shims(self):
         assert check_layering.shims(os.path.join(REPO_ROOT, "src", "repro")) == []
+
+    def test_stage_rule_flags_module_and_name_imports(self, tmp_path):
+        stage = tmp_path / "stage.py"
+        stage.write_text(
+            "from repro.runtime import WorkerCrashed, WorkUnit\n"
+            "from repro.runtime.proc import ProcWorkerPool\n"
+            "from repro.pexec.simexec import SimHtexExecutor\n"
+            "import repro.pexec\n"
+        )
+        found = check_layering.stage_violations(str(stage))
+        assert [line.split(":")[1] for line in found] == ["2", "3", "4"]
+
+    def test_the_stage_modules_import_no_executor_substrate(self):
+        for module in check_layering.STAGE_MODULES:
+            assert check_layering.stage_violations(
+                os.path.join(REPO_ROOT, module)
+            ) == []
+
+    def test_opener_rule_names_the_calling_function(self, tmp_path):
+        package = tmp_path / "pkg"
+        package.mkdir()
+        (package / "a.py").write_text(
+            "def ok():\n    return 1\n\n"
+            "def sneaky(config):\n"
+            "    j = journal.WorkflowJournal(config.dir)\n"
+            "    return open_store(config), j\n"
+        )
+        sites = check_layering.call_sites(str(package), check_layering.OPENERS)
+        assert sorted((name, fn) for name, _path, fn in sites) == [
+            ("WorkflowJournal", "sneaky"), ("open_store", "sneaky"),
+        ]
+
+    def test_only_open_run_opens_a_run(self):
+        """The driver, the pool worker factory and execute_unit all enter
+        a run through ``open_run``; a second caller of the journal, store
+        or injector constructors would be a second way in."""
+        assert check_layering.opener_violations(REPO_ROOT) == []
+        home = os.path.join(REPO_ROOT, check_layering.OPENER_HOME[0])
+        called = {
+            name
+            for name, path, function in check_layering.call_sites(
+                os.path.dirname(home), check_layering.OPENERS
+            )
+            if os.path.samefile(path, home)
+            and function == check_layering.OPENER_HOME[1]
+        }
+        assert called == set(check_layering.OPENERS)

@@ -19,16 +19,20 @@ from __future__ import annotations
 
 import datetime as dt
 import pickle
+from concurrent.futures import Future
 
 import pytest
 
 from repro.chaos import FaultPlan, FaultSpec
 from repro.core.config import load_config
-from repro.core.download import GranuleSet
-from repro.core.inference import InferenceResult
-from repro.core.preprocess import PreprocessResult, QuarantineRecord
-from repro.core.scaleout import worker_payload
+from repro.core.context import RunContext
+from repro.core.download import DownloadStage, GranuleSet
+from repro.core.inference import InferenceResult, InferenceWorker
+from repro.core.preprocess import PreprocessResult, PreprocessStage, QuarantineRecord
+from repro.core.scaleout import StageWorker, worker_payload
+from repro.instruments import get_model
 from repro.modis import LaadsArchive, MINI_SWATH
+from repro.netcdf import read as nc_read
 from repro.runtime import UnitResult
 from repro.runtime.proc import EnvelopeResult, WorkEnvelope, WorkerSpec
 
@@ -123,12 +127,72 @@ class TestStagePayloads:
         assert roundtrip(res) == res
 
     def test_download_result_tuple(self):
-        # _fetch_one's settle tuple: (ref, path, nbytes, seconds,
+        # DownloadStage.execute's settle tuple: (ref, path, nbytes, seconds,
         # outcome, attempts, error) — all picklable leaves.
         archive = LaadsArchive(seed=3, swath=MINI_SWATH)
         ref = archive.query("MOD02", dt.date(2022, 1, 1), max_per_day=1)[0]
         result = (ref, "/tmp/f.nc", 123, 0.5, "done", 1, None)
         assert roundtrip(result) == result
+
+
+class LoopbackPool:
+    """Stands in for the process pool behind ``ctx.submit``: every
+    envelope and every result crosses a pickle boundary, and a
+    :class:`StageWorker` in this process executes it."""
+
+    def __init__(self, worker):
+        self.worker = worker
+        self.shipped = []
+
+    def submit(self, envelope):
+        future = Future()
+        wire = roundtrip(envelope)
+        self.shipped.append(wire)
+        try:
+            future.set_result(roundtrip(self.worker(wire)))
+        except Exception as exc:  # noqa: BLE001 - what a pool future carries
+            future.set_exception(exc)
+        return future
+
+
+class TestSubmittedPayloads:
+    def test_everything_ctx_submit_ships_survives_the_wire(self, tmp_path):
+        """Drive each submitting stage under a context whose pool pickles:
+        whatever a stage hands ``ctx.submit`` (and gets back) must
+        round-trip, or multi-process execution breaks at runtime."""
+        raw = dict(RAW_CONFIG, paths={
+            name: str(tmp_path / name) for name in RAW_CONFIG["paths"]
+        })
+        raw["archive"] = dict(RAW_CONFIG["archive"], max_granules_per_day=1)
+        config = load_config(raw)
+        archive = LaadsArchive(seed=3, swath=MINI_SWATH)
+        ctx = RunContext()
+        ctx.pool = LoopbackPool(StageWorker(worker_payload(config, archive)))
+
+        download = DownloadStage(config, ctx, archive=archive).run()
+        assert download.files == len(config.products) and not download.failed
+        preprocess = PreprocessStage(config, ctx).run(download.granule_sets)
+        tile_paths = [r.tile_path for r in preprocess.results if r.tile_path]
+        assert tile_paths and not preprocess.quarantined
+        # No journal and no model_path: nothing persists the model, so
+        # the object itself must ride (and survive) the envelope.
+        model = get_model(config.model_name).bootstrap(
+            nc_read(tile_paths[0])["radiance"].data, num_classes=2, seed=config.seed
+        )
+        worker = InferenceWorker(model, config, ctx)
+        for path in tile_paths:
+            worker.submit(path)
+        worker.drain(timeout=0.0)  # the loopback settles synchronously
+        assert [r.src_path for r in worker.results] == tile_paths and not worker.errors
+
+        shipped = ctx.pool.shipped
+        assert {env.kind for env in shipped} == {"download", "preprocess", "inference"}
+        sources = [env.payload[1] for env in shipped if env.kind == "inference"]
+        assert sources and all(mode == "object" for mode, _ in sources)
+
+    def test_persisted_model_ships_as_a_path(self):
+        payload = ("/tmp/x/tiles/tiles_a.nc", ("path", "/tmp/x/journal/model.npz"))
+        assert roundtrip(payload) == payload
 
 
 class TestWorkUnitBoundary:

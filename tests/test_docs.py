@@ -129,6 +129,54 @@ class TestScaleOutDocs:
         for needle in ("granule filename", "scene key", "tile-file basename"):
             assert needle in text, f"sharding key {needle!r} undocumented"
 
+    def test_envelope_table_has_one_copy_in_this_section(self):
+        import repro.core.scaleout as scaleout
+
+        section = self.architecture().split("## Horizontal scale-out")[1]
+        section = section.split("## Control-plane service")[0]
+        for needle in ("`download[@inst]`", "`preprocess[@inst]`",
+                       "`inference[@inst+model]`", "model source",
+                       "StageWorker.counters()", "unit_slice(kind)"):
+            assert needle in section, f"scale-out section missing {needle!r}"
+        # The module points here instead of carrying its own table.
+        assert "Horizontal\nscale-out" in scaleout.__doc__
+        assert "tile-file basename" not in scaleout.__doc__
+
+    def test_stage_runtime_section_is_drawn_around_the_run_context(self):
+        """One context, one opener, one unit entry point per stage, and
+        the one diagram of where a submitted unit runs."""
+        section = self.architecture().split("## Stage runtime & middleware")[1]
+        section = section.split("### Streaming dataflow")[0]
+        for needle in ("RunContext", "`open_run(config, resume, chaos=None)`",
+                       "`ctx.submit(stage, key, payload)`",
+                       "`DownloadStage.execute(ref)`", "`label(paths)`",
+                       "ctx.submit(stage, key, payload) ─┬─ threads",
+                       "└─ pool:", "site agent ─ execute_unit ─ open_run",
+                       "`WorkerCrashed`", "bare context"):
+            assert needle in section, f"stage-runtime docs missing {needle!r}"
+        # The documented opener and entry points are the real ones.
+        import inspect
+
+        from repro.core import DownloadStage, InferenceWorker, PreprocessStage
+        from repro.core.context import RunContext, open_run
+
+        assert list(inspect.signature(open_run).parameters) == [
+            "config", "resume", "chaos"
+        ]
+        assert list(inspect.signature(RunContext.submit).parameters) == [
+            "self", "stage", "key", "payload"
+        ]
+        for stage in (DownloadStage, PreprocessStage, InferenceWorker):
+            assert callable(stage.execute)
+        assert callable(InferenceWorker.label)
+
+    def test_lease_lifecycle_names_the_shared_opener(self):
+        section = self.architecture().split("### Work-units & the lease lifecycle")[1]
+        section = section.split("### Disconnected agents")[0]
+        for needle in ("`execute_unit`", "open_run(config, resume=True, chaos=...)",
+                       "`LeaseLost`", "checkpoints the journal"):
+            assert needle in section, f"lease-lifecycle docs missing {needle!r}"
+
     def test_readme_and_design_point_at_the_section(self):
         assert "Horizontal scale-out" in (ROOT / "README.md").read_text()
         assert "Horizontal scale-out" in (ROOT / "DESIGN.md").read_text()

@@ -30,10 +30,6 @@ class TestLocalEndpointEdges:
         with pytest.raises(RuntimeError):
             endpoint.submit(lambda: 2)
 
-    def test_process_pool_kind(self):
-        with LocalComputeEndpoint("procs", max_workers=2, kind="process") as endpoint:
-            assert endpoint.submit(abs, -3).result(timeout=30) == 3
-
 
 class TestStoreEdges:
     def test_cancel_get(self):

@@ -86,24 +86,6 @@ class TestArchiveBands:
         np.testing.assert_array_equal(np.asarray(ds.get_attr("band_list")), [6, 31])
 
 
-class TestPythonAppForms:
-    def test_decorator_with_parentheses(self):
-        from repro.compute import LocalComputeEndpoint
-        from repro.pexec import DataFlowKernel, clear, load, python_app
-
-        kernel = DataFlowKernel({"local": LocalComputeEndpoint("p", 2)})
-        load(kernel)
-        try:
-            @python_app()
-            def doubled(x):
-                return 2 * x
-
-            assert doubled(21).result(timeout=10) == 42
-        finally:
-            kernel.shutdown()
-            clear()
-
-
 class TestGeolocationWidth:
     def test_cross_track_extent_near_2330km(self):
         """The swath's cross-track great-circle width matches the MODIS

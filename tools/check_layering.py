@@ -1,6 +1,7 @@
 #!/usr/bin/env python
 """Layering check: ``repro.runtime`` must never import ``repro.core``,
-and no module may be a re-export shim.
+no module may be a re-export shim, the stage modules never import an
+executor substrate, and only the run context's opener opens a run.
 
 The unified stage runtime is the layer *under* the stages — the flows
 engine and the zambeze orchestrator execute runtime plans without the
@@ -10,7 +11,12 @@ cycle the refactor removed).  This script walks the runtime package's
 ASTs and fails loudly on any ``import``/``from`` that resolves into a
 forbidden layer.  It also fails on any non-``__init__`` module under
 ``src/repro`` that consists only of imports and ``__all__``: a moved
-name's import sites move with it, so deleted shims stay deleted.  Run
+name's import sites move with it, so deleted shims stay deleted.  The
+stage modules hand work to ``RunContext.submit`` and must not learn what
+runs it, so they may import neither ``repro.pexec`` nor
+``ProcWorkerPool``; and the journal, the store and the chaos injector
+are opened by ``repro.core.context.open_run`` alone, so the driver, the
+pool workers and the site agents can never enter a run three ways.  Run
 from the repo root:
 
     python tools/check_layering.py
@@ -45,6 +51,21 @@ RULES = [
 ]
 
 
+# The stage modules: they submit units to the run context and never
+# learn whether a thread, a forked worker or a leased agent runs them.
+STAGE_MODULES = tuple(
+    f"src/repro/core/{name}.py"
+    for name in ("download", "preprocess", "inference", "shipment")
+)
+STAGE_FORBIDDEN = ("repro.pexec", "ProcWorkerPool")
+
+# What opens a run, and the one function allowed to call it (looked for
+# under these packages).
+OPENERS = ("WorkflowJournal", "open_store", "build_injector")
+OPENER_HOME = ("src/repro/core/context.py", "open_run")
+OPENER_SCOPE = ("src/repro/core", "src/repro/server")
+
+
 def imported_modules(tree: ast.AST):
     """Yield (module_name, line) for every import statement in the tree."""
     for node in ast.walk(tree):
@@ -72,6 +93,64 @@ def violations(package_dir: str, forbidden: tuple) -> list:
                     if module == layer or module.startswith(layer + "."):
                         found.append(f"{path}:{line}: imports {module} "
                                      f"(forbidden layer {layer})")
+    return found
+
+
+def stage_violations(path: str, forbidden: tuple = STAGE_FORBIDDEN) -> list:
+    """Imports of a forbidden module *or name* in one stage module."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [(alias.name, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [(node.module, alias.name) for alias in node.names]
+        else:
+            continue
+        for module, name in names:
+            for banned in forbidden:
+                if (module == banned or module.startswith(banned + ".")
+                        or name == banned):
+                    found.append(f"{path}:{node.lineno}: stage module imports "
+                                 f"{banned} (stages submit to the run context)")
+    return found
+
+
+def call_sites(package_dir: str, names: tuple) -> list:
+    """``(name, path, enclosing function or None)`` for every call of one
+    of ``names`` (as a bare name or an attribute) under ``package_dir``."""
+    found = []
+
+    def visit(node: ast.AST, path: str, function) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+            if name in names:
+                found.append((name, path, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, function)
+
+    for dirpath, _dirnames, filenames in os.walk(package_dir):
+        for filename in sorted(filenames):
+            if filename.endswith(".py"):
+                path = os.path.join(dirpath, filename)
+                with open(path, encoding="utf-8") as handle:
+                    visit(ast.parse(handle.read(), filename=path), path, None)
+    return found
+
+
+def opener_violations(root: str = ".") -> list:
+    home_path, home_function = OPENER_HOME
+    home = (os.path.normpath(os.path.join(root, home_path)), home_function)
+    found = []
+    for package in OPENER_SCOPE:
+        for name, path, function in call_sites(os.path.join(root, package), OPENERS):
+            if (os.path.normpath(path), function) != home:
+                found.append(f"{path}: {function or '<module>'} calls {name}(); only "
+                             f"{home_path}:{home_function} opens a run")
     return found
 
 
@@ -113,12 +192,16 @@ def main(root: str = ".") -> int:
             failures.append(f"{package_dir}: package not found")
             continue
         failures.extend(violations(package_dir, tuple(forbidden)))
+    for module in STAGE_MODULES:
+        failures.extend(stage_violations(os.path.join(root, module)))
+    failures.extend(opener_violations(root))
     if failures:
         for failure in failures:
             print(failure, file=sys.stderr)
         return 1
     print("layering ok: runtime, core, instruments, and cas respect "
-          "the forbidden-layer rules; no re-export shims")
+          "the forbidden-layer rules; no re-export shims; stages import no "
+          "executor substrate; one opener")
     return 0
 
 
