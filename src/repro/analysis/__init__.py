@@ -7,12 +7,6 @@ from repro.analysis.ablations import (
     overlap_ablation,
     ri_loss_ablation,
 )
-from repro.analysis.campaign_estimate import (
-    AICCA_ARCHIVE_BYTES,
-    CampaignEstimate,
-    estimate_campaign,
-    sweep_workers,
-)
 from repro.analysis.climatology import (
     ClassFrequencySeries,
     TrendResult,
@@ -88,10 +82,6 @@ __all__ = [
     "linear_trend",
     "detect_changing_classes",
     "TrendResult",
-    "estimate_campaign",
-    "sweep_workers",
-    "CampaignEstimate",
-    "AICCA_ARCHIVE_BYTES",
     "TABLE1_STRONG_WORKERS",
     "TABLE1_STRONG_NODES",
     "TABLE1_WEAK_WORKERS",

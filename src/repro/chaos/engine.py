@@ -24,11 +24,14 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.chaos.plan import FaultPlan, FaultSpec
 
 __all__ = ["FaultEvent", "FaultInjector", "build_injector"]
+
+KIND_PREFIX = "faults.kind."
+STAGE_PREFIX = "faults.stage."
 
 
 @dataclass(frozen=True)
@@ -145,12 +148,34 @@ class FaultInjector:
                 out[event.stage] = out.get(event.stage, 0) + 1
             return out
 
-    def summary(self) -> Dict[str, object]:
+    def counters(self) -> Dict[str, int]:
+        """The ledger as flat monotonic counters — the form that crosses
+        a process boundary and sums with other injectors' ledgers."""
+        out = {f"{KIND_PREFIX}{k}": n for k, n in self.counts_by_kind().items()}
+        out.update(
+            {f"{STAGE_PREFIX}{s}": n for s, n in self.counts_by_stage().items()}
+        )
+        return out
+
+    def summary(
+        self, counters: Optional[Mapping[str, float]] = None
+    ) -> Dict[str, object]:
+        """The fault ledger in report form.  ``counters`` — the sum of
+        several injectors' :meth:`counters` (the driver's plus every pool
+        worker's; other keys ignored) — stands in for this injector's
+        own ledger, since a fault fires in whichever process ran the unit."""
+        if counters is None:
+            counters = self.counters()
+        by_kind, by_stage = (
+            {key[len(prefix):]: int(count)
+             for key, count in sorted(counters.items()) if key.startswith(prefix)}
+            for prefix in (KIND_PREFIX, STAGE_PREFIX)
+        )
         return {
             "seed": self.plan.seed,
-            "faults_injected": self.faults_injected,
-            "by_kind": self.counts_by_kind(),
-            "by_stage": self.counts_by_stage(),
+            "faults_injected": sum(by_kind.values()),
+            "by_kind": by_kind,
+            "by_stage": by_stage,
         }
 
 

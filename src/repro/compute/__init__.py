@@ -1,4 +1,4 @@
-"""Globus-Compute-like function service: registry + endpoints.
+"""Globus-Compute-like function service: endpoints.
 
 Two endpoint flavours share the submit/future shape: the simulated
 endpoint runs behaviours on the discrete-event kernel (used by the
@@ -8,11 +8,8 @@ benchmarks), the local endpoint runs real callables on a thread pool
 
 from repro.compute.endpoint import ComputeTask, SimComputeEndpoint
 from repro.compute.local import LocalComputeEndpoint
-from repro.compute.registry import FunctionRegistry, RegisteredFunction
 
 __all__ = [
-    "FunctionRegistry",
-    "RegisteredFunction",
     "SimComputeEndpoint",
     "ComputeTask",
     "LocalComputeEndpoint",

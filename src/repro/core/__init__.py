@@ -12,7 +12,6 @@ from repro.core.preprocess import (
 )
 from repro.core.shipment import ShipmentReport, ShipmentStage
 from repro.core.simflow import SimulatedEOMLWorkflow, SimWorkflowParams, SimWorkflowResult
-from repro.core.streaming import StreamBatchResult, StreamingClassifier
 from repro.instruments.tiling import Tile, dataset_to_tiles, extract_tiles, tiles_to_dataset
 from repro.core.timeline import StageBreakdown, WallClockTimeline
 from repro.core.workflow import EOMLWorkflow, WorkflowReport
@@ -46,6 +45,4 @@ __all__ = [
     "SimulatedEOMLWorkflow",
     "SimWorkflowParams",
     "SimWorkflowResult",
-    "StreamingClassifier",
-    "StreamBatchResult",
 ]

@@ -117,7 +117,8 @@ class RunContext:
         return None
 
     def counters(self) -> Dict[str, float]:
-        """Monotonic counters this process's journal and store accrued.
+        """Monotonic counters this process's journal, store and fault
+        injector accrued.
 
         Pool workers ship these home as per-envelope deltas; the driver
         adds its own and folds the sum into the report, so the books
@@ -130,6 +131,8 @@ class RunContext:
             out.update(
                 {f"cache.{key}": value for key, value in self.cache.counters().items()}
             )
+        if self.chaos is not None:
+            out.update(self.chaos.counters())
         return out
 
     def close(self) -> None:

@@ -47,7 +47,7 @@ from repro.runtime import (
 )
 from repro.util.digest import atomic_publish_bytes
 
-__all__ = ["InferenceResult", "infer_tile_file", "InferenceWorker"]
+__all__ = ["InferenceResult", "infer_tile_file", "InferenceWorker", "set_aside"]
 
 _STOP = object()
 
@@ -123,6 +123,16 @@ def infer_tile_file(model: Any, src_path: str, out_dir: str) -> InferenceResult:
         classes_seen=int(np.unique(labels).size),
         seconds=time.monotonic() - started,
     )
+
+
+def set_aside(path: str, quarantine: str) -> None:
+    """Move a bad tile file out of the crawl directory so re-runs do not
+    trip on it again (best-effort: the record is what matters)."""
+    try:
+        os.makedirs(quarantine, exist_ok=True)
+        os.replace(path, os.path.join(quarantine, os.path.basename(path)))
+    except OSError:
+        pass
 
 
 @dataclass
@@ -210,15 +220,6 @@ class InferenceWorker:
         # so drain() blocks on progress instead of busy-polling.
         self._done = threading.Condition(self._lock)
         self._submitted = 0
-
-    def _set_aside(self, path: str) -> None:
-        """Move a bad tile file out of the crawl directory so re-runs do
-        not trip on it again (best-effort: the record is what matters)."""
-        try:
-            os.makedirs(self.config.quarantine, exist_ok=True)
-            os.replace(path, os.path.join(self.config.quarantine, os.path.basename(path)))
-        except OSError:
-            pass
 
     # The crawler's trigger callback.
     def submit(self, path: str) -> None:
@@ -319,7 +320,8 @@ class InferenceWorker:
         """Quarantine instead of raising: one bad file must never sink
         its batch or stall the consumer loop."""
         return FailurePolicy(
-            catch=(Exception,), on_caught=lambda message: self._set_aside(path)
+            catch=(Exception,),
+            on_caught=lambda message: set_aside(path, self.config.quarantine),
         )
 
     def _parse_unit(self, path: str) -> WorkUnit:

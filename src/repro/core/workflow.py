@@ -13,10 +13,9 @@ paper's structural properties:
 Those properties are stated declaratively: :meth:`EOMLWorkflow.build_plan`
 returns a :class:`~repro.runtime.plan.PipelinePlan` whose ``after`` edges
 are the barriers and whose ``overlaps`` edge opens the monitor/inference
-concurrency window, and :meth:`run` merely drives it with the local
-:class:`~repro.runtime.plan.PlanRunner`.  The flows engine and the
-zambeze orchestrator can execute the *same* plan through the adapters in
-``repro.flows.pipeline`` and ``repro.zambeze.pipeline``.
+concurrency window, and :meth:`run` merely drives it with
+:class:`~repro.runtime.plan.PlanRunner` or, when ``runtime.stream`` is
+enabled, :class:`~repro.runtime.plan.StreamingPlanRunner`.
 
 The inference model may be supplied (a trained model instance) or
 bootstrapped: with ``model=None`` the workflow trains a small atlas on
@@ -54,9 +53,9 @@ from repro.core.branches import (
 from repro.core.config import EOMLConfig
 from repro.core.context import RunContext, open_run
 from repro.core.download import DownloadReport, DownloadStage, GranuleSet
-from repro.core.inference import InferenceResult, InferenceWorker
+from repro.core.inference import InferenceResult, InferenceWorker, set_aside
 from repro.core.monitor import DirectoryCrawler
-from repro.core.preprocess import PreprocessReport, PreprocessStage
+from repro.core.preprocess import PreprocessReport, PreprocessStage, QuarantineRecord
 from repro.core.shipment import ShipmentReport, ShipmentStage
 from repro.core.timeline import StageBreakdown, WallClockTimeline
 from repro.instruments.registry import get_model
@@ -205,11 +204,12 @@ class EOMLWorkflow:
     def _bootstrap_model(
         self,
         config: EOMLConfig,
-        tile_paths: List[str],
+        stacks: List[np.ndarray],
         model_path: Optional[str],
         journal: Optional[WorkflowJournal],
     ) -> Any:
-        """Load-or-train ``config.model_name`` through the registry."""
+        """Load-or-train ``config.model_name`` through the registry;
+        ``stacks`` is the bootstrap scene's radiance, one array per file."""
         model_type = get_model(config.model_name)
         journal_key = model_slot(config.branch)[0]
         if model_path and os.path.exists(model_path):
@@ -217,10 +217,6 @@ class EOMLWorkflow:
             if journal is not None:
                 journal.complete("model", journal_key, artifact=model_path)
             return model
-        stacks = []
-        for path in tile_paths:
-            ds = nc_read(path)
-            stacks.append(ds["radiance"].data.astype(np.float32))
         if not stacks:
             raise RuntimeError("no tiles available to bootstrap an AICCA model")
         tiles = np.concatenate(stacks)
@@ -285,9 +281,8 @@ class EOMLWorkflow:
         bare context.  ``handles`` (shared with the caller) receives, under
         ``base[@tag]`` names, the live ``worker``/``crawler`` objects
         plus the model-bootstrap bookkeeping, since those outlive their
-        nodes.  Any driver that honours the edges — the local
-        :class:`PlanRunner` or :class:`StreamingPlanRunner`, the flows
-        engine, the zambeze orchestrator — can execute either plan.
+        nodes.  Either runner — :class:`PlanRunner` or
+        :class:`StreamingPlanRunner` — can execute the plan.
         """
         config = self.config
         ctx = ctx or RunContext()
@@ -357,19 +352,43 @@ class EOMLWorkflow:
                     prov.end_activity(activity)
                 return download
 
-            def head_tiles(tokens, held: List[Any]) -> List[str]:
-                """Tile files of the instrument's bootstrap scene.
+            def head_radiance(report: PreprocessReport) -> List[np.ndarray]:
+                """The radiance in a bootstrap candidate's tile file(s).
+
+                A file that cannot be read (a ``corrupt_tile`` fault
+                publishes a well-named truncated one) goes down the road
+                inference sends a bad tile file: set aside in the
+                quarantine directory, and the scene's result becomes a
+                quarantine record in its report, so the run's errors and
+                counts show it and nothing downstream trips on it again.
+                """
+                stacks = []
+                for result in [r for r in report.results if r.tile_path]:
+                    try:
+                        ds = nc_read(result.tile_path)
+                        stacks.append(ds["radiance"].data.astype(np.float32))
+                    except (OSError, ValueError, KeyError) as exc:
+                        name = os.path.basename(result.tile_path)
+                        set_aside(result.tile_path, icfg.quarantine)
+                        report.results.remove(result)
+                        report.quarantined.append(QuarantineRecord(
+                            key=result.key, error=f"unreadable tile file {name}: {exc}"
+                        ))
+                return stacks
+
+            def head_tiles(tokens, held: List[Any]) -> List[np.ndarray]:
+                """Radiance of the instrument's bootstrap scene, per file.
 
                 Scenes arrive in completion order, but every model must
                 train on the same scene whatever the thread timing — the
-                sorted-first complete scene that yields tiles — or the
-                model, and every label downstream, would drift.  So
-                tokens are pulled (into ``held``, for the relay) only
-                until that scene settles, advancing past quarantined or
-                tileless scenes so a single corrupt one can not sink the
-                whole run.  The scenes tiled here are remembered per
-                instrument: a sibling model reuses the result, and the
-                preprocess node skips them.
+                sorted-first complete scene that yields readable tiles —
+                or the model, and every label downstream, would drift.
+                So tokens are pulled (into ``held``, for the relay) only
+                until that scene settles, advancing past quarantined,
+                tileless or unreadable scenes so a single corrupt one
+                can not sink the whole run.  The scenes tiled here are
+                remembered per instrument: a sibling model reuses the
+                result, and the preprocess node skips them.
                 """
                 heads = handles[heads_key]
                 planned: Optional[List[str]] = None
@@ -398,9 +417,9 @@ class EOMLWorkflow:
                         continue  # incomplete scene; never preprocessed
                     if key not in heads:
                         heads[key] = preprocess_stage.run([arrived[key]])
-                    paths = [r.tile_path for r in heads[key].results if r.tile_path]
-                    if paths:
-                        return paths
+                    stacks = head_radiance(heads[key])
+                    if stacks:
+                        return stacks
                 return []
 
             def model_node(mdl: str, upstream: List[str]) -> StageNode:
@@ -442,11 +461,11 @@ class EOMLWorkflow:
                                 # configured model file is the user's —
                                 # never deleted here.
                                 os.remove(model_path)
-                            tile_paths: List[str] = []
+                            stacks: List[np.ndarray] = []
                             if not (model_path and os.path.exists(model_path)):
-                                tile_paths = head_tiles(tokens, held)
+                                stacks = head_tiles(tokens, held)
                             model = self._bootstrap_model(
-                                bcfg, tile_paths, model_path, journal
+                                bcfg, stacks, model_path, journal
                             )
                         handles[name] = model
                         ready.set()
@@ -766,9 +785,13 @@ class EOMLWorkflow:
             quarantined.inc(len(download.failed) + len(download.incomplete), stage="download")
             quarantined.inc(len(preprocess.quarantined), stage="preprocess")
             quarantined.inc(len(inference_quarantined), stage="inference")
+            # Faults fire in whichever process ran the unit, so the ledger
+            # is summed from the counters that came home, not read off
+            # this process's injector.
             faults = metrics.counter("faults_injected")
-            if chaos is not None:
-                for kind, count in sorted(chaos.counts_by_kind().items()):
+            chaos_summary = chaos.summary(totals) if chaos is not None else None
+            if chaos_summary is not None:
+                for kind, count in chaos_summary["by_kind"].items():
                     faults.inc(count, kind=kind)
 
             # Checkpoint/resume accounting (always present, zeros on fresh
@@ -900,7 +923,7 @@ class EOMLWorkflow:
                 errors=errors,
                 provenance=prov,
                 metrics=metrics,
-                chaos=chaos.summary() if chaos is not None else None,
+                chaos=chaos_summary,
                 inference_quarantined=inference_quarantined,
                 resumed_items=journal_counters["resumed_items"],
                 replayed_items=journal_counters["replayed_items"],

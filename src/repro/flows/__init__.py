@@ -3,17 +3,9 @@
 from repro.flows.cwl import CwlError, cwl_to_flow, extract_outputs
 from repro.flows.definition import FlowError, resolve_ref, validate
 from repro.flows.engine import FlowRun, FlowsEngine, RunStatus, StateRecord
-from repro.flows.pipeline import (
-    plan_providers,
-    run_plan_with_flows,
-    to_flow_definition,
-)
 from repro.flows.registry import FlowRegistry, PublishedFlow
 
 __all__ = [
-    "to_flow_definition",
-    "plan_providers",
-    "run_plan_with_flows",
     "validate",
     "resolve_ref",
     "FlowError",

@@ -4,9 +4,8 @@ One :class:`StageExecutor` with an ordered middleware stack (metrics,
 quarantine, journal, cache, chaos, precheck, retry) runs the
 :class:`WorkUnit`\\ s every stage produces, and one declarative
 :class:`PipelinePlan` states the workflow's structure (download barrier,
-monitor/inference overlap) as explicit edges that the local
-:class:`PlanRunner`, the flows engine, and the zambeze orchestrator can
-all drive.
+monitor/inference overlap) as explicit edges that :class:`PlanRunner`
+and :class:`StreamingPlanRunner` both drive.
 
 Layering contract: this package must not import ``repro.core`` (checked
 by ``tools/check_layering.py`` and CI).

@@ -9,11 +9,11 @@ download stage cannot flood memory while preprocessing lags.  Both ends
 account their waiting (producer stall seconds, consumer wait seconds)
 and the high-water queue depth, which roll up into ``WorkflowReport``.
 
-Sequential drivers (the flows state machine, the zambeze orchestrator)
-run the producer's node to completion before the consumer starts, so a
-bounded channel would deadlock them; :class:`~repro.runtime.plan.
-PlanExecution` therefore creates channels *relaxed* (unbounded) unless a
-concurrent runner asks for backpressure, and any driver can
+A sequential driver (the listed-order :class:`~repro.runtime.plan.
+PlanRunner`) runs the producer's node to completion before the consumer
+starts, so a bounded channel would deadlock it; :class:`~repro.runtime.
+plan.PlanExecution` therefore creates channels *relaxed* (unbounded)
+unless a concurrent runner asks for backpressure, and any driver can
 :meth:`relax` a channel to unblock producers whose consumer died.
 
 This module (like the whole ``repro.runtime`` package) must not import

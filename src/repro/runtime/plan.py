@@ -18,14 +18,13 @@ control flow:
   bodies run, so makespan approaches max(stage) instead of sum(stages).
 
 :class:`PlanExecution` carries the mechanics of honouring those edges
-for *any* driver: the local :class:`PlanRunner` walks nodes in listed
-order (stream channels relaxed, so the buffered hand-off still flows),
-:class:`StreamingPlanRunner` runs stream-connected nodes concurrently
-under backpressure, and the flows engine (state-machine states) and the
-zambeze orchestrator (campaign activities) call
-:meth:`PlanExecution.run_node` from their own schedulers — same plan,
-three engines.  This module must not import ``repro.core``; nodes close
-over their stage objects.
+for both runners, which call :meth:`PlanExecution.run_node` from their
+own schedulers: :class:`PlanRunner` walks nodes in listed order (stream
+channels relaxed, so the buffered hand-off still flows) and
+:class:`StreamingPlanRunner` runs stream-connected nodes concurrently,
+one thread each, under backpressure — same plan, same node bodies.
+This module must not import ``repro.core``; nodes close over their
+stage objects.
 """
 
 from __future__ import annotations
@@ -152,13 +151,13 @@ class PlanExecution:
     Stream channels are created for every ``stream`` edge and published
     in ``state[STREAMS_KEY]`` as a :class:`~repro.runtime.channel.
     StreamHub`.  They are **bounded only when** ``concurrent=True`` (a
-    runner that genuinely overlaps producer and consumer); sequential
-    drivers — the listed-order :class:`PlanRunner`, the flows engine,
-    the zambeze orchestrator — get relaxed (unbounded) channels, so the
-    producer's full output buffers and the consumer drains it afterwards
-    with identical bodies and no deadlock.  A node's outgoing channels
-    are closed when its body returns (or raises, or the node skips), and
-    its incoming channels are relaxed once it can no longer consume.
+    runner that genuinely overlaps producer and consumer); a sequential
+    driver — the listed-order :class:`PlanRunner` — gets relaxed
+    (unbounded) channels, so the producer's full output buffers and the
+    consumer drains it afterwards with identical bodies and no deadlock.
+    A node's outgoing channels are closed when its body returns (or
+    raises, or the node skips), and its incoming channels are relaxed
+    once it can no longer consume.
     """
 
     def __init__(

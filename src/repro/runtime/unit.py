@@ -10,9 +10,8 @@ quarantine-and-continue, per-unit metrics) exactly once, so no stage
 hand-wires its own copy.
 
 This module (and the whole ``repro.runtime`` package) must never import
-``repro.core``: the flows engine and the zambeze orchestrator execute
-the same units and plans without pulling in the local stage
-implementations.
+``repro.core``: the runtime is the layer under the stages, and pool
+workers and site agents run the same units through it.
 """
 
 from __future__ import annotations

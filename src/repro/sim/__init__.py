@@ -10,7 +10,6 @@ from repro.sim.kernel import (
     SimulationError,
     Timeout,
 )
-from repro.sim.random import RngStreams
 from repro.sim.resources import Container, Flow, FluidPipe, Resource, Store
 from repro.sim.trace import Span, StepSeries, Tracer
 
@@ -28,7 +27,6 @@ __all__ = [
     "Container",
     "FluidPipe",
     "Flow",
-    "RngStreams",
     "Tracer",
     "Span",
     "StepSeries",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compute import FunctionRegistry, LocalComputeEndpoint, SimComputeEndpoint
+from repro.compute import LocalComputeEndpoint, SimComputeEndpoint
 from repro.sim import Simulation, Tracer
 
 
@@ -102,37 +102,6 @@ class TestSimEndpoint:
         sim.run()
         assert endpoint.tasks_completed == 2
         assert sim.now == pytest.approx(11.0)
-
-
-class TestRegistry:
-    def test_register_and_resolve(self):
-        registry = FunctionRegistry()
-
-        def download(span):
-            return span
-
-        fid = registry.register(download, description="fetch MODIS files")
-        assert registry.resolve(fid).fn is download
-        assert registry.resolve("download").fn is download
-        assert "download" in registry
-        assert len(registry) == 1
-
-    def test_idempotent_registration(self):
-        registry = FunctionRegistry()
-
-        def fn():
-            return 1
-
-        assert registry.register(fn) == registry.register(fn)
-        assert len(registry) == 1
-
-    def test_unknown(self):
-        with pytest.raises(KeyError):
-            FunctionRegistry().resolve("ghost")
-
-    def test_non_callable(self):
-        with pytest.raises(TypeError):
-            FunctionRegistry().register(42)  # type: ignore[arg-type]
 
 
 class TestLocalEndpoint:

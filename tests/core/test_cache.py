@@ -4,9 +4,9 @@ The contract the CAS layer must honour, stated as golden-corpus
 identities: caching is a *performance* feature, so the delivered corpus
 is byte-identical with the cache off, with it cold, with it warm, under
 injected corruption and store failures, across a crash + ``--resume``,
-and under the streaming / worker-pool / flows / zambeze drivers.  A warm
-second run must also actually short-circuit: zero bytes fetched from the
-archive, deliveries materialized out of the store.
+and under the streaming / worker-pool drivers.  A warm second run must
+also actually short-circuit: zero bytes fetched from the archive,
+deliveries materialized out of the store.
 """
 
 import hashlib
@@ -20,11 +20,7 @@ from tests.core.test_crash_resume import parse_stats, run_driver
 
 from repro.chaos.surfaces import CRASH_EXIT_CODE
 from repro.core import EOMLWorkflow, load_config
-from repro.core.artifact_cache import open_store
-from repro.core.context import RunContext
-from repro.flows import run_plan_with_flows
 from repro.modis import MINI_SWATH, LaadsArchive
-from repro.zambeze import run_plan_with_zambeze
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_corpus.json")
 
@@ -108,27 +104,6 @@ class TestGoldenIdentity:
         assert report.errors == []
         assert delivered_digests(config.destination) == _GOLDEN["files"]
         assert report.cache["fetched_bytes"] == 0
-
-    def test_flows_and_zambeze_drivers_share_the_same_cas(
-        self, tmp_path, warm_cas
-    ):
-        cas_dir, _ = warm_cas
-        for name, drive in (
-            ("flows", lambda plan: run_plan_with_flows(plan, label="eo-ml")),
-            ("zambeze", lambda plan: run_plan_with_zambeze(plan, facility="olcf")),
-        ):
-            root = tmp_path / name
-            config = cached_config(root, cas_dir)
-            workflow = EOMLWorkflow(
-                config,
-                archive=LaadsArchive(seed=_GOLDEN["seed"], swath=MINI_SWATH),
-            )
-            cas = open_store(config)
-            plan = workflow.build_plan(RunContext(cache=cas))
-            drive(plan)
-            assert delivered_digests(config.destination) == _GOLDEN["files"]
-            # Everything the plan consumed was served out of the store.
-            assert cas.counters()["hits"] > 0
 
 
 class TestChaosSurfaces:

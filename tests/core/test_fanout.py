@@ -4,8 +4,8 @@ A ``{modis, abi} x {ricc, heuristic}`` config must fan the plan out into
 four branches that deliver into per-branch destination directories, with
 each branch's labels attributed to its own model — and the per-branch
 corpus must be byte-identical whichever engine drives the plan (barrier,
-streaming, flows, zambeze, sharded worker pool), including across a
-crash and ``--resume``.
+streaming, sharded worker pool), including across a crash and
+``--resume``.
 """
 
 import dataclasses
@@ -28,11 +28,9 @@ from repro.core.download import DownloadReport, GranuleSet
 from repro.core.preprocess import PreprocessReport, PreprocessResult, QuarantineRecord
 from repro.core.shipment import ShipmentReport
 from repro.core.workflow import merge_reports
-from repro.flows import RunStatus, run_plan_with_flows
 from repro.instruments import get_model
 from repro.modis import MINI_SWATH, LaadsArchive
 from repro.netcdf import read as nc_read
-from repro.zambeze import run_plan_with_zambeze
 
 GRANULES = 1
 SEED = 3
@@ -312,26 +310,6 @@ class TestDriverEquivalence:
         assert report.errors == []
         assert report.scaleout["enabled"]
         assert report.scaleout["units_executed"] > 0
-        assert read_corpus(workflow.config.destination) == expected
-
-    def test_flows_engine_matches_barrier(self, barrier, tmp_path):
-        _report, _config, expected = barrier
-        workflow = make_workflow(tmp_path)
-        plan = workflow.build_plan()
-        run, execution = run_plan_with_flows(plan, label="eo-ml-fanout")
-        assert run.status == RunStatus.SUCCEEDED
-        for branch in BRANCHES:
-            shipment = execution.state[f"shipment@{branch}"]
-            assert shipment is not None and shipment.error is None
-        assert read_corpus(workflow.config.destination) == expected
-
-    def test_zambeze_orchestrator_matches_barrier(self, barrier, tmp_path):
-        _report, _config, expected = barrier
-        workflow = make_workflow(tmp_path)
-        plan = workflow.build_plan()
-        report, _execution = run_plan_with_zambeze(plan, facility="olcf")
-        assert report.succeeded
-        assert not report.errors
         assert read_corpus(workflow.config.destination) == expected
 
 

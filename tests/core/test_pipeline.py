@@ -13,7 +13,6 @@ from repro.core import (
     InferenceWorker,
     PreprocessStage,
     ShipmentStage,
-    StreamingClassifier,
     load_config,
 )
 from repro.modis import MINI_SWATH, LaadsArchive
@@ -245,28 +244,3 @@ class TestFlowsDrivenInference:
         assert len(labelled) == len(tile_paths)
         for path in labelled:
             assert (nc_read(path)["label"].data >= 0).all()
-
-
-class TestStreaming:
-    def test_streaming_classifier(self, tmp_path, mini_archive):
-        config = make_config(tmp_path, granules=3)
-        download = DownloadStage(config, archive=mini_archive).run()
-        preprocess = PreprocessStage(config).run(download.granule_sets[:1])
-        tiles = np.concatenate(
-            [nc_read(r.tile_path)["radiance"].data for r in preprocess.results if r.tile_path]
-        ).astype(np.float32)
-        model, _ = AICCAModel.train(tiles, num_classes=3, latent_dim=4, hidden=(32,), epochs=3)
-        streamer = StreamingClassifier(model=model, config=config)
-        results = list(streamer.run(iter(download.granule_sets[1:])))
-        assert len(results) == 2
-        assert streamer.total_tiles == sum(r.tiles for r in results)
-        assert streamer.recent_rate_tiles_per_s() is not None
-        if streamer.total_tiles:
-            assert streamer.dominant_classes(top=2)
-
-    def test_class_drift_requires_history(self, tmp_path, mini_archive):
-        config = make_config(tmp_path)
-        model = None
-        streamer = StreamingClassifier(model=model, config=config)
-        with pytest.raises(ValueError):
-            streamer.class_drift(2, 2)

@@ -261,6 +261,39 @@ class TestPreprocessResilience:
         assert snap["eo_ml.quarantined{stage=preprocess}"] == 1
         assert snap["eo_ml.faults_injected{kind=torn_write}"] == 1
 
+    def test_corrupt_bootstrap_scene_is_quarantined_not_fatal(self, tmp_path):
+        """Matrix (workflow level): preprocess x corrupt_tile on the scene
+        the model bootstraps from -> that scene is quarantined and the
+        model trains from the next tile-yielding one — the same one, so
+        the same labels, whatever the thread timing."""
+        chaos_section = {
+            "seed": 0,
+            "faults": [{"stage": "preprocess", "kind": "corrupt_tile",
+                        "match": "scene.terra.2022-01-01.000"}],
+        }
+        delivered = {}
+        for mode, streaming in (("barrier", False), ("streaming", True)):
+            config = make_config(tmp_path / mode, granules=3, chaos=chaos_section)
+            report = EOMLWorkflow(config, archive=fresh_archive()).run(
+                provenance=False, streaming=streaming
+            )
+            head = "scene.terra.2022-01-01.000"
+            survivors = sorted(r.key for r in report.preprocess.results)
+            assert [q.key for q in report.preprocess.quarantined] == [head]
+            assert "unreadable tile file" in report.preprocess.quarantined[0].error
+            assert any(f"preprocess quarantined {head}" in e for e in report.errors)
+            assert survivors == ["scene.terra.2022-01-01.001", "scene.terra.2022-01-01.002"]
+            assert report.inference_quarantined == []
+            assert report.labelled_tiles == report.total_tiles > 0
+            assert os.listdir(config.quarantine) == ["tiles_scene_terra_2022-01-01_000.nc"]
+            assert report.metrics.snapshot()["eo_ml.quarantined{stage=preprocess}"] == 1
+            delivered[mode] = {
+                name: open(os.path.join(config.destination, name), "rb").read()
+                for name in sorted(os.listdir(config.destination))
+            }
+            assert len(delivered[mode]) == 2
+        assert delivered["streaming"] == delivered["barrier"]
+
 
 # ---------------------------------------------------------------------------
 # Shipment stage

@@ -180,6 +180,35 @@ class TestCountersComeHome:
         snapshot = report.metrics.snapshot()
         assert report.download.breaker_trips == snapshot["eo_ml.breaker_open"] > 0
 
+    def test_injected_faults_reach_the_ledger_wherever_they_fired(self, tmp_path):
+        """A fault fires in whichever process ran the unit; the report's
+        chaos ledger and the ``faults_injected`` metric must count the
+        same seeded faults whether or not a pool ran them."""
+        ledgers = {}
+        for mode, runtime in (("inline", None), ("pool", {"workers": 2})):
+            raw = build_raw_config(str(tmp_path / mode), 3)
+            raw["download"] = {"workers": 2, "backoff_base": 0.001, "backoff_total": 0.05}
+            raw["chaos"] = {"seed": 11, "faults": [
+                {"stage": "download", "kind": "http_transient", "rate": 0.6, "times": 1},
+                {"stage": "preprocess", "kind": "worker_stall", "rate": 1.0,
+                 "times": 1, "latency": 0.001},
+            ]}
+            if runtime:
+                raw["runtime"] = runtime
+            workflow = EOMLWorkflow(
+                load_config(raw), archive=LaadsArchive(seed=3, swath=MINI_SWATH)
+            )
+            report = workflow.run(provenance=False)
+            assert report.errors == []
+            ledgers[mode] = report.chaos
+            assert report.chaos["faults_injected"] > 0
+            assert report.chaos["by_kind"]["http_transient"] > 0
+            assert report.chaos["by_kind"]["worker_stall"] > 0
+            snapshot = report.metrics.snapshot()
+            assert snapshot["eo_ml.faults_injected"] == report.chaos["faults_injected"]
+        assert ledgers["pool"]["by_kind"] == ledgers["inline"]["by_kind"]
+        assert ledgers["pool"]["by_stage"] == ledgers["inline"]["by_stage"]
+
 
 def _tree(root):
     """Every file under ``root`` -> its bytes."""

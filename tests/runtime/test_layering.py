@@ -1,11 +1,12 @@
 """The layering contract, enforced two ways.
 
-``repro.runtime`` is the layer under the stages: the flows engine and
-zambeze orchestrator execute its plans without the local stage
-implementations, so an import edge into ``repro.core`` would invert the
-architecture.  CI runs ``tools/check_layering.py``; this test runs the
-same checker in-process (so a violation fails the suite before CI) and
-pins the checker's own detection logic against synthetic trees.
+``repro.runtime`` is the layer under the stages, which import it, so an
+import edge into ``repro.core`` would invert the architecture.  CI runs
+``tools/check_layering.py``; this test runs the same checker in-process
+(so a violation fails the suite before CI) and pins the checker's own
+detection logic against synthetic trees.  The dead-module rule
+(``tools/check_dead.py``: nothing under ``src/`` is kept alive by
+``tests/`` alone) is pinned the same way.
 """
 
 import ast
@@ -19,6 +20,7 @@ REPO_ROOT = os.path.abspath(
 CHECKER = os.path.join(REPO_ROOT, "tools", "check_layering.py")
 
 sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
+import check_dead  # noqa: E402
 import check_layering  # noqa: E402
 
 
@@ -149,3 +151,91 @@ class TestCheckerLogic:
             and function == check_layering.OPENER_HOME[1]
         }
         assert called == set(check_layering.OPENERS)
+
+
+class TestDeadModuleRule:
+    """``tools/check_dead.py``: reachable from an example, a benchmark or
+    a ``__main__`` — or dead, whatever ``tests/`` imports."""
+
+    def dead(self, root, files):
+        for relative, source in files.items():
+            path = root / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source)
+        return check_dead.SourceTree(str(root)).dead()
+
+    def test_module_imported_only_by_its_tests_is_dead(self, tmp_path):
+        assert self.dead(tmp_path, {
+            "src/pkg/__init__.py": "",
+            "src/pkg/used.py": "def f():\n    return 1\n",
+            "src/pkg/lonely.py": "def g():\n    return 2\n",
+            "examples/run.py": "from pkg.used import f\n",
+            "tests/test_lonely.py": "from pkg.lonely import g\n",
+        }) == ["pkg.lonely"]
+
+    def test_reexport_by_its_own_package_does_not_keep_a_module_alive(self, tmp_path):
+        assert self.dead(tmp_path, {
+            "src/pkg/__init__.py": "",
+            "src/pkg/sub/__init__.py": "from pkg.sub.a import A\nfrom .b import B\n",
+            "src/pkg/sub/a.py": "class A:\n    pass\n",
+            "src/pkg/sub/b.py": "class B:\n    pass\n",
+            "src/pkg/main.py": "from pkg.sub import A\n",
+            "src/pkg/__main__.py": "from pkg import main\n",
+            "tests/test_b.py": "from pkg.sub import B\n",
+        }) == ["pkg.sub.b"]
+
+    def test_wholly_dead_package_is_reported_once(self, tmp_path):
+        assert self.dead(tmp_path, {
+            "src/pkg/__init__.py": "",
+            "src/pkg/live.py": "X = 1\n",
+            "src/pkg/toy/__init__.py": "from pkg.toy.bus import Bus\n",
+            "src/pkg/toy/bus.py": "class Bus:\n    pass\n",
+            "src/pkg/toy/agent.py": "from pkg.toy.bus import Bus\n",
+            "benchmarks/bench.py": "import pkg.live\n",
+            "tests/test_toy.py": "from pkg.toy import Bus\n",
+        }) == ["pkg.toy"]
+
+    def test_reexported_name_imported_elsewhere_reaches_its_module(self, tmp_path):
+        assert self.dead(tmp_path, {
+            "src/pkg/__init__.py": "",
+            "src/pkg/sub/__init__.py": "from pkg.sub.a import A as Renamed\n",
+            "src/pkg/sub/a.py": "class A:\n    pass\n",
+            "src/pkg/cli.py": "from pkg import sub\n\ndef main():\n    return sub.Renamed()\n",
+            "src/pkg/__main__.py": "from pkg.cli import main\n",
+            "examples/run.py": "from pkg.sub import Renamed\n",
+        }) == []
+
+    def test_attribute_use_on_an_imported_package_reaches_the_module(self, tmp_path):
+        files = {
+            "src/pkg/__init__.py": "",
+            "src/pkg/sub/__init__.py": "from pkg.sub.a import run\nfrom pkg.sub.b import idle\n",
+            "src/pkg/sub/a.py": "def run():\n    return 1\n",
+            "src/pkg/sub/b.py": "def idle():\n    return 0\n",
+            "src/pkg/__main__.py": "from pkg import sub\n\nsub.run()\n",
+        }
+        assert self.dead(tmp_path, files) == ["pkg.sub.b"]
+
+    def test_string_target_counts_as_an_import(self, tmp_path):
+        assert self.dead(tmp_path, {
+            "src/pkg/__init__.py": "",
+            "src/pkg/pool.py": "TARGET = 'pkg.worker:build'\n",
+            "src/pkg/worker.py": "def build(payload):\n    return payload\n",
+            "examples/run.py": "from pkg.pool import TARGET\n",
+        }) == []
+
+    def test_module_only_an_example_imports_is_alive(self, tmp_path):
+        assert self.dead(tmp_path, {
+            "src/pkg/__init__.py": "",
+            "src/pkg/leaf.py": "from . import helper\n",
+            "src/pkg/helper.py": "X = 1\n",
+            "examples/demo.py": "from pkg import leaf\n",
+        }) == []
+
+    def test_the_source_tree_has_no_dead_modules(self):
+        assert check_dead.SourceTree(REPO_ROOT).dead() == []
+        proc = subprocess.run(
+            [sys.executable, os.path.join(REPO_ROOT, "tools", "check_dead.py")],
+            cwd=REPO_ROOT, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "dead-module check ok" in proc.stdout

@@ -125,7 +125,7 @@ class TestPlanExecution:
         assert begun == ["a", "c"]           # a skipped node never begins
 
     def test_driver_order_free_when_barriers_allow(self):
-        # The zambeze/flows schedulers may pick any legal order.
+        # The streaming runner's node threads reach run_node in any legal order.
         plan = PipelinePlan([node("a"), node("b"), node("c", after=("a", "b"))])
         execution = PlanExecution(plan)
         execution.run_node("b")
@@ -273,9 +273,8 @@ class TestSequentialStreamExecution:
         assert STREAMS_KEY not in state
 
     def test_out_of_order_driver_still_flows(self):
-        # flows/zambeze schedulers call run_node themselves; the stream
-        # edge adds a dependency in those adapters, but the execution
-        # itself only requires the tokens to be buffered.
+        # A sequential driver calls run_node itself; the execution only
+        # requires the producer's tokens to be buffered first.
         produced, consumed = [], []
         execution = PlanExecution(stream_plan(produced, consumed))
         execution.run_node("producer")

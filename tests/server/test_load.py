@@ -1,9 +1,9 @@
 """Load test: the control plane under a concurrent client burst.
 
 Marked ``slow``: the tier-1 job skips it (``-m "not slow"``); the
-bench-smoke CI job runs it, alongside the ``control_plane`` entry in
-``BENCH_endtoend.json`` (see ``benchmarks/baseline.py``) which records
-p95 latency and submissions/sec for regression gating.
+bench-smoke CI job runs it, alongside the ``agents_wire`` workload of
+``BENCHMARK.json``, whose ``server.*`` ledger rows carry the lease-cycle
+latency.
 
 The shape mirrors the paper's multi-facility reality: many operators
 and agents hammering one service — here ≥200 concurrent clients, each

@@ -3,11 +3,11 @@
 no module may be a re-export shim, the stage modules never import an
 executor substrate, and only the run context's opener opens a run.
 
-The unified stage runtime is the layer *under* the stages — the flows
-engine and the zambeze orchestrator execute runtime plans without the
-local stage implementations, so an import edge from ``repro.runtime``
-into ``repro.core`` would invert the architecture (and reintroduce the
-cycle the refactor removed).  This script walks the runtime package's
+The unified stage runtime is the layer *under* the stages — pool
+workers and site agents run units through it, and the stages import it —
+so an import edge from ``repro.runtime`` into ``repro.core`` would
+invert the architecture (and reintroduce the cycle the refactor
+removed).  This script walks the runtime package's
 ASTs and fails loudly on any ``import``/``from`` that resolves into a
 forbidden layer.  It also fails on any non-``__init__`` module under
 ``src/repro`` that consists only of imports and ``__all__``: a moved
