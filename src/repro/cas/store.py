@@ -130,9 +130,9 @@ class CASStore:
 
     def _chaos_corrupt(self, digest: str, path: str) -> None:
         if self.chaos is not None and self.chaos.fire("cache", "cache_corrupt", digest):
-            size = os.path.getsize(path)
-            with open(path, "r+b") as handle:
-                handle.truncate(max(1, size // 2))
+            from repro.chaos.surfaces import damage_file
+
+            damage_file(path)
 
     def _chaos_crash(self, key: str) -> None:
         if self.chaos is not None:

@@ -82,17 +82,23 @@ def chaos_stall(
 
 
 def damage_file(path: str, keep_fraction: float = 0.5) -> None:
-    """Truncate a completed file, simulating partial/corrupted content.
+    """Replace a completed file with a truncated copy of itself,
+    simulating partial/corrupted content.
 
     Truncation is the corruption classic NetCDF reliably detects (the
     header promises more data than the file holds), unlike single-byte
-    flips which may land in data sections and parse cleanly.
+    flips which may land in data sections and parse cleanly.  The short
+    copy is renamed over the name, never cut in place: a reader that has
+    the file mapped (or another hardlink to it) keeps the whole content.
     """
     if not 0.0 <= keep_fraction < 1.0:
         raise ValueError("keep_fraction must be in [0, 1)")
-    size = os.path.getsize(path)
-    with open(path, "r+b") as handle:
-        handle.truncate(max(1, int(size * keep_fraction)))
+    keep = max(1, int(os.path.getsize(path) * keep_fraction))
+    # Unique per caller: two workers may damage one cached object at once.
+    temp_path = f"{path}.{os.getpid()}.{threading.get_ident()}{TEMP_SUFFIX}"
+    with open(path, "rb") as src, open(temp_path, "wb") as dst:
+        dst.write(src.read(keep))
+    os.replace(temp_path, path)
 
 
 def chaos_atomic_write(

@@ -8,12 +8,12 @@ files one at a time, so it composes directly with the crawler.
 
 Two hot-path optimizations live here.  *Label append*: a canonical tile
 file is re-serialized by rewriting only its header and label column
-(:func:`repro.netcdf.writer.splice_bytes`), reusing the already-parsed
-radiance bytes instead of re-encoding them.  *Micro-batching*: a worker
-opportunistically drains additional queued files and fuses their tiles
-into a single encoder/assign call, scattering the labels back per file —
-the float32 encoder amortizes dramatically better over one large batch
-than over many small ones.
+(:func:`repro.netcdf.writer.splice_chunks`), streaming the radiance bytes
+from the mapped tile file instead of re-encoding them.  *Micro-batching*:
+a worker opportunistically drains additional queued files and fuses their
+tiles into a single encoder/assign call, scattering the labels back per
+file — the float32 encoder amortizes dramatically better over one large
+batch than over many small ones.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from repro.core.config import EOMLConfig
 from repro.core.context import RunContext
 from repro.core.contracts import TILE_FILE
 from repro.core.preprocess import QuarantineRecord
-from repro.netcdf import Dataset, from_bytes as nc_from_bytes, to_bytes as nc_to_bytes
-from repro.netcdf.writer import canonical_layout, splice_bytes
+from repro.netcdf import Dataset, from_bytes as nc_from_bytes, map_file, to_chunks as nc_to_chunks
+from repro.netcdf.writer import canonical_layout, splice_chunks
 from repro.runtime import (
     QUARANTINED,
     RESUMED,
@@ -45,7 +45,7 @@ from repro.runtime import (
     WorkerCrashed,
     WorkUnit,
 )
-from repro.util.digest import atomic_publish_bytes
+from repro.util.digest import Buffer, atomic_publish_chunks
 
 __all__ = ["InferenceResult", "infer_tile_file", "InferenceWorker", "set_aside"]
 
@@ -63,63 +63,78 @@ class InferenceResult:
     seconds: float
 
 
-def _labelled_payload(
+def _labelled_chunks(
     ds: Dataset,
-    raw: Optional[bytes],
+    raw: Buffer,
     labels: np.ndarray,
     num_classes: int,
     attribution: str = "RICC/AICCA",
-) -> bytes:
-    """Write ``labels`` into ``ds`` and serialize.
+) -> Iterator[Buffer]:
+    """Give ``ds`` its ``labels`` and serialize, as chunks in file order.
 
-    When ``raw`` is the canonical serialization the dataset was parsed
-    from, only the header and the label column are rewritten and the
-    unchanged radiance bytes are spliced through verbatim.  The
+    When ``raw`` (the mapped tile file ``ds`` was parsed from) is the
+    canonical serialization, only the header and the label column are
+    rewritten and the unchanged radiance bytes are spliced through
+    verbatim from the map, a bounded buffer at a time.  The
     ``aicca_classes`` attribute name is the published LABELLED_TILE_FILE
     contract and stays fixed regardless of which model classified.
     """
-    layout = canonical_layout(ds, raw) if raw is not None else None
-    ds["label"].data[:] = labels.astype(ds["label"].data.dtype)
+    layout = canonical_layout(ds, raw)
+    ds["label"].data = labels.astype(ds["label"].data.dtype)
     ds["label"].set_attr("classified_by", attribution)
     ds.set_attr("aicca_classes", int(num_classes))
     if layout is not None:
-        return splice_bytes(ds, raw, layout, ("label",))
-    return nc_to_bytes(ds)
+        return splice_chunks(ds, raw, layout, ("label",))
+    return nc_to_chunks(ds)
 
 
-def _publish(payload: bytes, src_path: str, out_dir: str,
-             durable: bool = True) -> Tuple[str, str]:
+def _publish(chunks: Iterable[Buffer], src_path: str, out_dir: str,
+             durable: bool = True) -> Tuple[str, int, str]:
     """Atomically place the labelled bytes in the transfer-out directory.
 
     Full crash-consistency triple (temp + fsync + rename + dir fsync):
     the shipper and resume logic treat presence as completeness.
-    Returns ``(out_path, sha256)``; the digest comes from the write
-    itself, so the manifest never re-reads the published file.
+    Returns ``(out_path, nbytes, sha256)``; size and digest come from the
+    write itself, so the manifest never re-reads the published file.
     """
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, os.path.basename(src_path))
-    _, digest = atomic_publish_bytes(out_path, payload, durable=durable)
-    return out_path, digest
+    nbytes, digest = atomic_publish_chunks(out_path, chunks, durable=durable)
+    return out_path, nbytes, digest
+
+
+@dataclass
+class _ParsedFile:
+    """A tile file staged for an assign call."""
+
+    path: str
+    raw: Buffer       # the mapped tile file ``ds`` is a view of
+    ds: Dataset
+    radiance: np.ndarray  # (tiles, y, x, band) float32
+
+    @classmethod
+    def open(cls, path: str) -> "_ParsedFile":
+        """Map, parse and validate one tile file."""
+        raw = map_file(path)
+        ds = nc_from_bytes(raw)
+        TILE_FILE.validate(ds)
+        return cls(path, raw, ds, np.asarray(ds["radiance"].data, dtype=np.float32))
 
 
 def infer_tile_file(model: Any, src_path: str, out_dir: str) -> InferenceResult:
     """Label one tile file; writes the enriched copy to ``out_dir``."""
     started = time.monotonic()
-    with open(src_path, "rb") as handle:
-        raw = handle.read()
-    ds = nc_from_bytes(raw)
-    TILE_FILE.validate(ds)
-    radiance = np.asarray(ds["radiance"].data, dtype=np.float32)
-    labels = model.assign(radiance)
-    payload = _labelled_payload(
-        ds, raw, labels, model.num_classes,
+    entry = _ParsedFile.open(src_path)
+    labels = model.assign(entry.radiance)
+    chunks = _labelled_chunks(
+        entry.ds, entry.raw, labels, model.num_classes,
         attribution=getattr(model, "attribution", "RICC/AICCA"),
     )
-    out_path, _ = _publish(payload, src_path, out_dir)
+    out_path, _, _ = _publish(chunks, src_path, out_dir)
     return InferenceResult(
         src_path=src_path,
         out_path=out_path,
-        tiles=int(radiance.shape[0]),
+        tiles=int(entry.radiance.shape[0]),
         classes_seen=int(np.unique(labels).size),
         seconds=time.monotonic() - started,
     )
@@ -133,16 +148,6 @@ def set_aside(path: str, quarantine: str) -> None:
         os.replace(path, os.path.join(quarantine, os.path.basename(path)))
     except OSError:
         pass
-
-
-@dataclass
-class _ParsedFile:
-    """A tile file staged for a fused assign call."""
-
-    path: str
-    raw: bytes
-    ds: Dataset
-    radiance: np.ndarray  # (tiles, y, x, band) float32
 
 
 # One file's labelling outcome, the same tuple wherever the file was
@@ -331,12 +336,7 @@ class InferenceWorker:
 
         def body(ctx) -> _ParsedFile:
             ctx.begin()
-            with open(path, "rb") as handle:
-                raw = handle.read()
-            ds = nc_from_bytes(raw)
-            TILE_FILE.validate(ds)
-            radiance = np.asarray(ds["radiance"].data, dtype=np.float32)
-            return _ParsedFile(path=path, raw=raw, ds=ds, radiance=radiance)
+            return _ParsedFile.open(path)
 
         return WorkUnit(
             stage="inference",
@@ -356,7 +356,7 @@ class InferenceWorker:
             file_labels = (
                 labels if labels is not None else self.model.assign(entry.radiance)
             )
-            payload = _labelled_payload(
+            chunks = _labelled_chunks(
                 entry.ds, entry.raw, file_labels, self.model.num_classes,
                 attribution=self._attribution,
             )
@@ -366,8 +366,9 @@ class InferenceWorker:
                 self.ctx.chaos, "inference",
                 self.key_prefix + os.path.basename(entry.path),
             )
-            out_path, digest = _publish(payload, entry.path, self.config.transfer_out,
-                                        durable=self._durable)
+            out_path, nbytes, digest = _publish(
+                chunks, entry.path, self.config.transfer_out, durable=self._durable
+            )
             classes_seen = int(np.unique(file_labels).size)
             return UnitResult(
                 outcome="done",
@@ -377,7 +378,7 @@ class InferenceWorker:
                     "tiles": int(entry.radiance.shape[0]),
                     "classes_seen": classes_seen,
                     "sha256": digest,
-                    "nbytes": len(payload),
+                    "nbytes": nbytes,
                 },
             )
 

@@ -58,7 +58,7 @@ FIDELITY_COARSE = "coarse"
 class Tile:
     """One ocean-cloud tile with its AICCA-relevant metadata."""
 
-    data: np.ndarray          # (tile, tile, bands) float32
+    data: np.ndarray          # (tile, tile, bands) float32, either byte order
     row: int                  # tile-grid position within the swath
     col: int
     latitude: float           # tile-center geolocation
@@ -145,10 +145,10 @@ def extract_tiles(
             f"coarse stride {coarse_stride} does not divide tile size {tile_size}"
         )
 
-    cloud_tiles = _tile_view(cloud_mask.astype(np.float32), tile_size)
-    land_tiles = _tile_view(land_mask.astype(np.float32), tile_size)
-    cloud_frac = cloud_tiles.mean(axis=(2, 3))
-    land_frac = land_tiles.mean(axis=(2, 3))
+    # float32 means without a float32 copy of either mask.
+    cloud_tiles = _tile_view(cloud_mask, tile_size)
+    cloud_frac = cloud_tiles.mean(axis=(2, 3), dtype=np.float32)
+    land_frac = _tile_view(land_mask, tile_size).mean(axis=(2, 3), dtype=np.float32)
     selected = (land_frac <= max_land_fraction + 1e-12) & (cloud_frac > cloud_threshold)
     if only_positions is not None:
         wanted = np.zeros_like(selected)
@@ -161,22 +161,28 @@ def extract_tiles(
     if sel_rows.size == 0:
         return []
 
-    # Gather *only* the selected tiles.  _tile_view is a zero-copy view,
-    # so the fancy index below copies just the survivors, one band at a
-    # time — never the (rows, cols, tile, tile, bands) full-swath cube.
-    sel_data = np.stack(
-        [_tile_view(radiance[b], tile_size)[sel_rows, sel_cols] for b in range(bands)],
-        axis=-1,
-    ).astype(np.float32, copy=False)  # (n_selected, tile, tile, bands)
+    # Gather *only* the selected tiles, each straight into its slot of
+    # the one (n_selected, tile, tile, bands) cube — never the full-swath
+    # (rows, cols, tile, tile, bands) cube.  float32 in the source's byte
+    # order: radiances parsed from a granule file arrive big-endian, so
+    # the cube is already what the tile file stores.
+    sel_data = np.empty(
+        (sel_rows.size, tile_size, tile_size, bands),
+        dtype=np.dtype(np.float32).newbyteorder(radiance.dtype.byteorder),
+    )
+    for index, (row, col) in enumerate(zip(sel_rows.tolist(), sel_cols.tolist())):
+        top, left = row * tile_size, col * tile_size
+        tile = radiance[:, top : top + tile_size, left : left + tile_size]
+        sel_data[index] = tile.transpose(1, 2, 0)
     if coarse_stride > 1:
         sel_data = np.ascontiguousarray(coarsen_tile_data(sel_data, coarse_stride))
 
-    lat_mean = _tile_view(latitude.astype(np.float64), tile_size)[sel_rows, sel_cols].mean(
-        axis=(1, 2)
-    )
-    lon_mean = _tile_view(longitude.astype(np.float64), tile_size)[sel_rows, sel_cols].mean(
-        axis=(1, 2)
-    )
+    def _gathered(field_2d: np.ndarray) -> np.ndarray:
+        # Gather, then convert: float64 of the survivors, not of the swath.
+        return _tile_view(field_2d, tile_size)[sel_rows, sel_cols].astype(np.float64)
+
+    lat_mean = _gathered(latitude).mean(axis=(1, 2))
+    lon_mean = _gathered(longitude).mean(axis=(1, 2))
 
     # MOD06 means over cloudy pixels only, as masked batched sums.  A
     # selected tile always has cloud_frac > threshold >= 0, so the count
@@ -188,8 +194,7 @@ def extract_tiles(
     def _cloudy_mean(field_2d: Optional[np.ndarray]) -> np.ndarray:
         if field_2d is None:
             return np.full(sel_rows.size, np.nan)
-        gathered = _tile_view(field_2d.astype(np.float64), tile_size)[sel_rows, sel_cols]
-        sums = np.where(cloudy, gathered, 0.0).sum(axis=(1, 2))
+        sums = np.where(cloudy, _gathered(field_2d), 0.0).sum(axis=(1, 2))
         return np.where(cloudy_counts > 0, sums / safe_counts, np.nan)
 
     mean_tau = _cloudy_mean(optical_thickness)
@@ -222,6 +227,23 @@ def extract_tiles(
     ]
 
 
+def _cube_of(tiles: List[Tile]) -> np.ndarray:
+    """The (n, tile, tile, bands) cube of ``tiles``: the array they are
+    the slices of, in order (what ``extract_tiles`` returns), else a
+    fresh stack."""
+    cube = tiles[0].data.base
+    if (
+        isinstance(cube, np.ndarray)
+        and cube.shape[:1] == (len(tiles),)
+        and all(
+            tile.data.__array_interface__ == slot.__array_interface__
+            for tile, slot in zip(tiles, cube)
+        )
+    ):
+        return cube
+    return np.stack([tile.data for tile in tiles])
+
+
 def tiles_to_dataset(
     tiles: List[Tile],
     source: str = "",
@@ -252,8 +274,7 @@ def tiles_to_dataset(
     ds.create_dimension("y", shape[0])
     ds.create_dimension("x", shape[1])
     ds.create_dimension("band", shape[2])
-    stack = np.stack([tile.data for tile in tiles]).astype(np.float32, copy=False)
-    ds.create_variable("radiance", "f4", ("tile", "y", "x", "band"), stack,
+    ds.create_variable("radiance", "f4", ("tile", "y", "x", "band"), _cube_of(tiles),
                        attributes={"long_name": "ocean-cloud tile radiances"})
     ds.create_variable(
         "latitude", "f4", ("tile",), np.array([t.latitude for t in tiles], dtype=np.float32),

@@ -7,7 +7,7 @@ pure NumPy: :class:`Dataset` is the in-memory model; :func:`write` /
 """
 
 from repro.netcdf.dataset import Dataset, Dimension, Variable
-from repro.netcdf.reader import from_bytes, read
+from repro.netcdf.reader import from_bytes, map_file, read
 from repro.netcdf.types import NcFormatError, NcType
 from repro.netcdf.writer import WRITE_BUFFER, to_bytes, to_chunks, write
 
@@ -23,4 +23,5 @@ __all__ = [
     "to_chunks",
     "WRITE_BUFFER",
     "from_bytes",
+    "map_file",
 ]

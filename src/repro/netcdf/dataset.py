@@ -71,7 +71,11 @@ class Dimension:
 
 
 class Variable:
-    """A typed array over named dimensions, with attributes."""
+    """A typed array over named dimensions, with attributes.
+
+    In a parsed dataset ``data`` is a read-only view of the source:
+    change a variable by assigning ``data`` a new array.
+    """
 
     def __init__(
         self,
@@ -122,6 +126,10 @@ class Variable:
 
 class Dataset:
     """An in-memory NetCDF classic dataset.
+
+    A dataset built here owns its arrays; one parsed by ``read`` /
+    ``from_bytes`` holds read-only views of the mapped file or buffer
+    (kept alive by them; published files are never modified in place).
 
     >>> ds = Dataset()
     >>> ds.create_dimension("tile", None)   # record dimension

@@ -4,10 +4,15 @@ Parses bytes produced by :mod:`repro.netcdf.writer` — or by any conforming
 NetCDF classic writer — back into a :class:`repro.netcdf.dataset.Dataset`.
 Bounds are validated before every read so truncated or corrupt files fail
 with :class:`NcFormatError` rather than silent garbage.
+
+Variables are read-only views of the parsed buffer, and :func:`read` maps
+a file instead of reading it — safe because published files are never
+modified in place, so the length every bound was checked against holds.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import BinaryIO, Dict, List, Tuple, Union
 
@@ -16,14 +21,15 @@ import numpy as np
 from repro.netcdf.dataset import Dataset
 from repro.netcdf.types import NcFormatError, NcType, TYPE_INFO
 from repro.netcdf.writer import NC_ATTRIBUTE, NC_DIMENSION, NC_VARIABLE, _pad4
+from repro.util.digest import Buffer
 
-__all__ = ["read", "from_bytes"]
+__all__ = ["read", "from_bytes", "map_file"]
 
 
 class _Cursor:
     __slots__ = ("buf", "pos")
 
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: Buffer):
         self.buf = buf
         self.pos = 0
 
@@ -33,7 +39,7 @@ class _Cursor:
                 f"truncated file: needed {n} bytes at offset {self.pos}, "
                 f"have {len(self.buf) - self.pos}"
             )
-        chunk = self.buf[self.pos : self.pos + n]
+        chunk = bytes(self.buf[self.pos : self.pos + n])
         self.pos += n
         return chunk
 
@@ -83,8 +89,15 @@ def _read_attr_list(cursor: _Cursor) -> Dict[str, Union[str, np.ndarray]]:
     return attrs
 
 
-def from_bytes(buf: bytes) -> Dataset:
-    """Parse NetCDF classic bytes into a Dataset."""
+def from_bytes(buf: Buffer) -> Dataset:
+    """Parse a NetCDF classic buffer into a Dataset of views over it.
+
+    Variable arrays alias ``buf`` (keeping it alive) and are read-only:
+    to change a variable, assign ``Variable.data`` a new array.  Only a
+    record variable filling under half of each record (a per-tile column
+    beside a radiance cube) is gathered into an array of its own — a
+    view of it would pin the whole buffer for a few bytes per record.
+    """
     cursor = _Cursor(buf)
     magic = cursor.take(4)
     if magic[:3] != b"CDF":
@@ -189,9 +202,8 @@ def from_bytes(buf: bytes) -> Dataset:
                     raise NcFormatError(
                         f"records of {name!r} extend past end of file"
                     )
-                # One strided gather over the whole record region instead
-                # of a per-record frombuffer loop: records of this
-                # variable sit ``recsize`` bytes apart in the slab.
+                # One strided view over the whole record region: records
+                # of this variable sit ``recsize`` bytes apart in the slab.
                 strided = np.ndarray(
                     shape=(numrecs, count),
                     dtype=info.dtype,
@@ -199,9 +211,10 @@ def from_bytes(buf: bytes) -> Dataset:
                     offset=begin,
                     strides=(recsize, info.size),
                 )
-                # .copy() also detaches the view from the immutable
-                # ``buf`` so the variable's data stays writable.
-                data = strided.copy().reshape((numrecs, *tail_shape))
+                if 2 * per_rec < recsize:
+                    strided = strided.copy()
+                # Splitting the contiguous last axis never copies.
+                data = strided.reshape((numrecs, *tail_shape))
             shape_dims = [dim_names[d] for d in dim_ids]
         else:
             shape = tuple(dims[d][1] for d in dim_ids)
@@ -210,7 +223,7 @@ def from_bytes(buf: bytes) -> Dataset:
                 count_elems *= extent
             if begin + count_elems * info.size > len(buf):
                 raise NcFormatError(f"variable {name!r} extends past end of file")
-            data = np.frombuffer(buf, dtype=info.dtype, count=count_elems, offset=begin).reshape(shape).copy()
+            data = np.frombuffer(buf, info.dtype, count_elems, begin).reshape(shape)
             shape_dims = [dim_names[d] for d in dim_ids]
         variable = dataset.create_variable(name, nc_type, shape_dims, data)
         for attr_name, attr_value in attrs.items():
@@ -218,11 +231,23 @@ def from_bytes(buf: bytes) -> Dataset:
     return dataset
 
 
+def map_file(path: str) -> Buffer:
+    """A file's content as a read-only map (``b""`` for an empty file,
+    which cannot be mapped).  The descriptor opened here is closed before
+    returning; the map, and the one it duplicated, go with the last
+    reference — arrays parsed from the map count."""
+    with open(path, "rb") as handle:
+        try:
+            return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:
+            return handle.read()
+
+
 def read(source: Union[str, BinaryIO, bytes]) -> Dataset:
-    """Read a dataset from a path, binary file object, or bytes."""
+    """Read a dataset from a path (mapped, not read: a variable nobody
+    touches is never paged in), a binary file object, or bytes."""
     if isinstance(source, bytes):
         return from_bytes(source)
     if isinstance(source, str):
-        with open(source, "rb") as handle:
-            return from_bytes(handle.read())
+        return from_bytes(map_file(source))
     return from_bytes(source.read())

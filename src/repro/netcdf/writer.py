@@ -12,6 +12,7 @@ CDF-2 (64-bit offsets) when any data offset would exceed 2**31 - 1.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -20,10 +21,11 @@ import numpy as np
 
 from repro.netcdf.dataset import Dataset, Variable
 from repro.netcdf.types import NcFormatError, NcType, TYPE_INFO
+from repro.util.digest import TEMP_SUFFIX, Buffer
 
 __all__ = [
-    "write", "to_bytes", "to_chunks", "WRITE_BUFFER",
-    "CanonicalLayout", "canonical_layout", "splice_bytes",
+    "write", "to_bytes", "to_chunks", "WRITE_BUFFER", "RECORD_BATCH",
+    "CanonicalLayout", "canonical_layout", "splice_chunks", "splice_bytes",
 ]
 
 NC_DIMENSION = 0x0A
@@ -37,6 +39,11 @@ _MAX_CDF1_OFFSET = 2**31 - 1
 # it (header, padding, small variables) are coalesced by the file object
 # instead of costing a syscall each; larger ones bypass the buffer.
 WRITE_BUFFER = 64 * 1024
+
+# Upper bound on one chunk of the record region (a single record larger
+# than this is its own chunk): the interleaved records are assembled a
+# batch at a time, so serializing never holds a second copy of the data.
+RECORD_BATCH = 4 * 1024 * 1024
 
 
 def _pad4(n: int) -> int:
@@ -185,35 +192,39 @@ def _choose_layout(dataset: Dataset) -> Tuple[int, Dict[str, int], int, int, Dic
     return offset_width, begins, header_size, recsize, vsizes
 
 
-def _record_slab(
+def _record_batches(
     record_vars: Sequence[Variable],
     begins: Dict[str, int],
     recsize: int,
     numrecs: int,
-) -> memoryview:
-    """The record region, filled with one strided scatter per variable.
+) -> Iterator[memoryview]:
+    """The record region as batches of whole records, in file order.
 
-    The region is pre-zeroed (so inter-record padding needs no explicit
-    writes); each record variable's slices land ``recsize`` bytes apart.
-    Assigning through a big-endian view keeps on-disk byte order without
-    a per-record ``ascontiguousarray(...).tobytes()`` loop.
+    Each batch is pre-zeroed (so inter-record padding needs no explicit
+    writes) and filled with one strided scatter per variable: a
+    variable's slices land ``recsize`` bytes apart.  Assigning through a
+    big-endian view keeps on-disk byte order without a per-record
+    ``ascontiguousarray(...).tobytes()`` loop.
     """
     base = min(begins[v.name] for v in record_vars)
-    slab = np.zeros(numrecs * recsize, dtype=np.uint8)
-    for var in record_vars:
-        info = TYPE_INFO[var.nc_type]
-        count = _per_record_size(var) // info.size
-        if count == 0:
-            continue
-        target = np.ndarray(
-            shape=(numrecs, count),
-            dtype=info.dtype,
-            buffer=slab,
-            offset=begins[var.name] - base,
-            strides=(recsize, info.size),
-        )
-        target[:] = np.ascontiguousarray(var.data).reshape(numrecs, count)
-    return memoryview(slab)
+    step = max(1, RECORD_BATCH // recsize)
+    for start in range(0, numrecs, step):
+        rows = min(step, numrecs - start)
+        slab = np.zeros(rows * recsize, dtype=np.uint8)
+        for var in record_vars:
+            info = TYPE_INFO[var.nc_type]
+            count = _per_record_size(var) // info.size
+            if count == 0:
+                continue
+            target = np.ndarray(
+                shape=(rows, count),
+                dtype=info.dtype,
+                buffer=slab,
+                offset=begins[var.name] - base,
+                strides=(recsize, info.size),
+            )
+            target[:] = var.data[start : start + rows].reshape(rows, count)
+        yield memoryview(slab)
 
 
 def to_chunks(dataset: Dataset) -> Iterator[Union[bytes, memoryview]]:
@@ -222,9 +233,10 @@ def to_chunks(dataset: Dataset) -> Iterator[Union[bytes, memoryview]]:
     Yields the header, then each fixed-size variable's array *as it sits
     in memory* (variables are held big-endian, so a ``memoryview`` is the
     on-disk form — no ``tobytes`` copy) followed by its zero padding,
-    then the record slab.  ``b"".join`` of the chunks is the file;
-    writers that hash or write chunk by chunk never hold a second copy
-    of a fixed variable.  The dataset is validated and laid out here,
+    then the record region in batches of at most ``RECORD_BATCH`` bytes.
+    ``b"".join`` of the chunks is the file; writers that hash or write
+    chunk by chunk never hold a second copy of the data, only the batch
+    in flight.  The dataset is validated and laid out here,
     before the first chunk is asked for, so a caller can open its
     output file knowing the serialization will not be refused.
     """
@@ -268,8 +280,8 @@ def _chunks(
                 f"internal offset mismatch for record slabs: at {cursor}, "
                 f"planned {min(begins[v.name] for v in record_vars)}"
             )
-        if dataset.num_records:
-            yield _record_slab(record_vars, begins, recsize, dataset.num_records)
+        if recsize:
+            yield from _record_batches(record_vars, begins, recsize, dataset.num_records)
 
 
 def to_bytes(dataset: Dataset) -> bytes:
@@ -297,7 +309,7 @@ def _serialized_length(
     return header_size + fixed + dataset.num_records * recsize
 
 
-def canonical_layout(dataset: Dataset, raw: bytes) -> Optional[CanonicalLayout]:
+def canonical_layout(dataset: Dataset, raw: Buffer) -> Optional[CanonicalLayout]:
     """Layout of ``raw`` if it is exactly what :func:`to_bytes` would emit
     for ``dataset`` — or None for files from non-canonical producers.
 
@@ -320,22 +332,22 @@ def canonical_layout(dataset: Dataset, raw: bytes) -> Optional[CanonicalLayout]:
     )
 
 
-def splice_bytes(
+def splice_chunks(
     dataset: Dataset,
-    raw: bytes,
+    raw: Buffer,
     layout: CanonicalLayout,
     changed: Sequence[str],
-) -> bytes:
-    """Re-serialize ``dataset`` by rewriting only the header and the
-    ``changed`` variables, splicing the rest of the data region from
-    ``raw``.
+) -> Iterator[Buffer]:
+    """Re-serialize ``dataset`` as the new header, then ``raw``'s data
+    region (bytes or a mapped file) with the ``changed`` variables' new
+    bytes in between, in buffers of at most ``RECORD_BATCH`` bytes.
 
     ``layout`` must come from :func:`canonical_layout` called *before*
     the dataset was mutated; since then only attributes and the values of
     the ``changed`` variables may have been touched (shapes and dtypes
     fixed).  This is the inference stage's label-append fast path: the
-    radiance cube — the bulk of a tile file — is copied once as raw
-    bytes instead of being re-encoded record by record.
+    radiance cube — the bulk of a tile file — goes from the tile file to
+    the labelled one without being re-encoded or held a second time.
     """
     offset_width, begins, header_size, recsize, vsizes = _choose_layout(dataset)
     if (
@@ -348,47 +360,71 @@ def splice_bytes(
     ):
         # The relative layout moved (e.g. a variable was added): fall
         # back to the full serializer.
-        return to_bytes(dataset)
+        return to_chunks(dataset)
 
-    header = _serialize_header(dataset, begins, vsizes, offset_width)
-    if header_size == layout.header_size:
-        # Same header length: one whole-file copy, header overwritten in
-        # place — cheaper than slicing the data region out separately.
-        out = bytearray(raw)
-        out[:header_size] = header
-    else:
-        out = bytearray(header_size + (len(raw) - layout.header_size))
-        out[:header_size] = header
-        out[header_size:] = memoryview(raw)[layout.header_size:]
-    view_buffer = memoryview(out)
+    patches: List[Tuple[int, bytes]] = []  # (offset in raw, new bytes)
     for name in changed:
         var = dataset.variables[name]
-        info = TYPE_INFO[var.nc_type]
-        if var.is_record:
-            per_rec = _per_record_size(var)
-            count = per_rec // info.size
-            if dataset.num_records == 0 or count == 0:
-                continue
-            target = np.ndarray(
-                shape=(dataset.num_records, count),
-                dtype=info.dtype,
-                buffer=view_buffer,
-                offset=begins[name],
-                strides=(recsize, info.size),
+        data = np.ascontiguousarray(var.data, dtype=TYPE_INFO[var.nc_type].dtype)
+        if not var.is_record:
+            patches.append((layout.begins[name], data.tobytes()))
+        elif data.size:
+            rows = data.reshape(layout.numrecs, -1)
+            patches.extend(
+                (layout.begins[name] + index * recsize, row.tobytes())
+                for index, row in enumerate(rows)
             )
-            target[:] = np.ascontiguousarray(var.data).reshape(dataset.num_records, count)
-        else:
-            payload = np.ascontiguousarray(var.data, dtype=info.dtype).tobytes()
-            out[begins[name]: begins[name] + len(payload)] = payload
-    return bytes(out)
+
+    def pieces() -> Iterator[Buffer]:
+        yield _serialize_header(dataset, begins, vsizes, offset_width)
+        view, cursor = memoryview(raw), layout.header_size
+        for offset, patch in sorted(patches):
+            yield view[cursor:offset]
+            yield patch
+            cursor = offset + len(patch)
+        yield view[cursor:]
+
+    return _merged(pieces())
+
+
+def _merged(pieces: Iterator[Buffer]) -> Iterator[Buffer]:
+    """Runs of ``pieces`` joined into buffers of at most ``RECORD_BATCH``
+    bytes (a larger piece passes through).  A label column is a patch per
+    record: merged, the consumer writes and hashes a few large buffers
+    instead of two small ones a record."""
+    pending = bytearray()
+    for piece in pieces:
+        if len(pending) + len(piece) > RECORD_BATCH:
+            if pending:
+                yield pending
+                pending = bytearray()
+            if len(piece) > RECORD_BATCH:
+                yield piece
+                continue
+        pending += piece
+    if pending:
+        yield pending
+
+
+def splice_bytes(
+    dataset: Dataset, raw: Buffer, layout: CanonicalLayout, changed: Sequence[str]
+) -> bytes:
+    """:func:`splice_chunks`, joined into one buffer."""
+    return b"".join(splice_chunks(dataset, raw, layout, changed))
 
 
 def write(dataset: Dataset, target: Union[str, BinaryIO]) -> int:
-    """Write a dataset to a path or binary file object; returns byte count."""
+    """Write a dataset to a path or binary file object; returns byte count.
+
+    A path is written under a temp name and renamed into place, so maps
+    of a file already there (``dataset`` may hold one) stay whole.
+    """
     chunks = to_chunks(dataset)  # validates before a path is opened
     if isinstance(target, str):
-        with open(target, "wb", buffering=WRITE_BUFFER) as handle:
-            return _write_chunks(handle, chunks)
+        with open(target + TEMP_SUFFIX, "wb", buffering=WRITE_BUFFER) as handle:
+            nbytes = _write_chunks(handle, chunks)
+        os.replace(target + TEMP_SUFFIX, target)
+        return nbytes
     return _write_chunks(target, chunks)
 
 

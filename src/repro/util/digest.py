@@ -14,9 +14,9 @@ shipment verification, chaos surfaces) must perform them *identically*:
 * :func:`write_digested` — write buffers to an open file and hash them
   on the way: publishing a dataset chunk by chunk, copying a file into
   the store or to the destination, all cost one pass over the bytes.
-* :func:`atomic_publish_bytes` — the crash-consistency triple (temp name
-  in the same directory, file fsync, ``os.replace``, directory fsync)
-  around :func:`write_digested`.
+* :func:`atomic_publish_chunks` / :func:`atomic_publish_bytes` — the
+  crash-consistency triple (temp name in the same directory, file fsync,
+  ``os.replace``, directory fsync) around :func:`write_digested`.
 
 This module sits below ``repro.journal``, ``repro.cas`` and
 ``repro.transfer`` in the import graph; import from here directly.
@@ -25,6 +25,7 @@ This module sits below ``repro.journal``, ``repro.cas`` and
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 from typing import BinaryIO, Iterable, Iterator, Tuple, Union
 
@@ -37,6 +38,7 @@ __all__ = [
     "digest_file",
     "write_digested",
     "atomic_publish_bytes",
+    "atomic_publish_chunks",
 ]
 
 # The shared temp-name convention: writers publish ``<final>.part`` and
@@ -47,7 +49,7 @@ TEMP_SUFFIX = ".part"
 # overhead, small enough to stay cache-friendly.
 HASH_SLICE = 4 * 1024 * 1024
 
-Buffer = Union[bytes, bytearray, memoryview]
+Buffer = Union[bytes, bytearray, memoryview, mmap.mmap]
 PathLike = Union[str, "os.PathLike[str]"]
 
 
@@ -128,11 +130,18 @@ def write_digested(handle: BinaryIO, chunks: Iterable[Buffer]) -> Tuple[int, str
 
 
 def atomic_publish_bytes(
-    path: str, payload: bytes, durable: bool = True
+    path: str, payload: Buffer, durable: bool = True
+) -> Tuple[int, str]:
+    """:func:`atomic_publish_chunks` of one buffer."""
+    return atomic_publish_chunks(path, (payload,), durable=durable)
+
+
+def atomic_publish_chunks(
+    path: str, chunks: Iterable[Buffer], durable: bool = True
 ) -> Tuple[int, str]:
     """Atomic write that also digests; returns ``(nbytes, sha256_hex)``.
 
-    The payload is hashed in slices *while it streams to the temp file*,
+    The chunks are hashed in slices *while they stream to the temp file*,
     so publication and integrity recording cost one pass over the bytes
     instead of a write followed by a full re-read.  With ``durable`` the
     temp file is fsynced before the rename and the directory after it,
@@ -141,7 +150,7 @@ def atomic_publish_bytes(
     """
     temp_path = path + TEMP_SUFFIX
     with open(temp_path, "wb") as handle:
-        nbytes, digest = write_digested(handle, (payload,))
+        nbytes, digest = write_digested(handle, chunks)
         if durable:
             handle.flush()
             os.fsync(handle.fileno())

@@ -106,7 +106,9 @@ class TestFrequencySeries:
         from repro.netcdf import read as nc_read, write
 
         ds = nc_read(path)
-        ds["label"].data[0] = -1
+        labels = ds["label"].data.copy()
+        labels[0] = -1
+        ds["label"].data = labels
         write(ds, path)
         series = class_frequency_series({"t0": [path]})
         assert series.counts.sum() == 1

@@ -120,6 +120,42 @@ class TestChunksAreTheSerialization:
             writer_mod._MAX_CDF1_OFFSET = original
         assert raw[:4] == b"CDF\x02"
 
+    @settings(max_examples=80, deadline=None)
+    @given(datasets(fixed=(0, 2), record=(1, 3), records=(1, 9)), st.integers(1, 4))
+    def test_record_region_streams_in_bounded_batches(self, ds, per_batch):
+        """Whole records, at most ``RECORD_BATCH`` bytes a chunk, the
+        last batch short when the count is no multiple — and joined,
+        still the one-slab writer's bytes."""
+        recsize = writer_mod._choose_layout(ds)[3]
+        original = writer_mod.RECORD_BATCH
+        writer_mod.RECORD_BATCH = per_batch * recsize + recsize // 2
+        try:
+            chunks = [bytes(chunk) for chunk in to_chunks(ds)]
+        finally:
+            writer_mod.RECORD_BATCH = original
+        raw = b"".join(chunks)
+        assert raw == reference_to_bytes(ds)
+        record_base = len(raw) - ds.num_records * recsize
+        batches = []
+        offset = 0
+        for chunk in chunks:
+            if offset >= record_base and chunk:
+                batches.append(len(chunk) // recsize)
+                assert len(chunk) % recsize == 0
+            offset += len(chunk)
+        full, rest = divmod(ds.num_records, per_batch)
+        assert batches == [per_batch] * full + ([rest] if rest else [])
+
+    def test_a_record_larger_than_the_batch_is_its_own_chunk(self):
+        ds = Dataset()
+        ds.create_dimension("rec", None)
+        ds.create_dimension("x", writer_mod.RECORD_BATCH // 4 + 1)
+        data = np.arange(3 * ds.dimensions["x"].size, dtype=np.float32).reshape(3, -1)
+        ds.create_variable("v", "f4", ("rec", "x"), data)
+        chunks = list(to_chunks(ds))
+        assert [len(c) for c in chunks[1:]] == [data.shape[1] * 4] * 3
+        np.testing.assert_array_equal(from_bytes(b"".join(chunks))["v"].data, data)
+
     def test_fixed_variables_are_not_copied(self):
         ds = Dataset()
         ds.create_dimension("x", 1 << 16)

@@ -57,7 +57,7 @@ class TestSpliceBytes:
         ds, raw = parsed_with_raw()
         layout = canonical_layout(ds, raw)
         new_labels = np.arange(ds.num_records, dtype=np.int32)
-        ds["label"].data[:] = new_labels
+        ds["label"].data = new_labels
         assert splice_bytes(ds, raw, layout, ("label",)) == to_bytes(ds)
 
     def test_attr_change_grows_header(self):
@@ -65,7 +65,7 @@ class TestSpliceBytes:
         header size, so the splice shifts the data region."""
         ds, raw = parsed_with_raw()
         layout = canonical_layout(ds, raw)
-        ds["label"].data[:] = np.arange(ds.num_records, dtype=np.int32)
+        ds["label"].data = np.arange(ds.num_records, dtype=np.int32)
         ds["label"].set_attr("classified_by", "RICC/AICCA")
         ds.set_attr("aicca_classes", 42)
         spliced = splice_bytes(ds, raw, layout, ("label",))
@@ -79,7 +79,7 @@ class TestSpliceBytes:
         raw = to_bytes(ds)
         parsed = from_bytes(raw)
         layout = canonical_layout(parsed, raw)
-        parsed["offset"].data[:] = np.array([99.25])
+        parsed["offset"].data = np.array([99.25])
         assert splice_bytes(parsed, raw, layout, ("offset",)) == to_bytes(parsed)
 
     def test_structural_change_falls_back_to_full_serializer(self):
@@ -100,7 +100,7 @@ class TestSpliceBytes:
         ds, raw = parsed_with_raw(num_tiles=6)
         layout = canonical_layout(ds, raw)
         labels = np.arange(6, dtype=np.int32) % 3
-        ds["label"].data[:] = labels
+        ds["label"].data = labels
         clone = from_bytes(splice_bytes(ds, raw, layout, ("label",)))
         np.testing.assert_array_equal(clone["label"].data, labels)
         np.testing.assert_array_equal(clone["radiance"].data, ds["radiance"].data)

@@ -152,6 +152,29 @@ class TestCheckerLogic:
         }
         assert called == set(check_layering.OPENERS)
 
+    def test_in_place_write_rule(self, tmp_path):
+        package = tmp_path / "pkg"
+        (package / "journal").mkdir(parents=True)
+        (package / "a.py").write_text(
+            "import os\n"
+            "def fine(path):\n"
+            "    with open(path + '.part', 'wb') as h:\n        h.write(b'x')\n"
+            "    os.replace(path + '.part', path)\n"
+            "def bad(path):\n"
+            "    with open(path, 'r+b') as h:\n        h.truncate(1)\n"
+            "    open(path, mode='w+')\n"
+            "    os.truncate(path, 0)\n"
+        )
+        (package / "journal" / "j.py").write_text("def repair(h):\n    h.truncate(9)\n")
+        found = check_layering.in_place_writes(str(package), str(package / "journal"))
+        assert sorted(int(line.split(":")[1]) for line in found) == [7, 8, 9, 10]
+
+    def test_no_published_file_is_modified_in_place(self):
+        assert check_layering.in_place_writes(
+            os.path.join(REPO_ROOT, "src", "repro"),
+            os.path.join(REPO_ROOT, check_layering.IN_PLACE_EXEMPT),
+        ) == []
+
 
 class TestDeadModuleRule:
     """``tools/check_dead.py``: reachable from an example, a benchmark or

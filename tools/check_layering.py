@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Layering check: ``repro.runtime`` must never import ``repro.core``,
 no module may be a re-export shim, the stage modules never import an
-executor substrate, and only the run context's opener opens a run.
+executor substrate, only the run context's opener opens a run, and no
+published file is modified in place.
 
 The unified stage runtime is the layer *under* the stages — pool
 workers and site agents run units through it, and the stages import it —
@@ -16,8 +17,13 @@ stage modules hand work to ``RunContext.submit`` and must not learn what
 runs it, so they may import neither ``repro.pexec`` nor
 ``ProcWorkerPool``; and the journal, the store and the chaos injector
 are opened by ``repro.core.context.open_run`` alone, so the driver, the
-pool workers and the site agents can never enter a run three ways.  Run
-from the repo root:
+pool workers and the site agents can never enter a run three ways.
+Readers map files (``repro.netcdf.read``), so a writer that reopened a
+published file to update or truncate it would fault them: outside the
+journal's own append-only files, nothing under ``src/repro`` may
+``open(..., "r+b")`` (any ``+`` mode), ``.truncate(`` or ``os.truncate``
+— new content goes to a temp name and is renamed into place.  Run from
+the repo root:
 
     python tools/check_layering.py
 
@@ -79,20 +85,24 @@ def imported_modules(tree: ast.AST):
                 yield node.module, node.lineno
 
 
-def violations(package_dir: str, forbidden: tuple) -> list:
-    found = []
+def parsed_modules(package_dir: str):
+    """``(path, tree)`` for every Python file under ``package_dir``."""
     for dirpath, _dirnames, filenames in os.walk(package_dir):
         for filename in sorted(filenames):
-            if not filename.endswith(".py"):
-                continue
-            path = os.path.join(dirpath, filename)
-            with open(path, encoding="utf-8") as handle:
-                tree = ast.parse(handle.read(), filename=path)
-            for module, line in imported_modules(tree):
-                for layer in forbidden:
-                    if module == layer or module.startswith(layer + "."):
-                        found.append(f"{path}:{line}: imports {module} "
-                                     f"(forbidden layer {layer})")
+            if filename.endswith(".py"):
+                path = os.path.join(dirpath, filename)
+                with open(path, encoding="utf-8") as handle:
+                    yield path, ast.parse(handle.read(), filename=path)
+
+
+def violations(package_dir: str, forbidden: tuple) -> list:
+    found = []
+    for path, tree in parsed_modules(package_dir):
+        for module, line in imported_modules(tree):
+            for layer in forbidden:
+                if module == layer or module.startswith(layer + "."):
+                    found.append(f"{path}:{line}: imports {module} "
+                                 f"(forbidden layer {layer})")
     return found
 
 
@@ -133,12 +143,8 @@ def call_sites(package_dir: str, names: tuple) -> list:
         for child in ast.iter_child_nodes(node):
             visit(child, path, function)
 
-    for dirpath, _dirnames, filenames in os.walk(package_dir):
-        for filename in sorted(filenames):
-            if filename.endswith(".py"):
-                path = os.path.join(dirpath, filename)
-                with open(path, encoding="utf-8") as handle:
-                    visit(ast.parse(handle.read(), filename=path), path, None)
+    for path, tree in parsed_modules(package_dir):
+        visit(tree, path, None)
     return found
 
 
@@ -151,6 +157,34 @@ def opener_violations(root: str = ".") -> list:
             if (os.path.normpath(path), function) != home:
                 found.append(f"{path}: {function or '<module>'} calls {name}(); only "
                              f"{home_path}:{home_function} opens a run")
+    return found
+
+
+# Modifying a file under its published name; the journal appends to
+# files only it reads, and is exempt.
+IN_PLACE_EXEMPT = "src/repro/journal"
+
+
+def in_place_writes(package_dir: str, exempt: str = IN_PLACE_EXEMPT) -> list:
+    """``open`` with a ``+`` mode and any ``truncate`` call under
+    ``package_dir`` (outside ``exempt``)."""
+    found = []
+    for path, tree in parsed_modules(package_dir):
+        if os.path.normpath(path).startswith(os.path.normpath(exempt) + os.sep):
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None
+            )
+            if name in ("truncate", "ftruncate") or (
+                name == "open" and isinstance(mode, ast.Constant)
+                and "+" in str(mode.value)
+            ):
+                found.append(f"{path}:{node.lineno}: {name}() modifies a file in "
+                             "place; write a temp name and os.replace it")
     return found
 
 
@@ -171,17 +205,11 @@ def is_shim(tree: ast.Module) -> bool:
 
 
 def shims(package_dir: str) -> list:
-    found = []
-    for dirpath, _dirnames, filenames in os.walk(package_dir):
-        for filename in sorted(filenames):
-            if not filename.endswith(".py") or filename == "__init__.py":
-                continue
-            path = os.path.join(dirpath, filename)
-            with open(path, encoding="utf-8") as handle:
-                if is_shim(ast.parse(handle.read(), filename=path)):
-                    found.append(f"{path}: re-export shim (only imports and "
-                                 "__all__); move the import sites instead")
-    return found
+    return [
+        f"{path}: re-export shim (only imports and __all__); move the import sites instead"
+        for path, tree in parsed_modules(package_dir)
+        if os.path.basename(path) != "__init__.py" and is_shim(tree)
+    ]
 
 
 def main(root: str = ".") -> int:
@@ -195,13 +223,15 @@ def main(root: str = ".") -> int:
     for module in STAGE_MODULES:
         failures.extend(stage_violations(os.path.join(root, module)))
     failures.extend(opener_violations(root))
+    failures.extend(in_place_writes(
+        os.path.join(root, "src/repro"), os.path.join(root, IN_PLACE_EXEMPT)))
     if failures:
         for failure in failures:
             print(failure, file=sys.stderr)
         return 1
     print("layering ok: runtime, core, instruments, and cas respect "
           "the forbidden-layer rules; no re-export shims; stages import no "
-          "executor substrate; one opener")
+          "executor substrate; one opener; no in-place writes")
     return 0
 
 
