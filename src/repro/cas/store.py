@@ -244,13 +244,13 @@ class CASStore:
             os.replace(temp_path, dest)
             if self.durable:
                 fsync_dir(os.path.dirname(dest))
-            os.utime(obj)  # LRU: a hit makes the object young again
-            self._note("hits")
-            self._note("bytes_saved", nbytes)
-            return nbytes
         except OSError:
             self._note("misses")
             return None
+        self._touch(obj)
+        self._note("hits")
+        self._note("bytes_saved", nbytes)
+        return nbytes
 
     def load_bytes(self, digest: str) -> Optional[bytes]:
         """Read an object into memory, digest-verified like materialize.
@@ -276,13 +276,19 @@ class CASStore:
             self._note("corrupt_evictions")
             self._note("misses")
             return None
+        self._touch(obj)
+        self._note("hits")
+        self._note("bytes_saved", len(payload))
+        return payload
+
+    @staticmethod
+    def _touch(obj: str) -> None:
+        """LRU: a hit makes the object young again.  Best-effort — the
+        bytes are already delivered, so a failed touch is not a miss."""
         try:
             os.utime(obj)
         except OSError:
             pass
-        self._note("hits")
-        self._note("bytes_saved", len(payload))
-        return payload
 
     def _quarantine(self, digest: str, obj: str) -> None:
         """Move a failed object aside so the next lookup misses cleanly."""

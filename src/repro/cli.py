@@ -227,6 +227,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{format_bytes(int(report.cache['bytes_saved']))} saved "
               f"({report.cache['download_cached']} download / "
               f"{report.cache['preprocess_cached']} preprocess / "
+              f"{report.cache['inference_cached']} inference / "
               f"{report.cache['shipment_deduped']} shipment short-circuits)")
         if report.cache.get("refined_tiles"):
             print(f"fidelity:   {report.cache['refined_tiles']} tile(s) refined "

@@ -19,6 +19,11 @@ Key grammar (all digests are SHA-256 hex):
 ``refined:<instrument>:<scene>:ts=..:pos=<digest>``
     a full-fidelity re-extraction for one set of low-margin tile
     positions (the progressive-fidelity ladder's second rung).
+``labels:<model name>:<model file digest>:nc=..:by=..:rt=..:in=<tile file digest>``
+    a labelled file, keyed by everything that decides its bytes: the
+    model (by the content of its persisted file), the class count and
+    attribution it stamps, the refinement threshold, and the digest of
+    the tile file it labels.
 
 This module deliberately imports nothing from the rest of
 ``repro.core`` — stages import it, never the reverse.
@@ -41,6 +46,7 @@ __all__ = [
     "open_store",
     "granule_key",
     "tiles_key",
+    "labels_key",
     "input_digest",
     "parse_source_files",
     "TileRefiner",
@@ -82,6 +88,21 @@ def tiles_key(
     return (
         f"tiles:{instrument}:{scene_key}:ts={tile_size}:ct={cloud_threshold!r}"
         f":lf={max_land_fraction!r}:cs={coarse_stride}:in={inputs}"
+    )
+
+
+def labels_key(
+    model_name: str,
+    model_digest: str,
+    num_classes: int,
+    attribution: str,
+    refine_threshold: Optional[float],
+    tile_digest: str,
+) -> str:
+    """Logical key of one tile file's labelled output."""
+    return (
+        f"labels:{model_name}:{model_digest}:nc={num_classes}:by={attribution}"
+        f":rt={refine_threshold!r}:in={tile_digest}"
     )
 
 

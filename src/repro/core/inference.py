@@ -6,14 +6,17 @@ append the labels to the dataset, and publish the updated file to the
 transfer-out directory.  An :class:`InferenceWorker` takes discovered
 files one at a time, so it composes directly with the crawler.
 
-Two hot-path optimizations live here.  *Label append*: a canonical tile
+Three hot-path optimizations live here.  *Label append*: a canonical tile
 file is re-serialized by rewriting only its header and label column
 (:func:`repro.netcdf.writer.splice_chunks`), streaming the radiance bytes
 from the mapped tile file instead of re-encoding them.  *Micro-batching*:
 a worker opportunistically drains additional queued files and fuses their
 tiles into a single encoder/assign call, scattering the labels back per
 file — the float32 encoder amortizes dramatically better over one large
-batch than over many small ones.
+batch than over many small ones.  *Action cache*: with a store attached
+and a model persisted to a file, a tile file this model has labelled
+before (in any run sharing the store) is materialized from its
+``labels:`` key instead of being mapped, encoded and assigned again.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 import numpy as np
 
 from repro.chaos.surfaces import chaos_crash
-from repro.core.artifact_cache import TileRefiner
+from repro.core.artifact_cache import TileRefiner, input_digest, labels_key
 from repro.core.branches import key_prefix, unit_name
 from repro.core.config import EOMLConfig
 from repro.core.context import RunContext
@@ -38,8 +41,10 @@ from repro.core.preprocess import QuarantineRecord
 from repro.netcdf import Dataset, from_bytes as nc_from_bytes, map_file, to_chunks as nc_to_chunks
 from repro.netcdf.writer import canonical_layout, splice_chunks
 from repro.runtime import (
+    CACHED,
     QUARANTINED,
     RESUMED,
+    CachePolicy,
     FailurePolicy,
     UnitResult,
     WorkerCrashed,
@@ -61,6 +66,7 @@ class InferenceResult:
     tiles: int
     classes_seen: int
     seconds: float
+    cached: bool = False  # materialized from the store, nothing labelled
 
 
 def _labelled_chunks(
@@ -111,6 +117,10 @@ class _ParsedFile:
     raw: Buffer       # the mapped tile file ``ds`` is a view of
     ds: Dataset
     radiance: np.ndarray  # (tiles, y, x, band) float32
+    # The ``labels:`` key the labelled file is stored under once it is
+    # published; None when nothing may be stored (no store, no model
+    # file, or labels a failed refinement left degraded).
+    cache_key: Optional[str] = None
 
     @classmethod
     def open(cls, path: str) -> "_ParsedFile":
@@ -211,6 +221,8 @@ class InferenceWorker:
             if model_path and os.path.exists(model_path)
             else ("object", model)
         )
+        # The model file's digest, taken on the first cache lookup.
+        self._model_digest: Optional[str] = None
         self._fatal: List[str] = []
         self._durable = bool(getattr(config, "journal_durable", True))
         self.workers = workers or config.workers.inference
@@ -329,21 +341,79 @@ class InferenceWorker:
             on_caught=lambda message: set_aside(path, self.config.quarantine),
         )
 
+    def _labels_key(self, path: str) -> str:
+        """The store's derived key for ``path``'s labelled file.
+
+        Both digests come from the journal manifest when it has them —
+        the model node recorded the model file, and the crawler's gate
+        has just verified the tile file against its entry — else from
+        one read of the file (the model's once per worker).
+        """
+        journal = self.ctx.journal
+        if self._model_digest is None:
+            self._model_digest = input_digest(self._model_source[1], journal=journal)
+        return labels_key(
+            self.config.model_name, self._model_digest, self.model.num_classes,
+            self._attribution, self._refine_threshold,
+            input_digest(path, journal=journal),
+        )
+
     def _parse_unit(self, path: str) -> WorkUnit:
         """Read + validate one tile file ("open" phase: resume decisions
         and the write-ahead intent happen here; completion happens in the
-        publish unit once the labelled file lands)."""
+        publish unit once the labelled file lands).
+
+        Unless the store already holds this model's labelling of these
+        exact bytes: the hit materializes it into the transfer-out
+        directory and settles the file whole — the journal records a
+        CACHED outcome as a completion whatever the phase, so a later
+        crash + resume verifies it like a computed artifact — and the
+        tile file is never mapped.  A model with no persisted file has
+        no content to key on and is never cached.
+        """
+        key = self.key_prefix + os.path.basename(path)
+        cache_key: List[str] = []
 
         def body(ctx) -> _ParsedFile:
             ctx.begin()
-            return _ParsedFile.open(path)
+            entry = _ParsedFile.open(path)
+            entry.cache_key = cache_key[0] if cache_key else None
+            return entry
+
+        def cache_lookup(ctx, cas) -> Optional[UnitResult]:
+            cache_key.append(self._labels_key(path))
+            record = cas.get_key(cache_key[0])
+            if not record or not record.get("digest"):
+                return None
+            out_path = os.path.join(self.config.transfer_out, os.path.basename(path))
+            nbytes = cas.materialize(record["digest"], out_path)
+            if nbytes is None:
+                return None
+            # Injected death with the labelled file in place and nothing
+            # journaled — resume must settle this file again.
+            chaos_crash(self.ctx.chaos, "inference", key)
+            return UnitResult(
+                outcome=CACHED,
+                artifact=out_path,
+                payload={
+                    "tiles": int(record.get("tiles", 0)),
+                    "classes_seen": int(record.get("classes_seen", 0)),
+                    "sha256": record["digest"],
+                    "nbytes": nbytes,
+                },
+            )
 
         return WorkUnit(
             stage="inference",
-            key=self.key_prefix + os.path.basename(path),
+            key=key,
             body=body,
             journal_phase="open",
             failure=self._quarantine_policy(path),
+            cache=(
+                CachePolicy(lookup=cache_lookup)
+                if self._model_source[0] == "path"
+                else None
+            ),
         )
 
     def _publish_unit(
@@ -382,6 +452,21 @@ class InferenceWorker:
                 },
             )
 
+        def cache_store(ctx, cas, result) -> None:
+            # The publish digest is the claim, so the store verifies the
+            # file as it copies it in; shipment's own lookup then finds
+            # the object and delivers from it, storing nothing twice.
+            payload = result.payload
+            if cas.store_file(result.artifact, digest=payload["sha256"]):
+                cas.put_key(
+                    entry.cache_key,
+                    {
+                        "digest": payload["sha256"],
+                        "tiles": payload["tiles"],
+                        "classes_seen": payload["classes_seen"],
+                    },
+                )
+
         return WorkUnit(
             stage="inference",
             key=self.key_prefix + os.path.basename(entry.path),
@@ -389,6 +474,7 @@ class InferenceWorker:
             journal_phase="close",
             stall=False,
             failure=self._quarantine_policy(entry.path),
+            cache=CachePolicy(store=cache_store) if entry.cache_key else None,
         )
 
     def label(self, paths: Sequence[str]) -> List[Outcome]:
@@ -398,18 +484,21 @@ class InferenceWorker:
         parsed: List[_ParsedFile] = []
         for path in paths:
             result = self.ctx.executor.execute(self._parse_unit(path))
-            if result.outcome == RESUMED:
-                # A prior run labelled this file and the published
-                # output still verifies: surface the journaled result.
+            if result.outcome in (RESUMED, CACHED):
+                # Labelled before — by a prior run of this directory
+                # whose published output still verifies, or by any run
+                # sharing the store: surface the recorded result.
                 payload = result.payload
+                cached = result.outcome == CACHED
                 outcomes[path] = (
                     "result",
                     InferenceResult(
                         src_path=path,
-                        out_path=str(payload.get("artifact", "")),
+                        out_path=result.artifact or "",
                         tiles=int(payload.get("tiles", 0)),
                         classes_seen=int(payload.get("classes_seen", 0)),
-                        seconds=0.0,
+                        seconds=time.monotonic() - started if cached else 0.0,
+                        cached=cached,
                     ),
                 )
             elif result.outcome == QUARANTINED:
@@ -512,7 +601,8 @@ class InferenceWorker:
         resolution (a distinct CAS object) and re-assigned; everything
         else keeps its coarse-pass label.  Any refinement failure leaves
         the coarse label standing — refinement may only improve labels,
-        never lose them.
+        never lose them — and keeps the file out of the store: a later
+        run that can refine must not be served the degraded labels.
         """
         low = np.nonzero(np.asarray(margins) < self._refine_threshold)[0]
         if low.size == 0:
@@ -528,7 +618,9 @@ class InferenceWorker:
                     try:
                         labels[offset + local] = self.model.assign(refined)
                     except Exception:  # noqa: BLE001 - keep the coarse labels
-                        pass
+                        refined = None
+                if refined is None:
+                    entry.cache_key = None
             offset += count
         return labels
 

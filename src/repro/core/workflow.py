@@ -863,6 +863,8 @@ class EOMLWorkflow:
                 cache_summary["dir"] = config.cache_dir
             cache_summary["download_cached"] = download.cached
             cache_summary["preprocess_cached"] = preprocess.cached
+            inference_cached = sum(r.cached for r in inference_results)
+            cache_summary["inference_cached"] = inference_cached
             cache_summary["shipment_deduped"] = (
                 shipment.deduped if shipment is not None else 0
             )
@@ -873,6 +875,7 @@ class EOMLWorkflow:
             stage_hits = metrics.counter("cache.stage_hits")
             stage_hits.inc(download.cached, stage="download")
             stage_hits.inc(preprocess.cached, stage="preprocess")
+            stage_hits.inc(inference_cached, stage="inference")
             if shipment is not None:
                 stage_hits.inc(shipment.deduped, stage="shipment")
             metrics.counter("cache.refined_tiles").inc(refined_tiles)

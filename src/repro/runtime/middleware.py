@@ -122,9 +122,11 @@ class JournalMiddleware:
     Before the work: take the journal's resume decision; a verified
     completion short-circuits as a RESUMED result carrying the journaled
     payload.  After the work: record the completion for every success
-    outcome (unless the result opted out).  The write-ahead *intent* is
-    the body's to place, via :meth:`UnitContext.begin`, so skip-existing
-    paths never write one — exactly the protocol resume relies on.
+    outcome (unless the result opted out) — a CACHED one whatever the
+    unit's phase, since a hit finishes the item.  The write-ahead
+    *intent* is the body's to place, via :meth:`UnitContext.begin`, so
+    skip-existing paths never write one — exactly the protocol resume
+    relies on.
     """
 
     def __init__(self, journal: Any = None):
@@ -146,8 +148,10 @@ class JournalMiddleware:
                     payload=payload,
                 )
         result = call_next()
+        # A cache hit settles the whole item, so it completes even under
+        # an "open" unit, whose computed completion a later unit owns.
         if (
-            unit.journal_phase in ("unit", "close")
+            (unit.journal_phase in ("unit", "close") or result.outcome == CACHED)
             and result.journal
             and result.outcome in SUCCESS_OUTCOMES
         ):

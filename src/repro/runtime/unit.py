@@ -142,7 +142,9 @@ class WorkUnit:
     * ``"unit"`` — full cycle: resume decision, write-ahead intent (via
       :meth:`UnitContext.begin`), completion on success;
     * ``"open"`` — resume + intent only (the completion belongs to a
-      later unit, e.g. inference parse before a fused assign);
+      later unit, e.g. inference parse before a fused assign), unless
+      the unit's cache lookup hits: a CACHED result is the whole item
+      and is completed here;
     * ``"close"`` — completion only (the intent was written by the
       matching ``"open"`` unit);
     * ``"off"`` — the journal never sees this unit (monitor triggers).

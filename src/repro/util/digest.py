@@ -76,13 +76,16 @@ def sha256_file(path: PathLike, chunk_size: int = HASH_SLICE) -> str:
 def read_chunks(path: PathLike, chunk_size: int = HASH_SLICE) -> Iterator[memoryview]:
     """A file's content as successive views of one reusable buffer.
 
-    ``readinto`` fills the same ``chunk_size`` buffer every time instead
-    of allocating a fresh bytes object per chunk, so each view is only
-    valid until the next one is requested.
+    ``readinto`` fills the same buffer every time instead of allocating
+    a fresh bytes object per chunk, so each view is only valid until the
+    next one is requested.  The buffer is sized to the file (one byte
+    over, so a file that has not grown ends on the second, empty read)
+    and capped at ``chunk_size``: zero-filling 4 MiB to hash a tile file
+    of a few hundred kilobytes cost more than the hash.
     """
-    buffer = bytearray(chunk_size)
-    view = memoryview(buffer)
     with open(path, "rb") as handle:
+        buffer = bytearray(min(chunk_size, os.fstat(handle.fileno()).st_size + 1))
+        view = memoryview(buffer)
         while True:
             got = handle.readinto(buffer)
             if not got:

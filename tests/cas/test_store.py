@@ -63,6 +63,24 @@ class TestMaterialize:
         assert dest.read_bytes() == payload
         assert store.counters()["hits"] == 1
 
+    def test_failed_lru_touch_after_delivery_is_still_a_hit(
+        self, store, tmp_path, monkeypatch
+    ):
+        payload = b"delivered" * 100
+        digest = digest_of(payload)
+        store.store_bytes(payload, digest)
+
+        def read_only_volume(path, *args, **kwargs):
+            raise PermissionError(13, "read-only store volume", path)
+
+        monkeypatch.setattr(os, "utime", read_only_volume)
+        dest = tmp_path / "artifact.bin"
+        assert store.materialize(digest, str(dest)) == len(payload)
+        assert dest.read_bytes() == payload
+        counters = store.counters()
+        assert (counters["hits"], counters["misses"]) == (1, 0)
+        assert counters["bytes_saved"] == len(payload)
+
     def test_absent_object_is_a_miss(self, store, tmp_path):
         assert store.materialize("0" * 64, str(tmp_path / "x")) is None
         assert store.counters()["misses"] == 1

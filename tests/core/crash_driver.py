@@ -95,6 +95,7 @@ def main() -> int:
     print(f"cache_hits={report.cache['hits']}")
     print(f"cache_stores={report.cache['stores']}")
     print(f"download_cached={report.cache['download_cached']}")
+    print(f"inference_cached={report.cache['inference_cached']}")
     print(f"fetched_bytes={report.cache['fetched_bytes']}")
     return 0
 

@@ -7,6 +7,7 @@ over real stage calls on a mini-swath scene — a re-introduced whole-file
 copy shows up as a number, not as a fatter benchmark run.
 """
 
+import hashlib
 import os
 import tracemalloc
 from contextlib import contextmanager
@@ -18,6 +19,7 @@ from repro.core import DownloadStage, PreprocessStage, load_config
 from repro.core.inference import infer_tile_file
 from repro.modis import MINI_SWATH, LaadsArchive
 from repro.netcdf import from_bytes, read
+from repro.util.digest import HASH_SLICE, digest_file, read_chunks
 
 
 class Peak:
@@ -85,6 +87,33 @@ def test_reading_a_granule_allocates_no_buffer(staged):
         parsed = read(path)
     assert peak.bytes < 64 * 1024
     assert parsed["radiance"].data.size
+
+
+def test_hashing_a_small_file_allocates_a_buffer_its_size(tmp_path):
+    path = tmp_path / "small.bin"
+    path.write_bytes(os.urandom(64 * 1024))
+    with traced() as peak:
+        digest, nbytes = digest_file(str(path))
+    # One read buffer the size of the file, not the 4 MiB cap (which
+    # cost more to zero-fill than a mini tile file costs to hash).
+    assert peak.bytes < 256 * 1024
+    assert nbytes == 64 * 1024
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_a_file_over_the_cap_still_reads_in_capped_pieces(tmp_path):
+    path = tmp_path / "large.bin"
+    path.write_bytes(b"\x5a" * (9 * 1024 * 1024))
+    with traced() as peak:
+        pieces = [len(chunk) for chunk in read_chunks(str(path))]
+    assert pieces == [HASH_SLICE, HASH_SLICE, 1024 * 1024]
+    assert peak.bytes < HASH_SLICE + 64 * 1024
+
+
+def test_an_empty_file_hashes_to_the_empty_digest(tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"")
+    assert digest_file(str(path)) == (hashlib.sha256(b"").hexdigest(), 0)
 
 
 def test_preprocess_and_labelling_hold_one_copy_of_the_tile_file(staged):

@@ -13,11 +13,15 @@ from collections import Counter
 
 import pytest
 
+from tests.core.test_cache import run_cached
+
 from repro.chaos import surfaces
 from repro.core import DownloadStage, ShipmentStage, load_config
 from repro.core.context import RunContext
+from repro.core.inference import _ParsedFile
 from repro.journal import WorkflowJournal
 from repro.modis import MINI_SWATH, LaadsArchive
+from repro.ricc.aicca import AICCAModel
 from repro.util.digest import atomic_publish_bytes
 
 FILES = {f"tiles_{index}.nc": b"CDF\x01" + bytes([index]) * (40_000 + index) for index in range(3)}
@@ -147,3 +151,50 @@ class TestDownloadBudget:
         assert len(staged) == 3 and not any(p.endswith(".part") for p in staged)
         assert counter.passes == sorted(os.path.getsize(p) for p in staged)
         assert all(counter.reads[os.path.abspath(p)] == 0 for p in staged)
+
+
+class TestWarmRunBudget:
+    @staticmethod
+    def sizes(directory):
+        return sorted(
+            os.path.getsize(os.path.join(directory, name)) for name in os.listdir(directory)
+        )
+
+    def test_a_warm_run_labels_nothing_and_hashes_what_it_verifies(
+        self, tmp_path, monkeypatch
+    ):
+        """Against a filled store the labelled bytes are only verified:
+        the model is never asked, no tile file is mapped or parsed, and
+        each labelled file is hashed twice — as it is materialized into
+        the transfer-out directory and again into the destination."""
+        cold, report = run_cached(tmp_path / "cold", tmp_path / "cas")
+        assert report.errors == []
+        tile_sizes = self.sizes(cold.preprocessed)
+        labelled_sizes = self.sizes(cold.destination)
+        assert len(set(tile_sizes + labelled_sizes)) == 4  # told apart by size
+
+        model_calls = []
+
+        def no_labels(self, tiles):
+            model_calls.append(len(tiles))
+            raise AssertionError("a warm run asked the model for labels")
+
+        def no_parse(path):
+            raise AssertionError(f"a warm run mapped {path}")
+
+        monkeypatch.setattr(AICCAModel, "assign", no_labels)
+        monkeypatch.setattr(_ParsedFile, "open", no_parse)
+        counter = IoCounter(monkeypatch)
+        warm, report = run_cached(tmp_path / "warm", tmp_path / "cas")
+        monkeypatch.undo()
+
+        assert report.errors == [] and model_calls == []
+        assert report.cache["inference_cached"] == len(report.inference) == 2
+        assert self.sizes(warm.destination) == labelled_sizes
+        for size in labelled_sizes:
+            assert counter.passes.count(size) == 2
+        # A tile file is hashed as it is materialized and once more by the
+        # crawler's integrity gate, which is what vouches for the digest
+        # the labels key is built from.
+        for size in tile_sizes:
+            assert counter.passes.count(size) == 2

@@ -14,6 +14,7 @@ from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.journal import WorkflowJournal
 from repro.net.retry import BackoffPolicy, CircuitBreaker
 from repro.runtime import (
+    CACHED,
     DONE,
     FAILED,
     QUARANTINED,
@@ -22,6 +23,7 @@ from repro.runtime import (
     SKIPPED,
     SUCCESS_OUTCOMES,
     CacheMiddleware,
+    CachePolicy,
     ChaosMiddleware,
     FailurePolicy,
     JournalMiddleware,
@@ -265,11 +267,11 @@ class TestPrecheckMiddleware:
 
 
 class TestJournalMiddleware:
-    def run_once(self, tmp_path, body, resume=False, **unit_kwargs):
+    def run_once(self, tmp_path, body, resume=False, store=None, **unit_kwargs):
         journal = WorkflowJournal(str(tmp_path / "journal"))
         journal.start(resume=resume)
         try:
-            executor = build_executor(journal=journal)
+            executor = build_executor(journal=journal, cache=store)
             return executor.execute(unit(body, **unit_kwargs))
         finally:
             journal.close()
@@ -372,6 +374,21 @@ class TestJournalMiddleware:
                                journal_phase="open")
         assert second.outcome == DONE
         assert seen == [True]
+
+    def test_cache_hit_completes_even_in_phase_open(self, tmp_path):
+        # A hit is the whole item, not the first half of one: it is
+        # journaled where it happens, so the next run resumes it.
+        path = self.make_artifact(tmp_path)
+        hit = UnitResult(outcome=CACHED, artifact=path, payload={"tiles": 5})
+        first = self.run_once(
+            tmp_path, lambda ctx: "unreached", journal_phase="open",
+            store=object(), cache=CachePolicy(lookup=lambda ctx, cas: hit))
+        assert first is hit
+
+        second = self.run_once(tmp_path, lambda ctx: "unreached", resume=True,
+                               journal_phase="open")
+        assert second.outcome == RESUMED
+        assert second.payload["tiles"] == 5
 
     def test_phase_close_completes_but_never_resumes(self, tmp_path):
         path = self.make_artifact(tmp_path)
