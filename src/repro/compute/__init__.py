@@ -1,16 +1,14 @@
-"""Globus-Compute-like function service: endpoints.
+"""Globus-Compute-like function service: the simulated endpoint.
 
-Two endpoint flavours share the submit/future shape: the simulated
-endpoint runs behaviours on the discrete-event kernel (used by the
-benchmarks), the local endpoint runs real callables on a thread pool
-(used by the examples and the real execution path).
+:class:`SimComputeEndpoint` runs behaviours on the discrete-event kernel
+(the twin and the figure benchmarks).  There is no real-path half here:
+real callables run wherever :meth:`repro.core.context.RunContext.submit`
+places them, on the standard library's executors.
 """
 
 from repro.compute.endpoint import ComputeTask, SimComputeEndpoint
-from repro.compute.local import LocalComputeEndpoint
 
 __all__ = [
     "SimComputeEndpoint",
     "ComputeTask",
-    "LocalComputeEndpoint",
 ]

@@ -2,7 +2,7 @@
 
 from repro.core.config import ConfigError, EOMLConfig, StageWorkers, load_config
 from repro.core.download import DownloadReport, DownloadStage, GranuleSet
-from repro.core.inference import InferenceResult, InferenceWorker, infer_tile_file
+from repro.core.inference import InferenceResult, InferenceWorker
 from repro.core.monitor import DirectoryCrawler
 from repro.core.preprocess import (
     PreprocessReport,
@@ -12,7 +12,7 @@ from repro.core.preprocess import (
 )
 from repro.core.shipment import ShipmentReport, ShipmentStage
 from repro.core.simflow import SimulatedEOMLWorkflow, SimWorkflowParams, SimWorkflowResult
-from repro.instruments.tiling import Tile, dataset_to_tiles, extract_tiles, tiles_to_dataset
+from repro.instruments.tiling import Tile, extract_tiles, tiles_to_dataset
 from repro.core.timeline import StageBreakdown, WallClockTimeline
 from repro.core.workflow import EOMLWorkflow, WorkflowReport
 
@@ -24,7 +24,6 @@ __all__ = [
     "Tile",
     "extract_tiles",
     "tiles_to_dataset",
-    "dataset_to_tiles",
     "DownloadStage",
     "DownloadReport",
     "GranuleSet",
@@ -35,7 +34,6 @@ __all__ = [
     "DirectoryCrawler",
     "InferenceWorker",
     "InferenceResult",
-    "infer_tile_file",
     "ShipmentStage",
     "ShipmentReport",
     "EOMLWorkflow",

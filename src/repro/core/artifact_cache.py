@@ -3,8 +3,8 @@
 One place owns how the cache is opened from a workflow config, how the
 stages' *logical* keys are spelled (the derived-key table of
 :class:`repro.cas.store.CASStore`), and how a coarse tile file gets its
-full-fidelity second pass.  Keeping the vocabulary here means the six
-drivers, the pool workers, and the co-located site agents can never
+full-fidelity second pass.  Keeping the vocabulary here means the
+driver, the pool workers, and the co-located site agents can never
 disagree about what a cache entry means.
 
 Key grammar (all digests are SHA-256 hex):

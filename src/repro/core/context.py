@@ -25,10 +25,10 @@ from __future__ import annotations
 import os
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Dict, Optional
 
 from repro.chaos import build_injector
-from repro.compute import LocalComputeEndpoint
 from repro.core.artifact_cache import open_store
 from repro.core.branches import model_slot
 from repro.core.config import EOMLConfig
@@ -66,10 +66,10 @@ class RunContext:
             journal=journal, chaos=chaos, metrics=metrics, sleeper=sleeper, cache=cache
         )
         self.pool: Optional[ProcWorkerPool] = None
-        self._threads: Dict[str, LocalComputeEndpoint] = {}
+        self._threads: Dict[str, ThreadPoolExecutor] = {}
         self._lock = threading.Lock()
 
-    def submit(self, stage: Any, key: str, payload: Any) -> Any:
+    def submit(self, stage: Any, key: str, payload: Any) -> Future:
         """Run ``stage.execute(payload)`` somewhere; returns its future.
 
         The only code that knows where.  With a pool attached the unit
@@ -79,10 +79,12 @@ class RunContext:
         keeps some (inference's micro-batching ``enqueue``), else on a
         ``stage.workers``-sized thread pool built on first use.
 
-        Both futures speak one failure vocabulary: ``result()`` raises
-        :class:`~repro.runtime.proc.WorkerCrashed` only for lost
-        infrastructure, and any other exception's ``str()`` is the
-        unit's own error text, identical either way.
+        Whichever executor ran the unit, the future is a
+        :class:`concurrent.futures.Future` (so ``as_completed`` / ``wait``
+        take any mix of them) and speaks one failure vocabulary:
+        ``result()`` raises :class:`~repro.runtime.proc.WorkerCrashed`
+        only for lost infrastructure, and any other exception's ``str()``
+        is the unit's own error text.
         """
         if self.pool is not None:
             return self.pool.submit(WorkEnvelope(stage.kind, key, payload))
@@ -92,14 +94,10 @@ class RunContext:
         with self._lock:
             threads = self._threads.get(stage.kind)
             if threads is None:
-                threads = self._threads[stage.kind] = LocalComputeEndpoint(
-                    stage.kind, stage.workers
+                threads = self._threads[stage.kind] = ThreadPoolExecutor(
+                    max_workers=stage.workers, thread_name_prefix=stage.kind
                 )
         return threads.submit(stage.execute, payload)
-
-    # Results of :meth:`submit` futures in completion order (raises on
-    # the first failed one) — one implementation for both kinds of future.
-    gather = staticmethod(ProcWorkerPool.gather)
 
     def model_path(self, config: EOMLConfig) -> Optional[str]:
         """Where the model of ``config``'s branch persists.

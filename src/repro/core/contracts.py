@@ -28,7 +28,6 @@ __all__ = [
     "GRANULE_MOD06",
     "TILE_FILE",
     "LABELLED_TILE_FILE",
-    "contract_for_product",
 ]
 
 
@@ -178,11 +177,3 @@ _PRODUCT_CONTRACTS: Dict[str, FileContract] = {
     "03": GRANULE_MOD03,
     "06_L2": GRANULE_MOD06,
 }
-
-
-def contract_for_product(product: str) -> FileContract:
-    """The granule contract for a product short name (MOD/MYD alike)."""
-    family = product.lstrip("MYOD")
-    if family not in _PRODUCT_CONTRACTS:
-        raise KeyError(f"no published contract for product {product!r}")
-    return _PRODUCT_CONTRACTS[family]

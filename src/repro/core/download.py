@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -345,8 +346,8 @@ class DownloadStage:
         # One unit per granule, keyed by filename.  settle() is
         # order-independent, so units settle in completion order.
         futures = [self.ctx.submit(self, ref.filename, ref) for ref in refs]
-        for result in self.ctx.gather(futures):
-            settle(*result)
+        for future in as_completed(futures):
+            settle(*future.result())
         for scene_key in sorted(by_scene):
             paths = by_scene[scene_key]
             if not (set(paths) < planned.get(scene_key, set())):

@@ -52,7 +52,7 @@ from repro.runtime import (
 )
 from repro.util.digest import Buffer, atomic_publish_chunks
 
-__all__ = ["InferenceResult", "infer_tile_file", "InferenceWorker", "set_aside"]
+__all__ = ["InferenceResult", "InferenceWorker", "set_aside"]
 
 _STOP = object()
 
@@ -129,25 +129,6 @@ class _ParsedFile:
         ds = nc_from_bytes(raw)
         TILE_FILE.validate(ds)
         return cls(path, raw, ds, np.asarray(ds["radiance"].data, dtype=np.float32))
-
-
-def infer_tile_file(model: Any, src_path: str, out_dir: str) -> InferenceResult:
-    """Label one tile file; writes the enriched copy to ``out_dir``."""
-    started = time.monotonic()
-    entry = _ParsedFile.open(src_path)
-    labels = model.assign(entry.radiance)
-    chunks = _labelled_chunks(
-        entry.ds, entry.raw, labels, model.num_classes,
-        attribution=getattr(model, "attribution", "RICC/AICCA"),
-    )
-    out_path, _, _ = _publish(chunks, src_path, out_dir)
-    return InferenceResult(
-        src_path=src_path,
-        out_path=out_path,
-        tiles=int(entry.radiance.shape[0]),
-        classes_seen=int(np.unique(labels).size),
-        seconds=time.monotonic() - started,
-    )
 
 
 def set_aside(path: str, quarantine: str) -> None:

@@ -59,6 +59,7 @@ from repro.core.preprocess import PreprocessReport, PreprocessStage, QuarantineR
 from repro.core.shipment import ShipmentReport, ShipmentStage
 from repro.core.timeline import StageBreakdown, WallClockTimeline
 from repro.instruments.registry import get_model
+from repro.journal import WorkflowJournal
 from repro.netcdf import read as nc_read
 from repro.provenance import ProvenanceStore
 from repro.runtime import (

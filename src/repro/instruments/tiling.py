@@ -46,7 +46,6 @@ __all__ = [
     "coarsen_tile_data",
     "extract_tiles",
     "tiles_to_dataset",
-    "dataset_to_tiles",
 ]
 
 # The two rungs of the progressive-fidelity ladder.
@@ -321,40 +320,3 @@ def tiles_to_dataset(
                 ";".join(f"{k}={v}" for k, v in sorted(source_files.items())),
             )
     return ds
-
-
-def dataset_to_tiles(ds: Dataset) -> List[Tile]:
-    """Rebuild Tile objects from a tile-file dataset.
-
-    The per-tile variables are decoded once (one byte-order conversion
-    for the whole radiance cube, one ``tolist`` per metadata column)
-    instead of re-indexing each record variable inside the loop.
-    """
-    radiance = np.asarray(ds["radiance"].data, dtype=np.float32)
-    n = radiance.shape[0]
-    labels = ds["label"].data if "label" in ds else np.full(n, -1, dtype=np.int32)
-    source = ds.get_attr("source_granule", "")
-    if not isinstance(source, str):
-        source = ""
-    rows = ds["tile_row"].data.tolist()
-    cols = ds["tile_col"].data.tolist()
-    lats = ds["latitude"].data.tolist()
-    lons = ds["longitude"].data.tolist()
-    fracs = ds["cloud_fraction"].data.tolist()
-    taus = ds["mean_optical_thickness"].data.tolist()
-    ctps = ds["mean_cloud_top_pressure"].data.tolist()
-    return [
-        Tile(
-            data=radiance[index],
-            row=int(rows[index]),
-            col=int(cols[index]),
-            latitude=float(lats[index]),
-            longitude=float(lons[index]),
-            cloud_fraction=float(fracs[index]),
-            mean_optical_thickness=float(taus[index]),
-            mean_cloud_top_pressure=float(ctps[index]),
-            source=source,
-            label=None if label < 0 else label,
-        )
-        for index, label in enumerate(np.asarray(labels).tolist())
-    ]

@@ -16,12 +16,11 @@ from repro.journal.checkpoint import (
     RESUMED,
     ResumeDecision,
     WorkflowJournal,
-    verify_file,
 )
 
 __all__ = [
     "INTENT", "COMPLETE", "JournalRecord", "RunJournal", "JournalState",
     "IntegrityManifest",
     "FRESH", "RESUMED", "REPLAY", "ResumeDecision", "WorkflowJournal",
-    "JOURNAL_NAME", "MANIFEST_NAME", "verify_file",
+    "JOURNAL_NAME", "MANIFEST_NAME",
 ]

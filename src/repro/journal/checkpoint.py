@@ -29,7 +29,6 @@ from typing import Any, Dict, Optional, Set
 from repro.journal import manifest as manifest_mod
 from repro.journal.journal import JournalState, RunJournal
 from repro.journal.manifest import IntegrityManifest
-from repro.util.digest import sha256_file
 
 __all__ = [
     "FRESH", "RESUMED", "REPLAY",
@@ -222,11 +221,3 @@ class WorkflowJournal:
         summary["torn_records"] = self.torn_records
         summary["manifest_entries"] = len(self.manifest)
         return summary
-
-
-def verify_file(path: str, expected_sha: str) -> bool:
-    """Convenience end-to-end check: does ``path`` hash to ``expected_sha``?"""
-    try:
-        return sha256_file(path) == expected_sha
-    except OSError:
-        return False

@@ -3,7 +3,7 @@
 Fig. 1 of the paper shows (a) a MODIS true-colour swath off South America
 and (b) the same swath with each ocean-cloud tile coloured by its AICCA
 class.  This module renders both from our synthetic data as portable
-pixmaps (binary PPM/PGM — zero dependencies, viewable everywhere):
+pixmaps (binary PPM — zero dependencies, viewable everywhere):
 
 * :func:`swath_composite` — an RGB composite from the generated bands
   (reflective band for brightness, thermal band for cold-top tinting);
@@ -11,7 +11,7 @@ pixmaps (binary PPM/PGM — zero dependencies, viewable everywhere):
   tiles filled in their class colour;
 * :func:`class_palette` — 42 visually-spread colours via the golden-ratio
   hue walk;
-* :func:`write_ppm` / :func:`write_pgm` — the image writers.
+* :func:`write_ppm` — the image writer.
 """
 
 from __future__ import annotations
@@ -23,26 +23,10 @@ import numpy as np
 
 __all__ = [
     "write_ppm",
-    "write_pgm",
     "class_palette",
     "swath_composite",
     "class_map",
 ]
-
-
-def write_pgm(path: str, gray: np.ndarray) -> int:
-    """Write a (H, W) array scaled to 8-bit as binary PGM; returns bytes."""
-    gray = np.asarray(gray, dtype=np.float64)
-    if gray.ndim != 2:
-        raise ValueError("PGM needs a 2-D array")
-    lo, hi = float(gray.min()), float(gray.max())
-    scaled = np.zeros_like(gray) if hi == lo else (gray - lo) / (hi - lo)
-    data = (scaled * 255).astype(np.uint8)
-    header = f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode()
-    payload = header + data.tobytes()
-    with open(path, "wb") as handle:
-        handle.write(payload)
-    return len(payload)
 
 
 def write_ppm(path: str, rgb: np.ndarray) -> int:

@@ -1,15 +1,13 @@
 """Network substrate: HTTPS archive server model, WAN links, retry policy."""
 
-from repro.net.http import DownloadResult, HttpServer, retrying_request
-from repro.net.retry import BackoffPolicy, BreakerOpen, CircuitBreaker
+from repro.net.http import DownloadResult, HttpServer
+from repro.net.retry import BackoffPolicy, CircuitBreaker
 from repro.net.wan import WanLink
 
 __all__ = [
     "HttpServer",
     "DownloadResult",
     "WanLink",
-    "retrying_request",
     "BackoffPolicy",
     "CircuitBreaker",
-    "BreakerOpen",
 ]

@@ -30,12 +30,11 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from repro.net.retry import BackoffPolicy, BreakerOpen, CircuitBreaker
 from repro.sim import Event, FluidPipe, Simulation
 from repro.util.logging import EventLog
 
 __all__ = [
-    "HttpServer", "DownloadResult", "HttpError", "retrying_request",
+    "HttpServer", "DownloadResult", "HttpError",
     "PHASES", "classify_phase",
 ]
 
@@ -165,47 +164,3 @@ class HttpServer:
     @property
     def active_connections(self) -> int:
         return self.pipe.active_flows
-
-
-def retrying_request(
-    server: HttpServer,
-    nbytes: int,
-    policy: Optional[BackoffPolicy] = None,
-    label: str = "",
-    breaker: Optional[CircuitBreaker] = None,
-    max_attempts: int = 8,
-) -> Generator:
-    """A sub-process retrying one GET with backoff and an optional breaker.
-
-    Use from a simulation process via ``result = yield from
-    retrying_request(...)``; sleeps are simulated time.  Raises the last
-    :class:`HttpError` once ``max_attempts`` are spent, or
-    :class:`~repro.net.retry.BreakerOpen` if the circuit never admits the
-    request.  Pass a breaker built with ``clock=lambda: sim.now`` so its
-    reset window follows the simulation clock.
-    """
-    if max_attempts < 1:
-        raise ValueError("need at least one attempt")
-    policy = policy or BackoffPolicy()
-    host = server.name
-    attempt = 0
-    while True:
-        if breaker is not None and not breaker.allow(host):
-            attempt += 1
-            if attempt >= max_attempts:
-                raise BreakerOpen(f"circuit open for host {host!r}")
-            yield server.sim.timeout(max(policy.cap(attempt), 1e-3))
-            continue
-        try:
-            result = yield server.request(nbytes, label=label)
-        except HttpError:
-            if breaker is not None:
-                breaker.record_failure(host)
-            attempt += 1
-            if attempt >= max_attempts:
-                raise
-            yield server.sim.timeout(policy.delay(attempt - 1, key=label or host))
-            continue
-        if breaker is not None:
-            breaker.record_success(host)
-        return result

@@ -32,7 +32,6 @@ import time
 __all__ = [
     "BackoffPolicy",
     "CircuitBreaker",
-    "BreakerOpen",
     "EndpointPolicy",
     "ENDPOINT_POLICIES",
     "RetryExhausted",
@@ -162,10 +161,6 @@ ENDPOINT_POLICIES: Dict[str, EndpointPolicy] = {
     "reconcile": EndpointPolicy(idempotent=True),
     "other": EndpointPolicy(idempotent=False, retries=0),
 }
-
-
-class BreakerOpen(RuntimeError):
-    """An operation was refused because the host's circuit is open."""
 
 
 class RetryExhausted(RuntimeError):

@@ -14,8 +14,6 @@ from repro.ricc.evaluate import (
 )
 from repro.ricc.rotinv import (
     NUM_TRANSFORMS,
-    dihedral_transforms,
-    invariance_gap,
     transform_batch,
 )
 
@@ -34,8 +32,6 @@ __all__ = [
     "cluster_stability",
     "quality_report",
     "QualityReport",
-    "dihedral_transforms",
     "transform_batch",
-    "invariance_gap",
     "NUM_TRANSFORMS",
 ]

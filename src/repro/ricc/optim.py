@@ -1,4 +1,4 @@
-"""Optimizers for the NumPy network: SGD with momentum and Adam."""
+"""The optimizer of the NumPy network: Adam."""
 
 from __future__ import annotations
 
@@ -6,32 +6,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-__all__ = ["SGD", "Adam"]
+__all__ = ["Adam"]
 
 Params = List[Tuple[str, np.ndarray, np.ndarray]]
-
-
-class SGD:
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, lr: float = 0.01, momentum: float = 0.0):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: Dict[str, np.ndarray] = {}
-
-    def step(self, params: Params) -> None:
-        for name, value, grad in params:
-            if self.momentum > 0:
-                velocity = self._velocity.setdefault(name, np.zeros_like(value))
-                velocity *= self.momentum
-                velocity -= self.lr * grad
-                value += velocity
-            else:
-                value -= self.lr * grad
 
 
 class Adam:

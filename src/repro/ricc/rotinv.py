@@ -16,30 +16,11 @@ two loss components used during training:
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
-__all__ = ["dihedral_transforms", "transform_batch", "NUM_TRANSFORMS", "invariance_gap"]
+__all__ = ["transform_batch", "NUM_TRANSFORMS"]
 
 NUM_TRANSFORMS = 8
-
-
-def dihedral_transforms(tile: np.ndarray) -> List[np.ndarray]:
-    """The 8 dihedral (D4) transforms of a (H, W, C) tile.
-
-    Order: rot0, rot90, rot180, rot270, then the same four of the
-    horizontally flipped tile.
-    """
-    if tile.ndim != 3:
-        raise ValueError(f"tile must be (H, W, C); got shape {tile.shape}")
-    if tile.shape[0] != tile.shape[1]:
-        raise ValueError("dihedral transforms require square tiles")
-    out = []
-    for flipped in (tile, tile[:, ::-1, :]):
-        for k in range(4):
-            out.append(np.ascontiguousarray(np.rot90(flipped, k=k, axes=(0, 1))))
-    return out
 
 
 def transform_batch(tiles: np.ndarray, transform_index: int) -> np.ndarray:
@@ -55,21 +36,3 @@ def transform_batch(tiles: np.ndarray, transform_index: int) -> np.ndarray:
     if k:
         result = np.rot90(result, k=k, axes=(1, 2))
     return np.ascontiguousarray(result)
-
-
-def invariance_gap(encode, tiles: np.ndarray) -> float:
-    """Mean latent spread across transforms: the invariance metric.
-
-    ``encode`` maps (N, D_in) flattened tiles to (N, D_z) latents.  For a
-    perfectly rotation-invariant encoder this is zero.  Normalized by the
-    overall latent scale so values are comparable across models.
-    """
-    n = tiles.shape[0]
-    latents = []
-    for index in range(NUM_TRANSFORMS):
-        flat = transform_batch(tiles, index).reshape(n, -1)
-        latents.append(encode(flat))
-    stack = np.stack(latents)  # (8, N, D)
-    spread = stack.std(axis=0).mean()
-    scale = stack.std() + 1e-12
-    return float(spread / scale)

@@ -35,9 +35,7 @@ from repro.runtime.middleware import (
 )
 from repro.runtime.proc import (
     EnvelopeResult,
-    PoolFuture,
     PoolStats,
-    ProcChannel,
     ProcWorkerPool,
     WorkEnvelope,
     WorkerCrashed,
@@ -121,8 +119,6 @@ __all__ = [
     "WorkerSpec",
     "WorkerStats",
     "PoolStats",
-    "PoolFuture",
-    "ProcChannel",
     "ProcWorkerPool",
     "WorkerCrashed",
     "WorkerTaskError",

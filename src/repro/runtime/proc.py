@@ -1,15 +1,7 @@
-"""Multi-process execution tier: picklable envelopes, a process-spanning
-channel, and an elastic worker-process pool.
+"""Multi-process execution tier: picklable envelopes and an elastic
+worker-process pool — the horizontal scale-out the paper's Fig. 6 runs
+across facility cores.
 
-PR 5's :class:`~repro.runtime.channel.StreamChannel` pipelines stages
-inside one process; this module is its cross-process counterpart, the
-horizontal scale-out the paper's Fig. 6 runs across facility cores:
-
-* :class:`ProcChannel` — a bounded, backpressured FIFO with the same
-  ``put``/``get``/``close``/``relax``/``stats`` contract as
-  ``StreamChannel``, built on :mod:`multiprocessing` primitives so the
-  two ends may live in different processes.  Items are serialized
-  (pickled) at the boundary, so only picklable tokens may cross.
 * :class:`WorkEnvelope` / :class:`EnvelopeResult` — the picklable
   work-unit envelope.  A :class:`~repro.runtime.unit.WorkUnit` itself
   closes over live stage objects (archives, journals, models) and never
@@ -18,13 +10,16 @@ horizontal scale-out the paper's Fig. 6 runs across facility cores:
   rebuilds its stage context once and drives the real
   :class:`~repro.runtime.executor.StageExecutor` middleware locally —
   the same shape as a control-plane site agent.
-* :class:`ProcWorkerPool` — N worker processes fed through per-worker
-  bounded channels, with crash detection (a dead worker's in-flight
+* :class:`ProcWorkerPool` — N worker processes, each fed through its own
+  inbox (a plain ``multiprocessing`` queue) and answering on its own
+  result pipe, with crash detection (a dead worker's in-flight
   envelopes are requeued up to ``max_requeues`` times, then their
   futures fail with :class:`WorkerCrashed`), elastic scale-out/in
   driven by backlog depth through an
   :class:`~repro.runtime.elastic.ElasticPolicy`, and per-worker
   accounting (units executed, busy seconds, scale events).
+  ``submit`` returns a :class:`concurrent.futures.Future`, the same
+  type every in-process executor hands back.
 
 Worker code is addressed by a ``"module:callable"`` target string (a
 factory that receives the spec payload and returns the envelope
@@ -36,18 +31,17 @@ This module (like the whole ``repro.runtime`` package) must not import
 
 from __future__ import annotations
 
+import concurrent.futures as cf
 import importlib
 import multiprocessing
 import os
 from multiprocessing import connection as mp_connection
-import queue as queue_mod
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.runtime.channel import DEFAULT_CAPACITY, ChannelStats, StreamClosed
 from repro.runtime.elastic import ElasticPolicy
 
 __all__ = [
@@ -56,27 +50,24 @@ __all__ = [
     "WorkerSpec",
     "WorkerCrashed",
     "WorkerTaskError",
-    "PoolFuture",
     "WorkerStats",
     "PoolStats",
-    "ProcChannel",
     "ProcWorkerPool",
 ]
 
-# How long a blocked producer sleeps between bound re-checks, and the
-# granularity at which close()/relax() from another process is observed.
-_WAIT_SLICE = 0.05
+# Fork where available (cheap, inherits loaded modules); the platform
+# default elsewhere.  Specs and envelopes stay picklable, so spawn works
+# too — fork is a fast path, not a correctness need.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 
-# Envelope kind reserved for the pool's own retire hand-shake.
-_RETIRE_KIND = "__retire__"
+# Envelopes in flight per worker: the next unit waits in the worker's
+# inbox while the current one executes.  This is the only bound on an
+# inbox — the queue itself is unbounded, so a put never blocks.
+_DISPATCH_DEPTH = 2
 
-
-def _preferred_context() -> multiprocessing.context.BaseContext:
-    """Fork where available (cheap, inherits loaded modules); the
-    platform default elsewhere.  Specs and envelopes stay picklable, so
-    spawn works too — fork is a fast path, not a correctness need."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
+# The dispatch thread's liveness-sweep period.  Not a floor on dispatch
+# latency: submit() and close() wake the thread through a self-pipe.
+_POLL_INTERVAL = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +90,11 @@ class WorkEnvelope:
     key: str
     payload: Any = None
     ticket: int = -1
+
+
+# What the pool puts in a worker's inbox to end its loop (the kind is
+# reserved for this hand-shake).
+_RETIRE = WorkEnvelope(kind="__retire__", key="")
 
 
 @dataclass(frozen=True)
@@ -163,164 +159,6 @@ def _resolve_target(target: str) -> Callable[[Any], Callable[[WorkEnvelope], Any
 
 
 # ---------------------------------------------------------------------------
-# ProcChannel — StreamChannel across a process boundary
-# ---------------------------------------------------------------------------
-
-
-class ProcChannel:
-    """A closable bounded FIFO whose ends may live in different processes.
-
-    Mirrors :class:`~repro.runtime.channel.StreamChannel`: ``put``
-    blocks while a bounded channel is full and raises
-    :class:`StreamClosed` on a closed one; ``get`` returns
-    ``(True, item)`` or ``(False, None)`` once closed-and-drained (or on
-    timeout); ``relax()`` drops the bound; ``stats()`` reports the same
-    :class:`~repro.runtime.channel.ChannelStats`.  The queue itself is
-    unbounded — the bound is enforced by shared put/get counters — so
-    ``relax()`` can lift it without rebuilding the pipe.
-
-    Must be handed to child processes at spawn time (as a ``Process``
-    argument or by fork inheritance); a channel cannot be shipped
-    through another channel.
-    """
-
-    def __init__(
-        self,
-        edge: str,
-        capacity: int = DEFAULT_CAPACITY,
-        bounded: bool = True,
-        ctx: Optional[multiprocessing.context.BaseContext] = None,
-    ):
-        if capacity < 1:
-            raise ValueError(f"channel capacity must be >= 1, got {capacity}")
-        self.edge = edge
-        self.capacity = capacity
-        self._bounded_at_birth = bounded
-        ctx = ctx or _preferred_context()
-        self._queue = ctx.Queue()
-        self._closed_ev = ctx.Event()
-        self._relaxed = ctx.Event()
-        if not bounded:
-            self._relaxed.set()
-        # One lock guards every shared counter (raw Values carry none).
-        self._lock = ctx.Lock()
-        self._puts = ctx.Value("q", 0, lock=False)
-        self._gets = ctx.Value("q", 0, lock=False)
-        self._max_depth = ctx.Value("q", 0, lock=False)
-        self._stall = ctx.Value("d", 0.0, lock=False)
-        self._wait = ctx.Value("d", 0.0, lock=False)
-
-    # -- producer side --------------------------------------------------------
-
-    def put(self, item: Any) -> None:
-        """Enqueue one token; blocks while the bounded channel is full.
-
-        Raises :class:`StreamClosed` if the channel was closed — same
-        contract as the in-process channel: a late put is a programming
-        error, never a silent drop.
-        """
-        stall_started: Optional[float] = None
-        while True:
-            with self._lock:
-                closed = self._closed_ev.is_set()
-                depth = self._puts.value - self._gets.value
-                if closed or self._relaxed.is_set() or depth < self.capacity:
-                    if stall_started is not None:
-                        self._stall.value += time.monotonic() - stall_started
-                    if closed:
-                        raise StreamClosed(f"channel {self.edge} is closed")
-                    self._puts.value += 1
-                    depth += 1
-                    if depth > self._max_depth.value:
-                        self._max_depth.value = depth
-                    break
-            if stall_started is None:
-                stall_started = time.monotonic()
-            time.sleep(_WAIT_SLICE)
-        self._queue.put(item)
-
-    def close(self) -> None:
-        """End the stream (idempotent); consumers drain what remains."""
-        self._closed_ev.set()
-
-    def relax(self) -> None:
-        """Drop the capacity bound so a blocked producer can finish."""
-        self._relaxed.set()
-
-    # -- consumer side --------------------------------------------------------
-
-    def get(self, timeout: Optional[float] = None) -> Tuple[bool, Any]:
-        """Dequeue one token: ``(True, item)``, or ``(False, None)`` when
-        the channel is closed and drained (or ``timeout`` elapsed)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        wait_started: Optional[float] = None
-
-        def accrue() -> None:
-            if wait_started is not None:
-                with self._lock:
-                    self._wait.value += time.monotonic() - wait_started
-
-        while True:
-            slice_ = _WAIT_SLICE
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    try:
-                        item = self._queue.get_nowait()
-                    except queue_mod.Empty:
-                        accrue()
-                        return False, None
-                    with self._lock:
-                        self._gets.value += 1
-                    accrue()
-                    return True, item
-                slice_ = min(slice_, remaining)
-            try:
-                item = self._queue.get(timeout=slice_)
-            except queue_mod.Empty:
-                if self._closed_ev.is_set() and len(self) == 0:
-                    accrue()
-                    return False, None
-                if wait_started is None:
-                    wait_started = time.monotonic()
-                continue
-            with self._lock:
-                self._gets.value += 1
-            accrue()
-            return True, item
-
-    def __iter__(self) -> Iterator[Any]:
-        while True:
-            ok, item = self.get()
-            if not ok:
-                return
-            yield item
-
-    # -- introspection --------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self._closed_ev.is_set()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return self._puts.value - self._gets.value
-
-    def stats(self) -> ChannelStats:
-        with self._lock:
-            return ChannelStats(
-                edge=self.edge,
-                capacity=self.capacity,
-                bounded=self._bounded_at_birth,
-                items=self._puts.value,
-                max_depth=self._max_depth.value,
-                producer_stall_seconds=self._stall.value,
-                consumer_wait_seconds=self._wait.value,
-                closed=self._closed_ev.is_set(),
-            )
-
-
-# ---------------------------------------------------------------------------
 # The worker process main loop
 # ---------------------------------------------------------------------------
 
@@ -335,15 +173,18 @@ def _counter_snapshot(handler: Any) -> Dict[str, float]:
         return {}
 
 
-def _worker_main(
-    spec: WorkerSpec, worker_id: int, tasks: ProcChannel, results: Any
-) -> None:
+def _worker_main(spec: WorkerSpec, worker_id: int, inbox: Any, results: Any) -> None:
     """One worker process: build the handler, then serve envelopes.
 
     Failures inside the handler are *results* (``ok=False``), so one bad
     unit never kills the process; a genuine crash (an injected
     ``os._exit``, a SIGKILL, an OOM) simply stops the loop mid-envelope
     and the parent's liveness sweep requeues the work.
+
+    ``inbox`` is this worker's own queue: the parent is its only writer
+    and this process its only reader, so an idle worker sleeps in
+    ``get()`` and a worker killed there takes nothing the parent waits
+    on with it.  The retire envelope is the only close signal.
 
     ``results`` is this worker's **private** write-end of a pipe — never
     a queue shared with other workers.  A shared ``mp.Queue`` guards its
@@ -370,8 +211,8 @@ def _worker_main(
         return
     send(("ready", worker_id, os.getpid()))
     while True:
-        ok, envelope = tasks.get()
-        if not ok or envelope.kind == _RETIRE_KIND:
+        envelope = inbox.get()
+        if envelope.kind == _RETIRE.kind:
             break
         before = _counter_snapshot(handler)
         started = time.monotonic()
@@ -414,54 +255,8 @@ def _worker_main(
 
 
 # ---------------------------------------------------------------------------
-# Futures and accounting
+# Accounting
 # ---------------------------------------------------------------------------
-
-
-class PoolFuture:
-    """A minimal future for pool submissions (``concurrent.futures``
-    surface: ``done``/``result``/``add_done_callback``).  Callbacks run
-    on the pool's dispatch thread — keep them short."""
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._lock = threading.Lock()
-        self._value: Any = None
-        self._error: Optional[BaseException] = None
-        self._callbacks: List[Callable[["PoolFuture"], None]] = []
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        if not self._event.wait(timeout):
-            raise TimeoutError("pool future not settled in time")
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        if not self._event.wait(timeout):
-            raise TimeoutError("pool future not settled in time")
-        return self._error
-
-    def add_done_callback(self, fn: Callable[["PoolFuture"], None]) -> None:
-        with self._lock:
-            if not self._event.is_set():
-                self._callbacks.append(fn)
-                return
-        fn(self)
-
-    def _settle(self, value: Any = None, error: Optional[BaseException] = None) -> None:
-        with self._lock:
-            if self._event.is_set():
-                return
-            self._value = value
-            self._error = error
-            callbacks, self._callbacks = self._callbacks, []
-            self._event.set()
-        for fn in callbacks:
-            fn(self)
 
 
 @dataclass
@@ -502,16 +297,15 @@ class PoolStats:
 @dataclass
 class _Ticket:
     envelope: WorkEnvelope
-    future: PoolFuture
+    future: cf.Future
     requeues: int = 0
-    owner: Optional[int] = None  # worker_id once dispatched
 
 
 class _WorkerHandle:
-    def __init__(self, worker_id: int, process: Any, channel: ProcChannel, conn: Any):
+    def __init__(self, worker_id: int, process: Any, inbox: Any, conn: Any):
         self.worker_id = worker_id
         self.process = process
-        self.channel = channel
+        self.inbox = inbox  # the worker's task queue; only the parent puts
         self.conn = conn  # read end of this worker's private result pipe
         self.pid = 0
         self.inflight: set = set()  # dispatched, unresolved tickets
@@ -527,16 +321,16 @@ class _WorkerHandle:
 
 
 class ProcWorkerPool:
-    """An elastic pool of worker processes fed through ProcChannels.
+    """An elastic pool of worker processes, one inbox and one pipe each.
 
-    Each worker gets its own bounded task channel (so ownership of every
-    dispatched envelope is exact, and a dead worker's work is requeued
-    precisely) and its own single-writer result pipe (so a worker killed
-    mid-report can never wedge the others — see :func:`_worker_main`).
-    A dispatch thread in the parent multiplexes the result pipes with
+    Each worker gets its own inbox (so ownership of every dispatched
+    envelope is exact, and a dead worker's work is requeued precisely)
+    and its own single-writer result pipe (so a worker killed mid-report
+    can never wedge the others — see :func:`_worker_main`).  A dispatch
+    thread in the parent multiplexes the result pipes with
     ``multiprocessing.connection.wait``, sweeps liveness, applies the
     :class:`ElasticPolicy` against the undispatched backlog, and feeds
-    idle workers — ``dispatch_depth`` envelopes per worker keep the next
+    idle workers — ``_DISPATCH_DEPTH`` envelopes per worker keep the next
     unit queued locally while the current one executes.
     """
 
@@ -547,25 +341,14 @@ class ProcWorkerPool:
         *,
         name: str = "pool",
         max_requeues: int = 1,
-        dispatch_depth: int = 2,
-        poll_interval: float = 0.02,
-        start_method: Optional[str] = None,
     ):
         if max_requeues < 0:
             raise ValueError("max_requeues must be >= 0")
-        if dispatch_depth < 1:
-            raise ValueError("dispatch_depth must be >= 1")
         self.spec = spec
         self.policy = policy or ElasticPolicy.fixed(1)
         self.name = name
         self.max_requeues = max_requeues
-        self.dispatch_depth = dispatch_depth
-        self.poll_interval = poll_interval
-        self._ctx = (
-            multiprocessing.get_context(start_method)
-            if start_method
-            else _preferred_context()
-        )
+        self._ctx = multiprocessing.get_context(_START_METHOD)
         self._lock = threading.Lock()
         self._pending: deque = deque()  # tickets awaiting dispatch
         self._tickets: Dict[int, _Ticket] = {}
@@ -580,7 +363,7 @@ class ProcWorkerPool:
         self._started = False
         # Self-pipe in the dispatch thread's wait set (open while the
         # thread runs): submit() and close() write a byte, so new work is
-        # dispatched at once and ``poll_interval`` is only the
+        # dispatched at once and ``_POLL_INTERVAL`` is only the
         # liveness-sweep period.
         self._wake_r = self._wake_w = -1
 
@@ -601,11 +384,17 @@ class ProcWorkerPool:
         self._thread.start()
         return self
 
-    def submit(self, envelope: WorkEnvelope) -> PoolFuture:
-        """Enqueue one envelope; returns a future for its result."""
+    def submit(self, envelope: WorkEnvelope) -> cf.Future:
+        """Enqueue one envelope; returns a future for its result.
+
+        Callbacks run on the pool's dispatch thread — keep them short.
+        """
         if not self._started or self._thread is None:
             raise RuntimeError("pool is not started")
-        future = PoolFuture()
+        future: cf.Future = cf.Future()
+        # Running from birth: a caller's cancel() must return False, not
+        # leave the dispatch thread settling a cancelled future.
+        future.set_running_or_notify_cancel()
         with self._lock:
             if self._closing:
                 raise RuntimeError("pool is closing; no new work accepted")
@@ -641,24 +430,6 @@ class ProcWorkerPool:
                     os.close(fd)
             self._wake_r = self._wake_w = -1
         return True
-
-    @staticmethod
-    def gather(futures: Iterable[Any]) -> Iterator[Any]:
-        """Yield results in completion order; raises on the first
-        failed future (same shape as ``LocalComputeEndpoint.gather``).
-        Needs only ``add_done_callback``/``result``, so it serves
-        ``concurrent.futures`` futures as well as :class:`PoolFuture`."""
-        futures = list(futures)
-        settled: "queue_mod.Queue[PoolFuture]" = queue_mod.Queue()
-        for future in futures:
-            future.add_done_callback(settled.put)
-        for _ in futures:
-            yield settled.get().result()
-
-    def backlog(self) -> int:
-        """Undispatched envelopes — the queue depth elasticity watches."""
-        with self._lock:
-            return len(self._pending)
 
     def stats(self) -> PoolStats:
         with self._lock:
@@ -717,7 +488,7 @@ class ProcWorkerPool:
             self._tickets.clear()
             self._pending.clear()
         for ticket in outstanding:
-            ticket.future._settle(error=WorkerCrashed("pool terminated"))
+            ticket.future.set_exception(WorkerCrashed("pool terminated"))
 
     def __enter__(self) -> "ProcWorkerPool":
         if not self._started:
@@ -735,15 +506,11 @@ class ProcWorkerPool:
     def _spawn(self) -> _WorkerHandle:
         worker_id = self._next_worker
         self._next_worker += 1
-        channel = ProcChannel(
-            f"{self.name}:w{worker_id}",
-            capacity=max(self.dispatch_depth, 1) + 1,
-            ctx=self._ctx,
-        )
+        inbox = self._ctx.Queue()
         reader, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(self.spec, worker_id, channel, writer),
+            args=(self.spec, worker_id, inbox, writer),
             name=f"{self.name}-{worker_id}",
             daemon=True,
         )
@@ -753,7 +520,7 @@ class ProcWorkerPool:
         # later-forked sibling can inherit a stray copy that would keep
         # the pipe open past the owner's death.
         writer.close()
-        handle = _WorkerHandle(worker_id, process, channel, reader)
+        handle = _WorkerHandle(worker_id, process, inbox, reader)
         with self._lock:
             self._workers[worker_id] = handle
             self._stats.workers_launched += 1
@@ -802,9 +569,11 @@ class ProcWorkerPool:
             else:
                 self._stats.failed += 1
         if result.ok:
-            ticket.future._settle(value=result.value)
+            ticket.future.set_result(result.value)
         else:
-            ticket.future._settle(error=WorkerTaskError(result.error or "worker task failed"))
+            ticket.future.set_exception(
+                WorkerTaskError(result.error or "worker task failed")
+            )
 
     def _drain_conn(self, handle: _WorkerHandle) -> None:
         """Pull every complete message still sitting in a worker's pipe."""
@@ -842,7 +611,6 @@ class ProcWorkerPool:
                 for ticket in orphans:
                     if ticket.requeues < self.max_requeues:
                         ticket.requeues += 1
-                        ticket.owner = None
                         self._stats.requeues += 1
                         self._pending.appendleft(ticket.envelope.ticket)
                     else:
@@ -851,8 +619,8 @@ class ProcWorkerPool:
                         exhausted.append(ticket)
             for ticket in exhausted:
                 envelope = ticket.envelope
-                ticket.future._settle(
-                    error=WorkerCrashed(
+                ticket.future.set_exception(
+                    WorkerCrashed(
                         f"worker {handle.worker_id} (pid {handle.pid}) died "
                         f"executing {envelope.kind}:{envelope.key} "
                         f"(attempt {ticket.requeues + 1})"
@@ -912,7 +680,7 @@ class ProcWorkerPool:
                 if handle.inflight or now - handle.last_active < self.policy.idle_retire_seconds:
                     continue
                 handle.retiring = True
-                handle.channel.put(WorkEnvelope(kind=_RETIRE_KIND, key=""))
+                handle.inbox.put(_RETIRE)
                 with self._lock:
                     self._stats.scale_in_events += 1
                 break
@@ -923,7 +691,7 @@ class ProcWorkerPool:
             candidates = [
                 h
                 for h in self._live_workers()
-                if h.pid and h.process.is_alive() and len(h.inflight) < self.dispatch_depth
+                if h.pid and h.process.is_alive() and len(h.inflight) < _DISPATCH_DEPTH
             ]
             if not candidates:
                 return progressed
@@ -936,21 +704,17 @@ class ProcWorkerPool:
                 continue
             target = min(candidates, key=lambda h: (len(h.inflight), h.worker_id))
             with self._lock:
-                ticket.owner = target.worker_id
                 target.inflight.add(ticket_id)
-            target.channel.put(ticket.envelope)
+            target.inbox.put(ticket.envelope)
             progressed = True
 
     def _retire_all(self, timeout: float = 30.0) -> None:
         deadline = time.monotonic() + timeout
         for handle in self._live_workers():
             handle.retiring = True
-            try:
-                handle.channel.put(WorkEnvelope(kind=_RETIRE_KIND, key=""))
-            except StreamClosed:
-                pass
+            handle.inbox.put(_RETIRE)
         while self._workers and time.monotonic() < deadline:
-            self._pump(self.poll_interval)
+            self._pump(_POLL_INTERVAL)
             self._reap_dead()
         for handle in list(self._workers.values()):
             if handle.process.is_alive():
@@ -968,8 +732,8 @@ class ProcWorkerPool:
             ]
             self._pending.clear()
         for ticket in outstanding:
-            ticket.future._settle(
-                error=WorkerCrashed(f"worker startup failed: {error}")
+            ticket.future.set_exception(
+                WorkerCrashed(f"worker startup failed: {error}")
             )
 
     def _pump(self, timeout: float) -> bool:
@@ -1010,7 +774,7 @@ class ProcWorkerPool:
 
     def _dispatch_loop(self) -> None:
         while True:
-            self._pump(self.poll_interval)
+            self._pump(_POLL_INTERVAL)
             self._reap_dead()
             with self._lock:
                 terminated = self._terminated

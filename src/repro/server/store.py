@@ -149,14 +149,6 @@ CREATE INDEX IF NOT EXISTS idx_leases_status ON leases (status, expires_at);
 CREATE INDEX IF NOT EXISTS idx_events_run ON events (run_id, seq);
 """
 
-# Columns added after PR 6 shipped: existing on-disk stores are migrated
-# in place at open (SQLite ALTER TABLE ADD COLUMN is cheap and safe).
-_MIGRATIONS = (
-    ("units", "fence", "INTEGER NOT NULL DEFAULT 0"),
-    ("leases", "fence", "INTEGER NOT NULL DEFAULT 0"),
-)
-
-
 def _new_id(prefix: str) -> str:
     return f"{prefix}-{uuid.uuid4().hex[:12]}"
 
@@ -182,15 +174,6 @@ class RunStore:
         self._conn.row_factory = sqlite3.Row
         with self._lock:
             self._conn.executescript(_SCHEMA)
-            for table, column, decl in _MIGRATIONS:
-                have = {
-                    row["name"] for row in
-                    self._conn.execute(f"PRAGMA table_info({table})")
-                }
-                if column not in have:
-                    self._conn.execute(
-                        f"ALTER TABLE {table} ADD COLUMN {column} {decl}"
-                    )
             self._conn.commit()
 
     def close(self) -> None:

@@ -10,7 +10,7 @@ from repro.sim.kernel import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Container, Flow, FluidPipe, Resource, Store
+from repro.sim.resources import Flow, FluidPipe, Store
 from repro.sim.trace import Span, StepSeries, Tracer
 
 __all__ = [
@@ -22,9 +22,7 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimulationError",
-    "Resource",
     "Store",
-    "Container",
     "FluidPipe",
     "Flow",
     "Tracer",

@@ -1,7 +1,6 @@
 """Shared-resource primitives for the simulation kernel.
 
-Three discrete primitives (:class:`Resource`, :class:`Store`,
-:class:`Container`) cover scheduler slots, task queues, and storage pools.
+:class:`Store` is the discrete primitive (a FIFO task queue).
 :class:`FluidPipe` is a processor-sharing bandwidth model — concurrent
 flows split capacity max-min fairly — used for the LAADS HTTPS server NIC,
 WAN links, and the Lustre aggregate-bandwidth model.  Processor sharing is
@@ -17,56 +16,9 @@ from typing import Any, Deque, Dict, List, Optional
 
 from repro.sim.kernel import Event, Simulation, SimulationError
 
-__all__ = ["Resource", "Store", "Container", "FluidPipe", "Flow"]
+__all__ = ["Store", "FluidPipe", "Flow"]
 
 _EPS = 1e-9
-
-
-class Resource:
-    """A counted resource with FIFO request queue (like simpy.Resource)."""
-
-    def __init__(self, sim: Simulation, capacity: int):
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.users = 0
-        self._waiters: Deque[Event] = deque()
-
-    def request(self) -> Event:
-        """Returns an event that fires once a slot is held.
-
-        The caller owns the slot after the event fires and must call
-        :meth:`release` exactly once.
-        """
-        event = self.sim.event()
-        if self.users < self.capacity:
-            self.users += 1
-            event.succeed(self)
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        if self.users <= 0:
-            raise SimulationError("release() without a held slot")
-        if self._waiters:
-            waiter = self._waiters.popleft()
-            waiter.succeed(self)
-        else:
-            self.users -= 1
-
-    def cancel(self, request: Event) -> bool:
-        """Withdraw a queued (not yet granted) request. Returns True if removed."""
-        try:
-            self._waiters.remove(request)
-            return True
-        except ValueError:
-            return False
-
-    @property
-    def queued(self) -> int:
-        return len(self._waiters)
 
 
 class Store:
@@ -116,52 +68,6 @@ class Store:
 
     def __len__(self) -> int:
         return len(self.items)
-
-
-class Container:
-    """A continuous quantity with blocking get/put (like simpy.Container)."""
-
-    def __init__(self, sim: Simulation, capacity: float = math.inf, init: float = 0.0):
-        if capacity <= 0:
-            raise SimulationError("container capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise SimulationError("initial level out of range")
-        self.sim = sim
-        self.capacity = capacity
-        self.level = float(init)
-        self._getters: Deque[tuple] = deque()
-        self._putters: Deque[tuple] = deque()
-
-    def get(self, amount: float) -> Event:
-        if amount <= 0:
-            raise SimulationError("get amount must be positive")
-        event = self.sim.event()
-        self._getters.append((event, amount))
-        self._drain()
-        return event
-
-    def put(self, amount: float) -> Event:
-        if amount <= 0:
-            raise SimulationError("put amount must be positive")
-        event = self.sim.event()
-        self._putters.append((event, amount))
-        self._drain()
-        return event
-
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and self.level + self._putters[0][1] <= self.capacity + _EPS:
-                event, amount = self._putters.popleft()
-                self.level = min(self.capacity, self.level + amount)
-                event.succeed(None)
-                progressed = True
-            if self._getters and self.level >= self._getters[0][1] - _EPS:
-                event, amount = self._getters.popleft()
-                self.level = max(0.0, self.level - amount)
-                event.succeed(None)
-                progressed = True
 
 
 class Flow:

@@ -2,10 +2,7 @@
 
 from repro.util.units import (
     format_bytes,
-    format_duration,
-    format_rate,
     parse_bytes,
-    parse_duration,
     parse_rate,
 )
 from repro.util.stats import RunningStats, summarize
@@ -14,10 +11,7 @@ from repro.util.yamlish import YamlError, dumps as yaml_dumps, loads as yaml_loa
 __all__ = [
     "parse_bytes",
     "parse_rate",
-    "parse_duration",
     "format_bytes",
-    "format_rate",
-    "format_duration",
     "RunningStats",
     "summarize",
     "yaml_loads",

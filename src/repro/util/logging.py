@@ -3,17 +3,15 @@
 Every service in the system (archive, scheduler, transfer, flows, the
 workflow orchestrator) emits events through a :class:`EventLog`; this keeps
 simulated components free of global ``logging`` state and makes event
-streams assertable in tests.  A bridge to :mod:`logging` is provided for
-interactive use.
+streams assertable in tests.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-__all__ = ["Event", "EventLog", "stdlib_bridge"]
+__all__ = ["Event", "EventLog"]
 
 
 @dataclass(frozen=True)
@@ -77,13 +75,3 @@ class EventLog:
 
     def clear(self) -> None:
         self._events.clear()
-
-
-def stdlib_bridge(log: EventLog, logger_name: str = "repro") -> None:
-    """Mirror every event onto a standard-library logger at INFO level."""
-    logger = logging.getLogger(logger_name)
-
-    def forward(event: Event) -> None:
-        logger.info("%s", event)
-
-    log.subscribe(forward)

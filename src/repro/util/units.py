@@ -1,4 +1,4 @@
-"""Byte-size, rate, and duration unit parsing and formatting.
+"""Byte-size and rate unit parsing and formatting.
 
 The workflow configuration surface of the paper ("32GB for MOD02",
 "12.5 GB/s Slingshot-10 interconnect") is expressed in human units.  This
@@ -17,10 +17,7 @@ from typing import Union
 __all__ = [
     "parse_bytes",
     "parse_rate",
-    "parse_duration",
     "format_bytes",
-    "format_rate",
-    "format_duration",
     "KB",
     "MB",
     "GB",
@@ -141,28 +138,6 @@ def parse_rate(value: Union[int, float, str]) -> float:
     return parse_bytes(size_part) / per
 
 
-def parse_duration(value: Union[int, float, str]) -> float:
-    """Parse a duration such as ``"5m"``, ``"50ms"``, ``"1.5h"`` or ``30``.
-
-    Returns seconds as a float.
-    """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if value < 0:
-            raise ValueError(f"duration must be non-negative: {value!r}")
-        return float(value)
-    if not isinstance(value, str):
-        raise ValueError(f"cannot parse duration: {value!r}")
-    match = _BYTES_RE.match(value)
-    if match is None:
-        raise ValueError(f"cannot parse duration: {value!r}")
-    number = float(match.group(1))
-    suffix = match.group(2).lower()
-    factor = _DURATION_SUFFIX.get(suffix)
-    if factor is None:
-        raise ValueError(f"unknown duration suffix {match.group(2)!r} in {value!r}")
-    return number * factor
-
-
 def format_bytes(nbytes: Union[int, float]) -> str:
     """Render a byte count with the largest natural decimal suffix."""
     nbytes = float(nbytes)
@@ -172,27 +147,3 @@ def format_bytes(nbytes: Union[int, float]) -> str:
         if nbytes >= factor:
             return f"{nbytes / factor:.2f} {suffix}"
     return f"{int(nbytes)} B"
-
-
-def format_rate(bytes_per_sec: Union[int, float]) -> str:
-    """Render a rate in the most natural decimal unit per second."""
-    return f"{format_bytes(bytes_per_sec)}/s"
-
-
-def format_duration(seconds: Union[int, float]) -> str:
-    """Render a duration compactly (``1h02m``, ``44.0s``, ``50.0ms``)."""
-    seconds = float(seconds)
-    if seconds < 0:
-        raise ValueError("duration must be non-negative")
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.1f}us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.1f}ms"
-    if seconds < 60.0:
-        return f"{seconds:.1f}s"
-    if seconds < 3600.0:
-        minutes = int(seconds // 60)
-        return f"{minutes}m{seconds - 60 * minutes:04.1f}s"
-    hours = int(seconds // 3600)
-    minutes = int((seconds - 3600 * hours) // 60)
-    return f"{hours}h{minutes:02d}m"

@@ -1,8 +1,8 @@
-"""Simulated and local compute endpoint tests."""
+"""Simulated compute endpoint tests."""
 
 import pytest
 
-from repro.compute import LocalComputeEndpoint, SimComputeEndpoint
+from repro.compute import SimComputeEndpoint
 from repro.sim import Simulation, Tracer
 
 
@@ -102,65 +102,3 @@ class TestSimEndpoint:
         sim.run()
         assert endpoint.tasks_completed == 2
         assert sim.now == pytest.approx(11.0)
-
-
-class TestLocalEndpoint:
-    def test_real_execution(self):
-        with LocalComputeEndpoint("local", max_workers=4) as endpoint:
-            futures = endpoint.map(lambda x: x * x, [1, 2, 3, 4])
-            assert endpoint.gather(futures, ordered=True) == [1, 4, 9, 16]
-
-    def test_gather_yields_in_completion_order(self):
-        import threading
-        import time
-
-        release = threading.Event()
-
-        def slow_then(value):
-            release.wait(5.0)
-            return value
-
-        with LocalComputeEndpoint("local", max_workers=2) as endpoint:
-            slow = endpoint.submit(slow_then, "slow")
-            fast = endpoint.submit(lambda: "fast")
-            results = endpoint.gather([slow, fast])
-            first = next(results)
-            assert first == "fast"  # finished work streams out immediately
-            release.set()
-            assert list(results) == ["slow"]
-        # ordered=True still reflects submission order regardless of timing.
-        with LocalComputeEndpoint("local", max_workers=2) as endpoint:
-            futures = endpoint.map(lambda x: x + 1, [1, 2, 3])
-            time.sleep(0.05)
-            assert endpoint.gather(futures, ordered=True) == [2, 3, 4]
-
-    def test_exception_propagates(self):
-        def boom():
-            raise ValueError("bad granule")
-
-        with LocalComputeEndpoint("local", max_workers=1) as endpoint:
-            future = endpoint.submit(boom)
-            with pytest.raises(ValueError, match="bad granule"):
-                future.result()
-
-    def test_worker_count_validated_with_context(self):
-        # The error names the endpoint and the offending value.
-        with pytest.raises(ValueError, match=r"'download'.*max_workers >= 1.*0"):
-            LocalComputeEndpoint("download", max_workers=0)
-        with pytest.raises(ValueError, match=r"-3"):
-            LocalComputeEndpoint("x", max_workers=-3)
-        with pytest.raises(ValueError, match=r"'2'"):
-            LocalComputeEndpoint("x", max_workers="2")  # type: ignore[arg-type]
-
-    def test_shutdown_idempotent(self):
-        endpoint = LocalComputeEndpoint("pool", max_workers=1)
-        assert endpoint.submit(lambda: 7).result() == 7
-        endpoint.shutdown()
-        endpoint.shutdown()  # second call is a no-op, not an error
-        with endpoint:  # __exit__ triggers a third shutdown
-            pass
-
-    def test_shutdown_inside_context_manager(self):
-        with LocalComputeEndpoint("pool", max_workers=1) as endpoint:
-            assert endpoint.submit(lambda: 1).result() == 1
-            endpoint.shutdown()  # explicit early close; __exit__ must not raise

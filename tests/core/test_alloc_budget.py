@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import DownloadStage, PreprocessStage, load_config
-from repro.core.inference import infer_tile_file
+from repro.core.inference import InferenceWorker
 from repro.modis import MINI_SWATH, LaadsArchive
 from repro.netcdf import from_bytes, read
 from repro.util.digest import HASH_SLICE, digest_file, read_chunks
@@ -129,8 +129,9 @@ def test_preprocess_and_labelling_hold_one_copy_of_the_tile_file(staged):
     # the parent commit peaked at 5x.
     assert peak.bytes <= 2.5 * tile_bytes, peak.bytes / tile_bytes
 
+    worker = InferenceWorker(ConstantModel(), config)
     with traced() as peak:
-        labelled = infer_tile_file(ConstantModel(), result.tile_path, config.transfer_out)
+        ((_, labelled),) = worker.label([result.tile_path])
     # The native-order radiance the model sees (1x) and one merged
     # buffer of the spliced output (a mini file is a single one, so 1x
     # again); the parent commit held the file five times.

@@ -12,7 +12,6 @@ from repro.core.contracts import (
     GRANULE_MOD06,
     LABELLED_TILE_FILE,
     TILE_FILE,
-    contract_for_product,
 )
 from repro.instruments.tiling import extract_tiles, tiles_to_dataset
 from repro.modis import MINI_SWATH, GranuleId, generate_granule
@@ -46,12 +45,6 @@ class TestGranuleContracts:
     def test_generated_granules_conform(self, product, contract):
         ds = generate_granule(GranuleId(product, DATE, 5), MINI_SWATH, seed=1)
         contract.validate(ds)  # must not raise
-
-    def test_contract_for_product_lookup(self):
-        assert contract_for_product("MYD021KM") is GRANULE_MOD02
-        assert contract_for_product("MOD06_L2") is GRANULE_MOD06
-        with pytest.raises(KeyError):
-            contract_for_product("MOD99X")
 
     def test_missing_variable_detected(self):
         ds = generate_granule(GranuleId("MOD03", DATE, 5), MINI_SWATH, seed=1)
@@ -126,8 +119,9 @@ class TestPipelineIntegration:
     def test_inference_rejects_malformed_tile_file(self, tmp_path):
         """A corrupt tile file is rejected at the stage boundary with a
         contract message, not a numpy stack trace."""
-        from repro.core.inference import infer_tile_file
+        from repro.core.inference import InferenceWorker
         from repro.netcdf import write as nc_write
+        from tests.core.test_inference_batching import make_config
 
         bad = Dataset()
         bad.create_dimension("tile", None)
@@ -136,5 +130,9 @@ class TestPipelineIntegration:
                             np.zeros((2, 4), dtype=np.float32))
         path = str(tmp_path / "tiles_bad.nc")
         nc_write(bad, path)
-        with pytest.raises(ContractViolation):
-            infer_tile_file(None, path, str(tmp_path / "out"))
+        worker = InferenceWorker(None, make_config(tmp_path))
+        ((tag, error),) = worker.label([path])
+        assert tag == "quarantined"
+        with pytest.raises(ContractViolation) as violation:
+            TILE_FILE.validate(bad)
+        assert error == str(violation.value)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import load_config
-from repro.core.inference import InferenceWorker, infer_tile_file
+from repro.core.inference import InferenceWorker
 from repro.instruments.tiling import extract_tiles, tiles_to_dataset
 from repro.netcdf import write as nc_write
 from repro.ricc import AICCAModel
@@ -105,22 +105,6 @@ class TestMicroBatchEquivalence:
             with open(os.path.join(serial_config.transfer_out, name), "rb") as handle:
                 serial_bytes = handle.read()
             assert fused_bytes == serial_bytes
-
-    def test_fused_matches_infer_tile_file(self, tmp_path, model):
-        """The fused worker output equals the plain one-shot function."""
-        src = make_tile_file(str(tmp_path / "tiles_x.nc"), seed=11)
-        reference_dir = tmp_path / "reference"
-        result = infer_tile_file(model, src, str(reference_dir))
-
-        config = make_config(tmp_path / "worker", batch_files=8)
-        worker = run_worker(model, config, [src])
-        assert len(worker.results) == 1
-        assert worker.results[0].tiles == result.tiles
-        with open(result.out_path, "rb") as handle:
-            expected = handle.read()
-        with open(worker.results[0].out_path, "rb") as handle:
-            actual = handle.read()
-        assert actual == expected
 
     def test_fuses_files_with_different_tile_counts(self, tmp_path, model):
         """Files sharing a tile shape fuse even at different tile counts."""

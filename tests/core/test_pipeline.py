@@ -206,7 +206,7 @@ class TestFlowsDrivenInference:
             tiles, num_classes=3, latent_dim=4, hidden=(32,), epochs=3, seed=0
         )
 
-        from repro.core.inference import infer_tile_file
+        from repro.core.inference import InferenceWorker
         from repro.core.monitor import DirectoryCrawler
 
         discovered = []
@@ -218,11 +218,8 @@ class TestFlowsDrivenInference:
             return {"paths": sorted(discovered)}
 
         def infer_action(engine, params):
-            results = [
-                infer_tile_file(model, path, config.transfer_out)
-                for path in params["paths"]
-            ]
-            return {"labelled": [r.out_path for r in results]}
+            outcomes = InferenceWorker(model, config).label(params["paths"])
+            return {"labelled": [result.out_path for _, result in outcomes]}
 
         flow = {
             "StartAt": "Crawl",

@@ -7,6 +7,7 @@ the run is resumed from the journal.  These tests drive the real
 workflow (and the subprocess crash driver) at the golden-corpus seed.
 """
 
+import concurrent.futures as cf
 import hashlib
 import json
 import os
@@ -19,14 +20,14 @@ from tests.core.crash_driver import build_raw_config
 
 from repro.core import DownloadStage, EOMLWorkflow, InferenceWorker, PreprocessStage, load_config
 from repro.core.branches import unit_name, unit_slice
-from repro.core.context import open_run
+from repro.core.context import RunContext, open_run
 from repro.core.download import GranuleSet
 from repro.core.scaleout import StageWorker, worker_payload
 from repro.instruments import get_model
 from repro.journal import WorkflowJournal
 from repro.modis import MINI_SWATH, LaadsArchive
 from repro.netcdf import read as nc_read
-from repro.runtime import WorkEnvelope
+from repro.runtime import ProcWorkerPool, WorkEnvelope, WorkerSpec
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_corpus.json")
 DRIVER = os.path.join(os.path.dirname(__file__), "crash_driver.py")
@@ -320,6 +321,47 @@ class TestExecutorEquivalence:
         assert {stage for stage, _ in inline[2]} == {
             "download", "preprocess", "inference"
         }
+
+
+class _Doubler:
+    """The least a stage owes ``ctx.submit``: a kind, a width, a body."""
+
+    kind = "doubler"
+    workers = 2
+
+    def execute(self, payload):
+        return payload * 2
+
+
+class TestOneFutureType:
+    def test_submit_returns_a_stdlib_future_on_every_executor(self, tmp_path):
+        """Stage threads, the inference worker's own threads and the
+        process pool all hand back ``concurrent.futures.Future``, so the
+        standard library's ``wait`` takes any mix of them."""
+        config = load_config(build_raw_config(str(tmp_path), 1))
+        local, pooled = RunContext(), RunContext()
+        pooled.pool = ProcWorkerPool(
+            WorkerSpec(target="tests.runtime.proc_targets:build_echo"), name="t"
+        ).start()
+        labeller = InferenceWorker(None, config, local, batch_files=1)
+        labeller.start()
+        try:
+            futures = [
+                local.submit(_Doubler(), "k", 21),
+                # No such tile file: the unit settles as a quarantine outcome.
+                local.submit(labeller, "missing.nc", (str(tmp_path / "missing.nc"), None)),
+                pooled.submit(_Doubler(), "k", 21),
+            ]
+            assert [type(future) for future in futures] == [cf.Future] * 3
+            done, pending = cf.wait(futures, timeout=30.0)
+            assert not pending
+            assert futures[0].result() == 42
+            assert futures[1].result()[0] == "quarantined"
+            assert futures[2].result()[:3] == ("doubler", "k", 21)
+        finally:
+            labeller.stop()
+            pooled.pool.close()
+            local.close()
 
 
 class TestMultiprocessCrashRecovery:

@@ -15,7 +15,6 @@ from repro.journal import (
     JournalState,
     RunJournal,
     WorkflowJournal,
-    verify_file,
 )
 from repro.journal import manifest as manifest_mod
 from repro.util.digest import sha256_file
@@ -166,14 +165,6 @@ class TestIntegrityManifest:
         manifest = IntegrityManifest(str(path))
         manifest.load()  # must not raise: journal is the source of truth
         assert len(manifest) == 0
-
-    def test_verify_file_helper(self, tmp_path):
-        artifact = tmp_path / "a.bin"
-        artifact.write_bytes(b"x")
-        digest = sha256_file(str(artifact))
-        assert verify_file(str(artifact), digest)
-        assert not verify_file(str(artifact), "0" * 64)
-        assert not verify_file(str(tmp_path / "missing"), digest)
 
 
 class TestWorkflowJournal:

@@ -10,7 +10,6 @@ from repro.modis.quicklook import (
     class_map,
     class_palette,
     swath_composite,
-    write_pgm,
     write_ppm,
 )
 
@@ -27,20 +26,6 @@ class TestWriters:
         assert raw.endswith(bytes(4 * 6 * 3 - 3) )  # all but first pixel zero
         with pytest.raises(ValueError):
             write_ppm(path, np.zeros((4, 6)))
-
-    def test_pgm_format_and_scaling(self, tmp_path):
-        gray = np.array([[0.0, 5.0], [10.0, 2.5]])
-        path = str(tmp_path / "x.pgm")
-        write_pgm(path, gray)
-        raw = open(path, "rb").read()
-        assert raw.startswith(b"P5\n2 2\n255\n")
-        pixels = list(raw[-4:])
-        assert pixels[0] == 0 and pixels[2] == 255  # scaled min/max
-
-    def test_pgm_constant_field(self, tmp_path):
-        path = str(tmp_path / "flat.pgm")
-        write_pgm(path, np.full((3, 3), 7.0))
-        assert open(path, "rb").read()[-9:] == bytes(9)
 
 
 class TestPalette:

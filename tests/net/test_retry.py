@@ -13,10 +13,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net import BackoffPolicy, BreakerOpen, CircuitBreaker
-from repro.net.http import HttpError, HttpServer, retrying_request
+from repro.net import BackoffPolicy, CircuitBreaker
 from repro.net.retry import ENDPOINT_POLICIES, EndpointPolicy
-from repro.sim import Simulation
 
 policies = st.builds(
     BackoffPolicy,
@@ -251,68 +249,3 @@ class TestCircuitBreaker:
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             CircuitBreaker(**kwargs)
-
-
-class TestSimRetryingRequest:
-    """The simulated twin of the download retry loop (sim-time sleeps)."""
-
-    def test_recovers_from_transient_failures(self):
-        sim = Simulation()
-        server = HttpServer(sim, request_overhead=0.01, failure_rate=0.4, seed=5)
-        policy = BackoffPolicy(base=0.1, jitter=0.0, seed=5)
-        done = {}
-
-        def client():
-            result = yield from retrying_request(
-                server, 10_000, policy=policy, label="granule-0", max_attempts=50
-            )
-            done["finished"] = result.finished_at
-
-        sim.process(client())
-        sim.run()
-        assert done["finished"] > 0
-
-    def test_exhausted_attempts_raise_http_error(self):
-        sim = Simulation()
-        server = HttpServer(sim, request_overhead=0.01, failure_rate=0.99, seed=5)
-        outcome = {}
-
-        def client():
-            try:
-                yield from retrying_request(server, 100, max_attempts=3, label="f")
-            except HttpError as exc:
-                outcome["error"] = str(exc)
-
-        sim.process(client())
-        sim.run()
-        assert "error" in outcome
-
-    def test_breaker_open_fails_fast(self):
-        sim = Simulation()
-        server = HttpServer(sim, request_overhead=0.01, failure_rate=0.99, seed=5)
-        breaker = CircuitBreaker(failure_threshold=2, reset_after=1e9,
-                                 clock=lambda: sim.now)
-        outcome = {"breaker_open": 0, "http_error": 0}
-
-        def client(i):
-            try:
-                yield from retrying_request(
-                    server, 100, label=f"f{i}", breaker=breaker, max_attempts=4
-                )
-            except BreakerOpen:
-                outcome["breaker_open"] += 1
-            except HttpError:
-                outcome["http_error"] += 1
-
-        for i in range(4):
-            sim.process(client(i))
-        sim.run()
-        assert breaker.state(server.name) == CircuitBreaker.OPEN
-        assert outcome["breaker_open"] >= 1  # later clients refused fast
-        assert outcome["breaker_open"] + outcome["http_error"] == 4
-
-    def test_zero_attempts_rejected(self):
-        sim = Simulation()
-        server = HttpServer(sim)
-        with pytest.raises(ValueError):
-            list(retrying_request(server, 1, max_attempts=0))

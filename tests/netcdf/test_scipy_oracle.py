@@ -14,12 +14,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.io import netcdf_file
 
-from repro.core.inference import infer_tile_file
+from repro.core.inference import InferenceWorker
 from repro.netcdf import Dataset, read, to_bytes, write
 from repro.netcdf import writer as writer_mod
 
 from tests.core.test_alloc_budget import ConstantModel
-from tests.core.test_inference_batching import make_tile_file
+from tests.core.test_inference_batching import make_config, make_tile_file
 
 DTYPES = ("i1", "S1", "i2", "i4", "f4", "f8")   # every NcType
 
@@ -118,7 +118,8 @@ class TestScipyReadsWhatWeWrite:
         """The most fragile path in the codec: header rewritten, label
         column patched between views of the mapped tile file."""
         tile_path = make_tile_file(str(tmp_path / "tiles_g0.nc"), seed=5)
-        result = infer_tile_file(ConstantModel(), tile_path, str(tmp_path / "outbox"))
+        worker = InferenceWorker(ConstantModel(), make_config(tmp_path))
+        ((_, result),) = worker.label([tile_path])
         assert_agree(tile_path)
         shipped = assert_agree(result.out_path)
         assert shipped["label"].get_attr("classified_by") == "RICC/AICCA"

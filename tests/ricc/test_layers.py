@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ricc.layers import Activation, Dense, Sequential
-from repro.ricc.optim import SGD, Adam
+from repro.ricc.optim import Adam
 
 
 def numerical_grad(loss_fn, value, eps=1e-6):
@@ -91,14 +91,6 @@ class TestOptimizers:
             optimizer.step([("v", value, grad)])
         return value
 
-    def test_sgd_converges(self):
-        final = self._quadratic_descent(SGD(lr=0.1))
-        assert np.abs(final).max() < 1e-6
-
-    def test_sgd_momentum_converges(self):
-        final = self._quadratic_descent(SGD(lr=0.05, momentum=0.9))
-        assert np.abs(final).max() < 1e-4
-
     def test_adam_converges(self):
         final = self._quadratic_descent(Adam(lr=0.1), steps=500)
         assert np.abs(final).max() < 1e-4
@@ -112,9 +104,5 @@ class TestOptimizers:
         assert a[0] != b[0]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SGD(lr=-1.0)
-        with pytest.raises(ValueError):
-            SGD(lr=0.1, momentum=1.5)
         with pytest.raises(ValueError):
             Adam(lr=0.0)

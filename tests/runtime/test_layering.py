@@ -254,8 +254,43 @@ class TestDeadModuleRule:
             "examples/demo.py": "from pkg import leaf\n",
         }) == []
 
+    def dead_names(self, root, files):
+        self.dead(root, files)
+        return check_dead.SourceTree(str(root)).dead_names()
+
+    def test_function_only_its_tests_call_is_a_dead_name(self, tmp_path):
+        """The module is alive (the example imports from it); the helper
+        beside it that only a test, the package re-export and its own
+        recursion mention is not."""
+        assert self.dead_names(tmp_path, {
+            "src/pkg/__init__.py": "from pkg.mod import run, helper\n",
+            "src/pkg/mod.py": (
+                "def run():\n    return 1\n\n"
+                "def helper(n):\n    return helper(n - 1) if n else 0\n"
+            ),
+            "examples/run.py": "from pkg import run\n",
+            "tests/test_mod.py": "from pkg import helper\n",
+        }) == [("pkg.mod", "helper")]
+
+    def test_allowlisted_and_indirectly_named_definitions_are_kept(self, tmp_path):
+        assert "ChaosTransport" in check_dead.KEPT
+        assert self.dead_names(tmp_path, {
+            "src/pkg/__init__.py": "",
+            "src/pkg/mod.py": (
+                "class ChaosTransport:\n    pass\n\n"
+                "def build(payload):\n    return payload\n\n"
+                "def probe():\n    return 1\n"
+            ),
+            "examples/run.py": (
+                "import pkg.mod\nTARGET = 'pkg.mod:build'\n"
+                "getattr(pkg.mod, 'probe')()\n"
+            ),
+        }) == []
+
     def test_the_source_tree_has_no_dead_modules(self):
-        assert check_dead.SourceTree(REPO_ROOT).dead() == []
+        tree = check_dead.SourceTree(REPO_ROOT)
+        assert tree.dead() == []
+        assert tree.dead_names() == []
         proc = subprocess.run(
             [sys.executable, os.path.join(REPO_ROOT, "tools", "check_dead.py")],
             cwd=REPO_ROOT, capture_output=True, text=True,

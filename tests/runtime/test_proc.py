@@ -1,13 +1,14 @@
 """Contract tests for the multi-process tier (repro.runtime.proc).
 
-ProcChannel must honour the StreamChannel contract across a process
-boundary; ProcWorkerPool must execute envelopes, survive worker
-crashes by requeueing exactly the lost work, and scale elastically.
+ProcWorkerPool must execute envelopes, survive worker crashes by
+requeueing exactly the lost work, settle every future exactly once, and
+scale elastically.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import concurrent.futures as cf
+import functools
 import os
 import pickle
 import signal
@@ -15,12 +16,11 @@ import time
 
 import pytest
 
-from repro.runtime.channel import StreamClosed
+from repro.runtime import proc
 from repro.runtime.elastic import ElasticPolicy
 from repro.runtime.proc import (
     _WorkerHandle,
     EnvelopeResult,
-    ProcChannel,
     ProcWorkerPool,
     WorkEnvelope,
     WorkerCrashed,
@@ -36,6 +36,19 @@ def wait_until(predicate, timeout=10.0, interval=0.01):
             return True
         time.sleep(interval)
     return predicate()
+
+
+def count_settles(futures):
+    """Per-future settle counts, live: a ``cf.Future`` settled twice
+    raises on the dispatch thread, one never settled stays at 0."""
+    counts = [0] * len(futures)
+
+    def settled(index, _future):
+        counts[index] += 1
+
+    for index, future in enumerate(futures):
+        future.add_done_callback(functools.partial(settled, index))
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -80,105 +93,6 @@ class TestElasticPolicy:
         policy = ElasticPolicy.from_mapping({"enabled": True})
         assert policy.enabled
         assert policy.max_workers == 4
-
-
-# ---------------------------------------------------------------------------
-# ProcChannel: StreamChannel semantics across processes
-# ---------------------------------------------------------------------------
-
-
-def _producer_main(channel, count):
-    for i in range(count):
-        channel.put(("item", i))
-    channel.close()
-
-
-def _consumer_main(channel, results):
-    for item in channel:
-        results.put(item)
-    results.close()
-
-
-class TestProcChannel:
-    def test_fifo_roundtrip_same_process(self):
-        ch = ProcChannel("t", capacity=4)
-        for i in range(3):
-            ch.put(i)
-        ch.close()
-        assert list(ch) == [0, 1, 2]
-
-    def test_get_timeout_returns_false(self):
-        ch = ProcChannel("t")
-        ok, item = ch.get(timeout=0.05)
-        assert not ok and item is None
-
-    def test_put_after_close_raises(self):
-        ch = ProcChannel("t")
-        ch.close()
-        with pytest.raises(StreamClosed):
-            ch.put(1)
-
-    def test_close_idempotent(self):
-        ch = ProcChannel("t")
-        ch.close()
-        ch.close()
-        assert ch.closed
-
-    def test_bounded_put_blocks_until_consumed(self):
-        ch = ProcChannel("t", capacity=1)
-        ch.put("a")
-        ctx = multiprocessing.get_context("fork")
-        proc = ctx.Process(target=_producer_main, args=(ch, 1))
-        proc.start()
-        time.sleep(0.15)
-        # producer is stalled on the full channel
-        assert proc.is_alive()
-        ok, item = ch.get(timeout=2.0)
-        assert ok and item == "a"
-        proc.join(timeout=5.0)
-        assert proc.exitcode == 0
-        ok, item = ch.get(timeout=2.0)
-        assert ok and item == ("item", 0)
-        stats = ch.stats()
-        assert stats.items == 2
-        assert stats.producer_stall_seconds > 0.0
-
-    def test_relax_unblocks_producer(self):
-        ch = ProcChannel("t", capacity=1)
-        ch.put("a")
-        ctx = multiprocessing.get_context("fork")
-        proc = ctx.Process(target=_producer_main, args=(ch, 3))
-        proc.start()
-        time.sleep(0.1)
-        assert proc.is_alive()
-        ch.relax()
-        proc.join(timeout=5.0)
-        assert proc.exitcode == 0
-        assert len(ch) == 4
-
-    def test_cross_process_pipeline(self):
-        ctx = multiprocessing.get_context("fork")
-        upstream = ProcChannel("up", capacity=2, ctx=ctx)
-        downstream = ProcChannel("down", bounded=False, ctx=ctx)
-        consumer = ctx.Process(target=_consumer_main, args=(upstream, downstream))
-        consumer.start()
-        _producer_main(upstream, 20)
-        consumer.join(timeout=10.0)
-        assert consumer.exitcode == 0
-        assert list(downstream) == [("item", i) for i in range(20)]
-        stats = upstream.stats()
-        assert stats.items == 20
-        assert stats.capacity == 2
-        assert stats.bounded
-        assert stats.closed
-
-    def test_stats_shape_matches_stream_channel(self):
-        ch = ProcChannel("edge:x", capacity=5)
-        stats = ch.stats()
-        assert stats.edge == "edge:x"
-        assert stats.items == 0
-        assert stats.max_depth == 0
-        assert not stats.closed
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +151,7 @@ class TestProcWorkerPool:
     def test_gather_yields_all_results(self):
         with ProcWorkerPool(ECHO, ElasticPolicy.fixed(2), name="t") as pool:
             futures = [pool.submit(WorkEnvelope("s", str(i), payload=i)) for i in range(6)]
-            payloads = sorted(r[2] for r in pool.gather(futures))
+            payloads = sorted(f.result()[2] for f in cf.as_completed(futures, timeout=30.0))
         assert payloads == list(range(6))
 
     def test_handler_error_becomes_task_error_not_crash(self):
@@ -263,23 +177,62 @@ class TestProcWorkerPool:
         assert stats.respawns >= 1
 
     def test_sigkill_mid_stage_requeues_onto_fresh_worker(self):
+        """Killed mid-unit with a second envelope waiting in its inbox:
+        both in-flight tickets are requeued once, each settles once."""
         spec = WorkerSpec(target="tests.runtime.proc_targets:build_sleeper", payload=0.3)
         pool = ProcWorkerPool(spec, ElasticPolicy.fixed(1), name="t", max_requeues=1).start()
         try:
-            future = pool.submit(WorkEnvelope("s", "victim"))
-            assert wait_until(lambda: any(w.pid for w in pool.stats().workers))
+            futures = [pool.submit(WorkEnvelope("s", key)) for key in ("victim", "queued")]
+            settles = count_settles(futures)
+            assert wait_until(
+                lambda: [len(h.inflight) for h in pool._workers.values()] == [2]
+            )
             victim_pid = next(w.pid for w in pool.stats().workers if w.pid)
             # let the worker pick the envelope up, then kill it mid-unit
             time.sleep(0.1)
             os.kill(victim_pid, signal.SIGKILL)
-            survivor_pid = future.result(timeout=60.0)
-            assert survivor_pid != victim_pid
+            survivor_pids = {future.result(timeout=60.0) for future in futures}
+            assert victim_pid not in survivor_pids
             stats = pool.stats()
-            assert stats.requeues == 1
-            assert stats.completed == 1
-            assert stats.respawns >= 1
+            assert stats.requeues == 2
+            assert stats.completed == 2
+            assert stats.respawns == 1
+            assert settles == [1, 1]
         finally:
             pool.close()
+
+    def test_sigkill_while_idle_on_the_inbox_is_reaped_and_replaced(self):
+        """A worker killed while blocked in ``inbox.get()`` holds nothing
+        the parent waits on: it is reaped, replaced, and the next unit
+        runs on the replacement with nothing requeued."""
+        pool = ProcWorkerPool(ECHO, ElasticPolicy.fixed(1), name="t").start()
+        try:
+            warm = pool.submit(WorkEnvelope("s", "warm"))
+            victim_pid = warm.result(timeout=30.0)[3]
+            time.sleep(0.05)  # the worker is back in get()
+            os.kill(victim_pid, signal.SIGKILL)
+            assert wait_until(lambda: pool.stats().respawns == 1)
+            after = pool.submit(WorkEnvelope("s", "after"))
+            settles = count_settles([warm, after])
+            assert after.result(timeout=30.0)[3] != victim_pid
+            stats = pool.stats()
+            assert [w.alive for w in stats.workers] == [False, True]
+            assert stats.requeues == 0
+            assert stats.completed == 2
+            assert settles == [1, 1]
+        finally:
+            pool.close()
+
+    def test_cancel_is_refused_and_the_unit_still_settles(self):
+        """A submitted future is running from birth: ``cancel()`` cannot
+        leave the dispatch thread holding a cancelled future."""
+        spec = WorkerSpec(target="tests.runtime.proc_targets:build_sleeper", payload=0.1)
+        with ProcWorkerPool(spec, ElasticPolicy.fixed(1), name="t") as pool:
+            futures = [pool.submit(WorkEnvelope("s", str(i))) for i in range(4)]
+            assert [future.cancel() for future in futures] == [False] * 4
+            done, pending = cf.wait(futures, timeout=30.0)
+        assert not pending
+        assert all(not future.cancelled() and future.result() for future in done)
 
     def test_counter_deltas_fold_into_pool_stats(self):
         with ProcWorkerPool(COUNTING, ElasticPolicy.fixed(2), name="t") as pool:
@@ -404,7 +357,7 @@ class TestRetirementIsOneTransition:
             ticket=0, kind="s", key="k", ok=True, value=1, seconds=0.25, worker_id=0, pid=4242
         )
         conn = _ScriptedConn([("result", result), ("retired", 0)])
-        handle = _WorkerHandle(0, _ExitedProcess(), channel=None, conn=conn)
+        handle = _WorkerHandle(0, _ExitedProcess(), inbox=None, conn=conn)
         handle.retiring = True
         pool._workers[0] = handle
 
@@ -422,13 +375,12 @@ class TestRetirementIsOneTransition:
 
 
 class TestSubmitWakesDispatch:
-    def test_roundtrip_does_not_wait_out_the_poll_interval(self):
-        """``poll_interval`` is the liveness-sweep period, not a floor on
+    def test_roundtrip_does_not_wait_out_the_poll_interval(self, monkeypatch):
+        """``_POLL_INTERVAL`` is the liveness-sweep period, not a floor on
         dispatch latency: with a 2 s sweep, ten round trips still finish
         in well under one sweep."""
-        with ProcWorkerPool(
-            ECHO, ElasticPolicy.fixed(1), name="t", poll_interval=2.0
-        ) as pool:
+        monkeypatch.setattr(proc, "_POLL_INTERVAL", 2.0)
+        with ProcWorkerPool(ECHO, ElasticPolicy.fixed(1), name="t") as pool:
             pool.submit(WorkEnvelope("s", "warm")).result(timeout=30.0)
             time.sleep(0.05)  # let the dispatch thread go back to waiting
             started = time.monotonic()

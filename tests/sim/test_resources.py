@@ -1,64 +1,9 @@
-"""Resource, Store, Container, FluidPipe tests."""
+"""Store and FluidPipe tests."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import FluidPipe, Resource, Simulation, SimulationError, Store
-from repro.sim.resources import Container
-
-
-class TestResource:
-    def test_capacity_limits_concurrency(self):
-        sim = Simulation()
-        res = Resource(sim, capacity=2)
-        active = []
-        peak = []
-
-        def worker(tag):
-            yield res.request()
-            active.append(tag)
-            peak.append(len(active))
-            yield sim.timeout(1.0)
-            active.remove(tag)
-            res.release()
-
-        for tag in range(6):
-            sim.process(worker(tag))
-        sim.run()
-        assert max(peak) == 2
-        assert sim.now == pytest.approx(3.0)  # 6 tasks, 2 at a time, 1s each
-
-    def test_fifo_grant_order(self):
-        sim = Simulation()
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def worker(tag):
-            yield res.request()
-            order.append(tag)
-            yield sim.timeout(1.0)
-            res.release()
-
-        for tag in range(4):
-            sim.process(worker(tag))
-        sim.run()
-        assert order == [0, 1, 2, 3]
-
-    def test_release_without_hold_raises(self):
-        sim = Simulation()
-        res = Resource(sim, capacity=1)
-        with pytest.raises(SimulationError):
-            res.release()
-
-    def test_cancel_queued_request(self):
-        sim = Simulation()
-        res = Resource(sim, capacity=1)
-        first = res.request()
-        assert first.triggered
-        second = res.request()
-        assert res.cancel(second)
-        assert res.queued == 0
-        assert not res.cancel(second)
+from repro.sim import FluidPipe, Simulation, SimulationError, Store
 
 
 class TestStore:
@@ -119,27 +64,6 @@ class TestStore:
         sim.process(consumer())
         sim.run()
         assert times == [0.0, 3.0]
-
-
-class TestContainer:
-    def test_get_blocks_until_level(self):
-        sim = Simulation()
-        tank = Container(sim, capacity=10.0, init=0.0)
-        log = []
-
-        def consumer():
-            yield tank.get(4.0)
-            log.append(sim.now)
-
-        def producer():
-            yield sim.timeout(2.0)
-            yield tank.put(5.0)
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert log == [2.0]
-        assert tank.level == pytest.approx(1.0)
 
 
 class TestFluidPipe:

@@ -4,31 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compute import LocalComputeEndpoint
 from repro.modis.constants import PRODUCTS, ProductSpec, resolve_product
 from repro.sim import Simulation, Store
 from repro.util.yamlish import YamlError, dumps
-
-
-class TestLocalEndpointEdges:
-    def test_gather_timeout(self):
-        import time
-
-        with LocalComputeEndpoint("slowpool", max_workers=1) as endpoint:
-            future = endpoint.submit(time.sleep, 5.0)
-            with pytest.raises(TimeoutError):
-                # gather() is lazy; the timeout surfaces on consumption.
-                list(endpoint.gather([future], timeout=0.05))
-            with pytest.raises(TimeoutError):
-                endpoint.gather([future], timeout=0.05, ordered=True)
-            future.cancel()
-
-    def test_context_manager_shuts_down(self):
-        endpoint = LocalComputeEndpoint("pool", max_workers=1)
-        with endpoint:
-            assert endpoint.submit(lambda: 1).result(timeout=5) == 1
-        with pytest.raises(RuntimeError):
-            endpoint.submit(lambda: 2)
 
 
 class TestStoreEdges:

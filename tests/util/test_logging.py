@@ -1,8 +1,6 @@
 """EventLog tests."""
 
-import logging
-
-from repro.util.logging import EventLog, stdlib_bridge
+from repro.util.logging import EventLog
 
 
 class TestEventLog:
@@ -44,10 +42,3 @@ class TestEventLog:
         assert log[0].source == "a"
         log.clear()
         assert len(log) == 0
-
-    def test_stdlib_bridge(self, caplog):
-        log = EventLog()
-        stdlib_bridge(log, "repro.test")
-        with caplog.at_level(logging.INFO, logger="repro.test"):
-            log.emit(1.0, "slurm", "submit")
-        assert any("slurm:submit" in record.message for record in caplog.records)

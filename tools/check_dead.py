@@ -1,10 +1,14 @@
 #!/usr/bin/env python
-"""Dead-module check: every module under ``src/`` must be reachable from
-something that runs it — an example, a benchmark, or a ``__main__``.
+"""Dead-code check: every module under ``src/``, and every top-level
+``def`` / ``class`` in one, must be reachable from something that runs
+it — an example, a benchmark, or a ``__main__``.
 
-``tests/`` is never read, so a module kept alive only by its own tests
-is dead here.  The walk starts at every file under ``examples/`` and
-``benchmarks/`` and every ``__main__.py`` under ``src/``, and follows
+``tests/`` is never read, so code kept alive only by its own tests is
+dead here.  ``examples/`` earns its place as a root because CI's
+``tier1`` job runs every ``examples/*.py`` as a script and fails on a
+non-zero exit or empty output.  The module walk starts at every file
+under ``examples/`` and ``benchmarks/`` and every ``__main__.py`` under
+``src/``, and follows
 
 * ``import a.b`` and ``from a.b import name`` (relative forms too);
 * a name a package ``__init__`` re-exports, back to the module that
@@ -17,22 +21,39 @@ is dead here.  The walk starts at every file under ``examples/`` and
 
 A package ``__init__`` importing its own modules does not make them
 alive: re-exporting a name is not a use of it.  A package whose every
-module is dead is reported once, as the package.  Run from the repo
-root:
+module is dead is reported once, as the package.
+
+The name rule then applies the same test one level down, by bare name:
+a top-level ``def`` / ``class`` is dead unless some file under ``src/``,
+``examples/`` or ``benchmarks/`` — outside its own body — loads the
+name, reads it as an attribute, imports it (a package ``__init__``
+re-export again does not count), names it in a ``"pkg.mod:attr"``
+string or passes it to ``getattr`` as a constant.  :data:`KEPT` lists
+the names kept on purpose.  Run from the repo root:
 
     python tools/check_dead.py
 
-Exit status 0 = clean, 1 = dead module(s) printed to stderr.
+Exit status 0 = clean, 1 = dead module(s) or name(s) printed to stderr.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
 import os
 import re
 import sys
 
 ROOT_DIRS = ("examples", "benchmarks")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Top-level names no runnable code refers to, kept on purpose.
+KEPT = {
+    "ChaosTransport": "the wire fault injector tests/server substitutes for the transport",
+    "ModelType": "the documented shape of a registered model family; registration is duck-typed",
+    "available_instruments": "tests/instruments holds every registered instrument to the contract",
+    "available_models": "the same listing for model families (tests/instruments, tests/test_docs.py)",
+}
 STRING_TARGET = re.compile(r"^([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+):([A-Za-z_]\w*)")
 
 
@@ -190,16 +211,77 @@ class SourceTree:
         return sorted(reported + list(dead))
 
 
+    def dead_names(self) -> list:
+        """``(module, name)`` of every top-level ``def`` / ``class``
+        under ``src`` that no file outside ``tests/`` refers to."""
+        used = collections.Counter()
+        defined = []  # (module, name, references inside its own body)
+        sources = [
+            (path, module in self.packages, module)
+            for module, path in self.paths.items()
+        ] + [
+            (path, False, None) for directory in ROOT_DIRS
+            for path in python_files(os.path.join(self.root, directory))
+        ]
+        for path, is_init, module in sources:
+            tree = self.parse(path)
+            used.update(name_references(tree, reexports=is_init))
+            if module is not None:
+                for node in tree.body:
+                    if isinstance(node, DEFINITIONS):
+                        own = name_references(node, reexports=False)
+                        defined.append((module, node.name, own[node.name]))
+        return sorted(
+            (module, name) for module, name, own in defined
+            if used[name] <= own and name not in KEPT
+        )
+
+
+def name_references(tree: ast.AST, reexports: bool) -> collections.Counter:
+    """How often each bare name is referred to under ``tree``: loaded as
+    a name or an attribute, imported (unless ``reexports``: a package
+    ``__init__`` importing a name is not a use of it), named by a
+    ``"pkg.mod:attr"`` string, or looked up by ``getattr`` with a
+    constant."""
+    found = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom) and not reexports:
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            match = STRING_TARGET.match(node.value)
+            if match:
+                found[match.group(2)] += 1
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            found[node.args[1].value] += 1
+    return found
+
+
 def main(root: str = ".") -> int:
     tree = SourceTree(root)
     dead = tree.dead()
-    if dead:
-        for module in dead:
-            print(f"{os.path.relpath(tree.paths[module], root)}: {module} has no "
-                  "importer outside tests/", file=sys.stderr)
+    for module in dead:
+        print(f"{os.path.relpath(tree.paths[module], root)}: {module} has no "
+              "importer outside tests/", file=sys.stderr)
+    names = tree.dead_names()
+    for module, name in names:
+        print(f"{os.path.relpath(tree.paths[module], root)}: {module}.{name} is "
+              "referred to nowhere outside tests/", file=sys.stderr)
+    if dead or names:
         return 1
     print(f"dead-module check ok: {len(tree.paths) - len(tree.packages)} modules, "
-          "each reachable from an example, a benchmark or a __main__")
+          "each reachable from an example, a benchmark or a __main__, "
+          "and no top-level name alive only through tests/")
     return 0
 
 
