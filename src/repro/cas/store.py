@@ -16,12 +16,22 @@ Design rules, in order of importance:
   mismatch quarantines the object and reports a miss so the caller
   re-fetches.  A corrupt or missing CAS can only make the workflow
   slower, never wrong.
-* **Publication is atomic and race-safe.**  Objects are copied (never
-  hardlinked — a later in-place mutation of the source must not alias
-  into the store) to a per-process/per-thread temp name, digested while
-  streaming, then ``os.replace``\\ d into the sharded final name.  Two
+* **Publication is atomic and race-safe.**  An object enters under a
+  per-process/per-thread temp name and is ``os.replace``\\ d into the
+  sharded final name; every failure path unlinks its temp.  Two
   processes storing the same digest both succeed: the replace is
   last-writer-wins over identical content.
+* **What the run already hashed is adopted, not copied.**  When the
+  claimant's digest comes from a write this process noted
+  (:func:`~repro.util.digest.note_published`) and the path is still that
+  inode — same device, inode number, size and mtime, fsynced if the
+  store is durable — the file is hardlinked in: no byte is copied or
+  re-hashed.  Anything else (no claim, no note, a replaced or rewritten
+  file, ``EXDEV``) is copied in and digested while streaming, and a claim
+  the bytes do not match is refused.  Sharing the inode is safe because
+  published files are immutable (writers replace, never rewrite;
+  ``tools/check_layering.py`` enforces it) and every read below
+  re-verifies the bytes anyway.
 * **Materialization is hardlink-or-copy.**  A hit hardlinks the object
   to the destination when the filesystem allows it (zero-copy) and
   falls back to a plain copy across devices; either way the object is
@@ -38,9 +48,16 @@ import json
 import os
 import shutil
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.util.digest import digest_file, fsync_dir, read_chunks, write_digested
+from repro.util.digest import (
+    digest_file,
+    fsync_dir,
+    noted_write,
+    read_chunks,
+    write_digested,
+)
 
 __all__ = ["CASStore", "object_relpath", "CACHE_COUNTERS"]
 
@@ -55,16 +72,24 @@ CACHE_COUNTERS = (
     "hits",            # materializations served from the store
     "misses",          # lookups that found no (valid) object
     "stores",          # objects newly published into the store
+    "linked_stores",   # objects adopted by hardlink: no byte copied or re-hashed
     "dedup_stores",    # store calls whose object already existed
     "key_hits",        # derived-key lookups that resolved
     "key_misses",      # derived-key lookups that did not
     "bytes_saved",     # bytes NOT re-fetched/re-computed thanks to hits
-    "bytes_stored",    # bytes written into the store
+    "bytes_stored",    # bytes that entered the store, adopted or copied
     "store_errors",    # swallowed store failures (ENOSPC and friends)
     "corrupt_evictions",  # objects quarantined by the read-time digest check
     "evicted_objects",    # GC victims
     "evicted_bytes",
 )
+
+
+def _discard(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def object_relpath(digest: str) -> str:
@@ -111,10 +136,25 @@ class CASStore:
         with self._lock:
             return dict(self._counters)
 
-    def _temp_name(self, final_path: str) -> str:
-        # Unique per process AND thread: two writers racing on the same
-        # digest must never interleave into one temp file.
-        return f"{final_path}.part.{os.getpid()}.{threading.get_ident()}"
+    @staticmethod
+    @contextmanager
+    def _temp(final_path: str) -> Iterator[str]:
+        """A temp name beside ``final_path``, unique per process AND
+        thread (two writers racing on one digest never share a temp).
+
+        It is unlinked on entry (a dead writer's leftover may be a link
+        to a published inode; writing through it would alias) and on
+        exit, so a failed copy, link or replace leaves nothing behind —
+        GC never walks ``incoming/`` and would never reclaim it.  After
+        a successful rename the exit unlink finds nothing, or removes
+        the temp a no-op rename (onto a link of the same inode) left.
+        """
+        temp_path = f"{final_path}.part.{os.getpid()}.{threading.get_ident()}"
+        _discard(temp_path)
+        try:
+            yield temp_path
+        finally:
+            _discard(temp_path)
 
     def _object_path(self, digest: str) -> str:
         return os.path.join(self.root, _OBJECTS, object_relpath(digest))
@@ -145,12 +185,15 @@ class CASStore:
     def store_file(self, path: str, digest: Optional[str] = None) -> Optional[str]:
         """Publish a file's content as an object; returns its digest.
 
-        The content is copied (digesting while streaming) to a unique
-        temp name and atomically renamed, so concurrent stores of the
-        same digest are safe.  When ``digest`` is supplied it is an
-        integrity *claim*: if the bytes hash differently the store is
-        refused (counted, not raised) — a torn source file must never be
-        immortalized under a healthy name.  All failures return ``None``.
+        When ``digest`` is supplied it is an integrity *claim*.  A claim
+        backed by this process's noted write of the very inode at
+        ``path`` is adopted by hardlink (:meth:`_adopt`); otherwise the
+        content is copied (digesting while streaming) and a claim the
+        bytes hash differently from is refused (counted, not raised) — a
+        torn source file must never be immortalized under a healthy
+        name.  Either way the object enters under a unique temp name and
+        is atomically renamed, so concurrent stores of the same digest
+        are safe.  All failures return ``None``.
         """
         try:
             claimed = digest
@@ -158,12 +201,20 @@ class CASStore:
                 self._note("dedup_stores")
                 return claimed
             self._chaos_enospc(digest or os.path.basename(path))
-            observed, nbytes, temp_path = self._copy_in(path)
-            if claimed is not None and observed != claimed:
-                os.unlink(temp_path)
-                self._note("store_errors")
-                return None
-            return self._publish(temp_path, observed, nbytes)
+            staging = os.path.join(self.root, _OBJECTS, "incoming")
+            os.makedirs(staging, exist_ok=True)
+            with self._temp(os.path.join(staging, "obj")) as temp_path:
+                if claimed is not None:
+                    nbytes = self._adopt(path, claimed, temp_path)
+                    if nbytes is not None:
+                        self._publish(temp_path, claimed, nbytes)
+                        self._note("linked_stores")
+                        return claimed
+                observed, nbytes = self._copy_in(path, temp_path)
+                if claimed is not None and observed != claimed:
+                    self._note("store_errors")
+                    return None
+                return self._publish(temp_path, observed, nbytes)
         except OSError:
             self._note("store_errors")
             return None
@@ -177,28 +228,52 @@ class CASStore:
             self._chaos_enospc(digest)
             final_path = self._object_path(digest)
             os.makedirs(os.path.dirname(final_path), exist_ok=True)
-            temp_path = self._temp_name(final_path)
-            with open(temp_path, "wb") as handle:
-                handle.write(payload)
-                if self.durable:
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            return self._publish(temp_path, digest, len(payload))
+            with self._temp(final_path) as temp_path:
+                with open(temp_path, "wb") as handle:
+                    handle.write(payload)
+                    if self.durable:
+                        handle.flush()
+                        os.fsync(handle.fileno())
+                return self._publish(temp_path, digest, len(payload))
         except OSError:
             self._note("store_errors")
             return None
 
-    def _copy_in(self, path: str) -> Tuple[str, int, str]:
-        """Copy ``path`` into the objects area under a unique temp name."""
-        staging = os.path.join(self.root, _OBJECTS, "incoming")
-        os.makedirs(staging, exist_ok=True)
-        temp_path = self._temp_name(os.path.join(staging, "obj"))
+    def _adopt(self, path: str, claimed: str, temp_path: str) -> Optional[int]:
+        """Hardlink ``path`` to ``temp_path`` if it is provably the inode
+        whose bytes hashed to ``claimed``; returns its size, or ``None``
+        with nothing linked, for the caller to copy and verify instead.
+
+        The proof is the write this process noted at ``path``: same
+        digest, fsynced unless the store itself is not durable, and the
+        linked inode's device, number, size and mtime unchanged since.
+        A file replaced after publication is another inode; one
+        rewritten in place moved its size or mtime.
+        """
+        noted = noted_write(path)
+        if noted is None:
+            return None
+        identity, digest, synced = noted
+        if digest != claimed or (self.durable and not synced):
+            return None
+        try:
+            os.link(path, temp_path)
+        except OSError:  # EXDEV, a vanished file, no hardlinks here
+            return None
+        stat = os.stat(temp_path)
+        if (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns) != identity:
+            os.unlink(temp_path)  # never copy into a link of the source
+            return None
+        return stat.st_size
+
+    def _copy_in(self, path: str, temp_path: str) -> Tuple[str, int]:
+        """Copy ``path`` to ``temp_path``, hashing on the way."""
         with open(temp_path, "wb") as dst:
             nbytes, digest = write_digested(dst, read_chunks(path))
             if self.durable:
                 dst.flush()
                 os.fsync(dst.fileno())
-        return digest, nbytes, temp_path
+        return digest, nbytes
 
     def _publish(self, temp_path: str, digest: str, nbytes: int) -> str:
         final_path = self._object_path(digest)
@@ -235,13 +310,13 @@ class CASStore:
                 self._note("misses")
                 return None
             os.makedirs(os.path.dirname(dest) or ".", exist_ok=True)
-            temp_path = self._temp_name(dest)
-            try:
-                os.link(obj, temp_path)
-            except OSError:
-                shutil.copyfile(obj, temp_path)
-            self._chaos_crash(digest)
-            os.replace(temp_path, dest)
+            with self._temp(dest) as temp_path:
+                try:
+                    os.link(obj, temp_path)
+                except OSError:
+                    shutil.copyfile(obj, temp_path)
+                self._chaos_crash(digest)
+                os.replace(temp_path, dest)
             if self.durable:
                 fsync_dir(os.path.dirname(dest))
         except OSError:
@@ -296,10 +371,7 @@ class CASStore:
         try:
             os.replace(obj, target)
         except OSError:
-            try:
-                os.unlink(obj)
-            except OSError:
-                pass
+            _discard(obj)
 
     # -- derived keys --------------------------------------------------------
     #
@@ -321,13 +393,13 @@ class CASStore:
             path = self._key_path(key)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             payload = json.dumps({"key": key, "value": value}, sort_keys=True)
-            temp_path = self._temp_name(path)
-            with open(temp_path, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-                if self.durable:
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            os.replace(temp_path, path)
+            with self._temp(path) as temp_path:
+                with open(temp_path, "w", encoding="utf-8") as handle:
+                    handle.write(payload)
+                    if self.durable:
+                        handle.flush()
+                        os.fsync(handle.fileno())
+                os.replace(temp_path, path)
             return True
         except OSError:
             self._note("store_errors")

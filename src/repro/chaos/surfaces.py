@@ -32,7 +32,13 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from repro.chaos.engine import FaultInjector
 from repro.netcdf import WRITE_BUFFER, Dataset, to_bytes, to_chunks
 from repro.transfer import LocalTransferClient, TransferError
-from repro.util.digest import TEMP_SUFFIX, digest_file, fsync_dir, write_digested
+from repro.util.digest import (
+    TEMP_SUFFIX,
+    digest_file,
+    fsync_dir,
+    note_published,
+    write_digested,
+)
 
 __all__ = [
     "CRASH_EXIT_CODE",
@@ -131,7 +137,10 @@ def chaos_atomic_write(
       logic must treat as "never happened".
 
     The production path (no chaos) is the full crash-consistency
-    triple: temp write, file fsync, atomic rename, directory fsync.
+    triple: temp write, file fsync, atomic rename, directory fsync; the
+    publication is noted so the store can adopt the inode.  A
+    ``corrupt_tile`` rewrite replaces that inode, so the store copies the
+    damaged bytes in under their own digest instead.
     """
     key = key or final_path
     temp_path = final_path + TEMP_SUFFIX
@@ -145,8 +154,10 @@ def chaos_atomic_write(
         nbytes, digest = write_digested(handle, chunks)
         handle.flush()
         os.fsync(handle.fileno())
+        written = os.fstat(handle.fileno())
     chaos_crash(chaos, stage, key)
     os.replace(temp_path, final_path)
+    note_published(final_path, written, digest, synced=True)
     fsync_dir(os.path.dirname(final_path))
     if chaos is not None and chaos.fire(stage, "corrupt_tile", key):
         damage_file(final_path)

@@ -223,7 +223,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if report.cache.get("enabled"):
         print(f"cache:      {report.cache['hits']} hit(s) / "
               f"{report.cache['misses']} miss(es), "
-              f"{report.cache['stores']} stored, "
+              f"{report.cache['stores']} stored "
+              f"({report.cache['linked_stores']} linked), "
               f"{format_bytes(int(report.cache['bytes_saved']))} saved "
               f"({report.cache['download_cached']} download / "
               f"{report.cache['preprocess_cached']} preprocess / "
@@ -473,7 +474,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         budget = stats["budget_bytes"]
         print(f"budget:     "
               f"{format_bytes(budget) if budget is not None else 'unbounded'}")
-        for key in ("hits", "misses", "stores", "dedup_stores",
+        for key in ("hits", "misses", "stores", "linked_stores", "dedup_stores",
                     "corrupt_evictions", "evicted_objects"):
             print(f"{key + ':':<12}{stats[key]}")
         return 0

@@ -434,9 +434,10 @@ class InferenceWorker:
             )
 
         def cache_store(ctx, cas, result) -> None:
-            # The publish digest is the claim, so the store verifies the
-            # file as it copies it in; shipment's own lookup then finds
-            # the object and delivers from it, storing nothing twice.
+            # The publish digest is the claim: the store adopts the file
+            # this write just hashed, or copies and verifies it; shipment's
+            # own lookup then finds the object and delivers from it,
+            # storing nothing twice.
             payload = result.payload
             if cas.store_file(result.artifact, digest=payload["sha256"]):
                 cas.put_key(

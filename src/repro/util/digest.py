@@ -17,6 +17,10 @@ shipment verification, chaos surfaces) must perform them *identically*:
 * :func:`atomic_publish_chunks` / :func:`atomic_publish_bytes` — the
   crash-consistency triple (temp name in the same directory, file fsync,
   ``os.replace``, directory fsync) around :func:`write_digested`.
+* :func:`note_published` / :func:`noted_write` — what this process just
+  published: the inode it wrote and the digest it computed on the way,
+  so the content-addressed store can adopt that inode instead of copying
+  and re-hashing it.  :func:`digest_file` never consults the table.
 
 This module sits below ``repro.journal``, ``repro.cas`` and
 ``repro.transfer`` in the import graph; import from here directly.
@@ -27,7 +31,9 @@ from __future__ import annotations
 import hashlib
 import mmap
 import os
-from typing import BinaryIO, Iterable, Iterator, Tuple, Union
+import threading
+from collections import OrderedDict
+from typing import BinaryIO, Iterable, Iterator, Optional, Tuple, Union
 
 __all__ = [
     "TEMP_SUFFIX",
@@ -39,6 +45,8 @@ __all__ = [
     "write_digested",
     "atomic_publish_bytes",
     "atomic_publish_chunks",
+    "note_published",
+    "noted_write",
 ]
 
 # The shared temp-name convention: writers publish ``<final>.part`` and
@@ -51,6 +59,44 @@ HASH_SLICE = 4 * 1024 * 1024
 
 Buffer = Union[bytes, bytearray, memoryview, mmap.mmap]
 PathLike = Union[str, "os.PathLike[str]"]
+
+# One noted publication: ((st_dev, st_ino, st_size, st_mtime_ns) of the
+# inode written, its sha256, whether it was fsynced).
+NotedWrite = Tuple[Tuple[int, int, int, int], str, bool]
+
+# Bounded and process-local: a forgotten entry only costs the store a copy.
+_NOTED_MAX = 1024
+_noted: "OrderedDict[str, NotedWrite]" = OrderedDict()
+_noted_lock = threading.Lock()
+
+
+def _forget_noted_in_child() -> None:
+    global _noted_lock
+    _noted_lock = threading.Lock()  # another thread may have held it at fork
+    _noted.clear()
+
+
+os.register_at_fork(after_in_child=_forget_noted_in_child)
+
+
+def note_published(path: str, stat: os.stat_result, digest: str, synced: bool) -> None:
+    """Remember that the inode ``stat`` describes, now published at
+    ``path``, holds bytes hashing to ``digest``.  Call right after the
+    ``os.replace``, with ``stat`` from ``fstat`` of the written handle
+    once it was flushed (and fsynced when ``synced``)."""
+    identity = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+    key = os.path.abspath(path)
+    with _noted_lock:
+        _noted[key] = (identity, digest, synced)
+        _noted.move_to_end(key)
+        if len(_noted) > _NOTED_MAX:
+            _noted.popitem(last=False)
+
+
+def noted_write(path: str) -> Optional[NotedWrite]:
+    """The last publication this process noted at ``path``, if any."""
+    with _noted_lock:
+        return _noted.get(os.path.abspath(path))
 
 
 def fsync_dir(directory: str) -> None:
@@ -149,15 +195,18 @@ def atomic_publish_chunks(
     instead of a write followed by a full re-read.  With ``durable`` the
     temp file is fsynced before the rename and the directory after it,
     so a crash at any instant leaves either the previous content or the
-    complete new content — never a torn file under the final name.
+    complete new content — never a torn file under the final name.  The
+    publication is noted (:func:`note_published`) for the store to adopt.
     """
     temp_path = path + TEMP_SUFFIX
     with open(temp_path, "wb") as handle:
         nbytes, digest = write_digested(handle, chunks)
+        handle.flush()
         if durable:
-            handle.flush()
             os.fsync(handle.fileno())
+        written = os.fstat(handle.fileno())
     os.replace(temp_path, path)
+    note_published(path, written, digest, durable)
     if durable:
         fsync_dir(os.path.dirname(path))
     return nbytes, digest

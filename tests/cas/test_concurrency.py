@@ -1,11 +1,13 @@
 """Concurrency safety of the CAS: racing writers may never tear an object.
 
-Two layers:
+Three layers:
 
 * a **fork-based stress test** — real processes all storing the same
   digest (and materializing it back) at once, the exact co-located
   pool-worker / site-agent race the store's unique-temp-name + atomic
-  rename protocol exists for;
+  rename protocol exists for, by copy and by adoption;
+* a **thread stress test** over the process-wide noted-write table that
+  adoption rests on;
 * a **Hypothesis interleaving** — two logical actors whose store /
   materialize / gc steps are interleaved in every order the shrinker
   finds interesting, with the invariant that a reader sees either a
@@ -15,15 +17,27 @@ Two layers:
 import hashlib
 import multiprocessing
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cas import CASStore, object_relpath
+from repro.util.digest import atomic_publish_bytes
 
 
 def _digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
+
+
+def _temps(root: str) -> list:
+    return [
+        name
+        for _, _, names in os.walk(os.path.join(root, "objects"))
+        for name in names
+        if ".part." in name
+    ]
 
 
 def _race_store(root: str, payload: bytes, out_dir: str, index: int) -> None:
@@ -59,14 +73,7 @@ class TestForkStress:
         assert os.path.isfile(obj)
         with open(obj, "rb") as handle:
             assert hashlib.sha256(handle.read()).hexdigest() == digest
-        # No leftover temp files from the race.
-        leftovers = [
-            name
-            for dirpath, _, names in os.walk(os.path.join(root, "objects"))
-            for name in names
-            if ".part." in name
-        ]
-        assert leftovers == []
+        assert _temps(root) == []  # no leftover temp files from the race
         assert store.stats()["objects"] == 1
 
     def test_store_file_race_from_processes(self, tmp_path):
@@ -89,6 +96,65 @@ class TestForkStress:
             assert proc.exitcode == 0
         store = CASStore(root, durable=False)
         assert store.load_bytes(_digest(payload)) == payload
+
+    def test_two_processes_adopt_equal_files_at_once(self, tmp_path):
+        """Two runs publish the same bytes under their own names and store
+        them at the same instant: each adopts (or finds) the object, and
+        the one that remains is one of the two inodes, whole."""
+        root = str(tmp_path / "cas")
+        payload = os.urandom(256 * 1024)
+        digest = _digest(payload)
+        paths = [str(tmp_path / f"run-{index}.bin") for index in range(2)]
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(len(paths))
+
+        def worker(path: str) -> None:
+            # The noted-write table is per process: each run publishes its own.
+            assert atomic_publish_bytes(path, payload, durable=False)[1] == digest
+            barrier.wait(timeout=30)
+            store = CASStore(root, durable=False)
+            assert store.store_file(path, digest=digest) == digest
+            counters = store.counters()
+            assert counters["linked_stores"] + counters["dedup_stores"] == 1
+            assert counters["stores"] == counters["linked_stores"]
+
+        procs = [ctx.Process(target=worker, args=(path,)) for path in paths]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        store = CASStore(root, durable=False)
+        obj = os.path.join(root, "objects", object_relpath(digest))
+        assert os.stat(obj).st_ino in {os.stat(path).st_ino for path in paths}
+        assert store.load_bytes(digest) == payload
+        assert store.stats()["objects"] == 1
+        assert _temps(root) == []
+
+
+class TestThreadStress:
+    def test_threads_publishing_and_storing_at_once_all_adopt(self, tmp_path):
+        """The noted-write table is shared by every thread of a process: a
+        lost or torn entry would turn an adoption into a copy."""
+        store = CASStore(str(tmp_path / "cas"), durable=False)
+        threads, files = 8, 16
+
+        def worker(index: int) -> None:
+            for number in range(files):
+                path = str(tmp_path / f"run-{index}-{number}.bin")
+                payload = f"{index}-{number}".encode() * 512
+                _, digest = atomic_publish_bytes(path, payload, durable=False)
+                assert store.store_file(path, digest=digest) == digest
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                list(pool.map(worker, range(threads)))
+        finally:
+            sys.setswitchinterval(interval)
+        counters = store.counters()
+        assert counters["linked_stores"] == counters["stores"] == threads * files
 
 
 # Each actor's script: a sequence of (op, object-index) steps over a

@@ -153,6 +153,44 @@ class TestDownloadBudget:
         assert all(counter.reads[os.path.abspath(p)] == 0 for p in staged)
 
 
+def listed(directory):
+    return [os.path.join(directory, name) for name in sorted(os.listdir(directory))]
+
+
+class TestColdRunBudget:
+    def test_a_cold_run_stores_what_it_hashed_without_hashing_it_again(
+        self, tmp_path, monkeypatch
+    ):
+        """Against an empty store every object is the inode the run just
+        published, adopted by hardlink: a granule is hashed once (while
+        written), a tile file twice (written, crawler gate) and a labelled
+        file twice (published, verified by shipment's materialize)."""
+        counter = IoCounter(monkeypatch)
+        config, report = run_cached(tmp_path / "cold", tmp_path / "cas")
+        monkeypatch.undo()
+        assert report.errors == []
+
+        expected, passes_by_size, staged = Counter(), {}, []
+        for directory, passes in ((config.staging, 1), (config.preprocessed, 2),
+                                  (config.destination, 2)):
+            for path in listed(directory):
+                stat = os.stat(path)
+                # Granules, tile files and labelled files are told apart by size.
+                assert passes_by_size.setdefault(stat.st_size, passes) == passes
+                expected[stat.st_size] += passes
+                staged.append(stat.st_ino)
+        assert {size: counter.passes.count(size) for size in expected} == expected
+
+        objects = [
+            path
+            for shard in listed(os.path.join(config.cache_dir, "objects"))
+            if os.path.basename(shard) != "incoming"
+            for path in listed(shard)
+        ]
+        assert sorted(os.stat(path).st_ino for path in objects) == sorted(staged)
+        assert report.cache["linked_stores"] == report.cache["stores"] == len(objects)
+
+
 class TestWarmRunBudget:
     @staticmethod
     def sizes(directory):
