@@ -199,7 +199,6 @@ _STREAM = Schema(
     [
         Field("enabled", boolean, required=False, default=False),
         Field("capacity", positive_int, required=False, default=DEFAULT_CAPACITY),
-        Field("edges", dict, required=False, default={}),
     ],
 )
 
@@ -293,7 +292,8 @@ class EOMLConfig:
     journal_dir: str = "data/journal"
     journal_durable: bool = True
     # Streaming dataflow between plan stages (runtime.stream): off by
-    # default, so the plan degrades to the classic barrier pipeline.
+    # default, so the listed-order runner drives every stream edge as
+    # the classic barrier.
     stream: StreamConfig = StreamConfig()
     # Horizontal scale-out (runtime.workers / runtime.elastic): number of
     # worker processes sharing the stage work; 1 keeps everything in the
@@ -345,11 +345,9 @@ def load_config(source: Mapping[str, Any] | str) -> EOMLConfig:
     journal = _JOURNAL.validate(top["journal"] or {}, "journal")
     runtime = _RUNTIME.validate(top["runtime"] or {}, "runtime")
     cache = _CACHE.validate(top["cache"] or {}, "cache")
-    stream_raw = _STREAM.validate(runtime["stream"] or {}, "runtime.stream")
-    try:
-        stream = StreamConfig.from_mapping(stream_raw)
-    except ValueError as exc:
-        raise ConfigError("runtime.stream", str(exc)) from exc
+    stream = StreamConfig(
+        **_STREAM.validate(runtime["stream"] or {}, "runtime.stream")
+    )
     elastic_raw = _ELASTIC.validate(runtime["elastic"] or {}, "runtime.elastic")
     try:
         elastic = ElasticPolicy.from_mapping(elastic_raw)

@@ -11,11 +11,12 @@ paper's structural properties:
 * **per-stage worker accounting** on a wall-clock timeline (Figs. 6-7).
 
 Those properties are stated declaratively: :meth:`EOMLWorkflow.build_plan`
-returns a :class:`~repro.runtime.plan.PipelinePlan` whose ``after`` edges
-are the barriers and whose ``overlaps`` edge opens the monitor/inference
-concurrency window, and :meth:`run` merely drives it with
-:class:`~repro.runtime.plan.PlanRunner` or, when ``runtime.stream`` is
-enabled, :class:`~repro.runtime.plan.StreamingPlanRunner`.
+returns one :class:`~repro.runtime.plan.PipelinePlan` whose ``stream``
+edges carry scenes and labelled files and whose ``overlaps`` edge opens
+the monitor/inference concurrency window, and :meth:`run` merely drives
+it with :class:`~repro.runtime.plan.PlanRunner` (each stream edge a
+barrier) or, when ``runtime.stream`` is enabled,
+:class:`~repro.runtime.plan.StreamingPlanRunner` (a pipeline).
 
 The inference model may be supplied (a trained model instance) or
 bootstrapped: with ``model=None`` the workflow trains a small atlas on
@@ -35,7 +36,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -239,7 +240,6 @@ class EOMLWorkflow:
         ctx: Optional[RunContext] = None,
         prov: Optional[ProvenanceStore] = None,
         handles: Optional[Dict[str, Any]] = None,
-        streaming: bool = False,
     ) -> PipelinePlan:
         """The pipeline as data: nodes are stages, edges are policies.
 
@@ -256,34 +256,30 @@ class EOMLWorkflow:
         one whose tag is ``""``: the same five nodes under their bare
         names, on the root config.
 
-        Barrier topology (``streaming=False``, the paper's Fig. 2):
-
-        * every node of the acquisition chain runs ``after`` all of its
-          predecessors — ``preprocess.after = (download, model)`` is the
-          download barrier;
-        * ``inference.overlaps = (preprocess,)`` opens the crawler +
-          worker concurrency window while preprocessing runs, and
-          ``inference``'s own body is the drain;
+        * every ``->`` is a ``stream`` edge: each completed granule scene
+          flows down the acquisition chain (``("planned", keys)`` then
+          one ``("scene", key, set-or-None)`` token per scene; a model
+          node bootstraps from the sorted-first tile-yielding scene, then
+          relays), and labelled file names flow from inference to
+          shipment;
+        * ``inference`` runs ``after`` its preprocess and model nodes, and
+          ``overlaps = (preprocess,)`` opens the crawler + worker
+          concurrency window while preprocessing runs; ``inference``'s
+          own body is the drain;
         * ``shipment.when = config.ship`` gates delivery.
 
-        Streaming topology (``streaming=True``, Fig. 6's pipelining
-        carried through every stage): the chain's barriers become
-        ``stream`` edges — each completed granule scene flows to
-        preprocessing the moment its last product lands (a model node
-        bootstraps from the sorted-first tile-yielding scene, exactly
-        the scene barrier mode trains on, then relays) — and labelled
-        files flow over ``inference -> shipment`` so delivery overlaps
-        the drain.  Every node has one body; ``streaming`` only picks
-        the edge kind, and with it whether a body's upstream is a
-        channel or its predecessor's finished report.
+        The runner, not the plan, decides barrier or pipeline:
+        :class:`PlanRunner` runs each producer to completion into an
+        unbounded channel before its consumer starts (the paper's Fig. 2
+        download barrier), :class:`StreamingPlanRunner` runs them
+        together over bounded channels (Fig. 6's pipelining).
 
         ``ctx`` is the run every stage executes under (journal, chaos,
         cache, metrics, and where submitted units run); ``None`` is the
         bare context.  ``handles`` (shared with the caller) receives, under
         ``base[@tag]`` names, the live ``worker``/``crawler`` objects
         plus the model-bootstrap bookkeeping, since those outlive their
-        nodes.  Either runner — :class:`PlanRunner` or
-        :class:`StreamingPlanRunner` — can execute the plan.
+        nodes.
         """
         config = self.config
         ctx = ctx or RunContext()
@@ -294,16 +290,6 @@ class EOMLWorkflow:
             if prov
             else None
         )
-
-        def link(*upstream: str) -> Dict[str, Tuple[str, ...]]:
-            """A node's incoming edges; ``upstream[-1]`` is what feeds it."""
-            return {"stream": upstream[-1:]} if streaming else {"after": upstream}
-
-        def sink(state: Dict[str, Any], name: str) -> Callable[[Any], None]:
-            """Where a body hands each item downstream (nowhere, at a barrier)."""
-            if streaming:
-                return state[STREAMS_KEY].writer(name).put
-            return lambda item: None
 
         def acquisition(inst: str) -> List[StageNode]:
             """``download -> model... -> preprocess`` for one instrument."""
@@ -316,18 +302,6 @@ class EOMLWorkflow:
             handles.setdefault(heads_key, {})
             preprocess_stage = PreprocessStage(icfg, ctx)
 
-            def scene_tokens(state: Dict[str, Any], name: str, src: str):
-                """``("planned", keys)`` then ``("scene", key, set-or-None)``
-                tokens: off the channel, or replayed from the finished
-                download report at a barrier."""
-                if streaming:
-                    return iter(state[STREAMS_KEY].reader(name, src=src))
-                sets = state[download_name].granule_sets
-                return iter(
-                    [("planned", [gs.key for gs in sets])]
-                    + [("scene", gs.key, gs) for gs in sets]
-                )
-
             def run_download(state: Dict[str, Any]) -> DownloadReport:
                 stage = DownloadStage(
                     icfg, ctx,
@@ -335,7 +309,7 @@ class EOMLWorkflow:
                     # granule grammar only.
                     archive=self.archive if inst == config.instruments[0] else None,
                 )
-                emit = sink(state, download_name)
+                emit = state[STREAMS_KEY].writer(download_name).put
                 download = stage.run(
                     on_planned=lambda keys: emit(("planned", list(keys))),
                     on_scene=lambda key, gs: emit(("scene", key, gs)),
@@ -423,7 +397,7 @@ class EOMLWorkflow:
                         return stacks
                 return []
 
-            def model_node(mdl: str, upstream: List[str]) -> StageNode:
+            def model_node(mdl: str, upstream: str) -> StageNode:
                 bcfg = branch_config(config, inst, mdl)
                 name = unit_name("model", bcfg.branch)
                 journal_key = model_slot(bcfg.branch)[0]
@@ -440,8 +414,8 @@ class EOMLWorkflow:
                     anything is forwarded downstream.
                     """
                     try:
-                        tokens = scene_tokens(state, name, upstream[-1])
-                        forward = sink(state, name)
+                        tokens = iter(state[STREAMS_KEY].reader(name))
+                        forward = state[STREAMS_KEY].writer(name).put
                         held: List[Any] = []
                         model = self.model
                         if model is None:
@@ -478,13 +452,13 @@ class EOMLWorkflow:
                         ready.set()
                         raise
 
-                return StageNode(name, run_model, **link(*upstream))
+                return StageNode(name, run_model, stream=(upstream,))
 
             def run_preprocess(state: Dict[str, Any]) -> PreprocessReport:
                 heads = handles[heads_key]
                 return preprocess_stage.run(
                     token[2]
-                    for token in scene_tokens(state, preprocess_name, chain[-1])
+                    for token in state[STREAMS_KEY].reader(preprocess_name)
                     if token[0] == "scene"
                     and token[2] is not None
                     and token[1] not in heads
@@ -496,17 +470,16 @@ class EOMLWorkflow:
                 workers=config.workers.download,
                 counts=lambda r: {"files": r.files},
             )
-            chain = [download_name]
-            model_nodes = []
+            model_nodes: List[StageNode] = []
             for mdl in config.models:
-                model_nodes.append(model_node(mdl, list(chain)))
-                chain.append(model_nodes[-1].name)
+                upstream = model_nodes[-1].name if model_nodes else download_name
+                model_nodes.append(model_node(mdl, upstream))
             preprocess_node = StageNode(
                 preprocess_name,
                 run_preprocess,
                 workers=config.workers.preprocess,
                 counts=lambda r: {"tiles": r.total_tiles},
-                **link(*chain),
+                stream=(model_nodes[-1].name,),
             )
             return [download_node, *model_nodes, preprocess_node]
 
@@ -523,12 +496,12 @@ class EOMLWorkflow:
 
             @contextmanager
             def inference_scope(state: Dict[str, Any]):
-                # At a barrier (and on a remote agent, which rehydrates
-                # it) the state already holds the model.  A streaming
-                # window may open while the model node is still relaying
-                # scenes, so that node publishes through ``handles`` and
-                # sets ``model_ready`` — on both its success and error
-                # paths, so this wait can never hang.
+                # Under the listed-order runner (and on a remote agent,
+                # which rehydrates it) the state already holds the model.
+                # A streaming window may open while the model node is
+                # still relaying scenes, so that node publishes through
+                # ``handles`` and sets ``model_ready`` — on both its
+                # success and error paths, so this wait can never hang.
                 model = state.get(model_name)
                 if model is None:
                     handles[unit_name("model_ready", tag)].wait()
@@ -539,7 +512,7 @@ class EOMLWorkflow:
                 # Labelled files stream to shipment by basename the
                 # moment they publish — eager delivery while the
                 # inference queue is still draining.
-                ship = sink(state, inference_name)
+                ship = state[STREAMS_KEY].writer(inference_name).put
                 worker = InferenceWorker(
                     model, bcfg, ctx,
                     on_result=lambda result: ship(os.path.basename(result.out_path)),
@@ -563,12 +536,9 @@ class EOMLWorkflow:
                 return worker
 
             def run_shipment(state: Dict[str, Any]) -> ShipmentReport:
-                announced = (
-                    iter(state[STREAMS_KEY].reader(shipment_name, src=inference_name))
-                    if streaming
-                    else ()
+                shipment = ShipmentStage(bcfg, ctx).run(
+                    state[STREAMS_KEY].reader(shipment_name)
                 )
-                shipment = ShipmentStage(bcfg, ctx).run(announced)
                 if prov and shipment.moved:
                     activity = prov.start_activity("shipment", "globus-transfer")
                     for inf in handles[unit_name("worker", tag)].results:
@@ -601,7 +571,7 @@ class EOMLWorkflow:
                     run_shipment,
                     when=lambda state: bool(config.ship),
                     counts=lambda r: {"files": len(r.moved)},
-                    **link(inference_name),
+                    stream=(inference_name,),
                 ),
             ]
 
@@ -622,7 +592,7 @@ class EOMLWorkflow:
         config = self.config
         # ``streaming=None`` defers to ``runtime.stream.enabled`` in the
         # config; an explicit bool overrides it (the benchmark harness
-        # runs both topologies off one config).
+        # drives one plan with both runners off one config).
         use_stream = config.stream.enabled if streaming is None else bool(streaming)
         # Provenance is a single-branch feature for now: the fan-out
         # report has no one model/lineage to attribute artifacts to.
@@ -658,9 +628,7 @@ class EOMLWorkflow:
                 ctx.pool.start()
 
             handles: Dict[str, Any] = {}
-            plan = self.build_plan(
-                ctx, prov=prov, handles=handles, streaming=use_stream
-            )
+            plan = self.build_plan(ctx, prov=prov, handles=handles)
             if use_stream:
                 runner: PlanRunner = StreamingPlanRunner(
                     on_begin=timeline.begin, on_end=on_end,
@@ -886,12 +854,13 @@ class EOMLWorkflow:
 
             # Streaming dataflow accounting: per-edge queue depth / stall /
             # wait rollups plus the measured stage-overlap seconds that the
-            # pipelining bought (empty/zero under barrier mode).
-            hub = state.get(STREAMS_KEY)
+            # pipelining bought (None/zero behind the barrier, whose
+            # unbounded channels are a hand-off, not a pipeline).
             stream_summary: Optional[Dict[str, object]] = None
-            if hub is not None:
+            if use_stream:
+                hub = state[STREAMS_KEY]
                 edge_stats = {s.edge: s.as_dict() for s in hub.stats()}
-                stream_summary = {"enabled": use_stream, "edges": edge_stats}
+                stream_summary = {"enabled": True, "edges": edge_stats}
                 items = metrics.counter("stream.items")
                 stalls = metrics.counter("stream.producer_stall_seconds")
                 waits = metrics.counter("stream.consumer_wait_seconds")

@@ -3,9 +3,10 @@
 One :class:`StageExecutor` with an ordered middleware stack (metrics,
 quarantine, journal, cache, chaos, precheck, retry) runs the
 :class:`WorkUnit`\\ s every stage produces, and one declarative
-:class:`PipelinePlan` states the workflow's structure (download barrier,
+:class:`PipelinePlan` states the workflow's structure (scene hand-off,
 monitor/inference overlap) as explicit edges that :class:`PlanRunner`
-and :class:`StreamingPlanRunner` both drive.
+(as barriers) and :class:`StreamingPlanRunner` (as a pipeline) both
+drive.
 
 Layering contract: this package must not import ``repro.core`` (checked
 by ``tools/check_layering.py`` and CI).

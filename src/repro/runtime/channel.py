@@ -9,11 +9,13 @@ download stage cannot flood memory while preprocessing lags.  Both ends
 account their waiting (producer stall seconds, consumer wait seconds)
 and the high-water queue depth, which roll up into ``WorkflowReport``.
 
-A sequential driver (the listed-order :class:`~repro.runtime.plan.
-PlanRunner`) runs the producer's node to completion before the consumer
-starts, so a bounded channel would deadlock it; :class:`~repro.runtime.
-plan.PlanExecution` therefore creates channels *relaxed* (unbounded)
-unless a concurrent runner asks for backpressure, and any driver can
+The same channel is also the barrier.  A sequential driver (the
+listed-order :class:`~repro.runtime.plan.PlanRunner`) runs the
+producer's node to completion before the consumer starts, so a bounded
+channel would deadlock it; :class:`~repro.runtime.plan.PlanExecution`
+therefore creates channels *relaxed* (unbounded) unless a concurrent
+runner asks for backpressure, and the consumer then drains the whole
+buffered output — the paper's Fig. 2 barrier.  Any driver can
 :meth:`relax` a channel to unblock producers whose consumer died.
 
 This module (like the whole ``repro.runtime`` package) must not import
@@ -25,8 +27,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -204,66 +206,17 @@ class StreamChannel:
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """The ``runtime.stream`` config: global switch plus per-edge knobs.
-
-    ``edges`` maps ``"src->dst"`` to ``{"enabled": bool, "capacity": int}``
-    overrides.  A disabled edge falls back to barrier semantics — the
-    concurrent runner waits for the producer to finish before the
-    consumer starts, and the channel is left unbounded so the buffered
-    hand-off still flows through the same bodies.
-    """
+    """The ``runtime.stream`` config: which runner drives the plan's
+    stream edges (``enabled``) and the bound on each channel."""
 
     enabled: bool = False
     capacity: int = DEFAULT_CAPACITY
-    edges: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError(
                 f"stream capacity must be >= 1, got {self.capacity}"
             )
-
-    @classmethod
-    def from_mapping(cls, raw: Mapping[str, Any]) -> "StreamConfig":
-        """Parse the validated ``runtime.stream`` mapping; raises ValueError."""
-        enabled = bool(raw.get("enabled", False))
-        capacity = int(raw.get("capacity", DEFAULT_CAPACITY))
-        edges_raw = raw.get("edges") or {}
-        if not isinstance(edges_raw, Mapping):
-            raise ValueError("stream.edges must be a mapping of 'src->dst' entries")
-        edges: Dict[str, Dict[str, Any]] = {}
-        for name, entry in edges_raw.items():
-            if "->" not in str(name):
-                raise ValueError(
-                    f"stream edge {name!r} must be spelled 'src->dst'"
-                )
-            if not isinstance(entry, Mapping):
-                raise ValueError(f"stream edge {name!r} must map to a mapping")
-            parsed: Dict[str, Any] = {}
-            for key, value in entry.items():
-                if key == "enabled":
-                    parsed["enabled"] = bool(value)
-                elif key == "capacity":
-                    cap = int(value)
-                    if cap < 1:
-                        raise ValueError(
-                            f"stream edge {name!r} capacity must be >= 1"
-                        )
-                    parsed["capacity"] = cap
-                else:
-                    raise ValueError(
-                        f"stream edge {name!r} has unknown key {key!r}"
-                    )
-            edges[str(name)] = parsed
-        return cls(enabled=enabled, capacity=capacity, edges=edges)
-
-    def edge_enabled(self, src: str, dst: str) -> bool:
-        entry = self.edges.get(edge_name(src, dst), {})
-        return bool(entry.get("enabled", True))
-
-    def edge_capacity(self, src: str, dst: str) -> int:
-        entry = self.edges.get(edge_name(src, dst), {})
-        return int(entry.get("capacity", self.capacity))
 
 
 class StreamWriter:

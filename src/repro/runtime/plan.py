@@ -1,12 +1,11 @@
 """Declarative pipeline plans: stages as nodes, policies as edges.
 
-A :class:`PipelinePlan` states the workflow's structure — the download
-barrier, the monitor/inference overlap — as data instead of interleaved
+A :class:`PipelinePlan` states the workflow's structure — the scene
+hand-off, the monitor/inference overlap — as data instead of interleaved
 control flow:
 
 * an ``after`` edge is a **barrier**: the node's body runs only once
-  every named predecessor has completed (the paper's "preprocessing is
-  delayed until all downloads are complete");
+  every named predecessor has completed;
 * an ``overlaps`` edge is a **concurrency window**: the node's ``scope``
   (a context manager holding its live resources — worker threads, the
   crawler) is entered *before* the overlapped node runs and its body
@@ -14,15 +13,17 @@ control flow:
   asynchronous monitor-trigger;
 * a ``stream`` edge is a **per-item dataflow**: the producer hands
   tokens (completed scenes, labelled file names) to the consumer through
-  a bounded :class:`~repro.runtime.channel.StreamChannel` while both
-  bodies run, so makespan approaches max(stage) instead of sum(stages).
+  a :class:`~repro.runtime.channel.StreamChannel`.
 
-:class:`PlanExecution` carries the mechanics of honouring those edges
-for both runners, which call :meth:`PlanExecution.run_node` from their
-own schedulers: :class:`PlanRunner` walks nodes in listed order (stream
-channels relaxed, so the buffered hand-off still flows) and
+The runner decides what a stream edge costs.  :class:`PlanExecution`
+carries the mechanics of honouring the edges for both runners, which
+call :meth:`PlanExecution.run_node` from their own schedulers:
+:class:`PlanRunner` walks nodes in listed order over unbounded channels,
+so each producer finishes before its consumer starts (the paper's
+"preprocessing is delayed until all downloads are complete"), and
 :class:`StreamingPlanRunner` runs stream-connected nodes concurrently,
-one thread each, under backpressure — same plan, same node bodies.
+one thread each, under backpressure, so makespan approaches max(stage)
+instead of sum(stages) — same plan, same node bodies.
 This module must not import ``repro.core``; nodes close over their
 stage objects.
 """
@@ -34,7 +35,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.runtime.channel import StreamChannel, StreamConfig, StreamHub
+from repro.runtime.channel import StreamChannel, StreamConfig, StreamHub, edge_name
 
 __all__ = [
     "PlanError",
@@ -109,24 +110,11 @@ class PipelinePlan:
                     )
             seen.add(node.name)
 
-    @property
-    def names(self) -> List[str]:
-        return [node.name for node in self.nodes]
-
     def node(self, name: str) -> StageNode:
         try:
             return self._by_name[name]
         except KeyError:
             raise PlanError(f"plan has no node {name!r}") from None
-
-    def edges(self) -> List[Tuple[str, str, str]]:
-        """All (src, dst, kind) edges, kind in {"after", "overlaps", "stream"}."""
-        out: List[Tuple[str, str, str]] = []
-        for node in self.nodes:
-            out.extend((dep, node.name, "after") for dep in node.after)
-            out.extend((dep, node.name, "overlaps") for dep in node.overlaps)
-            out.extend((dep, node.name, "stream") for dep in node.stream)
-        return out
 
     def stream_edges(self) -> List[Tuple[str, str]]:
         """All (producer, consumer) stream edges in plan order."""
@@ -183,17 +171,14 @@ class PlanExecution:
         # model), so it is serialized per owner — never under ``_lock``,
         # which every node start and finish takes.
         self._scope_locks = {node.name: threading.Lock() for node in plan.nodes}
-        self.stream_config = stream or StreamConfig()
+        capacity = (stream or StreamConfig()).capacity
         self.hub = StreamHub()
         for src, dst in plan.stream_edges():
-            bounded = concurrent and self.stream_config.edge_enabled(src, dst)
             self.hub.connect(
                 src,
                 dst,
                 StreamChannel(
-                    f"{src}->{dst}",
-                    capacity=self.stream_config.edge_capacity(src, dst),
-                    bounded=bounded,
+                    edge_name(src, dst), capacity=capacity, bounded=concurrent
                 ),
             )
         if len(self.hub):
@@ -324,10 +309,8 @@ class StreamingPlanRunner(PlanRunner):
 
     ``after`` edges are still honoured (a dependent waits for its
     predecessors to finish), but stream-connected nodes start together
-    and exchange tokens through backpressured channels.  A stream edge
-    disabled in the :class:`~repro.runtime.channel.StreamConfig` falls
-    back to barrier semantics: its channel stays unbounded and the
-    consumer additionally waits for the producer to finish.
+    and exchange tokens through channels bounded at the
+    :class:`~repro.runtime.channel.StreamConfig` capacity.
 
     Failure containment: a node that raises closes its outputs (its
     consumers see end-of-stream and finish with what arrived) and
@@ -378,19 +361,6 @@ class StreamingPlanRunner(PlanRunner):
             concurrent=True,
         )
 
-    def _wait_deps(self, node: StageNode) -> List[str]:
-        """Events this node's thread awaits before running its body:
-        every ``after`` edge, plus stream producers whose edge is
-        disabled (per-edge barrier fallback)."""
-        deps = list(node.after)
-        for src in node.stream:
-            if (
-                not self.stream_config.edge_enabled(src, node.name)
-                and src not in deps
-            ):
-                deps.append(src)
-        return deps
-
     def run(
         self, plan: PipelinePlan, state: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
@@ -403,11 +373,10 @@ class StreamingPlanRunner(PlanRunner):
         def drive(node: StageNode) -> None:
             ok = True
             try:
-                deps = self._wait_deps(node)
-                for dep in deps:
+                for dep in node.after:
                     finished[dep].wait()
                 with guard:
-                    dead = any(dep in aborted for dep in deps)
+                    dead = any(dep in aborted for dep in node.after)
                 if dead:
                     ok = False
                 else:

@@ -11,7 +11,7 @@ or duplicates work.
 Layers (each importable on its own):
 
 * :mod:`repro.server.store`     — SQLite-backed run/unit/lease store;
-* :mod:`repro.server.wire`      — JSON codecs for cross-process state;
+* :mod:`repro.server.wire`      — JSON token logs for cross-process state;
 * :mod:`repro.server.execution` — standalone execution of one plan node;
 * :mod:`repro.server.api`      — transport-free request handlers;
 * :mod:`repro.server.service`   — stdlib threaded HTTP server;

@@ -1,15 +1,17 @@
 """Standalone execution of one plan node — the agent side of a lease.
 
 The server hands an agent ``(run config, unit name)``; this module turns
-that into real stage work by rebuilding the run's barrier
+that into real stage work by rebuilding the run's
 :class:`~repro.runtime.plan.PipelinePlan` and driving exactly one node
-of it.  The barrier edges themselves are enforced by the *server* (a
-unit only becomes leasable once its dependencies completed), so the
-local driver's job is the node's immediate needs:
+of it.  Its edges are enforced by the *server* as barriers (a unit only
+becomes leasable once its dependencies completed), so the local driver's
+job is the node's immediate needs:
 
-* dependency state is rehydrated from the wire files the predecessor
-  units published (:mod:`repro.server.wire`) — the cross-process
-  equivalent of the in-process plan ``state`` dict;
+* a ``stream`` edge crosses processes as a token log: each unit saves
+  the tokens it wrote on its outgoing channels, and its consumer's
+  incoming channel is filled from that log before the body runs
+  (:mod:`repro.server.wire`) — the same hand-off :class:`~repro.runtime.
+  plan.PlanRunner` makes in one process;
 * the node's ``scope`` (the inference crawler/worker window) is entered
   around its body, and ``when`` gates are honoured;
 * the run is opened through :func:`repro.core.context.open_run` — the
@@ -33,7 +35,7 @@ from repro.core import EOMLWorkflow, load_config
 from repro.core.branches import instrument_config, split_unit, unit_name, unit_slice
 from repro.core.config import EOMLConfig
 from repro.core.context import RunContext, open_run
-from repro.runtime import StageNode
+from repro.runtime import STREAMS_KEY, PipelinePlan, PlanExecution, StageNode
 from repro.server import wire
 
 __all__ = ["LeaseLost", "unit_graph", "validate_remote_config", "execute_unit"]
@@ -51,7 +53,8 @@ class LeaseLost(RuntimeError):
 
 
 def unit_graph(config: EOMLConfig) -> List[Tuple[str, List[str]]]:
-    """The run's work-units: the barrier plan's nodes and ``after`` edges.
+    """The run's work-units: the plan's nodes, depending on their
+    ``after`` and ``stream`` edges.
 
     Derived from the real :meth:`EOMLWorkflow.build_plan` so the control
     plane can never drift from the workflow's actual topology.  Nodes
@@ -59,14 +62,15 @@ def unit_graph(config: EOMLConfig) -> List[Tuple[str, List[str]]]:
     ``shipment.enabled: false``) are dropped, and edges into dropped
     nodes are dropped with them.
     """
-    plan = EOMLWorkflow(config).build_plan(streaming=False)
+    plan = EOMLWorkflow(config).build_plan()
     kept: List[Tuple[str, List[str]]] = []
     names: set = set()
     for node in plan.nodes:
         if node.when is not None and not node.when({}):
             continue
         names.add(node.name)
-        kept.append((node.name, [dep for dep in node.after if dep in names]))
+        deps = [dep for dep in (*node.after, *node.stream) if dep in names]
+        kept.append((node.name, deps))
     return kept
 
 
@@ -75,7 +79,7 @@ def validate_remote_config(raw: Mapping[str, Any]) -> EOMLConfig:
 
     Remote runs need the journal: it is both the crash-consistency story
     (requeued units replay it) and the cross-unit hand-off point (the
-    bootstrapped model and wire state live in the journal directory).
+    bootstrapped model and the token logs live in the journal directory).
     """
     config = load_config(dict(raw))
     if not config.journal_enabled:
@@ -89,6 +93,7 @@ def validate_remote_config(raw: Mapping[str, Any]) -> EOMLConfig:
 
 def _rehydrate(
     ctx: RunContext,
+    plan: PipelinePlan,
     node: StageNode,
     config: EOMLConfig,
     handles: Dict[str, Any],
@@ -96,26 +101,26 @@ def _rehydrate(
 ) -> None:
     """Load the dependency state this node's body actually reads.
 
-    Driven by the node's own ``after`` edges: a download dependency is
-    its published report, a model dependency is the consumed-scene
-    cursor (for preprocess) or the persisted model file (for inference).
-    Preprocess and shipment dependencies carry nothing — their products
-    are the directories the dependent sweeps.
+    Each incoming stream channel is filled from its producer's token log
+    and closed, so the body drains exactly the tokens the producer
+    wrote.  An inference unit's model dependency is the persisted model
+    file.  Preprocess also skips the scenes its model units already
+    tiled: the bootstrap walks complete scenes in planned order, so what
+    they consumed (their cursor) is a prefix of those.
     """
     base, _tag, cfg = unit_slice(config, node.name)
-    consumed = 0
+    tokens: List[Any] = []
+    for src in node.stream:
+        tokens = wire.tokens_from_wire(
+            wire.load_state(config.journal_dir, src)["tokens"]
+        )
+        channel = state[STREAMS_KEY].channel(src, node.name)
+        for token in tokens:
+            channel.put(token)
+        channel.close()
     for dep in node.after:
         dep_base, _dep_tag, dep_cfg = unit_slice(config, dep)
-        if dep_base == "download":
-            state[dep] = wire.download_report_from_wire(
-                wire.load_state(config.journal_dir, dep)
-            )
-        elif dep_base == "model" and base == "preprocess":
-            consumed = max(
-                consumed,
-                int(wire.load_state(config.journal_dir, dep).get("consumed", 0)),
-            )
-        elif dep_base == "model" and base == "inference":
+        if dep_base == "model" and base == "inference":
             from repro.instruments.registry import get_model
 
             model_path = ctx.model_path(dep_cfg)
@@ -126,13 +131,16 @@ def _rehydrate(
                 )
             state[dep] = get_model(dep_cfg.model_name).load(model_path)
     if base == "preprocess":
-        # The bootstrap walks scenes in sorted order, so what the model
-        # units consumed is a prefix of the download report; preprocess
-        # only asks which keys to skip (the reports stayed with the unit
-        # that tiled them).
-        download = state[unit_name("download", cfg.branch)]
+        consumed, dep = 0, node.stream[0]
+        while split_unit(dep)[0] == "model":
+            consumed = max(
+                consumed, int(wire.load_state(config.journal_dir, dep)["consumed"])
+            )
+            dep = plan.node(dep).stream[0]
+        planned = next((t[1] for t in tokens if t[0] == "planned"), [])
+        complete = {t[1] for t in tokens if t[0] == "scene" and t[2] is not None}
         handles[unit_name("heads", cfg.branch)] = dict.fromkeys(
-            gs.key for gs in download.granule_sets[:consumed]
+            [key for key in planned if key in complete][:consumed]
         )
 
 
@@ -217,16 +225,21 @@ def execute_unit(
     ctx = open_run(config, resume=True, chaos=chaos)
     try:
         handles: Dict[str, Any] = {}
-        state: Dict[str, Any] = {}
-        plan = EOMLWorkflow(config).build_plan(ctx, handles=handles, streaming=False)
+        plan = EOMLWorkflow(config).build_plan(ctx, handles=handles)
         node = plan.node(unit)
-        _rehydrate(ctx, node, config, handles, state)
+        # The listed-order runner's unbounded channels: the unit's inputs
+        # are filled from its producers' token logs, its outputs become
+        # its own.
+        state: Dict[str, Any] = {}
+        hub = PlanExecution(plan, state=state).hub
+        _rehydrate(ctx, plan, node, config, handles, state)
         if node.when is not None and not node.when(state):
             return {"skipped": True}
         _check_cancel("before node body")
         scope = node.scope(state) if node.scope is not None else nullcontext()
         with scope:
             value = node.run(state)
+        hub.close_outputs(unit)
         # The fencing checkpoint that matters most: the body finished but
         # nothing is published to the control plane yet.  If the lease was
         # lost while computing, stop here — the journal keeps the local
@@ -234,14 +247,13 @@ def execute_unit(
         # only one the server will accept anyway.
         _check_cancel("after node body")
         result = _result_payload(config, unit, value, handles)
-        # Cross-unit state is saved under the full unit name, so each
-        # fan-out branch's dependents rehydrate their own instrument's.
-        if split_unit(unit)[0] == "download":
-            wire.save_state(
-                config.journal_dir, unit, wire.download_report_to_wire(value)
-            )
-        if split_unit(unit)[0] == "model":
-            wire.save_state(config.journal_dir, unit, dict(result))
+        # The token log is saved under the full unit name, so each
+        # fan-out branch's dependents read their own instrument's.
+        outgoing = [dst for src, dst in plan.stream_edges() if src == unit]
+        if outgoing:
+            log = dict(result) if split_unit(unit)[0] == "model" else {}
+            log["tokens"] = wire.tokens_to_wire(hub.channel(unit, outgoing[0]))
+            wire.save_state(config.journal_dir, unit, log)
         ctx.journal.checkpoint()
         return result
     finally:

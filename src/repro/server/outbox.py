@@ -9,7 +9,7 @@ cleared.
 
 The durable form is a JSONL file (one record per line, flushed and
 fsynced per append) living in the run's journal directory next to the
-wire-state files, so an agent killed *while partitioned* loses nothing:
+token logs, so an agent killed *while partitioned* loses nothing:
 its successor replays the spool.  The same discipline as
 :mod:`repro.journal` applies on read: a torn final line (the classic
 crash artifact) is tolerated and dropped.
@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 import os
 from typing import Any, Dict, List, Mapping, Optional
+
+from repro.util.digest import atomic_publish_bytes
 
 __all__ = ["Outbox"]
 
@@ -42,6 +44,7 @@ class Outbox:
         if not self.path or not os.path.exists(self.path):
             return []
         records: List[Dict[str, Any]] = []
+        torn = False
         with open(self.path, "r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
@@ -52,9 +55,15 @@ class Outbox:
                 except ValueError:
                     # A torn tail from a crash mid-append: drop it — the
                     # record was never acknowledged to anyone.
+                    torn = True
                     continue
                 if isinstance(record, dict):
                     records.append(record)
+        if torn:
+            # Rewrite the spool without the torn bytes, or the next
+            # append would land on the torn line and be dropped with it.
+            payload = "".join(json.dumps(r) + "\n" for r in records)
+            atomic_publish_bytes(self.path, payload.encode("utf-8"))
         return records
 
     def append(self, record: Mapping[str, Any]) -> None:

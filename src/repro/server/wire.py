@@ -2,32 +2,33 @@
 
 A site agent executes one plan node per lease, usually in a different
 process (often a different machine) from the agent that ran the node's
-dependencies.  In-process execution threads stage outputs through the
-plan's shared ``state`` dict; across processes those outputs must be
-bytes.  This module is the schema of that hand-off: plain-JSON codecs
-for the stage objects that cross a unit boundary, written atomically
-beside the run journal so a requeued unit reloads exactly what its
-predecessor published.
+dependencies.  In-process, a node hands its output downstream as the
+tokens it writes on its plan ``stream`` edges; across processes those
+tokens must be bytes.  This module is the schema of that hand-off: a
+unit's **token log** — every token it wrote, in order, as plain JSON —
+written atomically beside the run journal so a requeued unit reloads
+exactly what its producer wrote.
 
-Only the *structural* outputs travel — granule-set keys and paths,
-counters, the consumed-scene cursor.  Bulk artifacts (granule files,
-tile files, the bootstrapped model) stay on the shared filesystem the
-submitted config points at, guarded by the integrity manifest.
+Only *structural* tokens travel — the planned scene keys, each scene's
+granule-set key and paths, labelled file names, plus the model units'
+consumed-scene cursor.  Bulk artifacts (granule files, tile files, the
+bootstrapped model) stay on the shared filesystem the submitted config
+points at, guarded by the integrity manifest.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict
+from typing import Any, Dict, Iterable, List
 
-from repro.core.download import DownloadReport, GranuleSet
+from repro.core.download import GranuleSet
 from repro.util.digest import atomic_publish_bytes
 
 __all__ = [
     "STATE_DIRNAME",
-    "download_report_to_wire",
-    "download_report_from_wire",
+    "tokens_to_wire",
+    "tokens_from_wire",
     "state_dir",
     "load_state",
     "save_state",
@@ -37,45 +38,31 @@ __all__ = [
 STATE_DIRNAME = "units"
 
 
-def download_report_to_wire(report: DownloadReport) -> Dict[str, Any]:
-    """Flatten a :class:`DownloadReport` into a JSON-safe mapping."""
-    return {
-        "granule_sets": [
-            {"key": gs.key, "paths": dict(gs.paths)}
-            for gs in report.granule_sets
-        ],
-        "files": report.files,
-        "nbytes": report.nbytes,
-        "seconds": report.seconds,
-        "per_file_seconds": list(report.per_file_seconds),
-        "skipped": report.skipped,
-        "resumed": report.resumed,
-        "retried": report.retried,
-        "retry_attempts": report.retry_attempts,
-        "failed": list(report.failed),
-        "incomplete": list(report.incomplete),
-        "breaker_trips": report.breaker_trips,
-    }
+def tokens_to_wire(tokens: Iterable[Any]) -> List[Any]:
+    """Stream tokens as JSON: a tuple becomes a list and a
+    :class:`GranuleSet` a ``{key, paths}`` mapping; anything else (a
+    labelled file name, a list of planned keys) is already JSON."""
+    return [
+        [
+            {"key": part.key, "paths": dict(part.paths)}
+            if isinstance(part, GranuleSet)
+            else part
+            for part in token
+        ]
+        if isinstance(token, tuple)
+        else token
+        for token in tokens
+    ]
 
 
-def download_report_from_wire(wire: Dict[str, Any]) -> DownloadReport:
-    return DownloadReport(
-        granule_sets=[
-            GranuleSet(key=gs["key"], paths=dict(gs["paths"]))
-            for gs in wire["granule_sets"]
-        ],
-        files=int(wire["files"]),
-        nbytes=int(wire["nbytes"]),
-        seconds=float(wire["seconds"]),
-        per_file_seconds=[float(s) for s in wire.get("per_file_seconds", [])],
-        skipped=int(wire.get("skipped", 0)),
-        resumed=int(wire.get("resumed", 0)),
-        retried=int(wire.get("retried", 0)),
-        retry_attempts=int(wire.get("retry_attempts", 0)),
-        failed=list(wire.get("failed", [])),
-        incomplete=list(wire.get("incomplete", [])),
-        breaker_trips=int(wire.get("breaker_trips", 0)),
-    )
+def tokens_from_wire(wire: Iterable[Any]) -> List[Any]:
+    """The inverse of :func:`tokens_to_wire`."""
+    return [
+        tuple(GranuleSet(**part) if isinstance(part, dict) else part for part in token)
+        if isinstance(token, list)
+        else token
+        for token in wire
+    ]
 
 
 def state_dir(journal_dir: str) -> str:

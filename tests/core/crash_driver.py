@@ -45,7 +45,7 @@ def main() -> int:
     parser.add_argument("--resume", action="store_true")
     parser.add_argument("--granules", type=int, default=2)
     parser.add_argument("--streaming", action="store_true",
-                        help="run the streaming dataflow topology")
+                        help="drive the plan with the streaming runner")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="run stages across N worker processes")
     parser.add_argument("--fanout", action="store_true",

@@ -149,3 +149,18 @@ class TestDrainTimeoutConfig:
                 "archive:\n  start_date: 2022-01-01\n"
                 "inference:\n  drain_timeout: 0\n"
             )
+
+
+def test_runtime_stream_takes_only_enabled_and_capacity():
+    config = load_config({
+        "archive": {"start_date": "2022-01-01"},
+        "runtime": {"stream": {"enabled": True, "capacity": 3}},
+    })
+    assert (config.stream.enabled, config.stream.capacity) == (True, 3)
+    # The runner decides barrier or pipeline: no per-edge knob, not even
+    # for an edge the plan does not have.
+    with pytest.raises(ConfigError, match=r"runtime\.stream.*'edges'"):
+        load_config({
+            "archive": {"start_date": "2022-01-01"},
+            "runtime": {"stream": {"edges": {"download->preprocess": {}}}},
+        })

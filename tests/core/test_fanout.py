@@ -97,45 +97,23 @@ class TestBranchExpansion:
 # The five-stage graph as (name, after, overlaps, stream, has_scope)
 # rows.  ``{i}`` is an instrument tag and ``{b}`` a branch tag; the
 # single-branch plan is the instantiation whose tags are empty.
-ACQUISITION = {
-    False: [
-        ("download{i}", (), (), (), False),
-        ("model{b}", ("download{i}",), (), (), False),
-        ("preprocess{i}", ("download{i}", "model{b}"), (), (), False),
-    ],
-    True: [
-        ("download{i}", (), (), (), False),
-        ("model{b}", (), (), ("download{i}",), False),
-        ("preprocess{i}", (), (), ("model{b}",), False),
-    ],
-}
-LABELLING = {
-    False: [
-        ("inference{b}", ("preprocess{i}", "model{b}"), ("preprocess{i}",), (), True),
-        ("shipment{b}", ("inference{b}",), (), (), False),
-    ],
-    True: [
-        ("inference{b}", ("preprocess{i}", "model{b}"), ("preprocess{i}",), (), True),
-        ("shipment{b}", (), (), ("inference{b}",), False),
-    ],
-}
+ACQUISITION = [
+    ("download{i}", (), (), (), False),
+    ("model{b}", (), (), ("download{i}",), False),
+    ("preprocess{i}", (), (), ("model{b}",), False),
+]
+LABELLING = [
+    ("inference{b}", ("preprocess{i}", "model{b}"), ("preprocess{i}",), (), True),
+    ("shipment{b}", (), (), ("inference{b}",), False),
+]
 # With two models the instrument's model nodes chain: the second one is
-# fed by the first, and preprocess by the last (a barrier waits for all).
-ACQUISITION_TWO_MODELS = {
-    False: [
-        ("download{i}", (), (), (), False),
-        ("model{i}+ricc", ("download{i}",), (), (), False),
-        ("model{i}+heuristic", ("download{i}", "model{i}+ricc"), (), (), False),
-        ("preprocess{i}",
-         ("download{i}", "model{i}+ricc", "model{i}+heuristic"), (), (), False),
-    ],
-    True: [
-        ("download{i}", (), (), (), False),
-        ("model{i}+ricc", (), (), ("download{i}",), False),
-        ("model{i}+heuristic", (), (), ("model{i}+ricc",), False),
-        ("preprocess{i}", (), (), ("model{i}+heuristic",), False),
-    ],
-}
+# fed by the first, and preprocess by the last.
+ACQUISITION_TWO_MODELS = [
+    ("download{i}", (), (), (), False),
+    ("model{i}+ricc", (), (), ("download{i}",), False),
+    ("model{i}+heuristic", (), (), ("model{i}+ricc",), False),
+    ("preprocess{i}", (), (), ("model{i}+heuristic",), False),
+]
 
 
 def instantiate(rows, i="", b=""):
@@ -155,55 +133,44 @@ def topology(plan):
     ]
 
 
+def plan_of(raw, stream_enabled):
+    """The plan a config builds, whichever runner it asks for."""
+    raw["runtime"] = {"stream": {"enabled": stream_enabled}}
+    return EOMLWorkflow(load_config(raw)).build_plan()
+
+
 class TestPlanTopology:
     """One graph: the single-branch plan and the fan-out plan are the
-    same table, instantiated once or per instrument / branch."""
+    same table, instantiated once or per instrument / branch — and the
+    runner a config picks never changes it."""
 
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_single_branch_plan_is_the_table_with_empty_tags(
-        self, streaming, tmp_path
-    ):
-        config = load_config(build_raw_config(str(tmp_path), 1))
-        plan = EOMLWorkflow(config).build_plan(streaming=streaming)
-        assert topology(plan) == instantiate(
-            ACQUISITION[streaming] + LABELLING[streaming]
-        )
+    @pytest.mark.parametrize("stream_enabled", [False, True])
+    def test_single_branch_plan_is_the_table_with_empty_tags(self, stream_enabled, tmp_path):
+        plan = plan_of(build_raw_config(str(tmp_path), 1), stream_enabled)
+        assert topology(plan) == instantiate(ACQUISITION + LABELLING)
 
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_fanout_plan_is_the_table_per_instrument_and_branch(
-        self, streaming, tmp_path
-    ):
-        config = load_config(fanout_raw(tmp_path))
-        plan = EOMLWorkflow(config).build_plan(streaming=streaming)
+    @pytest.mark.parametrize("stream_enabled", [False, True])
+    def test_fanout_plan_is_the_table_per_instrument_and_branch(self, stream_enabled, tmp_path):
         expected = []
         for inst in INSTRUMENTS:
-            expected += instantiate(ACQUISITION_TWO_MODELS[streaming], i=f"@{inst}")
+            expected += instantiate(ACQUISITION_TWO_MODELS, i=f"@{inst}")
         for branch in BRANCHES:
             inst = branch.split("+")[0]
-            expected += instantiate(
-                LABELLING[streaming], i=f"@{inst}", b=f"@{branch}"
-            )
-        assert topology(plan) == expected
+            expected += instantiate(LABELLING, i=f"@{inst}", b=f"@{branch}")
+        assert topology(plan_of(fanout_raw(tmp_path), stream_enabled)) == expected
 
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_one_model_fanout_chain_is_the_single_branch_chain(
-        self, streaming, tmp_path
-    ):
+    @pytest.mark.parametrize("stream_enabled", [False, True])
+    def test_one_model_fanout_chain_is_the_single_branch_chain(self, stream_enabled, tmp_path):
         # Two instruments, one model: each instrument's acquisition chain
         # is exactly the single-branch rows under its own tags.
         raw = fanout_raw(tmp_path)
         raw["inference"] = dict(raw["inference"], models=["ricc"])
-        plan = EOMLWorkflow(load_config(raw)).build_plan(streaming=streaming)
         expected = []
         for inst in INSTRUMENTS:
-            expected += instantiate(
-                ACQUISITION[streaming], i=f"@{inst}", b=f"@{inst}+ricc"
-            )
+            expected += instantiate(ACQUISITION, i=f"@{inst}", b=f"@{inst}+ricc")
         for inst in INSTRUMENTS:
-            expected += instantiate(
-                LABELLING[streaming], i=f"@{inst}", b=f"@{inst}+ricc"
-            )
-        assert topology(plan) == expected
+            expected += instantiate(LABELLING, i=f"@{inst}", b=f"@{inst}+ricc")
+        assert topology(plan_of(raw, stream_enabled)) == expected
 
     def test_one_branch_merges_are_the_identity(self):
         download = DownloadReport(

@@ -46,9 +46,8 @@ def test_plural_spelling_of_the_single_branch_is_the_same_plan_and_corpus(tmp_pa
     raw["archive"]["instruments"] = ["modis"]
     raw["inference"] = dict(raw["inference"], models=["ricc"])
     config = load_config(raw)
-    for streaming in (False, True):
-        assert topology(EOMLWorkflow(config).build_plan(streaming=streaming)) == \
-            topology(EOMLWorkflow(singular).build_plan(streaming=streaming))
+    assert topology(EOMLWorkflow(config).build_plan()) == \
+        topology(EOMLWorkflow(singular).build_plan())
 
     workflow = EOMLWorkflow(
         config, archive=LaadsArchive(seed=golden["seed"], swath=MINI_SWATH)

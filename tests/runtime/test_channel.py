@@ -4,7 +4,7 @@ The channel is the mechanism behind every ``stream`` edge — these tests
 pin the producer/consumer contract (FIFO order, blocking put at
 capacity, drain-after-close, StreamClosed on a late put), the lifetime
 accounting that rolls into ``WorkflowReport``, and the
-``runtime.stream`` config parsing with its per-edge overrides.
+``runtime.stream`` config.
 """
 
 import threading
@@ -118,37 +118,9 @@ class TestStreamConfig:
     def test_defaults(self):
         config = StreamConfig()
         assert not config.enabled
-        assert config.edge_enabled("a", "b")
-        assert config.edge_capacity("a", "b") == DEFAULT_CAPACITY
-
-    def test_per_edge_overrides(self):
-        config = StreamConfig.from_mapping({
-            "enabled": True,
-            "capacity": 4,
-            "edges": {
-                "download->model": {"capacity": 2},
-                "inference->shipment": {"enabled": False},
-            },
-        })
-        assert config.enabled
-        assert config.edge_capacity("download", "model") == 2
-        assert config.edge_capacity("model", "preprocess") == 4
-        assert not config.edge_enabled("inference", "shipment")
-        assert config.edge_enabled("download", "model")
-
-    def test_bad_edge_spelling_rejected(self):
-        with pytest.raises(ValueError, match="src->dst"):
-            StreamConfig.from_mapping({"edges": {"download": {}}})
-
-    def test_unknown_edge_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            StreamConfig.from_mapping(
-                {"edges": {"a->b": {"bounded": True}}}
-            )
+        assert config.capacity == DEFAULT_CAPACITY
 
     def test_bad_capacity_rejected(self):
-        with pytest.raises(ValueError, match="capacity"):
-            StreamConfig.from_mapping({"edges": {"a->b": {"capacity": 0}}})
         with pytest.raises(ValueError, match="capacity"):
             StreamConfig(capacity=0)
 

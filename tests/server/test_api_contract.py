@@ -59,9 +59,9 @@ def test_submit_returns_201_with_unit_graph(plane):
     assert run["status"] == "queued"
     names = [u["name"] for u in run["units"]]
     assert names == ["download", "model", "preprocess", "inference", "shipment"]
-    # Dependencies mirror the real barrier plan.
+    # Dependencies mirror the plan's after and stream edges.
     deps = {u["name"]: u["deps"] for u in run["units"]}
-    assert deps["preprocess"] == ["download", "model"]
+    assert deps["preprocess"] == ["model"]
     assert deps["shipment"] == ["inference"]
 
 

@@ -358,6 +358,11 @@ class TestOutbox:
             handle.write('{"kind": "complete", "lease')  # crash mid-append
         box = Outbox(path)
         assert [r["kind"] for r in box.records()] == ["heartbeat"]
+        # The torn bytes are gone from the file, so a record spooled
+        # after the restart survives the next one.
+        box.append({"kind": "complete", "lease_id": "l2"})
+        reborn = Outbox(path)
+        assert [r["kind"] for r in reborn.records()] == ["heartbeat", "complete"]
 
     def test_memory_only_outbox_needs_no_path(self):
         box = Outbox()
