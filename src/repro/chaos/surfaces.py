@@ -336,11 +336,11 @@ class ChaosTransferClient(LocalTransferClient):
         self._chaos = chaos
         self._sleeper = sleeper
 
-    def _move_one(self, src_root, dst_root, name: str, sync: bool):
+    def _move_one(self, src_root, dst_root, name: str, sync: bool, expected=None):
         chaos_crash(self._chaos, "shipment", name)
         events = self._chaos.fire("shipment", "wan_degrade", name)
         for event in events:
             self._sleeper(event.latency)
         if events:
             raise TransferError(f"chaos: WAN degraded moving {name}")
-        return super()._move_one(src_root, dst_root, name, sync)
+        return super()._move_one(src_root, dst_root, name, sync, expected)

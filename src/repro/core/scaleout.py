@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional
 
-from repro.core.branches import unit_slice
+from repro.core.branches import instrument_config, unit_name, unit_slice
 from repro.core.config import EOMLConfig, load_config
 from repro.core.context import open_run
 from repro.core.download import DownloadStage
@@ -82,8 +82,13 @@ class StageWorker:
             return DownloadStage(
                 cfg, self.ctx, archive=self.archive if primary else None
             )
+        # Readers stage granules in through this process's copy of the
+        # instrument's download stage.
+        download = self._stage(
+            unit_name("download", instrument_config(self.config, cfg.instrument).branch)
+        )
         if base == "preprocess":
-            return PreprocessStage(cfg, self.ctx)
+            return PreprocessStage(cfg, self.ctx, stage_in=download.stage_in)
         if base == "inference":
             # The first unit says how to obtain the branch's model (load
             # the persisted file, or take the pickled object); this copy
@@ -91,16 +96,19 @@ class StageWorker:
             # labels byte-identical to the in-process micro-batched path.
             mode, value = payload[1]
             model = get_model(cfg.model_name).load(value) if mode == "path" else value
-            return InferenceWorker(model, cfg, self.ctx, batch_files=1)
+            return InferenceWorker(
+                model, cfg, self.ctx, batch_files=1, stage_in=download.stage_in
+            )
         raise ValueError(f"unknown envelope kind {kind!r}")
 
-    def __call__(self, envelope: WorkEnvelope) -> Any:
-        stage = self._stages.get(envelope.kind)
+    def _stage(self, kind: str, payload: Any = None) -> Any:
+        stage = self._stages.get(kind)
         if stage is None:
-            stage = self._stages[envelope.kind] = self._build(
-                envelope.kind, envelope.payload
-            )
-        return stage.execute(envelope.payload)
+            stage = self._stages[kind] = self._build(kind, payload)
+        return stage
+
+    def __call__(self, envelope: WorkEnvelope) -> Any:
+        return self._stage(envelope.kind, envelope.payload).execute(envelope.payload)
 
     def counters(self) -> Dict[str, float]:
         """Monotonic counters the pool ships back as per-envelope deltas:

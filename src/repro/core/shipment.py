@@ -104,17 +104,20 @@ class ShipmentStage:
         def body(ctx) -> UnitResult:
             ctx.begin()
             # Destination-side verification: ``delivered`` is what the
-            # client re-read and digested where the bytes landed, after
-            # the rename — and it already had to equal the digest of the
-            # source as copied.  What is left to check is the journal:
-            # the digest the labelled file was *published* with, so a
-            # transfer-out copy that rotted before shipping is caught.
-            dst_path, delivered, _ = self.client.move_one(
-                self.config.transfer_out, self.config.destination, name
-            )
+            # client digested where the bytes landed, after the rename.
+            # Against the journal's digest — the one the labelled file was
+            # *published* with — the client hashes only those landed
+            # bytes: transit damage raises (and is retried), and a
+            # transfer-out copy that rotted before shipping comes back as
+            # its faithful copy, caught here as a mismatch.  Without a
+            # journal the client checks the copy against the source.
             expected: Optional[str] = None
             if ctx.journal is not None:
                 expected = ctx.journal.expected_sha(src_path)
+            dst_path, delivered, _ = self.client.move_one(
+                self.config.transfer_out, self.config.destination, name,
+                expected=expected,
+            )
             if expected is not None and delivered != expected:
                 return UnitResult(
                     outcome="done",

@@ -291,6 +291,19 @@ class EOMLWorkflow:
             else None
         )
 
+        # One download stage per instrument: it fetches, and its
+        # ``stage_in`` serves every reader of the instrument's granules
+        # (preprocess on a ``tiles:`` miss, each branch's refiner).  An
+        # injected archive speaks the primary instrument's granule
+        # grammar only.
+        downloads = {
+            inst: DownloadStage(
+                instrument_config(config, inst), ctx,
+                archive=self.archive if inst == config.instruments[0] else None,
+            )
+            for inst in config.instruments
+        }
+
         def acquisition(inst: str) -> List[StageNode]:
             """``download -> model... -> preprocess`` for one instrument."""
             icfg = instrument_config(config, inst)
@@ -300,15 +313,10 @@ class EOMLWorkflow:
             # scene key -> that tiling's report, in the order they ran.
             heads_key = unit_name("heads", icfg.branch)
             handles.setdefault(heads_key, {})
-            preprocess_stage = PreprocessStage(icfg, ctx)
+            stage = downloads[inst]
+            preprocess_stage = PreprocessStage(icfg, ctx, stage_in=stage.stage_in)
 
             def run_download(state: Dict[str, Any]) -> DownloadReport:
-                stage = DownloadStage(
-                    icfg, ctx,
-                    # An injected archive speaks the primary instrument's
-                    # granule grammar only.
-                    archive=self.archive if inst == config.instruments[0] else None,
-                )
                 emit = state[STREAMS_KEY].writer(download_name).put
                 download = stage.run(
                     on_planned=lambda keys: emit(("planned", list(keys))),
@@ -516,6 +524,7 @@ class EOMLWorkflow:
                 worker = InferenceWorker(
                     model, bcfg, ctx,
                     on_result=lambda result: ship(os.path.basename(result.out_path)),
+                    stage_in=downloads[inst].stage_in,
                 )
                 crawler = DirectoryCrawler(
                     bcfg.preprocessed,

@@ -161,8 +161,13 @@ class WorkflowJournal:
 
         The artifact must already be published under its final name
         (write ordering: artifact rename precedes the journal append).
+        Without one, ``sha256`` is kept as it was given (a deferred
+        download hit names its content, not a file).
         """
-        if artifact is not None:
+        if artifact is None:
+            if sha256 is not None:
+                payload = dict(payload, sha256=sha256)
+        else:
             digest = self.manifest.record(
                 artifact, sha256=sha256, nbytes=payload.get("nbytes")
             )

@@ -43,7 +43,7 @@ __all__ = [
 DONE = "done"            # fresh work completed this run
 RESUMED = "resumed"      # journaled completion verified; zero work redone
 SKIPPED = "skipped"      # precheck short-circuit (artifact already present)
-CACHED = "cached"        # materialized from the content-addressed store
+CACHED = "cached"        # served by the content-addressed store
 RETRIED = "retried"      # completed after >= 1 retried failure
 FAILED = "failed"        # retry budget exhausted, policy says record
 QUARANTINED = "quarantined"  # body error set aside, policy says continue

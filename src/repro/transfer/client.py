@@ -182,7 +182,12 @@ class LocalTransferClient:
         self.last_records: List[TransferItem] = []
 
     def _move_one(
-        self, src_root: Path, dst_root: Path, name: str, sync: bool
+        self,
+        src_root: Path,
+        dst_root: Path,
+        name: str,
+        sync: bool,
+        expected: Optional[str] = None,
     ) -> Tuple[str, str, bool]:
         """Move a single file; the per-file failure surface subclasses wrap.
 
@@ -191,10 +196,16 @@ class LocalTransferClient:
         a consumer or a resumed run never observes a half-copied file
         under the final name, even if this process dies mid-move.
 
-        The source is read once — hashed while it is copied — and the
-        destination once, after the rename: ``delivered_sha256`` is the
-        digest of the bytes where they landed, never the copy loop's
-        own account of them, and must equal the source digest.
+        The source is read once and the destination once, after the
+        rename: ``delivered_sha256`` is the digest of the bytes where
+        they landed, never the copy loop's own account of them.  Without
+        ``expected`` the source is hashed while it is copied and the two
+        digests must agree.  With it — the digest the file was published
+        with — the copy hashes nothing, and the landed bytes are compared
+        with ``expected``; only a mismatch hashes the source, to tell
+        transit damage (raised, so the move is retried) from a source
+        that rotted before the move (its faithful copy is returned, and
+        the caller sees the mismatch).
         """
         src = src_root / name
         if not src.is_file():
@@ -207,28 +218,42 @@ class LocalTransferClient:
                 return str(dst), src_digest, True
         temp = dst_root / (name + TEMP_SUFFIX)
         with open(temp, "wb") as writer:
-            nbytes, src_digest = write_digested(writer, read_chunks(src))
+            if expected is None:
+                nbytes, src_digest = write_digested(writer, read_chunks(src))
+            else:
+                nbytes, src_digest = 0, expected
+                for chunk in read_chunks(src):
+                    writer.write(chunk)
+                    nbytes += len(chunk)
             writer.flush()
             os.fsync(writer.fileno())
         os.replace(temp, dst)
         delivered = sha256_file(dst)
-        if src_digest != delivered:
+        if delivered != src_digest and (
+            expected is None or sha256_file(src) != delivered
+        ):
             dst.unlink(missing_ok=True)
             raise TransferError(f"integrity check failed for {name}")
         self.bytes_transferred += nbytes
         return str(dst), delivered, False
 
     def move_one(
-        self, src_dir: str, dst_dir: str, name: str, sync: bool = False
+        self,
+        src_dir: str,
+        dst_dir: str,
+        name: str,
+        sync: bool = False,
+        expected: Optional[str] = None,
     ) -> Tuple[str, str, bool]:
         """Move a single file, no retry: ``(dst_path, sha256, skipped)``.
 
         The single-attempt primitive for callers that own their own
-        retry policy (the shipment stage's work units).
+        retry policy (the shipment stage's work units).  ``expected`` is
+        the digest the caller knows the source was published with.
         """
         dst_root = Path(dst_dir)
         dst_root.mkdir(parents=True, exist_ok=True)
-        return self._move_one(Path(src_dir), dst_root, name, sync)
+        return self._move_one(Path(src_dir), dst_root, name, sync, expected)
 
     def transfer(
         self,

@@ -136,6 +136,25 @@ class TestMaterialize:
         assert counters["corrupt_evictions"] == 1
         assert counters["misses"] == 1
 
+    def test_lookup_counts_a_hit_without_reading(self, store, monkeypatch):
+        payload = b"left in the store" * 100
+        digest = digest_of(payload)
+        store.store_bytes(payload, digest)
+        obj = object_path(store, digest)
+        os.utime(obj, (1, 1))
+
+        def no_reads(*args, **kwargs):
+            raise AssertionError("a lookup opened the object")
+
+        monkeypatch.setattr("builtins.open", no_reads)
+        assert store.lookup(digest) == len(payload)
+        assert store.lookup("0" * 64) is None
+        monkeypatch.undo()
+        assert os.stat(obj).st_mtime > 1  # young again for the LRU sweep
+        counters = store.counters()
+        assert (counters["hits"], counters["misses"]) == (1, 1)
+        assert counters["bytes_saved"] == len(payload)
+
     def test_load_bytes_verifies_too(self, store):
         payload = b"in-memory object"
         digest = digest_of(payload)

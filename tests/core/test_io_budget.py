@@ -15,6 +15,7 @@ import pytest
 
 from tests.core.test_cache import run_cached
 
+from repro.cas import object_relpath
 from repro.chaos import surfaces
 from repro.core import DownloadStage, ShipmentStage, load_config
 from repro.core.context import RunContext
@@ -22,7 +23,9 @@ from repro.core.inference import _ParsedFile
 from repro.journal import WorkflowJournal
 from repro.modis import MINI_SWATH, LaadsArchive
 from repro.ricc.aicca import AICCAModel
-from repro.util.digest import atomic_publish_bytes
+from repro.transfer import LocalTransferClient, TransferError
+from repro.transfer import client as client_module
+from repro.util.digest import atomic_publish_bytes, digest_file
 
 FILES = {f"tiles_{index}.nc": b"CDF\x01" + bytes([index]) * (40_000 + index) for index in range(3)}
 
@@ -98,7 +101,7 @@ def outbox(tmp_path):
 
 
 class TestShipmentBudget:
-    def test_two_reads_and_two_hash_passes_per_shipped_file(self, outbox, monkeypatch):
+    def test_two_reads_and_one_hash_pass_per_shipped_file(self, outbox, monkeypatch):
         config, journal = outbox
         counter = IoCounter(monkeypatch)
         report = ShipmentStage(config, RunContext(journal=journal)).run()
@@ -111,12 +114,35 @@ class TestShipmentBudget:
         for name, payload in FILES.items():
             src = os.path.abspath(os.path.join(config.transfer_out, name))
             dst = os.path.abspath(os.path.join(config.destination, name))
-            # One read of the source (copied and hashed in the same
-            # pass), one of the destination (re-digested where it landed).
+            # One read of the source (copied, not hashed: the journal
+            # knows its digest), one of the destination (hashed where it
+            # landed and compared with the journal's digest).
             assert counter.reads[src] == 1, name
             assert counter.reads[dst] == 1, name
             assert report.checksums[name] == hashlib.sha256(payload).hexdigest()
-        assert counter.passes == sorted(2 * [len(payload) for payload in FILES.values()])
+        assert counter.passes == sorted(len(payload) for payload in FILES.values())
+
+    def test_bytes_damaged_in_transit_are_refused(self, outbox, monkeypatch):
+        """The copy is not hashed, so only the landed bytes can show the
+        damage: they disagree with the journal, the source still agrees,
+        and the move raises (to be retried) with nothing left behind."""
+        config, journal = outbox
+        name = sorted(FILES)[0]
+        real_chunks = client_module.read_chunks
+
+        def damaging_chunks(path, *args, **kwargs):
+            for chunk in real_chunks(path, *args, **kwargs):
+                yield bytes(chunk[:-1]) + bytes([chunk[-1] ^ 0xFF])
+
+        monkeypatch.setattr(client_module, "read_chunks", damaging_chunks)
+        client = LocalTransferClient()
+        with pytest.raises(TransferError, match=f"integrity check failed for {name}"):
+            client.move_one(
+                config.transfer_out, config.destination, name,
+                expected=journal.expected_sha(os.path.join(config.transfer_out, name)),
+            )
+        assert os.listdir(config.destination) == []
+        assert client.bytes_transferred == 0
 
     def test_journal_digest_still_catches_a_rotted_outbox_file(self, outbox):
         config, journal = outbox
@@ -204,12 +230,20 @@ class TestWarmRunBudget:
         """Against a filled store the labelled bytes are only verified:
         the model is never asked, no tile file is mapped or parsed, and
         each labelled file is hashed twice — as it is materialized into
-        the transfer-out directory and again into the destination."""
+        the transfer-out directory and again into the destination.  No
+        granule is staged, opened or hashed: a download hit is a store
+        lookup, and with every tile file a hit nothing reads a granule."""
         cold, report = run_cached(tmp_path / "cold", tmp_path / "cas")
         assert report.errors == []
         tile_sizes = self.sizes(cold.preprocessed)
         labelled_sizes = self.sizes(cold.destination)
+        granule_sizes = self.sizes(cold.staging)
         assert len(set(tile_sizes + labelled_sizes)) == 4  # told apart by size
+        assert not set(granule_sizes) & set(tile_sizes + labelled_sizes)
+        granule_objects = {
+            os.path.join(cold.cache_dir, "objects", object_relpath(digest_file(path)[0]))
+            for path in listed(cold.staging)
+        }
 
         model_calls = []
 
@@ -236,3 +270,10 @@ class TestWarmRunBudget:
         # the labels key is built from.
         for size in tile_sizes:
             assert counter.passes.count(size) == 2
+        assert os.path.isdir(warm.staging) and os.listdir(warm.staging) == []
+        assert not any(counter.passes.count(size) for size in granule_sizes)
+        opened = [
+            path for path in counter.reads
+            if path in granule_objects or path.startswith(warm.staging + os.sep)
+        ]
+        assert opened == []

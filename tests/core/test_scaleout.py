@@ -302,8 +302,8 @@ class TestExecutorEquivalence:
                  if not name.startswith("journal")}
         strip = lambda path: os.path.relpath(path, str(root))  # noqa: E731
         results = (
-            [(r.filename, strip(path), nbytes, outcome, attempts, error)
-             for r, path, nbytes, _s, outcome, attempts, error in fetched],
+            [(r.filename, strip(path), nbytes, outcome, attempts, error, digest)
+             for r, path, nbytes, _s, outcome, attempts, error, digest in fetched],
             (tiled.key, strip(tiled.tile_path), tiled.tiles, tiled.outcome),
             (labelled[0], strip(labelled[1].src_path), strip(labelled[1].out_path),
              labelled[1].tiles, labelled[1].classes_seen),

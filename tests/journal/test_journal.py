@@ -228,6 +228,21 @@ class TestWorkflowJournal:
         assert resumed.counters()["manifest_mismatches"] == 0
         resumed.close()
 
+    def test_completion_without_artifact_keeps_its_digest(self, tmp_path):
+        """A deferred download hit names content, not a file: its digest
+        and size replay as given, and nothing enters the manifest."""
+        digest = "ab" * 32
+        journal = self._make(tmp_path)
+        journal.complete("download", "a", sha256=digest, nbytes=123)
+        journal.close()
+        resumed = self._make(tmp_path, resume=True)
+        decision = resumed.resume("download", "a")
+        assert decision.outcome == RESUMED
+        assert decision.payload["sha256"] == digest
+        assert decision.payload["nbytes"] == 123
+        assert "artifact" not in decision.payload and len(resumed.manifest) == 0
+        resumed.close()
+
     def test_fresh_start_discards_previous_history(self, tmp_path):
         journal = self._make(tmp_path)
         journal.complete("download", "a", nbytes=1)

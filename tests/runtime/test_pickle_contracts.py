@@ -108,6 +108,7 @@ class TestStagePayloads:
         gs = GranuleSet(
             key="scene_terra_2022-01-01_000",
             paths={"MOD02": "/tmp/a.nc", "MOD03": "/tmp/b.nc"},
+            digests={"MOD02": "ab" * 32},
         )
         assert roundtrip(gs) == gs
 
@@ -128,10 +129,10 @@ class TestStagePayloads:
 
     def test_download_result_tuple(self):
         # DownloadStage.execute's settle tuple: (ref, path, nbytes, seconds,
-        # outcome, attempts, error) — all picklable leaves.
+        # outcome, attempts, error, sha256) — all picklable leaves.
         archive = LaadsArchive(seed=3, swath=MINI_SWATH)
         ref = archive.query("MOD02", dt.date(2022, 1, 1), max_per_day=1)[0]
-        result = (ref, "/tmp/f.nc", 123, 0.5, "done", 1, None)
+        result = (ref, "/tmp/f.nc", 123, 0.5, "done", 1, None, "ab" * 32)
         assert roundtrip(result) == result
 
 

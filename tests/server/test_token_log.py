@@ -56,9 +56,13 @@ def test_each_log_is_exactly_the_tokens_its_body_wrote(remote):
     assert kind == "planned" and planned == sorted(planned) and len(planned) == 2
     assert sorted(key for _kind, key, _set in scenes) == planned
     for (_kind, key, granules), raw in zip(scenes, logs["download"]["tokens"][1:]):
-        # Plain JSON, never pickle: a GranuleSet is its key and paths.
+        # Plain JSON, never pickle: a GranuleSet is its key, its paths and
+        # the digest of every product the download fetched.
         assert isinstance(granules, GranuleSet)
-        assert raw == ["scene", key, {"key": key, "paths": granules.paths}]
+        assert set(granules.digests) == set(granules.paths)
+        assert raw == ["scene", key, {
+            "key": key, "paths": granules.paths, "digests": granules.digests,
+        }]
 
 
 def test_preprocess_publishes_what_a_local_barrier_run_does(remote, tmp_path):
