@@ -10,9 +10,9 @@ in tests and reproducible across runs:
   matter how the scheduler interleaves them.  Per-key firing *counts*
   (``times``) are tracked under a lock.
 * **Observability** — every fired fault lands in a ledger of
-  :class:`FaultEvent` records; :meth:`FaultInjector.counts_by_kind`
-  feeds the workflow's ``faults_injected`` metrics so a report can
-  account for every injected fault.
+  :class:`FaultEvent` records; :meth:`FaultInjector.summary` feeds the
+  report's ``chaos`` block so a run can account for every injected
+  fault.
 
 Consumers hold ``Optional[FaultInjector]`` and guard every chaos branch
 with ``if chaos is not None`` — a disabled plan yields ``None`` from

@@ -11,11 +11,13 @@ runs them::
     site agent ── execute_unit ── node.run() ── the same stage.run(), in the agent's process
 
 The context also carries the run's world — journal, chaos injector,
-content-addressed store, metrics registry, sleeper, and the one
+content-addressed store, sleeper, and the one
 :class:`~repro.runtime.executor.StageExecutor` built from them — and
 :func:`open_run` is the only function that opens it: the local driver,
 every pool worker and every leased unit call it, so the three can never
-disagree about how a run directory is (re)entered.
+disagree about how a run directory is (re)entered.  It keeps no books
+of its own: what a run did is the report the driver builds from the
+stage reports and :meth:`RunContext.counters`.
 
 This module sits below the stages: they import it, never the reverse.
 """
@@ -35,7 +37,6 @@ from repro.core.config import EOMLConfig
 from repro.journal import WorkflowJournal
 from repro.runtime import build_executor
 from repro.runtime.proc import ProcWorkerPool, WorkEnvelope
-from repro.telemetry import MetricsRegistry
 
 __all__ = ["RunContext", "open_run"]
 
@@ -43,10 +44,10 @@ __all__ = ["RunContext", "open_run"]
 class RunContext:
     """One process's handle on a run.
 
-    ``RunContext()`` is the bare context — no journal, chaos, cache or
-    metrics — that a stage built on its own (examples, unit tests) runs
-    under.  ``pool`` is attached by the driver once its workers are up;
-    until then, and in every worker and agent, units run in-process.
+    ``RunContext()`` is the bare context — no journal, chaos or cache —
+    that a stage built on its own (examples, unit tests) runs under.
+    ``pool`` is attached by the driver once its workers are up; until
+    then, and in every worker and agent, units run in-process.
     """
 
     def __init__(
@@ -54,16 +55,14 @@ class RunContext:
         journal: Optional[WorkflowJournal] = None,
         chaos: Any = None,
         cache: Any = None,
-        metrics: Optional[MetricsRegistry] = None,
         sleeper: Callable[[float], None] = time.sleep,
     ):
         self.journal = journal
         self.chaos = chaos
         self.cache = cache
-        self.metrics = metrics
         self.sleeper = sleeper
         self.executor = build_executor(
-            journal=journal, chaos=chaos, metrics=metrics, sleeper=sleeper, cache=cache
+            journal=journal, chaos=chaos, sleeper=sleeper, cache=cache
         )
         self.pool: Optional[ProcWorkerPool] = None
         self._threads: Dict[str, ThreadPoolExecutor] = {}
@@ -169,7 +168,4 @@ def open_run(config: EOMLConfig, resume: bool, chaos: Any = None) -> RunContext:
     if config.journal_enabled:
         journal = WorkflowJournal(config.journal_dir, durable=config.journal_durable)
         journal.start(resume=resume)
-    return RunContext(
-        journal=journal, chaos=chaos, cache=cache,
-        metrics=MetricsRegistry(prefix="eo_ml"),
-    )
+    return RunContext(journal=journal, chaos=chaos, cache=cache)

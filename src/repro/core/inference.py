@@ -490,10 +490,6 @@ class InferenceWorker:
             else:
                 parsed.append(result.value)
         if parsed:
-            if self.ctx.metrics is not None:
-                self.ctx.metrics.histogram(
-                    "inference.batch_files", "tile files fused per assign call"
-                ).observe(len(parsed))
             # Fuse per tile shape: files in one batch normally share a
             # shape, but a mixed directory must not break the fusion.
             groups: Dict[Tuple[int, ...], List[_ParsedFile]] = {}
@@ -528,18 +524,11 @@ class InferenceWorker:
             if self._refiner is None
             else getattr(self.model, "assign_with_margin", None)
         )
-
-        def call_model() -> Tuple[np.ndarray, Optional[np.ndarray]]:
-            if with_margin is not None:
-                return with_margin(stacked)
-            return self.model.assign(stacked), None
-
         try:
-            if self.ctx.metrics is not None:
-                with self.ctx.metrics.timer("inference.assign_seconds"):
-                    labels, margins = call_model()
+            if with_margin is not None:
+                labels, margins = with_margin(stacked)
             else:
-                labels, margins = call_model()
+                labels = self.model.assign(stacked)
         except Exception:  # noqa: BLE001 - fall back so one file can't sink the group
             labels = None
         if labels is None and len(entries) > 1:

@@ -14,9 +14,6 @@ Hardening:
   the background loop can never double-trigger the same file;
 * ``.part`` temp files (a torn writer's litter) are explicitly skipped
   and counted, never triggered;
-* with ``require_stable_size`` a file must show the same size on two
-  consecutive scans before it triggers — a belt-and-suspenders guard for
-  directories written by non-atomic producers;
 * an optional integrity ``gate`` (the run journal's manifest check) must
   approve each file before it triggers — a rejected file is *not* marked
   seen, so a producer that repairs it (a resumed re-preprocess) gets it
@@ -27,21 +24,15 @@ from __future__ import annotations
 
 import os
 import threading
-import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, List, Optional, Set
 
 from repro.runtime import FailurePolicy, StageExecutor, WorkUnit
 
-__all__ = ["CrawlRecord", "DirectoryCrawler"]
+__all__ = ["DirectoryCrawler"]
 
-
-@dataclass
-class CrawlRecord:
-    """Bookkeeping for one discovered file."""
-
-    path: str
-    discovered_at: float
+# The name every published tile file has: ``tiles_<scene key>.nc``.
+TILE_PREFIX = "tiles_"
+TILE_SUFFIX = ".nc"
 
 
 class DirectoryCrawler:
@@ -51,10 +42,7 @@ class DirectoryCrawler:
         self,
         directory: str,
         trigger: Callable[[str], None],
-        pattern_suffix: str = ".nc",
-        pattern_prefix: str = "tiles_",
         poll_interval: float = 0.2,
-        require_stable_size: bool = False,
         gate: Optional[Callable[[str], bool]] = None,
         executor: Optional[StageExecutor] = None,
     ):
@@ -62,36 +50,17 @@ class DirectoryCrawler:
             raise ValueError("poll interval must be positive")
         self.directory = directory
         self.trigger = trigger
-        self.pattern_suffix = pattern_suffix
-        self.pattern_prefix = pattern_prefix
         self.poll_interval = poll_interval
-        self.require_stable_size = require_stable_size
         self.gate = gate
         self.executor = executor
-        self.records: List[CrawlRecord] = []
         self._partials: Set[str] = set()
-        self._rejected: Set[str] = set()
         self._seen: Set[str] = set()
-        self._pending_sizes: Dict[str, int] = {}
         self._scan_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._started_at = time.monotonic()
         self.errors: List[str] = []
 
     # -- one-shot scan (usable without the thread) -------------------------
-
-    def _is_settled(self, path: str) -> bool:
-        """With size-stability gating, has ``path`` stopped growing?"""
-        if not self.require_stable_size:
-            return True
-        try:
-            size = os.path.getsize(path)
-        except OSError:
-            return False  # vanished between listdir and stat
-        previous = self._pending_sizes.get(path)
-        self._pending_sizes[path] = size
-        return previous is not None and previous == size
 
     def scan_once(self) -> List[str]:
         """Discover new files now; triggers for each. Returns new paths."""
@@ -105,30 +74,19 @@ class DirectoryCrawler:
                 if name.endswith(".part"):
                     # A writer's temp file (or a torn writer's corpse):
                     # presence never implies completeness.
-                    if name.startswith(self.pattern_prefix):
+                    if name.startswith(TILE_PREFIX):
                         self._partials.add(name)
                     continue
-                if not (
-                    name.startswith(self.pattern_prefix)
-                    and name.endswith(self.pattern_suffix)
-                ):
+                if not (name.startswith(TILE_PREFIX) and name.endswith(TILE_SUFFIX)):
                     continue
                 path = os.path.join(self.directory, name)
                 if path in self._seen:
                     continue
-                if not self._is_settled(path):
-                    continue
                 if self.gate is not None and not self.gate(path):
                     # Integrity rejection: do not mark seen — a repaired
                     # file (resume rewrote it) triggers on a later scan.
-                    self._rejected.add(path)
                     continue
-                self._rejected.discard(path)
                 self._seen.add(path)
-                self._pending_sizes.pop(path, None)
-                self.records.append(
-                    CrawlRecord(path=path, discovered_at=time.monotonic() - self._started_at)
-                )
                 fresh.append(path)
         for path in fresh:
             self._dispatch(path)
@@ -169,11 +127,6 @@ class DirectoryCrawler:
         """Distinct temp (.part) files observed and refused."""
         return len(self._partials)
 
-    @property
-    def rejected(self) -> List[str]:
-        """Files the integrity gate currently refuses to trigger."""
-        return sorted(self._rejected)
-
     # -- background operation ------------------------------------------------
 
     def start(self) -> None:
@@ -188,10 +141,6 @@ class DirectoryCrawler:
             self.scan_once()
             self._stop.wait(self.poll_interval)
         self.scan_once()  # final sweep so nothing published pre-stop is missed
-        if self.require_stable_size:
-            # One more settle pass: files first seen on the final sweep
-            # have a size recorded but not yet confirmed stable.
-            self.scan_once()
 
     def stop(self, timeout: float = 10.0) -> None:
         if self._thread is None:

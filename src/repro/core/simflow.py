@@ -26,7 +26,6 @@ from repro.net import HttpServer, WanLink
 from repro.compute import SimComputeEndpoint
 from repro.pexec import SimHtexExecutor, SimTaskSpec
 from repro.sim import Simulation, Tracer
-from repro.telemetry import MetricsRegistry
 from repro.transfer import SimTransferClient, TransferTask
 from repro.util.logging import EventLog
 
@@ -80,7 +79,6 @@ class SimWorkflowResult:
     log: EventLog
     flow_runs: int = 0
     stage_gaps: Dict[str, float] = field(default_factory=dict)
-    metrics: Optional[MetricsRegistry] = None
 
 
 class SimulatedEOMLWorkflow:
@@ -94,14 +92,6 @@ class SimulatedEOMLWorkflow:
         sim = Simulation()
         log = EventLog()
         tracer = Tracer()
-        metrics = MetricsRegistry(prefix="eo_ml")
-        files_counter = metrics.counter("files", "files moved per stage")
-        tiles_counter = metrics.counter("tiles", "tiles produced")
-        bytes_counter = metrics.counter("bytes", "bytes moved per stage")
-        stage_seconds = metrics.histogram(
-            "stage_seconds", "per-stage durations",
-            buckets=(0.1, 1.0, 5.0, 15.0, 60.0, 300.0, 1800.0),
-        )
 
         defiant: Facility = build_defiant(sim, log=log, allocation_latency=p.slurm_alloc_latency)
         frontier: Facility = build_frontier(sim, log=log)
@@ -292,18 +282,6 @@ class SimulatedEOMLWorkflow:
         sim.process(shipper(), name="shipper")
         sim.run(stop=finished)
 
-        # Telemetry rollup from the finished run.
-        for stage, (start, end) in state["spans"].items():
-            stage_seconds.observe(end - start)
-        files_counter.inc(p.num_granule_sets, stage="download")
-        bytes_counter.inc(p.num_granule_sets * p.granule_set_bytes, stage="download")
-        files_counter.inc(len(preprocess.results), stage="preprocess")
-        tiles_counter.inc(sum(r.tiles for r in preprocess.results))
-        files_counter.inc(len(state["labelled"]), stage="inference")
-        if state["transfer_task"] is not None:
-            bytes_counter.inc(state["transfer_task"].bytes_transferred, stage="shipment")
-            files_counter.inc(state["transfer_task"].files_done, stage="shipment")
-
         return SimWorkflowResult(
             makespan=sim.now,
             tracer=tracer,
@@ -317,7 +295,6 @@ class SimulatedEOMLWorkflow:
             log=log,
             flow_runs=state["flow_runs"],
             stage_gaps=_gaps(state["spans"]),
-            metrics=metrics,
         )
 
 

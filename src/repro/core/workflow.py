@@ -71,19 +71,8 @@ from repro.runtime import (
     StreamingPlanRunner,
 )
 from repro.runtime.proc import PoolStats
-from repro.telemetry import MetricsRegistry
 
-__all__ = ["PARTITION_COUNTERS", "WorkflowReport", "EOMLWorkflow", "merge_reports"]
-
-# The degraded-mode counter schema shared by the local report (structural
-# zeros), the site agent's stats, and the server's /metrics namespace.
-PARTITION_COUNTERS = (
-    "disconnects",
-    "reconnect_attempts",
-    "outbox_spooled",
-    "outbox_replayed",
-    "fenced_rejections",
-)
+__all__ = ["WorkflowReport", "EOMLWorkflow", "merge_reports"]
 
 
 @dataclass
@@ -98,11 +87,11 @@ class WorkflowReport:
     timeline: Optional[WallClockTimeline] = None
     errors: List[str] = field(default_factory=list)
     provenance: Optional[ProvenanceStore] = None
-    metrics: Optional[MetricsRegistry] = None
     chaos: Optional[Dict[str, object]] = None  # injector summary, if chaos ran
     inference_quarantined: List = field(default_factory=list)
-    # Resilience counters from the run journal (zeros when journaling
-    # is off or the run started fresh with nothing to reuse).
+    # Resilience counters from the run journal, summed over every
+    # process that ran units (zeros when journaling is off or the run
+    # started fresh with nothing to reuse).
     resumed_items: int = 0
     replayed_items: int = 0
     manifest_mismatches: int = 0
@@ -118,12 +107,6 @@ class WorkflowReport:
     # zeros with an empty per_worker list in single-process mode — so
     # dashboards and regression gates can rely on them.
     scaleout: Dict[str, object] = field(default_factory=dict)
-    # Partition-tolerance accounting (wire outages, degraded-mode agent
-    # operation, fenced rejections).  Same always-present discipline:
-    # the local path never crosses a wire so every counter is zero here,
-    # but the schema matches what multi-facility agents report, so one
-    # dashboard serves both.
-    partition: Dict[str, object] = field(default_factory=dict)
     # Content-addressed cache accounting: the CAS counter family (always
     # present, zeros with the cache off) plus the per-stage short-circuit
     # counts and the progressive-fidelity refinement tally.
@@ -275,8 +258,8 @@ class EOMLWorkflow:
         together over bounded channels (Fig. 6's pipelining).
 
         ``ctx`` is the run every stage executes under (journal, chaos,
-        cache, metrics, and where submitted units run); ``None`` is the
-        bare context.  ``handles`` (shared with the caller) receives, under
+        cache, and where submitted units run); ``None`` is the bare
+        context.  ``handles`` (shared with the caller) receives, under
         ``base[@tag]`` names, the live ``worker``/``crawler`` objects
         plus the model-bootstrap bookkeeping, since those outlive their
         nodes.
@@ -607,12 +590,10 @@ class EOMLWorkflow:
         # report has no one model/lineage to attribute artifacts to.
         prov = ProvenanceStore() if provenance and not is_fanout(config) else None
         # The run's world: journal (write-ahead intents/completions plus
-        # the integrity manifest), chaos, the one CAS handle every stage
-        # and branch shares, and the metrics registry — created up front
-        # so hot-path stages (inference micro-batching) can record live
-        # histograms; the rollup below adds the rest.
+        # the integrity manifest), chaos, and the one CAS handle every
+        # stage and branch shares.
         ctx = open_run(config, resume=resume)
-        metrics, chaos, journal = ctx.metrics, ctx.chaos, ctx.journal
+        chaos, journal = ctx.chaos, ctx.journal
         # Whatever happens below — a stage raising included — the journal
         # file handle is released, so the same process can resume the run.
         try:
@@ -729,57 +710,10 @@ class EOMLWorkflow:
                     )
                     prov.end_activity(activity)
 
-            # Telemetry rollup (Section V-A's workflow-insight goal).
-            metrics.counter("files").inc(download.files, stage="download")
-            metrics.counter("bytes").inc(download.nbytes, stage="download")
-            metrics.counter("files_skipped").inc(download.skipped, stage="download")
-            metrics.counter("tiles").inc(preprocess.total_tiles)
-            metrics.counter("files").inc(
-                sum(1 for r in preprocess.results if r.tile_path), stage="preprocess"
-            )
-            metrics.counter("files").inc(len(inference_results), stage="inference")
-            task_seconds = metrics.histogram(
-                "task_seconds", buckets=(0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0)
-            )
-            for result in preprocess.results:
-                task_seconds.observe(result.seconds)
-            stage_seconds = metrics.histogram(
-                "stage_seconds", buckets=(0.1, 1.0, 10.0, 60.0, 600.0)
-            )
-            for span in timeline.breakdown():
-                stage_seconds.observe(span.duration)
-            if shipment is not None:
-                metrics.counter("files").inc(len(shipment.moved), stage="shipment")
-                metrics.counter("bytes").inc(shipment.nbytes, stage="shipment")
-
-            # Resilience accounting (always present, so dashboards can rely
-            # on the keys; all zeros on a clean run).
-            retries = metrics.counter("retries")
-            retries.inc(download.retry_attempts, stage="download")
-            if shipment is not None:
-                retries.inc(shipment.retries, stage="shipment")
-            metrics.counter("breaker_open").inc(download.breaker_trips)
-            quarantined = metrics.counter("quarantined")
-            quarantined.inc(len(download.failed) + len(download.incomplete), stage="download")
-            quarantined.inc(len(preprocess.quarantined), stage="preprocess")
-            quarantined.inc(len(inference_quarantined), stage="inference")
             # Faults fire in whichever process ran the unit, so the ledger
             # is summed from the counters that came home, not read off
             # this process's injector.
-            faults = metrics.counter("faults_injected")
             chaos_summary = chaos.summary(totals) if chaos is not None else None
-            if chaos_summary is not None:
-                for kind, count in chaos_summary["by_kind"].items():
-                    faults.inc(count, kind=kind)
-
-            # Checkpoint/resume accounting (always present, zeros on fresh
-            # clean runs, so dashboards can rely on the keys).
-            journal_counters = {
-                key: int(totals[key])
-                for key in ("resumed_items", "replayed_items", "manifest_mismatches")
-            }
-            for key, count in journal_counters.items():
-                metrics.counter(key).inc(count)
 
             # Scale-out accounting (satellite of the pool above): pool-level
             # counters plus a per-worker breakdown, zeros when the run never
@@ -814,22 +748,6 @@ class EOMLWorkflow:
                         for ws in pool_stats.workers
                     ],
                 )
-            metrics.counter("pool.units_executed").inc(int(scaleout["units_executed"]))
-            metrics.counter("pool.busy_seconds").inc(float(scaleout["busy_seconds"]))
-            metrics.counter("pool.requeues").inc(int(scaleout["requeues"]))
-            metrics.counter("pool.respawns").inc(int(scaleout["respawns"]))
-            metrics.counter("pool.scale_out_events").inc(int(scaleout["scale_out_events"]))
-            metrics.counter("pool.scale_in_events").inc(int(scaleout["scale_in_events"]))
-            metrics.counter("pool.workers_launched").inc(int(scaleout["workers_launched"]))
-
-            # Partition-tolerance accounting: the local path never crosses a
-            # wire, so these are structural zeros — registered anyway so the
-            # clean-run baseline ("no partitions means every counter is 0")
-            # is checkable rather than merely absent.
-            partition: Dict[str, object] = {"enabled": False}
-            for key in PARTITION_COUNTERS:
-                partition[key] = 0
-                metrics.counter(f"partition.{key}").inc(0)
 
             # Content-addressed cache accounting: the CAS counter family is
             # always present (zeros with caching off), so the bench gates and
@@ -841,48 +759,22 @@ class EOMLWorkflow:
                 cache_summary["dir"] = config.cache_dir
             cache_summary["download_cached"] = download.cached
             cache_summary["preprocess_cached"] = preprocess.cached
-            inference_cached = sum(r.cached for r in inference_results)
-            cache_summary["inference_cached"] = inference_cached
+            cache_summary["inference_cached"] = sum(r.cached for r in inference_results)
             cache_summary["shipment_deduped"] = (
                 shipment.deduped if shipment is not None else 0
             )
             cache_summary["fetched_bytes"] = download.fetched_bytes
             cache_summary["refined_tiles"] = refined_tiles
-            for key in CACHE_COUNTERS:
-                metrics.counter(f"cache.{key}").inc(int(cache_summary[key]))
-            stage_hits = metrics.counter("cache.stage_hits")
-            stage_hits.inc(download.cached, stage="download")
-            stage_hits.inc(preprocess.cached, stage="preprocess")
-            stage_hits.inc(inference_cached, stage="inference")
-            if shipment is not None:
-                stage_hits.inc(shipment.deduped, stage="shipment")
-            metrics.counter("cache.refined_tiles").inc(refined_tiles)
-            metrics.counter("bytes_fetched").inc(
-                download.fetched_bytes, stage="download"
-            )
 
             # Streaming dataflow accounting: per-edge queue depth / stall /
-            # wait rollups plus the measured stage-overlap seconds that the
-            # pipelining bought (None/zero behind the barrier, whose
-            # unbounded channels are a hand-off, not a pipeline).
+            # wait rollups (None behind the barrier, whose unbounded
+            # channels are a hand-off, not a pipeline).  The stage-overlap
+            # seconds the pipelining bought come off the timeline.
             stream_summary: Optional[Dict[str, object]] = None
             if use_stream:
                 hub = state[STREAMS_KEY]
                 edge_stats = {s.edge: s.as_dict() for s in hub.stats()}
                 stream_summary = {"enabled": True, "edges": edge_stats}
-                items = metrics.counter("stream.items")
-                stalls = metrics.counter("stream.producer_stall_seconds")
-                waits = metrics.counter("stream.consumer_wait_seconds")
-                depth = metrics.gauge("stream.max_queue_depth")
-                for stat in hub.stats():
-                    items.inc(stat.items, edge=stat.edge)
-                    stalls.inc(stat.producer_stall_seconds, edge=stat.edge)
-                    waits.inc(stat.consumer_wait_seconds, edge=stat.edge)
-                    depth.set(stat.max_depth, edge=stat.edge)
-            overlap = timeline.overlaps()
-            overlap_gauge = metrics.gauge("stage_overlap_seconds")
-            for stages, seconds in overlap.items():
-                overlap_gauge.set(seconds, stages=stages)
 
             errors = list(crawler_errors) + list(inference_errors)
             errors.extend(download.failed)
@@ -904,17 +796,15 @@ class EOMLWorkflow:
                 timeline=timeline,
                 errors=errors,
                 provenance=prov,
-                metrics=metrics,
                 chaos=chaos_summary,
                 inference_quarantined=inference_quarantined,
-                resumed_items=journal_counters["resumed_items"],
-                replayed_items=journal_counters["replayed_items"],
-                manifest_mismatches=journal_counters["manifest_mismatches"],
+                resumed_items=int(totals["resumed_items"]),
+                replayed_items=int(totals["replayed_items"]),
+                manifest_mismatches=int(totals["manifest_mismatches"]),
                 journal=journal.summary() if journal is not None else None,
                 stream=stream_summary,
-                stage_overlap_seconds=overlap,
+                stage_overlap_seconds=timeline.overlaps(),
                 scaleout=scaleout,
-                partition=partition,
                 cache=cache_summary,
             )
         finally:

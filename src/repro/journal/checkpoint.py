@@ -16,7 +16,8 @@ question every idempotent stage asks per work item:
   any ``skip_existing`` shortcut so a torn file cannot be trusted.
 
 Counters (``resumed_items``, ``replayed_items``, ``manifest_mismatches``)
-accumulate across stages and roll into ``WorkflowReport`` / metrics.
+accumulate across stages; :meth:`WorkflowJournal.counters` ships them to
+the driver, which sums every process's into ``WorkflowReport``.
 """
 
 from __future__ import annotations
@@ -221,8 +222,13 @@ class WorkflowJournal:
             }
 
     def summary(self) -> Dict[str, Any]:
-        summary: Dict[str, Any] = dict(self.counters())
-        summary["directory"] = self.directory
-        summary["torn_records"] = self.torn_records
-        summary["manifest_entries"] = len(self.manifest)
-        return summary
+        """Where the run directory is and what it holds.
+
+        The resume counters are not repeated here: this process's share
+        of them is not the run's, and the report sums every process's.
+        """
+        return {
+            "directory": self.directory,
+            "torn_records": self.torn_records,
+            "manifest_entries": len(self.manifest),
+        }

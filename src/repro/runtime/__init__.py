@@ -1,7 +1,7 @@
 """repro.runtime — the unified stage runtime.
 
-One :class:`StageExecutor` with an ordered middleware stack (metrics,
-quarantine, journal, cache, chaos, precheck, retry) runs the
+One :class:`StageExecutor` with an ordered middleware stack
+(quarantine, journal, cache, chaos, precheck, retry) runs the
 :class:`WorkUnit`\\ s every stage produces, and one declarative
 :class:`PipelinePlan` states the workflow's structure (scene hand-off,
 monitor/inference overlap) as explicit edges that :class:`PlanRunner`
@@ -28,7 +28,6 @@ from repro.runtime.middleware import (
     CacheMiddleware,
     ChaosMiddleware,
     JournalMiddleware,
-    MetricsMiddleware,
     Middleware,
     PrecheckMiddleware,
     QuarantineMiddleware,
@@ -90,7 +89,6 @@ __all__ = [
     "WorkUnit",
     "UnitContext",
     "Middleware",
-    "MetricsMiddleware",
     "QuarantineMiddleware",
     "JournalMiddleware",
     "CacheMiddleware",

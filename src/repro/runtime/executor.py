@@ -16,7 +16,6 @@ from repro.runtime.middleware import (
     CacheMiddleware,
     ChaosMiddleware,
     JournalMiddleware,
-    MetricsMiddleware,
     Middleware,
     PrecheckMiddleware,
     QuarantineMiddleware,
@@ -50,26 +49,23 @@ class StageExecutor:
 def build_executor(
     journal: Any = None,
     chaos: Any = None,
-    metrics: Any = None,
     sleeper: Callable[[float], None] = time.sleep,
     cache: Any = None,
 ) -> StageExecutor:
     """The canonical stack (outermost first):
 
-    Metrics > Quarantine > Journal > Cache > Chaos > Precheck > Retry > body.
+    Quarantine > Journal > Cache > Chaos > Precheck > Retry > body.
 
-    Metrics wraps everything so resumed and quarantined units are
-    counted too; Quarantine sits outside Journal so a failed unit never
-    records a completion; Cache sits inside Journal so a CAS hit still
-    records a completion (resume semantics identical with the cache on
-    or off) but outside Chaos/Retry so a hit neither stalls nor burns an
-    attempt; Chaos precedes Precheck so a stalled worker stalls before
-    it can short-circuit; Precheck precedes Retry so a skip never
-    consults the circuit breaker or burns an attempt.
+    Quarantine sits outside Journal so a failed unit never records a
+    completion; Cache sits inside Journal so a CAS hit still records a
+    completion (resume semantics identical with the cache on or off) but
+    outside Chaos/Retry so a hit neither stalls nor burns an attempt;
+    Chaos precedes Precheck so a stalled worker stalls before it can
+    short-circuit; Precheck precedes Retry so a skip never consults the
+    circuit breaker or burns an attempt.
     """
     return StageExecutor(
         [
-            MetricsMiddleware(metrics),
             QuarantineMiddleware(),
             JournalMiddleware(journal),
             CacheMiddleware(cache),

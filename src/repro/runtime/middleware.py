@@ -4,30 +4,29 @@ Each middleware is a callable ``(ctx, call_next) -> UnitResult`` wrapping
 the next layer (onion composition).  The canonical order, outermost
 first — see :func:`repro.runtime.executor.build_executor`:
 
-1. :class:`MetricsMiddleware` — times and counts every unit;
-2. :class:`QuarantineMiddleware` — converts exhaustion/body errors into
+1. :class:`QuarantineMiddleware` — converts exhaustion/body errors into
    recorded FAILED/QUARANTINED results per the unit's policy;
-3. :class:`JournalMiddleware` — resume decision before the work,
+2. :class:`JournalMiddleware` — resume decision before the work,
    completion record after it;
-4. :class:`CacheMiddleware` — content-addressed short circuits and
+3. :class:`CacheMiddleware` — content-addressed short circuits and
    post-success store population, inside the journal (a cache hit still
    records a completion, so resume semantics are identical with the
    cache on or off) but outside chaos/precheck/retry (a hit must not
    burn a retry attempt or consult a breaker);
-5. :class:`ChaosMiddleware` — injected worker stalls (the other fault
+4. :class:`ChaosMiddleware` — injected worker stalls (the other fault
    surfaces live inside unit bodies, at the exact I/O boundary they
    model);
-6. :class:`PrecheckMiddleware` — skip_existing-style short circuits,
+5. :class:`PrecheckMiddleware` — skip_existing-style short circuits,
    after the journal (a redo decision bypasses them) but before any
    retry machinery (a skip must not consult the circuit breaker);
-7. :class:`RetryMiddleware` — bounded retries with backoff and breaker,
+6. :class:`RetryMiddleware` — bounded retries with backoff and breaker,
    delegating to :func:`repro.net.retry.retry_call`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.chaos.surfaces import chaos_stall
 from repro.net.retry import RetryExhausted, retry_call
@@ -46,7 +45,6 @@ from repro.runtime.unit import (
 
 __all__ = [
     "Middleware",
-    "MetricsMiddleware",
     "QuarantineMiddleware",
     "JournalMiddleware",
     "CacheMiddleware",
@@ -57,38 +55,6 @@ __all__ = [
 
 # A middleware is any callable with this shape.
 Middleware = Callable[[UnitContext, Callable[[], UnitResult]], UnitResult]
-
-
-class MetricsMiddleware:
-    """Per-unit wall-clock timing and outcome counting.
-
-    Emits ``runtime.unit_seconds`` (histogram) and ``runtime.units``
-    (counter labelled by stage and outcome) into the registry the
-    workflow already snapshots.  A ``None`` registry costs nothing.
-    """
-
-    def __init__(self, metrics: Any = None):
-        self.metrics = metrics
-
-    def __call__(self, ctx: UnitContext, call_next: Callable[[], UnitResult]) -> UnitResult:
-        if self.metrics is None:
-            return call_next()
-        started = time.monotonic()
-        try:
-            result = call_next()
-        except Exception:
-            self.metrics.counter("runtime.units").inc(
-                stage=ctx.unit.stage, outcome="raised"
-            )
-            raise
-        self.metrics.histogram(
-            "runtime.unit_seconds", "wall-clock seconds per executed work unit",
-            buckets=(0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0),
-        ).observe(time.monotonic() - started)
-        self.metrics.counter("runtime.units").inc(
-            stage=ctx.unit.stage, outcome=result.outcome
-        )
-        return result
 
 
 class QuarantineMiddleware:

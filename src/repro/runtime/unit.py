@@ -5,9 +5,9 @@ of stage work — one granule download, one granule-set preprocess, one
 tile-file inference, one shipment move.  Stages *produce* units; the
 :class:`~repro.runtime.executor.StageExecutor` runs them through an
 ordered middleware stack that supplies every cross-cutting behaviour
-(journal resume/complete, chaos stalls, retry/backoff/breaker,
-quarantine-and-continue, per-unit metrics) exactly once, so no stage
-hand-wires its own copy.
+(journal resume/complete, cache short circuits, chaos stalls,
+retry/backoff/breaker, quarantine-and-continue) exactly once, so no
+stage hand-wires its own copy.
 
 This module (and the whole ``repro.runtime`` package) must never import
 ``repro.core``: the runtime is the layer under the stages, and pool

@@ -71,31 +71,15 @@ class AgentStats:
     failed: int = 0
     lost_leases: int = 0
     heartbeats: int = 0
-    # Partition-tolerance accounting (mirrored into /metrics and
-    # WorkflowReport by the harnesses that embed agents).
+    # Partition-tolerance accounting.  The reconcile call carries
+    # disconnects and reconnect_attempts to the server, which counts
+    # them under control_plane.partition.* in /v1/metrics.
     disconnects: int = 0
     reconnect_attempts: int = 0
     outbox_spooled: int = 0
     outbox_replayed: int = 0
     fenced_rejections: int = 0
     errors: Dict[str, str] = field(default_factory=dict)
-
-    def partition_summary(self) -> Dict[str, object]:
-        """This agent's slice of the ``WorkflowReport.partition`` schema.
-
-        Key-compatible with :data:`repro.core.workflow.PARTITION_COUNTERS`
-        (pinned by a test), so multi-facility harnesses can aggregate
-        agent outage accounting into the same dashboard shape local runs
-        emit as structural zeros.
-        """
-        return {
-            "enabled": True,
-            "disconnects": self.disconnects,
-            "reconnect_attempts": self.reconnect_attempts,
-            "outbox_spooled": self.outbox_spooled,
-            "outbox_replayed": self.outbox_replayed,
-            "fenced_rejections": self.fenced_rejections,
-        }
 
 
 class SiteAgent:

@@ -21,9 +21,9 @@ job is the node's immediate needs:
   already is — re-execution can never double-ship or corrupt artifacts.
 
 Stage bodies still run through the :class:`~repro.runtime.executor.
-StageExecutor` middleware stack (journal, chaos, retry, quarantine,
-metrics); nothing about *how* work executes changes when it is driven
-remotely.
+StageExecutor` middleware stack (quarantine, journal, cache, chaos,
+precheck, retry); nothing about *how* work executes changes when it is
+driven remotely.
 """
 
 from __future__ import annotations

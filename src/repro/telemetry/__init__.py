@@ -1,5 +1,11 @@
-"""Telemetry: counters, gauges, histograms for workflow insight (S V-A)."""
+"""Telemetry: the control plane's counters and histograms (S V-A).
 
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+:class:`~repro.server.api.ControlPlaneAPI` keeps one
+:class:`MetricsRegistry` and serves its :meth:`~MetricsRegistry.snapshot`
+at ``GET /v1/metrics``.  A local run keeps no registry: its report is
+its record.
+"""
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
+
+__all__ = ["Counter", "Histogram", "MetricsRegistry"]

@@ -1,11 +1,12 @@
-"""Telemetry metrics: counters, gauges, histograms, and snapshots.
+"""Telemetry metrics: counters, histograms, and snapshots.
 
 Section V-A: "we will integrate advanced provenance tracking and
 telemetry tools for real-time workflow insights."  Provenance answers
 *where did this artifact come from*; telemetry answers *how is the system
-behaving right now*.  This module implements the standard metric triad
-with label support and deterministic snapshots — usable both under the
-simulation clock and wall time.
+behaving right now*.  The control plane answers the second question live:
+it counts requests, leases and partition events here and serves the
+deterministic, label-aware :meth:`MetricsRegistry.snapshot` at
+``GET /v1/metrics``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry"]
 
 LabelPair = Tuple[Tuple[str, str], ...]
 
@@ -29,9 +29,8 @@ def _labels(labels: Optional[Dict[str, str]]) -> LabelPair:
 class Counter:
     """A monotonically increasing count, optionally per label set.
 
-    Increments are lock-guarded: concurrent stage threads (the streaming
-    plan runner) share one registry, and a racy read-modify-write would
-    silently lose counts.
+    Increments are lock-guarded: the server's request threads share one
+    registry, and a racy read-modify-write would silently lose counts.
     """
 
     def __init__(self, name: str, description: str = ""):
@@ -55,30 +54,6 @@ class Counter:
     def total(self) -> float:
         with self._lock:
             return sum(self._values.values())
-
-
-class Gauge:
-    """A value that moves both ways (queue depth, active workers)."""
-
-    def __init__(self, name: str, description: str = ""):
-        self.name = name
-        self.description = description
-        self._lock = threading.Lock()
-        self._values: Dict[LabelPair, float] = {}
-
-    def set(self, value: float, **labels: str) -> None:
-        with self._lock:
-            self._values[_labels(labels)] = float(value)
-
-    def add(self, delta: float, **labels: str) -> float:
-        key = _labels(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + delta
-            return self._values[key]
-
-    def value(self, **labels: str) -> float:
-        with self._lock:
-            return self._values.get(_labels(labels), 0.0)
 
 
 class Histogram:
@@ -114,16 +89,6 @@ class Histogram:
             raise ValueError("no observations")
         return self.total / self.count
 
-    def time(self) -> "_HistogramTimer":
-        """Context manager observing the elapsed wall seconds of a block.
-
-        The perf-harness and hot-path instrumentation idiom:
-
-        >>> with registry.histogram("inference.batch_seconds").time():
-        ...     run_batch()
-        """
-        return _HistogramTimer(self)
-
     def quantile(self, q: float) -> float:
         """Bucket-upper-bound quantile estimate (conservative)."""
         if not 0.0 <= q <= 1.0:
@@ -141,30 +106,12 @@ class Histogram:
         return self.maximum
 
 
-class _HistogramTimer:
-    """Times a ``with`` block into a histogram (see :meth:`Histogram.time`)."""
-
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: Histogram):
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self) -> "_HistogramTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._histogram.observe(time.perf_counter() - self._start)
-
-
 @dataclass
 class MetricsRegistry:
-    """A namespace of metrics with snapshot rendering."""
+    """A namespace of metrics with a flat snapshot."""
 
     prefix: str = ""
     _counters: Dict[str, Counter] = field(default_factory=dict)
-    _gauges: Dict[str, Gauge] = field(default_factory=dict)
     _histograms: Dict[str, Histogram] = field(default_factory=dict)
 
     def _qualify(self, name: str) -> str:
@@ -176,12 +123,6 @@ class MetricsRegistry:
             self._counters[name] = Counter(name, description)
         return self._counters[name]
 
-    def gauge(self, name: str, description: str = "") -> Gauge:
-        name = self._qualify(name)
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name, description)
-        return self._gauges[name]
-
     def histogram(self, name: str, description: str = "",
                   buckets: Sequence[float] = Histogram.DEFAULT_BUCKETS) -> Histogram:
         name = self._qualify(name)
@@ -189,41 +130,22 @@ class MetricsRegistry:
             self._histograms[name] = Histogram(name, description, buckets)
         return self._histograms[name]
 
-    def timer(self, name: str, description: str = "",
-              buckets: Sequence[float] = Histogram.DEFAULT_BUCKETS) -> _HistogramTimer:
-        """Shorthand: ``registry.timer("x")`` == ``registry.histogram("x").time()``."""
-        return self.histogram(name, description, buckets).time()
-
     def snapshot(self) -> Dict[str, float]:
         """A flat name -> value view (histograms expose count/mean/p95)."""
         out: Dict[str, float] = {}
-
-        def flatten(name: str, values: Dict[LabelPair, float]) -> None:
-            for key, value in sorted(values.items()):
-                suffix = "{" + ",".join(f"{k}={v}" for k, v in key) + "}" if key else ""
-                out[f"{name}{suffix}"] = value
-
         for name, counter in sorted(self._counters.items()):
             out[name] = counter.total
-            if any(key for key in counter._values):
-                # The bare name is the cross-label total; only genuinely
-                # labelled series get their own {k=v} entries.  (A counter
-                # registered at zero unlabelled and then incremented with
-                # labels must not report the stale unlabelled zero.)
-                flatten(
-                    name, {k: v for k, v in counter._values.items() if k}
-                )
-        for name, gauge in sorted(self._gauges.items()):
-            flatten(name, gauge._values)
+            # The bare name is the cross-label total; only genuinely
+            # labelled series get their own {k=v} entries.  (A counter
+            # registered at zero unlabelled and then incremented with
+            # labels must not report the stale unlabelled zero.)
+            for key, value in sorted(counter._values.items()):
+                if key:
+                    labels = ",".join(f"{k}={v}" for k, v in key)
+                    out[f"{name}{{{labels}}}"] = value
         for name, histogram in sorted(self._histograms.items()):
             out[f"{name}.count"] = histogram.count
             if histogram.count:
                 out[f"{name}.mean"] = histogram.mean
                 out[f"{name}.p95"] = histogram.quantile(0.95)
         return out
-
-    def render(self) -> str:
-        lines = []
-        for name, value in self.snapshot().items():
-            lines.append(f"{name} {value:.6g}")
-        return "\n".join(lines)

@@ -123,19 +123,3 @@ class TestCrawlerWriterRace:
             assert crawler.scan_once() == []
         assert probe.counts == {}
         assert crawler.partials_seen == 1  # seen, counted, refused
-
-    def test_stable_size_gate_defers_growing_files(self, tmp_path):
-        directory = str(tmp_path)
-        seen = []
-        crawler = DirectoryCrawler(directory, trigger=seen.append,
-                                   poll_interval=0.005, require_stable_size=True)
-        path = os.path.join(directory, "tiles_grow.nc")
-        with open(path, "wb") as handle:
-            handle.write(b"CDF" + b"\0" * 10)
-        assert crawler.scan_once() == []   # first sighting: size recorded
-        with open(path, "ab") as handle:
-            handle.write(b"\0" * 10)       # still growing
-        assert crawler.scan_once() == []   # size changed: still deferred
-        assert crawler.scan_once() == [path]  # two stable sightings: trigger
-        assert seen == [path]
-        assert crawler.scan_once() == []   # and only once

@@ -156,12 +156,6 @@ class TestEndToEnd:
         assert "inference" in stages and "shipment" in stages
         rendered = report.timeline.render()
         assert "workers:download" in rendered
-        # Telemetry rollup is consistent with the report.
-        snap = report.metrics.snapshot()
-        assert snap["eo_ml.tiles"] == report.total_tiles
-        assert snap["eo_ml.files{stage=download}"] == report.download.files
-        assert snap["eo_ml.files{stage=shipment}"] == len(report.shipment.moved)
-        assert snap["eo_ml.stage_seconds.count"] == len(report.breakdown)
 
     def test_workflow_without_shipment(self, tmp_path, mini_archive):
         config = make_config(tmp_path, ship=False)

@@ -112,13 +112,3 @@ class TestSimulatedWorkflow:
         pre_start, pre_end = run.stage_spans["preprocess"]
         throughput = run.tiles / (pre_end - pre_start)
         assert 180 < throughput < 340
-
-    def test_telemetry_rollup(self, result):
-        snap = result.metrics.snapshot()
-        assert snap["eo_ml.tiles"] == 12 * 150
-        assert snap["eo_ml.files{stage=download}"] == 12
-        assert snap["eo_ml.files{stage=shipment}"] == 12
-        assert snap["eo_ml.stage_seconds.count"] == 5  # five spans
-        assert "eo_ml.stage_seconds.p95" in snap
-        rendered = result.metrics.render()
-        assert "eo_ml.tiles 1800" in rendered

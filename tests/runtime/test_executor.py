@@ -27,7 +27,6 @@ from repro.runtime import (
     ChaosMiddleware,
     FailurePolicy,
     JournalMiddleware,
-    MetricsMiddleware,
     PrecheckMiddleware,
     QuarantineMiddleware,
     RetryMiddleware,
@@ -38,7 +37,6 @@ from repro.runtime import (
     WorkUnit,
     build_executor,
 )
-from repro.telemetry import MetricsRegistry
 
 
 class RecordingSleeper:
@@ -87,7 +85,6 @@ class TestExecutorBasics:
     def test_canonical_stack_order(self):
         executor = build_executor()
         assert [type(layer) for layer in executor.middleware] == [
-            MetricsMiddleware,
             QuarantineMiddleware,
             JournalMiddleware,
             CacheMiddleware,
@@ -444,45 +441,3 @@ class TestChaosMiddleware:
         executor.execute(unit(lambda ctx: seen.append(ctx.chaos),
                               stage="inference", stall=False))
         assert seen == [chaos]
-
-
-class TestMetricsMiddleware:
-    def test_every_outcome_counted_by_stage_and_outcome(self):
-        metrics = MetricsRegistry()
-        executor = build_executor(metrics=metrics, sleeper=RecordingSleeper())
-        executor.execute(unit(lambda ctx: "ok"))
-        executor.execute(unit(
-            lambda ctx: (_ for _ in ()).throw(ValueError("bad")),
-            key="item-1", failure=FailurePolicy(catch=(ValueError,)),
-        ))
-        executor.execute(unit(
-            lambda ctx: (_ for _ in ()).throw(OSError("down")),
-            key="item-2",
-            retry=RetrySpec(retries=1, backoff=FAST_BACKOFF),
-            failure=FailurePolicy(on_exhausted="record"),
-        ))
-        units = metrics.counter("runtime.units")
-        assert units.value(stage="teststage", outcome=DONE) == 1
-        assert units.value(stage="teststage", outcome=QUARANTINED) == 1
-        assert units.value(stage="teststage", outcome=FAILED) == 1
-        assert units.total == 3
-
-    def test_unit_seconds_histogram_observes_each_unit(self):
-        metrics = MetricsRegistry()
-        executor = build_executor(metrics=metrics)
-        executor.execute(unit(lambda ctx: "a"))
-        executor.execute(unit(lambda ctx: "b", key="item-1"))
-        snapshot = metrics.snapshot()
-        assert snapshot["runtime.unit_seconds.count"] == 2
-
-    def test_raised_units_counted_before_propagating(self):
-        metrics = MetricsRegistry()
-        executor = build_executor(metrics=metrics)
-        with pytest.raises(KeyError):
-            executor.execute(unit(lambda ctx: (_ for _ in ()).throw(KeyError())))
-        assert metrics.counter("runtime.units").value(
-            stage="teststage", outcome="raised") == 1
-
-    def test_none_registry_costs_nothing(self):
-        result = build_executor(metrics=None).execute(unit(lambda ctx: "ok"))
-        assert result.outcome == DONE

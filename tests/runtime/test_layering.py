@@ -50,6 +50,15 @@ class TestRuntimeLayer:
         assert {"repro.modis", "repro.abi"} <= rules["src/repro/core"]
         assert "repro.core" in rules["src/repro/instruments"]
 
+    def test_stages_and_runtime_keep_no_metrics_registry(self):
+        """The report is a run's one record; only the control plane
+        keeps a telemetry registry."""
+        rules = {}
+        for package, forbidden in check_layering.RULES:
+            rules.setdefault(package, set()).update(forbidden)
+        assert "repro.telemetry" in rules["src/repro/core"]
+        assert "repro.telemetry" in rules["src/repro/runtime"]
+
     def test_checker_script_passes_on_the_repo(self):
         proc = subprocess.run(
             [sys.executable, CHECKER], cwd=REPO_ROOT,

@@ -9,7 +9,9 @@ server tests share:
 * :func:`control_plane` — context-managed (server, client) pair;
 * :func:`fake_clock` — a manually advanced clock for lease-expiry tests;
 * :func:`submit_minimal` — registers a run with a tiny synthetic unit
-  graph (for protocol tests that never execute real stages).
+  graph (for protocol tests that never execute real stages);
+* :data:`PARTITION_FIELDS` — the degraded-mode counters an agent keeps
+  in its :class:`~repro.server.agent.AgentStats`.
 """
 
 from contextlib import contextmanager
@@ -18,6 +20,14 @@ from tests.core.crash_driver import build_raw_config  # noqa: F401 (re-export)
 
 from repro.server import ControlPlaneClient, ControlPlaneServer
 from repro.server.store import RunStore
+
+PARTITION_FIELDS = (
+    "disconnects",
+    "reconnect_attempts",
+    "outbox_spooled",
+    "outbox_replayed",
+    "fenced_rejections",
+)
 
 
 class FakeClock:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry import Counter, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -20,17 +20,6 @@ class TestCounter:
     def test_monotone(self):
         with pytest.raises(ValueError):
             Counter("x").inc(-1)
-
-
-class TestGauge:
-    def test_set_add(self):
-        gauge = Gauge("queue_depth")
-        gauge.set(4)
-        assert gauge.add(-1) == 3
-        assert gauge.value() == 3
-        gauge.set(7, executor="htex")
-        assert gauge.value(executor="htex") == 7
-        assert gauge.value() == 3
 
 
 class TestHistogram:
@@ -77,17 +66,16 @@ class TestRegistry:
         assert a is b
         assert a.name == "eo_ml.files"
 
-    def test_snapshot_and_render(self):
+    def test_snapshot(self):
         registry = MetricsRegistry()
         registry.counter("tiles").inc(12)
-        registry.gauge("workers").set(3, stage="download")
+        registry.counter("leases").inc(3, unit="download")
         hist = registry.histogram("task_seconds", buckets=(1.0, 10.0))
         hist.observe(0.5)
         hist.observe(2.0)
         snap = registry.snapshot()
         assert snap["tiles"] == 12
-        assert snap["workers{stage=download}"] == 3
+        assert snap["leases"] == 3
+        assert snap["leases{unit=download}"] == 3
         assert snap["task_seconds.count"] == 2
         assert "task_seconds.mean" in snap
-        text = registry.render()
-        assert "tiles 12" in text

@@ -300,11 +300,16 @@ class TestPartitionDocs:
             assert needle in text, f"degraded-agent docs missing {needle!r}"
 
     def test_partition_counters_match_the_code(self):
-        """Every always-present partition counter is named in the docs."""
-        from repro.core.workflow import PARTITION_COUNTERS
+        """Every partition counter an agent keeps is named in the docs."""
+        import dataclasses
 
+        from repro.server.agent import AgentStats
+        from tests.server.harness import PARTITION_FIELDS
+
+        fields = {f.name for f in dataclasses.fields(AgentStats)}
         text = self.architecture()
-        for counter in PARTITION_COUNTERS:
+        for counter in PARTITION_FIELDS:
+            assert counter in fields, f"AgentStats has no {counter!r}"
             assert f"`{counter}`" in text, f"counter {counter!r} undocumented"
 
     def test_protocol_phases_documented(self):

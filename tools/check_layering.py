@@ -54,6 +54,11 @@ RULES = [
     # utility layer, never on any of its consumers.
     ("src/repro/cas", ("repro.core", "repro.server", "repro.runtime",
                        "repro.instruments", "repro.modis", "repro.abi")),
+    # A run's report is its one record: the stages and the runtime keep
+    # no second book in a metrics registry (the control plane's
+    # /v1/metrics is the only telemetry consumer).
+    ("src/repro/core", ("repro.telemetry",)),
+    ("src/repro/runtime", ("repro.telemetry",)),
 ]
 
 
