@@ -230,9 +230,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{report.cache['preprocess_cached']} preprocess / "
               f"{report.cache['inference_cached']} inference / "
               f"{report.cache['shipment_deduped']} shipment short-circuits)")
-        if report.cache.get("refined_tiles"):
-            print(f"fidelity:   {report.cache['refined_tiles']} tile(s) refined "
-                  f"to full resolution")
     if report.errors:
         print(f"errors: {report.errors}", file=sys.stderr)
         return 1

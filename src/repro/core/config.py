@@ -125,11 +125,6 @@ _PREPROCESS = Schema(
         Field("tile_size", positive_int, required=False, default=16),
         Field("cloud_threshold", _fraction, required=False, default=OCEAN_CLOUD_THRESHOLD),
         Field("max_land_fraction", _fraction, required=False, default=0.0),
-        # Progressive fidelity: > 1 extracts tiles at a coarse
-        # within-tile stride first; inference refines only the tiles
-        # whose classifier margin falls below inference.refine_threshold.
-        # 1 (the default) keeps the classic single-fidelity pipeline.
-        Field("coarse_stride", positive_int, required=False, default=1),
     ],
 )
 
@@ -148,11 +143,6 @@ _INFERENCE = Schema(
         Field("poll_interval", number, required=False, default=0.2),
         Field("batch_files", positive_int, required=False, default=8),
         Field("drain_timeout", _positive_number, required=False, default=300.0),
-        # Classifier-margin floor for the progressive-fidelity ladder:
-        # coarse tiles whose assignment margin falls below this are
-        # re-extracted at full fidelity and re-labelled.  None disables
-        # refinement (every coarse label is accepted as final).
-        Field("refine_threshold", number, required=False, default=None),
     ],
 )
 
@@ -307,11 +297,6 @@ class EOMLConfig:
     cache_enabled: bool = False
     cache_dir: str = "data/cas"
     cache_budget_bytes: Optional[int] = None
-    # Progressive fidelity: within-tile subsample stride for the coarse
-    # pass (1 = full fidelity only) and the classifier-margin floor
-    # below which coarse tiles are re-extracted at full fidelity.
-    coarse_stride: int = 1
-    refine_threshold: Optional[float] = None
     chaos: Optional[FaultPlan] = None
     raw: Dict[str, Any] = field(default_factory=dict, compare=False)
 
@@ -411,14 +396,6 @@ def load_config(source: Mapping[str, Any] | str) -> EOMLConfig:
     cache_dir = cache["dir"] or os.path.join(
         os.path.dirname(paths["staging"].rstrip("/")) or ".", "cas",
     )
-    if preprocess["coarse_stride"] > 1 and preprocess["tile_size"] % preprocess["coarse_stride"]:
-        raise ConfigError(
-            "preprocess.coarse_stride",
-            f"must divide tile_size ({preprocess['tile_size']}) so coarse and "
-            f"full-fidelity tiles cover identical grids",
-        )
-    if inference["refine_threshold"] is not None and inference["refine_threshold"] < 0:
-        raise ConfigError("inference.refine_threshold", "must be non-negative")
 
     return EOMLConfig(
         name=top["name"],
@@ -470,11 +447,6 @@ def load_config(source: Mapping[str, Any] | str) -> EOMLConfig:
         cache_enabled=cache["enabled"],
         cache_dir=cache_dir,
         cache_budget_bytes=cache["budget_bytes"],
-        coarse_stride=preprocess["coarse_stride"],
-        refine_threshold=(
-            None if inference["refine_threshold"] is None
-            else float(inference["refine_threshold"])
-        ),
         shipment_backoff=BackoffPolicy(
             base=shipment["backoff_base"],
             max_delay=1.0,

@@ -21,9 +21,9 @@ its policies.
 A granule the content-addressed store already holds is not staged at
 all: the hit is a lookup, and the granule's digest rides the scene's
 :class:`GranuleSet` downstream.  Whoever opens the file — preprocess on
-a ``tiles:`` miss, the tile refiner — first calls :meth:`DownloadStage.
-stage_in`, which materializes it from the store or, when the store can
-not deliver, fetches it again.
+a ``tiles:`` miss — first calls :meth:`DownloadStage.stage_in`, which
+materializes it from the store or, when the store can not deliver,
+fetches it again.
 """
 
 from __future__ import annotations
@@ -145,10 +145,13 @@ class DownloadStage:
             reset_after=config.breaker_reset,
         )
         # Stage-in bookkeeping: the catalog by filename (planned once per
-        # copy of the stage) and one lock per granule being staged in.
+        # copy of the stage), one lock per granule being staged in, and
+        # the bytes stage-ins fetched from the archive again (the run
+        # report folds them into ``fetched_bytes``).
         self._catalog: Optional[Dict[str, Any]] = None
         self._lock = threading.Lock()
         self._staging: Dict[str, threading.Lock] = {}
+        self.refetched_bytes = 0
 
     def plan(self) -> List[Any]:
         """The catalog query: every product over the configured span.
@@ -370,6 +373,8 @@ class DownloadStage:
             result = self.ctx.executor.execute(self._unit_for(ref, redo=True))
             if not result.ok:
                 raise RuntimeError(result.error or f"stage-in of {ref.filename} failed")
+            with self._lock:
+                self.refetched_bytes += int(result.value)
         return final_path
 
     def run(

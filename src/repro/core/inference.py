@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 import numpy as np
 
 from repro.chaos.surfaces import chaos_crash
-from repro.core.artifact_cache import StageIn, TileRefiner, input_digest, labels_key, on_disk
+from repro.core.artifact_cache import input_digest, labels_key
 from repro.core.branches import key_prefix, unit_name
 from repro.core.config import EOMLConfig
 from repro.core.context import RunContext
@@ -118,8 +118,8 @@ class _ParsedFile:
     ds: Dataset
     radiance: np.ndarray  # (tiles, y, x, band) float32
     # The ``labels:`` key the labelled file is stored under once it is
-    # published; None when nothing may be stored (no store, no model
-    # file, or labels a failed refinement left degraded).
+    # published; None when nothing may be stored (no store or no model
+    # file).
     cache_key: Optional[str] = None
 
     @classmethod
@@ -170,23 +170,11 @@ class InferenceWorker:
         workers: Optional[int] = None,
         batch_files: Optional[int] = None,
         on_result: Optional[Callable[[InferenceResult], None]] = None,
-        stage_in: StageIn = on_disk,
     ):
         self.model = model
         self._on_result = on_result
         self.config = config
         self.ctx = ctx or RunContext()
-        # Progressive fidelity: with a refine threshold configured (and
-        # a model that reports margins), low-margin tiles from coarse
-        # tile files get a full-resolution second pass, reading granules
-        # the download stage's ``stage_in`` brings back when absent.
-        threshold = getattr(config, "refine_threshold", None)
-        self._refine_threshold = float(threshold) if threshold is not None else None
-        self._refiner = (
-            TileRefiner(config, cas=self.ctx.cache, stage_in=stage_in)
-            if self._refine_threshold is not None
-            else None
-        )
         self._attribution = getattr(model, "attribution", "RICC/AICCA")
         # Fan-out plans share one journal across branches; the per-branch
         # key prefix ("<instrument>+<model>:") keeps same-named tile files
@@ -337,8 +325,7 @@ class InferenceWorker:
             self._model_digest = input_digest(self._model_source[1], journal=journal)
         return labels_key(
             self.config.model_name, self._model_digest, self.model.num_classes,
-            self._attribution, self._refine_threshold,
-            input_digest(path, journal=journal),
+            self._attribution, input_digest(path, journal=journal),
         )
 
     def _parse_unit(self, path: str) -> WorkUnit:
@@ -499,36 +486,18 @@ class InferenceWorker:
                 self._assign_group(entries, started, outcomes)
         return [outcomes[path] for path in paths]
 
-    @property
-    def refined_tiles(self) -> int:
-        """Tiles re-labelled at full fidelity this run."""
-        return self._refiner.refined_tiles if self._refiner is not None else 0
-
     def _assign_group(
         self,
         entries: List[_ParsedFile],
         started: float,
         outcomes: Dict[str, Outcome],
     ) -> None:
-        labels: Optional[np.ndarray] = None
-        margins: Optional[np.ndarray] = None
         if len(entries) == 1:
             stacked = entries[0].radiance
         else:
             stacked = np.concatenate([entry.radiance for entry in entries])
-        # The margin-aware path costs nothing extra (one fused call
-        # either way) and only runs when refinement is configured AND
-        # the model can report margins.
-        with_margin = (
-            None
-            if self._refiner is None
-            else getattr(self.model, "assign_with_margin", None)
-        )
         try:
-            if with_margin is not None:
-                labels, margins = with_margin(stacked)
-            else:
-                labels = self.model.assign(stacked)
+            labels: Optional[np.ndarray] = self.model.assign(stacked)
         except Exception:  # noqa: BLE001 - fall back so one file can't sink the group
             labels = None
         if labels is None and len(entries) > 1:
@@ -537,8 +506,6 @@ class InferenceWorker:
             for entry in entries:
                 self._assign_group([entry], started, outcomes)
             return
-        if labels is not None and margins is not None:
-            labels = self._refine_group(entries, labels, margins)
 
         offset = 0
         for entry in entries:
@@ -560,42 +527,6 @@ class InferenceWorker:
                     seconds=time.monotonic() - started,
                 ),
             )
-
-    def _refine_group(
-        self,
-        entries: List[_ParsedFile],
-        labels: np.ndarray,
-        margins: np.ndarray,
-    ) -> np.ndarray:
-        """The fidelity ladder's second rung, applied to a fused group.
-
-        Tiles whose assignment margin falls below the configured
-        threshold are re-extracted from their source granules at full
-        resolution (a distinct CAS object) and re-assigned; everything
-        else keeps its coarse-pass label.  Any refinement failure leaves
-        the coarse label standing — refinement may only improve labels,
-        never lose them — and keeps the file out of the store: a later
-        run that can refine must not be served the degraded labels.
-        """
-        low = np.nonzero(np.asarray(margins) < self._refine_threshold)[0]
-        if low.size == 0:
-            return labels
-        labels = np.array(labels, copy=True)
-        offset = 0
-        for entry in entries:
-            count = entry.radiance.shape[0]
-            local = low[(low >= offset) & (low < offset + count)] - offset
-            if local.size:
-                refined = self._refiner.refine(entry.ds, local)
-                if refined is not None:
-                    try:
-                        labels[offset + local] = self.model.assign(refined)
-                    except Exception:  # noqa: BLE001 - keep the coarse labels
-                        refined = None
-                if refined is None:
-                    entry.cache_key = None
-            offset += count
-        return labels
 
     def stop(self, timeout: float = 30.0) -> None:
         for _ in self._threads:

@@ -33,7 +33,7 @@ from repro.core.config import EOMLConfig
 from repro.core.context import RunContext
 from repro.core.download import GranuleSet
 from repro.instruments.registry import get_instrument
-from repro.instruments.tiling import FIDELITY_COARSE, extract_tiles, tiles_to_dataset
+from repro.instruments.tiling import extract_tiles, tiles_to_dataset
 from repro.netcdf import read as nc_read
 from repro.runtime import (
     CACHED,
@@ -119,7 +119,6 @@ class PreprocessStage:
         final_path = os.path.join(
             config.preprocessed, f"tiles_{granules.key.replace('.', '_')}.nc"
         )
-        fidelity = FIDELITY_COARSE if config.coarse_stride > 1 else None
 
         def precheck(ctx) -> Optional[UnitResult]:
             # A journal redo decision means the same-named file cannot be
@@ -149,8 +148,7 @@ class PreprocessStage:
                 ]
                 key_box["key"] = tiles_key(
                     config.instrument, granules.key, config.tile_size,
-                    config.cloud_threshold, config.max_land_fraction,
-                    config.coarse_stride, digests,
+                    config.cloud_threshold, config.max_land_fraction, digests,
                 )
             return key_box["key"]
 
@@ -215,18 +213,11 @@ class PreprocessStage:
                 cloud_threshold=config.cloud_threshold,
                 max_land_fraction=config.max_land_fraction,
                 source=granules.key,
-                coarse_stride=config.coarse_stride,
             )
             if not tiles:
                 # A tileless granule is a real completion (nothing to redo).
                 return UnitResult(outcome="done", artifact=None, payload={"tiles": 0})
-            ds = tiles_to_dataset(
-                tiles,
-                source=granules.key,
-                fidelity=fidelity,
-                coarse_stride=config.coarse_stride,
-                source_files=dict(staged.paths) if fidelity else None,
-            )
+            ds = tiles_to_dataset(tiles, source=granules.key)
             ds.set_attr("true_regime", scene.attrs.get("true_regime", "unknown"))
             nbytes, digest = chaos_atomic_write(
                 ds, final_path, chaos=ctx.chaos, stage="preprocess", key=granules.key

@@ -82,12 +82,12 @@ class StageWorker:
             return DownloadStage(
                 cfg, self.ctx, archive=self.archive if primary else None
             )
-        # Readers stage granules in through this process's copy of the
-        # instrument's download stage.
-        download = self._stage(
-            unit_name("download", instrument_config(self.config, cfg.instrument).branch)
-        )
         if base == "preprocess":
+            # The reader stages granules in through this process's copy
+            # of the instrument's download stage.
+            download = self._stage(
+                unit_name("download", instrument_config(self.config, cfg.instrument).branch)
+            )
             return PreprocessStage(cfg, self.ctx, stage_in=download.stage_in)
         if base == "inference":
             # The first unit says how to obtain the branch's model (load
@@ -96,9 +96,7 @@ class StageWorker:
             # labels byte-identical to the in-process micro-batched path.
             mode, value = payload[1]
             model = get_model(cfg.model_name).load(value) if mode == "path" else value
-            return InferenceWorker(
-                model, cfg, self.ctx, batch_files=1, stage_in=download.stage_in
-            )
+            return InferenceWorker(model, cfg, self.ctx, batch_files=1)
         raise ValueError(f"unknown envelope kind {kind!r}")
 
     def _stage(self, kind: str, payload: Any = None) -> Any:
@@ -115,12 +113,9 @@ class StageWorker:
         the context's (journal, store) plus what the stages hold."""
         out = self.ctx.counters()
         stages = list(self._stages.values())
-        out["breaker_trips"] = sum(
-            s.breaker.opened_total for s in stages if isinstance(s, DownloadStage)
-        )
-        out["refined_tiles"] = sum(
-            s.refined_tiles for s in stages if isinstance(s, InferenceWorker)
-        )
+        downloads = [s for s in stages if isinstance(s, DownloadStage)]
+        out["breaker_trips"] = sum(s.breaker.opened_total for s in downloads)
+        out["refetched_bytes"] = sum(s.refetched_bytes for s in downloads)
         return out
 
 

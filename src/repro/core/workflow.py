@@ -109,7 +109,7 @@ class WorkflowReport:
     scaleout: Dict[str, object] = field(default_factory=dict)
     # Content-addressed cache accounting: the CAS counter family (always
     # present, zeros with the cache off) plus the per-stage short-circuit
-    # counts and the progressive-fidelity refinement tally.
+    # counts and the bytes fetched from the archive.
     cache: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -260,9 +260,9 @@ class EOMLWorkflow:
         ``ctx`` is the run every stage executes under (journal, chaos,
         cache, and where submitted units run); ``None`` is the bare
         context.  ``handles`` (shared with the caller) receives, under
-        ``base[@tag]`` names, the live ``worker``/``crawler`` objects
-        plus the model-bootstrap bookkeeping, since those outlive their
-        nodes.
+        ``base[@tag]`` names, the live ``downloader``/``worker``/
+        ``crawler`` objects plus the model-bootstrap bookkeeping, since
+        those outlive their nodes.
         """
         config = self.config
         ctx = ctx or RunContext()
@@ -275,10 +275,9 @@ class EOMLWorkflow:
         )
 
         # One download stage per instrument: it fetches, and its
-        # ``stage_in`` serves every reader of the instrument's granules
-        # (preprocess on a ``tiles:`` miss, each branch's refiner).  An
-        # injected archive speaks the primary instrument's granule
-        # grammar only.
+        # ``stage_in`` serves the instrument's preprocess on a ``tiles:``
+        # miss.  An injected archive speaks the primary instrument's
+        # granule grammar only.
         downloads = {
             inst: DownloadStage(
                 instrument_config(config, inst), ctx,
@@ -286,6 +285,9 @@ class EOMLWorkflow:
             )
             for inst in config.instruments
         }
+        for inst, stage in downloads.items():
+            branch = instrument_config(config, inst).branch
+            handles[unit_name("downloader", branch)] = stage
 
         def acquisition(inst: str) -> List[StageNode]:
             """``download -> model... -> preprocess`` for one instrument."""
@@ -507,7 +509,6 @@ class EOMLWorkflow:
                 worker = InferenceWorker(
                     model, bcfg, ctx,
                     on_result=lambda result: ship(os.path.basename(result.out_path)),
-                    stage_in=downloads[inst].stage_in,
                 )
                 crawler = DirectoryCrawler(
                     bcfg.preprocessed,
@@ -639,7 +640,7 @@ class EOMLWorkflow:
                 pool_stats = ctx.pool.stats()
             # Counters come home one way: what this process's context
             # accrued plus the deltas every pool worker shipped with its
-            # envelope results (journal, store, breaker, refined tiles),
+            # envelope results (journal, store, breaker, stage-in fetches),
             # so the rollups below read the same wherever the units ran.
             totals = collections.Counter(ctx.counters())
             if pool_stats is not None:
@@ -653,6 +654,11 @@ class EOMLWorkflow:
                 itags, [state[unit_name("download", itag)] for itag in itags]
             )
             download.breaker_trips += int(totals["breaker_trips"])
+            # Granules a reader staged in by fetching them again (the store
+            # could not deliver them) were fetched too, wherever it ran.
+            download.fetched_bytes += int(totals["refetched_bytes"]) + sum(
+                handles[unit_name("downloader", itag)].refetched_bytes for itag in itags
+            )
             # The bootstrap scenes were tiled ahead of their preprocess node:
             # fold them back in, in the order they ran.
             pieces = [
@@ -672,9 +678,6 @@ class EOMLWorkflow:
             crawler_errors = [
                 e for tag in tags for e in handles[unit_name("crawler", tag)].errors
             ]
-            refined_tiles = sum(w.refined_tiles for w in workers) + int(
-                totals["refined_tiles"]
-            )
             shipment = merge_reports(
                 tags, [state[unit_name("shipment", tag)] for tag in tags]
             )
@@ -764,7 +767,6 @@ class EOMLWorkflow:
                 shipment.deduped if shipment is not None else 0
             )
             cache_summary["fetched_bytes"] = download.fetched_bytes
-            cache_summary["refined_tiles"] = refined_tiles
 
             # Streaming dataflow accounting: per-edge queue depth / stall /
             # wait rollups (None behind the barrier, whose unbounded

@@ -57,30 +57,6 @@ class ThresholdModel:
         labels = mean_bin * n_std + std_bin
         return np.minimum(labels, self._num_classes - 1).astype(np.int32)
 
-    def assign_with_margin(self, tiles: np.ndarray) -> tuple:
-        """Labels plus each tile's distance to its nearest bin edge.
-
-        A tile whose mean or std sits right on a quantile edge flips
-        class under the slightest perturbation — the analogue of the
-        centroid-gap margin the progressive-fidelity pass thresholds.
-        With no edges at all (one bin per statistic) margins are
-        infinite.
-        """
-        labels = self.assign(tiles)
-        means, stds = _tile_stats(tiles)
-        margin = np.full(means.shape[0], np.inf)
-        if self.mean_edges.size:
-            margin = np.minimum(
-                margin,
-                np.abs(means[:, None] - self.mean_edges[None, :]).min(axis=1),
-            )
-        if self.std_edges.size:
-            margin = np.minimum(
-                margin,
-                np.abs(stds[:, None] - self.std_edges[None, :]).min(axis=1),
-            )
-        return labels, margin
-
     def save(self, path: str) -> None:
         np.savez(
             path,

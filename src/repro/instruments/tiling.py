@@ -14,25 +14,15 @@ per-tile tau/ctp/lat/lon reductions run as masked batched sums rather
 than a Python loop — both matter at paper scale (2030x1354 swaths),
 where selection typically keeps a small fraction of the grid.
 
-This module is also the home of the **fidelity ladder**: with
-``coarse_stride > 1`` the selected tiles are degraded by within-tile
-subsampling (stride then nearest-neighbour repeat), keeping the tile
-shape — and therefore every downstream model — unchanged while cutting
-the information content.  Selection and the per-tile physical metadata
-are always computed from the full-resolution fields, so the *set* of
-tiles is identical at every fidelity; only the radiance cube degrades.
-The inference stage re-extracts full-fidelity tiles for the positions
-whose classifier margin is too thin (``inference.refine_threshold``).
-
 It lives under ``repro.instruments`` (below ``repro.core`` in the
-layering) because instruments and the refinement path both need it
-without reaching up into the pipeline.
+layering): the kernel is instrument-agnostic and needs nothing from the
+pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -40,17 +30,10 @@ from repro.instruments.base import OCEAN_CLOUD_THRESHOLD
 from repro.netcdf import Dataset
 
 __all__ = [
-    "FIDELITY_FULL",
-    "FIDELITY_COARSE",
     "Tile",
-    "coarsen_tile_data",
     "extract_tiles",
     "tiles_to_dataset",
 ]
-
-# The two rungs of the progressive-fidelity ladder.
-FIDELITY_FULL = "full"
-FIDELITY_COARSE = "coarse"
 
 
 @dataclass
@@ -78,24 +61,6 @@ def _tile_view(field_2d: np.ndarray, tile: int) -> np.ndarray:
     return trimmed.reshape(rows, tile, cols, tile).swapaxes(1, 2)
 
 
-def coarsen_tile_data(data: np.ndarray, stride: int) -> np.ndarray:
-    """Degrade tile radiances by subsample-and-repeat, preserving shape.
-
-    ``data`` is ``(..., tile, tile, bands)``; every ``stride``-th pixel
-    is kept and repeated back over its block, so a coarse tile carries
-    ``1/stride**2`` of the information in exactly the full-fidelity
-    layout.  ``stride`` must divide the tile edge (config validation
-    enforces it), so the repeat reproduces the shape exactly.
-    """
-    if stride <= 1:
-        return data
-    edge = data.shape[-2]
-    if edge % stride:
-        raise ValueError(f"coarse stride {stride} does not divide tile edge {edge}")
-    sub = data[..., ::stride, ::stride, :]
-    return np.repeat(np.repeat(sub, stride, axis=-3), stride, axis=-2)
-
-
 def extract_tiles(
     radiance: np.ndarray,
     cloud_mask: np.ndarray,
@@ -108,8 +73,6 @@ def extract_tiles(
     cloud_threshold: float = OCEAN_CLOUD_THRESHOLD,
     max_land_fraction: float = 0.0,
     source: str = "",
-    coarse_stride: int = 1,
-    only_positions: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> List[Tile]:
     """Cut one swath into selected ocean-cloud tiles.
 
@@ -117,12 +80,6 @@ def extract_tiles(
     (lines, pixels).  Selection: tile land fraction <= ``max_land_fraction``
     (0 = the paper's "exclusively ... ocean") and cloud fraction >
     ``cloud_threshold``.  Returns tiles in row-major grid order.
-
-    ``coarse_stride > 1`` emits the coarse rung of the fidelity ladder:
-    the same tiles, radiances degraded by :func:`coarsen_tile_data`.
-    ``only_positions`` restricts the output to the given (row, col) grid
-    positions — the refinement path re-extracts exactly the low-margin
-    tiles at full fidelity without paying for the rest of the swath.
     """
     if radiance.ndim != 3:
         raise ValueError(f"radiance must be (bands, lines, pixels); got {radiance.shape}")
@@ -139,22 +96,12 @@ def extract_tiles(
         raise ValueError(f"tile size {tile_size} incompatible with swath {lines}x{pixels}")
     if not 0.0 <= cloud_threshold <= 1.0:
         raise ValueError("cloud threshold must be in [0, 1]")
-    if coarse_stride > 1 and tile_size % coarse_stride:
-        raise ValueError(
-            f"coarse stride {coarse_stride} does not divide tile size {tile_size}"
-        )
 
     # float32 means without a float32 copy of either mask.
     cloud_tiles = _tile_view(cloud_mask, tile_size)
     cloud_frac = cloud_tiles.mean(axis=(2, 3), dtype=np.float32)
     land_frac = _tile_view(land_mask, tile_size).mean(axis=(2, 3), dtype=np.float32)
     selected = (land_frac <= max_land_fraction + 1e-12) & (cloud_frac > cloud_threshold)
-    if only_positions is not None:
-        wanted = np.zeros_like(selected)
-        for row, col in only_positions:
-            if 0 <= row < wanted.shape[0] and 0 <= col < wanted.shape[1]:
-                wanted[row, col] = True
-        selected &= wanted
 
     sel_rows, sel_cols = np.nonzero(selected)
     if sel_rows.size == 0:
@@ -173,8 +120,6 @@ def extract_tiles(
         top, left = row * tile_size, col * tile_size
         tile = radiance[:, top : top + tile_size, left : left + tile_size]
         sel_data[index] = tile.transpose(1, 2, 0)
-    if coarse_stride > 1:
-        sel_data = np.ascontiguousarray(coarsen_tile_data(sel_data, coarse_stride))
 
     def _gathered(field_2d: np.ndarray) -> np.ndarray:
         # Gather, then convert: float64 of the survivors, not of the swath.
@@ -246,9 +191,6 @@ def _cube_of(tiles: List[Tile]) -> np.ndarray:
 def tiles_to_dataset(
     tiles: List[Tile],
     source: str = "",
-    fidelity: Optional[str] = None,
-    coarse_stride: int = 1,
-    source_files: Optional[Dict[str, str]] = None,
 ) -> Dataset:
     """Pack tiles into the workflow's NetCDF tile-file layout.
 
@@ -256,12 +198,6 @@ def tiles_to_dataset(
     AICCA derives from MOD06.  Labels (when present) are stored as int32
     with -1 meaning "not yet classified" — the inference stage appends
     real labels in place of that placeholder.
-
-    The fidelity attributes (``fidelity``, ``coarse_stride``,
-    ``source_files``) are stamped only when a fidelity is declared, so a
-    classic full-fidelity run stays byte-identical to the golden corpus.
-    ``source_files`` (product -> path) lets the refinement path reopen
-    the scene a coarse tile file came from.
     """
     if not tiles:
         raise ValueError("cannot build a dataset from zero tiles")
@@ -311,12 +247,4 @@ def tiles_to_dataset(
     )
     ds.set_attr("source_granule", source or (tiles[0].source or "unknown"))
     ds.set_attr("num_tiles", len(tiles))
-    if fidelity is not None:
-        ds.set_attr("fidelity", fidelity)
-        ds.set_attr("coarse_stride", int(coarse_stride))
-        if source_files:
-            ds.set_attr(
-                "source_files",
-                ";".join(f"{k}={v}" for k, v in sorted(source_files.items())),
-            )
     return ds

@@ -105,15 +105,6 @@ class AICCAModel:
         """
         return self.clustering.predict(self.autoencoder.encode(tiles))
 
-    def assign_with_margin(self, tiles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Labels plus per-tile assignment margins (centroid-gap).
-
-        The margin quantifies how decisively a tile landed in its class;
-        the progressive-fidelity pass refines only tiles whose margin
-        falls below ``inference.refine_threshold``.
-        """
-        return self.clustering.predict_with_margin(self.autoencoder.encode(tiles))
-
     def evaluate(
         self,
         tiles: np.ndarray,

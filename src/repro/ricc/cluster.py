@@ -154,19 +154,6 @@ class AgglomerativeClustering:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Nearest-centroid assignment for new points (the AICCA
         label-assignment stage runs exactly this against frozen centroids)."""
-        labels, _ = self.predict_with_margin(x)
-        return labels
-
-    def predict_with_margin(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Nearest-centroid labels plus each point's assignment margin.
-
-        The margin is the Euclidean-distance gap between the second-
-        nearest and the nearest centroid: near zero the point sits on a
-        decision boundary and its label is fragile — the signal the
-        progressive-fidelity ladder uses to decide which coarse tiles
-        deserve a full-resolution second pass.  With a single centroid
-        every margin is infinite (there is no boundary to be near).
-        """
         if self.centroids_ is None:
             raise RuntimeError("predict before fit")
         x = np.asarray(x, dtype=np.float64)
@@ -175,8 +162,4 @@ class AgglomerativeClustering:
                 f"expected (N, {self.centroids_.shape[1]}) data, got {x.shape}"
             )
         d = ((x[:, None, :] - self.centroids_[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d, axis=1)
-        if d.shape[1] < 2:
-            return labels, np.full(x.shape[0], np.inf)
-        nearest_two = np.sqrt(np.partition(d, 1, axis=1)[:, :2])
-        return labels, nearest_two[:, 1] - nearest_two[:, 0]
+        return np.argmin(d, axis=1)

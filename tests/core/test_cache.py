@@ -72,8 +72,8 @@ def tile_records(cas_dir):
     return records
 
 
-def cached_config(root, cas_dir, chaos=None, streaming=False, fidelity=None,
-                  workers=None, model_path=None):
+def cached_config(root, cas_dir, chaos=None, streaming=False, workers=None,
+                  model_path=None):
     raw = build_raw_config(str(root), _GOLDEN["granules"])
     raw["cache"] = {"enabled": True, "dir": str(cas_dir)}
     if model_path is not None:
@@ -84,10 +84,6 @@ def cached_config(root, cas_dir, chaos=None, streaming=False, fidelity=None,
         raw["runtime"] = {"stream": {"enabled": True}}
     if workers is not None:
         raw["runtime"] = dict(raw.get("runtime", {}), workers=workers)
-    if fidelity is not None:
-        stride, threshold = fidelity
-        raw["preprocess"] = dict(raw.get("preprocess", {}), coarse_stride=stride)
-        raw["inference"] = dict(raw["inference"], refine_threshold=threshold)
     return load_config(raw)
 
 
@@ -119,17 +115,16 @@ def warm_cas(cold_run):
 
 @pytest.fixture
 def model_calls(monkeypatch):
-    """Every ``assign`` the model is asked for, as (name, tile count),
+    """Every ``assign`` the model is asked for, as its tile count,
     recorded and then served."""
     calls = []
-    for name in ("assign", "assign_with_margin"):
-        real = getattr(AICCAModel, name)
+    real = AICCAModel.assign
 
-        def spy(self, tiles, name=name, real=real):
-            calls.append((name, len(tiles)))
-            return real(self, tiles)
+    def spy(self, tiles):
+        calls.append(len(tiles))
+        return real(self, tiles)
 
-        monkeypatch.setattr(AICCAModel, name, spy)
+    monkeypatch.setattr(AICCAModel, "assign", spy)
     return calls
 
 
@@ -141,7 +136,6 @@ def no_model(monkeypatch):
         raise AssertionError("a warm run asked the model for labels")
 
     monkeypatch.setattr(AICCAModel, "assign", spy)
-    monkeypatch.setattr(AICCAModel, "assign_with_margin", spy)
 
 
 class TestGoldenIdentity:
@@ -237,17 +231,19 @@ class TestChaosSurfaces:
         # Every file was labelled again (micro-batching may fuse files
         # into one call), stored again, and shipped golden.
         assert report.cache["inference_cached"] == 0
-        assert sum(tiles for _, tiles in model_calls) == report.labelled_tiles
+        assert sum(model_calls) == report.labelled_tiles
         assert delivered_digests(config.destination) == _GOLDEN["files"]
         _, again = run_cached(tmp_path / "again", cas_dir)
         assert again.cache["inference_cached"] == len(again.inference)
 
+    @pytest.mark.parametrize("workers", [None, 2], ids=["inline", "pool2"])
     def test_corrupt_tile_and_granule_objects_are_staged_in_from_the_archive(
-        self, tmp_path, cold_run, warm_cas
+        self, tmp_path, cold_run, warm_cas, workers
     ):
         """One scene's tile object and granule objects rotted: preprocess
         misses, its stage-in quarantines each granule object as it is
-        read, fetches the granule again, and the corpus ships golden."""
+        read, fetches the granule again — bytes the report counts as
+        fetched, wherever preprocess ran — and the corpus ships golden."""
         config, _ = cold_run
         cas_dir, _ = warm_cas
         scenes = {}
@@ -267,9 +263,12 @@ class TestChaosSurfaces:
                 for digest in rotted
             ],
         }
-        warm, report = run_cached(tmp_path, cas_dir, chaos=chaos)
+        warm, report = run_cached(tmp_path, cas_dir, chaos=chaos, workers=workers)
         assert report.errors == []
         assert report.cache["corrupt_evictions"] == len(rotted)
+        refetched = sum(os.path.getsize(path) for path in scenes[scene])
+        assert report.download.fetched_bytes == refetched
+        assert report.cache["fetched_bytes"] == refetched
         assert set(rotted) <= set(os.listdir(os.path.join(cas_dir, "quarantine")))
         # Only that scene's granules were staged in, each fetched again.
         assert sorted(os.listdir(warm.staging)) == sorted(
@@ -420,19 +419,6 @@ class TestCrashResume:
         assert pooled.cache["hits"] > 0
         assert pooled.cache["misses"] == 0
         assert pooled.cache["bytes_saved"] > 0
-
-    def test_pool_workers_report_their_refined_tiles(self, tmp_path):
-        cas_dir = tmp_path / "cas"
-        # Refine every tile: the margin is always below each threshold.
-        # A threshold of its own per run keeps the runs off each other's
-        # labels (it is part of that key), so each one labels and refines.
-        _, cold = run_cached(tmp_path / "a", cas_dir, fidelity=(2, 1e9))
-        _, single = run_cached(tmp_path / "b", cas_dir, fidelity=(2, 2e9))
-        _, pooled = run_cached(tmp_path / "c", cas_dir, fidelity=(2, 3e9), workers=2)
-        assert cold.errors == single.errors == pooled.errors == []
-        assert single.cache["inference_cached"] == pooled.cache["inference_cached"] == 0
-        assert pooled.cache["refined_tiles"] == single.cache["refined_tiles"] > 0
-        assert pooled.cache["hits"] > 0 and pooled.cache["misses"] == 0
 
 
 class TestPooledKeys:
@@ -633,17 +619,6 @@ class TestLabelsKey:
         assert not result.cached and len(model_calls) == 2
         assert sha == _GOLDEN["files"][os.path.basename(other)]
 
-    def test_changed_refine_threshold_misses(self, staged, model_calls):
-        config, (path, _), cas = staged
-        _, plain_sha = self.label(config, cas, path)
-        # No margin is below zero, so nothing is refined and the bytes
-        # are the same — but the knob is part of the key.
-        knob = dataclasses.replace(config, refine_threshold=0.0)
-        result, sha = self.label(knob, cas, path)
-        assert not result.cached and len(model_calls) == 2
-        assert sha == plain_sha
-        assert self.label(knob, cas, path)[0].cached
-
     def test_a_hit_is_journaled_and_resumes_like_a_computed_file(
         self, staged, tmp_path, model_calls
     ):
@@ -689,78 +664,3 @@ class TestLabelsKey:
             assert tag == "result" and not result.cached
         assert len(model_calls) == 2
         assert cas.counters()["stores"] == cas.counters()["key_misses"] == 0
-
-
-class TestProgressiveFidelity:
-    def test_refinement_is_deterministic_across_cache_states(
-        self, tmp_path
-    ):
-        """Coarse-first + refine produces the same corpus cold, warm, and
-        relabelled from a warm store."""
-        cas_dir = tmp_path / "cas"
-        fidelity = (2, 1e9)  # refine every tile: margin always below 1e9
-        config_a, report_a = run_cached(
-            tmp_path / "a", cas_dir, fidelity=fidelity
-        )
-        assert report_a.errors == []
-        assert report_a.cache["refined_tiles"] > 0
-        corpus = delivered_digests(config_a.destination)
-
-        # Warm: the refined labels come out of the store, nothing is refined.
-        config_b, report_b = run_cached(
-            tmp_path / "b", cas_dir, fidelity=fidelity
-        )
-        assert report_b.errors == []
-        assert report_b.cache["inference_cached"] == len(report_b.inference) > 0
-        assert report_b.cache["refined_tiles"] == 0
-        assert delivered_digests(config_b.destination) == corpus
-
-        # A changed threshold (refining the same tiles) is another key:
-        # labelled again, the refined stacks served from the store.
-        config_c, report_c = run_cached(
-            tmp_path / "c", cas_dir, fidelity=(2, 2e9)
-        )
-        assert report_c.errors == []
-        assert report_c.cache["inference_cached"] == 0
-        assert report_c.cache["refined_tiles"] == report_a.cache["refined_tiles"]
-        assert report_c.cache["misses"] == 0
-        assert delivered_digests(config_c.destination) == corpus
-
-    def test_warm_run_with_a_new_threshold_refines_through_stage_in(self, tmp_path):
-        """Tiles hit, labels miss: the refiner reads granules nothing has
-        staged, so it stages them in from the store, and ships what a
-        cache-off run at that threshold ships.  Coarse tile files stamp
-        their granules' paths, so the three runs share one run directory,
-        emptied in between."""
-        root, cas_dir = tmp_path / "run", tmp_path / "cas"
-        # No margin is below zero: the cold run refines nothing.
-        _, cold = run_cached(root, cas_dir, fidelity=(2, 0.0))
-        assert cold.errors == [] and cold.cache["refined_tiles"] == 0
-        shutil.rmtree(root)
-
-        config, warm = run_cached(root, cas_dir, fidelity=(2, 1e9))
-        assert warm.errors == []
-        assert warm.cache["preprocess_cached"] > 0
-        assert warm.cache["inference_cached"] == 0
-        assert warm.cache["refined_tiles"] > 0 and warm.cache["fetched_bytes"] == 0
-        assert os.listdir(config.staging)  # staged in to be read
-        corpus = delivered_digests(config.destination)
-        shutil.rmtree(root)
-
-        raw = build_raw_config(str(root), _GOLDEN["granules"])
-        raw["preprocess"] = dict(raw.get("preprocess", {}), coarse_stride=2)
-        raw["inference"] = dict(raw["inference"], refine_threshold=1e9)
-        plain = load_config(raw)
-        report = EOMLWorkflow(
-            plain, archive=LaadsArchive(seed=_GOLDEN["seed"], swath=MINI_SWATH)
-        ).run(provenance=False)
-        assert report.errors == [] and report.cache["refined_tiles"] > 0
-        assert delivered_digests(plain.destination) == corpus
-
-    def test_default_fidelity_knobs_preserve_the_golden_corpus(self, tmp_path):
-        # coarse_stride=1 / refine_threshold=None is the pinned default:
-        # the golden corpus asserts it in TestGoldenIdentity; here we pin
-        # the config surface so a default drift is caught loudly.
-        config = cached_config(tmp_path, tmp_path / "cas")
-        assert config.coarse_stride == 1
-        assert config.refine_threshold is None

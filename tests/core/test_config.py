@@ -66,8 +66,17 @@ class TestLoadConfig:
             load_config("archive:\n  start_date: 2022-01-01\n  products: [MOD99]\n")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown keys"):
-            load_config("archive:\n  start_date: 2022-01-01\n  tiem_span: oops\n")
+        # A typo, and the two progressive-fidelity knobs that are gone:
+        # an old config naming one fails loudly instead of being ignored.
+        for section, key, value in [
+            ("archive", "tiem_span", "oops"),
+            ("preprocess", "coarse_stride", 2),
+            ("inference", "refine_threshold", 0.1),
+        ]:
+            raw = {"archive": {"start_date": "2022-01-01"}}
+            raw[section] = dict(raw.get(section, {}), **{key: value})
+            with pytest.raises(ConfigError, match=rf"^{section}: unknown keys \['{key}'\]"):
+                load_config(raw)
 
     def test_bad_worker_count(self):
         with pytest.raises(ConfigError, match="positive"):

@@ -346,17 +346,16 @@ class TestPartitionDocs:
 
 
 class TestCacheDocs:
-    """The CAS docs track the real store, middleware, and ladder."""
+    """The CAS docs track the real store and middleware."""
 
     def architecture(self):
         return (ROOT / "docs" / "architecture.md").read_text()
 
     def test_architecture_has_the_section(self):
         text = self.architecture()
-        assert "## Content-addressed cache & progressive fidelity" in text
+        assert "## Content-addressed cache\n" in text
         # The operational pieces the section promises.
-        for needle in ("atomic publish", "quarantine", "budget_bytes",
-                       "coarse_stride", "refine_threshold", "pin",
+        for needle in ("atomic publish", "quarantine", "budget_bytes", "pin",
                        "repro cache stats", "repro cache gc",
                        "cache_corrupt", "cache_enospc"):
             assert needle in text, f"cache docs missing {needle!r}"
@@ -366,21 +365,22 @@ class TestCacheDocs:
 
     def test_key_grammar_matches_the_code(self):
         """The documented key prefixes are the ones the glue emits."""
-        from repro.core.artifact_cache import granule_key, tiles_key
+        from repro.core.artifact_cache import granule_key, labels_key, tiles_key
 
         class _Cfg:
             instrument, seed = "modis", 3
 
         assert granule_key(_Cfg, "a.hdf").startswith("granule:")
-        assert tiles_key("modis", "s", 128, 0.3, 0.5, 1, []).startswith("tiles:")
+        assert tiles_key("modis", "s", 128, 0.3, 0.5, []).startswith("tiles:")
+        assert labels_key("ricc", "d", 42, "RICC/AICCA", "t").startswith("labels:")
         text = self.architecture()
-        for prefix in ("granule:", "tiles:", "refined:"):
+        for prefix in ("granule:", "tiles:", "labels:"):
             assert f"`{prefix}" in text, f"key prefix {prefix!r} undocumented"
 
     def test_readme_and_design_point_at_the_section(self):
         readme = (ROOT / "README.md").read_text()
         assert "`repro.cas`" in readme
-        assert "Content-addressed cache & progressive fidelity" in readme
+        assert '"Content-addressed cache" in docs/architecture.md' in readme
         assert "Content-addressed cache" in (ROOT / "DESIGN.md").read_text()
 
     def test_cli_exposes_cache_subcommands(self):
