@@ -219,26 +219,6 @@ class CASStore:
             self._note("store_errors")
             return None
 
-    def store_bytes(self, payload: bytes, digest: str) -> Optional[str]:
-        """Publish an in-memory payload whose digest is already known."""
-        try:
-            if self.has(digest):
-                self._note("dedup_stores")
-                return digest
-            self._chaos_enospc(digest)
-            final_path = self._object_path(digest)
-            os.makedirs(os.path.dirname(final_path), exist_ok=True)
-            with self._temp(final_path) as temp_path:
-                with open(temp_path, "wb") as handle:
-                    handle.write(payload)
-                    if self.durable:
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                return self._publish(temp_path, digest, len(payload))
-        except OSError:
-            self._note("store_errors")
-            return None
-
     def _adopt(self, path: str, claimed: str, temp_path: str) -> Optional[int]:
         """Hardlink ``path`` to ``temp_path`` if it is provably the inode
         whose bytes hashed to ``claimed``; returns its size, or ``None``
@@ -347,35 +327,6 @@ class CASStore:
         self._note("hits")
         self._note("bytes_saved", nbytes)
         return nbytes
-
-    def load_bytes(self, digest: str) -> Optional[bytes]:
-        """Read an object into memory, digest-verified like materialize.
-
-        Same contract as :meth:`materialize`: a damaged object is
-        quarantined and reported as a miss, never handed out.
-        """
-        obj = self._object_path(digest)
-        if not os.path.isfile(obj):
-            self._note("misses")
-            return None
-        try:
-            self._chaos_corrupt(digest, obj)
-            with open(obj, "rb") as handle:
-                payload = handle.read()
-        except OSError:
-            self._note("misses")
-            return None
-        import hashlib
-
-        if hashlib.sha256(payload).hexdigest() != digest:
-            self._quarantine(digest, obj)
-            self._note("corrupt_evictions")
-            self._note("misses")
-            return None
-        self._touch(obj)
-        self._note("hits")
-        self._note("bytes_saved", len(payload))
-        return payload
 
     @staticmethod
     def _touch(obj: str) -> None:

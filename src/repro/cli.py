@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--repeats", type=int, default=3)
 
     catalog = sub.add_parser("catalog", help="query an instrument's archive model")
-    catalog.add_argument("product", help="e.g. MOD02, MOD03, MOD06 (or ABI-L1b for --instrument abi)")
+    catalog.add_argument("product", help="e.g. MOD02, MOD03, MOD06")
     catalog.add_argument("date", help="ISO date, e.g. 2022-01-01")
     catalog.add_argument("--limit", type=int, default=10)
     catalog.add_argument("--instrument", default="modis",
@@ -175,11 +175,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, runtime_workers=args.workers)
     print(f"running workflow {config.name!r} "
           f"({config.start_date} .. {config.end_date}, products {config.products})")
-    if len(config.instruments) > 1 or len(config.models) > 1:
-        from repro.core.branches import expand_branches
-
-        branches = [f"{inst}+{mdl}" for inst, mdl in expand_branches(config)]
-        print(f"fan-out:    {len(branches)} branch(es): {', '.join(branches)}")
     if config.chaos is not None and config.chaos.active:
         print(f"chaos:      seed {config.chaos.seed}, "
               f"{len(config.chaos.faults)} fault spec(s) over stages "

@@ -16,7 +16,7 @@ Key grammar (all digests are SHA-256 hex):
     a preprocess output, keyed by the tiler parameters and the sorted
     digests of the *input* granule files — a changed input or knob can
     never replay a stale tile file.
-``labels:<model name>:<model file digest>:nc=..:by=..:in=<tile file digest>``
+``labels:ricc:<model file digest>:nc=..:by=RICC/AICCA:in=<tile file digest>``
     a labelled file, keyed by everything that decides its bytes: the
     model (by the content of its persisted file), the class count and
     attribution it stamps, and the digest of the tile file it labels.
@@ -41,7 +41,12 @@ __all__ = [
     "tiles_key",
     "labels_key",
     "input_digest",
+    "CLASSIFIED_BY",
 ]
+
+# The attribution every labelled file's label column carries
+# (``classified_by``), which the ``labels:`` key spells too.
+CLASSIFIED_BY = "RICC/AICCA"
 
 # ``DownloadStage.stage_in``'s shape, for the readers that hold it:
 # (product -> path, product -> sha256 or None) -> product -> readable path.
@@ -96,16 +101,10 @@ def tiles_key(
     )
 
 
-def labels_key(
-    model_name: str,
-    model_digest: str,
-    num_classes: int,
-    attribution: str,
-    tile_digest: str,
-) -> str:
+def labels_key(model_digest: str, num_classes: int, tile_digest: str) -> str:
     """Logical key of one tile file's labelled output."""
     return (
-        f"labels:{model_name}:{model_digest}:nc={num_classes}:by={attribution}"
+        f"labels:ricc:{model_digest}:nc={num_classes}:by={CLASSIFIED_BY}"
         f":in={tile_digest}"
     )
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 import datetime as dt
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.chaos.plan import FaultPlan
 from repro.instruments.base import OCEAN_CLOUD_THRESHOLD
-from repro.instruments.registry import get_instrument, get_model
+from repro.instruments.registry import get_instrument
 from repro.net.retry import BackoffPolicy
 from repro.runtime.channel import DEFAULT_CAPACITY, StreamConfig
 from repro.runtime.elastic import ElasticPolicy
@@ -53,13 +53,9 @@ def _fraction(value: Any) -> float:
 _ARCHIVE = Schema(
     "archive",
     [
-        # Which registered instrument(s) feed the plan.  ``instrument``
-        # is the common single-source spelling; ``instruments`` (a list)
-        # takes precedence and, with more than one entry, fans the plan
-        # out per instrument.  ``products`` applies to the *primary*
-        # (first) instrument; other instruments use their defaults.
+        # Which registered instrument feeds the plan; ``products`` names
+        # its files (unset: the instrument's default scene composition).
         Field("instrument", string, required=False, default="modis"),
-        Field("instruments", string_list, required=False, default=None),
         Field("products", string_list, required=False, default=None),
         Field("start_date", _date),
         Field("end_date", _date, required=False, default=None),
@@ -132,12 +128,6 @@ _INFERENCE = Schema(
     "inference",
     [
         Field("workers", positive_int, required=False, default=1),
-        # Which registered label model(s) run over the tiles.  ``model``
-        # is the single-model spelling; ``models`` (a list) takes
-        # precedence and, with more than one entry, fans the plan out
-        # per instrument x model.
-        Field("model", string, required=False, default="ricc"),
-        Field("models", string_list, required=False, default=None),
         Field("num_classes", positive_int, required=False, default=42),
         Field("model_path", string, required=False, default=None),
         Field("poll_interval", number, required=False, default=0.2),
@@ -254,16 +244,8 @@ class EOMLConfig:
     model_path: Optional[str]
     poll_interval: float
     ship: bool
-    # Pluggable instruments & models (repro.instruments): which
-    # registered instruments feed the plan and which label models run
-    # over each instrument's tiles.  Single entries keep the classic
-    # one-branch pipeline byte-identical; multiple entries fan the plan
-    # out into one branch per instrument x model (core.branches).
-    instruments: Tuple[str, ...] = ("modis",)
-    models: Tuple[str, ...] = ("ricc",)
-    # The branch tag of a derived per-branch config: the instrument
-    # name, or "<instrument>+<model>"; "" on the root config.
-    branch: str = ""
+    # The registered data source (repro.instruments) the stages drive.
+    instrument: str = "modis"
     quarantine: str = "data/quarantine"
     # Upper bound on queued tile files fused into one encoder/assign
     # call by the inference micro-batcher (1 disables cross-file fusion).
@@ -300,16 +282,6 @@ class EOMLConfig:
     chaos: Optional[FaultPlan] = None
     raw: Dict[str, Any] = field(default_factory=dict, compare=False)
 
-    @property
-    def instrument(self) -> str:
-        """The primary instrument (the one ``products`` applies to)."""
-        return self.instruments[0]
-
-    @property
-    def model_name(self) -> str:
-        """The primary label model."""
-        return self.models[0]
-
 
 def load_config(source: Mapping[str, Any] | str) -> EOMLConfig:
     """Parse a YAML string or pre-parsed mapping into an EOMLConfig."""
@@ -345,40 +317,21 @@ def load_config(source: Mapping[str, Any] | str) -> EOMLConfig:
     if inference["poll_interval"] <= 0:
         raise ConfigError("inference.poll_interval", "must be positive")
 
-    # Resolve instruments and models through the registries: unknown
-    # names fail here (with the available set in the message), not deep
-    # inside a stage.  Duplicates collapse, order is preserved.
-    instrument_key = "archive.instruments" if archive["instruments"] else "archive.instrument"
-    instrument_names = list(
-        dict.fromkeys(archive["instruments"] or [archive["instrument"]])
-    )
-    if not instrument_names:
-        raise ConfigError("archive.instruments", "at least one instrument is required")
+    # Resolve the instrument through the registry: an unknown name fails
+    # here (with the available set in the message), not deep inside a
+    # stage.
     try:
-        resolved_instruments = [get_instrument(name) for name in instrument_names]
+        instrument = get_instrument(archive["instrument"])
     except KeyError as exc:
-        raise ConfigError(instrument_key, str(exc).strip('"')) from exc
-    primary = resolved_instruments[0]
+        raise ConfigError("archive.instrument", str(exc).strip('"')) from exc
 
-    model_key = "inference.models" if inference["models"] else "inference.model"
-    model_names = list(dict.fromkeys(inference["models"] or [inference["model"]]))
-    if not model_names:
-        raise ConfigError("inference.models", "at least one model is required")
-    try:
-        for name in model_names:
-            get_model(name)
-    except KeyError as exc:
-        raise ConfigError(model_key, str(exc).strip('"')) from exc
-
-    # ``products`` names files of the *primary* instrument; unset means
-    # the instrument's default scene composition.
     if archive["products"] is None:
-        products = list(primary.default_products)
+        products = list(instrument.default_products)
     else:
         if not archive["products"]:
             raise ConfigError("archive.products", "at least one product is required")
         try:
-            products = [primary.resolve_product(name) for name in archive["products"]]
+            products = [instrument.resolve_product(name) for name in archive["products"]]
         except KeyError as exc:
             raise ConfigError("archive.products", str(exc).strip('"')) from exc
 
@@ -400,8 +353,7 @@ def load_config(source: Mapping[str, Any] | str) -> EOMLConfig:
     return EOMLConfig(
         name=top["name"],
         products=products,
-        instruments=tuple(instrument_names),
-        models=tuple(model_names),
+        instrument=archive["instrument"],
         start_date=archive["start_date"],
         end_date=end_date,
         max_granules_per_day=archive["max_granules_per_day"],

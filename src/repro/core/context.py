@@ -32,13 +32,17 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.chaos import build_injector
 from repro.core.artifact_cache import open_store
-from repro.core.branches import model_slot
 from repro.core.config import EOMLConfig
 from repro.journal import WorkflowJournal
 from repro.runtime import build_executor
 from repro.runtime.proc import ProcWorkerPool, WorkEnvelope
 
-__all__ = ["RunContext", "open_run"]
+__all__ = ["MODEL_JOURNAL_KEY", "MODEL_FILE", "RunContext", "open_run"]
+
+# The bootstrapped model's journal key and its file in the journal
+# directory.
+MODEL_JOURNAL_KEY = "aicca-model"
+MODEL_FILE = "model.npz"
 
 
 class RunContext:
@@ -99,18 +103,15 @@ class RunContext:
         return threads.submit(stage.execute, payload)
 
     def model_path(self, config: EOMLConfig) -> Optional[str]:
-        """Where the model of ``config``'s branch persists.
+        """Where the run's model persists.
 
         Without an explicit ``inference.model_path`` the journal directory
-        hosts it, so a resumed run reloads instead of retraining.  Fan-out
-        branch configs never carry a ``model_path`` (it names *one* model
-        file), so their models always live in the journal directory, one
-        file per branch tag.
+        hosts it, so a resumed run reloads instead of retraining.
         """
         if config.model_path:
             return config.model_path
         if self.journal is not None:
-            return os.path.join(self.journal.directory, model_slot(config.branch)[1])
+            return os.path.join(self.journal.directory, MODEL_FILE)
         return None
 
     def counters(self) -> Dict[str, float]:
@@ -150,10 +151,10 @@ def open_run(config: EOMLConfig, resume: bool, chaos: Any = None) -> RunContext:
     ledger spans units); by default the config's plan is built — ``None``
     when absent or disabled, and every stage hook then degenerates to
     the exact production path.  The store handle (``None`` with caching
-    off) is this process's own on the *shared* CAS directory — branch
-    configs inherit the root ``cache_dir`` and the store's atomic publish
-    protocol makes concurrent handles safe, so the driver, its pool
-    workers and co-located agents dedupe into one object space.
+    off) is this process's own on the *shared* CAS directory — the
+    store's atomic publish protocol makes concurrent handles safe, so the
+    driver, its pool workers and co-located agents dedupe into one
+    object space.
 
     ``resume`` replays a dead run's journal and turns every stage into
     an idempotent consumer.  Pool workers and leased agents always pass

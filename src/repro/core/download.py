@@ -37,7 +37,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.chaos.surfaces import ChaosArchive, chaos_atomic_write
 from repro.core.artifact_cache import granule_key
-from repro.core.branches import unit_name
 from repro.core.config import EOMLConfig
 from repro.core.context import RunContext
 from repro.instruments.registry import get_instrument
@@ -120,6 +119,8 @@ class DownloadReport:
 class DownloadStage:
     """Parallel downloads: one submitted unit per granule file."""
 
+    kind = "download"
+
     def __init__(
         self,
         config: EOMLConfig,
@@ -131,9 +132,6 @@ class DownloadStage:
         instrument = get_instrument(config.instrument)
         self.archive = archive or instrument.build_archive(seed=config.seed)
         self._host = instrument.archive_host
-        # The unit kind carries the branch tag, so whoever executes a
-        # unit resolves the right per-instrument slice ("" = bare kind).
-        self.kind = unit_name("download", config.branch)
         self.workers = config.workers.download
         if self.ctx.chaos is not None:
             self.archive = ChaosArchive(
@@ -412,7 +410,7 @@ class DownloadStage:
         settled_products: Dict[str, int] = {}
         total_bytes = 0
         files = 0
-        per_file = []
+        file_seconds = []
         skipped = 0
         resumed = 0
         cached = 0
@@ -443,7 +441,7 @@ class DownloadStage:
                     digests.setdefault(scene_key, {})[ref.gid.product] = digest
                 files += 1
                 total_bytes += nbytes
-                per_file.append(seconds)
+                file_seconds.append(seconds)
                 skipped += outcome == "skipped"
                 resumed += outcome == "resumed"
                 cached += outcome == "cached"
@@ -475,7 +473,7 @@ class DownloadStage:
             files=files,
             nbytes=total_bytes,
             seconds=time.monotonic() - started,
-            per_file_seconds=per_file,
+            per_file_seconds=file_seconds,
             skipped=skipped,
             resumed=resumed,
             cached=cached,

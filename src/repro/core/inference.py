@@ -32,8 +32,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 import numpy as np
 
 from repro.chaos.surfaces import chaos_crash
-from repro.core.artifact_cache import input_digest, labels_key
-from repro.core.branches import key_prefix, unit_name
+from repro.core.artifact_cache import CLASSIFIED_BY, input_digest, labels_key
 from repro.core.config import EOMLConfig
 from repro.core.context import RunContext
 from repro.core.contracts import TILE_FILE
@@ -74,20 +73,17 @@ def _labelled_chunks(
     raw: Buffer,
     labels: np.ndarray,
     num_classes: int,
-    attribution: str = "RICC/AICCA",
 ) -> Iterator[Buffer]:
     """Give ``ds`` its ``labels`` and serialize, as chunks in file order.
 
     When ``raw`` (the mapped tile file ``ds`` was parsed from) is the
     canonical serialization, only the header and the label column are
     rewritten and the unchanged radiance bytes are spliced through
-    verbatim from the map, a bounded buffer at a time.  The
-    ``aicca_classes`` attribute name is the published LABELLED_TILE_FILE
-    contract and stays fixed regardless of which model classified.
+    verbatim from the map, a bounded buffer at a time.
     """
     layout = canonical_layout(ds, raw)
     ds["label"].data = labels.astype(ds["label"].data.dtype)
-    ds["label"].set_attr("classified_by", attribution)
+    ds["label"].set_attr("classified_by", CLASSIFIED_BY)
     ds.set_attr("aicca_classes", int(num_classes))
     if layout is not None:
         return splice_chunks(ds, raw, layout, ("label",))
@@ -162,6 +158,8 @@ class InferenceWorker:
     crawler-visible partial never stalls the stage.
     """
 
+    kind = "inference"
+
     def __init__(
         self,
         model: Any,
@@ -175,14 +173,6 @@ class InferenceWorker:
         self._on_result = on_result
         self.config = config
         self.ctx = ctx or RunContext()
-        self._attribution = getattr(model, "attribution", "RICC/AICCA")
-        # Fan-out plans share one journal across branches; the per-branch
-        # key prefix ("<instrument>+<model>:") keeps same-named tile files
-        # from colliding in it.  "" preserves the classic key namespace.
-        self.key_prefix = key_prefix(config.branch)
-        # The unit kind carries the branch tag, so whoever executes a
-        # unit resolves the right per-branch slice ("" = bare kind).
-        self.kind = unit_name("inference", config.branch)
         # How a copy of this stage in another process obtains the model:
         # the persisted file when one exists (loaded once per process),
         # else the object itself rides with the unit.
@@ -324,8 +314,8 @@ class InferenceWorker:
         if self._model_digest is None:
             self._model_digest = input_digest(self._model_source[1], journal=journal)
         return labels_key(
-            self.config.model_name, self._model_digest, self.model.num_classes,
-            self._attribution, input_digest(path, journal=journal),
+            self._model_digest, self.model.num_classes,
+            input_digest(path, journal=journal),
         )
 
     def _parse_unit(self, path: str) -> WorkUnit:
@@ -341,7 +331,7 @@ class InferenceWorker:
         tile file is never mapped.  A model with no persisted file has
         no content to key on and is never cached.
         """
-        key = self.key_prefix + os.path.basename(path)
+        key = os.path.basename(path)
         cache_key: List[str] = []
 
         def body(ctx) -> _ParsedFile:
@@ -397,15 +387,11 @@ class InferenceWorker:
                 labels if labels is not None else self.model.assign(entry.radiance)
             )
             chunks = _labelled_chunks(
-                entry.ds, entry.raw, file_labels, self.model.num_classes,
-                attribution=self._attribution,
+                entry.ds, entry.raw, file_labels, self.model.num_classes
             )
             # Injected death in the window between labelling and
             # publication — resume must redo this file from its tile.
-            chaos_crash(
-                self.ctx.chaos, "inference",
-                self.key_prefix + os.path.basename(entry.path),
-            )
+            chaos_crash(self.ctx.chaos, "inference", os.path.basename(entry.path))
             out_path, nbytes, digest = _publish(
                 chunks, entry.path, self.config.transfer_out, durable=self._durable
             )
@@ -440,7 +426,7 @@ class InferenceWorker:
 
         return WorkUnit(
             stage="inference",
-            key=self.key_prefix + os.path.basename(entry.path),
+            key=os.path.basename(entry.path),
             body=body,
             journal_phase="close",
             stall=False,

@@ -28,7 +28,6 @@ from typing import Deque, Iterable, List, Optional
 
 from repro.chaos.surfaces import chaos_atomic_write
 from repro.core.artifact_cache import StageIn, input_digest, on_disk, tiles_key
-from repro.core.branches import unit_name
 from repro.core.config import EOMLConfig
 from repro.core.context import RunContext
 from repro.core.download import GranuleSet
@@ -98,6 +97,8 @@ class PreprocessReport:
 class PreprocessStage:
     """Tile granule sets: one submitted unit per scene."""
 
+    kind = "preprocess"
+
     def __init__(
         self,
         config: EOMLConfig,
@@ -108,9 +109,6 @@ class PreprocessStage:
         self.ctx = ctx or RunContext()
         # The download stage's stage_in (on_disk: every granule is staged).
         self.stage_in = stage_in
-        # The unit kind carries the branch tag, so whoever executes a
-        # unit resolves the right per-instrument slice ("" = bare kind).
-        self.kind = unit_name("preprocess", config.branch)
         self.workers = config.workers.preprocess
 
     def _unit_for(self, granules: GranuleSet) -> WorkUnit:

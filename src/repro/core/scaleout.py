@@ -24,13 +24,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional
 
-from repro.core.branches import instrument_config, unit_name, unit_slice
 from repro.core.config import EOMLConfig, load_config
 from repro.core.context import open_run
 from repro.core.download import DownloadStage
 from repro.core.inference import InferenceWorker
 from repro.core.preprocess import PreprocessStage
-from repro.instruments.registry import get_model
+from repro.ricc.aicca import AICCAModel
 from repro.runtime.elastic import ElasticPolicy
 from repro.runtime.proc import ProcWorkerPool, WorkEnvelope, WorkerSpec
 
@@ -69,34 +68,24 @@ class StageWorker:
         self._stages: Dict[str, Any] = {}
 
     def _build(self, kind: str, payload: Any) -> Any:
-        """This process's copy of the stage ``kind`` names, on the config
-        slice :func:`~repro.core.branches.unit_slice` resolves — the same
-        function the drivers use, so sharded work can never disagree
+        """This process's copy of the stage ``kind`` names, on the same
+        config the driver resolved, so sharded work can never disagree
         with the in-process plan about paths or knobs."""
-        base, _tag, cfg = unit_slice(self.config, kind)
-        if base == "download":
-            # An injected archive only stands in for the *primary*
-            # instrument (it was built for one instrument's granule
-            # grammar); other branches build theirs from the registry.
-            primary = cfg.instrument == self.config.instruments[0]
-            return DownloadStage(
-                cfg, self.ctx, archive=self.archive if primary else None
-            )
-        if base == "preprocess":
+        if kind == "download":
+            return DownloadStage(self.config, self.ctx, archive=self.archive)
+        if kind == "preprocess":
             # The reader stages granules in through this process's copy
-            # of the instrument's download stage.
-            download = self._stage(
-                unit_name("download", instrument_config(self.config, cfg.instrument).branch)
-            )
-            return PreprocessStage(cfg, self.ctx, stage_in=download.stage_in)
-        if base == "inference":
-            # The first unit says how to obtain the branch's model (load
-            # the persisted file, or take the pickled object); this copy
-            # of the stage then keeps it.  batch_files=1 keeps per-file
+            # of the download stage.
+            download = self._stage("download")
+            return PreprocessStage(self.config, self.ctx, stage_in=download.stage_in)
+        if kind == "inference":
+            # The first unit says how to obtain the model (load the
+            # persisted file, or take the pickled object); this copy of
+            # the stage then keeps it.  batch_files=1 keeps per-file
             # labels byte-identical to the in-process micro-batched path.
             mode, value = payload[1]
-            model = get_model(cfg.model_name).load(value) if mode == "path" else value
-            return InferenceWorker(model, cfg, self.ctx, batch_files=1)
+            model = AICCAModel.load(value) if mode == "path" else value
+            return InferenceWorker(model, self.config, self.ctx, batch_files=1)
         raise ValueError(f"unknown envelope kind {kind!r}")
 
     def _stage(self, kind: str, payload: Any = None) -> Any:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.chaos.surfaces import ChaosTransferClient
-from repro.core.branches import key_prefix
 from repro.core.config import EOMLConfig
 from repro.core.context import RunContext
 from repro.runtime import (
@@ -53,13 +52,9 @@ class ShipmentReport:
     resumed: int = 0                  # journaled deliveries still intact
     verified: int = 0                 # destination digests confirmed this run
     deduped: int = 0                  # satisfied without a WAN transfer (CAS)
-    # Keyed by file name; ``per_file`` tells the fan-out merge to qualify
-    # the names with the branch (branches can ship same-named files).
-    mismatches: List[str] = field(default_factory=list, metadata={"per_file": True})
+    mismatches: List[str] = field(default_factory=list)  # file names
     # file name -> SHA-256 of the delivered bytes (end-to-end identity)
-    checksums: Dict[str, str] = field(
-        default_factory=dict, metadata={"per_file": True}
-    )
+    checksums: Dict[str, str] = field(default_factory=dict)
 
 
 class ShipmentStage:
@@ -71,9 +66,6 @@ class ShipmentStage:
     ):
         self.config = config
         self.ctx = ctx or RunContext()
-        # Fan-out plans share one journal across branches; the per-branch
-        # key prefix keeps same-named labelled files from colliding in it.
-        self.key_prefix = key_prefix(config.branch)
         if client is not None:
             self.client = client
         else:
@@ -190,7 +182,7 @@ class ShipmentStage:
 
         return WorkUnit(
             stage="shipment",
-            key=self.key_prefix + name,
+            key=name,
             body=body,
             cache=CachePolicy(lookup=cache_lookup, store=cache_store),
             retry=RetrySpec(

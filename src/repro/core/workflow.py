@@ -22,9 +22,6 @@ The inference model may be supplied (a trained model instance) or
 bootstrapped: with ``model=None`` the workflow trains a small atlas on
 the first preprocessed tiles before labelling (handy for examples; a
 production run would load a model trained on the 1 M-tile corpus).
-Model types — like instruments — come from :mod:`repro.instruments`'s
-registry, and a config naming several instruments or models fans the
-plan out into per-``<instrument>+<model>`` branches.
 """
 
 from __future__ import annotations
@@ -36,33 +33,23 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.cas import CACHE_COUNTERS
-from repro.core.branches import (
-    branch_config,
-    expand_branches,
-    instrument_config,
-    is_fanout,
-    key_prefix,
-    model_slot,
-    split_unit,
-    unit_name,
-)
 from repro.core.config import EOMLConfig
-from repro.core.context import RunContext, open_run
+from repro.core.context import MODEL_JOURNAL_KEY, RunContext, open_run
 from repro.core.download import DownloadReport, DownloadStage, GranuleSet
 from repro.core.inference import InferenceResult, InferenceWorker, set_aside
 from repro.core.monitor import DirectoryCrawler
 from repro.core.preprocess import PreprocessReport, PreprocessStage, QuarantineRecord
 from repro.core.shipment import ShipmentReport, ShipmentStage
 from repro.core.timeline import StageBreakdown, WallClockTimeline
-from repro.instruments.registry import get_model
 from repro.journal import WorkflowJournal
 from repro.netcdf import read as nc_read
 from repro.provenance import ProvenanceStore
+from repro.ricc.aicca import AICCAModel
 from repro.runtime import (
     STREAMS_KEY,
     PipelinePlan,
@@ -72,7 +59,7 @@ from repro.runtime import (
 )
 from repro.runtime.proc import PoolStats
 
-__all__ = ["WorkflowReport", "EOMLWorkflow", "merge_reports"]
+__all__ = ["WorkflowReport", "EOMLWorkflow"]
 
 
 @dataclass
@@ -131,43 +118,6 @@ class WorkflowReport:
         )
 
 
-def merge_reports(tags: Sequence[str], reports: Sequence[Any]) -> Any:
-    """One stage report over every branch (the identity for one branch).
-
-    Driven by the report dataclass itself, so a new field can not be
-    dropped from fan-out reports: numbers sum, lists concatenate in
-    branch order, and an optional text (``error``) joins with ``"; "``.
-    Fields declared ``per_file`` are keyed by file name, and branches can
-    ship same-named files (two models over one instrument's tiles), so
-    their merged keys carry the branch's ``key_prefix(tag)``.  A branch
-    whose stage never ran (``None``) contributes nothing; all-``None``
-    merges to ``None``.
-    """
-    ran = [(key_prefix(tag), r) for tag, r in zip(tags, reports) if r is not None]
-    if not ran:
-        return None
-    merged: Dict[str, Any] = {}
-    for spec in dataclasses.fields(ran[0][1]):
-        values = [(prefix, getattr(report, spec.name)) for prefix, report in ran]
-        first = values[0][1]
-        if isinstance(first, dict):
-            merged[spec.name] = {
-                (prefix if spec.metadata.get("per_file") else "") + name: item
-                for prefix, value in values for name, item in value.items()
-            }
-        elif isinstance(first, list):
-            merged[spec.name] = [
-                prefix + item if spec.metadata.get("per_file") else item
-                for prefix, value in values for item in value
-            ]
-        elif all(isinstance(value, (int, float)) for _, value in values):
-            merged[spec.name] = sum(value for _, value in values)
-        else:
-            texts = [value for _, value in values if value]
-            merged[spec.name] = "; ".join(texts) if texts else None
-    return type(ran[0][1])(**merged)
-
-
 class EOMLWorkflow:
     """Five-stage orchestrator over the real local substrate."""
 
@@ -179,41 +129,43 @@ class EOMLWorkflow:
     ):
         self.config = config
         self.model = model
-        # None means "each download stage builds its instrument's archive
-        # from the registry"; an injected archive stands in for the
-        # *primary* instrument only (it speaks one granule grammar).
+        # None means "the download stage builds the instrument's archive
+        # from the registry".
         self.archive = archive
 
     # -- model bootstrap ------------------------------------------------------
 
     def _bootstrap_model(
         self,
-        config: EOMLConfig,
         stacks: List[np.ndarray],
         model_path: Optional[str],
         journal: Optional[WorkflowJournal],
-    ) -> Any:
-        """Load-or-train ``config.model_name`` through the registry;
-        ``stacks`` is the bootstrap scene's radiance, one array per file."""
-        model_type = get_model(config.model_name)
-        journal_key = model_slot(config.branch)[0]
+    ) -> AICCAModel:
+        """Load-or-train the AICCA model; ``stacks`` is the bootstrap
+        scene's radiance, one array per file."""
+        config = self.config
         if model_path and os.path.exists(model_path):
-            model = model_type.load(model_path)
+            model = AICCAModel.load(model_path)
             if journal is not None:
-                journal.complete("model", journal_key, artifact=model_path)
+                journal.complete("model", MODEL_JOURNAL_KEY, artifact=model_path)
             return model
         if not stacks:
             raise RuntimeError("no tiles available to bootstrap an AICCA model")
         tiles = np.concatenate(stacks)
         num_classes = min(config.num_classes, max(2, tiles.shape[0] // 4))
         if journal is not None:
-            journal.intent("model", journal_key)
-        model = model_type.bootstrap(tiles, num_classes=num_classes, seed=config.seed)
+            journal.intent("model", MODEL_JOURNAL_KEY)
+        # A small latent space, one hidden layer and eight epochs: quick
+        # enough for examples, and the golden corpus pins the result.
+        model, _history = AICCAModel.train(
+            tiles, num_classes=num_classes, latent_dim=8, hidden=(64,),
+            epochs=8, seed=config.seed,
+        )
         if model_path:
             os.makedirs(os.path.dirname(model_path) or ".", exist_ok=True)
             model.save(model_path)
             if journal is not None:
-                journal.complete("model", journal_key, artifact=model_path)
+                journal.complete("model", MODEL_JOURNAL_KEY, artifact=model_path)
         return model
 
     # -- the declarative plan -------------------------------------------------
@@ -224,28 +176,19 @@ class EOMLWorkflow:
         prov: Optional[ProvenanceStore] = None,
         handles: Optional[Dict[str, Any]] = None,
     ) -> PipelinePlan:
-        """The pipeline as data: nodes are stages, edges are policies.
+        """The pipeline as data: nodes are stages, edges are policies::
 
-        One graph, instantiated per instrument ``I`` (the acquisition
-        chain, on :func:`~repro.core.branches.instrument_config`'s slice)
-        and per branch ``tag = I+M`` (the labelling chain, on
-        :func:`~repro.core.branches.branch_config`'s slice)::
-
-            download@I -> model@I+M1 -> ... -> model@I+Mk -> preprocess@I
-                                                                 | overlaps
-                                        inference@tag  ->  shipment@tag
-
-        A single-instrument, single-model config is the product of size
-        one whose tag is ``""``: the same five nodes under their bare
-        names, on the root config.
+            download -> model -> preprocess
+                                     | overlaps
+                                 inference -> shipment
 
         * every ``->`` is a ``stream`` edge: each completed granule scene
           flows down the acquisition chain (``("planned", keys)`` then
-          one ``("scene", key, set-or-None)`` token per scene; a model
+          one ``("scene", key, set-or-None)`` token per scene; the model
           node bootstraps from the sorted-first tile-yielding scene, then
           relays), and labelled file names flow from inference to
           shipment;
-        * ``inference`` runs ``after`` its preprocess and model nodes, and
+        * ``inference`` runs ``after`` preprocess and the model, and
           ``overlaps = (preprocess,)`` opens the crawler + worker
           concurrency window while preprocessing runs; ``inference``'s
           own body is the drain;
@@ -259,10 +202,9 @@ class EOMLWorkflow:
 
         ``ctx`` is the run every stage executes under (journal, chaos,
         cache, and where submitted units run); ``None`` is the bare
-        context.  ``handles`` (shared with the caller) receives, under
-        ``base[@tag]`` names, the live ``downloader``/``worker``/
-        ``crawler`` objects plus the model-bootstrap bookkeeping, since
-        those outlive their nodes.
+        context.  ``handles`` (shared with the caller) receives the live
+        ``downloader``/``worker``/``crawler`` objects plus the
+        model-bootstrap bookkeeping, since those outlive their nodes.
         """
         config = self.config
         ctx = ctx or RunContext()
@@ -274,304 +216,252 @@ class EOMLWorkflow:
             else None
         )
 
-        # One download stage per instrument: it fetches, and its
-        # ``stage_in`` serves the instrument's preprocess on a ``tiles:``
-        # miss.  An injected archive speaks the primary instrument's
-        # granule grammar only.
-        downloads = {
-            inst: DownloadStage(
-                instrument_config(config, inst), ctx,
-                archive=self.archive if inst == config.instruments[0] else None,
+        # The download stage fetches, and its ``stage_in`` serves
+        # preprocess on a ``tiles:`` miss.
+        stage = handles["downloader"] = DownloadStage(config, ctx, archive=self.archive)
+        preprocess_stage = PreprocessStage(config, ctx, stage_in=stage.stage_in)
+        # Scenes the bootstrap tiled ahead of the preprocess node: scene
+        # key -> that tiling's report, in the order they ran.  (A leased
+        # preprocess unit replaces it with what its model unit consumed.)
+        handles.setdefault("heads", {})
+        ready = handles.setdefault("model_ready", threading.Event())
+
+        def run_download(state: Dict[str, Any]) -> DownloadReport:
+            emit = state[STREAMS_KEY].writer("download").put
+            download = stage.run(
+                on_planned=lambda keys: emit(("planned", list(keys))),
+                on_scene=lambda key, gs: emit(("scene", key, gs)),
             )
-            for inst in config.instruments
-        }
-        for inst, stage in downloads.items():
-            branch = instrument_config(config, inst).branch
-            handles[unit_name("downloader", branch)] = stage
-
-        def acquisition(inst: str) -> List[StageNode]:
-            """``download -> model... -> preprocess`` for one instrument."""
-            icfg = instrument_config(config, inst)
-            download_name = unit_name("download", icfg.branch)
-            preprocess_name = unit_name("preprocess", icfg.branch)
-            # Scenes the bootstrap tiled ahead of the preprocess node:
-            # scene key -> that tiling's report, in the order they ran.
-            heads_key = unit_name("heads", icfg.branch)
-            handles.setdefault(heads_key, {})
-            stage = downloads[inst]
-            preprocess_stage = PreprocessStage(icfg, ctx, stage_in=stage.stage_in)
-
-            def run_download(state: Dict[str, Any]) -> DownloadReport:
-                emit = state[STREAMS_KEY].writer(download_name).put
-                download = stage.run(
-                    on_planned=lambda keys: emit(("planned", list(keys))),
-                    on_scene=lambda key, gs: emit(("scene", key, gs)),
+            if prov:
+                activity = prov.start_activity(
+                    "download", "globus-compute", workers=config.workers.download
                 )
-                if prov:
-                    activity = prov.start_activity(
-                        "download", "globus-compute", workers=config.workers.download
-                    )
-                    prov.record_use(activity, config_entity)
-                    for granule_set in download.granule_sets:
-                        for product, path in granule_set.paths.items():
-                            prov.record_generation(
-                                activity, prov.entity("granule", path, product=product)
-                            )
-                    prov.end_activity(activity)
-                return download
+                prov.record_use(activity, config_entity)
+                for granule_set in download.granule_sets:
+                    for product, path in granule_set.paths.items():
+                        prov.record_generation(
+                            activity, prov.entity("granule", path, product=product)
+                        )
+                prov.end_activity(activity)
+            return download
 
-            def head_radiance(report: PreprocessReport) -> List[np.ndarray]:
-                """The radiance in a bootstrap candidate's tile file(s).
+        def head_radiance(report: PreprocessReport) -> List[np.ndarray]:
+            """The radiance in a bootstrap candidate's tile file(s).
 
-                A file that cannot be read (a ``corrupt_tile`` fault
-                publishes a well-named truncated one) goes down the road
-                inference sends a bad tile file: set aside in the
-                quarantine directory, and the scene's result becomes a
-                quarantine record in its report, so the run's errors and
-                counts show it and nothing downstream trips on it again.
-                """
-                stacks = []
-                for result in [r for r in report.results if r.tile_path]:
-                    try:
-                        ds = nc_read(result.tile_path)
-                        stacks.append(ds["radiance"].data.astype(np.float32))
-                    except (OSError, ValueError, KeyError) as exc:
-                        name = os.path.basename(result.tile_path)
-                        set_aside(result.tile_path, icfg.quarantine)
-                        report.results.remove(result)
-                        report.quarantined.append(QuarantineRecord(
-                            key=result.key, error=f"unreadable tile file {name}: {exc}"
-                        ))
-                return stacks
+            A file that cannot be read (a ``corrupt_tile`` fault
+            publishes a well-named truncated one) goes down the road
+            inference sends a bad tile file: set aside in the quarantine
+            directory, and the scene's result becomes a quarantine record
+            in its report, so the run's errors and counts show it and
+            nothing downstream trips on it again.
+            """
+            stacks = []
+            for result in [r for r in report.results if r.tile_path]:
+                try:
+                    ds = nc_read(result.tile_path)
+                    stacks.append(ds["radiance"].data.astype(np.float32))
+                except (OSError, ValueError, KeyError) as exc:
+                    name = os.path.basename(result.tile_path)
+                    set_aside(result.tile_path, config.quarantine)
+                    report.results.remove(result)
+                    report.quarantined.append(QuarantineRecord(
+                        key=result.key, error=f"unreadable tile file {name}: {exc}"
+                    ))
+            return stacks
 
-            def head_tiles(tokens, held: List[Any]) -> List[np.ndarray]:
-                """Radiance of the instrument's bootstrap scene, per file.
+        def head_tiles(tokens, held: List[Any]) -> List[np.ndarray]:
+            """Radiance of the bootstrap scene, per file.
 
-                Scenes arrive in completion order, but every model must
-                train on the same scene whatever the thread timing — the
-                sorted-first complete scene that yields readable tiles —
-                or the model, and every label downstream, would drift.
-                So tokens are pulled (into ``held``, for the relay) only
-                until that scene settles, advancing past quarantined,
-                tileless or unreadable scenes so a single corrupt one
-                can not sink the whole run.  The scenes tiled here are
-                remembered per instrument: a sibling model reuses the
-                result, and the preprocess node skips them.
-                """
-                heads = handles[heads_key]
-                planned: Optional[List[str]] = None
-                arrived: Dict[str, Optional[GranuleSet]] = {}
+            Scenes arrive in completion order, but the model must train
+            on the same scene whatever the thread timing — the
+            sorted-first complete scene that yields readable tiles — or
+            the model, and every label downstream, would drift.  So
+            tokens are pulled (into ``held``, for the relay) only until
+            that scene settles, advancing past quarantined, tileless or
+            unreadable scenes so a single corrupt one can not sink the
+            whole run.  The scenes tiled here are remembered in
+            ``heads``: the preprocess node skips them.
+            """
+            heads = handles["heads"]
+            planned: Optional[List[str]] = None
+            arrived: Dict[str, Optional[GranuleSet]] = {}
 
-                def pump() -> bool:
-                    nonlocal planned
-                    token = next(tokens, None)
-                    if token is None:
-                        return False
-                    held.append(token)
-                    if token[0] == "planned":
-                        planned = list(token[1])
-                    else:
-                        arrived[token[1]] = token[2]
-                    return True
+            def pump() -> bool:
+                nonlocal planned
+                token = next(tokens, None)
+                if token is None:
+                    return False
+                held.append(token)
+                if token[0] == "planned":
+                    planned = list(token[1])
+                else:
+                    arrived[token[1]] = token[2]
+                return True
 
-                while planned is None and pump():
+            while planned is None and pump():
+                pass
+            for key in planned or []:
+                while key not in arrived and pump():
                     pass
-                for key in planned or []:
-                    while key not in arrived and pump():
-                        pass
-                    if key not in arrived:
-                        break  # stream ended before the scene settled
-                    if arrived[key] is None:
-                        continue  # incomplete scene; never preprocessed
-                    if key not in heads:
-                        heads[key] = preprocess_stage.run([arrived[key]])
-                    stacks = head_radiance(heads[key])
-                    if stacks:
-                        return stacks
-                return []
+                if key not in arrived:
+                    break  # stream ended before the scene settled
+                if arrived[key] is None:
+                    continue  # incomplete scene; never preprocessed
+                if key not in heads:
+                    heads[key] = preprocess_stage.run([arrived[key]])
+                stacks = head_radiance(heads[key])
+                if stacks:
+                    return stacks
+            return []
 
-            def model_node(mdl: str, upstream: str) -> StageNode:
-                bcfg = branch_config(config, inst, mdl)
-                name = unit_name("model", bcfg.branch)
-                journal_key = model_slot(bcfg.branch)[0]
-                ready = handles.setdefault(
-                    unit_name("model_ready", bcfg.branch), threading.Event()
-                )
+        def run_model(state: Dict[str, Any]) -> Any:
+            """Bootstrap deterministically, then relay scenes.
 
-                def run_model(state: Dict[str, Any]) -> Any:
-                    """Bootstrap deterministically, then relay scenes.
+            The model must exist before the first trigger fires, so it
+            is published through ``handles`` (a streaming inference
+            window may already be waiting on it) before anything is
+            forwarded downstream.
+            """
+            try:
+                tokens = iter(state[STREAMS_KEY].reader("model"))
+                forward = state[STREAMS_KEY].writer("model").put
+                held: List[Any] = []
+                model = self.model
+                if model is None:
+                    model_path = ctx.model_path(config)
+                    redo = (
+                        journal is not None
+                        and journal.resume("model", MODEL_JOURNAL_KEY).redo
+                    )
+                    if (
+                        redo
+                        and model_path
+                        and not config.model_path
+                        and os.path.exists(model_path)
+                    ):
+                        # A mid-train crash (or digest mismatch) makes the
+                        # journal-owned bootstrap model untrustworthy;
+                        # retrain.  An explicitly configured model file
+                        # is the user's — never deleted here.
+                        os.remove(model_path)
+                    stacks: List[np.ndarray] = []
+                    if not (model_path and os.path.exists(model_path)):
+                        stacks = head_tiles(tokens, held)
+                    model = self._bootstrap_model(stacks, model_path, journal)
+                handles["model"] = model
+                ready.set()
+                for token in itertools.chain(held, tokens):
+                    forward(token)
+                return model
+            except BaseException as exc:
+                handles["model_error"] = exc
+                ready.set()
+                raise
 
-                    The model must exist before the first trigger fires,
-                    so it is published through ``handles`` (a streaming
-                    inference window may already be waiting on it) before
-                    anything is forwarded downstream.
-                    """
-                    try:
-                        tokens = iter(state[STREAMS_KEY].reader(name))
-                        forward = state[STREAMS_KEY].writer(name).put
-                        held: List[Any] = []
-                        model = self.model
-                        if model is None:
-                            model_path = ctx.model_path(bcfg)
-                            redo = (
-                                journal is not None
-                                and journal.resume("model", journal_key).redo
-                            )
-                            if (
-                                redo
-                                and model_path
-                                and not bcfg.model_path
-                                and os.path.exists(model_path)
-                            ):
-                                # A mid-train crash (or digest mismatch)
-                                # makes the journal-owned bootstrap model
-                                # untrustworthy; retrain.  An explicitly
-                                # configured model file is the user's —
-                                # never deleted here.
-                                os.remove(model_path)
-                            stacks: List[np.ndarray] = []
-                            if not (model_path and os.path.exists(model_path)):
-                                stacks = head_tiles(tokens, held)
-                            model = self._bootstrap_model(
-                                bcfg, stacks, model_path, journal
-                            )
-                        handles[name] = model
-                        ready.set()
-                        for token in itertools.chain(held, tokens):
-                            forward(token)
-                        return model
-                    except BaseException as exc:
-                        handles[unit_name("model_error", bcfg.branch)] = exc
-                        ready.set()
-                        raise
+        def run_preprocess(state: Dict[str, Any]) -> PreprocessReport:
+            heads = handles["heads"]
+            return preprocess_stage.run(
+                token[2]
+                for token in state[STREAMS_KEY].reader("preprocess")
+                if token[0] == "scene"
+                and token[2] is not None
+                and token[1] not in heads
+            )
 
-                return StageNode(name, run_model, stream=(upstream,))
+        @contextmanager
+        def inference_scope(state: Dict[str, Any]):
+            # Under the listed-order runner (and on a remote agent, which
+            # rehydrates it) the state already holds the model.  A
+            # streaming window may open while the model node is still
+            # relaying scenes, so that node publishes through ``handles``
+            # and sets ``model_ready`` — on both its success and error
+            # paths, so this wait can never hang.
+            model = state.get("model")
+            if model is None:
+                ready.wait()
+                error = handles.get("model_error")
+                if error is not None:
+                    raise RuntimeError(f"model bootstrap failed: {error}")
+                model = handles["model"]
+            # Labelled files stream to shipment by basename the moment
+            # they publish — eager delivery while the inference queue is
+            # still draining.
+            ship = state[STREAMS_KEY].writer("inference").put
+            worker = InferenceWorker(
+                model, config, ctx,
+                on_result=lambda result: ship(os.path.basename(result.out_path)),
+            )
+            crawler = DirectoryCrawler(
+                config.preprocessed,
+                trigger=worker.submit,
+                poll_interval=config.poll_interval,
+                gate=journal.artifact_ok if journal is not None else None,
+                executor=ctx.executor,
+            )
+            handles["worker"] = worker
+            handles["crawler"] = crawler
+            with worker, crawler:
+                yield
 
-            def run_preprocess(state: Dict[str, Any]) -> PreprocessReport:
-                heads = handles[heads_key]
-                return preprocess_stage.run(
-                    token[2]
-                    for token in state[STREAMS_KEY].reader(preprocess_name)
-                    if token[0] == "scene"
-                    and token[2] is not None
-                    and token[1] not in heads
-                )
+        def run_inference(state: Dict[str, Any]) -> InferenceWorker:
+            handles["crawler"].scan_once()
+            worker = handles["worker"]
+            worker.drain(timeout=config.inference_drain_timeout)
+            return worker
 
-            download_node = StageNode(
-                download_name,
+        def run_shipment(state: Dict[str, Any]) -> ShipmentReport:
+            shipment = ShipmentStage(config, ctx).run(
+                state[STREAMS_KEY].reader("shipment")
+            )
+            if prov and shipment.moved:
+                activity = prov.start_activity("shipment", "globus-transfer")
+                for inf in handles["worker"].results:
+                    prov.record_use(
+                        activity, prov.entity("labelled_file", inf.out_path)
+                    )
+                for path in shipment.moved:
+                    prov.record_generation(
+                        activity,
+                        prov.entity(
+                            "delivered_file", path,
+                            checksum=shipment.checksums.get(os.path.basename(path)),
+                        ),
+                    )
+                prov.end_activity(activity)
+            return shipment
+
+        return PipelinePlan([
+            StageNode(
+                "download",
                 run_download,
                 workers=config.workers.download,
                 counts=lambda r: {"files": r.files},
-            )
-            model_nodes: List[StageNode] = []
-            for mdl in config.models:
-                upstream = model_nodes[-1].name if model_nodes else download_name
-                model_nodes.append(model_node(mdl, upstream))
-            preprocess_node = StageNode(
-                preprocess_name,
+            ),
+            StageNode("model", run_model, stream=("download",)),
+            StageNode(
+                "preprocess",
                 run_preprocess,
                 workers=config.workers.preprocess,
                 counts=lambda r: {"tiles": r.total_tiles},
-                stream=(model_nodes[-1].name,),
-            )
-            return [download_node, *model_nodes, preprocess_node]
-
-        def labelling(inst: str, mdl: str) -> List[StageNode]:
-            """``inference -> shipment`` for one instrument x model branch."""
-            bcfg = branch_config(config, inst, mdl)
-            tag = bcfg.branch
-            preprocess_name = unit_name(
-                "preprocess", instrument_config(config, inst).branch
-            )
-            model_name = unit_name("model", tag)
-            inference_name = unit_name("inference", tag)
-            shipment_name = unit_name("shipment", tag)
-
-            @contextmanager
-            def inference_scope(state: Dict[str, Any]):
-                # Under the listed-order runner (and on a remote agent,
-                # which rehydrates it) the state already holds the model.
-                # A streaming window may open while the model node is
-                # still relaying scenes, so that node publishes through
-                # ``handles`` and sets ``model_ready`` — on both its
-                # success and error paths, so this wait can never hang.
-                model = state.get(model_name)
-                if model is None:
-                    handles[unit_name("model_ready", tag)].wait()
-                    error = handles.get(unit_name("model_error", tag))
-                    if error is not None:
-                        raise RuntimeError(f"model bootstrap failed: {error}")
-                    model = handles[model_name]
-                # Labelled files stream to shipment by basename the
-                # moment they publish — eager delivery while the
-                # inference queue is still draining.
-                ship = state[STREAMS_KEY].writer(inference_name).put
-                worker = InferenceWorker(
-                    model, bcfg, ctx,
-                    on_result=lambda result: ship(os.path.basename(result.out_path)),
-                )
-                crawler = DirectoryCrawler(
-                    bcfg.preprocessed,
-                    trigger=worker.submit,
-                    poll_interval=bcfg.poll_interval,
-                    gate=journal.artifact_ok if journal is not None else None,
-                    executor=ctx.executor,
-                )
-                handles[unit_name("worker", tag)] = worker
-                handles[unit_name("crawler", tag)] = crawler
-                with worker, crawler:
-                    yield
-
-            def run_inference(state: Dict[str, Any]) -> InferenceWorker:
-                handles[unit_name("crawler", tag)].scan_once()
-                worker = handles[unit_name("worker", tag)]
-                worker.drain(timeout=bcfg.inference_drain_timeout)
-                return worker
-
-            def run_shipment(state: Dict[str, Any]) -> ShipmentReport:
-                shipment = ShipmentStage(bcfg, ctx).run(
-                    state[STREAMS_KEY].reader(shipment_name)
-                )
-                if prov and shipment.moved:
-                    activity = prov.start_activity("shipment", "globus-transfer")
-                    for inf in handles[unit_name("worker", tag)].results:
-                        prov.record_use(
-                            activity, prov.entity("labelled_file", inf.out_path)
-                        )
-                    for path in shipment.moved:
-                        prov.record_generation(
-                            activity,
-                            prov.entity(
-                                "delivered_file", path,
-                                checksum=shipment.checksums.get(os.path.basename(path)),
-                            ),
-                        )
-                    prov.end_activity(activity)
-                return shipment
-
-            return [
-                StageNode(
-                    inference_name,
-                    run_inference,
-                    workers=config.workers.inference,
-                    after=(preprocess_name, model_name),
-                    overlaps=(preprocess_name,),
-                    scope=inference_scope,
-                    counts=lambda worker: {"files": len(worker.results)},
-                ),
-                StageNode(
-                    shipment_name,
-                    run_shipment,
-                    when=lambda state: bool(config.ship),
-                    counts=lambda r: {"files": len(r.moved)},
-                    stream=(inference_name,),
-                ),
-            ]
-
-        return PipelinePlan(
-            [node for inst in config.instruments for node in acquisition(inst)]
-            + [node for inst, mdl in expand_branches(config) for node in labelling(inst, mdl)]
-        )
+                stream=("model",),
+            ),
+            StageNode(
+                "inference",
+                run_inference,
+                workers=config.workers.inference,
+                after=("preprocess", "model"),
+                overlaps=("preprocess",),
+                scope=inference_scope,
+                counts=lambda worker: {"files": len(worker.results)},
+            ),
+            StageNode(
+                "shipment",
+                run_shipment,
+                when=lambda state: bool(config.ship),
+                counts=lambda r: {"files": len(r.moved)},
+                stream=("inference",),
+            ),
+        ])
 
     # -- the run ------------------------------------------------------------
 
@@ -587,12 +477,10 @@ class EOMLWorkflow:
         # config; an explicit bool overrides it (the benchmark harness
         # drives one plan with both runners off one config).
         use_stream = config.stream.enabled if streaming is None else bool(streaming)
-        # Provenance is a single-branch feature for now: the fan-out
-        # report has no one model/lineage to attribute artifacts to.
-        prov = ProvenanceStore() if provenance and not is_fanout(config) else None
+        prov = ProvenanceStore() if provenance else None
         # The run's world: journal (write-ahead intents/completions plus
         # the integrity manifest), chaos, and the one CAS handle every
-        # stage and branch shares.
+        # stage shares.
         ctx = open_run(config, resume=resume)
         chaos, journal = ctx.chaos, ctx.journal
         # Whatever happens below — a stage raising included — the journal
@@ -601,9 +489,7 @@ class EOMLWorkflow:
             def on_end(name: str, **counts: Any) -> None:
                 timeline.end(name, **counts)
                 # A consistent on-disk view after each checkpointable stage.
-                if journal is not None and split_unit(name)[0] in (
-                    "download", "inference", "shipment"
-                ):
+                if journal is not None and name in ("download", "inference", "shipment"):
                     journal.checkpoint()
 
             # Horizontal scale-out: a process pool the context ships every
@@ -646,47 +532,34 @@ class EOMLWorkflow:
             if pool_stats is not None:
                 totals.update(pool_stats.counters)
 
-            # One report over every branch; with one instrument and one
-            # model each merge below is the identity.
-            itags = [instrument_config(config, i).branch for i in config.instruments]
-            tags = [branch_config(config, i, m).branch for i, m in expand_branches(config)]
-            download = merge_reports(
-                itags, [state[unit_name("download", itag)] for itag in itags]
+            download = state["download"]
+            download = dataclasses.replace(
+                download,
+                breaker_trips=download.breaker_trips + int(totals["breaker_trips"]),
+                # Granules a reader staged in by fetching them again (the
+                # store could not deliver them) were fetched too, wherever
+                # it ran.
+                fetched_bytes=download.fetched_bytes
+                + int(totals["refetched_bytes"])
+                + handles["downloader"].refetched_bytes,
             )
-            download.breaker_trips += int(totals["breaker_trips"])
-            # Granules a reader staged in by fetching them again (the store
-            # could not deliver them) were fetched too, wherever it ran.
-            download.fetched_bytes += int(totals["refetched_bytes"]) + sum(
-                handles[unit_name("downloader", itag)].refetched_bytes for itag in itags
-            )
-            # The bootstrap scenes were tiled ahead of their preprocess node:
+            # The bootstrap scenes were tiled ahead of the preprocess node:
             # fold them back in, in the order they ran.
-            pieces = [
-                report
-                for itag in itags
-                for report in (
-                    *handles[unit_name("heads", itag)].values(),
-                    state[unit_name("preprocess", itag)],
-                )
-            ]
-            # (No per-file fields in this report, so the tags are moot.)
-            preprocess = merge_reports([""] * len(pieces), pieces)
-            workers = [handles[unit_name("worker", tag)] for tag in tags]
-            inference_results = [r for w in workers for r in w.results]
-            inference_errors = [e for w in workers for e in w.errors]
-            inference_quarantined = [q for w in workers for q in w.quarantined]
-            crawler_errors = [
-                e for tag in tags for e in handles[unit_name("crawler", tag)].errors
-            ]
-            shipment = merge_reports(
-                tags, [state[unit_name("shipment", tag)] for tag in tags]
+            pieces = [*handles["heads"].values(), state["preprocess"]]
+            preprocess = PreprocessReport(
+                results=[r for p in pieces for r in p.results],
+                seconds=sum(p.seconds for p in pieces),
+                quarantined=[q for p in pieces for q in p.quarantined],
             )
+            worker = handles["worker"]
+            inference_results = list(worker.results)
+            shipment = state["shipment"]
 
             if prov:
                 sets_by_key = {gs.key: gs for gs in download.granule_sets}
                 model_entity = prov.entity(
                     "model", config.model_path or "model:bootstrapped",
-                    num_classes=state[unit_name("model", tags[0])].num_classes,
+                    num_classes=state["model"].num_classes,
                 )
                 for result in preprocess.results:
                     if result.tile_path is None:
@@ -778,7 +651,7 @@ class EOMLWorkflow:
                 edge_stats = {s.edge: s.as_dict() for s in hub.stats()}
                 stream_summary = {"enabled": True, "edges": edge_stats}
 
-            errors = list(crawler_errors) + list(inference_errors)
+            errors = list(handles["crawler"].errors) + list(worker.errors)
             errors.extend(download.failed)
             errors.extend(f"incomplete scene dropped: {key}" for key in download.incomplete)
             errors.extend(f"preprocess quarantined {q.describe()}" for q in preprocess.quarantined)
@@ -799,7 +672,7 @@ class EOMLWorkflow:
                 errors=errors,
                 provenance=prov,
                 chaos=chaos_summary,
-                inference_quarantined=inference_quarantined,
+                inference_quarantined=list(worker.quarantined),
                 resumed_items=int(totals["resumed_items"]),
                 replayed_items=int(totals["replayed_items"]),
                 manifest_mismatches=int(totals["manifest_mismatches"]),

@@ -1,37 +1,26 @@
-"""Pluggable instruments and label models (interfaces + registry).
+"""The instrument interface and its registry.
 
-See :mod:`repro.instruments.base` for the contracts and
-:mod:`repro.instruments.registry` for the name → implementation maps.
-Built-ins: instruments ``modis`` (polar swath, 5-min cadence) and
-``abi`` (geostationary full disk, 10-min cadence); models ``ricc``
-(the AICCA autoencoder+clustering pipeline) and ``heuristic`` (the
-quantile threshold baseline).
+See :mod:`repro.instruments.base` for the contract and
+:mod:`repro.instruments.registry` for the name → implementation map.
+The built-in instrument is ``modis`` (polar swath, 5-min cadence).
 """
 
 from repro.instruments.base import (
     OCEAN_CLOUD_THRESHOLD,
     Instrument,
-    ModelType,
     SceneInputs,
 )
 from repro.instruments.registry import (
     available_instruments,
-    available_models,
     get_instrument,
-    get_model,
     register_instrument,
-    register_model,
 )
 
 __all__ = [
     "OCEAN_CLOUD_THRESHOLD",
     "Instrument",
-    "ModelType",
     "SceneInputs",
     "available_instruments",
-    "available_models",
     "get_instrument",
-    "get_model",
     "register_instrument",
-    "register_model",
 ]

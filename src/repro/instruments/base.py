@@ -1,23 +1,16 @@
-"""The instrument / label-model interfaces — the pluggability seam.
+"""The instrument interface — the data-source seam.
 
 The paper's pipeline is written against one instrument (MODIS via
-LAADS) and one model (RICC).  This module defines the two small
-contracts that let anything else flow through the same five stages:
-
-* :class:`Instrument` — everything stage 1 (download) and stage 3
-  (preprocess) need to know about a satellite source: how granules are
-  named and paced, which products make up a complete scene, how to
-  build the (synthetic) archive, and how to decode one scene's granule
-  files into the arrays tiling consumes.
-* A **label model type** (duck-typed, see :class:`ModelType` for the
-  shape) — how stage 2 (model) bootstraps or loads a classifier and
-  what attribution string its labels carry.  Model *instances* expose
-  ``assign(tiles) -> labels``, ``num_classes`` and ``save(path)``.
+LAADS).  :class:`Instrument` is the small contract the download and
+preprocess stages drive it through: how granules are named and paced,
+which products make up a complete scene, how to build the (synthetic)
+archive, and how to decode one scene's granule files into the arrays
+tiling consumes.  Besides ``modis`` the benchmark registers a corpus
+replay of it, so the stages never name a source directly.
 
 ``repro.core`` imports only this module and the registry next door —
 never an instrument package directly (``tools/check_layering.py``
-enforces it), so adding a source or a classifier never touches the
-pipeline.
+enforces it).
 """
 
 from __future__ import annotations
@@ -32,7 +25,6 @@ __all__ = [
     "OCEAN_CLOUD_THRESHOLD",
     "SceneInputs",
     "Instrument",
-    "ModelType",
 ]
 
 # Paper constant: a tile must be >30 % cloudy (over ocean) to enter the
@@ -47,10 +39,8 @@ class SceneInputs:
 
     This is the hand-off between an :class:`Instrument` and the generic
     ``extract_tiles`` kernel: every array is on the instrument's native
-    pixel grid, masks are boolean, and geometry differences (polar
-    swath vs. geostationary full disk) are already absorbed — off-disk
-    or otherwise invalid pixels arrive masked as land so the ocean-only
-    tile selection never sees them.
+    pixel grid, masks are boolean, and invalid pixels arrive masked as
+    land so the ocean-only tile selection never sees them.
     """
 
     radiance: np.ndarray                  # (bands, lines, pixels) float32
@@ -72,7 +62,7 @@ class Instrument(abc.ABC):
     and scene decoding (preprocess).
     """
 
-    #: registry key, also the branch tag in fan-out plans
+    #: registry key (``archive.instrument``)
     name: str
     #: human-readable source description
     title: str
@@ -84,8 +74,6 @@ class Instrument(abc.ABC):
     granules_per_day: int
     #: minutes between consecutive granules
     cadence_minutes: int
-    #: native tile edge length for this instrument's pixel grid
-    default_tile_size: int
 
     @abc.abstractmethod
     def resolve_product(self, name: str) -> str:
@@ -115,29 +103,3 @@ class Instrument(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<Instrument {self.name}: {self.title}>"
-
-
-class ModelType(abc.ABC):
-    """A registered label-model family (documentation of the shape).
-
-    Registration is duck-typed — any object with these attributes
-    works — but built-ins subclass this for clarity.  Instances
-    returned by :meth:`bootstrap`/:meth:`load` must expose
-    ``assign(tiles) -> labels``, ``num_classes``, and ``save(path)``,
-    and must be picklable (they ride worker-pool envelopes).
-    """
-
-    #: registry key, also the branch tag in fan-out plans
-    name: str
-    #: provenance string stamped on labelled files (``classified_by``)
-    attribution: str
-
-    @staticmethod
-    @abc.abstractmethod
-    def bootstrap(tiles: np.ndarray, num_classes: int, seed: int = 0) -> Any:
-        """Train a fresh instance on bootstrap tiles."""
-
-    @staticmethod
-    @abc.abstractmethod
-    def load(path: str) -> Any:
-        """Reload a persisted instance from ``path`` (an ``.npz``)."""

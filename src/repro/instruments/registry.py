@@ -1,34 +1,28 @@
-"""Instrument and label-model registries.
+"""The instrument registry.
 
-Two flat name → implementation maps with lazy built-in loading: the
-built-in packages (``repro.modis``, ``repro.abi``, ``repro.ricc``, the
-heuristic classifier next door) register themselves at import time, and
-the first lookup imports them.  Laziness matters for layering —
-``repro.core`` imports this module at module scope, and the built-ins
-import ``repro.core`` helpers (contracts), so eager imports here would
-cycle.
+A flat name → implementation map with lazy built-in loading: the
+built-in ``repro.modis`` registers itself at import time, and the first
+lookup imports it.  Laziness matters for layering — ``repro.core``
+imports this module at module scope, and the built-in imports
+``repro.core`` helpers (contracts), so an eager import here would cycle.
 
 Unknown names raise ``KeyError`` listing what is available; the config
-layer wraps that into a ``ConfigError`` pointing at the offending key.
+layer wraps that into a ``ConfigError`` pointing at ``archive.instrument``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Dict, Tuple
 
 from repro.instruments.base import Instrument
 
 __all__ = [
     "register_instrument",
-    "register_model",
     "get_instrument",
-    "get_model",
     "available_instruments",
-    "available_models",
 ]
 
 _INSTRUMENTS: Dict[str, Instrument] = {}
-_MODELS: Dict[str, Any] = {}
 _builtins_loaded = False
 
 
@@ -37,24 +31,14 @@ def _ensure_builtins() -> None:
     if _builtins_loaded:
         return
     _builtins_loaded = True
-    # Importing each module runs its register_* call.  Order is not
-    # significant; registration is idempotent (last write wins).
-    import repro.abi.instrument  # noqa: F401
-    import repro.instruments.heuristic  # noqa: F401
+    # Importing the module runs its register_instrument call.
     import repro.modis.instrument  # noqa: F401
-    import repro.ricc.model  # noqa: F401
 
 
 def register_instrument(instrument: Instrument) -> Instrument:
     """Register ``instrument`` under its ``name`` (returns it)."""
     _INSTRUMENTS[instrument.name] = instrument
     return instrument
-
-
-def register_model(model_type: Any) -> Any:
-    """Register a model family under its ``name`` (returns it)."""
-    _MODELS[model_type.name] = model_type
-    return model_type
 
 
 def get_instrument(name: str) -> Instrument:
@@ -68,20 +52,6 @@ def get_instrument(name: str) -> Instrument:
         ) from None
 
 
-def get_model(name: str) -> Any:
-    _ensure_builtins()
-    try:
-        return _MODELS[name]
-    except KeyError:
-        known = ", ".join(sorted(_MODELS))
-        raise KeyError(f"unknown model {name!r} (available: {known})") from None
-
-
 def available_instruments() -> Tuple[str, ...]:
     _ensure_builtins()
     return tuple(sorted(_INSTRUMENTS))
-
-
-def available_models() -> Tuple[str, ...]:
-    _ensure_builtins()
-    return tuple(sorted(_MODELS))

@@ -19,7 +19,6 @@ from repro.modis.archive import LaadsArchive
 from repro.modis.constants import (
     GRANULE_MINUTES,
     GRANULES_PER_DAY,
-    MINI_SWATH,
     resolve_product,
 )
 from repro.netcdf import read as nc_read
@@ -36,7 +35,6 @@ class ModisInstrument(Instrument):
     default_products = ("MOD021KM", "MOD03", "MOD06_L2")
     granules_per_day = GRANULES_PER_DAY
     cadence_minutes = GRANULE_MINUTES
-    default_tile_size = MINI_SWATH.tile_size
 
     def resolve_product(self, name: str) -> str:
         return resolve_product(name).short_name

@@ -32,10 +32,10 @@ from contextlib import nullcontext
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.core import EOMLWorkflow, load_config
-from repro.core.branches import instrument_config, split_unit, unit_name, unit_slice
 from repro.core.config import EOMLConfig
 from repro.core.context import RunContext, open_run
-from repro.runtime import STREAMS_KEY, PipelinePlan, PlanExecution, StageNode
+from repro.ricc.aicca import AICCAModel
+from repro.runtime import STREAMS_KEY, PlanExecution, StageNode
 from repro.server import wire
 
 __all__ = ["LeaseLost", "unit_graph", "validate_remote_config", "execute_unit"]
@@ -93,7 +93,6 @@ def validate_remote_config(raw: Mapping[str, Any]) -> EOMLConfig:
 
 def _rehydrate(
     ctx: RunContext,
-    plan: PipelinePlan,
     node: StageNode,
     config: EOMLConfig,
     handles: Dict[str, Any],
@@ -103,12 +102,11 @@ def _rehydrate(
 
     Each incoming stream channel is filled from its producer's token log
     and closed, so the body drains exactly the tokens the producer
-    wrote.  An inference unit's model dependency is the persisted model
-    file.  Preprocess also skips the scenes its model units already
+    wrote.  The inference unit's model dependency is the persisted model
+    file.  Preprocess also skips the scenes the model unit already
     tiled: the bootstrap walks complete scenes in planned order, so what
-    they consumed (their cursor) is a prefix of those.
+    it consumed (its cursor) is a prefix of those.
     """
-    base, _tag, cfg = unit_slice(config, node.name)
     tokens: List[Any] = []
     for src in node.stream:
         tokens = wire.tokens_from_wire(
@@ -118,38 +116,31 @@ def _rehydrate(
         for token in tokens:
             channel.put(token)
         channel.close()
-    for dep in node.after:
-        dep_base, _dep_tag, dep_cfg = unit_slice(config, dep)
-        if dep_base == "model" and base == "inference":
-            from repro.instruments.registry import get_model
-
-            model_path = ctx.model_path(dep_cfg)
-            if model_path is None:
-                raise RuntimeError(
-                    "no model path: remote inference needs the journal directory "
-                    "(or inference.model_path) to carry the bootstrapped model"
-                )
-            state[dep] = get_model(dep_cfg.model_name).load(model_path)
-    if base == "preprocess":
-        consumed, dep = 0, node.stream[0]
-        while split_unit(dep)[0] == "model":
-            consumed = max(
-                consumed, int(wire.load_state(config.journal_dir, dep)["consumed"])
+    if node.name == "inference":
+        model_path = ctx.model_path(config)
+        if model_path is None:
+            raise RuntimeError(
+                "no model path: remote inference needs the journal directory "
+                "(or inference.model_path) to carry the bootstrapped model"
             )
-            dep = plan.node(dep).stream[0]
+        state["model"] = AICCAModel.load(model_path)
+    if node.name == "preprocess":
+        consumed = int(wire.load_state(config.journal_dir, "model")["consumed"])
         planned = next((t[1] for t in tokens if t[0] == "planned"), [])
         complete = {t[1] for t in tokens if t[0] == "scene" and t[2] is not None}
-        handles[unit_name("heads", cfg.branch)] = dict.fromkeys(
+        handles["heads"] = dict.fromkeys(
             [key for key in planned if key in complete][:consumed]
         )
 
 
-def _result_payload(
-    config: EOMLConfig, unit: str, value: Any, handles: Dict[str, Any]
-) -> Dict[str, Any]:
-    """The completion record POSTed back to the control plane."""
-    base, tag, cfg = unit_slice(config, unit)
-    if base == "download":
+def _result_payload(unit: str, value: Any, handles: Dict[str, Any]) -> Dict[str, Any]:
+    """The completion record POSTed back to the control plane.
+
+    The model and preprocess units tile scenes, so their readers may
+    fetch a granule again when the store can not deliver it; those
+    bytes ride their records as ``refetched_bytes``.
+    """
+    if unit == "download":
         return {
             "files": value.files, "nbytes": value.nbytes,
             "skipped": value.skipped, "resumed": value.resumed,
@@ -157,28 +148,28 @@ def _result_payload(
             "scenes": len(value.granule_sets),
             "failed": len(value.failed), "incomplete": len(value.incomplete),
         }
-    if base == "model":
-        instrument_tag = instrument_config(config, cfg.instrument).branch
+    if unit == "model":
         return {
             "num_classes": value.num_classes,
-            "consumed": len(handles[unit_name("heads", instrument_tag)]),
+            "consumed": len(handles["heads"]),
+            "refetched_bytes": handles["downloader"].refetched_bytes,
         }
-    if base == "preprocess":
+    if unit == "preprocess":
         return {
             "tiles": value.total_tiles,
             "files": sum(1 for r in value.results if r.tile_path),
             "quarantined": len(value.quarantined),
+            "refetched_bytes": handles["downloader"].refetched_bytes,
         }
-    if base == "inference":
-        worker = handles[unit_name("worker", tag)]
+    if unit == "inference":
+        worker = handles["worker"]
         return {
             "files": len(worker.results),
             "tiles": sum(r.tiles for r in worker.results),
             "quarantined": len(worker.quarantined),
-            "errors": list(worker.errors)
-            + list(handles[unit_name("crawler", tag)].errors),
+            "errors": list(worker.errors) + list(handles["crawler"].errors),
         }
-    if base == "shipment":
+    if unit == "shipment":
         return {
             "files": len(value.moved), "nbytes": value.nbytes,
             "retries": value.retries, "mismatches": len(value.mismatches),
@@ -232,7 +223,7 @@ def execute_unit(
         # its own.
         state: Dict[str, Any] = {}
         hub = PlanExecution(plan, state=state).hub
-        _rehydrate(ctx, plan, node, config, handles, state)
+        _rehydrate(ctx, node, config, handles, state)
         if node.when is not None and not node.when(state):
             return {"skipped": True}
         _check_cancel("before node body")
@@ -246,12 +237,12 @@ def execute_unit(
         # work for whoever re-executes, and the new owner's POST is the
         # only one the server will accept anyway.
         _check_cancel("after node body")
-        result = _result_payload(config, unit, value, handles)
-        # The token log is saved under the full unit name, so each
-        # fan-out branch's dependents read their own instrument's.
+        result = _result_payload(unit, value, handles)
+        # The token log is saved under the unit name; the model's carries
+        # its record too (preprocess reads the bootstrap cursor from it).
         outgoing = [dst for src, dst in plan.stream_edges() if src == unit]
         if outgoing:
-            log = dict(result) if split_unit(unit)[0] == "model" else {}
+            log = dict(result) if unit == "model" else {}
             log["tokens"] = wire.tokens_to_wire(hub.channel(unit, outgoing[0]))
             wire.save_state(config.journal_dir, unit, log)
         ctx.journal.checkpoint()

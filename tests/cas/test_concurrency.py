@@ -40,10 +40,21 @@ def _temps(root: str) -> list:
     ]
 
 
+def _read(store: CASStore, digest: str, dest: str):
+    """The object's bytes through ``materialize`` (verified), or ``None``."""
+    if store.materialize(digest, dest) is None:
+        return None
+    with open(dest, "rb") as handle:
+        return handle.read()
+
+
 def _race_store(root: str, payload: bytes, out_dir: str, index: int) -> None:
     store = CASStore(root, durable=False)
     digest = _digest(payload)
-    assert store.store_bytes(payload, digest) == digest
+    src = os.path.join(out_dir, f"src-{index}.bin")
+    with open(src, "wb") as handle:
+        handle.write(payload)
+    assert store.store_file(src, digest=digest) == digest
     dest = os.path.join(out_dir, f"copy-{index}.bin")
     assert store.materialize(digest, dest) == len(payload)
     with open(dest, "rb") as handle:
@@ -95,7 +106,7 @@ class TestForkStress:
             proc.join(timeout=60)
             assert proc.exitcode == 0
         store = CASStore(root, durable=False)
-        assert store.load_bytes(_digest(payload)) == payload
+        assert _read(store, _digest(payload), str(tmp_path / "out.bin")) == payload
 
     def test_two_processes_adopt_equal_files_at_once(self, tmp_path):
         """Two runs publish the same bytes under their own names and store
@@ -127,7 +138,7 @@ class TestForkStress:
         store = CASStore(root, durable=False)
         obj = os.path.join(root, "objects", object_relpath(digest))
         assert os.stat(obj).st_ino in {os.stat(path).st_ino for path in paths}
-        assert store.load_bytes(digest) == payload
+        assert _read(store, digest, str(tmp_path / "out.bin")) == payload
         assert store.stats()["objects"] == 1
         assert _temps(root) == []
 
@@ -160,7 +171,7 @@ class TestThreadStress:
 # Each actor's script: a sequence of (op, object-index) steps over a
 # tiny object universe, so interleavings collide on the same digests.
 _STEP = st.tuples(
-    st.sampled_from(["store", "materialize", "load", "gc"]),
+    st.sampled_from(["store", "materialize", "gc"]),
     st.integers(min_value=0, max_value=2),
 )
 
@@ -179,6 +190,10 @@ class TestInterleaving:
         root = str(tmp_path / "cas")
         payloads = [bytes([33 + index]) * (1024 * (index + 1)) for index in range(3)]
         digests = [_digest(payload) for payload in payloads]
+        sources = [str(tmp_path / f"src-{index}.bin") for index in range(3)]
+        for src, payload in zip(sources, payloads):
+            with open(src, "wb") as handle:
+                handle.write(payload)
         actors = [
             (CASStore(root, durable=False), list(script_a), "a"),
             (CASStore(root, durable=False), list(script_b), "b"),
@@ -188,7 +203,7 @@ class TestInterleaving:
         def run_step(store: CASStore, op: str, index: int, tag: str) -> None:
             digest = digests[index]
             if op == "store":
-                result = store.store_bytes(payloads[index], digest)
+                result = store.store_file(sources[index], digest=digest)
                 assert result == digest
             elif op == "materialize":
                 dest_counter[0] += 1
@@ -199,9 +214,6 @@ class TestInterleaving:
                 if nbytes is not None:  # a hit must be the true content
                     with open(dest, "rb") as handle:
                         assert handle.read() == payloads[index]
-            elif op == "load":
-                payload = store.load_bytes(digest)
-                assert payload is None or payload == payloads[index]
             else:  # gc with a budget that keeps one object's worth
                 store.gc(budget_bytes=2048)
 
@@ -218,6 +230,6 @@ class TestInterleaving:
         # Whatever survived GC must verify; counters stay consistent.
         survivor_store = CASStore(root, durable=False)
         for digest, payload in zip(digests, payloads):
-            loaded = survivor_store.load_bytes(digest)
+            loaded = _read(survivor_store, digest, str(tmp_path / f"survivor-{digest}"))
             assert loaded is None or loaded == payload
         assert survivor_store.counters()["corrupt_evictions"] == 0

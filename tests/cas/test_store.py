@@ -48,6 +48,27 @@ def publish(tmp_path, payload, durable=False, name="published.bin"):
     return path, digest
 
 
+def put(store, payload):
+    """Store ``payload`` through a plain file: copied in, and refused
+    unless its bytes hash to the digest claimed for them."""
+    digest = digest_of(payload)
+    src = os.path.join(os.path.dirname(store.root), "payloads", digest)
+    os.makedirs(os.path.dirname(src), exist_ok=True)
+    with open(src, "wb") as handle:
+        handle.write(payload)
+    return store.store_file(src, digest=digest)
+
+
+def read_back(store, digest):
+    """An object's bytes as a reader gets them — verified by
+    ``materialize`` — or ``None`` on a miss."""
+    dest = os.path.join(os.path.dirname(store.root), "read", digest)
+    if store.materialize(digest, dest) is None:
+        return None
+    with open(dest, "rb") as handle:
+        return handle.read()
+
+
 def failing_replace(*args, **kwargs):
     raise OSError(errno.EIO, "replace failed")
 
@@ -57,10 +78,10 @@ class TestLayout:
         digest = "ab" + "c" * 62
         assert object_relpath(digest) == os.path.join("ab", "c" * 62)
 
-    def test_store_bytes_lands_in_sharded_layout(self, store):
+    def test_store_file_lands_in_sharded_layout(self, store):
         payload = b"hello cas"
         digest = digest_of(payload)
-        assert store.store_bytes(payload, digest) == digest
+        assert put(store, payload) == digest
         obj = os.path.join(store.root, "objects", object_relpath(digest))
         assert os.path.isfile(obj)
         assert open(obj, "rb").read() == payload
@@ -73,8 +94,8 @@ class TestLayout:
     def test_duplicate_store_is_deduped(self, store):
         payload = b"same bytes"
         digest = digest_of(payload)
-        store.store_bytes(payload, digest)
-        store.store_bytes(payload, digest)
+        assert put(store, payload) == digest
+        assert put(store, payload) == digest
         counters = store.counters()
         assert counters["stores"] == 1
         assert counters["dedup_stores"] == 1
@@ -92,7 +113,7 @@ class TestMaterialize:
     def test_roundtrip(self, store, tmp_path):
         payload = b"roundtrip" * 100
         digest = digest_of(payload)
-        store.store_bytes(payload, digest)
+        put(store, payload)
         dest = tmp_path / "out" / "artifact.bin"
         assert store.materialize(digest, str(dest)) == len(payload)
         assert dest.read_bytes() == payload
@@ -103,7 +124,7 @@ class TestMaterialize:
     ):
         payload = b"delivered" * 100
         digest = digest_of(payload)
-        store.store_bytes(payload, digest)
+        put(store, payload)
 
         def read_only_volume(path, *args, **kwargs):
             raise PermissionError(13, "read-only store volume", path)
@@ -123,7 +144,7 @@ class TestMaterialize:
     def test_corrupt_object_quarantined_not_delivered(self, store, tmp_path):
         payload = b"will rot" * 50
         digest = digest_of(payload)
-        store.store_bytes(payload, digest)
+        put(store, payload)
         obj = os.path.join(store.root, "objects", object_relpath(digest))
         with open(obj, "r+b") as handle:
             handle.write(b"ROT")
@@ -139,7 +160,7 @@ class TestMaterialize:
     def test_lookup_counts_a_hit_without_reading(self, store, monkeypatch):
         payload = b"left in the store" * 100
         digest = digest_of(payload)
-        store.store_bytes(payload, digest)
+        put(store, payload)
         obj = object_path(store, digest)
         os.utime(obj, (1, 1))
 
@@ -155,15 +176,16 @@ class TestMaterialize:
         assert (counters["hits"], counters["misses"]) == (1, 1)
         assert counters["bytes_saved"] == len(payload)
 
-    def test_load_bytes_verifies_too(self, store):
-        payload = b"in-memory object"
+    def test_a_second_read_verifies_too(self, store):
+        payload = b"read twice"
         digest = digest_of(payload)
-        store.store_bytes(payload, digest)
-        assert store.load_bytes(digest) == payload
+        put(store, payload)
+        assert read_back(store, digest) == payload
         obj = os.path.join(store.root, "objects", object_relpath(digest))
+        os.unlink(os.path.join(os.path.dirname(store.root), "read", digest))
         with open(obj, "r+b") as handle:
             handle.write(b"???")
-        assert store.load_bytes(digest) is None
+        assert read_back(store, digest) is None
         assert store.counters()["corrupt_evictions"] == 1
 
 
@@ -248,7 +270,7 @@ class TestAdoption:
         assert os.stat(object_path(store, digest)).st_ino != os.stat(path).st_ino
         counters = store.counters()
         assert (counters["stores"], counters["linked_stores"]) == (1, 0)
-        assert store.load_bytes(digest) == payload
+        assert read_back(store, digest) == payload
 
     def test_corrupt_tile_bytes_are_stored_under_their_own_digest(self, store, tmp_path):
         chaos = FaultInjector(
@@ -264,7 +286,7 @@ class TestAdoption:
         assert digest == digest_of(damaged)
 
         assert store.store_file(final, digest=digest) == digest
-        assert store.load_bytes(digest) == damaged
+        assert read_back(store, digest) == damaged
         assert os.stat(object_path(store, digest)).st_ino != os.stat(final).st_ino
         assert store.counters()["linked_stores"] == 0
 
@@ -323,7 +345,7 @@ class TestTempsNeverLeak:
     def test_a_failed_materialize_leaves_no_temp(self, store, tmp_path, monkeypatch):
         payload = b"delivered" * 100
         digest = digest_of(payload)
-        store.store_bytes(payload, digest)
+        put(store, payload)
         run_dir = tmp_path / "run"
         monkeypatch.setattr(os, "replace", failing_replace)
         assert store.materialize(digest, str(run_dir / "artifact.bin")) is None
@@ -337,7 +359,7 @@ class TestTempsNeverLeak:
         that leaves the source name in place."""
         payload = b"twice" * 100
         digest = digest_of(payload)
-        store.store_bytes(payload, digest)
+        put(store, payload)
         dest = tmp_path / "run" / "artifact.bin"
         for _ in range(2):
             assert store.materialize(digest, str(dest)) == len(payload)
@@ -363,7 +385,7 @@ class TestPinsAndGC:
         for index in range(count):
             payload = bytes([index]) * size
             digest = digest_of(payload)
-            store.store_bytes(payload, digest)
+            put(store, payload)
             digests.append(digest)
         return digests
 

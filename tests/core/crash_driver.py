@@ -48,9 +48,6 @@ def main() -> int:
                         help="drive the plan with the streaming runner")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="run stages across N worker processes")
-    parser.add_argument("--fanout", action="store_true",
-                        help="fan the plan out per instrument x model "
-                             "(modis+abi x ricc+heuristic)")
     parser.add_argument("--cache", default=None, metavar="DIR",
                         help="enable the content-addressed cache rooted at DIR")
     args = parser.parse_args()
@@ -59,9 +56,6 @@ def main() -> int:
     from repro.modis import MINI_SWATH, LaadsArchive
 
     raw = build_raw_config(args.root, args.granules)
-    if args.fanout:
-        raw["archive"]["instruments"] = ["modis", "abi"]
-        raw["inference"] = dict(raw["inference"], models=["ricc", "heuristic"])
     runtime = {}
     if args.streaming:
         runtime["stream"] = {"enabled": True}

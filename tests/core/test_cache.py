@@ -36,6 +36,7 @@ from repro.core.context import RunContext
 from repro.journal import WorkflowJournal
 from repro.modis import MINI_SWATH, GranuleId, LaadsArchive
 from repro.ricc.aicca import AICCAModel
+from repro.server import execute_unit, unit_graph
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_corpus.json")
 
@@ -236,14 +237,16 @@ class TestChaosSurfaces:
         _, again = run_cached(tmp_path / "again", cas_dir)
         assert again.cache["inference_cached"] == len(again.inference)
 
-    @pytest.mark.parametrize("workers", [None, 2], ids=["inline", "pool2"])
+    @pytest.mark.parametrize("driver", ["inline", "pool2", "agent"])
     def test_corrupt_tile_and_granule_objects_are_staged_in_from_the_archive(
-        self, tmp_path, cold_run, warm_cas, workers
+        self, tmp_path, cold_run, warm_cas, driver
     ):
         """One scene's tile object and granule objects rotted: preprocess
         misses, its stage-in quarantines each granule object as it is
-        read, fetches the granule again — bytes the report counts as
-        fetched, wherever preprocess ran — and the corpus ships golden."""
+        read, fetches the granule again — bytes counted wherever the scene
+        was tiled: in the report of a local or pooled run, in the unit
+        results of a run leased unit by unit — and the corpus ships
+        golden."""
         config, _ = cold_run
         cas_dir, _ = warm_cas
         scenes = {}
@@ -263,12 +266,24 @@ class TestChaosSurfaces:
                 for digest in rotted
             ],
         }
-        warm, report = run_cached(tmp_path, cas_dir, chaos=chaos, workers=workers)
-        assert report.errors == []
-        assert report.cache["corrupt_evictions"] == len(rotted)
         refetched = sum(os.path.getsize(path) for path in scenes[scene])
-        assert report.download.fetched_bytes == refetched
-        assert report.cache["fetched_bytes"] == refetched
+        if driver == "agent":
+            # Unit by unit in plan order, as agents would lease them.
+            warm = cached_config(tmp_path, cas_dir, chaos=chaos)
+            results = {
+                unit: execute_unit(warm.raw, unit) for unit, _deps in unit_graph(warm)
+            }
+            assert results["inference"]["errors"] == []
+            assert results["download"]["fetched_bytes"] == 0
+            assert sum(r.get("refetched_bytes", 0) for r in results.values()) == refetched
+        else:
+            warm, report = run_cached(
+                tmp_path, cas_dir, chaos=chaos, workers=2 if driver == "pool2" else None
+            )
+            assert report.errors == []
+            assert report.cache["corrupt_evictions"] == len(rotted)
+            assert report.download.fetched_bytes == refetched
+            assert report.cache["fetched_bytes"] == refetched
         assert set(rotted) <= set(os.listdir(os.path.join(cas_dir, "quarantine")))
         # Only that scene's granules were staged in, each fetched again.
         assert sorted(os.listdir(warm.staging)) == sorted(

@@ -66,12 +66,16 @@ class TestLoadConfig:
             load_config("archive:\n  start_date: 2022-01-01\n  products: [MOD99]\n")
 
     def test_unknown_key_rejected(self):
-        # A typo, and the two progressive-fidelity knobs that are gone:
+        # A typo, and the knobs that are gone (the progressive-fidelity
+        # pair, the instrument x model fan-out lists and the model name):
         # an old config naming one fails loudly instead of being ignored.
         for section, key, value in [
             ("archive", "tiem_span", "oops"),
             ("preprocess", "coarse_stride", 2),
             ("inference", "refine_threshold", 0.1),
+            ("archive", "instruments", ["modis"]),
+            ("inference", "models", ["ricc"]),
+            ("inference", "model", "ricc"),
         ]:
             raw = {"archive": {"start_date": "2022-01-01"}}
             raw[section] = dict(raw.get(section, {}), **{key: value})

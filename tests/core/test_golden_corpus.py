@@ -11,8 +11,9 @@ import hashlib
 import json
 import os
 
+import pytest
+
 from tests.core.crash_driver import build_raw_config
-from tests.core.test_fanout import topology
 
 from repro.core import EOMLWorkflow, load_config
 from repro.modis import MINI_SWATH, LaadsArchive
@@ -35,26 +36,31 @@ def delivered(config):
     }
 
 
-def test_plural_spelling_of_the_single_branch_is_the_same_plan_and_corpus(tmp_path):
-    """``instruments: [modis]`` x ``models: [ricc]`` is a product of size
-    one: bare node names, root paths, golden bytes."""
-    with open(GOLDEN) as handle:
-        golden = json.load(handle)
+# The five-stage graph as (name, after, overlaps, stream, has_scope) rows.
+PLAN = [
+    ("download", (), (), (), False),
+    ("model", (), (), ("download",), False),
+    ("preprocess", (), (), ("model",), False),
+    ("inference", ("preprocess", "model"), ("preprocess",), (), True),
+    ("shipment", (), (), ("inference",), False),
+]
 
-    singular = load_config(build_raw_config(str(tmp_path / "s"), golden["granules"]))
-    raw = build_raw_config(str(tmp_path), golden["granules"])
-    raw["archive"]["instruments"] = ["modis"]
-    raw["inference"] = dict(raw["inference"], models=["ricc"])
-    config = load_config(raw)
-    assert topology(EOMLWorkflow(config).build_plan()) == \
-        topology(EOMLWorkflow(singular).build_plan())
 
-    workflow = EOMLWorkflow(
-        config, archive=LaadsArchive(seed=golden["seed"], swath=MINI_SWATH)
-    )
-    report = workflow.run(provenance=False)
-    assert report.errors == []
-    assert delivered(config) == golden["files"]
+def topology(plan):
+    return [
+        (n.name, n.after, n.overlaps, n.stream, n.scope is not None)
+        for n in plan.nodes
+    ]
+
+
+class TestPlanTopology:
+    """One graph, whichever runner a config picks."""
+
+    @pytest.mark.parametrize("stream_enabled", [False, True])
+    def test_plan_is_the_five_stage_table(self, stream_enabled, tmp_path):
+        raw = build_raw_config(str(tmp_path), 1)
+        raw["runtime"] = {"stream": {"enabled": stream_enabled}}
+        assert topology(EOMLWorkflow(load_config(raw)).build_plan()) == PLAN
 
 
 def test_fixed_seed_run_ships_the_golden_corpus(tmp_path):

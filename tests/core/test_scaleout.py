@@ -19,14 +19,13 @@ import pytest
 from tests.core.crash_driver import build_raw_config
 
 from repro.core import DownloadStage, EOMLWorkflow, InferenceWorker, PreprocessStage, load_config
-from repro.core.branches import unit_name, unit_slice
 from repro.core.context import RunContext, open_run
 from repro.core.download import GranuleSet
 from repro.core.scaleout import StageWorker, worker_payload
-from repro.instruments import get_model
 from repro.journal import WorkflowJournal
 from repro.modis import MINI_SWATH, LaadsArchive
 from repro.netcdf import read as nc_read
+from repro.ricc import AICCAModel
 from repro.runtime import ProcWorkerPool, WorkEnvelope, WorkerSpec
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_corpus.json")
@@ -245,24 +244,14 @@ class TestExecutorEquivalence:
     """One unit, two executors: ``stage.execute(payload)`` called here and
     the same payload shipped as a ``WorkEnvelope`` to a ``StageWorker``
     must return equal results, leave byte-identical artifacts, and
-    journal equal completions — for the bare kind and a ``@tag`` kind."""
+    journal equal completions."""
 
-    FANOUT = {"instruments": ["modis", "abi"], "models": ["ricc", "heuristic"]}
-
-    def _config(self, root, fanout):
-        raw = build_raw_config(str(root), 1)
-        if fanout:
-            raw["archive"]["instruments"] = self.FANOUT["instruments"]
-            raw["inference"] = dict(raw["inference"], models=self.FANOUT["models"])
-        return load_config(raw)
-
-    def _run_units(self, root, fanout, remote):
+    def _run_units(self, root, remote):
         """Drive one download ref, one granule set and one tile file
         through ``call(kind, key, stage_factory, payload)``; returns the
         three results plus the run directory's bytes and completions."""
-        config = self._config(root, fanout)
+        config = load_config(build_raw_config(str(root), 1))
         archive = LaadsArchive(seed=3, swath=MINI_SWATH)
-        tag_i, tag_b = ("modis", "modis+ricc") if fanout else ("", "")
         if remote:
             worker = StageWorker(worker_payload(config, archive))
             ctx = worker.ctx
@@ -272,34 +261,33 @@ class TestExecutorEquivalence:
         else:
             ctx = open_run(config, resume=True)
 
-            def call(kind, _key, build, payload):
-                return build(unit_slice(config, kind)[2]).execute(payload)
+            def call(_kind, _key, build, payload):
+                return build().execute(payload)
 
         try:
-            icfg = unit_slice(config, unit_name("download", tag_i))[2]
-            bcfg = unit_slice(config, unit_name("inference", tag_b))[2]
-            planner = DownloadStage(icfg, archive=archive)
-            os.makedirs(icfg.staging, exist_ok=True)
+            planner = DownloadStage(config, archive=archive)
+            os.makedirs(config.staging, exist_ok=True)
             refs = [r for r in planner.plan()
                     if r.gid.scene_key == planner.plan()[0].gid.scene_key]
             fetched = [
-                call(unit_name("download", tag_i), ref.filename,
-                     lambda cfg: DownloadStage(cfg, ctx, archive=archive), ref)
+                call("download", ref.filename,
+                     lambda: DownloadStage(config, ctx, archive=archive), ref)
                 for ref in refs
             ]
             granules = GranuleSet(
                 key=refs[0].gid.scene_key,
                 paths={r.gid.product: path for r, path, *_ in fetched},
             )
-            tiled = call(unit_name("preprocess", tag_i), granules.key,
-                         lambda cfg: PreprocessStage(cfg, ctx), granules)
+            tiled = call("preprocess", granules.key,
+                         lambda: PreprocessStage(config, ctx), granules)
             tiles = nc_read(tiled.tile_path)["radiance"].data
-            model = get_model(bcfg.model_name).bootstrap(
-                tiles, num_classes=2, seed=bcfg.seed
+            model, _history = AICCAModel.train(
+                tiles, num_classes=2, latent_dim=8, hidden=(64,), epochs=8,
+                seed=config.seed,
             )
             labelled = call(
-                unit_name("inference", tag_b), os.path.basename(tiled.tile_path),
-                lambda cfg: InferenceWorker(model, cfg, ctx, batch_files=1),
+                "inference", os.path.basename(tiled.tile_path),
+                lambda: InferenceWorker(model, config, ctx, batch_files=1),
                 (tiled.tile_path, ("object", model)),
             )
         finally:
@@ -318,10 +306,9 @@ class TestExecutorEquivalence:
         )
         return results, files, completions
 
-    @pytest.mark.parametrize("fanout", [False, True], ids=["bare-kind", "tagged-kind"])
-    def test_in_process_and_worker_agree(self, tmp_path, fanout):
-        inline = self._run_units(tmp_path / "inline", fanout, remote=False)
-        shipped = self._run_units(tmp_path / "worker", fanout, remote=True)
+    def test_in_process_and_worker_agree(self, tmp_path):
+        inline = self._run_units(tmp_path / "inline", remote=False)
+        shipped = self._run_units(tmp_path / "worker", remote=True)
         assert inline[0] == shipped[0]          # returned results
         assert inline[1] == shipped[1]          # artifacts, byte for byte
         assert inline[1]                        # ... and there were some

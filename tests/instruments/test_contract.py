@@ -19,6 +19,7 @@ from repro.instruments import available_instruments, get_instrument
 from repro.netcdf import to_bytes, write as nc_write
 
 DATE = dt.date(2022, 1, 1)
+TILE_SIZE = 16  # the preprocess.tile_size default
 MINUTES_PER_DAY = 24 * 60
 
 
@@ -51,9 +52,6 @@ class TestStaticContract:
     def test_unknown_product_raises_keyerror(self, instrument):
         with pytest.raises(KeyError):
             instrument.resolve_product("NOT-A-PRODUCT")
-
-    def test_default_tile_size_positive(self, instrument):
-        assert instrument.default_tile_size > 0
 
 
 class TestArchiveContract:
@@ -117,14 +115,11 @@ class TestSceneContract:
             land_mask=scene.land_mask,
             latitude=scene.latitude,
             longitude=scene.longitude,
-            tile_size=instrument.default_tile_size,
+            tile_size=TILE_SIZE,
             optical_thickness=scene.optical_thickness,
             cloud_top_pressure=scene.cloud_top_pressure,
         )
         assert tiles, "synthetic scene yielded no ocean-cloud tiles"
         for tile in tiles:
-            assert tile.data.shape[:2] == (
-                instrument.default_tile_size,
-                instrument.default_tile_size,
-            )
+            assert tile.data.shape[:2] == (TILE_SIZE, TILE_SIZE)
             assert tile.cloud_fraction > 0.0

@@ -1,22 +1,16 @@
 """Registry lookups and the config layer's name resolution.
 
-The failure-mode promise matters most: an unknown instrument or model
-name must die at config-load time with a ``ConfigError`` that names the
-offending key and lists what *is* registered — never deep inside a
-stage.
+The failure-mode promise matters most: an unknown instrument name must
+die at config-load time with a ``ConfigError`` that names the offending
+key and lists what *is* registered — never deep inside a stage.
 """
 
 import pytest
 
 from repro.core import load_config
 from repro.core.config import ConfigError
-from repro.instruments import (
-    available_instruments,
-    available_models,
-    get_instrument,
-    get_model,
-)
-from repro.instruments.registry import register_instrument, register_model
+from repro.instruments import available_instruments, get_instrument
+from repro.instruments.registry import register_instrument
 
 
 def make_raw(tmp_path, **overrides):
@@ -38,93 +32,31 @@ def make_raw(tmp_path, **overrides):
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert {"modis", "abi"} <= set(available_instruments())
-        assert {"ricc", "heuristic"} <= set(available_models())
+        assert "modis" in available_instruments()
 
     def test_unknown_instrument_names_the_available_set(self):
         with pytest.raises(KeyError, match="modis"):
             get_instrument("viirs")
 
-    def test_unknown_model_names_the_available_set(self):
-        with pytest.raises(KeyError, match="ricc"):
-            get_model("resnet")
-
-    def test_model_types_carry_attribution(self):
-        for name in available_models():
-            model_type = get_model(name)
-            assert model_type.name == name
-            assert isinstance(model_type.attribution, str)
-            assert model_type.attribution
-
     def test_registration_is_idempotent_last_write_wins(self):
         sentinel = get_instrument("modis")
         assert register_instrument(sentinel) is sentinel
         assert get_instrument("modis") is sentinel
-        model_sentinel = get_model("ricc")
-        assert register_model(model_sentinel) is model_sentinel
-        assert get_model("ricc") is model_sentinel
 
 
 class TestConfigResolution:
     def test_single_source_defaults(self, tmp_path):
         config = load_config(make_raw(tmp_path))
-        assert config.instruments == ("modis",)
-        assert config.models == ("ricc",)
         assert config.instrument == "modis"
-        assert config.model_name == "ricc"
-        assert config.branch == ""
-
-    def test_fanout_lists_round_trip(self, tmp_path):
-        config = load_config(make_raw(
-            tmp_path,
-            **{"archive.instruments": ["modis", "abi"],
-               "inference.models": ["ricc", "heuristic"]},
-        ))
-        assert config.instruments == ("modis", "abi")
-        assert config.models == ("ricc", "heuristic")
-
-    def test_duplicates_collapse_order_preserved(self, tmp_path):
-        config = load_config(make_raw(
-            tmp_path,
-            **{"archive.instruments": ["abi", "modis", "abi"]},
-        ))
-        assert config.instruments == ("abi", "modis")
 
     def test_unknown_instrument_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
-            load_config(make_raw(
-                tmp_path, **{"archive.instruments": ["modis", "viirs"]}
-            ))
+            load_config(make_raw(tmp_path, **{"archive.instrument": "viirs"}))
         message = str(exc.value)
-        assert "archive.instruments" in message
+        assert "archive.instrument" in message
         assert "viirs" in message
         assert "modis" in message  # the available set is listed
 
-    def test_unknown_model_is_a_config_error(self, tmp_path):
-        with pytest.raises(ConfigError) as exc:
-            load_config(make_raw(
-                tmp_path, **{"inference.models": ["resnet"]}
-            ))
-        message = str(exc.value)
-        assert "inference.models" in message
-        assert "resnet" in message
-        assert "ricc" in message
-
-    def test_unknown_singular_spellings_name_their_keys(self, tmp_path):
-        with pytest.raises(ConfigError, match="archive.instrument"):
-            load_config(make_raw(tmp_path, **{"archive.instrument": "viirs"}))
-        with pytest.raises(ConfigError, match="inference.model"):
-            load_config(make_raw(tmp_path, **{"inference.model": "resnet"}))
-
-    def test_products_default_to_the_primary_instruments_scene(self, tmp_path):
-        config = load_config(make_raw(
-            tmp_path, **{"archive.instruments": ["abi", "modis"]}
-        ))
-        assert config.products == list(get_instrument("abi").default_products)
-
-    def test_empty_list_falls_back_to_singular_spelling(self, tmp_path):
-        config = load_config(make_raw(
-            tmp_path,
-            **{"archive.instruments": [], "archive.instrument": "abi"},
-        ))
-        assert config.instruments == ("abi",)
+    def test_products_default_to_the_instruments_scene(self, tmp_path):
+        config = load_config(make_raw(tmp_path))
+        assert config.products == list(get_instrument("modis").default_products)

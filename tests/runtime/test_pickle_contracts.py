@@ -30,9 +30,9 @@ from repro.core.download import DownloadStage, GranuleSet
 from repro.core.inference import InferenceResult, InferenceWorker
 from repro.core.preprocess import PreprocessResult, PreprocessStage, QuarantineRecord
 from repro.core.scaleout import StageWorker, worker_payload
-from repro.instruments import get_model
 from repro.modis import LaadsArchive, MINI_SWATH
 from repro.netcdf import read as nc_read
+from repro.ricc import AICCAModel
 from repro.runtime import UnitResult
 from repro.runtime.proc import EnvelopeResult, WorkEnvelope, WorkerSpec
 
@@ -177,8 +177,9 @@ class TestSubmittedPayloads:
         assert tile_paths and not preprocess.quarantined
         # No journal and no model_path: nothing persists the model, so
         # the object itself must ride (and survive) the envelope.
-        model = get_model(config.model_name).bootstrap(
-            nc_read(tile_paths[0])["radiance"].data, num_classes=2, seed=config.seed
+        model, _history = AICCAModel.train(
+            nc_read(tile_paths[0])["radiance"].data, num_classes=2,
+            latent_dim=8, hidden=(64,), epochs=8, seed=config.seed,
         )
         worker = InferenceWorker(model, config, ctx)
         for path in tile_paths:

@@ -19,7 +19,6 @@ import threading
 
 from tests.server.harness import build_raw_config, control_plane
 
-from repro.core import EOMLWorkflow, load_config
 from repro.server import ControlPlaneClient, ControlPlaneServer, SiteAgent
 from repro.server.store import RunStore
 
@@ -120,53 +119,6 @@ def test_colocated_agents_share_the_cas(tmp_path):
     assert download.get("cached", 0) > 0
     assert delivered_corpus(str(tmp_path / "cold")) == golden["files"]
     assert delivered_corpus(str(tmp_path / "warm")) == golden["files"]
-
-
-def fanout_raw(root):
-    raw = build_raw_config(str(root), 1)
-    raw["archive"]["instruments"] = ["modis", "abi"]
-    raw["inference"] = dict(raw["inference"], models=["ricc", "heuristic"])
-    return raw
-
-
-def branch_corpus(root):
-    destination = os.path.join(root, "data", "orion")
-    return {
-        f"{branch}/{name}": sha256_file(os.path.join(destination, branch, name))
-        for branch in sorted(os.listdir(destination))
-        for name in sorted(os.listdir(os.path.join(destination, branch)))
-    }
-
-
-def test_fanout_run_ships_identical_branches_remotely(tmp_path):
-    """The {modis, abi} x {ricc, heuristic} plan, drained by site agents.
-
-    Branch-qualified unit names must flow through the lease protocol
-    unchanged, and each branch's delivered bytes must match a local
-    in-process run of the same config.
-    """
-    local_root = tmp_path / "local"
-    report = EOMLWorkflow(load_config(fanout_raw(local_root))).run(
-        provenance=False
-    )
-    assert report.errors == []
-    expected = branch_corpus(str(local_root))
-
-    remote_root = tmp_path / "remote"
-    with control_plane() as (_server, client):
-        run = client.submit(fanout_raw(remote_root), name="fanout-e2e")
-        agents = drain(client, ["site-a", "site-b"])
-        detail = client.run(run.run_id)
-
-    assert detail.status == "completed", {
-        u.name: (u.status, u.error) for u in detail.units
-    }
-    names = {u.name for u in detail.units}
-    assert {"download@modis", "download@abi", "model@modis+ricc",
-            "inference@abi+heuristic", "shipment@modis+heuristic"} <= names
-    assert sum(a.stats.completed for a in agents) == len(detail.units)
-    assert all(a.stats.failed == 0 for a in agents)
-    assert branch_corpus(str(remote_root)) == expected
 
 
 def test_server_killed_and_restarted_mid_run_loses_nothing(tmp_path):

@@ -134,9 +134,8 @@ class TestScaleOutDocs:
 
         section = self.architecture().split("## Horizontal scale-out")[1]
         section = section.split("## Control-plane service")[0]
-        for needle in ("`download[@inst]`", "`preprocess[@inst]`",
-                       "`inference[@inst+model]`", "model source",
-                       "StageWorker.counters()", "unit_slice(kind)"):
+        for needle in ("`download`", "`preprocess`", "`inference`",
+                       "model source", "StageWorker.counters()"):
             assert needle in section, f"scale-out section missing {needle!r}"
         # The module points here instead of carrying its own table.
         assert "Horizontal\nscale-out" in scaleout.__doc__
@@ -216,46 +215,36 @@ class TestInstrumentDocs:
 
     def test_architecture_has_the_section(self):
         text = self.architecture()
-        assert "## Pluggable instruments & models" in text
+        assert "## Pluggable instruments" in text
         # The operational pieces the section promises.
-        for needle in ("Instrument", "ModelType", "get_instrument",
-                       "get_model", "archive.instruments",
-                       "inference.models", "classified_by",
+        for needle in ("Instrument", "get_instrument", "register_instrument",
+                       "archive.instrument", "classified_by",
                        "byte-identical", "ConfigError"):
             assert needle in text, f"instrument docs missing {needle!r}"
 
     def test_every_registered_name_is_documented(self):
-        """The registry's built-ins all appear in the fan-out section,
-        so a new registration must document itself."""
-        from repro.instruments import available_instruments, available_models
+        """The registry's built-ins all appear in the section, so a new
+        registration must document itself."""
+        from repro.instruments import available_instruments
 
         text = self.architecture()
-        for name in list(available_instruments()) + list(available_models()):
+        for name in available_instruments():
             assert f"`{name}`" in text, f"registered name {name!r} undocumented"
 
-    def test_branch_node_grammar_documented(self):
-        """The @-qualified node names the fan-out plan produces are in
-        the plan diagram."""
-        text = self.architecture()
-        for node in ("download@modis", "preprocess@abi",
-                     "model@modis+ricc", "inference@abi+heuristic",
-                     "shipment@modis+heuristic"):
-            assert node in text, f"fan-out node {node!r} undocumented"
-        # One graph in both shapes: the overlap window and the model
-        # relay are drawn for the single branch and for the fan-out.
-        section = text.split("### Fan-out: one plan per instrument x model")[1]
+    def test_plan_diagram_documented(self):
+        """The five nodes, the model relay and the overlap window are
+        drawn in the plan section."""
+        section = self.architecture().split("### The plan")[1]
         section = section.split("## Stage runtime & middleware")[0]
-        for needle in ("download ──▶ model ──▶ preprocess",
-                       "model@I+M2 ──▶ preprocess@I", "┆ overlaps",
-                       "inference@I+M1 ──▶ shipment@I+M1", "unit_slice"):
+        for needle in ("download ──▶ model ──▶ preprocess", "┆ overlaps",
+                       "inference ──▶ shipment", "TestPlanTopology"):
             assert needle in section, f"plan diagram missing {needle!r}"
 
     def test_readme_and_design_point_at_the_section(self):
         readme = (ROOT / "README.md").read_text()
-        assert "Pluggable instruments & models" in readme
+        assert "Pluggable instruments" in readme
         assert "`repro.instruments`" in readme
-        assert "`repro.abi`" in readme
-        assert "Pluggable instruments & models" in (ROOT / "DESIGN.md").read_text()
+        assert "Pluggable instruments" in (ROOT / "DESIGN.md").read_text()
 
     def test_cli_exposes_instrument_flag(self):
         import argparse
@@ -372,7 +361,7 @@ class TestCacheDocs:
 
         assert granule_key(_Cfg, "a.hdf").startswith("granule:")
         assert tiles_key("modis", "s", 128, 0.3, 0.5, []).startswith("tiles:")
-        assert labels_key("ricc", "d", 42, "RICC/AICCA", "t").startswith("labels:")
+        assert labels_key("d", 42, "t") == "labels:ricc:d:nc=42:by=RICC/AICCA:in=t"
         text = self.architecture()
         for prefix in ("granule:", "tiles:", "labels:"):
             assert f"`{prefix}" in text, f"key prefix {prefix!r} undocumented"

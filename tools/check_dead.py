@@ -50,9 +50,7 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # Top-level names no runnable code refers to, kept on purpose.
 KEPT = {
     "ChaosTransport": "the wire fault injector tests/server substitutes for the transport",
-    "ModelType": "the documented shape of a registered model family; registration is duck-typed",
     "available_instruments": "tests/instruments holds every registered instrument to the contract",
-    "available_models": "the same listing for model families (tests/instruments, tests/test_docs.py)",
 }
 STRING_TARGET = re.compile(r"^([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+):([A-Za-z_]\w*)")
 

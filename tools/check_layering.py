@@ -43,17 +43,17 @@ RULES = [
     # repro.server drives core remotely, never the other way around.
     ("src/repro/core", ("repro.server",)),
     ("src/repro/runtime", ("repro.server",)),
-    # The stages are instrument-agnostic: they reach MODIS/ABI only
-    # through the repro.instruments registry interface, never directly —
-    # that's what keeps data sources pluggable.
-    ("src/repro/core", ("repro.modis", "repro.abi")),
+    # The stages are instrument-agnostic: they reach MODIS only through
+    # the repro.instruments registry interface, never directly — that's
+    # what lets the benchmark substitute its corpus replay.
+    ("src/repro/core", ("repro.modis",)),
     # And the interface layer must not depend on its consumers.
     ("src/repro/instruments", ("repro.core", "repro.server")),
     # The content-addressed store is a leaf shared by stages, pool
     # workers, and site agents: it may depend only on the bottom
     # utility layer, never on any of its consumers.
     ("src/repro/cas", ("repro.core", "repro.server", "repro.runtime",
-                       "repro.instruments", "repro.modis", "repro.abi")),
+                       "repro.instruments", "repro.modis")),
     # A run's report is its one record: the stages and the runtime keep
     # no second book in a metrics registry (the control plane's
     # /v1/metrics is the only telemetry consumer).
