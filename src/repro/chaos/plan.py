@@ -30,13 +30,14 @@ __all__ = [
     "load_plan",
 ]
 
-# The workflow stages faults can target: Fig. 2's five boxes, plus the
-# control-plane site agent (killed-mid-lease faults, repro.server.agent),
+# The workflow stages faults can target: Fig. 2's boxes but the monitor,
+# which runs no units of its own (preprocess announces each tile file to
+# inference), plus the control-plane site agent (killed-mid-lease faults, repro.server.agent),
 # the control-plane wire itself (``net``, repro.chaos.surfaces.
 # ChaosTransport between ControlPlaneClient and the service), and the
 # shared content-addressed artifact store (``cache``, repro.cas.store).
 STAGES = (
-    "download", "preprocess", "monitor", "inference", "shipment",
+    "download", "preprocess", "inference", "shipment",
     "agent", "net", "cache",
 )
 
@@ -46,7 +47,7 @@ STAGES = (
 #   slow_fetch     — a slow archive stream / slow Slurm node (added latency);
 #   torn_write     — a writer dies mid-file, leaving a .part temp file;
 #   corrupt_tile   — a completed file whose bytes are damaged (truncated),
-#                    i.e. a crawler-visible partial or bit-rotted NetCDF;
+#                    i.e. a well-named partial or bit-rotted NetCDF;
 #   wan_degrade    — the Defiant->Frontier WAN path fails or crawls;
 #   worker_stall   — a compute worker hangs before making progress;
 #   crash          — the orchestrator process dies outright (Slurm

@@ -7,7 +7,7 @@ translates fired :class:`~repro.chaos.engine.FaultEvent` records into the
 * :class:`ChaosArchive` — LAADS 503s (transient and permanent) and slow
   HTTPS streams, at the archive ``fetch`` boundary;
 * :func:`chaos_atomic_write` — torn writes (a dead writer's ``.part``
-  litter) and post-completion corruption (crawler-visible partials /
+  litter) and post-completion corruption (well-named partials /
   bit-rot) at the NetCDF write boundary;
 * :class:`ChaosTransferClient` — WAN degradation on the shipment path;
 * :func:`chaos_stall` — compute workers that hang before progressing;
@@ -128,9 +128,9 @@ def chaos_atomic_write(
     * ``torn_write`` — the writer "dies" mid-file: a truncated ``.part``
       temp file is left behind (never renamed) and :class:`OSError` is
       raised, exactly what a crashed worker leaves on a shared
-      filesystem.  Pattern-matching crawlers must never pick it up.
+      filesystem.  Nothing announces it to a consumer.
     * ``corrupt_tile`` — the rename completes but the file's bytes are
-      damaged (truncated), i.e. a *crawler-visible* partial: downstream
+      damaged (truncated), i.e. a *well-named* partial: downstream
       readers see a well-named file whose parse fails.
     * ``crash`` — the process aborts after the temp file is fully
       written but *before* the rename: the exact torn window resume

@@ -3,7 +3,6 @@
 from repro.core.config import ConfigError, EOMLConfig, StageWorkers, load_config
 from repro.core.download import DownloadReport, DownloadStage, GranuleSet
 from repro.core.inference import InferenceResult, InferenceWorker
-from repro.core.monitor import DirectoryCrawler
 from repro.core.preprocess import (
     PreprocessReport,
     PreprocessResult,
@@ -31,7 +30,6 @@ __all__ = [
     "PreprocessReport",
     "PreprocessResult",
     "QuarantineRecord",
-    "DirectoryCrawler",
     "InferenceWorker",
     "InferenceResult",
     "ShipmentStage",

@@ -130,9 +130,12 @@ _INFERENCE = Schema(
         Field("workers", positive_int, required=False, default=1),
         Field("num_classes", positive_int, required=False, default=42),
         Field("model_path", string, required=False, default=None),
+        # Read by nothing since inference reads a stream instead of
+        # polling; accepted only because the frozen benchmark configs
+        # (benchmarks/e2e/workloads.py) still set it.  It goes when those
+        # are next refreshed.
         Field("poll_interval", number, required=False, default=0.2),
         Field("batch_files", positive_int, required=False, default=8),
-        Field("drain_timeout", _positive_number, required=False, default=300.0),
     ],
 )
 
@@ -242,12 +245,11 @@ class EOMLConfig:
     max_land_fraction: float
     num_classes: int
     model_path: Optional[str]
-    poll_interval: float
     ship: bool
     # The registered data source (repro.instruments) the stages drive.
     instrument: str = "modis"
     quarantine: str = "data/quarantine"
-    # Upper bound on queued tile files fused into one encoder/assign
+    # Upper bound on waiting tile files fused into one encoder/assign
     # call by the inference micro-batcher (1 disables cross-file fusion).
     inference_batch_files: int = 8
     download_backoff: BackoffPolicy = BackoffPolicy()
@@ -257,8 +259,6 @@ class EOMLConfig:
     shipment_retries: int = 2
     shipment_timeout: float = 120.0
     shipment_backoff: BackoffPolicy = BackoffPolicy(base=0.02, max_delay=1.0, max_total=5.0)
-    # How long the workflow waits for queued inference work at shutdown.
-    inference_drain_timeout: float = 300.0
     # Crash-consistent run journaling (repro.journal): WAL + manifests.
     journal_enabled: bool = True
     journal_dir: str = "data/journal"
@@ -314,8 +314,6 @@ def load_config(source: Mapping[str, Any] | str) -> EOMLConfig:
     end_date = archive["end_date"] or archive["start_date"]
     if end_date < archive["start_date"]:
         raise ConfigError("archive.end_date", "end date before start date")
-    if inference["poll_interval"] <= 0:
-        raise ConfigError("inference.poll_interval", "must be positive")
 
     # Resolve the instrument through the registry: an unknown name fails
     # here (with the available set in the message), not deep inside a
@@ -374,7 +372,6 @@ def load_config(source: Mapping[str, Any] | str) -> EOMLConfig:
         max_land_fraction=preprocess["max_land_fraction"],
         num_classes=inference["num_classes"],
         model_path=inference["model_path"],
-        poll_interval=float(inference["poll_interval"]),
         ship=shipment["enabled"],
         quarantine=paths["quarantine"],
         inference_batch_files=inference["batch_files"],
@@ -389,7 +386,6 @@ def load_config(source: Mapping[str, Any] | str) -> EOMLConfig:
         breaker_reset=download["breaker_reset"],
         shipment_retries=shipment["retries"],
         shipment_timeout=shipment["timeout"],
-        inference_drain_timeout=float(inference["drain_timeout"]),
         journal_enabled=journal["enabled"],
         journal_dir=journal_dir,
         journal_durable=journal["durable"],

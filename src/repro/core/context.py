@@ -5,10 +5,15 @@ A stage states *what* a unit of its work is — ``stage.execute(payload)``
 a thread of this process, a forked pool worker or a leased site agent
 runs them::
 
-    stage.run() ── ctx.submit(stage, key, payload) ──┬─ threads   (this process)
+    stage.run() ── ctx.submit(stage, key, payload) ──┬─ threads   (this process, one
+                                                     │             stage.workers-sized pool
+                                                     │             per stage)
                                                      └─ pool      (WorkEnvelope -> StageWorker
                                                                    -> its copy of the stage)
     site agent ── execute_unit ── node.run() ── the same stage.run(), in the agent's process
+
+No stage keeps an executor of its own: inference's micro-batches are
+units like any other, so they batch the same wherever they run.
 
 The context also carries the run's world — journal, chaos injector,
 content-addressed store, sleeper, and the one
@@ -37,7 +42,7 @@ from repro.journal import WorkflowJournal
 from repro.runtime import build_executor
 from repro.runtime.proc import ProcWorkerPool, WorkEnvelope
 
-__all__ = ["MODEL_JOURNAL_KEY", "MODEL_FILE", "RunContext", "open_run"]
+__all__ = ["MODEL_JOURNAL_KEY", "MODEL_FILE", "RunContext", "open_run", "then"]
 
 # The bootstrapped model's journal key and its file in the journal
 # directory.
@@ -78,9 +83,8 @@ class RunContext:
         The only code that knows where.  With a pool attached the unit
         ships as ``WorkEnvelope(stage.kind, key, payload)`` (``key``
         shards it) and a worker's copy of the stage executes it;
-        otherwise it runs here — on the stage's own threads when it
-        keeps some (inference's micro-batching ``enqueue``), else on a
-        ``stage.workers``-sized thread pool built on first use.
+        otherwise it runs here, on a ``stage.workers``-sized thread pool
+        built on first use.
 
         Whichever executor ran the unit, the future is a
         :class:`concurrent.futures.Future` (so ``as_completed`` / ``wait``
@@ -91,9 +95,6 @@ class RunContext:
         """
         if self.pool is not None:
             return self.pool.submit(WorkEnvelope(stage.kind, key, payload))
-        enqueue = getattr(stage, "enqueue", None)
-        if enqueue is not None:
-            return enqueue(payload)
         with self._lock:
             threads = self._threads.get(stage.kind)
             if threads is None:
@@ -142,6 +143,24 @@ class RunContext:
             threads.shutdown()
         if self.journal is not None:
             self.journal.close()
+
+
+def then(future: Future, fold: Callable[[Future], Any]) -> Future:
+    """A future that settles once ``fold(future)`` has run, with its value
+    or exception.  ``fold`` runs the moment ``future`` settles, in
+    whichever thread settled it — so a stage can hand a unit's outcome
+    downstream at once and still wait for every hand-off before it
+    returns."""
+    settled: Future = Future()
+
+    def run(done: Future) -> None:
+        try:
+            settled.set_result(fold(done))
+        except BaseException as exc:  # noqa: BLE001 - carried by the future
+            settled.set_exception(exc)
+
+    future.add_done_callback(run)
+    return settled
 
 
 def open_run(config: EOMLConfig, resume: bool, chaos: Any = None) -> RunContext:

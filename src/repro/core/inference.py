@@ -3,17 +3,20 @@
 Real-execution flavour of Section III stage 4 (the Globus Flow's body):
 for each tile NetCDF, encode the tiles, assign nearest-centroid labels,
 append the labels to the dataset, and publish the updated file to the
-transfer-out directory.  An :class:`InferenceWorker` takes discovered
-files one at a time, so it composes directly with the crawler.
+transfer-out directory.  Stage 3's "monitor and trigger" is the plan's
+``preprocess -> inference`` stream: preprocess announces each tile file
+with its digest once the file has settled, and the labelling unit first
+checks the bytes against that digest.
 
 Three hot-path optimizations live here.  *Label append*: a canonical tile
 file is re-serialized by rewriting only its header and label column
 (:func:`repro.netcdf.writer.splice_chunks`), streaming the radiance bytes
 from the mapped tile file instead of re-encoding them.  *Micro-batching*:
-a worker opportunistically drains additional queued files and fuses their
-tiles into a single encoder/assign call, scattering the labels back per
-file — the float32 encoder amortizes dramatically better over one large
-batch than over many small ones.  *Action cache*: with a store attached
+one unit takes every announced file already waiting (up to
+``batch_files``) and fuses their tiles into a single encoder/assign
+call, scattering the labels back per file — inline, in the pool and on
+an agent alike; the float32 encoder amortizes dramatically better over
+one large batch than over many small ones.  *Action cache*: with a store attached
 and a model persisted to a file, a tile file this model has labelled
 before (in any run sharing the store) is materialized from its
 ``labels:`` key instead of being mapped, encoded and assigned again.
@@ -22,11 +25,11 @@ before (in any run sharing the store) is materialized from its
 from __future__ import annotations
 
 import os
-import queue
 import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,11 +37,12 @@ import numpy as np
 from repro.chaos.surfaces import chaos_crash
 from repro.core.artifact_cache import CLASSIFIED_BY, input_digest, labels_key
 from repro.core.config import EOMLConfig
-from repro.core.context import RunContext
+from repro.core.context import RunContext, then
 from repro.core.contracts import TILE_FILE
 from repro.core.preprocess import QuarantineRecord
 from repro.netcdf import Dataset, from_bytes as nc_from_bytes, map_file, to_chunks as nc_to_chunks
 from repro.netcdf.writer import canonical_layout, splice_chunks
+from repro.ricc.aicca import AICCAModel
 from repro.runtime import (
     CACHED,
     QUARANTINED,
@@ -52,8 +56,6 @@ from repro.runtime import (
 from repro.util.digest import Buffer, atomic_publish_chunks
 
 __all__ = ["InferenceResult", "InferenceWorker", "set_aside"]
-
-_STOP = object()
 
 
 @dataclass(frozen=True)
@@ -137,160 +139,127 @@ def set_aside(path: str, quarantine: str) -> None:
         pass
 
 
+# A tile file as preprocess announces it: its path and the sha256 its
+# producer published it with (None when nothing recorded one).
+TileFile = Tuple[str, Optional[str]]
+
 # One file's labelling outcome, the same tuple wherever the file was
-# labelled: ("result", InferenceResult) or ("quarantined", error text).
+# labelled: ("result", InferenceResult), ("quarantined", error text), or
+# ("error", text) for a file whose bytes are not the ones announced.
 Outcome = Tuple[str, Any]
 
 
 class InferenceWorker:
-    """The labelling stage: the crawler submits paths, units label them.
+    """The labelling stage: reads announced tile files, units label them.
 
-    In-process the units run on this worker's own threads (the paper
-    allocates a single inference worker in the Fig. 6 run; ``workers``
-    generalizes that), and each thread micro-batches: after dequeuing
-    one path it drains up to ``batch_files - 1`` more without blocking,
-    fuses all their tiles into one encoder/assign call, and scatters the
-    labels back per file.
+    :meth:`run` is the plan node's body.  It takes one announced file
+    plus up to ``batch_files - 1`` more already waiting, and submits
+    them as one unit through the run context (the paper allocates a
+    single inference worker in the Fig. 6 run; ``workers`` generalizes
+    that).  The unit fuses all their tiles into one encoder/assign call
+    and scatters the labels back per file, wherever it runs.
 
     A tile file that cannot be labelled (corrupt bytes, contract
     violation) is moved into the quarantine directory by whoever found
-    it and recorded here — labelling keeps going, so one
-    crawler-visible partial never stalls the stage.
+    it and recorded here — labelling keeps going, so one bad file never
+    stalls the stage.
     """
 
     kind = "inference"
 
-    def __init__(
-        self,
-        model: Any,
-        config: EOMLConfig,
-        ctx: Optional[RunContext] = None,
-        workers: Optional[int] = None,
-        batch_files: Optional[int] = None,
-        on_result: Optional[Callable[[InferenceResult], None]] = None,
-    ):
+    def __init__(self, model: Any, config: EOMLConfig, ctx: Optional[RunContext] = None):
         self.model = model
-        self._on_result = on_result
         self.config = config
         self.ctx = ctx or RunContext()
         # How a copy of this stage in another process obtains the model:
-        # the persisted file when one exists (loaded once per process),
-        # else the object itself rides with the unit.
-        model_path = self.ctx.model_path(config)
-        self._model_source: Tuple[str, Any] = (
-            ("path", model_path)
-            if model_path and os.path.exists(model_path)
-            else ("object", model)
-        )
+        # the persisted file (loaded once per process) or the object
+        # itself, as the model node announced it.
+        self._source: Optional[Tuple[str, Any]] = None if model is None else ("object", model)
         # The model file's digest, taken on the first cache lookup.
         self._model_digest: Optional[str] = None
-        self._fatal: List[str] = []
         self._durable = bool(getattr(config, "journal_durable", True))
-        self.workers = workers or config.workers.inference
-        self.batch_files = max(1, batch_files or getattr(config, "inference_batch_files", 1))
-        self.queue: "queue.Queue" = queue.Queue()
+        self.workers = config.workers.inference
+        self.batch_files = config.inference_batch_files
+        self._lock = threading.Lock()
         self.results: List[InferenceResult] = []
         self.errors: List[str] = []
         self.quarantined: List[QuarantineRecord] = []
-        self._threads: List[threading.Thread] = []
-        self._lock = threading.Lock()
-        # Signalled whenever a submitted file settles (result or error),
-        # so drain() blocks on progress instead of busy-polling.
-        self._done = threading.Condition(self._lock)
-        self._submitted = 0
 
-    # The crawler's trigger callback.
-    def submit(self, path: str) -> None:
-        with self._done:
-            self._submitted += 1
-        future = self.ctx.submit(
-            self, os.path.basename(path), (path, self._model_source)
-        )
-        future.add_done_callback(lambda settled, path=path: self._settle(path, settled))
+    def _adopt(self, source: Sequence[Any]) -> None:
+        """Take the model ``source`` names, unless this copy has one."""
+        mode, value = source
+        with self._lock:
+            self._source = self._source or (mode, value)
+            if self.model is None:
+                self.model = AICCAModel.load(value) if mode == "path" else value
 
-    def _settle(self, path: str, future: Any) -> None:
-        """Fold one unit's outcome into the result/error books — the one
-        fold, whichever thread or process labelled the file.
+    def execute(self, payload: Tuple[List[TileFile], Sequence[Any]]) -> List[Outcome]:
+        """The unit entry point: label one batch of announced tile
+        files, wherever this copy of the stage lives."""
+        tiles, source = payload
+        self._adopt(source)
+        return self.label(tiles)
+
+    # -- the node body --------------------------------------------------------
+
+    def run(
+        self,
+        tokens: Any,
+        on_result: Callable[[InferenceResult], None] = lambda result: None,
+    ) -> "InferenceWorker":
+        """Label the tile files announced on ``tokens``, a stream channel.
+
+        A ``("model", source)`` token comes first: the model is taken up
+        then, while tiling goes on, and every unit carries the source.
+        Each ``("tiles", path, sha256)`` token is a tile file to label.
+        Each batch's outcomes are folded into this stage's books the
+        moment its unit settles, a labelled file handed to ``on_result``
+        first (eager delivery while labelling goes on).  Returns once the
+        stream has ended and every unit has settled.
 
         A :class:`WorkerCrashed` is an infrastructure failure, not a bad
-        file: it is recorded so drain() settles, and drain() then raises.
+        file: it propagates, like any lost process.
         """
+        settled: List[Future] = []
+        ok, token = tokens.get()
+        while ok:
+            # This token, and whatever else is already waiting.
+            batch: List[TileFile] = []
+            while ok:
+                if token[0] == "model":
+                    self._adopt(token[1])
+                else:
+                    batch.append((token[1], token[2]))
+                if len(batch) == self.batch_files:
+                    break
+                ok, token = tokens.get(timeout=0)
+            if batch:
+                future = self.ctx.submit(
+                    self, os.path.basename(batch[0][0]), (batch, self._source)
+                )
+                settled.append(then(future, partial(self._fold, batch, on_result)))
+            ok, token = tokens.get()
+        for future in settled:
+            future.result()
+        return self
+
+    def _fold(self, batch: List[TileFile], on_result: Callable, future: Future) -> None:
+        """Fold one settled unit's outcomes into the books."""
         try:
-            tag, value = future.result()
-        except WorkerCrashed as exc:
-            with self._done:
-                self._fatal.append(f"{path}: {exc}")
-            tag, value = "error", str(exc)
+            outcomes = future.result()
+        except WorkerCrashed:
+            raise
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-            tag, value = "error", str(exc)
-        if tag == "result":
-            # The streaming hand-off happens *before* the result is
-            # counted: a backpressured put must finish before drain() can
-            # observe the queue as settled, so every labelled file
-            # reaches its consumer.
-            if self._on_result is not None and value.out_path:
-                self._on_result(value)
-            with self._done:
+            outcomes = [("error", str(exc))] * len(batch)
+        for (path, _sha256), (tag, value) in zip(batch, outcomes):
+            if tag == "result":
+                if value.out_path:
+                    on_result(value)
                 self.results.append(value)
-                self._done.notify_all()
-            return
-        with self._done:
+                continue
             if tag == "quarantined":
                 self.quarantined.append(QuarantineRecord(key=path, error=value))
             self.errors.append(f"{path}: {value}")
-            self._done.notify_all()
-
-    def execute(self, payload: Tuple[str, Tuple[str, Any]]) -> Outcome:
-        """The unit entry point: label one tile file, wherever this copy
-        of the stage lives (the payload's model source already served
-        its purpose when the copy was built)."""
-        return self.label([payload[0]])[0]
-
-    # -- the in-process executor: queue + micro-batching threads -------------
-
-    def enqueue(self, payload: Tuple[str, Tuple[str, Any]]) -> Future:
-        """Queue one unit for this worker's own threads."""
-        future: Future = Future()
-        self.queue.put((payload[0], future))
-        return future
-
-    def start(self) -> None:
-        if self._threads:
-            raise RuntimeError("inference workers already started")
-        for index in range(self.workers):
-            thread = threading.Thread(target=self._loop, name=f"inference-{index}", daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
-    def _loop(self) -> None:
-        while True:
-            item = self.queue.get()
-            if item is _STOP:
-                return
-            batch = [item]
-            saw_stop = False
-            # Opportunistic micro-batch: fuse whatever else is already
-            # queued, never blocking, and never consuming more than this
-            # thread's own stop sentinel.
-            while len(batch) < self.batch_files:
-                try:
-                    extra = self.queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is _STOP:
-                    saw_stop = True
-                    break
-                batch.append(extra)
-            try:
-                outcomes = self.label([path for path, _ in batch])
-            except Exception as exc:  # noqa: BLE001 - settle, never hang drain()
-                for _, future in batch:
-                    future.set_exception(exc)
-            else:
-                for (_, future), outcome in zip(batch, outcomes):
-                    future.set_result(outcome)
-            if saw_stop:
-                return
 
     # -- labelling ------------------------------------------------------------
 
@@ -302,23 +271,24 @@ class InferenceWorker:
             on_caught=lambda message: set_aside(path, self.config.quarantine),
         )
 
-    def _labels_key(self, path: str) -> str:
+    def _labels_key(self, path: str, sha256: Optional[str]) -> str:
         """The store's derived key for ``path``'s labelled file.
 
-        Both digests come from the journal manifest when it has them —
-        the model node recorded the model file, and the crawler's gate
-        has just verified the tile file against its entry — else from
-        one read of the file (the model's once per worker).
+        The tile file's digest is the one it was announced with (the gate
+        has just checked the bytes against it); the model's comes from
+        the journal manifest, where the model node recorded it.  Either
+        one falls back to a read of the file (the model's once per
+        worker).
         """
         journal = self.ctx.journal
         if self._model_digest is None:
-            self._model_digest = input_digest(self._model_source[1], journal=journal)
+            self._model_digest = input_digest(self._source[1], journal=journal)
         return labels_key(
             self._model_digest, self.model.num_classes,
-            input_digest(path, journal=journal),
+            sha256 or input_digest(path, journal=journal),
         )
 
-    def _parse_unit(self, path: str) -> WorkUnit:
+    def _parse_unit(self, path: str, sha256: Optional[str]) -> WorkUnit:
         """Read + validate one tile file ("open" phase: resume decisions
         and the write-ahead intent happen here; completion happens in the
         publish unit once the labelled file lands).
@@ -341,7 +311,7 @@ class InferenceWorker:
             return entry
 
         def cache_lookup(ctx, cas) -> Optional[UnitResult]:
-            cache_key.append(self._labels_key(path))
+            cache_key.append(self._labels_key(path, sha256))
             record = cas.get_key(cache_key[0])
             if not record or not record.get("digest"):
                 return None
@@ -371,7 +341,7 @@ class InferenceWorker:
             failure=self._quarantine_policy(path),
             cache=(
                 CachePolicy(lookup=cache_lookup)
-                if self._model_source[0] == "path"
+                if self._source and self._source[0] == "path"
                 else None
             ),
         )
@@ -434,13 +404,24 @@ class InferenceWorker:
             cache=CachePolicy(store=cache_store) if entry.cache_key else None,
         )
 
-    def label(self, paths: Sequence[str]) -> List[Outcome]:
-        """Label tile files as one fused batch; one outcome per path."""
+    def label(self, tiles: Sequence[TileFile]) -> List[Outcome]:
+        """Label tile files as one fused batch; one outcome per file.
+
+        With a journal, each file's bytes must first hash to the digest
+        it was announced with: a file that does not is an error outcome,
+        counted as a manifest mismatch, and is left where it lies.
+        """
         started = time.monotonic()
+        journal = self.ctx.journal
         outcomes: Dict[str, Outcome] = {}
         parsed: List[_ParsedFile] = []
-        for path in paths:
-            result = self.ctx.executor.execute(self._parse_unit(path))
+        for path, sha256 in tiles:
+            if journal is not None and sha256 and not journal.artifact_ok(path, sha256):
+                outcomes[path] = (
+                    "error", "tile file does not match the digest it was announced with"
+                )
+                continue
+            result = self.ctx.executor.execute(self._parse_unit(path, sha256))
             if result.outcome in (RESUMED, CACHED):
                 # Labelled before — by a prior run of this directory
                 # whose published output still verifies, or by any run
@@ -470,7 +451,7 @@ class InferenceWorker:
                 groups.setdefault(entry.radiance.shape[1:], []).append(entry)
             for entries in groups.values():
                 self._assign_group(entries, started, outcomes)
-        return [outcomes[path] for path in paths]
+        return [outcomes[path] for path, _sha256 in tiles]
 
     def _assign_group(
         self,
@@ -513,44 +494,3 @@ class InferenceWorker:
                     seconds=time.monotonic() - started,
                 ),
             )
-
-    def stop(self, timeout: float = 30.0) -> None:
-        for _ in self._threads:
-            self.queue.put(_STOP)
-        for thread in self._threads:
-            thread.join(timeout=timeout)
-        self._threads = []
-
-    def drain(self, timeout: float = 60.0) -> None:
-        """Block until every submitted file has been processed.
-
-        Progress is signalled through a condition variable, so waiting
-        costs no CPU.  The settled/submitted counters are re-checked once
-        after the deadline, so a queue that drains exactly at the
-        deadline does not raise.
-        """
-        deadline = time.monotonic() + timeout
-
-        def settled() -> bool:
-            return len(self.results) + len(self.errors) >= self._submitted
-
-        with self._done:
-            while not settled():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._done.wait(remaining)
-            if settled():
-                if self._fatal:
-                    raise RuntimeError(
-                        "inference worker process lost: " + "; ".join(self._fatal)
-                    )
-                return
-        raise TimeoutError("inference queue did not drain in time")
-
-    def __enter__(self) -> "InferenceWorker":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -7,8 +7,9 @@ fans out one submitted unit per granule set — the paper's Parsl
 one-file-per-task decomposition; the run context decides where each
 unit executes.
 
-Output files appear atomically (temp + rename), so the Monitor stage can
-treat presence as completeness.
+Output files appear atomically (temp + rename), and :meth:`PreprocessStage.run`
+hands each settled result — its tile file and that file's digest — to a
+callback, which the plan turns into the announcement inference labels.
 
 Each granule set is one :class:`~repro.runtime.unit.WorkUnit`: the stage
 runtime's middleware supplies the journal resume/skip/complete protocol,
@@ -22,14 +23,15 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from typing import Deque, Iterable, List, Optional
+from functools import partial
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.chaos.surfaces import chaos_atomic_write
 from repro.core.artifact_cache import StageIn, input_digest, on_disk, tiles_key
 from repro.core.config import EOMLConfig
-from repro.core.context import RunContext
+from repro.core.context import RunContext, then
 from repro.core.download import GranuleSet
 from repro.instruments.registry import get_instrument
 from repro.instruments.tiling import extract_tiles, tiles_to_dataset
@@ -72,6 +74,7 @@ class PreprocessResult:
     tiles: int
     seconds: float
     outcome: str = "done"     # runtime outcome (done/resumed/skipped/cached)
+    sha256: Optional[str] = None  # the tile file's digest, when one was recorded
 
 
 @dataclass
@@ -252,24 +255,35 @@ class PreprocessStage:
             if result.outcome == RESUMED
             else result.artifact
         )
+        # The digest the file was published or journaled with; a file
+        # the precheck found in place was hashed by its completion.
+        sha256 = result.payload.get("sha256") if tile_path else None
+        if tile_path and sha256 is None and self.ctx.journal is not None:
+            sha256 = self.ctx.journal.expected_sha(tile_path)
         return PreprocessResult(
             key=granules.key,
             tile_path=tile_path,
             tiles=int(result.payload.get("tiles", 0)),
             seconds=time.monotonic() - started,
             outcome=result.outcome,
+            sha256=sha256,
         )
 
-    def run(self, granule_sets: Iterable[GranuleSet]) -> PreprocessReport:
+    def run(
+        self,
+        granule_sets: Iterable[GranuleSet],
+        on_result: Callable[[PreprocessResult], None] = lambda result: None,
+    ) -> PreprocessReport:
         """Fan out over an iterable that may still be producing.
 
         Each granule set is submitted the moment it arrives (for a plain
         list this is the barrier fan-out), so tiling overlaps the
-        upstream downloads when the input is a stream channel.  Finished
-        units are settled eagerly in submission order — quarantine-and-
-        continue per unit: one corrupt granule must not abort its
-        siblings — and the call returns only when every submitted unit
-        has settled.
+        upstream downloads when the input is a stream channel.  Each unit
+        is settled the moment it finishes, in whichever thread finished
+        it — quarantine-and-continue per unit: one corrupt granule must
+        not abort its siblings — and its result handed to ``on_result``
+        then.  The call returns once every unit has settled, results in
+        submission order.
 
         Quarantine-and-continue holds wherever a unit ran: its failure
         comes back through the future carrying the unit's own message,
@@ -279,24 +293,24 @@ class PreprocessStage:
         failure.
         """
         started = time.monotonic()
-        results: List[PreprocessResult] = []
-        quarantined: List[QuarantineRecord] = []
-        pending: Deque = deque()
 
-        def settle(block: bool) -> None:
-            while pending and (block or pending[0][1].done()):
-                granules, future = pending.popleft()
-                try:
-                    results.append(future.result())
-                except WorkerCrashed:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                    quarantined.append(QuarantineRecord(key=granules.key, error=str(exc)))
+        def settle(key: str, future: Future) -> Any:
+            try:
+                result = future.result()
+            except WorkerCrashed:
+                raise
+            except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+                return QuarantineRecord(key=key, error=str(exc))
+            on_result(result)
+            return result
 
-        for granules in granule_sets:
-            pending.append((granules, self.ctx.submit(self, granules.key, granules)))
-            settle(block=False)
-        settle(block=True)
+        settled = [
+            then(self.ctx.submit(self, granules.key, granules), partial(settle, granules.key))
+            for granules in granule_sets
+        ]
+        outcomes = [future.result() for future in settled]
         return PreprocessReport(
-            results=results, seconds=time.monotonic() - started, quarantined=quarantined
+            results=[o for o in outcomes if isinstance(o, PreprocessResult)],
+            seconds=time.monotonic() - started,
+            quarantined=[o for o in outcomes if isinstance(o, QuarantineRecord)],
         )

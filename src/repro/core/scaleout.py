@@ -29,7 +29,6 @@ from repro.core.context import open_run
 from repro.core.download import DownloadStage
 from repro.core.inference import InferenceWorker
 from repro.core.preprocess import PreprocessStage
-from repro.ricc.aicca import AICCAModel
 from repro.runtime.elastic import ElasticPolicy
 from repro.runtime.proc import ProcWorkerPool, WorkEnvelope, WorkerSpec
 
@@ -67,7 +66,7 @@ class StageWorker:
         self.ctx = open_run(self.config, resume=True)
         self._stages: Dict[str, Any] = {}
 
-    def _build(self, kind: str, payload: Any) -> Any:
+    def _build(self, kind: str) -> Any:
         """This process's copy of the stage ``kind`` names, on the same
         config the driver resolved, so sharded work can never disagree
         with the in-process plan about paths or knobs."""
@@ -79,23 +78,19 @@ class StageWorker:
             download = self._stage("download")
             return PreprocessStage(self.config, self.ctx, stage_in=download.stage_in)
         if kind == "inference":
-            # The first unit says how to obtain the model (load the
-            # persisted file, or take the pickled object); this copy of
-            # the stage then keeps it.  batch_files=1 keeps per-file
-            # labels byte-identical to the in-process micro-batched path.
-            mode, value = payload[1]
-            model = AICCAModel.load(value) if mode == "path" else value
-            return InferenceWorker(model, self.config, self.ctx, batch_files=1)
+            # Each unit says how to obtain the model; the first one it
+            # reaches loads it, and this copy of the stage keeps it.
+            return InferenceWorker(None, self.config, self.ctx)
         raise ValueError(f"unknown envelope kind {kind!r}")
 
-    def _stage(self, kind: str, payload: Any = None) -> Any:
+    def _stage(self, kind: str) -> Any:
         stage = self._stages.get(kind)
         if stage is None:
-            stage = self._stages[kind] = self._build(kind, payload)
+            stage = self._stages[kind] = self._build(kind)
         return stage
 
     def __call__(self, envelope: WorkEnvelope) -> Any:
-        return self._stage(envelope.kind, envelope.payload).execute(envelope.payload)
+        return self._stage(envelope.kind).execute(envelope.payload)
 
     def counters(self) -> Dict[str, float]:
         """Monotonic counters the pool ships back as per-envelope deltas:

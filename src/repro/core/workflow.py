@@ -5,17 +5,18 @@ paper's structural properties:
 
 * the **download barrier** — preprocessing starts only after every
   download has completed (HDF partial-read protection);
-* the **asynchronous monitor-trigger** — the crawler and inference worker
-  run concurrently with preprocessing, so labelling begins before tiling
-  finishes (Fig. 6's overlap);
+* the **monitor-trigger** — preprocess announces each tile file once it
+  has settled and inference labels it then, so labelling begins before
+  tiling finishes (Fig. 6's overlap);
 * **per-stage worker accounting** on a wall-clock timeline (Figs. 6-7).
 
 Those properties are stated declaratively: :meth:`EOMLWorkflow.build_plan`
 returns one :class:`~repro.runtime.plan.PipelinePlan` whose ``stream``
-edges carry scenes and labelled files and whose ``overlaps`` edge opens
-the monitor/inference concurrency window, and :meth:`run` merely drives
-it with :class:`~repro.runtime.plan.PlanRunner` (each stream edge a
-barrier) or, when ``runtime.stream`` is enabled,
+edges carry scenes, the model, tile files and labelled files, and whose
+``overlaps`` edge starts inference alongside preprocess; :meth:`run`
+merely drives it with :class:`~repro.runtime.plan.PlanRunner` (each
+stream edge a barrier, but for that overlap) or, when
+``runtime.stream`` is enabled,
 :class:`~repro.runtime.plan.StreamingPlanRunner` (a pipeline).
 
 The inference model may be supplied (a trained model instance) or
@@ -30,8 +31,6 @@ import collections
 import dataclasses
 import itertools
 import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -42,8 +41,12 @@ from repro.core.config import EOMLConfig
 from repro.core.context import MODEL_JOURNAL_KEY, RunContext, open_run
 from repro.core.download import DownloadReport, DownloadStage, GranuleSet
 from repro.core.inference import InferenceResult, InferenceWorker, set_aside
-from repro.core.monitor import DirectoryCrawler
-from repro.core.preprocess import PreprocessReport, PreprocessStage, QuarantineRecord
+from repro.core.preprocess import (
+    PreprocessReport,
+    PreprocessResult,
+    PreprocessStage,
+    QuarantineRecord,
+)
 from repro.core.shipment import ShipmentReport, ShipmentStage
 from repro.core.timeline import StageBreakdown, WallClockTimeline
 from repro.journal import WorkflowJournal
@@ -141,14 +144,9 @@ class EOMLWorkflow:
         model_path: Optional[str],
         journal: Optional[WorkflowJournal],
     ) -> AICCAModel:
-        """Load-or-train the AICCA model; ``stacks`` is the bootstrap
-        scene's radiance, one array per file."""
+        """Train the AICCA model on the bootstrap scene's radiance (one
+        array per file) and persist it to ``model_path``, if any."""
         config = self.config
-        if model_path and os.path.exists(model_path):
-            model = AICCAModel.load(model_path)
-            if journal is not None:
-                journal.complete("model", MODEL_JOURNAL_KEY, artifact=model_path)
-            return model
         if not stacks:
             raise RuntimeError("no tiles available to bootstrap an AICCA model")
         tiles = np.concatenate(stacks)
@@ -178,20 +176,21 @@ class EOMLWorkflow:
     ) -> PipelinePlan:
         """The pipeline as data: nodes are stages, edges are policies::
 
-            download -> model -> preprocess
-                                     | overlaps
-                                 inference -> shipment
+            download -> model -> preprocess -> inference -> shipment
+                                     ┆ overlaps ┆
 
         * every ``->`` is a ``stream`` edge: each completed granule scene
           flows down the acquisition chain (``("planned", keys)`` then
           one ``("scene", key, set-or-None)`` token per scene; the model
           node bootstraps from the sorted-first tile-yielding scene, then
-          relays), and labelled file names flow from inference to
-          shipment;
-        * ``inference`` runs ``after`` preprocess and the model, and
-          ``overlaps = (preprocess,)`` opens the crawler + worker
-          concurrency window while preprocessing runs; ``inference``'s
-          own body is the drain;
+          announces the model as ``("model", source)`` and every tile
+          file it tiled before relaying the scenes); preprocess relays
+          those and announces each tile file it settles as
+          ``("tiles", path, sha256)``; inference labels what is announced
+          and hands labelled file names to shipment;
+        * ``inference.overlaps = (preprocess,)`` starts inference's body
+          alongside preprocess under the listed-order runner, so it
+          labels while tiling still runs;
         * ``shipment.when = config.ship`` gates delivery.
 
         The runner, not the plan, decides barrier or pipeline:
@@ -203,8 +202,8 @@ class EOMLWorkflow:
         ``ctx`` is the run every stage executes under (journal, chaos,
         cache, and where submitted units run); ``None`` is the bare
         context.  ``handles`` (shared with the caller) receives the live
-        ``downloader``/``worker``/``crawler`` objects plus the
-        model-bootstrap bookkeeping, since those outlive their nodes.
+        ``downloader`` plus the model-bootstrap bookkeeping, since those
+        outlive their nodes.
         """
         config = self.config
         ctx = ctx or RunContext()
@@ -224,7 +223,7 @@ class EOMLWorkflow:
         # key -> that tiling's report, in the order they ran.  (A leased
         # preprocess unit replaces it with what its model unit consumed.)
         handles.setdefault("heads", {})
-        ready = handles.setdefault("model_ready", threading.Event())
+        worker = InferenceWorker(self.model, config, ctx)
 
         def run_download(state: Dict[str, Any]) -> DownloadReport:
             emit = state[STREAMS_KEY].writer("download").put
@@ -315,99 +314,82 @@ class EOMLWorkflow:
             return []
 
         def run_model(state: Dict[str, Any]) -> Any:
-            """Bootstrap deterministically, then relay scenes.
+            """Bootstrap deterministically, announce, then relay scenes.
 
-            The model must exist before the first trigger fires, so it
-            is published through ``handles`` (a streaming inference
-            window may already be waiting on it) before anything is
-            forwarded downstream.
+            The model is announced first — as its persisted file when
+            there is one, else the object — then every tile file the
+            bootstrap tiled, so inference has the model before any file.
             """
-            try:
-                tokens = iter(state[STREAMS_KEY].reader("model"))
-                forward = state[STREAMS_KEY].writer("model").put
-                held: List[Any] = []
-                model = self.model
-                if model is None:
-                    model_path = ctx.model_path(config)
-                    redo = (
-                        journal is not None
-                        and journal.resume("model", MODEL_JOURNAL_KEY).redo
+            tokens = iter(state[STREAMS_KEY].reader("model"))
+            forward = state[STREAMS_KEY].writer("model").put
+            held: List[Any] = []
+            model_path = ctx.model_path(config)
+            if self.model is not None:
+                source: Any = ("object", self.model)
+            else:
+                redo = (
+                    journal is not None
+                    and journal.resume("model", MODEL_JOURNAL_KEY).redo
+                )
+                if (
+                    redo
+                    and model_path
+                    and not config.model_path
+                    and os.path.exists(model_path)
+                ):
+                    # A mid-train crash (or digest mismatch) makes the
+                    # journal-owned bootstrap model untrustworthy;
+                    # retrain.  An explicitly configured model file is
+                    # the user's — never deleted here.
+                    os.remove(model_path)
+                if model_path and os.path.exists(model_path):
+                    if journal is not None:
+                        journal.complete("model", MODEL_JOURNAL_KEY, artifact=model_path)
+                    source = ("path", model_path)
+                else:
+                    model = self._bootstrap_model(
+                        head_tiles(tokens, held), model_path, journal
                     )
-                    if (
-                        redo
-                        and model_path
-                        and not config.model_path
-                        and os.path.exists(model_path)
-                    ):
-                        # A mid-train crash (or digest mismatch) makes the
-                        # journal-owned bootstrap model untrustworthy;
-                        # retrain.  An explicitly configured model file
-                        # is the user's — never deleted here.
-                        os.remove(model_path)
-                    stacks: List[np.ndarray] = []
-                    if not (model_path and os.path.exists(model_path)):
-                        stacks = head_tiles(tokens, held)
-                    model = self._bootstrap_model(stacks, model_path, journal)
-                handles["model"] = model
-                ready.set()
-                for token in itertools.chain(held, tokens):
-                    forward(token)
-                return model
-            except BaseException as exc:
-                handles["model_error"] = exc
-                ready.set()
-                raise
+                    source = ("path", model_path) if model_path else ("object", model)
+            forward(("model", source))
+            for report in handles["heads"].values():
+                for result in report.results:
+                    announce(forward, result)
+            for token in itertools.chain(held, tokens):
+                forward(token)
+            return source
+
+        def announce(put, result: PreprocessResult) -> None:
+            if result.tile_path:
+                put(("tiles", result.tile_path, result.sha256))
 
         def run_preprocess(state: Dict[str, Any]) -> PreprocessReport:
             heads = handles["heads"]
-            return preprocess_stage.run(
-                token[2]
-                for token in state[STREAMS_KEY].reader("preprocess")
-                if token[0] == "scene"
-                and token[2] is not None
-                and token[1] not in heads
-            )
+            put = state[STREAMS_KEY].writer("preprocess").put
 
-        @contextmanager
-        def inference_scope(state: Dict[str, Any]):
-            # Under the listed-order runner (and on a remote agent, which
-            # rehydrates it) the state already holds the model.  A
-            # streaming window may open while the model node is still
-            # relaying scenes, so that node publishes through ``handles``
-            # and sets ``model_ready`` — on both its success and error
-            # paths, so this wait can never hang.
-            model = state.get("model")
-            if model is None:
-                ready.wait()
-                error = handles.get("model_error")
-                if error is not None:
-                    raise RuntimeError(f"model bootstrap failed: {error}")
-                model = handles["model"]
-            # Labelled files stream to shipment by basename the moment
-            # they publish — eager delivery while the inference queue is
-            # still draining.
-            ship = state[STREAMS_KEY].writer("inference").put
-            worker = InferenceWorker(
-                model, config, ctx,
-                on_result=lambda result: ship(os.path.basename(result.out_path)),
+            def scenes():
+                for token in state[STREAMS_KEY].reader("preprocess"):
+                    if token[0] in ("model", "tiles"):
+                        put(token)  # the model node's announcements, relayed
+                    elif (
+                        token[0] == "scene"
+                        and token[2] is not None
+                        and token[1] not in heads
+                    ):
+                        yield token[2]
+
+            return preprocess_stage.run(
+                scenes(), on_result=lambda result: announce(put, result)
             )
-            crawler = DirectoryCrawler(
-                config.preprocessed,
-                trigger=worker.submit,
-                poll_interval=config.poll_interval,
-                gate=journal.artifact_ok if journal is not None else None,
-                executor=ctx.executor,
-            )
-            handles["worker"] = worker
-            handles["crawler"] = crawler
-            with worker, crawler:
-                yield
 
         def run_inference(state: Dict[str, Any]) -> InferenceWorker:
-            handles["crawler"].scan_once()
-            worker = handles["worker"]
-            worker.drain(timeout=config.inference_drain_timeout)
-            return worker
+            # Labelled files stream to shipment by basename the moment
+            # they publish — eager delivery while labelling goes on.
+            ship = state[STREAMS_KEY].writer("inference").put
+            return worker.run(
+                state[STREAMS_KEY].reader("inference"),
+                on_result=lambda result: ship(os.path.basename(result.out_path)),
+            )
 
         def run_shipment(state: Dict[str, Any]) -> ShipmentReport:
             shipment = ShipmentStage(config, ctx).run(
@@ -415,7 +397,7 @@ class EOMLWorkflow:
             )
             if prov and shipment.moved:
                 activity = prov.start_activity("shipment", "globus-transfer")
-                for inf in handles["worker"].results:
+                for inf in worker.results:
                     prov.record_use(
                         activity, prov.entity("labelled_file", inf.out_path)
                     )
@@ -449,10 +431,9 @@ class EOMLWorkflow:
                 "inference",
                 run_inference,
                 workers=config.workers.inference,
-                after=("preprocess", "model"),
                 overlaps=("preprocess",),
-                scope=inference_scope,
                 counts=lambda worker: {"files": len(worker.results)},
+                stream=("preprocess",),
             ),
             StageNode(
                 "shipment",
@@ -551,15 +532,14 @@ class EOMLWorkflow:
                 seconds=sum(p.seconds for p in pieces),
                 quarantined=[q for p in pieces for q in p.quarantined],
             )
-            worker = handles["worker"]
+            worker = state["inference"]
             inference_results = list(worker.results)
             shipment = state["shipment"]
 
             if prov:
                 sets_by_key = {gs.key: gs for gs in download.granule_sets}
                 model_entity = prov.entity(
-                    "model", config.model_path or "model:bootstrapped",
-                    num_classes=state["model"].num_classes,
+                    "model", config.model_path or "model:bootstrapped"
                 )
                 for result in preprocess.results:
                     if result.tile_path is None:
@@ -651,7 +631,7 @@ class EOMLWorkflow:
                 edge_stats = {s.edge: s.as_dict() for s in hub.stats()}
                 stream_summary = {"enabled": True, "edges": edge_stats}
 
-            errors = list(handles["crawler"].errors) + list(worker.errors)
+            errors = list(worker.errors)
             errors.extend(download.failed)
             errors.extend(f"incomplete scene dropped: {key}" for key in download.incomplete)
             errors.extend(f"preprocess quarantined {q.describe()}" for q in preprocess.quarantined)

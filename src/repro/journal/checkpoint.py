@@ -25,11 +25,12 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional
 
 from repro.journal import manifest as manifest_mod
 from repro.journal.journal import JournalState, RunJournal
 from repro.journal.manifest import IntegrityManifest
+from repro.util.digest import sha256_file
 
 __all__ = [
     "FRESH", "RESUMED", "REPLAY",
@@ -72,7 +73,6 @@ class WorkflowJournal:
                                           durable=durable)
         self._state: Optional[JournalState] = None
         self._lock = threading.Lock()
-        self._flagged: Set[str] = set()  # paths already counted as mismatched
         self.resumed_items = 0
         self.replayed_items = 0
         self.manifest_mismatches = 0
@@ -189,24 +189,21 @@ class WorkflowJournal:
 
     # -- integrity queries ----------------------------------------------------
 
-    def artifact_ok(self, path: str) -> bool:
-        """Integrity gate for consumers (the crawler): reject mismatches.
+    def artifact_ok(self, path: str, sha256: str) -> bool:
+        """Integrity gate for consumers (inference): do ``path``'s bytes
+        hash to ``sha256``, the digest its producer announced?
 
-        Unknown artifacts pass — the gate only blocks files whose
-        journaled digest says the bytes on disk are wrong.  A path is
-        counted as a mismatch once, however often the polling crawler
-        re-asks about it.
+        A mismatch is counted.  A file that cannot be read passes: its
+        consumer fails on it and says why.
         """
-        status = self.manifest.check(path)
-        if status == manifest_mod.MISMATCH:
-            with self._lock:
-                if path not in self._flagged:
-                    self._flagged.add(path)
-                    self.manifest_mismatches += 1
-            return False
+        try:
+            if sha256_file(path) == sha256:
+                return True
+        except OSError:
+            return True
         with self._lock:
-            self._flagged.discard(path)
-        return True
+            self.manifest_mismatches += 1
+        return False
 
     def expected_sha(self, path: str) -> Optional[str]:
         return self.manifest.expected_sha(path)

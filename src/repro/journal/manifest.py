@@ -6,7 +6,8 @@ intact" from "present but torn/rotted".  The manifest maps artifact
 paths to their digest and size; it is consulted
 
 * by resume logic, to decide whether a journaled completion still holds;
-* by the monitor's integrity gate, before a tile file is triggered;
+* by preprocess, for the digest it announces with a tile file it found
+  already in place;
 * after shipment, to verify the delivered bytes end to end.
 
 Snapshots are published atomically (temp + fsync + ``os.replace``); the

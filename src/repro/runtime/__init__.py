@@ -4,9 +4,9 @@ One :class:`StageExecutor` with an ordered middleware stack
 (quarantine, journal, cache, chaos, precheck, retry) runs the
 :class:`WorkUnit`\\ s every stage produces, and one declarative
 :class:`PipelinePlan` states the workflow's structure (scene hand-off,
-monitor/inference overlap) as explicit edges that :class:`PlanRunner`
-(as barriers) and :class:`StreamingPlanRunner` (as a pipeline) both
-drive.
+tile-file announcements, the preprocess/inference overlap) as explicit
+edges that :class:`PlanRunner` (as barriers) and
+:class:`StreamingPlanRunner` (as a pipeline) both drive.
 
 Layering contract: this package must not import ``repro.core`` (checked
 by ``tools/check_layering.py`` and CI).

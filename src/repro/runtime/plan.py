@@ -1,26 +1,27 @@
 """Declarative pipeline plans: stages as nodes, policies as edges.
 
 A :class:`PipelinePlan` states the workflow's structure — the scene
-hand-off, the monitor/inference overlap — as data instead of interleaved
-control flow:
+hand-off, the tile-file announcements inference labels as they arrive —
+as data instead of interleaved control flow:
 
 * an ``after`` edge is a **barrier**: the node's body runs only once
   every named predecessor has completed;
-* an ``overlaps`` edge is a **concurrency window**: the node's ``scope``
-  (a context manager holding its live resources — worker threads, the
-  crawler) is entered *before* the overlapped node runs and its body
-  (the drain/finalize step) runs after, which is exactly Fig. 6's
-  asynchronous monitor-trigger;
 * a ``stream`` edge is a **per-item dataflow**: the producer hands
-  tokens (completed scenes, labelled file names) to the consumer through
-  a :class:`~repro.runtime.channel.StreamChannel`.
+  tokens (completed scenes, tile files, labelled file names) to the
+  consumer through a :class:`~repro.runtime.channel.StreamChannel`;
+* an ``overlaps`` edge names a **partner** whose run the node's body
+  overlaps under the listed-order runner: :class:`PlanRunner` starts the
+  owner's body on a thread when the partner starts, so the owner reads
+  the partner's stream while it is still being written — Fig. 6's
+  labelling while tiling still runs.
 
 The runner decides what a stream edge costs.  :class:`PlanExecution`
 carries the mechanics of honouring the edges for both runners, which
 call :meth:`PlanExecution.run_node` from their own schedulers:
 :class:`PlanRunner` walks nodes in listed order over unbounded channels,
 so each producer finishes before its consumer starts (the paper's
-"preprocessing is delayed until all downloads are complete"), and
+"preprocessing is delayed until all downloads are complete") unless an
+``overlaps`` edge starts the consumer early, and
 :class:`StreamingPlanRunner` runs stream-connected nodes concurrently,
 one thread each, under backpressure, so makespan approaches max(stage)
 instead of sum(stages) — same plan, same node bodies.
@@ -31,7 +32,7 @@ stage objects.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -69,7 +70,8 @@ class StageNode:
     ``None`` and still satisfies its dependents' barriers).  ``stream``
     names producer nodes this node consumes tokens from; unlike
     ``after`` it is not a barrier — a concurrent runner starts both ends
-    together and the channel carries the ordering.
+    together and the channel carries the ordering.  ``overlaps`` names
+    partners the listed-order runner starts this node's body alongside.
     """
 
     name: str
@@ -78,7 +80,6 @@ class StageNode:
     after: Tuple[str, ...] = ()
     overlaps: Tuple[str, ...] = ()
     stream: Tuple[str, ...] = ()
-    scope: Optional[Callable[[Dict[str, Any]], Any]] = None
     when: Optional[Callable[[Dict[str, Any]], bool]] = None
     counts: Optional[Callable[[Any], Dict[str, Any]]] = None
 
@@ -123,12 +124,12 @@ class PipelinePlan:
         ]
 
     def owners_of(self, name: str) -> List[StageNode]:
-        """Nodes whose concurrency window opens when ``name`` runs."""
+        """Nodes the listed-order runner starts alongside ``name``."""
         return [node for node in self.nodes if name in node.overlaps]
 
 
 class PlanExecution:
-    """One run of a plan: barrier checks, scope windows, stream channels.
+    """One run of a plan: barrier checks, gates, stream channels.
 
     Drivers call :meth:`run_node` in any order that satisfies the
     ``after`` edges; violations raise :class:`PlanError` instead of
@@ -145,7 +146,8 @@ class PlanExecution:
     consumer drains it afterwards with identical bodies and no deadlock.
     A node's outgoing channels are closed when its body returns (or
     raises, or the node skips), and its incoming channels are relaxed
-    once it can no longer consume.
+    once it can no longer consume.  :meth:`run_node` is safe to call from
+    several threads at once.
     """
 
     def __init__(
@@ -162,15 +164,10 @@ class PlanExecution:
         self.state: Dict[str, Any] = state if state is not None else {}
         self.done: set = set()
         self.skipped: set = set()
-        self._entered: Dict[str, Any] = {}
         self._on_begin = on_begin
         self._on_end = on_end
         self._on_workers = on_workers
-        self._lock = threading.RLock()
-        # Entering a scope may block (the inference window waits for its
-        # model), so it is serialized per owner — never under ``_lock``,
-        # which every node start and finish takes.
-        self._scope_locks = {node.name: threading.Lock() for node in plan.nodes}
+        self._lock = threading.Lock()
         capacity = (stream or StreamConfig()).capacity
         self.hub = StreamHub()
         for src, dst in plan.stream_edges():
@@ -183,20 +180,6 @@ class PlanExecution:
             )
         if len(self.hub):
             self.state[STREAMS_KEY] = self.hub
-
-    def _enter(self, node: StageNode) -> None:
-        with self._scope_locks[node.name]:
-            with self._lock:
-                if node.name in self._entered or node.name in self.done:
-                    return
-            scope = (
-                node.scope(self.state) if node.scope is not None else nullcontext()
-            )
-            scope.__enter__()
-            with self._lock:
-                self._entered[node.name] = scope
-            if self._on_workers is not None and node.workers:
-                self._on_workers(node.name, node.workers)
 
     def _settle_streams(self, node: StageNode) -> None:
         """A finished (or skipped, or dead) node's channel obligations:
@@ -221,30 +204,13 @@ class PlanExecution:
                 self.skipped.add(name)
             self._settle_streams(node)
             return None
-        # Open the concurrency windows of overlap owners whose gate
-        # passes — their resources must be live while this node works.
-        for owner in self.plan.owners_of(name):
-            if owner.when is None or owner.when(self.state):
-                self._enter(owner)
-        # An overlap owner whose partners were all skipped still needs
-        # its own scope before its body runs.
-        if node.overlaps:
-            self._enter(node)
-        with self._lock:
-            entered_as_owner = name in self._entered
         if self._on_begin is not None:
             self._on_begin(name)
-        if not entered_as_owner and self._on_workers is not None and node.workers:
+        if self._on_workers is not None and node.workers:
             self._on_workers(name, node.workers)
         try:
             value = node.run(self.state)
         finally:
-            if entered_as_owner:
-                with self._lock:
-                    scope = self._entered.pop(name)
-                # Scope teardown (worker joins) precedes channel close,
-                # so scope-owned producers finish their last puts first.
-                scope.__exit__(None, None, None)
             if self._on_workers is not None and node.workers:
                 self._on_workers(name, -node.workers)
             self._settle_streams(node)
@@ -257,19 +223,21 @@ class PlanExecution:
         return value
 
     def close(self) -> None:
-        """Tear down open windows and end every channel (aborted runs)."""
-        with self._lock:
-            names = list(reversed(list(self._entered)))
-        for name in names:
-            with self._lock:
-                scope = self._entered.pop(name, None)
-            if scope is not None:
-                scope.__exit__(None, None, None)
+        """End every channel (aborted runs)."""
         self.hub.close_all()
 
 
 class PlanRunner:
-    """The local sequential driver: nodes in listed order, edges enforced."""
+    """The local sequential driver: nodes in listed order, edges enforced.
+
+    The one exception to listed order is an ``overlaps`` edge: when a
+    partner begins, each owner whose ``when`` gate passes starts its body
+    on a thread, and the driver joins that thread when it reaches the
+    owner.  Over the relaxed channels the owner reads its partner's
+    tokens as they are written, and the partner ending (or failing)
+    ends the owner's input.  The hooks may then fire from two threads,
+    so they are serialized.
+    """
 
     def __init__(
         self,
@@ -277,30 +245,56 @@ class PlanRunner:
         on_end: Optional[Callable[..., None]] = None,
         on_workers: Optional[Callable[[str, int], None]] = None,
     ):
-        self._on_begin = on_begin
-        self._on_end = on_end
-        self._on_workers = on_workers
+        hook_lock = threading.Lock()
 
-    def _execution(
-        self, plan: PipelinePlan, state: Optional[Dict[str, Any]]
-    ) -> PlanExecution:
-        return PlanExecution(
-            plan,
-            state=state,
-            on_begin=self._on_begin,
-            on_end=self._on_end,
-            on_workers=self._on_workers,
-        )
+        def locked(hook):
+            if hook is None:
+                return None
+
+            def call(*args, **kwargs):
+                with hook_lock:
+                    return hook(*args, **kwargs)
+
+            return call
+
+        self._on_begin = locked(on_begin)
+        self._on_end = locked(on_end)
+        self._on_workers = locked(on_workers)
 
     def run(
         self, plan: PipelinePlan, state: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
-        execution = self._execution(plan, state)
+        early: Dict[str, Future] = {}
+        owners = ThreadPoolExecutor(thread_name_prefix="plan")
+
+        def begin(name: str) -> None:
+            # A partner has begun: its overlap owners start alongside.
+            if self._on_begin is not None:
+                self._on_begin(name)
+            for owner in plan.owners_of(name):
+                if owner.name not in early and (
+                    owner.when is None or owner.when(execution.state)
+                ):
+                    early[owner.name] = owners.submit(execution.run_node, owner.name)
+
+        execution = PlanExecution(
+            plan,
+            state=state,
+            on_begin=begin,
+            on_end=self._on_end,
+            on_workers=self._on_workers,
+        )
         try:
             for node in plan.nodes:
-                execution.run_node(node.name)
+                if node.name in early:
+                    early[node.name].result()
+                else:
+                    execution.run_node(node.name)
         finally:
+            # An aborted run ends every channel first, so an early owner
+            # still reading its partner's stream can finish.
             execution.close()
+            owners.shutdown()
         return execution.state
 
 
@@ -310,7 +304,9 @@ class StreamingPlanRunner(PlanRunner):
     ``after`` edges are still honoured (a dependent waits for its
     predecessors to finish), but stream-connected nodes start together
     and exchange tokens through channels bounded at the
-    :class:`~repro.runtime.channel.StreamConfig` capacity.
+    :class:`~repro.runtime.channel.StreamConfig` capacity; an
+    ``overlaps`` edge adds nothing, since every node already runs
+    alongside every other.
 
     Failure containment: a node that raises closes its outputs (its
     consumers see end-of-stream and finish with what arrived) and
@@ -327,31 +323,13 @@ class StreamingPlanRunner(PlanRunner):
         on_workers: Optional[Callable[[str, int], None]] = None,
         stream: Optional[StreamConfig] = None,
     ):
-        # Hooks (timeline, journal checkpoints) are not thread-safe;
-        # serialize them across node threads.
-        hook_lock = threading.Lock()
-
-        def locked(hook):
-            if hook is None:
-                return None
-
-            def call(*args, **kwargs):
-                with hook_lock:
-                    return hook(*args, **kwargs)
-
-            return call
-
-        super().__init__(
-            on_begin=locked(on_begin),
-            on_end=locked(on_end),
-            on_workers=locked(on_workers),
-        )
+        super().__init__(on_begin=on_begin, on_end=on_end, on_workers=on_workers)
         self.stream_config = stream or StreamConfig()
 
-    def _execution(
-        self, plan: PipelinePlan, state: Optional[Dict[str, Any]]
-    ) -> PlanExecution:
-        return PlanExecution(
+    def run(
+        self, plan: PipelinePlan, state: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        execution = PlanExecution(
             plan,
             state=state,
             on_begin=self._on_begin,
@@ -360,11 +338,6 @@ class StreamingPlanRunner(PlanRunner):
             stream=self.stream_config,
             concurrent=True,
         )
-
-    def run(
-        self, plan: PipelinePlan, state: Optional[Dict[str, Any]] = None
-    ) -> Dict[str, Any]:
-        execution = self._execution(plan, state)
         finished = {node.name: threading.Event() for node in plan.nodes}
         aborted: set = set()
         errors: List[BaseException] = []

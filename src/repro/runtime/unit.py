@@ -147,7 +147,7 @@ class WorkUnit:
       and is completed here;
     * ``"close"`` — completion only (the intent was written by the
       matching ``"open"`` unit);
-    * ``"off"`` — the journal never sees this unit (monitor triggers).
+    * ``"off"`` — the journal never sees this unit.
     """
 
     stage: str

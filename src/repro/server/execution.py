@@ -12,8 +12,8 @@ job is the node's immediate needs:
   incoming channel is filled from that log before the body runs
   (:mod:`repro.server.wire`) — the same hand-off :class:`~repro.runtime.
   plan.PlanRunner` makes in one process;
-* the node's ``scope`` (the inference crawler/worker window) is entered
-  around its body, and ``when`` gates are honoured;
+* ``when`` gates are honoured; an ``overlaps`` edge asks nothing here,
+  since the server only leases a unit once its producers completed;
 * the run is opened through :func:`repro.core.context.open_run` — the
   same opener the local driver and the pool workers use — with
   ``resume=True`` every time, so a requeued or retried unit replays its
@@ -28,13 +28,11 @@ driven remotely.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.core import EOMLWorkflow, load_config
 from repro.core.config import EOMLConfig
-from repro.core.context import RunContext, open_run
-from repro.ricc.aicca import AICCAModel
+from repro.core.context import open_run
 from repro.runtime import STREAMS_KEY, PlanExecution, StageNode
 from repro.server import wire
 
@@ -92,7 +90,6 @@ def validate_remote_config(raw: Mapping[str, Any]) -> EOMLConfig:
 
 
 def _rehydrate(
-    ctx: RunContext,
     node: StageNode,
     config: EOMLConfig,
     handles: Dict[str, Any],
@@ -102,10 +99,10 @@ def _rehydrate(
 
     Each incoming stream channel is filled from its producer's token log
     and closed, so the body drains exactly the tokens the producer
-    wrote.  The inference unit's model dependency is the persisted model
-    file.  Preprocess also skips the scenes the model unit already
-    tiled: the bootstrap walks complete scenes in planned order, so what
-    it consumed (its cursor) is a prefix of those.
+    wrote — inference's carries the model's path and every tile file.
+    Preprocess also skips the scenes the model unit already tiled: the
+    bootstrap walks complete scenes in planned order, so what it
+    consumed (its cursor) is a prefix of those.
     """
     tokens: List[Any] = []
     for src in node.stream:
@@ -116,14 +113,6 @@ def _rehydrate(
         for token in tokens:
             channel.put(token)
         channel.close()
-    if node.name == "inference":
-        model_path = ctx.model_path(config)
-        if model_path is None:
-            raise RuntimeError(
-                "no model path: remote inference needs the journal directory "
-                "(or inference.model_path) to carry the bootstrapped model"
-            )
-        state["model"] = AICCAModel.load(model_path)
     if node.name == "preprocess":
         consumed = int(wire.load_state(config.journal_dir, "model")["consumed"])
         planned = next((t[1] for t in tokens if t[0] == "planned"), [])
@@ -150,7 +139,6 @@ def _result_payload(unit: str, value: Any, handles: Dict[str, Any]) -> Dict[str,
         }
     if unit == "model":
         return {
-            "num_classes": value.num_classes,
             "consumed": len(handles["heads"]),
             "refetched_bytes": handles["downloader"].refetched_bytes,
         }
@@ -162,12 +150,11 @@ def _result_payload(unit: str, value: Any, handles: Dict[str, Any]) -> Dict[str,
             "refetched_bytes": handles["downloader"].refetched_bytes,
         }
     if unit == "inference":
-        worker = handles["worker"]
         return {
-            "files": len(worker.results),
-            "tiles": sum(r.tiles for r in worker.results),
-            "quarantined": len(worker.quarantined),
-            "errors": list(worker.errors) + list(handles["crawler"].errors),
+            "files": len(value.results),
+            "tiles": sum(r.tiles for r in value.results),
+            "quarantined": len(value.quarantined),
+            "errors": list(value.errors),
         }
     if unit == "shipment":
         return {
@@ -223,13 +210,11 @@ def execute_unit(
         # its own.
         state: Dict[str, Any] = {}
         hub = PlanExecution(plan, state=state).hub
-        _rehydrate(ctx, node, config, handles, state)
+        _rehydrate(node, config, handles, state)
         if node.when is not None and not node.when(state):
             return {"skipped": True}
         _check_cancel("before node body")
-        scope = node.scope(state) if node.scope is not None else nullcontext()
-        with scope:
-            value = node.run(state)
+        value = node.run(state)
         hub.close_outputs(unit)
         # The fencing checkpoint that matters most: the body finished but
         # nothing is published to the control plane yet.  If the lease was

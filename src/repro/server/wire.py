@@ -10,12 +10,13 @@ written atomically beside the run journal so a requeued unit reloads
 exactly what its producer wrote.
 
 Only *structural* tokens travel — the planned scene keys, each scene's
-granule-set key, paths and granule digests, labelled file names, plus
-the model units' consumed-scene cursor.  Bulk artifacts (granule files,
-tile files, the bootstrapped model) stay on the shared filesystem the
-submitted config points at, guarded by the integrity manifest — or, for
-a granule a download found in the store, in the store until a reader
-stages it in.
+granule-set key, paths and granule digests, the model's source (the
+path of its persisted file), each tile file's path and digest, labelled
+file names, plus the model units' consumed-scene cursor.  Bulk
+artifacts (granule files, tile files, the bootstrapped model) stay on
+the shared filesystem the submitted config points at, guarded by the
+integrity manifest and the announced digests — or, for a granule a
+download found in the store, in the store until a reader stages it in.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ STATE_DIRNAME = "units"
 def tokens_to_wire(tokens: Iterable[Any]) -> List[Any]:
     """Stream tokens as JSON: a tuple becomes a list and a
     :class:`GranuleSet` a ``{key, paths, digests}`` mapping; anything
-    else (a labelled file name, a list of planned keys) is already JSON."""
+    else (a labelled file name, a list of planned keys, a model source)
+    is already JSON."""
     return [
         [
             {"key": part.key, "paths": dict(part.paths), "digests": dict(part.digests)}

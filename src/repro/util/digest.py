@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 # The shared temp-name convention: writers publish ``<final>.part`` and
-# rename; crawlers and shippers skip the suffix unconditionally.
+# rename; directory sweeps (shipment's) skip the suffix unconditionally.
 TEMP_SUFFIX = ".part"
 
 # Digest-while-writing slice: large enough to amortize hashlib call

@@ -32,7 +32,7 @@ def build_raw_config(root: str, granules: int) -> dict:
         },
         "download": {"workers": 2},
         "preprocess": {"workers": 2},
-        "inference": {"workers": 1, "poll_interval": 0.05},
+        "inference": {"workers": 1},
         "journal": {"dir": os.path.join(root, "data", "journal")},
     }
 

@@ -131,7 +131,7 @@ def test_preprocess_and_labelling_hold_one_copy_of_the_tile_file(staged):
 
     worker = InferenceWorker(ConstantModel(), config)
     with traced() as peak:
-        ((_, labelled),) = worker.label([result.tile_path])
+        ((_, labelled),) = worker.label([(result.tile_path, result.sha256)])
     # The native-order radiance the model sees (1x) and one merged
     # buffer of the spliced output (a mini file is a single one, so 1x
     # again); the parent commit held the file five times.

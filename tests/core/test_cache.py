@@ -592,10 +592,10 @@ class TestLabelsKey:
         return staged, paths, CASStore(str(tmp_path / "cas"), durable=False)
 
     @staticmethod
-    def label(config, cas, path):
-        model = AICCAModel.load(config.model_path)
-        worker = InferenceWorker(model, config, RunContext(cache=cas))
-        ((tag, result),) = worker.label([path])
+    def label(config, cas, path, journal=None):
+        """One unit, as the model node announces a persisted model."""
+        worker = InferenceWorker(None, config, RunContext(journal=journal, cache=cas))
+        ((tag, result),) = worker.execute(([(path, None)], ("path", config.model_path)))
         assert tag == "result", result
         return result, sha256_file(result.out_path)
 
@@ -640,16 +640,11 @@ class TestLabelsKey:
         config, (path, _), cas = staged
         _, golden_sha = self.label(config, cas, path)
         os.unlink(os.path.join(config.transfer_out, os.path.basename(path)))
-        model = AICCAModel.load(config.model_path)
 
         def relabel(resume):
             with WorkflowJournal(str(tmp_path / "journal"), durable=False) as journal:
                 journal.start(resume=resume)
-                worker = InferenceWorker(
-                    model, config, RunContext(journal=journal, cache=cas)
-                )
-                ((tag, result),) = worker.label([path])
-                assert tag == "result", result
+                result, _sha = self.label(config, cas, path, journal=journal)
                 return result, journal.counters()
 
         hit, _ = relabel(resume=False)
@@ -675,7 +670,7 @@ class TestLabelsKey:
         unsaved = dataclasses.replace(config, model_path=None)
         for _ in range(2):
             worker = InferenceWorker(model, unsaved, RunContext(cache=cas))
-            ((tag, result),) = worker.label([path])
+            ((tag, result),) = worker.label([(path, None)])
             assert tag == "result" and not result.cached
         assert len(model_calls) == 2
         assert cas.counters()["stores"] == cas.counters()["key_misses"] == 0

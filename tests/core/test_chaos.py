@@ -60,7 +60,6 @@ def make_config(tmp_path, chaos=None, granules=2, **download):
         "download": {"workers": 2, "backoff_base": 0.001, "backoff_total": 0.05,
                      **download},
         "preprocess": {"workers": 2, "tile_size": 16},
-        "inference": {"poll_interval": 0.05},
     }
     if chaos is not None:
         mapping["chaos"] = chaos
@@ -139,7 +138,7 @@ class TestFaultPlanParsing:
         assert FaultPlan.from_mapping(plan.to_mapping()) == plan
 
     def test_stage_and_kind_vocabulary(self):
-        assert STAGES == ("download", "preprocess", "monitor", "inference",
+        assert STAGES == ("download", "preprocess", "inference",
                           "shipment", "agent", "net", "cache")
         assert set(FAULT_KINDS) >= {"http_transient", "torn_write", "corrupt_tile",
                                     "wan_degrade", "worker_stall"}

@@ -67,8 +67,9 @@ class TestLoadConfig:
 
     def test_unknown_key_rejected(self):
         # A typo, and the knobs that are gone (the progressive-fidelity
-        # pair, the instrument x model fan-out lists and the model name):
-        # an old config naming one fails loudly instead of being ignored.
+        # pair, the instrument x model fan-out lists, the model name and
+        # the inference drain deadline): an old config naming one fails
+        # loudly instead of being ignored.
         for section, key, value in [
             ("archive", "tiem_span", "oops"),
             ("preprocess", "coarse_stride", 2),
@@ -76,6 +77,7 @@ class TestLoadConfig:
             ("archive", "instruments", ["modis"]),
             ("inference", "models", ["ricc"]),
             ("inference", "model", "ricc"),
+            ("inference", "drain_timeout", 300.0),
         ]:
             raw = {"archive": {"start_date": "2022-01-01"}}
             raw[section] = dict(raw.get(section, {}), **{key: value})
@@ -141,26 +143,6 @@ class TestJournalConfig:
             load_config(
                 "archive:\n  start_date: 2022-01-01\n"
                 "journal:\n  path: /state\n"
-            )
-
-
-class TestDrainTimeoutConfig:
-    def test_default(self):
-        config = load_config("archive:\n  start_date: 2022-01-01\n")
-        assert config.inference_drain_timeout == 300.0
-
-    def test_override(self):
-        config = load_config(
-            "archive:\n  start_date: 2022-01-01\n"
-            "inference:\n  drain_timeout: 42.5\n"
-        )
-        assert config.inference_drain_timeout == 42.5
-
-    def test_must_be_positive(self):
-        with pytest.raises(ConfigError, match="positive"):
-            load_config(
-                "archive:\n  start_date: 2022-01-01\n"
-                "inference:\n  drain_timeout: 0\n"
             )
 
 

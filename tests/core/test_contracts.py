@@ -131,7 +131,7 @@ class TestPipelineIntegration:
         path = str(tmp_path / "tiles_bad.nc")
         nc_write(bad, path)
         worker = InferenceWorker(None, make_config(tmp_path))
-        ((tag, error),) = worker.label([path])
+        ((tag, error),) = worker.label([(path, None)])
         assert tag == "quarantined"
         with pytest.raises(ContractViolation) as violation:
             TILE_FILE.validate(bad)

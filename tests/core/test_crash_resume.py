@@ -20,7 +20,7 @@ SRC = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 )
 
-# Stages with a crash surface; "monitor" only observes and has none.
+# The workflow stages, each with a crash surface.
 CRASH_STAGES = ["download", "preprocess", "inference", "shipment"]
 
 

@@ -36,21 +36,19 @@ def delivered(config):
     }
 
 
-# The five-stage graph as (name, after, overlaps, stream, has_scope) rows.
+# The five-stage graph as (name, after, overlaps, stream) rows: one
+# stream chain, with inference started alongside preprocess.
 PLAN = [
-    ("download", (), (), (), False),
-    ("model", (), (), ("download",), False),
-    ("preprocess", (), (), ("model",), False),
-    ("inference", ("preprocess", "model"), ("preprocess",), (), True),
-    ("shipment", (), (), ("inference",), False),
+    ("download", (), (), ()),
+    ("model", (), (), ("download",)),
+    ("preprocess", (), (), ("model",)),
+    ("inference", (), ("preprocess",), ("preprocess",)),
+    ("shipment", (), (), ("inference",)),
 ]
 
 
 def topology(plan):
-    return [
-        (n.name, n.after, n.overlaps, n.stream, n.scope is not None)
-        for n in plan.nodes
-    ]
+    return [(n.name, n.after, n.overlaps, n.stream) for n in plan.nodes]
 
 
 class TestPlanTopology:

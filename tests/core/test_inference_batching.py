@@ -1,16 +1,16 @@
 """The inference micro-batcher against the per-file path.
 
-Cross-file fusion (``batch_files > 1``) concatenates the tiles of every
-queued file into one encoder/assign call and scatters the labels back.
-These tests pin the fused path to the per-file path: identical labels,
-identical output bytes, identical quarantine behaviour — plus the
-``drain`` deadline-edge regression and the float32/float64 assign
+Cross-file fusion (``batch_files > 1``) submits every announced file
+already waiting as one unit, which concatenates their tiles into one
+encoder/assign call and scatters the labels back.  These tests drive the
+node body, :meth:`InferenceWorker.run`, over a stream channel and pin
+the fused path to the per-file path: identical labels, identical output
+bytes, identical quarantine behaviour — plus the float32/float64 assign
 equivalence the fusion relies on.
 """
 
 import os
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from repro.core.inference import InferenceWorker
 from repro.instruments.tiling import extract_tiles, tiles_to_dataset
 from repro.netcdf import write as nc_write
 from repro.ricc import AICCAModel
+from repro.runtime import StreamChannel
 
 TILE = 8
 BANDS = 6
@@ -72,16 +73,23 @@ def model():
 
 
 def run_worker(model, config, paths):
-    worker = InferenceWorker(model, config)
-    with worker:
-        for path in paths:
-            worker.submit(path)
-        worker.drain(timeout=30.0)
+    """Announce ``paths`` ahead of the body, so each unit batches what waits."""
+    tokens = StreamChannel("preprocess->inference")
+    tokens.put(("model", ("object", model)))
+    for path in paths:
+        tokens.put(("tiles", path, None))
+    tokens.close()
+    handed_off = []
+    worker = InferenceWorker(None, config).run(
+        tokens, on_result=lambda result: handed_off.append(result.out_path)
+    )
+    # Every labelled file reached the hand-off by the time run() returned.
+    assert handed_off == [result.out_path for result in worker.results]
     return worker
 
 
 class TestMicroBatchEquivalence:
-    def test_fused_labels_match_per_file(self, tmp_path, model):
+    def test_fused_labels_match_per_file(self, tmp_path, model, monkeypatch):
         """batch_files=4 and batch_files=1 produce byte-identical output."""
         src_a = tmp_path / "a"
         src_b = tmp_path / "b"
@@ -92,10 +100,17 @@ class TestMicroBatchEquivalence:
             make_tile_file(str(src_a / name), seed=i)
             make_tile_file(str(src_b / name), seed=i)
 
+        batches = []
+        execute = InferenceWorker.execute
+        monkeypatch.setattr(
+            InferenceWorker, "execute",
+            lambda worker, payload: batches.append(len(payload[0])) or execute(worker, payload),
+        )
         fused_config = make_config(tmp_path / "fused", batch_files=4)
         serial_config = make_config(tmp_path / "serial", batch_files=1)
         fused = run_worker(model, fused_config, [str(src_a / n) for n in names])
         serial = run_worker(model, serial_config, [str(src_b / n) for n in names])
+        assert batches == [4, 1] + [1] * 5  # what waited, up to batch_files
         assert not fused.errors and not serial.errors
         assert len(fused.results) == len(serial.results) == len(names)
 
@@ -131,6 +146,37 @@ class TestMicroBatchEquivalence:
         )
 
 
+class TestDrain:
+    def test_on_result_fires_before_drain_observes_settled(self, tmp_path, model):
+        # The streaming hand-off contract: the body drains a live stream,
+        # and every labelled file has been handed to on_result, published,
+        # by the time run() returns — a downstream reader misses nothing.
+        tokens = StreamChannel("preprocess->inference")
+        config = make_config(tmp_path / "out", batch_files=2)
+        sources = []
+
+        def produce():
+            tokens.put(("model", ("object", model)))
+            for seed in range(3):
+                sources.append(make_tile_file(str(tmp_path / f"tiles_s{seed}.nc"), seed))
+                tokens.put(("tiles", sources[-1], None))
+            tokens.close()
+
+        handed_off = []
+
+        def hand_off(result):
+            assert os.path.exists(result.out_path)
+            handed_off.append(result.out_path)
+
+        producer = threading.Thread(target=produce)
+        producer.start()
+        worker = InferenceWorker(None, config).run(tokens, on_result=hand_off)
+        producer.join()
+        assert not worker.errors
+        assert handed_off == [r.out_path for r in worker.results]
+        assert sorted(r.src_path for r in worker.results) == sorted(sources)
+
+
 class TestAssignDtypes:
     def test_float32_and_float64_assign_identical_labels(self, model):
         rng = np.random.default_rng(13)
@@ -144,78 +190,3 @@ class TestAssignDtypes:
         batch = rng.normal(size=(8, TILE, TILE, BANDS)).astype(np.float32)
         assert model.autoencoder.encode(batch).dtype == np.float32
         assert model.autoencoder.encode(batch.astype(np.float64)).dtype == np.float64
-
-
-class TestDrain:
-    def test_drain_zero_timeout_when_settled(self, tmp_path, model):
-        """Regression: drain must re-check the counters at the deadline,
-        so an already-settled queue never raises on timeout=0."""
-        src = make_tile_file(str(tmp_path / "tiles_y.nc"), seed=21)
-        config = make_config(tmp_path / "out")
-        worker = InferenceWorker(model, config)
-        with worker:
-            worker.submit(src)
-            worker.drain(timeout=30.0)
-            # Everything has settled; an exhausted deadline is still fine.
-            worker.drain(timeout=0.0)
-        worker.drain(timeout=0.0)
-
-    def test_drain_nothing_submitted(self, tmp_path, model):
-        worker = InferenceWorker(model, make_config(tmp_path / "out"))
-        worker.drain(timeout=0.0)
-
-    def test_on_result_fires_before_drain_observes_settled(self, tmp_path, model):
-        # The streaming hand-off contract: every published file has been
-        # delivered to the callback by the time drain() returns, so a
-        # downstream consumer reading the stream misses nothing.
-        src = make_tile_file(str(tmp_path / "tiles_s.nc"), seed=23)
-        handed_off = []
-        config = make_config(tmp_path / "out")
-        worker = InferenceWorker(
-            model, config, on_result=lambda r: handed_off.append(r.out_path)
-        )
-        with worker:
-            worker.submit(src)
-            worker.drain(timeout=30.0)
-            assert handed_off == [r.out_path for r in worker.results]
-            assert len(handed_off) == 1
-
-    def test_drain_stray_kwarg_is_a_type_error(self, tmp_path, model):
-        # The deprecated poll= compatibility shim is gone: any stray
-        # keyword (including poll=) is a genuine caller bug.
-        worker = InferenceWorker(model, make_config(tmp_path / "out"))
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            worker.drain(timeout=0.0, poll=0.01)
-
-    def test_drain_without_poll_warns_nothing(self, tmp_path, model):
-        import warnings
-
-        worker = InferenceWorker(model, make_config(tmp_path / "out"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            worker.drain(timeout=0.0)
-
-    def test_drain_raises_when_work_outstanding(self, tmp_path, model):
-        worker = InferenceWorker(model, make_config(tmp_path / "out"))
-        # Never started: the submission can never settle.
-        worker.submit(str(tmp_path / "tiles_never.nc"))
-        with pytest.raises(TimeoutError):
-            worker.drain(timeout=0.05)
-
-    def test_drain_blocks_without_busy_poll(self, tmp_path, model):
-        """drain() returns promptly once a slow submission settles."""
-        src = make_tile_file(str(tmp_path / "tiles_z.nc"), seed=22)
-        config = make_config(tmp_path / "out")
-        worker = InferenceWorker(model, config)
-        with worker:
-            def late_submit():
-                time.sleep(0.15)
-                worker.submit(src)
-
-            thread = threading.Thread(target=late_submit)
-            worker.submit(src)  # ensure drain has something pending
-            thread.start()
-            worker.drain(timeout=30.0)
-            thread.join()
-            worker.drain(timeout=5.0)
-        assert len(worker.results) == 2

@@ -1,26 +1,23 @@
 """Integration tests: the real five-stage workflow on synthetic granules."""
 
 import os
-import time
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    DirectoryCrawler,
     DownloadStage,
     EOMLWorkflow,
-    InferenceWorker,
     PreprocessStage,
-    ShipmentStage,
     load_config,
 )
 from repro.modis import MINI_SWATH, LaadsArchive
 from repro.netcdf import read as nc_read
 from repro.ricc import AICCAModel
+from repro.runtime import StreamChannel
 
 
-def make_config(tmp_path, granules=2, ship=True, poll=0.05):
+def make_config(tmp_path, granules=2, ship=True):
     return load_config(
         {
             "archive": {
@@ -36,7 +33,7 @@ def make_config(tmp_path, granules=2, ship=True, poll=0.05):
             },
             "download": {"workers": 3},
             "preprocess": {"workers": 4, "tile_size": 16},
-            "inference": {"workers": 1, "poll_interval": poll},
+            "inference": {"workers": 1},
             "shipment": {"enabled": ship},
         }
     )
@@ -85,54 +82,50 @@ class TestPreprocessStage:
 
 
 class TestMonitorAndInference:
-    def test_crawler_triggers_and_inference_labels(self, tmp_path, mini_archive):
+    """Stage 3: inference labels what preprocess announces, and only that."""
+
+    def announcements(self, monkeypatch):
+        paths = []
+        put = StreamChannel.put
+
+        def recording_put(channel, item):
+            if channel.edge == "preprocess->inference" and item[0] == "tiles":
+                paths.append(item[1])
+            put(channel, item)
+
+        monkeypatch.setattr(StreamChannel, "put", recording_put)
+        return paths
+
+    def test_crawler_triggers_and_inference_labels(self, tmp_path, mini_archive,
+                                                   monkeypatch):
+        paths = self.announcements(monkeypatch)
         config = make_config(tmp_path)
-        download = DownloadStage(config, archive=mini_archive).run()
-        preprocess = PreprocessStage(config).run(download.granule_sets)
-        tile_paths = [r.tile_path for r in preprocess.results if r.tile_path]
-        tiles = np.concatenate([nc_read(p)["radiance"].data for p in tile_paths]).astype(
-            np.float32
-        )
-        model, _ = AICCAModel.train(
-            tiles, num_classes=4, latent_dim=4, hidden=(32,), epochs=3, seed=0
-        )
-        worker = InferenceWorker(model, config)
-        crawler = DirectoryCrawler(config.preprocessed, trigger=worker.submit,
-                                   poll_interval=0.05)
-        with worker, crawler:
-            deadline = time.monotonic() + 30
-            while len(worker.results) < len(tile_paths) and time.monotonic() < deadline:
-                time.sleep(0.05)
-        assert len(worker.results) == len(tile_paths)
-        assert not worker.errors
-        out = nc_read(worker.results[0].out_path)
-        assert (out["label"].data >= 0).all()
-        assert int(out.get_attr("aicca_classes")[0]) == 4
+        report = EOMLWorkflow(config, archive=mini_archive).run(provenance=False)
+        tile_paths = [r.tile_path for r in report.preprocess.results if r.tile_path]
+        assert sorted(paths) == sorted(tile_paths)  # each announced once
+        assert sorted(r.src_path for r in report.inference) == sorted(tile_paths)
+        assert not report.errors
+        out = nc_read(report.shipment.moved[0])
+        classes = int(out.get_attr("aicca_classes")[0])
+        assert 2 <= classes <= config.num_classes
+        assert ((out["label"].data >= 0) & (out["label"].data < classes)).all()
 
-    def test_crawler_ignores_partial_and_foreign_files(self, tmp_path):
-        directory = tmp_path / "watch"
+    def test_crawler_ignores_partial_and_foreign_files(self, tmp_path, mini_archive,
+                                                       monkeypatch):
+        paths = self.announcements(monkeypatch)
+        config = make_config(tmp_path)
+        directory = tmp_path / "tiles"
         directory.mkdir()
-        seen = []
-        crawler = DirectoryCrawler(str(directory), trigger=seen.append, poll_interval=0.05)
-        (directory / "tiles_a.nc.part").write_bytes(b"partial")
-        (directory / "random.txt").write_bytes(b"nope")
-        (directory / "tiles_a.nc").write_bytes(b"CDF")
-        fresh = crawler.scan_once()
-        assert fresh == [str(directory / "tiles_a.nc")]
-        # Second scan: nothing new.
-        assert crawler.scan_once() == []
-
-    def test_crawler_survives_trigger_errors(self, tmp_path):
-        directory = tmp_path / "watch"
-        directory.mkdir()
-
-        def bad_trigger(path):
-            raise RuntimeError("inference endpoint offline")
-
-        crawler = DirectoryCrawler(str(directory), trigger=bad_trigger, poll_interval=0.05)
-        (directory / "tiles_a.nc").write_bytes(b"CDF")
-        crawler.scan_once()
-        assert len(crawler.errors) == 1
+        strays = [directory / "tiles_a.nc.part", directory / "random.txt",
+                  directory / "tiles_stray.nc"]
+        for stray in strays:
+            stray.write_bytes(b"CDF")
+        report = EOMLWorkflow(config, archive=mini_archive).run(provenance=False)
+        labelled = {r.src_path for r in report.inference}
+        tile_paths = {r.tile_path for r in report.preprocess.results if r.tile_path}
+        assert labelled == set(paths) == tile_paths and len(paths) == len(tile_paths)
+        assert not labelled & {str(stray) for stray in strays}
+        assert not report.errors and report.labelled_tiles == report.total_tiles
 
 
 class TestEndToEnd:
@@ -201,18 +194,13 @@ class TestFlowsDrivenInference:
         )
 
         from repro.core.inference import InferenceWorker
-        from repro.core.monitor import DirectoryCrawler
-
-        discovered = []
-        crawler = DirectoryCrawler(config.preprocessed, trigger=discovered.append)
-        crawler.scan_once()
-        assert sorted(discovered) == sorted(tile_paths)
 
         def crawl_action(engine, params):
-            return {"paths": sorted(discovered)}
+            return {"paths": sorted(tile_paths)}
 
         def infer_action(engine, params):
-            outcomes = InferenceWorker(model, config).label(params["paths"])
+            tiles = [(path, None) for path in params["paths"]]
+            outcomes = InferenceWorker(model, config).label(tiles)
             return {"labelled": [result.out_path for _, result in outcomes]}
 
         flow = {

@@ -81,3 +81,12 @@ class TestJournalCounterRollup:
         # The delivered corpus is unchanged: shipment skipped everything
         # that already verified at the destination.
         assert len(second.shipment.moved) == len(first.shipment.moved)
+
+
+def test_a_barrier_run_reports_labelling_overlapping_tiling(tmp_path, mini_archive):
+    """Behind the barrier inference still starts with preprocess (Fig. 6's
+    asynchronous trigger), and its span shows it."""
+    config = make_config(tmp_path, granules=3)
+    report = EOMLWorkflow(config, archive=mini_archive).run(provenance=False)
+    assert report.stream is None and report.errors == []
+    assert report.stage_overlap_seconds["preprocess+inference"] > 0

@@ -31,6 +31,7 @@ from repro.core.download import ARCHIVE_HOST
 from repro.modis import MINI_SWATH, LaadsArchive
 from repro.net import CircuitBreaker, HttpServer
 from repro.net.http import HttpError
+from repro.runtime import StreamChannel
 from repro.sim import Simulation
 
 
@@ -48,7 +49,6 @@ def make_config(tmp_path, retries=2, skip=True, granules=2, chaos=None, **downlo
         "download": {"workers": 2, "retries": retries, "skip_existing": skip,
                      "backoff_base": 0.001, "backoff_total": 0.05, **download},
         "preprocess": {"workers": 2, "tile_size": 16},
-        "inference": {"poll_interval": 0.05},
     }
     if chaos is not None:
         mapping["chaos"] = chaos
@@ -225,21 +225,21 @@ class TestPreprocessResilience:
         config, granule_sets = downloaded
         chaos = injector("preprocess", "corrupt_tile")
         report = PreprocessStage(config, RunContext(chaos=chaos)).run(granule_sets)
-        # The write "succeeded": well-named files a crawler will trigger on.
+        # The write "succeeded": well-named files preprocess announces.
         tile_paths = [r.tile_path for r in report.results if r.tile_path]
         assert len(tile_paths) == 2
         # The model is never reached — parsing fails first — so a stub
         # suffices; the worker must quarantine and keep consuming.
-        worker = InferenceWorker(object(), config, workers=1)
-        with worker:
-            for path in tile_paths:
-                worker.submit(path)
-            worker.drain(timeout=30.0)
+        tokens = StreamChannel("preprocess->inference")
+        for path in tile_paths:
+            tokens.put(("tiles", path, None))
+        tokens.close()
+        worker = InferenceWorker(object(), config).run(tokens)
         assert worker.results == []
         assert len(worker.quarantined) == 2
         assert sorted(q.key for q in worker.quarantined) == sorted(tile_paths)
         for path in tile_paths:
-            assert not os.path.exists(path)  # moved out of the crawl dir
+            assert not os.path.exists(path)  # moved out of the tile directory
             assert os.path.exists(
                 os.path.join(config.quarantine, os.path.basename(path))
             )

@@ -285,10 +285,10 @@ class TestExecutorEquivalence:
                 tiles, num_classes=2, latent_dim=8, hidden=(64,), epochs=8,
                 seed=config.seed,
             )
-            labelled = call(
+            (labelled,) = call(
                 "inference", os.path.basename(tiled.tile_path),
-                lambda: InferenceWorker(model, config, ctx, batch_files=1),
-                (tiled.tile_path, ("object", model)),
+                lambda: InferenceWorker(None, config, ctx),
+                ([(tiled.tile_path, tiled.sha256)], ("object", model)),
             )
         finally:
             ctx.close()
@@ -330,31 +330,31 @@ class _Doubler:
 
 class TestOneFutureType:
     def test_submit_returns_a_stdlib_future_on_every_executor(self, tmp_path):
-        """Stage threads, the inference worker's own threads and the
-        process pool all hand back ``concurrent.futures.Future``, so the
-        standard library's ``wait`` takes any mix of them."""
+        """Stage threads and the process pool both hand back
+        ``concurrent.futures.Future``, so the standard library's ``wait``
+        takes any mix of them."""
         config = load_config(build_raw_config(str(tmp_path), 1))
         local, pooled = RunContext(), RunContext()
         pooled.pool = ProcWorkerPool(
             WorkerSpec(target="tests.runtime.proc_targets:build_echo"), name="t"
         ).start()
-        labeller = InferenceWorker(None, config, local, batch_files=1)
-        labeller.start()
+        labeller = InferenceWorker(None, config, local)
         try:
             futures = [
                 local.submit(_Doubler(), "k", 21),
                 # No such tile file: the unit settles as a quarantine outcome.
-                local.submit(labeller, "missing.nc", (str(tmp_path / "missing.nc"), None)),
+                local.submit(labeller, "missing.nc", (
+                    [(str(tmp_path / "missing.nc"), None)], ("object", None),
+                )),
                 pooled.submit(_Doubler(), "k", 21),
             ]
             assert [type(future) for future in futures] == [cf.Future] * 3
             done, pending = cf.wait(futures, timeout=30.0)
             assert not pending
             assert futures[0].result() == 42
-            assert futures[1].result()[0] == "quarantined"
+            assert futures[1].result()[0][0] == "quarantined"
             assert futures[2].result()[:3] == ("doubler", "k", 21)
         finally:
-            labeller.stop()
             pooled.pool.close()
             local.close()
 

@@ -60,7 +60,8 @@ def test_streaming_run_ships_the_golden_corpus(tmp_path):
     assert report.stream is not None and report.stream["enabled"]
     edges = report.stream["edges"]
     assert set(edges) == {
-        "download->model", "model->preprocess", "inference->shipment",
+        "download->model", "model->preprocess", "preprocess->inference",
+        "inference->shipment",
     }
     for stats in edges.values():
         assert stats["closed"]

@@ -260,7 +260,7 @@ class TestWorkflowJournal:
         journal.close()  # note: no checkpoint() — snapshot never written
         resumed = self._make(tmp_path, resume=True)
         assert resumed.resume("preprocess", "s1").outcome == RESUMED
-        assert resumed.artifact_ok(str(artifact))
+        assert resumed.manifest.verify(str(artifact))
         resumed.close()
 
     def test_torn_journal_tail_compacted_on_resume(self, tmp_path):
@@ -281,15 +281,14 @@ class TestWorkflowJournal:
         artifact = tmp_path / "a.nc"
         artifact.write_bytes(b"original")
         journal = self._make(tmp_path)
-        journal.complete("preprocess", "s1", artifact=str(artifact))
+        announced = sha256_file(str(artifact))
+        assert journal.artifact_ok(str(artifact), announced)
         artifact.write_bytes(b"rotted!!")
-        assert not journal.artifact_ok(str(artifact))
-        assert not journal.artifact_ok(str(artifact))  # polled again
+        assert not journal.artifact_ok(str(artifact), announced)
         assert journal.counters()["manifest_mismatches"] == 1
-        # Unknown artifacts pass the gate.
-        other = tmp_path / "b.nc"
-        other.write_bytes(b"whatever")
-        assert journal.artifact_ok(str(other))
+        # A file that cannot be read is its consumer's to report.
+        assert journal.artifact_ok(str(tmp_path / "gone.nc"), announced)
+        assert journal.counters()["manifest_mismatches"] == 1
         journal.close()
 
     def test_checkpoint_persists_manifest(self, tmp_path):

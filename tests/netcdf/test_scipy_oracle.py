@@ -119,7 +119,7 @@ class TestScipyReadsWhatWeWrite:
         column patched between views of the mapped tile file."""
         tile_path = make_tile_file(str(tmp_path / "tiles_g0.nc"), seed=5)
         worker = InferenceWorker(ConstantModel(), make_config(tmp_path))
-        ((_, result),) = worker.label([tile_path])
+        ((_, result),) = worker.label([(tile_path, None)])
         assert_agree(tile_path)
         shipped = assert_agree(result.out_path)
         assert shipped["label"].get_attr("classified_by") == "RICC/AICCA"

@@ -33,7 +33,7 @@ from repro.core.scaleout import StageWorker, worker_payload
 from repro.modis import LaadsArchive, MINI_SWATH
 from repro.netcdf import read as nc_read
 from repro.ricc import AICCAModel
-from repro.runtime import UnitResult
+from repro.runtime import StreamChannel, UnitResult
 from repro.runtime.proc import EnvelopeResult, WorkEnvelope, WorkerSpec
 
 
@@ -113,7 +113,9 @@ class TestStagePayloads:
         assert roundtrip(gs) == gs
 
     def test_preprocess_result(self):
-        res = PreprocessResult(key="scene", tile_path="/tmp/t.nc", tiles=9, seconds=0.5)
+        res = PreprocessResult(
+            key="scene", tile_path="/tmp/t.nc", tiles=9, seconds=0.5, sha256="ab" * 32
+        )
         assert roundtrip(res) == res
 
     def test_quarantine_record(self):
@@ -181,19 +183,28 @@ class TestSubmittedPayloads:
             nc_read(tile_paths[0])["radiance"].data, num_classes=2,
             latent_dim=8, hidden=(64,), epochs=8, seed=config.seed,
         )
-        worker = InferenceWorker(model, config, ctx)
-        for path in tile_paths:
-            worker.submit(path)
-        worker.drain(timeout=0.0)  # the loopback settles synchronously
+        tokens = StreamChannel("preprocess->inference")
+        tokens.put(("model", ("object", model)))
+        tiles = [(r.tile_path, r.sha256) for r in preprocess.results if r.tile_path]
+        for path, sha256 in tiles:
+            tokens.put(("tiles", path, sha256))
+        tokens.close()
+        worker = InferenceWorker(None, config, ctx).run(tokens)
         assert [r.src_path for r in worker.results] == tile_paths and not worker.errors
 
         shipped = ctx.pool.shipped
         assert {env.kind for env in shipped} == {"download", "preprocess", "inference"}
-        sources = [env.payload[1] for env in shipped if env.kind == "inference"]
-        assert sources and all(mode == "object" for mode, _ in sources)
+        # An inference unit is a batch of announced tile files plus the
+        # model source.
+        payloads = [env.payload for env in shipped if env.kind == "inference"]
+        assert [tile for batch, _source in payloads for tile in batch] == tiles
+        assert all(source[0] == "object" for _batch, source in payloads)
 
     def test_persisted_model_ships_as_a_path(self):
-        payload = ("/tmp/x/tiles/tiles_a.nc", ("path", "/tmp/x/journal/model.npz"))
+        payload = (
+            [("/tmp/x/tiles/tiles_a.nc", "ab" * 32), ("/tmp/x/tiles/tiles_b.nc", None)],
+            ("path", "/tmp/x/journal/model.npz"),
+        )
         assert roundtrip(payload) == payload
 
 

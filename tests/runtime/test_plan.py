@@ -3,16 +3,14 @@
 The plan is the workflow's structure as data — these tests pin that the
 ``after`` edges really are barriers (violations raise instead of
 silently reordering), that ``when`` gates skip without running, that an
-``overlaps`` edge opens the owner's scope *before* the overlapped node
-works and closes it after the owner's own body — the Fig. 6
-monitor/inference window — and that ``stream`` edges carry per-item
-tokens between concurrently running nodes under backpressure (the
-:class:`StreamingPlanRunner`) while degrading to a buffered hand-off
-under every sequential driver.
+``overlaps`` owner runs alongside its partner under the listed-order
+runner — Fig. 6's labelling while tiling still runs — and that
+``stream`` edges carry per-item tokens between concurrently running
+nodes under backpressure (the :class:`StreamingPlanRunner`) while
+degrading to a buffered hand-off under every sequential driver.
 """
 
 import threading
-from contextlib import contextmanager
 
 import pytest
 
@@ -130,60 +128,63 @@ class TestPlanExecution:
 
 
 class TestOverlapWindows:
-    def make_plan(self, events, inference_when=None):
-        @contextmanager
-        def scope(state):
-            events.append("scope+")
-            yield
-            events.append("scope-")
+    """Under :class:`PlanRunner` an ``overlaps`` owner starts with its
+    partner and reads the partner's stream while it is being written."""
+
+    @staticmethod
+    def make_plan(produce, seen, when=None, arrived=None):
+        def consume(state):
+            for item in state[STREAMS_KEY].reader("inference"):
+                seen.append(item)
+                if arrived is not None:
+                    arrived.set()
+            return len(seen)
 
         return PipelinePlan([
-            StageNode("preprocess", run=lambda s: events.append("preprocess")),
-            StageNode("inference", run=lambda s: events.append("drain"),
-                      after=("preprocess",), overlaps=("preprocess",),
-                      scope=scope, when=inference_when),
+            StageNode("preprocess", run=produce),
+            StageNode("inference", run=consume, stream=("preprocess",),
+                      overlaps=("preprocess",), when=when),
         ])
 
-    def test_owner_scope_brackets_the_overlapped_node(self):
-        events = []
-        PlanRunner().run(self.make_plan(events))
-        # The worker/crawler window opens before preprocess produces its
-        # first tile file and closes only after the drain.
-        assert events == ["scope+", "preprocess", "drain", "scope-"]
+    def test_owner_reads_while_its_partner_produces(self):
+        seen, arrived = [], threading.Event()
 
-    def test_gated_owner_never_opens_its_scope(self):
-        events = []
-        PlanRunner().run(self.make_plan(events, inference_when=lambda s: False))
-        assert events == ["preprocess"]
+        def produce(state):
+            writer = state[STREAMS_KEY].writer("preprocess")
+            writer.put("tiles_a.nc")
+            # Only an owner already running can take the first token
+            # before its partner writes the second.
+            arrived.wait(5.0)
+            writer.put("tiles_b.nc")
+            return list(seen)
 
-    def test_owner_with_skipped_partner_still_gets_scope(self):
-        events = []
+        state = PlanRunner().run(self.make_plan(produce, seen, arrived=arrived))
+        assert state["preprocess"] == ["tiles_a.nc"]
+        assert state["inference"] == 2 and seen == ["tiles_a.nc", "tiles_b.nc"]
 
-        @contextmanager
-        def scope(state):
-            events.append("scope+")
-            yield
-            events.append("scope-")
+    def test_failing_partner_ends_the_owners_input(self):
+        seen, state = [], {}
 
-        plan = PipelinePlan([
-            StageNode("preprocess", run=lambda s: events.append("preprocess"),
-                      when=lambda s: False),
-            StageNode("inference", run=lambda s: events.append("drain"),
-                      overlaps=("preprocess",), scope=scope),
-        ])
-        PlanRunner().run(plan)
-        assert events == ["scope+", "drain", "scope-"]
+        def produce(state):
+            state[STREAMS_KEY].writer("preprocess").put("tiles_a.nc")
+            raise RuntimeError("stage blew up")
 
-    def test_close_tears_down_open_windows(self):
-        events = []
-        plan = self.make_plan(events)
-        execution = PlanExecution(plan)
-        execution.run_node("preprocess")      # opens inference's window
-        assert events == ["scope+", "preprocess"]
-        execution.close()                     # aborted run: window torn down
-        assert events == ["scope+", "preprocess", "scope-"]
-        execution.close()                     # idempotent
-        assert events == ["scope+", "preprocess", "scope-"]
+        with pytest.raises(RuntimeError, match="stage blew up"):
+            PlanRunner().run(self.make_plan(produce, seen), state)
+        # The owner finished with what arrived instead of hanging.
+        assert state["inference"] == 1 and seen == ["tiles_a.nc"]
+
+    def test_gated_owner_never_starts(self):
+        seen, begun = [], []
+
+        def produce(state):
+            state[STREAMS_KEY].writer("preprocess").put("tiles_a.nc")
+            return 1
+
+        plan = self.make_plan(produce, seen, when=lambda state: False)
+        state = PlanRunner(on_begin=begun.append).run(plan)
+        assert begun == ["preprocess"] and seen == []
+        assert state["inference"] is None
 
 
 class TestPlanRunner:
@@ -209,25 +210,6 @@ class TestPlanRunner:
             ("begin", "shipment"),
             ("end", "shipment", {}),
         ]
-
-    def test_failing_node_still_closes_windows(self):
-        events = []
-
-        @contextmanager
-        def scope(state):
-            events.append("scope+")
-            yield
-            events.append("scope-")
-
-        plan = PipelinePlan([
-            StageNode("a", run=lambda s: (_ for _ in ()).throw(
-                RuntimeError("stage blew up"))),
-            StageNode("b", run=lambda s: "unreached", overlaps=("a",),
-                      scope=scope),
-        ])
-        with pytest.raises(RuntimeError, match="stage blew up"):
-            PlanRunner().run(plan)
-        assert events == ["scope+", "scope-"]
 
 
 def stream_plan(produced, consumed, count=5):
@@ -331,41 +313,6 @@ class TestStreamingPlanRunner:
         ])
         StreamingPlanRunner().run(plan)
         assert order == ["a", "b", "c"]
-
-    def test_a_scope_that_blocks_does_not_stall_other_nodes(self):
-        """An overlap owner's scope may wait on another node (the
-        inference window waits for its model): entering it must not hold
-        the execution lock that node needs to start and finish."""
-        entering = threading.Event()
-        trained = threading.Event()
-
-        @contextmanager
-        def window(state):
-            entering.set()
-            assert trained.wait(5.0), "the model node never got to run"
-            yield
-
-        def gate(state):
-            # Finishes — and so releases "model" — only once the window
-            # is being entered, the moment the old lock was held.
-            assert entering.wait(5.0)
-
-        plan = PipelinePlan([
-            StageNode("gate", run=gate),
-            StageNode("model", run=lambda s: trained.set(), after=("gate",)),
-            StageNode("work", run=lambda s: "tiles"),
-            StageNode("window", run=lambda s: "drained", after=("work", "model"),
-                      overlaps=("work",), scope=window),
-        ])
-        done = {}
-        runner = threading.Thread(
-            target=lambda: done.update(StreamingPlanRunner().run(plan)),
-            daemon=True,
-        )
-        runner.start()
-        runner.join(15.0)
-        assert not runner.is_alive(), "plan deadlocked on a blocking scope"
-        assert done["window"] == "drained"
 
     def test_skipped_consumer_relaxes_the_producer(self):
         def produce(state):

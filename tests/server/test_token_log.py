@@ -4,7 +4,7 @@ and fills each incoming channel from its producer's log; driven here
 without a server, unit by unit in plan order, as agents would lease them.
 """
 
-import contextlib
+import json
 import os
 
 import pytest
@@ -37,20 +37,33 @@ def remote(tmp_path_factory):
             puts.clear()  # filling the inputs puts too, on the producer's edge
             results[unit] = execute_unit(raw, unit)
             written[unit] = [item for edge, item in puts if edge.startswith(unit + "->")]
-            with contextlib.suppress(FileNotFoundError):  # no outgoing edge, no log
-                logs[unit] = wire.load_state(config.journal_dir, unit)
+            logs[unit] = wire.load_state(config.journal_dir, unit)
     return config, results, written, logs
 
 
 def test_each_log_is_exactly_the_tokens_its_body_wrote(remote):
-    _config, results, written, logs = remote
-    for unit in ("download", "model"):
-        assert wire.tokens_from_wire(logs[unit]["tokens"]) == written[unit]
-    # The model relays what it was fed and keeps its cursor beside it;
-    # preprocess has no outgoing stream edge, so it writes and saves nothing.
-    assert written["model"] == written["download"]
-    assert logs["model"]["consumed"] == results["model"]["consumed"] >= 1
-    assert written["preprocess"] == [] and "preprocess" not in logs
+    config, results, written, logs = remote
+    for unit in ("download", "model", "preprocess"):
+        assert logs[unit]["tokens"] == json.loads(
+            json.dumps(wire.tokens_to_wire(written[unit]))
+        )
+    # The model announces itself as its persisted file, then the tile
+    # files its bootstrap tiled, then relays what it was fed, keeping its
+    # cursor beside the log.
+    (kind, source), *announced = written["model"][:-len(written["download"])]
+    assert (kind, source) == ("model", ("path", os.path.join(config.journal_dir, "model.npz")))
+    assert written["model"][len(announced) + 1:] == written["download"]
+    assert logs["model"]["consumed"] == results["model"]["consumed"] == len(announced) >= 1
+    # Preprocess relays both and announces every other tile file it
+    # settled: each published file exactly once, with its digest.
+    assert written["preprocess"][:len(announced) + 1] == [
+        ("model", list(source)), *announced,
+    ]
+    tiles = {path: sha256 for kind, path, sha256 in written["preprocess"][1:]}
+    assert len(tiles) == len(written["preprocess"]) - 1
+    assert {os.path.basename(path): sha256 for path, sha256 in tiles.items()} == (
+        tile_files(config.preprocessed)
+    )
 
     (kind, planned), *scenes = written["download"]
     assert kind == "planned" and planned == sorted(planned) and len(planned) == 2

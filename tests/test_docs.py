@@ -148,7 +148,7 @@ class TestScaleOutDocs:
         section = section.split("### Streaming dataflow")[0]
         for needle in ("RunContext", "`open_run(config, resume, chaos=None)`",
                        "`ctx.submit(stage, key, payload)`",
-                       "`DownloadStage.execute(ref)`", "`label(paths)`",
+                       "`DownloadStage.execute(ref)`", "`label(tiles)`",
                        "ctx.submit(stage, key, payload) ─┬─ threads",
                        "└─ pool:", "site agent ─ execute_unit ─ open_run",
                        "`WorkerCrashed`", "bare context"):
