@@ -172,7 +172,7 @@ class InferenceWorker:
         self.config = config
         self.ctx = ctx or RunContext()
         # How a copy of this stage in another process obtains the model:
-        # the persisted file (loaded once per process) or the object
+        # the persisted file (loaded once per labelling process) or the object
         # itself, as the model node announced it.
         self._source: Optional[Tuple[str, Any]] = None if model is None else ("object", model)
         # The model file's digest, taken on the first cache lookup.
@@ -186,18 +186,25 @@ class InferenceWorker:
         self.quarantined: List[QuarantineRecord] = []
 
     def _adopt(self, source: Sequence[Any]) -> None:
-        """Take the model ``source`` names, unless this copy has one."""
-        mode, value = source
+        """Record the model ``source`` names, unless this copy has one."""
         with self._lock:
-            self._source = self._source or (mode, value)
+            self._source = self._source or tuple(source)
+
+    def _take_up(self) -> None:
+        """Load the recorded model, unless this copy holds it already."""
+        with self._lock:
             if self.model is None:
+                mode, value = self._source
                 self.model = AICCAModel.load(value) if mode == "path" else value
 
     def execute(self, payload: Tuple[List[TileFile], Sequence[Any]]) -> List[Outcome]:
         """The unit entry point: label one batch of announced tile
-        files, wherever this copy of the stage lives."""
+        files, wherever this copy of the stage lives.  The model is
+        taken up by then at the latest, so only a process that labels
+        ever loads it."""
         tiles, source = payload
         self._adopt(source)
+        self._take_up()
         return self.label(tiles)
 
     # -- the node body --------------------------------------------------------
@@ -209,8 +216,10 @@ class InferenceWorker:
     ) -> "InferenceWorker":
         """Label the tile files announced on ``tokens``, a stream channel.
 
-        A ``("model", source)`` token comes first: the model is taken up
-        then, while tiling goes on, and every unit carries the source.
+        A ``("model", source)`` token comes first: its source is
+        recorded then and every unit carries it; the model itself is
+        loaded only where units run (here, too, when no pool is
+        attached).
         Each ``("tiles", path, sha256)`` token is a tile file to label.
         Each batch's outcomes are folded into this stage's books the
         moment its unit settles, a labelled file handed to ``on_result``
@@ -228,6 +237,10 @@ class InferenceWorker:
             while ok:
                 if token[0] == "model":
                     self._adopt(token[1])
+                    if self.ctx.pool is None:
+                        # Units run in this process: load the model now,
+                        # while tiling goes on, not in the first unit.
+                        self._take_up()
                 else:
                     batch.append((token[1], token[2]))
                 if len(batch) == self.batch_files:

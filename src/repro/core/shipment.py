@@ -7,12 +7,13 @@ with integrity verification, via the Globus-Transfer-like local client.
 Each file is one :class:`~repro.runtime.unit.WorkUnit`: the stage
 runtime's retry middleware re-attempts an individual move with the
 shared :class:`~repro.net.retry.BackoffPolicy` (``shipment.retries``),
-a batch-wide deadline (``shipment.timeout``) aborts before any further
-attempt, and the quarantine middleware converts a spent budget into
-``ShipmentReport.error`` rather than a crash — delivery can be
-re-driven later (transfers are sync-idempotent).  The journal middleware
-makes delivery idempotent: a file whose journaled shipment still
-verifies at the destination is skipped outright.
+a batch-wide deadline (``shipment.timeout``, charged only for time
+spent moving) aborts before any further attempt, and the quarantine
+middleware converts a spent budget into ``ShipmentReport.error`` rather
+than a crash — delivery can be re-driven later (transfers are
+sync-idempotent).  The journal middleware makes delivery idempotent: a
+file whose journaled shipment still verifies at the destination is
+skipped outright.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.chaos.surfaces import ChaosTransferClient
 from repro.core.config import EOMLConfig
@@ -80,18 +81,17 @@ class ShipmentStage:
                 else LocalTransferClient(**kwargs)
             )
 
-    def _unit_for(self, name: str, deadline: Optional[float]) -> WorkUnit:
-        """One file's move + destination verification as a work unit."""
+    def _unit_for(self, name: str, spent: Callable[[], float]) -> WorkUnit:
+        """One file's move + destination verification as a work unit;
+        ``spent()`` is the batch's time in moves so far."""
         src_path = os.path.join(self.config.transfer_out, name)
+        timeout = self.config.shipment_timeout
 
         def check_deadline() -> None:
             # Raised *outside* the retry loop's catch, so a spent batch
             # budget aborts immediately instead of burning attempts.
-            if deadline is not None and time.monotonic() > deadline:
-                raise TransferError(
-                    f"transfer timed out after {self.config.shipment_timeout}s "
-                    f"while moving {name}"
-                )
+            if timeout is not None and spent() > timeout:
+                raise TransferError(f"transfer timed out after {timeout}s while moving {name}")
 
         def body(ctx) -> UnitResult:
             ctx.begin()
@@ -214,11 +214,11 @@ class ShipmentStage:
         ``names`` are labelled-file basenames an upstream producer
         announces (a stream channel, so delivery overlaps the inference
         drain); with nothing announced the sweep alone ships everything
-        currently in the directory.  Names are deduplicated, the batch
-        deadline starts at the *first* move (not while idly waiting on
-        the stream), and the closing sweep picks up anything not
-        announced — files published by a prior crashed run must still
-        ship.
+        currently in the directory.  Names are deduplicated, only time
+        spent inside moves is charged to the batch deadline (never time
+        idly waiting on the stream), and the closing sweep picks up
+        anything not announced — files published by a prior crashed run
+        must still ship.
 
         With a journal, delivery is idempotent: a file whose journaled
         shipment still verifies at the destination is skipped outright,
@@ -228,7 +228,7 @@ class ShipmentStage:
         """
         started = time.monotonic()
         before = self.client.bytes_transferred
-        deadline: Optional[float] = None
+        charged = 0.0  # seconds spent in finished moves
         seen: set = set()
         checksums: Dict[str, str] = {}
         moved: List[str] = []
@@ -241,14 +241,16 @@ class ShipmentStage:
         stopped = False
 
         def ship(name: str) -> None:
-            nonlocal deadline, error, retries_total, resumed, verified
+            nonlocal charged, error, retries_total, resumed, verified
             nonlocal deduped, stopped
             if name in seen or stopped:
                 return
             seen.add(name)
-            if deadline is None and self.config.shipment_timeout is not None:
-                deadline = time.monotonic() + self.config.shipment_timeout
-            result = self.ctx.executor.execute(self._unit_for(name, deadline))
+            began = time.monotonic()
+            result = self.ctx.executor.execute(
+                self._unit_for(name, lambda: charged + time.monotonic() - began)
+            )
+            charged += time.monotonic() - began
             if result.outcome == RESUMED:
                 moved.append(
                     result.payload.get("artifact")

@@ -73,11 +73,11 @@ class WallClockTimeline:
     def overlaps(self) -> Dict[str, float]:
         """Pairwise span overlap seconds, keyed ``"a+b"`` in start order.
 
-        Behind the barrier only ``preprocess+inference`` is non-zero
-        (labelling runs while tiling does, Fig. 6's asynchronous
-        trigger); under streaming the overlap between adjacent stages is
-        exactly the hidden latency the paper's Fig. 6 pipelining claims —
-        so it is reported, not inferred.
+        Behind the barrier every stage after ``download`` overlaps the
+        others (Fig. 6's asynchronous trigger, and delivery while
+        labelling runs); under streaming the overlap between adjacent
+        stages is exactly the hidden latency the paper's Fig. 6
+        pipelining claims — so it is reported, not inferred.
         """
         spans = self.breakdown()
         out: Dict[str, float] = {}

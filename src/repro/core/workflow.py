@@ -3,20 +3,21 @@
 Orchestrates the five stages of Fig. 2 on this machine, preserving the
 paper's structural properties:
 
-* the **download barrier** — preprocessing starts only after every
-  download has completed (HDF partial-read protection);
+* the **download barrier**, the only one — preprocessing starts only
+  after every download has completed (HDF partial-read protection);
 * the **monitor-trigger** — preprocess announces each tile file once it
   has settled and inference labels it then, so labelling begins before
-  tiling finishes (Fig. 6's overlap);
+  tiling finishes (Fig. 6's overlap), and each labelled file ships once
+  it is published;
 * **per-stage worker accounting** on a wall-clock timeline (Figs. 6-7).
 
 Those properties are stated declaratively: :meth:`EOMLWorkflow.build_plan`
 returns one :class:`~repro.runtime.plan.PipelinePlan` whose ``stream``
 edges carry scenes, the model, tile files and labelled files, and whose
-``overlaps`` edge starts inference alongside preprocess; :meth:`run`
-merely drives it with :class:`~repro.runtime.plan.PlanRunner` (each
-stream edge a barrier, but for that overlap) or, when
-``runtime.stream`` is enabled,
+``overlaps`` edges start preprocess, inference and shipment alongside
+their producers; :meth:`run` merely drives it with
+:class:`~repro.runtime.plan.PlanRunner` (the download barrier, then one
+overlapped window) or, when ``runtime.stream`` is enabled,
 :class:`~repro.runtime.plan.StreamingPlanRunner` (a pipeline).
 
 The inference model may be supplied (a trained model instance) or
@@ -177,7 +178,7 @@ class EOMLWorkflow:
         """The pipeline as data: nodes are stages, edges are policies::
 
             download -> model -> preprocess -> inference -> shipment
-                                     ┆ overlaps ┆
+                          ┆ overlaps ┆ overlaps ┆ overlaps ┆
 
         * every ``->`` is a ``stream`` edge: each completed granule scene
           flows down the acquisition chain (``("planned", keys)`` then
@@ -188,15 +189,15 @@ class EOMLWorkflow:
           those and announces each tile file it settles as
           ``("tiles", path, sha256)``; inference labels what is announced
           and hands labelled file names to shipment;
-        * ``inference.overlaps = (preprocess,)`` starts inference's body
-          alongside preprocess under the listed-order runner, so it
-          labels while tiling still runs;
+        * the ``overlaps`` edges start preprocess, inference and
+          shipment when the model node begins (every download is in
+          by then) under the listed-order runner;
         * ``shipment.when = config.ship`` gates delivery.
 
         The runner, not the plan, decides barrier or pipeline:
-        :class:`PlanRunner` runs each producer to completion into an
-        unbounded channel before its consumer starts (the paper's Fig. 2
-        download barrier), :class:`StreamingPlanRunner` runs them
+        :class:`PlanRunner` runs download to completion into an unbounded
+        channel before the model node starts (the paper's Fig. 2
+        download barrier), :class:`StreamingPlanRunner` runs every node
         together over bounded channels (Fig. 6's pipelining).
 
         ``ctx`` is the run every stage executes under (journal, chaos,
@@ -319,20 +320,21 @@ class EOMLWorkflow:
             The model is announced first — as its persisted file when
             there is one, else the object — then every tile file the
             bootstrap tiled, so inference has the model before any file.
+            A model file that already existed is journaled last, while
+            preprocess tiles.
             """
             tokens = iter(state[STREAMS_KEY].reader("model"))
             forward = state[STREAMS_KEY].writer("model").put
             held: List[Any] = []
             model_path = ctx.model_path(config)
+            verified: Optional[Dict[str, Any]] = None
             if self.model is not None:
                 source: Any = ("object", self.model)
             else:
-                redo = (
-                    journal is not None
-                    and journal.resume("model", MODEL_JOURNAL_KEY).redo
-                )
+                decision = journal and journal.resume("model", MODEL_JOURNAL_KEY)
                 if (
-                    redo
+                    decision
+                    and decision.redo
                     and model_path
                     and not config.model_path
                     and os.path.exists(model_path)
@@ -343,9 +345,12 @@ class EOMLWorkflow:
                     # the user's — never deleted here.
                     os.remove(model_path)
                 if model_path and os.path.exists(model_path):
-                    if journal is not None:
-                        journal.complete("model", MODEL_JOURNAL_KEY, artifact=model_path)
                     source = ("path", model_path)
+                    if decision:
+                        # A resumed completion was just checked against
+                        # these bytes: record that digest, not a re-read.
+                        same = decision.payload.get("artifact") == os.path.abspath(model_path)
+                        verified = decision.payload if decision.skip and same else {}
                 else:
                     model = self._bootstrap_model(
                         head_tiles(tokens, held), model_path, journal
@@ -357,6 +362,9 @@ class EOMLWorkflow:
                     announce(forward, result)
             for token in itertools.chain(held, tokens):
                 forward(token)
+            if verified is not None:
+                journal.complete("model", MODEL_JOURNAL_KEY, artifact=model_path,
+                                 sha256=verified.get("sha256"), nbytes=verified.get("nbytes"))
             return source
 
         def announce(put, result: PreprocessResult) -> None:
@@ -425,6 +433,7 @@ class EOMLWorkflow:
                 run_preprocess,
                 workers=config.workers.preprocess,
                 counts=lambda r: {"tiles": r.total_tiles},
+                overlaps=("model",),
                 stream=("model",),
             ),
             StageNode(
@@ -440,6 +449,7 @@ class EOMLWorkflow:
                 run_shipment,
                 when=lambda state: bool(config.ship),
                 counts=lambda r: {"files": len(r.moved)},
+                overlaps=("inference",),
                 stream=("inference",),
             ),
         ])

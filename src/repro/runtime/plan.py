@@ -13,7 +13,8 @@ as data instead of interleaved control flow:
   overlaps under the listed-order runner: :class:`PlanRunner` starts the
   owner's body on a thread when the partner starts, so the owner reads
   the partner's stream while it is still being written — Fig. 6's
-  labelling while tiling still runs.
+  labelling while tiling still runs.  Overlaps chain (an owner's start
+  starts its own owners), and never bypass an ``after`` barrier.
 
 The runner decides what a stream edge costs.  :class:`PlanExecution`
 carries the mechanics of honouring the edges for both runners, which
@@ -231,12 +232,13 @@ class PlanRunner:
     """The local sequential driver: nodes in listed order, edges enforced.
 
     The one exception to listed order is an ``overlaps`` edge: when a
-    partner begins, each owner whose ``when`` gate passes starts its body
-    on a thread, and the driver joins that thread when it reaches the
-    owner.  Over the relaxed channels the owner reads its partner's
-    tokens as they are written, and the partner ending (or failing)
-    ends the owner's input.  The hooks may then fire from two threads,
-    so they are serialized.
+    partner begins, each owner whose ``when`` gate passes and whose
+    ``after`` barriers are met starts its body on a thread (and its own
+    owners with it), and the driver joins it when it reaches the owner.
+    Over the relaxed channels each owner reads its partner's tokens as
+    they are written, and the partner ending (or failing) ends the
+    owner's input.  The hooks may then fire from several threads, so
+    they are serialized.
     """
 
     def __init__(
@@ -266,16 +268,21 @@ class PlanRunner:
     ) -> Dict[str, Any]:
         early: Dict[str, Future] = {}
         owners = ThreadPoolExecutor(thread_name_prefix="plan")
+        starting = threading.Lock()
 
         def begin(name: str) -> None:
-            # A partner has begun: its overlap owners start alongside.
+            # A partner has begun: its overlap owners start alongside,
+            # unless a barrier of theirs still holds.
             if self._on_begin is not None:
                 self._on_begin(name)
             for owner in plan.owners_of(name):
-                if owner.name not in early and (
-                    owner.when is None or owner.when(execution.state)
-                ):
-                    early[owner.name] = owners.submit(execution.run_node, owner.name)
+                with starting:
+                    if (
+                        owner.name not in early
+                        and all(dep in execution.done for dep in owner.after)
+                        and (owner.when is None or owner.when(execution.state))
+                    ):
+                        early[owner.name] = owners.submit(execution.run_node, owner.name)
 
         execution = PlanExecution(
             plan,
@@ -291,10 +298,16 @@ class PlanRunner:
                 else:
                     execution.run_node(node.name)
         finally:
-            # An aborted run ends every channel first, so an early owner
-            # still reading its partner's stream can finish.
-            execution.close()
+            # In listed order, wait for each early owner (by then any owner
+            # it started is known) and end the outputs of each node that
+            # never ran, so every owner finishes with what arrived.
+            for node in plan.nodes:
+                if node.name in early:
+                    early[node.name].exception()
+                elif node.name not in execution.done:
+                    execution.hub.close_outputs(node.name)
             owners.shutdown()
+            execution.close()
         return execution.state
 
 

@@ -37,13 +37,14 @@ def delivered(config):
 
 
 # The five-stage graph as (name, after, overlaps, stream) rows: one
-# stream chain, with inference started alongside preprocess.
+# stream chain, with everything after the model node's begin (which
+# waits for every download) started alongside its producer.
 PLAN = [
     ("download", (), (), ()),
     ("model", (), (), ("download",)),
-    ("preprocess", (), (), ("model",)),
+    ("preprocess", (), ("model",), ("model",)),
     ("inference", (), ("preprocess",), ("preprocess",)),
-    ("shipment", (), (), ("inference",)),
+    ("shipment", (), ("inference",), ("inference",)),
 ]
 
 

@@ -13,18 +13,20 @@ from collections import Counter
 
 import pytest
 
+from tests.core.crash_driver import build_raw_config
 from tests.core.test_cache import run_cached
 
 from repro.cas import object_relpath
 from repro.chaos import surfaces
-from repro.core import DownloadStage, ShipmentStage, load_config
-from repro.core.context import RunContext
+from repro.core import DownloadStage, EOMLWorkflow, ShipmentStage, load_config
+from repro.core.context import MODEL_FILE, RunContext
 from repro.core.inference import _ParsedFile
 from repro.journal import WorkflowJournal
 from repro.modis import MINI_SWATH, LaadsArchive
 from repro.ricc.aicca import AICCAModel
 from repro.transfer import LocalTransferClient, TransferError
 from repro.transfer import client as client_module
+from repro.util import digest as digest_module
 from repro.util.digest import atomic_publish_bytes, digest_file
 
 FILES = {f"tiles_{index}.nc": b"CDF\x01" + bytes([index]) * (40_000 + index) for index in range(3)}
@@ -215,6 +217,30 @@ class TestColdRunBudget:
         ]
         assert sorted(os.stat(path).st_ino for path in objects) == sorted(staged)
         assert report.cache["linked_stores"] == report.cache["stores"] == len(objects)
+
+
+class TestModelBudget:
+    def test_a_resumed_run_hashes_the_model_once(self, tmp_path, monkeypatch):
+        """Resuming checks the journaled model file against its digest —
+        one full read — and the completion it records again names that
+        verified digest instead of reading the file a second time."""
+        config = load_config(build_raw_config(str(tmp_path), 2))
+        archive = LaadsArchive(seed=3, swath=MINI_SWATH)
+        assert EOMLWorkflow(config, archive=archive).run(provenance=False).errors == []
+        model_path = os.path.abspath(os.path.join(config.journal_dir, MODEL_FILE))
+        passes = []
+        real_chunks = digest_module.read_chunks
+
+        def counting_chunks(path, *args, **kwargs):
+            if os.path.abspath(path) == model_path:
+                passes.append(path)
+            return real_chunks(path, *args, **kwargs)
+
+        monkeypatch.setattr(digest_module, "read_chunks", counting_chunks)
+        report = EOMLWorkflow(config, archive=archive).run(provenance=False, resume=True)
+        monkeypatch.undo()
+        assert report.errors == [] and report.resumed_items > 0
+        assert len(passes) == 1
 
 
 class TestWarmRunBudget:

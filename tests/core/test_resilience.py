@@ -13,7 +13,9 @@ Resume/idempotence and the simulated HTTP failure model keep their
 original coverage at the bottom of the file.
 """
 
+import dataclasses
 import os
+import time
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.net import CircuitBreaker, HttpServer
 from repro.net.http import HttpError
 from repro.runtime import StreamChannel
 from repro.sim import Simulation
+from repro.transfer import LocalTransferClient
 
 
 def make_config(tmp_path, retries=2, skip=True, granules=2, chaos=None, **download):
@@ -325,6 +328,37 @@ class TestShipmentResilience:
         assert report.moved == []
         assert report.error is not None and "WAN degraded" in report.error
         assert report.retries == config.shipment_retries
+
+    def test_deadline_charges_moves_not_waits_on_the_stream(self, tmp_path):
+        """Time blocked on the announcing stream is not spent budget: two
+        files announced 0.3 s apart both ship under a 0.2 s deadline."""
+        config = dataclasses.replace(make_config(tmp_path), shipment_timeout=0.2)
+        names = stage_outbox(config)
+
+        def announced():
+            yield names[0]
+            time.sleep(0.3)
+            yield names[1]
+
+        report = ShipmentStage(config).run(announced())
+        assert report.error is None
+        assert [os.path.basename(path) for path in report.moved] == names
+
+    def test_deadline_still_charges_slow_moves(self, tmp_path, monkeypatch):
+        """Moves that together outlast the deadline stop the batch before
+        the next move starts."""
+        config = dataclasses.replace(make_config(tmp_path), shipment_timeout=0.2)
+        names = stage_outbox(config, ("tiles_a.nc", "tiles_b.nc", "tiles_c.nc"))
+        real_move = LocalTransferClient.move_one
+
+        def slow_move(self, *args, **kwargs):
+            time.sleep(0.15)
+            return real_move(self, *args, **kwargs)
+
+        monkeypatch.setattr(LocalTransferClient, "move_one", slow_move)
+        report = ShipmentStage(config).run(names)
+        assert [os.path.basename(path) for path in report.moved] == names[:2]
+        assert report.error == "transfer timed out after 0.2s while moving tiles_c.nc"
 
     def test_empty_outbox_is_a_clean_no_op(self, tmp_path):
         config = make_config(tmp_path)

@@ -186,6 +186,114 @@ class TestOverlapWindows:
         assert begun == ["preprocess"] and seen == []
         assert state["inference"] is None
 
+    # -- a chain: model, preprocess overlapping it, inference overlapping that
+
+    @staticmethod
+    def make_chain(head, seen, relay=None, tail=None, tail_after=(), relaying=None):
+        def forward(state):
+            if relaying is not None:
+                relaying.set()
+            writer = state[STREAMS_KEY].writer("preprocess")
+            for item in state[STREAMS_KEY].reader("preprocess"):
+                seen["preprocess"].append(item)
+                writer.put(item)
+            return len(seen["preprocess"])
+
+        def drain(state):
+            for item in state[STREAMS_KEY].reader("inference"):
+                seen["inference"].append(item)
+                seen["reached"].set()
+            return len(seen["inference"])
+
+        return PipelinePlan([
+            StageNode("model", run=head),
+            StageNode("preprocess", run=relay or forward, stream=("model",),
+                      overlaps=("model",)),
+            StageNode("inference", run=tail or drain, stream=("preprocess",),
+                      overlaps=("preprocess",), after=tail_after),
+        ])
+
+    @staticmethod
+    def chain_seen():
+        return {"preprocess": [], "inference": [], "reached": threading.Event()}
+
+    def test_chain_owners_read_while_the_head_still_writes(self):
+        seen = self.chain_seen()
+
+        def head(state):
+            writer = state[STREAMS_KEY].writer("model")
+            writer.put("scene_a")
+            # Only a running relay *and* a running tail let the first
+            # token reach the end of the chain before the second is put.
+            seen["reached"].wait(5.0)
+            writer.put("scene_b")
+            return list(seen["inference"])
+
+        begun = []
+        state = PlanRunner(on_begin=begun.append).run(self.make_chain(head, seen))
+        assert state["model"] == ["scene_a"]
+        assert seen["preprocess"] == seen["inference"] == ["scene_a", "scene_b"]
+        assert begun == ["model", "preprocess", "inference"]
+        assert state["preprocess"] == state["inference"] == 2
+
+    def test_chain_joins_in_listed_order(self):
+        """The tail fails first in time, but the driver joins the relay
+        first, so the relay's error is the one raised."""
+        seen, tail_failed = self.chain_seen(), threading.Event()
+
+        def head(state):
+            tail_failed.wait(5.0)
+            state[STREAMS_KEY].writer("model").put("scene_a")
+            return 1
+
+        def relay(state):
+            seen["preprocess"].extend(state[STREAMS_KEY].reader("preprocess"))
+            raise RuntimeError("relay failed")
+
+        def tail(state):
+            tail_failed.set()
+            raise RuntimeError("tail failed")
+
+        with pytest.raises(RuntimeError, match="relay failed"):
+            PlanRunner().run(self.make_chain(head, seen, relay=relay, tail=tail))
+        assert seen["preprocess"] == ["scene_a"]
+
+    def test_chain_failing_head_ends_every_input_downstream(self):
+        seen, state = self.chain_seen(), {}
+
+        def head(state):
+            state[STREAMS_KEY].writer("model").put("scene_a")
+            raise RuntimeError("download barrier broke")
+
+        with pytest.raises(RuntimeError, match="download barrier broke"):
+            PlanRunner().run(self.make_chain(head, seen), state)
+        # Both owners finished with what arrived instead of hanging.
+        assert state["preprocess"] == state["inference"] == 1
+        assert seen["preprocess"] == seen["inference"] == ["scene_a"]
+
+    def test_chain_after_stays_a_barrier(self):
+        """An owner whose ``after`` edge is unmet when its partner begins
+        is not started early: it runs in listed order, after the join."""
+        seen, events, relaying = self.chain_seen(), [], threading.Event()
+
+        def head(state):
+            relaying.wait(5.0)
+            state[STREAMS_KEY].writer("model").put("scene_a")
+            return 1
+
+        def tail(state):
+            events.append("inference starts")
+            return len(list(state[STREAMS_KEY].reader("inference")))
+
+        plan = self.make_chain(head, seen, tail=tail, tail_after=("model",),
+                               relaying=relaying)
+        state = PlanRunner(
+            on_end=lambda name, **_: events.append(f"{name} ends")
+        ).run(plan)
+        assert state["inference"] == 1
+        assert events.index("inference starts") > events.index("model ends")
+        assert events.index("inference starts") > events.index("preprocess ends")
+
 
 class TestPlanRunner:
     def test_hooks_mirror_the_timeline_vocabulary(self):

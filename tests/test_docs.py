@@ -232,12 +232,14 @@ class TestInstrumentDocs:
             assert f"`{name}`" in text, f"registered name {name!r} undocumented"
 
     def test_plan_diagram_documented(self):
-        """The five nodes, the model relay and the overlap window are
-        drawn in the plan section."""
+        """The five nodes, the model relay and the three overlap windows
+        behind the one barrier are drawn in the plan section."""
         section = self.architecture().split("### The plan")[1]
         section = section.split("## Stage runtime & middleware")[0]
-        for needle in ("download ──▶ model ──▶ preprocess", "┆ overlaps",
-                       "inference ──▶ shipment", "TestPlanTopology"):
+        for needle in ("download ──▶ model ──▶ preprocess",
+                       "┆ overlaps ┆ overlaps ┆  overlaps ┆",
+                       "inference ──▶ shipment", "the one barrier",
+                       "TestPlanTopology"):
             assert needle in section, f"plan diagram missing {needle!r}"
 
     def test_readme_and_design_point_at_the_section(self):
