@@ -181,11 +181,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{list(config.chaos.stages())}")
     if args.resume:
         print(f"resume:     replaying journal at {config.journal_dir}")
-    if config.runtime_workers > 1 or config.elastic.enabled:
-        policy = config.elastic
-        span = (f"{policy.min_workers}..{policy.max_workers} (elastic)"
-                if policy.enabled else str(config.runtime_workers))
-        print(f"scale-out:  {span} worker process(es)")
+    if config.runtime_workers > 1:
+        print(f"scale-out:  {config.runtime_workers} worker process(es)")
     report = EOMLWorkflow(config).run(
         provenance=not args.no_provenance, resume=args.resume
     )
@@ -212,9 +209,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if report.scaleout.get("enabled"):
         print(f"scale-out:  {report.scaleout['units_executed']} units over "
               f"{report.scaleout['workers_launched']} worker(s), "
-              f"{report.scaleout['requeues']} requeue(s), "
-              f"+{report.scaleout['scale_out_events']}/"
-              f"-{report.scaleout['scale_in_events']} scale events")
+              f"{report.scaleout['requeues']} requeue(s)")
     if report.cache.get("enabled"):
         print(f"cache:      {report.cache['hits']} hit(s) / "
               f"{report.cache['misses']} miss(es), "

@@ -18,7 +18,6 @@ from repro.instruments.base import OCEAN_CLOUD_THRESHOLD
 from repro.instruments.registry import get_instrument
 from repro.net.retry import BackoffPolicy
 from repro.runtime.channel import DEFAULT_CAPACITY, StreamConfig
-from repro.runtime.elastic import ElasticPolicy
 from repro.util.config import (
     ConfigError,
     Field,
@@ -173,7 +172,6 @@ _RUNTIME = Schema(
     [
         Field("stream", dict, required=False, default={}),
         Field("workers", positive_int, required=False, default=1),
-        Field("elastic", dict, required=False, default={}),
     ],
 )
 
@@ -182,17 +180,6 @@ _STREAM = Schema(
     [
         Field("enabled", boolean, required=False, default=False),
         Field("capacity", positive_int, required=False, default=DEFAULT_CAPACITY),
-    ],
-)
-
-_ELASTIC = Schema(
-    "runtime.elastic",
-    [
-        Field("enabled", boolean, required=False, default=False),
-        Field("min_workers", positive_int, required=False, default=1),
-        Field("max_workers", positive_int, required=False, default=4),
-        Field("tasks_per_worker_target", _positive_number, required=False, default=2.0),
-        Field("idle_retire_seconds", _positive_number, required=False, default=0.5),
     ],
 )
 
@@ -267,12 +254,9 @@ class EOMLConfig:
     # default, so the listed-order runner drives every stream edge as
     # the classic barrier.
     stream: StreamConfig = StreamConfig()
-    # Horizontal scale-out (runtime.workers / runtime.elastic): number of
-    # worker processes sharing the stage work; 1 keeps everything in the
-    # parent process.  An enabled elastic policy overrides the fixed
-    # count with queue-depth-driven scale-out/in.
+    # Horizontal scale-out (runtime.workers): number of worker processes
+    # sharing the stage work; 1 keeps everything in the parent process.
     runtime_workers: int = 1
-    elastic: ElasticPolicy = ElasticPolicy()
     # Content-addressed artifact cache (repro.cas): a store shared
     # across runs/tenants that short-circuits downloads, re-tiling, and
     # already-delivered shipments.  Off by default.
@@ -305,11 +289,6 @@ def load_config(source: Mapping[str, Any] | str) -> EOMLConfig:
     stream = StreamConfig(
         **_STREAM.validate(runtime["stream"] or {}, "runtime.stream")
     )
-    elastic_raw = _ELASTIC.validate(runtime["elastic"] or {}, "runtime.elastic")
-    try:
-        elastic = ElasticPolicy.from_mapping(elastic_raw)
-    except ValueError as exc:
-        raise ConfigError("runtime.elastic", str(exc)) from exc
 
     end_date = archive["end_date"] or archive["start_date"]
     if end_date < archive["start_date"]:
@@ -391,7 +370,6 @@ def load_config(source: Mapping[str, Any] | str) -> EOMLConfig:
         journal_durable=journal["durable"],
         stream=stream,
         runtime_workers=runtime["workers"],
-        elastic=elastic,
         cache_enabled=cache["enabled"],
         cache_dir=cache_dir,
         cache_budget_bytes=cache["budget_bytes"],

@@ -108,25 +108,12 @@ def build_stage_worker(payload: Dict[str, Any]) -> StageWorker:
     return StageWorker(payload)
 
 
-def build_pool(
-    config: EOMLConfig,
-    archive: Optional[Any] = None,
-    policy: Optional[ElasticPolicy] = None,
-) -> ProcWorkerPool:
-    """The workflow's stage-worker pool (not yet started).
-
-    An enabled ``runtime.elastic`` policy governs scale-out/in; otherwise
-    the pool is pinned at ``runtime.workers`` processes.
-    """
-    if policy is None:
-        policy = (
-            config.elastic
-            if config.elastic.enabled
-            else ElasticPolicy.fixed(config.runtime_workers)
-        )
+def build_pool(config: EOMLConfig, archive: Optional[Any] = None) -> ProcWorkerPool:
+    """The workflow's stage-worker pool (not yet started), pinned at
+    ``runtime.workers`` processes."""
     return ProcWorkerPool(
         WorkerSpec(target=WORKER_TARGET, payload=worker_payload(config, archive)),
-        policy=policy,
+        policy=ElasticPolicy.fixed(config.runtime_workers),
         name="stage-workers",
         max_requeues=1,
     )

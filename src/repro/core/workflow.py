@@ -489,7 +489,7 @@ class EOMLWorkflow:
             # concurrent single-line appends safe) and only when configured —
             # the default is the exact single-process path.
             pool_stats: Optional[PoolStats] = None
-            if config.runtime_workers > 1 or config.elastic.enabled:
+            if config.runtime_workers > 1:
                 from repro.core.scaleout import build_pool
 
                 ctx.pool = build_pool(config, archive=self.archive)
@@ -590,8 +590,6 @@ class EOMLWorkflow:
                 "busy_seconds": 0.0,
                 "requeues": 0,
                 "respawns": 0,
-                "scale_out_events": 0,
-                "scale_in_events": 0,
                 "workers_launched": 0,
                 "per_worker": [],
             }
@@ -601,8 +599,6 @@ class EOMLWorkflow:
                     busy_seconds=pool_stats.busy_seconds,
                     requeues=pool_stats.requeues,
                     respawns=pool_stats.respawns,
-                    scale_out_events=pool_stats.scale_out_events,
-                    scale_in_events=pool_stats.scale_in_events,
                     workers_launched=pool_stats.workers_launched,
                     per_worker=[
                         {

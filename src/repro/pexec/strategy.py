@@ -27,9 +27,7 @@ class ElasticStrategy:
 
     ``tasks_per_worker_target`` controls aggressiveness: another block is
     requested while queued tasks exceed target * provisioned workers.
-    The demand rule is the shared :class:`ElasticPolicy` — the same
-    policy that drives the live process pool's scale-out — so the
-    simulator and the real runtime cannot drift apart.
+    The demand rule is :meth:`ElasticPolicy.wants_scale_out`.
     """
 
     sim: Simulation
@@ -48,7 +46,6 @@ class ElasticStrategy:
         # min_workers=0: the executor handles its own scale-in; this
         # strategy only ever asks the policy the scale-out question.
         self._policy = ElasticPolicy(
-            enabled=True,
             min_workers=0,
             max_workers=max(1, self.max_blocks),
             tasks_per_worker_target=self.tasks_per_worker_target,

@@ -1,20 +1,16 @@
-"""Elastic worker-pool policy: demand-driven scale-out, idle scale-in.
+"""Worker-count bounds and the demand-driven scale-out rule.
 
-Fig. 6's adaptive resource management, promoted from the simulator into
-the live runtime: :class:`repro.pexec.strategy.ElasticStrategy` models
-Parsl's block scale-out against a simulated executor, and this module
-states the *decision rule* it uses — so the live process pool
-(:mod:`repro.runtime.proc`) and the simulated strategy share one policy
-instead of two drifting copies.
+Fig. 6's adaptive resource management is reproduced by the simulated
+twin: :class:`repro.pexec.strategy.ElasticStrategy` models Parsl's block
+scale-out against a simulated executor, and this module states the rule
+it uses: scale out while the backlog exceeds ``tasks_per_worker_target``
+tasks per provisioned worker ("the workflow increases resource
+allocation ... and dynamically scales down resources as workers
+complete their tasks").
 
-The rule is queue-depth driven, exactly as the paper describes ("the
-workflow increases resource allocation ... and dynamically scales down
-resources as workers complete their tasks"):
-
-* **scale out** while the backlog exceeds ``tasks_per_worker_target``
-  tasks per provisioned worker (and the cap allows);
-* **scale in** when the backlog is empty and a worker has sat idle for
-  ``idle_retire_seconds`` (and the floor allows).
+The live process pool (:mod:`repro.runtime.proc`) does not scale: it
+holds ``min_workers`` processes for the whole run and replaces a dead
+one, so it is built with ``ElasticPolicy.fixed(n)``.
 
 This module (like the whole ``repro.runtime`` package) must not import
 ``repro.core``.
@@ -23,28 +19,21 @@ This module (like the whole ``repro.runtime`` package) must not import
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 __all__ = ["ElasticPolicy"]
 
 
 @dataclass(frozen=True)
 class ElasticPolicy:
-    """The ``runtime.elastic`` config and its scaling decision rule.
+    """Worker-count bounds plus the scale-out demand rule.
 
-    ``enabled`` is the config switch read by the workflow (a disabled
-    policy means a fixed-size pool); the pool itself only consults the
-    bounds and the decision methods, so a fixed pool is just
-    ``ElasticPolicy.fixed(n)``.  ``min_workers`` may be 0 for consumers
-    that scale from nothing (the simulated strategy); the live pool
-    always keeps at least one worker.
+    ``min_workers`` may be 0 for consumers that scale from nothing (the
+    simulated strategy); the live pool always keeps at least one worker.
     """
 
-    enabled: bool = False
     min_workers: int = 1
     max_workers: int = 1
     tasks_per_worker_target: float = 2.0
-    idle_retire_seconds: float = 0.5
 
     def __post_init__(self) -> None:
         if self.min_workers < 0:
@@ -62,48 +51,18 @@ class ElasticPolicy:
             )
         if self.tasks_per_worker_target <= 0:
             raise ValueError("tasks_per_worker_target must be positive")
-        if self.idle_retire_seconds <= 0:
-            raise ValueError("idle_retire_seconds must be positive")
 
     @classmethod
     def fixed(cls, workers: int) -> "ElasticPolicy":
         """A pool pinned at exactly ``workers`` processes."""
         return cls(min_workers=workers, max_workers=workers)
 
-    @classmethod
-    def from_mapping(cls, raw: Mapping[str, Any]) -> "ElasticPolicy":
-        """Parse the validated ``runtime.elastic`` mapping; raises ValueError."""
-        return cls(
-            enabled=bool(raw.get("enabled", False)),
-            min_workers=int(raw.get("min_workers", 1)),
-            max_workers=int(raw.get("max_workers", 4)),
-            tasks_per_worker_target=float(raw.get("tasks_per_worker_target", 2.0)),
-            idle_retire_seconds=float(raw.get("idle_retire_seconds", 0.5)),
-        )
-
-    # -- the decision rule ----------------------------------------------------
-
     def wants_scale_out(self, queued: int, workers: int) -> bool:
         """Demand check alone, with no cap: backlog exceeds the target.
 
-        This is the exact rule the simulated strategy has always used —
-        it applies its own cap in *blocks* rather than workers, so it
-        consumes the bare predicate.
+        The simulated strategy applies its own cap in *blocks* rather
+        than workers, so it consumes the bare predicate.
         """
         return queued > 0 and (
             workers == 0 or queued > self.tasks_per_worker_target * workers
         )
-
-    def decide(self, queued: int, workers: int) -> int:
-        """+1 to add a worker, -1 to retire an idle one, 0 to hold.
-
-        A -1 is advice, not an order: the caller retires a worker only
-        if one has actually been idle for ``idle_retire_seconds``.
-        """
-        if workers < self.min_workers:
-            return 1
-        if workers < self.max_workers and self.wants_scale_out(queued, workers):
-            return 1
-        if queued == 0 and workers > self.min_workers:
-            return -1
-        return 0

@@ -100,7 +100,7 @@ class JournalMiddleware:
 
     def __call__(self, ctx: UnitContext, call_next: Callable[[], UnitResult]) -> UnitResult:
         unit = ctx.unit
-        if self.journal is None or unit.journal_phase == "off":
+        if self.journal is None:
             return call_next()
         ctx.journal = self.journal
         if unit.journal_phase in ("unit", "open"):

@@ -1,4 +1,4 @@
-"""Multi-process execution tier: picklable envelopes and an elastic
+"""Multi-process execution tier: picklable envelopes and a fixed-size
 worker-process pool — the horizontal scale-out the paper's Fig. 6 runs
 across facility cores.
 
@@ -14,10 +14,10 @@ across facility cores.
   inbox (a plain ``multiprocessing`` queue) and answering on its own
   result pipe, with crash detection (a dead worker's in-flight
   envelopes are requeued up to ``max_requeues`` times, then their
-  futures fail with :class:`WorkerCrashed`), elastic scale-out/in
-  driven by backlog depth through an
-  :class:`~repro.runtime.elastic.ElasticPolicy`, and per-worker
-  accounting (units executed, busy seconds, scale events).
+  futures fail with :class:`WorkerCrashed`, and the dead worker is
+  replaced), and per-worker accounting (units executed, busy seconds).
+  The pool holds ``policy.min_workers`` processes (at least one) for
+  its whole life; it does not scale with the backlog.
   ``submit`` returns a :class:`concurrent.futures.Future`, the same
   type every in-process executor hands back.
 
@@ -279,8 +279,6 @@ class PoolStats:
     failed: int = 0
     requeues: int = 0
     respawns: int = 0
-    scale_out_events: int = 0
-    scale_in_events: int = 0
     workers_launched: int = 0
     workers: List[WorkerStats] = field(default_factory=list)
     counters: Dict[str, float] = field(default_factory=dict)
@@ -311,7 +309,6 @@ class _WorkerHandle:
         self.inflight: set = set()  # dispatched, unresolved tickets
         self.retiring = False
         self.broken = False  # read end hit EOF / went bad
-        self.last_active = time.monotonic()
         self.stats = WorkerStats(worker_id=worker_id)
 
 
@@ -321,17 +318,17 @@ class _WorkerHandle:
 
 
 class ProcWorkerPool:
-    """An elastic pool of worker processes, one inbox and one pipe each.
+    """A fixed-size pool of worker processes, one inbox and one pipe each.
 
     Each worker gets its own inbox (so ownership of every dispatched
     envelope is exact, and a dead worker's work is requeued precisely)
     and its own single-writer result pipe (so a worker killed mid-report
     can never wedge the others — see :func:`_worker_main`).  A dispatch
     thread in the parent multiplexes the result pipes with
-    ``multiprocessing.connection.wait``, sweeps liveness, applies the
-    :class:`ElasticPolicy` against the undispatched backlog, and feeds
-    idle workers — ``_DISPATCH_DEPTH`` envelopes per worker keep the next
-    unit queued locally while the current one executes.
+    ``multiprocessing.connection.wait``, sweeps liveness, replaces a
+    dead worker, and feeds idle workers — ``_DISPATCH_DEPTH`` envelopes
+    per worker keep the next unit queued locally while the current one
+    executes.
     """
 
     def __init__(
@@ -345,7 +342,9 @@ class ProcWorkerPool:
         if max_requeues < 0:
             raise ValueError("max_requeues must be >= 0")
         self.spec = spec
-        self.policy = policy or ElasticPolicy.fixed(1)
+        # The pool's size for its whole life: a dead worker is replaced,
+        # and the backlog never adds or retires one.
+        self.size = max(1, (policy or ElasticPolicy.fixed(1)).min_workers)
         self.name = name
         self.max_requeues = max_requeues
         self._ctx = multiprocessing.get_context(_START_METHOD)
@@ -376,7 +375,7 @@ class ProcWorkerPool:
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
-        for _ in range(max(1, self.policy.min_workers)):
+        for _ in range(self.size):
             self._spawn()
         self._thread = threading.Thread(
             target=self._dispatch_loop, name=f"{self.name}-dispatch", daemon=True
@@ -450,8 +449,6 @@ class ProcWorkerPool:
                 failed=self._stats.failed,
                 requeues=self._stats.requeues,
                 respawns=self._stats.respawns,
-                scale_out_events=self._stats.scale_out_events,
-                scale_in_events=self._stats.scale_in_events,
                 workers_launched=self._stats.workers_launched,
                 workers=workers,
                 counters=dict(self._stats.counters),
@@ -557,7 +554,6 @@ class ProcWorkerPool:
             handle = self._workers.get(result.worker_id)
             if handle is not None:
                 handle.inflight.discard(result.ticket)
-                handle.last_active = time.monotonic()
                 handle.stats.units += 1
                 handle.stats.busy_seconds += result.seconds
             for key, delta in result.counters.items():
@@ -604,7 +600,6 @@ class ProcWorkerPool:
                     if ticket is not None:
                         orphans.append(ticket)
                 handle.inflight.clear()
-            was_retiring = handle.retiring
             self._forget(handle)
             exhausted: List[_Ticket] = []
             with self._lock:
@@ -654,36 +649,14 @@ class ProcWorkerPool:
             )
             self._stats.workers.append(final)
 
-    def _apply_policy(self) -> None:
-        with self._lock:
-            backlog = len(self._pending)
-            closing = self._closing and not self._tickets and not self._pending
-        if closing:
-            return
-        live = self._live_workers()
-        decision = self.policy.decide(backlog, len(live))
-        if decision > 0 and self._spawn_error is not None:
-            return  # the factory is broken; respawning would loop forever
-        if decision > 0:
-            below_floor = len(live) < max(1, self.policy.min_workers)
+    def _respawn(self) -> None:
+        """Replace dead workers until the pool is back at its size."""
+        if self._spawn_error is not None:
+            return  # a broken factory would respawn forever
+        for _ in range(self.size - len(self._live_workers())):
             self._spawn()
             with self._lock:
-                if below_floor and self._stats.workers_launched > max(
-                    1, self.policy.min_workers
-                ):
-                    self._stats.respawns += 1
-                elif not below_floor:
-                    self._stats.scale_out_events += 1
-        elif decision < 0:
-            now = time.monotonic()
-            for handle in live:
-                if handle.inflight or now - handle.last_active < self.policy.idle_retire_seconds:
-                    continue
-                handle.retiring = True
-                handle.inbox.put(_RETIRE)
-                with self._lock:
-                    self._stats.scale_in_events += 1
-                break
+                self._stats.respawns += 1
 
     def _dispatch(self) -> bool:
         progressed = False
@@ -784,6 +757,6 @@ class ProcWorkerPool:
             if drained:
                 self._retire_all()
                 return
-            self._apply_policy()
+            self._respawn()
             self._dispatch()
             self._fail_pending_on_spawn_error()

@@ -146,8 +146,7 @@ class WorkUnit:
       the unit's cache lookup hits: a CACHED result is the whole item
       and is completed here;
     * ``"close"`` — completion only (the intent was written by the
-      matching ``"open"`` unit);
-    * ``"off"`` — the journal never sees this unit.
+      matching ``"open"`` unit).
     """
 
     stage: str

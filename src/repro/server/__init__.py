@@ -13,7 +13,8 @@ Layers (each importable on its own):
 * :mod:`repro.server.store`     — SQLite-backed run/unit/lease store;
 * :mod:`repro.server.wire`      — JSON token logs for cross-process state;
 * :mod:`repro.server.execution` — standalone execution of one plan node;
-* :mod:`repro.server.api`      — transport-free request handlers;
+* :mod:`repro.server.metrics`   — the counters served at ``/v1/metrics``;
+* :mod:`repro.server.api`       — transport-free request handlers;
 * :mod:`repro.server.service`   — stdlib threaded HTTP server;
 * :mod:`repro.server.client`    — typed HTTP client;
 * :mod:`repro.server.agent`     — the polling site agent.

@@ -36,8 +36,8 @@ import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import repro
+from repro.server.metrics import MetricsRegistry
 from repro.server.store import Conflict, Fenced, NotFound, RunStore
-from repro.telemetry import MetricsRegistry
 
 __all__ = ["ApiError", "ControlPlaneAPI", "ROUTES"]
 

@@ -21,8 +21,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional, Tuple
 
 from repro.server.api import ControlPlaneAPI
+from repro.server.metrics import MetricsRegistry
 from repro.server.store import RunStore
-from repro.telemetry import MetricsRegistry
 
 __all__ = ["ControlPlaneServer", "serve"]
 

@@ -67,9 +67,9 @@ class TestLoadConfig:
 
     def test_unknown_key_rejected(self):
         # A typo, and the knobs that are gone (the progressive-fidelity
-        # pair, the instrument x model fan-out lists, the model name and
-        # the inference drain deadline): an old config naming one fails
-        # loudly instead of being ignored.
+        # pair, the instrument x model fan-out lists, the model name, the
+        # inference drain deadline and the live pool's elastic section):
+        # an old config naming one fails loudly instead of being ignored.
         for section, key, value in [
             ("archive", "tiem_span", "oops"),
             ("preprocess", "coarse_stride", 2),
@@ -78,6 +78,7 @@ class TestLoadConfig:
             ("inference", "models", ["ricc"]),
             ("inference", "model", "ricc"),
             ("inference", "drain_timeout", 300.0),
+            ("runtime", "elastic", {"enabled": True}),
         ]:
             raw = {"archive": {"start_date": "2022-01-01"}}
             raw[section] = dict(raw.get(section, {}), **{key: value})

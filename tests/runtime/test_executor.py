@@ -338,21 +338,6 @@ class TestJournalMiddleware:
         assert second.outcome == DONE             # not RESUMED: stayed redoable
         assert ran == [1]
 
-    def test_phase_off_never_touches_journal(self, tmp_path):
-        class ExplodingJournal:
-            def resume(self, stage, key):
-                raise AssertionError("resume called for journal_phase=off")
-
-            def intent(self, stage, key, **payload):
-                raise AssertionError("intent called for journal_phase=off")
-
-            def complete(self, stage, key, **payload):
-                raise AssertionError("complete called for journal_phase=off")
-
-        executor = build_executor(journal=ExplodingJournal())
-        result = executor.execute(unit(lambda ctx: "fired", journal_phase="off"))
-        assert result.outcome == DONE
-
     def test_phase_open_resumes_but_never_completes(self, tmp_path):
         def body(ctx):
             ctx.begin()

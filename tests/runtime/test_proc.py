@@ -1,8 +1,8 @@
 """Contract tests for the multi-process tier (repro.runtime.proc).
 
 ProcWorkerPool must execute envelopes, survive worker crashes by
-requeueing exactly the lost work, settle every future exactly once, and
-scale elastically.
+requeueing exactly the lost work and replacing the dead worker, and
+settle every future exactly once.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def count_settles(futures):
 
 
 # ---------------------------------------------------------------------------
-# ElasticPolicy decision rule
+# ElasticPolicy bounds and demand rule
 # ---------------------------------------------------------------------------
 
 
@@ -73,26 +73,11 @@ class TestElasticPolicy:
             ElasticPolicy(tasks_per_worker_target=0)
 
     def test_scale_out_when_backlog_exceeds_target(self):
-        policy = ElasticPolicy(min_workers=1, max_workers=4, tasks_per_worker_target=2.0)
-        assert policy.decide(queued=10, workers=1) == 1
-        assert policy.decide(queued=2, workers=1) == 0  # 2 <= 2.0 * 1
-        assert policy.decide(queued=10, workers=4) == 0  # at cap
-
-    def test_scale_in_only_when_idle_and_above_floor(self):
-        policy = ElasticPolicy(min_workers=1, max_workers=4)
-        assert policy.decide(queued=0, workers=3) == -1
-        assert policy.decide(queued=0, workers=1) == 0
-        assert policy.decide(queued=1, workers=3) == 0
-
-    def test_below_floor_always_grows(self):
-        policy = ElasticPolicy(min_workers=2, max_workers=4)
-        assert policy.decide(queued=0, workers=0) == 1
-        assert policy.decide(queued=0, workers=1) == 1
-
-    def test_from_mapping_defaults(self):
-        policy = ElasticPolicy.from_mapping({"enabled": True})
-        assert policy.enabled
-        assert policy.max_workers == 4
+        policy = ElasticPolicy(min_workers=0, max_workers=4, tasks_per_worker_target=2.0)
+        assert policy.wants_scale_out(queued=10, workers=1)
+        assert not policy.wants_scale_out(queued=2, workers=1)  # 2 <= 2.0 * 1
+        assert policy.wants_scale_out(queued=1, workers=0)  # nothing provisioned
+        assert not policy.wants_scale_out(queued=0, workers=0)  # no demand
 
 
 # ---------------------------------------------------------------------------
@@ -247,29 +232,6 @@ class TestProcWorkerPool:
         assert stats.units_executed == 6
         assert stats.busy_seconds >= 0.0
 
-    def test_elastic_scale_out_and_in(self):
-        spec = WorkerSpec(target="tests.runtime.proc_targets:build_sleeper", payload=0.1)
-        policy = ElasticPolicy(
-            enabled=True,
-            min_workers=1,
-            max_workers=3,
-            tasks_per_worker_target=1.0,
-            idle_retire_seconds=0.05,
-        )
-        pool = ProcWorkerPool(spec, policy, name="t").start()
-        try:
-            futures = [pool.submit(WorkEnvelope("s", str(i))) for i in range(12)]
-            for f in futures:
-                f.result(timeout=60.0)
-            assert wait_until(lambda: pool.stats().scale_in_events > 0, timeout=20.0)
-            stats = pool.stats()
-            assert stats.scale_out_events > 0
-            assert stats.workers_launched > 1
-        finally:
-            pool.close()
-        # the floor worker survives scale-in
-        assert pool.stats().completed == 12
-
     def test_close_idempotent(self):
         pool = ProcWorkerPool(ECHO, ElasticPolicy.fixed(1), name="t").start()
         pool.submit(WorkEnvelope("s", "a")).result(timeout=30.0)
@@ -307,8 +269,6 @@ class TestProcWorkerPool:
         stats = pool.stats()
         assert stats.submitted == 0
         assert stats.requeues == 0
-        assert stats.scale_out_events == 0
-        assert stats.scale_in_events == 0
         assert stats.units_executed == 0
 
 

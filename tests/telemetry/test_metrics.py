@@ -1,10 +1,10 @@
-"""Telemetry metric tests."""
+"""Control-plane telemetry metric tests (repro.server.metrics)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.telemetry import Counter, Histogram, MetricsRegistry
+from repro.server.metrics import Counter, Histogram, MetricsRegistry
 
 
 class TestCounter:

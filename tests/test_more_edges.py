@@ -135,7 +135,7 @@ class TestTransferAccounting:
 
 class TestHistogramEdges:
     def test_mean_of_empty_raises(self):
-        from repro.telemetry import Histogram
+        from repro.server.metrics import Histogram
 
         with pytest.raises(ValueError):
             Histogram("x").mean

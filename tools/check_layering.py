@@ -54,11 +54,6 @@ RULES = [
     # utility layer, never on any of its consumers.
     ("src/repro/cas", ("repro.core", "repro.server", "repro.runtime",
                        "repro.instruments", "repro.modis")),
-    # A run's report is its one record: the stages and the runtime keep
-    # no second book in a metrics registry (the control plane's
-    # /v1/metrics is the only telemetry consumer).
-    ("src/repro/core", ("repro.telemetry",)),
-    ("src/repro/runtime", ("repro.telemetry",)),
 ]
 
 
