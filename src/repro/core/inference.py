@@ -5,8 +5,8 @@ for each tile NetCDF, encode the tiles, assign nearest-centroid labels,
 append the labels to the dataset, and publish the updated file to the
 transfer-out directory.  Stage 3's "monitor and trigger" is the plan's
 ``preprocess -> inference`` stream: preprocess announces each tile file
-with its digest once the file has settled, and the labelling unit first
-checks the bytes against that digest.
+with its digest once the file has settled, and the labelling unit checks
+the bytes it parses against that digest before it publishes anything.
 
 Three hot-path optimizations live here.  *Label append*: a canonical tile
 file is re-serialized by rewriting only its header and label column
@@ -45,6 +45,7 @@ from repro.netcdf.writer import canonical_layout, splice_chunks
 from repro.ricc.aicca import AICCAModel
 from repro.runtime import (
     CACHED,
+    DONE,
     QUARANTINED,
     RESUMED,
     CachePolicy,
@@ -53,7 +54,7 @@ from repro.runtime import (
     WorkerCrashed,
     WorkUnit,
 )
-from repro.util.digest import Buffer, atomic_publish_chunks
+from repro.util.digest import Buffer, atomic_publish_chunks, digest_buffer
 
 __all__ = ["InferenceResult", "InferenceWorker", "set_aside"]
 
@@ -68,6 +69,9 @@ class InferenceResult:
     classes_seen: int
     seconds: float
     cached: bool = False  # materialized from the store, nothing labelled
+    # The labelled file's digest as published, materialized or journaled
+    # (None when nothing recorded one); shipment checks delivery against it.
+    sha256: Optional[str] = None
 
 
 def _labelled_chunks(
@@ -107,6 +111,42 @@ def _publish(chunks: Iterable[Buffer], src_path: str, out_dir: str,
     return out_path, nbytes, digest
 
 
+class _Gate:
+    """The integrity verdict on one announced tile file: do its bytes
+    hash to the digest they were announced with?
+
+    A file that is parsed is hashed from the very map the parser reads
+    (:meth:`watch`), so no byte can change between the check and the
+    use; a large one is hashed on a helper while the parse and the
+    labelling run, a small one inline.  A file that is never parsed (a
+    resumed or cached result) is read and hashed when :meth:`ok` is
+    first asked.  The verdict is taken once, and before anything is
+    decided for the file: publish, quarantine, cache materialize or
+    resumed result.
+    """
+
+    def __init__(self, journal: Any, path: str, sha256: str):
+        self.journal, self.path, self.sha256 = journal, path, sha256
+        self._hashing: Optional[Future] = None
+        self._verdict: Optional[bool] = None
+
+    def watch(self, raw: Buffer) -> None:
+        """Hash ``raw``, the mapped file about to be parsed (unless a
+        verdict was already taken from a read)."""
+        if self._verdict is None:
+            self._hashing = digest_buffer(raw)
+
+    def ok(self) -> bool:
+        """The verdict, counted once as a manifest mismatch if it fails."""
+        if self._verdict is None:
+            observed = None if self._hashing is None else self._hashing.result()
+            self._verdict = self.journal.artifact_ok(self.path, self.sha256, observed)
+        return self._verdict
+
+
+_MISMATCH = "tile file does not match the digest it was announced with"
+
+
 @dataclass
 class _ParsedFile:
     """A tile file staged for an assign call."""
@@ -119,14 +159,20 @@ class _ParsedFile:
     # published; None when nothing may be stored (no store or no model
     # file).
     cache_key: Optional[str] = None
+    # The integrity check on ``raw``; None when nothing announced a digest.
+    gate: Optional[_Gate] = None
 
     @classmethod
-    def open(cls, path: str) -> "_ParsedFile":
-        """Map, parse and validate one tile file."""
+    def open(cls, path: str, gate: Optional[_Gate] = None) -> "_ParsedFile":
+        """Map, parse and validate one tile file; ``gate`` starts hashing
+        the map before the parse reads it."""
         raw = map_file(path)
+        if gate is not None:
+            gate.watch(raw)
         ds = nc_from_bytes(raw)
         TILE_FILE.validate(ds)
-        return cls(path, raw, ds, np.asarray(ds["radiance"].data, dtype=np.float32))
+        radiance = np.asarray(ds["radiance"].data, dtype=np.float32)
+        return cls(path, raw, ds, radiance, gate=gate)
 
 
 def set_aside(path: str, quarantine: str) -> None:
@@ -276,22 +322,26 @@ class InferenceWorker:
 
     # -- labelling ------------------------------------------------------------
 
-    def _quarantine_policy(self, path: str) -> FailurePolicy:
+    def _quarantine_policy(self, path: str, gate: Optional[_Gate] = None) -> FailurePolicy:
         """Quarantine instead of raising: one bad file must never sink
-        its batch or stall the consumer loop."""
-        return FailurePolicy(
-            catch=(Exception,),
-            on_caught=lambda message: set_aside(path, self.config.quarantine),
-        )
+        its batch or stall the consumer loop.  A file whose bytes are not
+        the ones announced is left where it lies, whatever else is wrong
+        with it."""
+
+        def on_caught(message: str) -> None:
+            if gate is None or gate.ok():
+                set_aside(path, self.config.quarantine)
+
+        return FailurePolicy(catch=(Exception,), on_caught=on_caught)
 
     def _labels_key(self, path: str, sha256: Optional[str]) -> str:
         """The store's derived key for ``path``'s labelled file.
 
-        The tile file's digest is the one it was announced with (the gate
-        has just checked the bytes against it); the model's comes from
-        the journal manifest, where the model node recorded it.  Either
-        one falls back to a read of the file (the model's once per
-        worker).
+        The tile file's digest is the one it was announced with (a hit
+        is materialized only once the gate confirms the bytes); the
+        model's comes from the journal manifest, where the model node
+        recorded it.  Either one falls back to a read of the file (the
+        model's once per worker).
         """
         journal = self.ctx.journal
         if self._model_digest is None:
@@ -301,10 +351,13 @@ class InferenceWorker:
             sha256 or input_digest(path, journal=journal),
         )
 
-    def _parse_unit(self, path: str, sha256: Optional[str]) -> WorkUnit:
+    def _parse_unit(
+        self, path: str, sha256: Optional[str], gate: Optional[_Gate]
+    ) -> WorkUnit:
         """Read + validate one tile file ("open" phase: resume decisions
         and the write-ahead intent happen here; completion happens in the
-        publish unit once the labelled file lands).
+        publish unit once the labelled file lands).  ``gate`` hashes the
+        map the parse reads.
 
         Unless the store already holds this model's labelling of these
         exact bytes: the hit materializes it into the transfer-out
@@ -319,7 +372,7 @@ class InferenceWorker:
 
         def body(ctx) -> _ParsedFile:
             ctx.begin()
-            entry = _ParsedFile.open(path)
+            entry = _ParsedFile.open(path, gate)
             entry.cache_key = cache_key[0] if cache_key else None
             return entry
 
@@ -328,6 +381,8 @@ class InferenceWorker:
             record = cas.get_key(cache_key[0])
             if not record or not record.get("digest"):
                 return None
+            if gate is not None and not gate.ok():
+                return None  # not these bytes' labelling: nothing to materialize
             out_path = os.path.join(self.config.transfer_out, os.path.basename(path))
             nbytes = cas.materialize(record["digest"], out_path)
             if nbytes is None:
@@ -351,7 +406,7 @@ class InferenceWorker:
             key=key,
             body=body,
             journal_phase="open",
-            failure=self._quarantine_policy(path),
+            failure=self._quarantine_policy(path, gate),
             cache=(
                 CachePolicy(lookup=cache_lookup)
                 if self._source and self._source[0] == "path"
@@ -420,22 +475,25 @@ class InferenceWorker:
     def label(self, tiles: Sequence[TileFile]) -> List[Outcome]:
         """Label tile files as one fused batch; one outcome per file.
 
-        With a journal, each file's bytes must first hash to the digest
-        it was announced with: a file that does not is an error outcome,
-        counted as a manifest mismatch, and is left where it lies.
+        With a journal, each file's bytes must hash to the digest it was
+        announced with: a file that does not is an error outcome, counted
+        as a manifest mismatch, and is left where it lies.  The verdict
+        (:class:`_Gate`) is taken before anything is decided for the
+        file, but the hash of a parsed file runs beside the parse and
+        the fused labelling.
         """
         started = time.monotonic()
         journal = self.ctx.journal
         outcomes: Dict[str, Outcome] = {}
         parsed: List[_ParsedFile] = []
         for path, sha256 in tiles:
-            if journal is not None and sha256 and not journal.artifact_ok(path, sha256):
-                outcomes[path] = (
-                    "error", "tile file does not match the digest it was announced with"
-                )
-                continue
-            result = self.ctx.executor.execute(self._parse_unit(path, sha256))
-            if result.outcome in (RESUMED, CACHED):
+            gate = _Gate(journal, path, sha256) if journal is not None and sha256 else None
+            result = self.ctx.executor.execute(self._parse_unit(path, sha256, gate))
+            if result.outcome == DONE:
+                parsed.append(result.value)  # its verdict is taken before it publishes
+            elif gate is not None and not gate.ok():
+                outcomes[path] = ("error", _MISMATCH)
+            elif result.outcome in (RESUMED, CACHED):
                 # Labelled before — by a prior run of this directory
                 # whose published output still verifies, or by any run
                 # sharing the store: surface the recorded result.
@@ -450,12 +508,13 @@ class InferenceWorker:
                         classes_seen=int(payload.get("classes_seen", 0)),
                         seconds=time.monotonic() - started if cached else 0.0,
                         cached=cached,
+                        sha256=payload.get("sha256"),
                     ),
                 )
             elif result.outcome == QUARANTINED:
                 outcomes[path] = ("quarantined", result.error)
             else:
-                parsed.append(result.value)
+                raise ValueError(f"unexpected parse outcome {result.outcome!r} for {path}")
         if parsed:
             # Fuse per tile shape: files in one batch normally share a
             # shape, but a mixed directory must not break the fusion.
@@ -492,6 +551,9 @@ class InferenceWorker:
             count = entry.radiance.shape[0]
             file_labels = None if labels is None else labels[offset: offset + count]
             offset += count
+            if entry.gate is not None and not entry.gate.ok():
+                outcomes[entry.path] = ("error", _MISMATCH)
+                continue
             result = self.ctx.executor.execute(self._publish_unit(entry, file_labels))
             if not result.ok:
                 outcomes[entry.path] = ("quarantined", result.error)
@@ -505,5 +567,6 @@ class InferenceWorker:
                     tiles=count,
                     classes_seen=classes_seen,
                     seconds=time.monotonic() - started,
+                    sha256=result.payload["sha256"],
                 ),
             )

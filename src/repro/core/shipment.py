@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.chaos.surfaces import ChaosTransferClient
 from repro.core.config import EOMLConfig
@@ -41,6 +41,10 @@ from repro.transfer import LocalTransferClient, TransferError
 from repro.util.digest import sha256_file
 
 __all__ = ["ShipmentReport", "ShipmentStage"]
+
+# An announced labelled file: its name, or its name and the digest it was
+# published with.
+Announced = Union[str, Tuple[str, Optional[str]]]
 
 
 @dataclass(frozen=True)
@@ -81,9 +85,12 @@ class ShipmentStage:
                 else LocalTransferClient(**kwargs)
             )
 
-    def _unit_for(self, name: str, spent: Callable[[], float]) -> WorkUnit:
+    def _unit_for(
+        self, name: str, spent: Callable[[], float], announced: Optional[str] = None
+    ) -> WorkUnit:
         """One file's move + destination verification as a work unit;
-        ``spent()`` is the batch's time in moves so far."""
+        ``spent()`` is the batch's time in moves so far, ``announced`` the
+        digest the file was announced with (None if it was not)."""
         src_path = os.path.join(self.config.transfer_out, name)
         timeout = self.config.shipment_timeout
 
@@ -93,19 +100,26 @@ class ShipmentStage:
             if timeout is not None and spent() > timeout:
                 raise TransferError(f"transfer timed out after {timeout}s while moving {name}")
 
+        def published(ctx) -> Optional[str]:
+            # The digest the labelled file was published with: the
+            # journal's, else the announcing token's (a pooled labeller
+            # journals in another process, unseen by this manifest).
+            expected = None
+            if ctx.journal is not None:
+                expected = ctx.journal.expected_sha(src_path)
+            return expected or announced
+
         def body(ctx) -> UnitResult:
             ctx.begin()
             # Destination-side verification: ``delivered`` is what the
             # client digested where the bytes landed, after the rename.
-            # Against the journal's digest — the one the labelled file was
-            # *published* with — the client hashes only those landed
-            # bytes: transit damage raises (and is retried), and a
-            # transfer-out copy that rotted before shipping comes back as
-            # its faithful copy, caught here as a mismatch.  Without a
-            # journal the client checks the copy against the source.
-            expected: Optional[str] = None
-            if ctx.journal is not None:
-                expected = ctx.journal.expected_sha(src_path)
+            # Against the digest the labelled file was *published* with,
+            # the client hashes only those landed bytes: transit damage
+            # raises (and is retried), and a transfer-out copy that
+            # rotted before shipping comes back as its faithful copy,
+            # caught here as a mismatch.  With no published digest known
+            # the client checks the copy against the source.
+            expected = published(ctx)
             dst_path, delivered, _ = self.client.move_one(
                 self.config.transfer_out, self.config.destination, name,
                 expected=expected,
@@ -125,9 +139,7 @@ class ShipmentStage:
         dst_path = os.path.join(self.config.destination, name)
 
         def _source_digest(ctx) -> Optional[str]:
-            expected = None
-            if ctx.journal is not None:
-                expected = ctx.journal.expected_sha(src_path)
+            expected = published(ctx)
             if expected is None:
                 try:
                     expected = sha256_file(src_path)
@@ -208,12 +220,13 @@ class ShipmentStage:
             if name.endswith(".nc") and not name.endswith(".part")
         )
 
-    def run(self, names: Iterable[str] = ()) -> ShipmentReport:
+    def run(self, names: Iterable[Announced] = ()) -> ShipmentReport:
         """Ship ``names`` as they arrive, then sweep the transfer-out directory.
 
         ``names`` are labelled-file basenames an upstream producer
         announces (a stream channel, so delivery overlaps the inference
-        drain); with nothing announced the sweep alone ships everything
+        drain), each alone or paired with the digest the file was
+        published with; with nothing announced the sweep alone ships everything
         currently in the directory.  Names are deduplicated, only time
         spent inside moves is charged to the batch deadline (never time
         idly waiting on the stream), and the closing sweep picks up
@@ -224,7 +237,8 @@ class ShipmentStage:
         shipment still verifies at the destination is skipped outright,
         and every newly moved file's digest is re-read *from the
         destination* and compared against the labelled artifact's
-        journaled digest — the end-to-end integrity check.
+        journaled digest, or its announced one where this process's
+        journal has none — the end-to-end integrity check.
         """
         started = time.monotonic()
         before = self.client.bytes_transferred
@@ -240,7 +254,7 @@ class ShipmentStage:
         error: Optional[str] = None
         stopped = False
 
-        def ship(name: str) -> None:
+        def ship(name: str, announced: Optional[str] = None) -> None:
             nonlocal charged, error, retries_total, resumed, verified
             nonlocal deduped, stopped
             if name in seen or stopped:
@@ -248,7 +262,9 @@ class ShipmentStage:
             seen.add(name)
             began = time.monotonic()
             result = self.ctx.executor.execute(
-                self._unit_for(name, lambda: charged + time.monotonic() - began)
+                self._unit_for(
+                    name, lambda: charged + time.monotonic() - began, announced
+                )
             )
             charged += time.monotonic() - began
             if result.outcome == RESUMED:
@@ -286,8 +302,11 @@ class ShipmentStage:
                 checksums[name] = result.payload["sha256"]
                 verified += 1
 
-        for name in names:
-            ship(name)
+        for item in names:
+            if isinstance(item, str):
+                ship(item)
+            else:
+                ship(*item)
             if stopped:
                 break
         if not stopped:

@@ -391,12 +391,15 @@ class EOMLWorkflow:
             )
 
         def run_inference(state: Dict[str, Any]) -> InferenceWorker:
-            # Labelled files stream to shipment by basename the moment
-            # they publish — eager delivery while labelling goes on.
+            # Labelled files stream to shipment the moment they publish —
+            # eager delivery while labelling goes on — by basename and
+            # the digest they were published with.
             ship = state[STREAMS_KEY].writer("inference").put
             return worker.run(
                 state[STREAMS_KEY].reader("inference"),
-                on_result=lambda result: ship(os.path.basename(result.out_path)),
+                on_result=lambda result: ship(
+                    (os.path.basename(result.out_path), result.sha256)
+                ),
             )
 
         def run_shipment(state: Dict[str, Any]) -> ShipmentReport:

@@ -189,15 +189,17 @@ class WorkflowJournal:
 
     # -- integrity queries ----------------------------------------------------
 
-    def artifact_ok(self, path: str, sha256: str) -> bool:
+    def artifact_ok(self, path: str, sha256: str, observed: Optional[str] = None) -> bool:
         """Integrity gate for consumers (inference): do ``path``'s bytes
         hash to ``sha256``, the digest its producer announced?
 
-        A mismatch is counted.  A file that cannot be read passes: its
-        consumer fails on it and says why.
+        ``observed`` is the digest the consumer already took of the bytes
+        it read (None: read and hash the file here).  A mismatch is
+        counted.  A file that cannot be read passes: its consumer fails
+        on it and says why.
         """
         try:
-            if sha256_file(path) == sha256:
+            if (observed or sha256_file(path)) == sha256:
                 return True
         except OSError:
             return True

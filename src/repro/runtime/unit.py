@@ -54,6 +54,9 @@ OUTCOMES = (DONE, RESUMED, SKIPPED, CACHED, RETRIED, FAILED, QUARANTINED)
 # able to verify it on the next run.
 SUCCESS_OUTCOMES = (DONE, RETRIED, SKIPPED, CACHED)
 
+# Where a unit sits in the journal protocol (see :class:`WorkUnit`).
+JOURNAL_PHASES = frozenset({"unit", "open", "close"})
+
 
 class UnitFailed(RuntimeError):
     """A unit exhausted its retry budget under an abort-the-run policy."""
@@ -158,6 +161,13 @@ class WorkUnit:
     failure: FailurePolicy = field(default_factory=FailurePolicy)
     cache: Optional[CachePolicy] = None
     stall: bool = True  # eligible for injected worker_stall faults
+
+    def __post_init__(self) -> None:
+        if self.journal_phase not in JOURNAL_PHASES:
+            raise ValueError(
+                f"unknown journal_phase {self.journal_phase!r}; "
+                f"expected one of {sorted(JOURNAL_PHASES)}"
+            )
 
 
 class UnitContext:

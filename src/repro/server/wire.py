@@ -44,8 +44,8 @@ STATE_DIRNAME = "units"
 def tokens_to_wire(tokens: Iterable[Any]) -> List[Any]:
     """Stream tokens as JSON: a tuple becomes a list and a
     :class:`GranuleSet` a ``{key, paths, digests}`` mapping; anything
-    else (a labelled file name, a list of planned keys, a model source)
-    is already JSON."""
+    else (a list of planned keys, a model source, a labelled file's name
+    and digest) is already JSON."""
     return [
         [
             {"key": part.key, "paths": dict(part.paths), "digests": dict(part.digests)}

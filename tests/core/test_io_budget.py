@@ -157,6 +157,37 @@ class TestShipmentBudget:
         assert report.verified == len(FILES) - 1
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_run_checks_delivery_against_the_published_digest(
+        self, tmp_path, monkeypatch, workers
+    ):
+        """Labelled elsewhere or here, a file rotted in the outbox right
+        before its move ships as a mismatch: a pooled labeller journals
+        in its own process, so the digest rides the stream token."""
+        raw = build_raw_config(str(tmp_path), 3)
+        raw["runtime"] = {"workers": workers}
+        config = load_config(raw)
+        real_move = LocalTransferClient.move_one
+        rotted = []
+
+        def rot_then_move(client, src_dir, dst_dir, name, *args, **kwargs):
+            with open(os.path.join(src_dir, name), "r+b") as handle:
+                handle.seek(-1, os.SEEK_END)
+                last = handle.read(1)
+                handle.seek(-1, os.SEEK_END)
+                handle.write(bytes([last[0] ^ 0xFF]))
+            rotted.append(name)
+            return real_move(client, src_dir, dst_dir, name, *args, **kwargs)
+
+        monkeypatch.setattr(LocalTransferClient, "move_one", rot_then_move)
+        archive = LaadsArchive(seed=3, swath=MINI_SWATH)
+        report = EOMLWorkflow(config, archive=archive).run(provenance=False)
+
+        assert len(rotted) == 3
+        assert sorted(report.shipment.mismatches) == sorted(rotted)
+        assert report.shipment.verified == 0
+
+
 class TestDownloadBudget:
     def test_granules_are_published_without_a_serialized_blob(self, tmp_path, monkeypatch):
         """Download streams each fetched dataset's own buffers to disk:

@@ -372,6 +372,13 @@ class TestJournalMiddleware:
         assert second.outcome == RESUMED
         assert second.payload["tiles"] == 5
 
+    def test_a_misspelt_phase_raises_where_the_unit_is_built(self):
+        # An unknown phase would pass the journal middleware with no
+        # resume decision and no completion: crash-resume lost silently.
+        with pytest.raises(ValueError, match="unti"):
+            WorkUnit(stage="inference", key="k", body=lambda ctx: None,
+                     journal_phase="unti")
+
     def test_phase_close_completes_but_never_resumes(self, tmp_path):
         path = self.make_artifact(tmp_path)
 
