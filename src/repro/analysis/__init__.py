@@ -7,14 +7,6 @@ from repro.analysis.ablations import (
     overlap_ablation,
     ri_loss_ablation,
 )
-from repro.analysis.climatology import (
-    ClassFrequencySeries,
-    TrendResult,
-    class_frequency_series,
-    detect_changing_classes,
-    linear_trend,
-    mann_kendall,
-)
 from repro.analysis.download_sweep import (
     PRODUCT_TRIO,
     SIZE_SWEEP_BYTES,
@@ -76,12 +68,6 @@ __all__ = [
     "RiAblationResult",
     "sigma_sensitivity",
     "SensitivityPoint",
-    "class_frequency_series",
-    "ClassFrequencySeries",
-    "mann_kendall",
-    "linear_trend",
-    "detect_changing_classes",
-    "TrendResult",
     "TABLE1_STRONG_WORKERS",
     "TABLE1_STRONG_NODES",
     "TABLE1_WEAK_WORKERS",

@@ -161,7 +161,7 @@ def validate(definition: Mapping[str, Any]) -> None:
     for name, state in states.items():
         _check_state(name, state, states)
     # Reachability: warn-level issue promoted to an error (a dead state in
-    # a shared registry flow is almost certainly a typo).
+    # a flow definition is almost certainly a typo).
     reachable = set()
     frontier: List[str] = [start]
     while frontier:

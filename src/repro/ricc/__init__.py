@@ -1,10 +1,8 @@
 """RICC + AICCA: rotationally invariant cloud clustering in pure NumPy."""
 
-from repro.ricc.adaptation import fine_tune, merge_models
 from repro.ricc.aicca import AICCAModel, ClassStatistics
 from repro.ricc.autoencoder import RotationInvariantAutoencoder, TrainRecord
 from repro.ricc.cluster import AgglomerativeClustering, Merge
-from repro.ricc.continual import EWCTrainer
 from repro.ricc.evaluate import (
     QualityReport,
     adjusted_rand_index,
@@ -24,9 +22,6 @@ __all__ = [
     "Merge",
     "AICCAModel",
     "ClassStatistics",
-    "EWCTrainer",
-    "fine_tune",
-    "merge_models",
     "silhouette_score",
     "adjusted_rand_index",
     "cluster_stability",

@@ -151,7 +151,6 @@ class RotationInvariantAutoencoder:
         transforms_per_batch: int = 4,
         seed: int = 0,
         verbose: bool = False,
-        grad_hook=None,
     ) -> List[TrainRecord]:
         """Train on (N, H, W, C) tiles; returns per-epoch records.
 
@@ -175,7 +174,7 @@ class RotationInvariantAutoencoder:
             epoch_rec, epoch_inv, batches = 0.0, 0.0, 0
             for start in range(0, n, batch_size):
                 batch = tiles[order[start : start + batch_size]]
-                record = self._train_step(batch, optimizer, rng, transforms_per_batch, grad_hook)
+                record = self._train_step(batch, optimizer, rng, transforms_per_batch)
                 epoch_rec += record[0]
                 epoch_inv += record[1]
                 batches += 1
@@ -200,7 +199,6 @@ class RotationInvariantAutoencoder:
         optimizer: Adam,
         rng: np.random.Generator,
         transforms_per_batch: int,
-        grad_hook=None,
     ) -> Tuple[float, float]:
         flat = batch.reshape(batch.shape[0], -1).astype(np.float64)
         n, d = flat.shape
@@ -240,12 +238,7 @@ class RotationInvariantAutoencoder:
             self.encoder.forward(f)  # restore this transform's caches
             self.encoder.backward(scale * deviation)
 
-        params = self._all_params()
-        if grad_hook is not None:
-            # Extension point: continual learning (EWC) injects its
-            # quadratic-penalty gradient here, inside the same step.
-            grad_hook(params)
-        optimizer.step(params)
+        optimizer.step(self._all_params())
         return restore_loss, inv_loss
 
     def _all_params(self):

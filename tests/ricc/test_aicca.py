@@ -1,12 +1,10 @@
-"""AICCA atlas and EWC continual-learning tests."""
+"""AICCA atlas tests."""
 
 import numpy as np
 import pytest
 
-from repro.ricc import AICCAModel, EWCTrainer, RotationInvariantAutoencoder
+from repro.ricc import AICCAModel
 from repro.ricc.evaluate import adjusted_rand_index
-
-from tests.ricc.test_autoencoder import toy_tiles
 
 
 def regime_tiles(n_per=20, size=8, channels=2, seed=0):
@@ -107,39 +105,3 @@ class TestAICCA:
         assert -1.0 <= report.silhouette <= 1.0
         assert report.ari_vs_truth is not None
 
-
-class TestEWC:
-    def test_ewc_retains_old_task_better_than_naive(self):
-        """After training on task B, the EWC model reconstructs task A
-        better than a naively fine-tuned twin."""
-        task_a = toy_tiles(n=24, seed=10)
-        task_b = 1.0 - toy_tiles(n=24, seed=20)  # inverted: a different regime
-
-        def make_model():
-            model = RotationInvariantAutoencoder((8, 8, 2), 6, (48,), seed=7)
-            model.train(task_a, epochs=15, batch_size=12, lr=2e-3, seed=7)
-            return model
-
-        naive = make_model()
-        naive.train(task_b, epochs=15, batch_size=12, lr=2e-3, seed=8)
-
-        protected = make_model()
-        trainer = EWCTrainer(protected, ewc_lambda=20.0)
-        trainer.consolidate(task_a)
-        trainer.train_task(task_b, epochs=15, batch_size=12, lr=2e-3, seed=8)
-
-        assert protected.reconstruction_error(task_a) < naive.reconstruction_error(task_a)
-        assert trainer.tasks_consolidated == 1
-        assert trainer.penalty() >= 0.0
-
-    def test_no_penalty_before_consolidation(self):
-        model = RotationInvariantAutoencoder((8, 8, 2), 4, (32,))
-        trainer = EWCTrainer(model, ewc_lambda=10.0)
-        assert trainer.penalty() == 0.0
-        # train_task without consolidation == plain training (no hook).
-        trainer.train_task(toy_tiles(n=8), epochs=1, batch_size=8)
-
-    def test_validation(self):
-        model = RotationInvariantAutoencoder((8, 8, 2), 4, (32,))
-        with pytest.raises(ValueError):
-            EWCTrainer(model, ewc_lambda=-1.0)

@@ -295,10 +295,32 @@ class TestDeadModuleRule:
             ),
         }) == []
 
+    def test_import_of_a_module_with_no_file_fails_the_check(self, tmp_path, capsys):
+        """A re-export left behind after its module is deleted: the walk
+        only follows imports that resolve, so without this rule the
+        check passed a tree whose package cannot be imported."""
+        self.dead(tmp_path, {
+            "src/pkg/__init__.py": "",
+            "src/pkg/sub/__init__.py": (
+                "from pkg.sub.kept import K\nfrom pkg.sub.gone import G\n"
+                "from .also_gone import A\n"
+            ),
+            "src/pkg/sub/kept.py": "class K:\n    pass\n",
+            "examples/run.py": "from pkg.sub import K\nimport pkg.missing\nimport os\n",
+        })
+        assert check_dead.main(str(tmp_path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "examples/run.py:2: imports pkg.missing, which has no file under src/",
+            "src/pkg/sub/__init__.py:2: imports pkg.sub.gone, which has no file under src/",
+            "src/pkg/sub/__init__.py:3: imports pkg.sub.also_gone, which has no file under src/",
+        ]
+
     def test_the_source_tree_has_no_dead_modules(self):
         tree = check_dead.SourceTree(REPO_ROOT)
         assert tree.dead() == []
         assert tree.dead_names() == []
+        assert tree.dangling() == []
         proc = subprocess.run(
             [sys.executable, os.path.join(REPO_ROOT, "tools", "check_dead.py")],
             cwd=REPO_ROOT, capture_output=True, text=True,

@@ -1,8 +1,8 @@
 """Documentation consistency checks.
 
 Docs rot silently; these tests pin the promises README/DESIGN make to the
-actual tree: every documented package exists, every example referenced is
-runnable-by-name, and the deliverable files are present.
+actual tree: every documented package and module exists, every example
+referenced is runnable-by-name, and the deliverable files are present.
 """
 
 import importlib
@@ -12,6 +12,7 @@ import re
 import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
+SRC = ROOT / "src" / "repro"
 
 
 class TestDeliverables:
@@ -66,6 +67,58 @@ class TestDesignConsistency:
         design = (ROOT / "DESIGN.md").read_text()
         for match in re.finditer(r"benchmarks/(bench_[a-z0-9_]+\.py)", design):
             assert (ROOT / "benchmarks" / match.group(1)).is_file(), match.group(0)
+
+
+class TestModuleReferences:
+    """A backticked module reference in README, DESIGN or the architecture
+    guide names something with a file (or, past the package, an attribute)
+    behind it."""
+
+    DOCS = ("README.md", "DESIGN.md", "docs/architecture.md")
+    PACKAGES = {p.name for p in SRC.iterdir() if (p / "__init__.py").is_file()}
+
+    def spans(self, doc):
+        return re.findall(r"`([^`\n]+)`", (ROOT / doc).read_text())
+
+    def resolves(self, package, name):
+        """``repro.<package>.<name>`` is a module, a subpackage or a name
+        the package exports."""
+        if (SRC / package / f"{name}.py").is_file() or (SRC / package / name).is_dir():
+            return True
+        return hasattr(importlib.import_module(f"repro.{package}"), name)
+
+    def test_module_paths_and_names_resolve(self):
+        """``<pkg>/<mod>.py`` resolves under ``src/repro`` or ``tests``;
+        ``repro.<pkg>.<mod>`` resolves under ``src/repro``."""
+        missing = []
+        for doc in self.DOCS:
+            for span in self.spans(doc):
+                for path in re.findall(r"(?<![\w./-])((?:\w+/)+\w+\.py)\b", span):
+                    if (
+                        path.split("/")[0] in self.PACKAGES
+                        and not (SRC / path).is_file()
+                        and not (ROOT / "tests" / path).is_file()
+                    ):
+                        missing.append((doc, path))
+                for name, package, attr in re.findall(
+                    r"(?<![\w.])(repro\.([a-z_]+)\.(\w+))", span
+                ):
+                    if package in self.PACKAGES and not self.resolves(package, attr):
+                        missing.append((doc, name))
+        assert missing == []
+
+    def test_design_experiment_index_names_real_modules(self):
+        """The per-experiment index spells modules without ``repro.``;
+        every one of them must exist too."""
+        text = (ROOT / "DESIGN.md").read_text()
+        table = text[text.index("| Implementing modules |") :].split("\n\n")[0]
+        named = [
+            (package, attr)
+            for line in table.splitlines()[2:]
+            for package, attr in re.findall(r"`([a-z_]+)\.(\w+)", line.split(" | ")[3])
+        ]
+        assert len(named) > 10
+        assert [n for n in named if n[0] not in self.PACKAGES or not self.resolves(*n)] == []
 
 
 class TestControlPlaneDocs:

@@ -29,11 +29,18 @@ a top-level ``def`` / ``class`` is dead unless some file under ``src/``,
 name, reads it as an attribute, imports it (a package ``__init__``
 re-export again does not count), names it in a ``"pkg.mod:attr"``
 string or passes it to ``getattr`` as a constant.  :data:`KEPT` lists
-the names kept on purpose.  Run from the repo root:
+the names kept on purpose.
+
+An import that names a module of a package under ``src/`` with no file
+behind it is reported too, wherever under ``src/``, ``examples/`` or
+``benchmarks/`` it stands: a package ``__init__`` still re-exporting
+from a deleted module would otherwise pass the walk above, which only
+follows imports that resolve.  Run from the repo root:
 
     python tools/check_dead.py
 
-Exit status 0 = clean, 1 = dead module(s) or name(s) printed to stderr.
+Exit status 0 = clean, 1 = dead module(s), dead name(s) or dangling
+import(s) printed to stderr.
 """
 
 from __future__ import annotations
@@ -209,6 +216,29 @@ class SourceTree:
         return sorted(reported + list(dead))
 
 
+    def dangling(self) -> list:
+        """``(path, line, module)`` of every import, under ``src`` or a
+        root directory, of a module inside a ``src`` package that has no
+        file."""
+        tops = {name.split(".")[0] for name in self.paths}
+        sources = [(path, module) for module, path in self.paths.items()] + [
+            (path, None) for directory in ROOT_DIRS
+            for path in python_files(os.path.join(self.root, directory))
+        ]
+        found = []
+        for path, module in sources:
+            for node in ast.walk(self.parse(path)):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [self.absolute(node, module)]
+                else:
+                    continue
+                for name in names:
+                    if name and name.split(".")[0] in tops and name not in self.paths:
+                        found.append((path, node.lineno, name))
+        return sorted(found)
+
     def dead_names(self) -> list:
         """``(module, name)`` of every top-level ``def`` / ``class``
         under ``src`` that no file outside ``tests/`` refers to."""
@@ -275,11 +305,16 @@ def main(root: str = ".") -> int:
     for module, name in names:
         print(f"{os.path.relpath(tree.paths[module], root)}: {module}.{name} is "
               "referred to nowhere outside tests/", file=sys.stderr)
-    if dead or names:
+    dangling = tree.dangling()
+    for path, line, module in dangling:
+        print(f"{os.path.relpath(path, root)}:{line}: imports {module}, which "
+              "has no file under src/", file=sys.stderr)
+    if dead or names or dangling:
         return 1
     print(f"dead-module check ok: {len(tree.paths) - len(tree.packages)} modules, "
           "each reachable from an example, a benchmark or a __main__, "
-          "and no top-level name alive only through tests/")
+          "no top-level name alive only through tests/, "
+          "and no import of a module without a file")
     return 0
 
 
