@@ -251,8 +251,8 @@ class EOMLConfig:
     journal_dir: str = "data/journal"
     journal_durable: bool = True
     # Streaming dataflow between plan stages (runtime.stream): off by
-    # default, so the listed-order runner drives every stream edge as
-    # the classic barrier.
+    # default, so every stage after download waits on it with an
+    # ``after`` edge (the classic barrier).
     stream: StreamConfig = StreamConfig()
     # Horizontal scale-out (runtime.workers): number of worker processes
     # sharing the stage work; 1 keeps everything in the parent process.

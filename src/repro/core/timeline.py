@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.sim.trace import StepSeries, Tracer
 
@@ -70,16 +70,20 @@ class WallClockTimeline:
             for span in sorted(self.tracer.spans, key=lambda s: s.start)
         ]
 
-    def overlaps(self) -> Dict[str, float]:
-        """Pairwise span overlap seconds, keyed ``"a+b"`` in start order.
+    def overlaps(self, order: Sequence[str]) -> Dict[str, float]:
+        """Pairwise span overlap seconds, keyed ``"a+b"`` with ``a`` the
+        stage listed first in ``order`` (unlisted stages last, by start).
 
         Behind the barrier every stage after ``download`` overlaps the
         others (Fig. 6's asynchronous trigger, and delivery while
         labelling runs); under streaming the overlap between adjacent
         stages is exactly the hidden latency the paper's Fig. 6
-        pipelining claims — so it is reported, not inferred.
+        pipelining claims — so it is reported, not inferred.  Stages
+        that begin in the same instant race to start first, so the keys
+        follow ``order``, not the clock.
         """
-        spans = self.breakdown()
+        rank = {stage: i for i, stage in enumerate(order)}
+        spans = sorted(self.breakdown(), key=lambda s: rank.get(s.stage, len(rank)))
         out: Dict[str, float] = {}
         for i, a in enumerate(spans):
             for b in spans[i + 1:]:

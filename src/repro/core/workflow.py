@@ -14,11 +14,9 @@ paper's structural properties:
 Those properties are stated declaratively: :meth:`EOMLWorkflow.build_plan`
 returns one :class:`~repro.runtime.plan.PipelinePlan` whose ``stream``
 edges carry scenes, the model, tile files and labelled files, and whose
-``overlaps`` edges start preprocess, inference and shipment alongside
-their producers; :meth:`run` merely drives it with
-:class:`~repro.runtime.plan.PlanRunner` (the download barrier, then one
-overlapped window) or, when ``runtime.stream`` is enabled,
-:class:`~repro.runtime.plan.StreamingPlanRunner` (a pipeline).
+``after`` edges hold every later stage behind the download barrier
+unless ``runtime.stream`` is enabled; :meth:`run` merely drives it with
+:class:`~repro.runtime.plan.PlanRunner`.
 
 The inference model may be supplied (a trained model instance) or
 bootstrapped: with ``model=None`` the workflow trains a small atlas on
@@ -59,7 +57,6 @@ from repro.runtime import (
     PipelinePlan,
     PlanRunner,
     StageNode,
-    StreamingPlanRunner,
 )
 from repro.runtime.proc import PoolStats
 
@@ -174,11 +171,11 @@ class EOMLWorkflow:
         ctx: Optional[RunContext] = None,
         prov: Optional[ProvenanceStore] = None,
         handles: Optional[Dict[str, Any]] = None,
+        streaming: Optional[bool] = None,
     ) -> PipelinePlan:
         """The pipeline as data: nodes are stages, edges are policies::
 
             download -> model -> preprocess -> inference -> shipment
-                          ┆ overlaps ┆ overlaps ┆ overlaps ┆
 
         * every ``->`` is a ``stream`` edge: each completed granule scene
           flows down the acquisition chain (``("planned", keys)`` then
@@ -189,16 +186,14 @@ class EOMLWorkflow:
           those and announces each tile file it settles as
           ``("tiles", path, sha256)``; inference labels what is announced
           and hands labelled file names to shipment;
-        * the ``overlaps`` edges start preprocess, inference and
-          shipment when the model node begins (every download is in
-          by then) under the listed-order runner;
+        * behind the download barrier (the paper's Fig. 2) model,
+          preprocess, inference and shipment each wait on ``download``
+          with an ``after`` edge: they start together once every
+          download is in, and each reads its producer's stream as it is
+          written.  ``streaming`` drops those edges, so every node
+          starts at once (Fig. 6's pipelining); ``None`` defers to
+          ``runtime.stream.enabled``;
         * ``shipment.when = config.ship`` gates delivery.
-
-        The runner, not the plan, decides barrier or pipeline:
-        :class:`PlanRunner` runs download to completion into an unbounded
-        channel before the model node starts (the paper's Fig. 2
-        download barrier), :class:`StreamingPlanRunner` runs every node
-        together over bounded channels (Fig. 6's pipelining).
 
         ``ctx`` is the run every stage executes under (journal, chaos,
         cache, and where submitted units run); ``None`` is the bare
@@ -207,6 +202,9 @@ class EOMLWorkflow:
         outlive their nodes.
         """
         config = self.config
+        if streaming is None:
+            streaming = config.stream.enabled
+        barrier = () if streaming else ("download",)
         ctx = ctx or RunContext()
         journal = ctx.journal
         handles = handles if handles is not None else {}
@@ -430,21 +428,21 @@ class EOMLWorkflow:
                 workers=config.workers.download,
                 counts=lambda r: {"files": r.files},
             ),
-            StageNode("model", run_model, stream=("download",)),
+            StageNode("model", run_model, after=barrier, stream=("download",)),
             StageNode(
                 "preprocess",
                 run_preprocess,
                 workers=config.workers.preprocess,
                 counts=lambda r: {"tiles": r.total_tiles},
-                overlaps=("model",),
+                after=barrier,
                 stream=("model",),
             ),
             StageNode(
                 "inference",
                 run_inference,
                 workers=config.workers.inference,
-                overlaps=("preprocess",),
                 counts=lambda worker: {"files": len(worker.results)},
+                after=barrier,
                 stream=("preprocess",),
             ),
             StageNode(
@@ -452,7 +450,7 @@ class EOMLWorkflow:
                 run_shipment,
                 when=lambda state: bool(config.ship),
                 counts=lambda r: {"files": len(r.moved)},
-                overlaps=("inference",),
+                after=barrier,
                 stream=("inference",),
             ),
         ])
@@ -469,7 +467,7 @@ class EOMLWorkflow:
         config = self.config
         # ``streaming=None`` defers to ``runtime.stream.enabled`` in the
         # config; an explicit bool overrides it (the benchmark harness
-        # drives one plan with both runners off one config).
+        # runs both plan shapes off one config).
         use_stream = config.stream.enabled if streaming is None else bool(streaming)
         prov = ProvenanceStore() if provenance else None
         # The run's world: journal (write-ahead intents/completions plus
@@ -499,16 +497,11 @@ class EOMLWorkflow:
                 ctx.pool.start()
 
             handles: Dict[str, Any] = {}
-            plan = self.build_plan(ctx, prov=prov, handles=handles)
-            if use_stream:
-                runner: PlanRunner = StreamingPlanRunner(
-                    on_begin=timeline.begin, on_end=on_end,
-                    on_workers=timeline.workers, stream=config.stream,
-                )
-            else:
-                runner = PlanRunner(
-                    on_begin=timeline.begin, on_end=on_end, on_workers=timeline.workers
-                )
+            plan = self.build_plan(ctx, prov=prov, handles=handles, streaming=use_stream)
+            runner = PlanRunner(
+                on_begin=timeline.begin, on_end=on_end, on_workers=timeline.workers,
+                stream=config.stream if use_stream else None,
+            )
             try:
                 state = runner.run(plan)
             except BaseException:
@@ -667,7 +660,9 @@ class EOMLWorkflow:
                 manifest_mismatches=int(totals["manifest_mismatches"]),
                 journal=journal.summary() if journal is not None else None,
                 stream=stream_summary,
-                stage_overlap_seconds=timeline.overlaps(),
+                stage_overlap_seconds=timeline.overlaps(
+                    [node.name for node in plan.nodes]
+                ),
                 scaleout=scaleout,
                 cache=cache_summary,
             )

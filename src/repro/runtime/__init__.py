@@ -4,9 +4,8 @@ One :class:`StageExecutor` with an ordered middleware stack
 (quarantine, journal, cache, chaos, precheck, retry) runs the
 :class:`WorkUnit`\\ s every stage produces, and one declarative
 :class:`PipelinePlan` states the workflow's structure (scene hand-off,
-tile-file announcements, the preprocess/inference overlap) as explicit
-edges that :class:`PlanRunner` (as barriers) and
-:class:`StreamingPlanRunner` (as a pipeline) both drive.
+tile-file announcements, the download barrier) as explicit ``after``
+and ``stream`` edges that one :class:`PlanRunner` drives.
 
 Layering contract: this package must not import ``repro.core`` (checked
 by ``tools/check_layering.py`` and CI).
@@ -50,7 +49,6 @@ from repro.runtime.plan import (
     PlanExecution,
     PlanRunner,
     StageNode,
-    StreamingPlanRunner,
 )
 from repro.runtime.unit import (
     CACHED,
@@ -102,7 +100,6 @@ __all__ = [
     "PipelinePlan",
     "PlanExecution",
     "PlanRunner",
-    "StreamingPlanRunner",
     "STREAMS_KEY",
     "DEFAULT_CAPACITY",
     "ChannelStats",

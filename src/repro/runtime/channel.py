@@ -9,12 +9,11 @@ download stage cannot flood memory while preprocessing lags.  Both ends
 account their waiting (producer stall seconds, consumer wait seconds)
 and the high-water queue depth, which roll up into ``WorkflowReport``.
 
-The same channel is also the barrier.  A sequential driver (the
-listed-order :class:`~repro.runtime.plan.PlanRunner`) runs the
-producer's node to completion before the consumer starts, so a bounded
-channel would deadlock it; :class:`~repro.runtime.plan.PlanExecution`
-therefore creates channels *relaxed* (unbounded) unless a concurrent
-runner asks for backpressure, and the consumer then drains the whole
+The same channel is also the barrier.  A consumer that lists its
+producer in ``after`` starts only once the producer has finished, so a
+bounded channel would deadlock both ends;
+:class:`~repro.runtime.plan.PlanExecution` therefore creates such a
+channel *relaxed* (unbounded), and the consumer then drains the whole
 buffered output — the paper's Fig. 2 barrier.  Any driver can
 :meth:`relax` a channel to unblock producers whose consumer died.
 
@@ -206,8 +205,8 @@ class StreamChannel:
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """The ``runtime.stream`` config: which runner drives the plan's
-    stream edges (``enabled``) and the bound on each channel."""
+    """The ``runtime.stream`` config: whether the plan streams past the
+    download barrier (``enabled``) and the bound on each channel."""
 
     enabled: bool = False
     capacity: int = DEFAULT_CAPACITY

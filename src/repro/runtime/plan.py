@@ -8,24 +8,16 @@ as data instead of interleaved control flow:
   every named predecessor has completed;
 * a ``stream`` edge is a **per-item dataflow**: the producer hands
   tokens (completed scenes, tile files, labelled file names) to the
-  consumer through a :class:`~repro.runtime.channel.StreamChannel`;
-* an ``overlaps`` edge names a **partner** whose run the node's body
-  overlaps under the listed-order runner: :class:`PlanRunner` starts the
-  owner's body on a thread when the partner starts, so the owner reads
-  the partner's stream while it is still being written — Fig. 6's
-  labelling while tiling still runs.  Overlaps chain (an owner's start
-  starts its own owners), and never bypass an ``after`` barrier.
+  consumer through a :class:`~repro.runtime.channel.StreamChannel`
+  while both run.
 
-The runner decides what a stream edge costs.  :class:`PlanExecution`
-carries the mechanics of honouring the edges for both runners, which
-call :meth:`PlanExecution.run_node` from their own schedulers:
-:class:`PlanRunner` walks nodes in listed order over unbounded channels,
-so each producer finishes before its consumer starts (the paper's
-"preprocessing is delayed until all downloads are complete") unless an
-``overlaps`` edge starts the consumer early, and
-:class:`StreamingPlanRunner` runs stream-connected nodes concurrently,
-one thread each, under backpressure, so makespan approaches max(stage)
-instead of sum(stages) — same plan, same node bodies.
+One driver, :class:`PlanRunner`, runs every node on its own thread and
+:class:`PlanExecution` carries the mechanics of honouring the edges.
+Barrier or pipeline is a plan shape, not a driver: a consumer that also
+lists its producer in ``after`` starts once the producer's whole output
+is buffered (the paper's "preprocessing is delayed until all downloads
+are complete"), and one that does not reads each token as it is written
+— Fig. 6's labelling while tiling still runs.
 This module must not import ``repro.core``; nodes close over their
 stage objects.
 """
@@ -33,7 +25,6 @@ stage objects.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -45,7 +36,6 @@ __all__ = [
     "PipelinePlan",
     "PlanExecution",
     "PlanRunner",
-    "StreamingPlanRunner",
     "STREAMS_KEY",
 ]
 
@@ -70,16 +60,14 @@ class StageNode:
     annotations).  ``when`` gates the node (a skipped node stores
     ``None`` and still satisfies its dependents' barriers).  ``stream``
     names producer nodes this node consumes tokens from; unlike
-    ``after`` it is not a barrier — a concurrent runner starts both ends
-    together and the channel carries the ordering.  ``overlaps`` names
-    partners the listed-order runner starts this node's body alongside.
+    ``after`` it is not a barrier — the runner starts both ends together
+    and the channel carries the ordering.
     """
 
     name: str
     run: Callable[[Dict[str, Any]], Any]
     workers: int = 0
     after: Tuple[str, ...] = ()
-    overlaps: Tuple[str, ...] = ()
     stream: Tuple[str, ...] = ()
     when: Optional[Callable[[Dict[str, Any]], bool]] = None
     counts: Optional[Callable[[Any], Dict[str, Any]]] = None
@@ -99,7 +87,7 @@ class PipelinePlan:
             self._by_name[node.name] = node
         seen: set = set()
         for node in self.nodes:
-            for dep in (*node.after, *node.overlaps, *node.stream):
+            for dep in (*node.after, *node.stream):
                 if dep == node.name:
                     raise PlanError(f"node {node.name!r} references itself")
                 if dep not in self._by_name:
@@ -124,10 +112,6 @@ class PipelinePlan:
             (dep, node.name) for node in self.nodes for dep in node.stream
         ]
 
-    def owners_of(self, name: str) -> List[StageNode]:
-        """Nodes the listed-order runner starts alongside ``name``."""
-        return [node for node in self.nodes if name in node.overlaps]
-
 
 class PlanExecution:
     """One run of a plan: barrier checks, gates, stream channels.
@@ -140,15 +124,14 @@ class PlanExecution:
 
     Stream channels are created for every ``stream`` edge and published
     in ``state[STREAMS_KEY]`` as a :class:`~repro.runtime.channel.
-    StreamHub`.  They are **bounded only when** ``concurrent=True`` (a
-    runner that genuinely overlaps producer and consumer); a sequential
-    driver — the listed-order :class:`PlanRunner` — gets relaxed
-    (unbounded) channels, so the producer's full output buffers and the
-    consumer drains it afterwards with identical bodies and no deadlock.
-    A node's outgoing channels are closed when its body returns (or
-    raises, or the node skips), and its incoming channels are relaxed
-    once it can no longer consume.  :meth:`run_node` is safe to call from
-    several threads at once.
+    StreamHub`.  They are bounded at ``stream``'s capacity, or unbounded
+    when ``stream`` is ``None``.  A channel whose consumer also lists its
+    producer in ``after`` is never bounded: the consumer starts only once
+    the producer's full output is buffered, so a bound would deadlock
+    both ends.  A node's outgoing channels are closed when its body
+    returns (or raises, or the node skips), and its incoming channels
+    are relaxed once it can no longer consume.  :meth:`run_node` is safe
+    to call from several threads at once.
     """
 
     def __init__(
@@ -159,7 +142,6 @@ class PlanExecution:
         on_end: Optional[Callable[..., None]] = None,
         on_workers: Optional[Callable[[str, int], None]] = None,
         stream: Optional[StreamConfig] = None,
-        concurrent: bool = False,
     ):
         self.plan = plan
         self.state: Dict[str, Any] = state if state is not None else {}
@@ -172,12 +154,11 @@ class PlanExecution:
         capacity = (stream or StreamConfig()).capacity
         self.hub = StreamHub()
         for src, dst in plan.stream_edges():
+            bounded = stream is not None and src not in plan.node(dst).after
             self.hub.connect(
                 src,
                 dst,
-                StreamChannel(
-                    edge_name(src, dst), capacity=capacity, bounded=concurrent
-                ),
+                StreamChannel(edge_name(src, dst), capacity=capacity, bounded=bounded),
             )
         if len(self.hub):
             self.state[STREAMS_KEY] = self.hub
@@ -229,16 +210,20 @@ class PlanExecution:
 
 
 class PlanRunner:
-    """The local sequential driver: nodes in listed order, edges enforced.
+    """The plan driver: one thread per node, every edge honoured.
 
-    The one exception to listed order is an ``overlaps`` edge: when a
-    partner begins, each owner whose ``when`` gate passes and whose
-    ``after`` barriers are met starts its body on a thread (and its own
-    owners with it), and the driver joins it when it reaches the owner.
-    Over the relaxed channels each owner reads its partner's tokens as
-    they are written, and the partner ending (or failing) ends the
-    owner's input.  The hooks may then fire from several threads, so
-    they are serialized.
+    A node waits for its ``after`` predecessors to finish; stream-connected
+    nodes run together and exchange tokens through channels bounded at
+    ``stream``'s capacity (``None``: unbounded).  The hooks fire from
+    several threads, so they are serialized.
+
+    Failure containment: a node that raises closes its outputs (its
+    consumers see end-of-stream and finish with what arrived) and
+    relaxes its inputs (its producers never block on a dead consumer);
+    nodes whose ``after`` dependencies failed are marked aborted without
+    running.  Once every thread has settled, so no channel is left
+    holding a blocked producer, the error of the first failed node in
+    plan order is re-raised.
     """
 
     def __init__(
@@ -246,6 +231,7 @@ class PlanRunner:
         on_begin: Optional[Callable[[str], None]] = None,
         on_end: Optional[Callable[..., None]] = None,
         on_workers: Optional[Callable[[str, int], None]] = None,
+        stream: Optional[StreamConfig] = None,
     ):
         hook_lock = threading.Lock()
 
@@ -262,82 +248,7 @@ class PlanRunner:
         self._on_begin = locked(on_begin)
         self._on_end = locked(on_end)
         self._on_workers = locked(on_workers)
-
-    def run(
-        self, plan: PipelinePlan, state: Optional[Dict[str, Any]] = None
-    ) -> Dict[str, Any]:
-        early: Dict[str, Future] = {}
-        owners = ThreadPoolExecutor(thread_name_prefix="plan")
-        starting = threading.Lock()
-
-        def begin(name: str) -> None:
-            # A partner has begun: its overlap owners start alongside,
-            # unless a barrier of theirs still holds.
-            if self._on_begin is not None:
-                self._on_begin(name)
-            for owner in plan.owners_of(name):
-                with starting:
-                    if (
-                        owner.name not in early
-                        and all(dep in execution.done for dep in owner.after)
-                        and (owner.when is None or owner.when(execution.state))
-                    ):
-                        early[owner.name] = owners.submit(execution.run_node, owner.name)
-
-        execution = PlanExecution(
-            plan,
-            state=state,
-            on_begin=begin,
-            on_end=self._on_end,
-            on_workers=self._on_workers,
-        )
-        try:
-            for node in plan.nodes:
-                if node.name in early:
-                    early[node.name].result()
-                else:
-                    execution.run_node(node.name)
-        finally:
-            # In listed order, wait for each early owner (by then any owner
-            # it started is known) and end the outputs of each node that
-            # never ran, so every owner finishes with what arrived.
-            for node in plan.nodes:
-                if node.name in early:
-                    early[node.name].exception()
-                elif node.name not in execution.done:
-                    execution.hub.close_outputs(node.name)
-            owners.shutdown()
-            execution.close()
-        return execution.state
-
-
-class StreamingPlanRunner(PlanRunner):
-    """The concurrent driver: one thread per node, channels bounded.
-
-    ``after`` edges are still honoured (a dependent waits for its
-    predecessors to finish), but stream-connected nodes start together
-    and exchange tokens through channels bounded at the
-    :class:`~repro.runtime.channel.StreamConfig` capacity; an
-    ``overlaps`` edge adds nothing, since every node already runs
-    alongside every other.
-
-    Failure containment: a node that raises closes its outputs (its
-    consumers see end-of-stream and finish with what arrived) and
-    relaxes its inputs (its producers never block on a dead consumer);
-    nodes whose ``after`` dependencies failed are marked aborted without
-    running.  The first error is re-raised once every thread has
-    settled, so no channel is left holding a blocked producer.
-    """
-
-    def __init__(
-        self,
-        on_begin: Optional[Callable[[str], None]] = None,
-        on_end: Optional[Callable[..., None]] = None,
-        on_workers: Optional[Callable[[str, int], None]] = None,
-        stream: Optional[StreamConfig] = None,
-    ):
-        super().__init__(on_begin=on_begin, on_end=on_end, on_workers=on_workers)
-        self.stream_config = stream or StreamConfig()
+        self._stream = stream
 
     def run(
         self, plan: PipelinePlan, state: Optional[Dict[str, Any]] = None
@@ -348,12 +259,11 @@ class StreamingPlanRunner(PlanRunner):
             on_begin=self._on_begin,
             on_end=self._on_end,
             on_workers=self._on_workers,
-            stream=self.stream_config,
-            concurrent=True,
+            stream=self._stream,
         )
         finished = {node.name: threading.Event() for node in plan.nodes}
         aborted: set = set()
-        errors: List[BaseException] = []
+        errors: Dict[str, BaseException] = {}
         guard = threading.Lock()
 
         def drive(node: StageNode) -> None:
@@ -370,15 +280,14 @@ class StreamingPlanRunner(PlanRunner):
             except BaseException as exc:  # noqa: BLE001 - re-raised after join
                 ok = False
                 with guard:
-                    errors.append(exc)
+                    errors[node.name] = exc
             finally:
                 if not ok:
                     with guard:
                         aborted.add(node.name)
                     # run_node settles channels itself on every path it
                     # reaches; an aborted node must settle its own.
-                    execution.hub.close_outputs(node.name)
-                    execution.hub.relax_inputs(node.name)
+                    execution._settle_streams(node)
                 finished[node.name].set()
 
         threads = [
@@ -394,6 +303,7 @@ class StreamingPlanRunner(PlanRunner):
                 thread.join()
         finally:
             execution.close()
-        if errors:
-            raise errors[0]
+        for node in plan.nodes:
+            if node.name in errors:
+                raise errors[node.name]
         return execution.state

@@ -10,10 +10,11 @@ job is the node's immediate needs:
 * a ``stream`` edge crosses processes as a token log: each unit saves
   the tokens it wrote on its outgoing channels, and its consumer's
   incoming channel is filled from that log before the body runs
-  (:mod:`repro.server.wire`) — the same hand-off :class:`~repro.runtime.
-  plan.PlanRunner` makes in one process;
-* ``when`` gates are honoured; an ``overlaps`` edge asks nothing here,
-  since the server only leases a unit once its producers completed;
+  (:mod:`repro.server.wire`) — the hand-off a barrier edge makes in one
+  process, where the consumer drains its producer's buffered stream;
+* ``when`` gates are honoured; the plan is built in its streaming shape,
+  since the server only leases a unit once its producers completed and
+  so already holds every edge as a barrier;
 * the run is opened through :func:`repro.core.context.open_run` — the
   same opener the local driver and the pool workers use — with
   ``resume=True`` every time, so a requeued or retried unit replays its
@@ -54,13 +55,14 @@ def unit_graph(config: EOMLConfig) -> List[Tuple[str, List[str]]]:
     """The run's work-units: the plan's nodes, depending on their
     ``after`` and ``stream`` edges.
 
-    Derived from the real :meth:`EOMLWorkflow.build_plan` so the control
-    plane can never drift from the workflow's actual topology.  Nodes
+    Derived from the real :meth:`EOMLWorkflow.build_plan` (its streaming
+    shape, whose only edges are the stream chain) so the control plane
+    can never drift from the workflow's actual topology.  Nodes
     whose ``when`` gate is statically off (shipment with
     ``shipment.enabled: false``) are dropped, and edges into dropped
     nodes are dropped with them.
     """
-    plan = EOMLWorkflow(config).build_plan()
+    plan = EOMLWorkflow(config).build_plan(streaming=True)
     kept: List[Tuple[str, List[str]]] = []
     names: set = set()
     for node in plan.nodes:
@@ -203,11 +205,11 @@ def execute_unit(
     ctx = open_run(config, resume=True, chaos=chaos)
     try:
         handles: Dict[str, Any] = {}
-        plan = EOMLWorkflow(config).build_plan(ctx, handles=handles)
+        plan = EOMLWorkflow(config).build_plan(ctx, handles=handles, streaming=True)
         node = plan.node(unit)
-        # The listed-order runner's unbounded channels: the unit's inputs
-        # are filled from its producers' token logs, its outputs become
-        # its own.
+        # Unbounded channels (no stream config): the unit's inputs are
+        # filled from its producers' token logs, its outputs become its
+        # own.
         state: Dict[str, Any] = {}
         hub = PlanExecution(plan, state=state).hub
         _rehydrate(node, config, handles, state)

@@ -45,7 +45,7 @@ def main() -> int:
     parser.add_argument("--resume", action="store_true")
     parser.add_argument("--granules", type=int, default=2)
     parser.add_argument("--streaming", action="store_true",
-                        help="drive the plan with the streaming runner")
+                        help="run the streaming plan (no download barrier)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="run stages across N worker processes")
     parser.add_argument("--cache", default=None, metavar="DIR",

@@ -1,8 +1,8 @@
 """Behind the download barrier, only the barrier blocks.
 
-Under the listed-order :class:`~repro.runtime.plan.PlanRunner` the model
-node begins once every download has finished, and preprocess, inference
-and shipment start alongside it, each reading its producer's stream as
+In the barrier plan the model node, preprocess, inference and shipment
+each wait on download with an ``after`` edge, so they start together
+once every download has finished, each reading its producer's stream as
 it is written.  These tests pin what that changes and what it must not:
 the model's journal completion names the file's digest on every path,
 only a process that labels ever loads the model, and the first labelled

@@ -36,30 +36,29 @@ def delivered(config):
     }
 
 
-# The five-stage graph as (name, after, overlaps, stream) rows: one
-# stream chain, with everything after the model node's begin (which
-# waits for every download) started alongside its producer.
-PLAN = [
-    ("download", (), (), ()),
-    ("model", (), (), ("download",)),
-    ("preprocess", (), ("model",), ("model",)),
-    ("inference", (), ("preprocess",), ("preprocess",)),
-    ("shipment", (), ("inference",), ("inference",)),
-]
-
-
-def topology(plan):
-    return [(n.name, n.after, n.overlaps, n.stream) for n in plan.nodes]
+# The five-stage graph as (name, after, stream) rows: one stream chain,
+# with every node after download held behind it unless the run streams.
+PLAN = {
+    stream_enabled: [
+        ("download", (), ()),
+        ("model", after, ("download",)),
+        ("preprocess", after, ("model",)),
+        ("inference", after, ("preprocess",)),
+        ("shipment", after, ("inference",)),
+    ]
+    for stream_enabled, after in ((False, ("download",)), (True, ()))
+}
 
 
 class TestPlanTopology:
-    """One graph, whichever runner a config picks."""
+    """One graph in two shapes: the config picks the barrier or not."""
 
     @pytest.mark.parametrize("stream_enabled", [False, True])
     def test_plan_is_the_five_stage_table(self, stream_enabled, tmp_path):
         raw = build_raw_config(str(tmp_path), 1)
         raw["runtime"] = {"stream": {"enabled": stream_enabled}}
-        assert topology(EOMLWorkflow(load_config(raw)).build_plan()) == PLAN
+        plan = EOMLWorkflow(load_config(raw)).build_plan()
+        assert [(n.name, n.after, n.stream) for n in plan.nodes] == PLAN[stream_enabled]
 
 
 def test_fixed_seed_run_ships_the_golden_corpus(tmp_path):

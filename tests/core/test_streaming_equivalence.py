@@ -1,6 +1,6 @@
 """Streaming-vs-barrier equivalence: pipelining must not move a byte.
 
-The streaming runner reorders *when* work happens — scenes preprocess
+The streaming plan reorders *when* work happens — scenes preprocess
 while later downloads are still in flight, labelled files ship while the
 inference queue drains — but the delivered corpus must be byte-identical
 to the barrier pipeline (and to the pinned ``golden_corpus.json``),

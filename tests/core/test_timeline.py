@@ -1,5 +1,7 @@
 """WallClockTimeline tests."""
 
+import time
+
 import pytest
 
 from repro.core.timeline import WallClockTimeline
@@ -28,6 +30,18 @@ class TestWallClockTimeline:
         assert series.at(timeline.now + 1) == 3
         timeline.workers("download", -3)
         assert timeline.series("download").at(timeline.now + 1) == 0
+
+    def test_overlaps_keyed_in_plan_order(self):
+        # Threads that begin together race; the key must not.
+        timeline = WallClockTimeline()
+        timeline.begin("inference")
+        timeline.begin("preprocess")
+        time.sleep(0.005)
+        timeline.end("inference")
+        timeline.end("preprocess")
+        overlaps = timeline.overlaps(["download", "preprocess", "inference"])
+        assert list(overlaps) == ["preprocess+inference"]
+        assert overlaps["preprocess+inference"] > 0
 
     def test_gaps_non_negative(self):
         timeline = WallClockTimeline()

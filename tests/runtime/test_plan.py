@@ -1,13 +1,12 @@
-"""Pipeline plans: validation, barriers, gates, overlaps, and streams.
+"""Pipeline plans: validation, barriers, gates and streams.
 
 The plan is the workflow's structure as data — these tests pin that the
 ``after`` edges really are barriers (violations raise instead of
-silently reordering), that ``when`` gates skip without running, that an
-``overlaps`` owner runs alongside its partner under the listed-order
-runner — Fig. 6's labelling while tiling still runs — and that
-``stream`` edges carry per-item tokens between concurrently running
-nodes under backpressure (the :class:`StreamingPlanRunner`) while
-degrading to a buffered hand-off under every sequential driver.
+silently reordering), that ``when`` gates skip without running, that a
+``stream`` consumer runs alongside its producer and reads each token as
+it is written — Fig. 6's labelling while tiling still runs — under
+backpressure, and that a stream edge that is also an ``after`` edge
+buffers the producer's whole output instead.
 """
 
 import threading
@@ -22,7 +21,6 @@ from repro.runtime import (
     PlanRunner,
     StageNode,
     StreamConfig,
-    StreamingPlanRunner,
 )
 
 
@@ -41,7 +39,7 @@ class TestPlanValidation:
 
     def test_self_reference_rejected(self):
         with pytest.raises(PlanError, match="references itself"):
-            PipelinePlan([node("a", overlaps=("a",))])
+            PipelinePlan([node("a", after=("a",))])
 
     def test_forward_reference_rejected(self):
         # Listed order must already satisfy every edge.
@@ -52,15 +50,14 @@ class TestPlanValidation:
         plan = PipelinePlan([
             node("a"),
             node("b", after=("a",)),
-            node("c", after=("a", "b"), overlaps=("b",)),
+            node("c", after=("a", "b"), stream=("b",)),
         ])
         assert [n.name for n in plan.nodes] == ["a", "b", "c"]
         assert plan.node("b").after == ("a",)
         assert plan.node("c").after == ("a", "b")
-        assert plan.node("c").overlaps == ("b",)
+        assert plan.node("c").stream == ("b",)
         with pytest.raises(PlanError, match="no node"):
             plan.node("ghost")
-        assert [owner.name for owner in plan.owners_of("b")] == ["c"]
 
     def test_stream_edges_validated_like_after(self):
         with pytest.raises(PlanError, match="unknown node"):
@@ -119,7 +116,7 @@ class TestPlanExecution:
         assert begun == ["a", "c"]           # a skipped node never begins
 
     def test_driver_order_free_when_barriers_allow(self):
-        # The streaming runner's node threads reach run_node in any legal order.
+        # The runner's node threads reach run_node in any legal order.
         plan = PipelinePlan([node("a"), node("b"), node("c", after=("a", "b"))])
         execution = PlanExecution(plan)
         execution.run_node("b")
@@ -128,8 +125,9 @@ class TestPlanExecution:
 
 
 class TestOverlapWindows:
-    """Under :class:`PlanRunner` an ``overlaps`` owner starts with its
-    partner and reads the partner's stream while it is being written."""
+    """A ``stream`` consumer (the owner of its input) starts with its
+    producer (its partner) and reads each token while the partner is
+    still writing."""
 
     @staticmethod
     def make_plan(produce, seen, when=None, arrived=None):
@@ -143,7 +141,7 @@ class TestOverlapWindows:
         return PipelinePlan([
             StageNode("preprocess", run=produce),
             StageNode("inference", run=consume, stream=("preprocess",),
-                      overlaps=("preprocess",), when=when),
+                      when=when),
         ])
 
     def test_owner_reads_while_its_partner_produces(self):
@@ -186,13 +184,11 @@ class TestOverlapWindows:
         assert begun == ["preprocess"] and seen == []
         assert state["inference"] is None
 
-    # -- a chain: model, preprocess overlapping it, inference overlapping that
+    # -- a chain: model -> preprocess -> inference, each relaying to the next
 
     @staticmethod
-    def make_chain(head, seen, relay=None, tail=None, tail_after=(), relaying=None):
+    def make_chain(head, seen, relay=None, tail=None, tail_after=()):
         def forward(state):
-            if relaying is not None:
-                relaying.set()
             writer = state[STREAMS_KEY].writer("preprocess")
             for item in state[STREAMS_KEY].reader("preprocess"):
                 seen["preprocess"].append(item)
@@ -207,10 +203,9 @@ class TestOverlapWindows:
 
         return PipelinePlan([
             StageNode("model", run=head),
-            StageNode("preprocess", run=relay or forward, stream=("model",),
-                      overlaps=("model",)),
+            StageNode("preprocess", run=relay or forward, stream=("model",)),
             StageNode("inference", run=tail or drain, stream=("preprocess",),
-                      overlaps=("preprocess",), after=tail_after),
+                      after=tail_after),
         ])
 
     @staticmethod
@@ -229,16 +224,14 @@ class TestOverlapWindows:
             writer.put("scene_b")
             return list(seen["inference"])
 
-        begun = []
-        state = PlanRunner(on_begin=begun.append).run(self.make_chain(head, seen))
+        state = PlanRunner().run(self.make_chain(head, seen))
         assert state["model"] == ["scene_a"]
         assert seen["preprocess"] == seen["inference"] == ["scene_a", "scene_b"]
-        assert begun == ["model", "preprocess", "inference"]
         assert state["preprocess"] == state["inference"] == 2
 
     def test_chain_joins_in_listed_order(self):
-        """The tail fails first in time, but the driver joins the relay
-        first, so the relay's error is the one raised."""
+        """The tail fails first in time, but the relay comes first in the
+        plan, so the relay's error is the one raised."""
         seen, tail_failed = self.chain_seen(), threading.Event()
 
         def head(state):
@@ -272,12 +265,11 @@ class TestOverlapWindows:
         assert seen["preprocess"] == seen["inference"] == ["scene_a"]
 
     def test_chain_after_stays_a_barrier(self):
-        """An owner whose ``after`` edge is unmet when its partner begins
-        is not started early: it runs in listed order, after the join."""
-        seen, events, relaying = self.chain_seen(), [], threading.Event()
+        """A consumer with an ``after`` edge on the head starts only once
+        the head has ended, while the relay streams alongside it."""
+        seen, events = self.chain_seen(), []
 
         def head(state):
-            relaying.wait(5.0)
             state[STREAMS_KEY].writer("model").put("scene_a")
             return 1
 
@@ -285,14 +277,12 @@ class TestOverlapWindows:
             events.append("inference starts")
             return len(list(state[STREAMS_KEY].reader("inference")))
 
-        plan = self.make_chain(head, seen, tail=tail, tail_after=("model",),
-                               relaying=relaying)
+        plan = self.make_chain(head, seen, tail=tail, tail_after=("model",))
         state = PlanRunner(
             on_end=lambda name, **_: events.append(f"{name} ends")
         ).run(plan)
         assert state["inference"] == 1
         assert events.index("inference starts") > events.index("model ends")
-        assert events.index("inference starts") > events.index("preprocess ends")
 
 
 class TestPlanRunner:
@@ -320,58 +310,14 @@ class TestPlanRunner:
         ]
 
 
-def stream_plan(produced, consumed, count=5):
-    """producer -> consumer over one stream edge."""
-
-    def produce(state):
-        writer = state[STREAMS_KEY].writer("producer")
-        for item in range(count):
-            writer.put(item)
-            produced.append(item)
-        return count
-
-    def consume(state):
-        for item in state[STREAMS_KEY].reader("consumer"):
-            consumed.append(item)
-        return len(consumed)
-
-    return PipelinePlan([
-        StageNode("producer", run=produce),
-        StageNode("consumer", run=consume, stream=("producer",)),
-    ])
-
-
-class TestSequentialStreamExecution:
-    def test_plan_runner_buffers_the_whole_stream(self):
-        # The listed-order driver runs the producer to completion first;
-        # the relaxed channel buffers everything, the consumer drains it
-        # afterwards — same bodies, no deadlock, no capacity limit.
-        produced, consumed = [], []
-        state = PlanRunner().run(stream_plan(produced, consumed, count=50))
-        assert consumed == list(range(50))
-        assert state["producer"] == 50 and state["consumer"] == 50
-        assert STREAMS_KEY in state
-
-    def test_streamless_plan_keeps_state_clean(self):
-        # Engines assert exact state contents; no hub key appears unless
-        # the plan actually carries stream edges.
-        state = PlanRunner().run(PipelinePlan([node("a")]))
-        assert STREAMS_KEY not in state
-
-    def test_out_of_order_driver_still_flows(self):
-        # A sequential driver calls run_node itself; the execution only
-        # requires the producer's tokens to be buffered first.
-        produced, consumed = [], []
-        execution = PlanExecution(stream_plan(produced, consumed))
-        execution.run_node("producer")
-        execution.run_node("consumer")
-        assert consumed == list(range(5))
-
-
 class TestStreamingPlanRunner:
+    """:class:`PlanRunner` runs each node on its own thread, so stream
+    edges flow concurrently under backpressure while ``after`` edges
+    still order the nodes."""
+
     def test_tokens_flow_concurrently_in_order(self):
         produced, consumed = [], []
-        state = StreamingPlanRunner().run(stream_plan(produced, consumed))
+        state = PlanRunner().run(stream_plan(produced, consumed))
         assert consumed == list(range(5))
         assert state["consumer"] == 5
 
@@ -398,7 +344,7 @@ class TestStreamingPlanRunner:
             StageNode("producer", run=produce),
             StageNode("consumer", run=consume, stream=("producer",)),
         ])
-        runner = StreamingPlanRunner(stream=StreamConfig(capacity=2))
+        runner = PlanRunner(stream=StreamConfig(capacity=2))
         # Let the producer hit the bound before the consumer starts.
         timer = threading.Timer(0.3, gate.set)
         timer.start()
@@ -419,7 +365,7 @@ class TestStreamingPlanRunner:
             StageNode("b", run=lambda s: order.append("b"), after=("a",)),
             StageNode("c", run=lambda s: order.append("c"), after=("b",)),
         ])
-        StreamingPlanRunner().run(plan)
+        PlanRunner().run(plan)
         assert order == ["a", "b", "c"]
 
     def test_skipped_consumer_relaxes_the_producer(self):
@@ -434,7 +380,7 @@ class TestStreamingPlanRunner:
             StageNode("consumer", run=lambda s: "unreached",
                       stream=("producer",), when=lambda s: False),
         ])
-        runner = StreamingPlanRunner(stream=StreamConfig(capacity=1))
+        runner = PlanRunner(stream=StreamConfig(capacity=1))
         state = runner.run(plan)  # must not deadlock
         assert state["producer"] == 20
         assert state["consumer"] is None
@@ -453,12 +399,14 @@ class TestStreamingPlanRunner:
             StageNode("producer", run=produce),
             StageNode("consumer", run=consume, stream=("producer",)),
         ])
-        runner = StreamingPlanRunner(stream=StreamConfig(capacity=1))
+        runner = PlanRunner(stream=StreamConfig(capacity=1))
         with pytest.raises(RuntimeError, match="consumer died"):
             runner.run(plan)
 
     def test_failed_dependency_aborts_dependents_and_closes_channels(self):
-        ran = []
+        """Nodes behind a failed ``after`` dependency never start, and an
+        aborted producer still ends its consumer's input."""
+        begun, ran = [], []
 
         def consume(state):
             ran.append("consumer")
@@ -467,15 +415,19 @@ class TestStreamingPlanRunner:
         plan = PipelinePlan([
             StageNode("bad", run=lambda s: (_ for _ in ()).throw(
                 RuntimeError("boom"))),
-            StageNode("producer", run=lambda s: s[STREAMS_KEY]
-                      .writer("producer").close() or 1, after=("bad",)),
+            StageNode("producer", run=lambda s: ran.append("producer"),
+                      after=("bad",)),
+            StageNode("relay", run=lambda s: ran.append("relay"),
+                      after=("producer",)),
             StageNode("consumer", run=consume, stream=("producer",)),
         ])
+        state = {}
         with pytest.raises(RuntimeError, match="boom"):
-            StreamingPlanRunner().run(plan)
+            PlanRunner(on_begin=begun.append).run(plan, state)
+        assert sorted(begun) == ["bad", "consumer"]
         # The consumer saw end-of-stream from the aborted producer and
         # finished with what arrived (nothing) instead of hanging.
-        assert ran == ["consumer"]
+        assert ran == ["consumer"] and state["consumer"] == []
 
     def test_hooks_are_serialized_across_node_threads(self):
         active = []
@@ -492,5 +444,63 @@ class TestStreamingPlanRunner:
                 active.remove(name)
 
         plan = PipelinePlan([node("a"), node("b"), node("c")])
-        StreamingPlanRunner(on_begin=on_begin).run(plan)
+        PlanRunner(on_begin=on_begin).run(plan)
         assert max(peak) == 1  # the shared hook lock admits one at a time
+
+
+def stream_plan(produced, consumed, count=5, after=()):
+    """producer -> consumer over one stream edge."""
+
+    def produce(state):
+        writer = state[STREAMS_KEY].writer("producer")
+        for item in range(count):
+            writer.put(item)
+            produced.append(item)
+        return count
+
+    def consume(state):
+        for item in state[STREAMS_KEY].reader("consumer"):
+            consumed.append(item)
+        return len(consumed)
+
+    return PipelinePlan([
+        StageNode("producer", run=produce),
+        StageNode("consumer", run=consume, stream=("producer",), after=after),
+    ])
+
+
+class TestSequentialStreamExecution:
+    def test_plan_runner_buffers_the_whole_stream(self):
+        """A stream edge that is also an ``after`` edge is never bounded:
+        the producer finishes into its channel before the consumer
+        starts, so a bound would deadlock both ends."""
+        produced, consumed, outcome = [], [], {}
+        plan = stream_plan(produced, consumed, count=50, after=("producer",))
+        runner = PlanRunner(stream=StreamConfig(capacity=2))
+        # A daemon thread and a join timeout: a deadlock fails the test
+        # instead of hanging the suite.
+        thread = threading.Thread(
+            target=lambda: outcome.update(state=runner.run(plan)), daemon=True
+        )
+        thread.start()
+        thread.join(5.0)
+        assert not thread.is_alive(), "barrier edge deadlocked on its channel"
+        state = outcome["state"]
+        assert consumed == list(range(50))
+        assert state["producer"] == 50 and state["consumer"] == 50
+        assert state[STREAMS_KEY].channel("producer", "consumer").stats().max_depth == 50
+
+    def test_streamless_plan_keeps_state_clean(self):
+        # Engines assert exact state contents; no hub key appears unless
+        # the plan actually carries stream edges.
+        state = PlanRunner().run(PipelinePlan([node("a")]))
+        assert STREAMS_KEY not in state
+
+    def test_out_of_order_driver_still_flows(self):
+        # A driver may call run_node itself; over unbounded channels the
+        # producer's tokens are buffered for the consumer that follows.
+        produced, consumed = [], []
+        execution = PlanExecution(stream_plan(produced, consumed))
+        execution.run_node("producer")
+        execution.run_node("consumer")
+        assert consumed == list(range(5))

@@ -89,17 +89,25 @@ class TestModuleReferences:
 
     def test_module_paths_and_names_resolve(self):
         """``<pkg>/<mod>.py`` resolves under ``src/repro`` or ``tests``;
-        ``repro.<pkg>.<mod>`` resolves under ``src/repro``."""
+        ``benchmarks/…py`` and ``examples/…py`` under the root, a bare
+        ``bench_*.py`` under ``benchmarks``; ``repro.<pkg>.<mod>``
+        resolves under ``src/repro``."""
         missing = []
         for doc in self.DOCS:
             for span in self.spans(doc):
                 for path in re.findall(r"(?<![\w./-])((?:\w+/)+\w+\.py)\b", span):
-                    if (
-                        path.split("/")[0] in self.PACKAGES
-                        and not (SRC / path).is_file()
-                        and not (ROOT / "tests" / path).is_file()
-                    ):
+                    top = path.split("/")[0]
+                    if top in ("benchmarks", "examples"):
+                        found = (ROOT / path).is_file()
+                    else:
+                        found = top not in self.PACKAGES or any(
+                            (base / path).is_file() for base in (SRC, ROOT / "tests")
+                        )
+                    if not found:
                         missing.append((doc, path))
+                for name in re.findall(r"(?<![\w./-])(bench_\w+\.py)\b", span):
+                    if not (ROOT / "benchmarks" / name).is_file():
+                        missing.append((doc, name))
                 for name, package, attr in re.findall(
                     r"(?<![\w.])(repro\.([a-z_]+)\.(\w+))", span
                 ):
@@ -270,12 +278,12 @@ class TestInstrumentDocs:
             assert f"`{name}`" in text, f"registered name {name!r} undocumented"
 
     def test_plan_diagram_documented(self):
-        """The five nodes, the model relay and the three overlap windows
-        behind the one barrier are drawn in the plan section."""
+        """The five nodes, the stream chain and the ``after`` edges of
+        the one barrier are drawn in the plan section."""
         section = self.architecture().split("### The plan")[1]
         section = section.split("## Stage runtime & middleware")[0]
         for needle in ("download ──▶ model ──▶ preprocess",
-                       "┆ overlaps ┆ overlaps ┆  overlaps ┆",
+                       "┄┄┄┴┄┄┄ after ┄┄┄┴┄┄┄",
                        "inference ──▶ shipment", "the one barrier",
                        "TestPlanTopology"):
             assert needle in section, f"plan diagram missing {needle!r}"
