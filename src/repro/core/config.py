@@ -246,7 +246,7 @@ class EOMLConfig:
     shipment_retries: int = 2
     shipment_timeout: float = 120.0
     shipment_backoff: BackoffPolicy = BackoffPolicy(base=0.02, max_delay=1.0, max_total=5.0)
-    # Crash-consistent run journaling (repro.journal): WAL + manifests.
+    # Crash-consistent run journaling (repro.journal): the WAL.
     journal_enabled: bool = True
     journal_dir: str = "data/journal"
     journal_durable: bool = True

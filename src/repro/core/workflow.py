@@ -470,20 +470,14 @@ class EOMLWorkflow:
         # runs both plan shapes off one config).
         use_stream = config.stream.enabled if streaming is None else bool(streaming)
         prov = ProvenanceStore() if provenance else None
-        # The run's world: journal (write-ahead intents/completions plus
-        # the integrity manifest), chaos, and the one CAS handle every
-        # stage shares.
+        # The run's world: journal (write-ahead intents and completions,
+        # and the digest index those completions fill), chaos, and the one
+        # CAS handle every stage shares.
         ctx = open_run(config, resume=resume)
         chaos, journal = ctx.chaos, ctx.journal
         # Whatever happens below — a stage raising included — the journal
         # file handle is released, so the same process can resume the run.
         try:
-            def on_end(name: str, **counts: Any) -> None:
-                timeline.end(name, **counts)
-                # A consistent on-disk view after each checkpointable stage.
-                if journal is not None and name in ("download", "inference", "shipment"):
-                    journal.checkpoint()
-
             # Horizontal scale-out: a process pool the context ships every
             # submitted unit to.  Created after the journal is open
             # (workers append to the same journal file; O_APPEND keeps
@@ -499,7 +493,7 @@ class EOMLWorkflow:
             handles: Dict[str, Any] = {}
             plan = self.build_plan(ctx, prov=prov, handles=handles, streaming=use_stream)
             runner = PlanRunner(
-                on_begin=timeline.begin, on_end=on_end, on_workers=timeline.workers,
+                on_begin=timeline.begin, on_end=timeline.end, on_workers=timeline.workers,
                 stream=config.stream if use_stream else None,
             )
             try:

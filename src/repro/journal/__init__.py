@@ -1,4 +1,5 @@
-"""Crash-consistent run journaling: WAL + integrity manifests + resume."""
+"""Crash-consistent run journaling: the WAL, the digest index its
+completions fill, and resume."""
 
 from repro.journal.journal import (
     COMPLETE,
@@ -11,7 +12,6 @@ from repro.journal.manifest import IntegrityManifest
 from repro.journal.checkpoint import (
     FRESH,
     JOURNAL_NAME,
-    MANIFEST_NAME,
     REPLAY,
     RESUMED,
     ResumeDecision,
@@ -22,5 +22,5 @@ __all__ = [
     "INTENT", "COMPLETE", "JournalRecord", "RunJournal", "JournalState",
     "IntegrityManifest",
     "FRESH", "RESUMED", "REPLAY", "ResumeDecision", "WorkflowJournal",
-    "JOURNAL_NAME", "MANIFEST_NAME",
+    "JOURNAL_NAME",
 ]

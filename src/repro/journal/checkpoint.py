@@ -1,16 +1,16 @@
 """The workflow-facing checkpoint facade: journal + manifest + counters.
 
 ``WorkflowJournal`` is what stages actually hold.  It couples the
-write-ahead :class:`~repro.journal.journal.RunJournal` with the
-:class:`~repro.journal.manifest.IntegrityManifest` and exposes the one
-question every idempotent stage asks per work item:
+write-ahead :class:`~repro.journal.journal.RunJournal` with the in-memory
+:class:`~repro.journal.manifest.IntegrityManifest` its completions fill,
+and exposes the one question every idempotent stage asks per work item:
 
     decision = journal.resume(stage, key)
 
 * ``FRESH``   — no usable history; do the work, then ``complete()``.
 * ``RESUMED`` — a prior run completed this item and its artifact still
-  verifies against the manifest; skip the work, reuse the journaled
-  payload (tile counts, byte counts, output paths).
+  verifies against the journaled digest; skip the work, reuse the
+  journaled payload (tile counts, byte counts, output paths).
 * ``REPLAY``  — the item has history that does not hold up (caught
   mid-flight, artifact missing or digest mismatch); redo it, bypassing
   any ``skip_existing`` shortcut so a torn file cannot be trusted.
@@ -35,7 +35,7 @@ from repro.util.digest import sha256_file
 __all__ = [
     "FRESH", "RESUMED", "REPLAY",
     "ResumeDecision", "WorkflowJournal",
-    "JOURNAL_NAME", "MANIFEST_NAME",
+    "JOURNAL_NAME",
 ]
 
 FRESH = "fresh"
@@ -43,7 +43,6 @@ RESUMED = "resumed"
 REPLAY = "replay"
 
 JOURNAL_NAME = "run.journal.jsonl"
-MANIFEST_NAME = "manifest.json"
 
 
 @dataclass(frozen=True)
@@ -63,14 +62,13 @@ class ResumeDecision:
 
 
 class WorkflowJournal:
-    """Journal + manifest pair for one run directory, with resume logic."""
+    """One run directory's journal, its digest index, and resume logic."""
 
     def __init__(self, directory: str, durable: bool = True):
         self.directory = directory
         self.journal = RunJournal(os.path.join(directory, JOURNAL_NAME),
                                   durable=durable)
-        self.manifest = IntegrityManifest(os.path.join(directory, MANIFEST_NAME),
-                                          durable=durable)
+        self.manifest = IntegrityManifest()
         self._state: Optional[JournalState] = None
         self._lock = threading.Lock()
         self.resumed_items = 0
@@ -85,14 +83,12 @@ class WorkflowJournal:
 
         Resume order matters: replay first (tolerating a torn tail),
         compact the validated prefix so the tail cannot shadow new
-        appends, then rebuild the manifest from the journal's completion
-        records — the journal, not the manifest snapshot, is the source
-        of truth after a crash.
+        appends, then fill the manifest from the journal's completion
+        records — the journal is the run's only record on disk.
         """
         os.makedirs(self.directory, exist_ok=True)
         if not resume:
             self.journal.reset()
-            self.manifest.reset()
             self._state = JournalState([])
             return
         records = self.journal.replay()
@@ -100,7 +96,6 @@ class WorkflowJournal:
         if self.torn_records:
             self.journal.compact(records)
         self._state = JournalState(records)
-        self.manifest.load()
         for (_, _), payload in self._state.completions.items():
             artifact = payload.get("artifact")
             sha = payload.get("sha256")
@@ -182,10 +177,6 @@ class WorkflowJournal:
                 entry = self.manifest.entry(artifact) or {}
                 payload["nbytes"] = entry.get("nbytes", os.path.getsize(artifact))
         self.journal.complete(stage, key, **payload)
-
-    def checkpoint(self) -> None:
-        """Publish a manifest snapshot (stage boundary)."""
-        self.manifest.save()
 
     # -- integrity queries ----------------------------------------------------
 

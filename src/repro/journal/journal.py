@@ -220,13 +220,3 @@ class JournalState:
 
     def has_intent(self, stage: str, key: str) -> bool:
         return (stage, key) in self.intents
-
-    def in_flight(self, stage: str) -> List[str]:
-        """Keys with an intent but no completion: work a crash interrupted."""
-        return sorted(
-            key for (s, key) in self.intents
-            if s == stage and (s, key) not in self.completions
-        )
-
-    def completed_keys(self, stage: str) -> List[str]:
-        return sorted(key for (s, key) in self.completions if s == stage)

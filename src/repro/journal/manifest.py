@@ -1,28 +1,27 @@
-"""Integrity manifests: one SHA-256 per artifact, checked at boundaries.
+"""Integrity manifest: one SHA-256 per artifact, checked at boundaries.
 
 Production EO pipelines treat every stage output as a checksummed
 artifact so later stages (and resumed runs) can distinguish "present and
-intact" from "present but torn/rotted".  The manifest maps artifact
-paths to their digest and size; it is consulted
+intact" from "present but torn/rotted".  The manifest is an in-memory
+index from artifact path to digest and size; it is consulted
 
 * by resume logic, to decide whether a journaled completion still holds;
 * by preprocess, for the digest it announces with a tile file it found
   already in place;
 * after shipment, to verify the delivered bytes end to end.
 
-Snapshots are published atomically (temp + fsync + ``os.replace``); the
-journal's completion records carry the same digests, so a snapshot lost
-to a crash is rebuilt from the journal on resume.
+Nothing of it is written to disk: each entry is a journal completion's
+``sha256`` and ``nbytes``, so a resumed run rebuilds the index from the
+journal it replays.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.util.digest import atomic_publish_bytes, digest_file, sha256_file
+from repro.util.digest import digest_file, sha256_file
 
 __all__ = ["IntegrityManifest"]
 
@@ -34,56 +33,15 @@ MISMATCH = "mismatch"
 
 
 class IntegrityManifest:
-    """Artifact path -> {sha256, nbytes}, with atomic snapshots."""
+    """Artifact path -> {sha256, nbytes}, filled from journal completions."""
 
-    def __init__(self, path: str, durable: bool = True):
-        self.path = path
-        self.durable = durable
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: Dict[str, Dict[str, Any]] = {}
 
     @staticmethod
     def _key(path: str) -> str:
         return os.path.abspath(path)
-
-    # -- persistence ---------------------------------------------------------
-
-    def load(self) -> None:
-        """Load the snapshot; missing or corrupt files yield an empty map.
-
-        Tolerance matters: the journal is the source of truth, so a
-        snapshot torn by a crash must not block recovery.
-        """
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                parsed = json.load(handle)
-        except (FileNotFoundError, ValueError):
-            return
-        artifacts = parsed.get("artifacts") if isinstance(parsed, dict) else None
-        if not isinstance(artifacts, dict):
-            return
-        with self._lock:
-            for key, entry in artifacts.items():
-                if isinstance(entry, dict) and "sha256" in entry:
-                    self._entries[str(key)] = {
-                        "sha256": str(entry["sha256"]),
-                        "nbytes": int(entry.get("nbytes", -1)),
-                    }
-
-    def save(self) -> None:
-        """Atomically publish the current snapshot."""
-        with self._lock:
-            payload = json.dumps(
-                {"version": 1, "artifacts": self._entries},
-                sort_keys=True, indent=0, separators=(",", ":"),
-            ).encode("utf-8")
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        atomic_publish_bytes(self.path, payload, durable=self.durable)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._entries = {}
-        self.save()
 
     # -- recording -----------------------------------------------------------
 
@@ -146,13 +104,6 @@ class IntegrityManifest:
         if sha256_file(path) != entry["sha256"]:
             return MISMATCH
         return OK
-
-    def verify(self, path: str) -> bool:
-        return self.check(path) == OK
-
-    def paths(self) -> List[str]:
-        with self._lock:
-            return sorted(self._entries)
 
     def __len__(self) -> int:
         with self._lock:

@@ -232,7 +232,6 @@ def execute_unit(
             log = dict(result) if unit == "model" else {}
             log["tokens"] = wire.tokens_to_wire(hub.channel(unit, outgoing[0]))
             wire.save_state(config.journal_dir, unit, log)
-        ctx.journal.checkpoint()
         return result
     finally:
         ctx.close()

@@ -6,7 +6,7 @@ from repro.util.units import (
     parse_rate,
 )
 from repro.util.stats import RunningStats, summarize
-from repro.util.yamlish import YamlError, dumps as yaml_dumps, loads as yaml_loads
+from repro.util.yamlish import YamlError, loads as yaml_loads
 
 __all__ = [
     "parse_bytes",
@@ -15,6 +15,5 @@ __all__ = [
     "RunningStats",
     "summarize",
     "yaml_loads",
-    "yaml_dumps",
     "YamlError",
 ]

@@ -21,9 +21,10 @@ from repro.chaos import surfaces
 from repro.core import DownloadStage, EOMLWorkflow, ShipmentStage, load_config
 from repro.core.context import MODEL_FILE, RunContext
 from repro.core.inference import _ParsedFile
-from repro.journal import WorkflowJournal
+from repro.journal import JOURNAL_NAME, WorkflowJournal
 from repro.modis import MINI_SWATH, LaadsArchive
 from repro.ricc.aicca import AICCAModel
+from repro.server import execute_unit
 from repro.transfer import LocalTransferClient, TransferError
 from repro.transfer import client as client_module
 from repro.util import digest as digest_module
@@ -334,3 +335,48 @@ class TestWarmRunBudget:
             if path in granule_objects or path.startswith(warm.staging + os.sep)
         ]
         assert opened == []
+
+
+class TestFsyncBudget:
+    """Every ``os.fsync`` of a 3-granule mini run, counted: the durable
+    journal appends and the atomic publishes of granules, tile files,
+    the model, labelled files and token logs.  The journal is the run
+    directory's one book — no index snapshot is published beside it."""
+
+    PLAIN_RUN = 71
+    PER_UNIT = {"download": 38, "model": 8, "preprocess": 10, "inference": 14, "shipment": 9}
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls, real_fsync = [], os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real_fsync(fd))
+        return calls
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["barrier", "streaming"])
+    def test_a_plain_run_fsyncs_a_fixed_count(self, tmp_path, fsyncs, streaming):
+        config = load_config(build_raw_config(str(tmp_path), 3))
+        archive = LaadsArchive(seed=3, swath=MINI_SWATH)
+        report = EOMLWorkflow(config, archive=archive).run(streaming=streaming)
+        assert report.errors == []
+        assert len(fsyncs) == self.PLAIN_RUN
+        assert sorted(os.listdir(config.journal_dir)) == [MODEL_FILE, JOURNAL_NAME]
+
+    def test_each_leased_unit_fsyncs_a_fixed_count(self, tmp_path, fsyncs):
+        raw = build_raw_config(str(tmp_path), 3)
+        counts = {}
+        for unit in self.PER_UNIT:
+            del fsyncs[:]
+            execute_unit(raw, unit)
+            counts[unit] = len(fsyncs)
+        assert counts == self.PER_UNIT
+        assert sorted(os.listdir(load_config(raw).journal_dir)) == [
+            MODEL_FILE, JOURNAL_NAME, "units",
+        ]
+
+    def test_a_pooled_run_writes_only_the_journal_and_the_model(self, tmp_path):
+        raw = build_raw_config(str(tmp_path), 3)
+        raw["runtime"] = {"workers": 2}
+        config = load_config(raw)
+        archive = LaadsArchive(seed=3, swath=MINI_SWATH)
+        assert EOMLWorkflow(config, archive=archive).run(provenance=False).errors == []
+        assert sorted(os.listdir(config.journal_dir)) == [MODEL_FILE, JOURNAL_NAME]

@@ -9,6 +9,7 @@ from repro.journal import (
     COMPLETE,
     FRESH,
     INTENT,
+    JOURNAL_NAME,
     REPLAY,
     RESUMED,
     IntegrityManifest,
@@ -114,8 +115,8 @@ class TestJournalState:
         assert state.completion("download", "a") == {"nbytes": 5}
         assert state.completion("download", "b") is None
         assert state.has_intent("download", "b")
-        assert state.in_flight("download") == ["b"]
-        assert state.completed_keys("preprocess") == ["s1"]
+        assert state.completion("preprocess", "s1") == {"tiles": 3}
+        assert not state.has_intent("preprocess", "s1")
 
     def test_last_completion_wins(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -130,41 +131,21 @@ class TestIntegrityManifest:
     def test_record_check_roundtrip(self, tmp_path):
         artifact = tmp_path / "a.nc"
         artifact.write_bytes(b"payload")
-        manifest = IntegrityManifest(str(tmp_path / "manifest.json"))
+        manifest = IntegrityManifest()
         digest = manifest.record(str(artifact))
         assert digest == sha256_file(str(artifact))
         assert manifest.check(str(artifact)) == manifest_mod.OK
-        assert manifest.verify(str(artifact))
 
     def test_check_states(self, tmp_path):
         artifact = tmp_path / "a.nc"
         artifact.write_bytes(b"payload")
-        manifest = IntegrityManifest(str(tmp_path / "manifest.json"))
+        manifest = IntegrityManifest()
         assert manifest.check(str(artifact)) == manifest_mod.MISSING_ENTRY
         manifest.record(str(artifact))
         artifact.write_bytes(b"tampered")
         assert manifest.check(str(artifact)) == manifest_mod.MISMATCH
         os.remove(artifact)
         assert manifest.check(str(artifact)) == manifest_mod.MISSING_FILE
-
-    def test_save_load_roundtrip(self, tmp_path):
-        artifact = tmp_path / "a.nc"
-        artifact.write_bytes(b"payload")
-        path = str(tmp_path / "manifest.json")
-        manifest = IntegrityManifest(path)
-        manifest.record(str(artifact))
-        manifest.save()
-        reloaded = IntegrityManifest(path)
-        reloaded.load()
-        assert reloaded.check(str(artifact)) == manifest_mod.OK
-        assert len(reloaded) == 1
-
-    def test_load_tolerates_corrupt_snapshot(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        path.write_text("{ not json")
-        manifest = IntegrityManifest(str(path))
-        manifest.load()  # must not raise: journal is the source of truth
-        assert len(manifest) == 0
 
 
 class TestWorkflowJournal:
@@ -252,15 +233,15 @@ class TestWorkflowJournal:
         fresh.close()
 
     def test_manifest_rebuilt_from_journal(self, tmp_path):
-        """The journal, not the manifest snapshot, is the source of truth."""
+        """The journal is the source of truth."""
         artifact = tmp_path / "a.nc"
         artifact.write_bytes(b"tile bytes")
         journal = self._make(tmp_path)
         journal.complete("preprocess", "s1", artifact=str(artifact), tiles=4)
-        journal.close()  # note: no checkpoint() — snapshot never written
+        journal.close()
         resumed = self._make(tmp_path, resume=True)
         assert resumed.resume("preprocess", "s1").outcome == RESUMED
-        assert resumed.manifest.verify(str(artifact))
+        assert resumed.manifest.check(str(artifact)) == manifest_mod.OK
         resumed.close()
 
     def test_torn_journal_tail_compacted_on_resume(self, tmp_path):
@@ -291,15 +272,14 @@ class TestWorkflowJournal:
         assert journal.counters()["manifest_mismatches"] == 1
         journal.close()
 
-    def test_checkpoint_persists_manifest(self, tmp_path):
+    def test_completion_indexes_its_artifact_and_writes_only_the_journal(self, tmp_path):
         artifact = tmp_path / "a.nc"
         artifact.write_bytes(b"tile bytes")
         journal = self._make(tmp_path)
         journal.complete("preprocess", "s1", artifact=str(artifact))
-        journal.checkpoint()
         journal.close()
-        assert os.path.exists(journal.manifest.path)
         assert journal.summary()["manifest_entries"] == 1
+        assert os.listdir(journal.directory) == [JOURNAL_NAME]
 
 
 class TestCrashFaultKind:

@@ -295,6 +295,25 @@ class TestDeadModuleRule:
             ),
         }) == []
 
+    def test_an_attribute_read_off_a_foreign_module_is_not_a_use(self, tmp_path):
+        """``json.dumps`` reads the standard library's ``dumps``, not
+        ours; an attribute read off a module of ``src/`` still counts."""
+        files = {
+            "src/pkg/__init__.py": "",
+            "src/pkg/text.py": (
+                "def dumps(value):\n    return str(value)\n\n"
+                "def loads(text):\n    return text\n"
+            ),
+            "src/pkg/use.py": (
+                "import json\nimport os.path as osp\nfrom pkg import text\n\n"
+                "def run():\n    return json.dumps(osp.join('a')), text.loads('x')\n"
+            ),
+            "examples/run.py": "from pkg.use import run\n",
+        }
+        assert self.dead_names(tmp_path, files) == [("pkg.text", "dumps")]
+        files["examples/run.py"] += "from pkg import text\ntext.dumps(1)\n"
+        assert self.dead_names(tmp_path, files) == []
+
     def test_import_of_a_module_with_no_file_fails_the_check(self, tmp_path, capsys):
         """A re-export left behind after its module is deleted: the walk
         only follows imports that resolve, so without this rule the

@@ -103,8 +103,7 @@ class TestCommands:
 def write_remote_config(tmp_path):
     """A minimal journaled config file for submit/agent commands."""
     from tests.core.crash_driver import build_raw_config
-
-    from repro.util.yamlish import dumps
+    from tests.util.yaml_dump import dumps
 
     config = tmp_path / "remote.yaml"
     config.write_text(dumps(build_raw_config(str(tmp_path), 1)))
@@ -149,8 +148,7 @@ class TestControlPlaneCommands:
 
     def test_submit_rejected_config_exits_1(self, plane, tmp_path, capsys):
         from tests.core.crash_driver import build_raw_config
-
-        from repro.util.yamlish import dumps
+        from tests.util.yaml_dump import dumps
 
         _server, url, _config = plane
         raw = build_raw_config(str(tmp_path), 1)

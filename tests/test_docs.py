@@ -233,7 +233,7 @@ class TestScaleOutDocs:
         section = self.architecture().split("### Work-units & the lease lifecycle")[1]
         section = section.split("### Disconnected agents")[0]
         for needle in ("`execute_unit`", "open_run(config, resume=True, chaos=...)",
-                       "`LeaseLost`", "checkpoints the journal"):
+                       "`LeaseLost`", "closed in `finally`"):
             assert needle in section, f"lease-lifecycle docs missing {needle!r}"
 
     def test_readme_and_design_point_at_the_section(self):

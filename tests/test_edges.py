@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tests.util.yaml_dump import dumps
+
 from repro.modis.constants import PRODUCTS, ProductSpec, resolve_product
 from repro.sim import Simulation, Store
-from repro.util.yamlish import YamlError, dumps
+from repro.util.yamlish import YamlError
 
 
 class TestStoreEdges:

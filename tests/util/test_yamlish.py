@@ -1,11 +1,13 @@
-"""YAML-subset parser and emitter tests."""
+"""YAML-subset parser tests (the emitter is the tests' own helper)."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.yamlish import YamlError, dumps, loads
+from tests.util.yaml_dump import dumps
+
+from repro.util.yamlish import YamlError, loads
 
 
 class TestScalars:

@@ -28,7 +28,9 @@ a top-level ``def`` / ``class`` is dead unless some file under ``src/``,
 ``examples/`` or ``benchmarks/`` — outside its own body — loads the
 name, reads it as an attribute, imports it (a package ``__init__``
 re-export again does not count), names it in a ``"pkg.mod:attr"``
-string or passes it to ``getattr`` as a constant.  :data:`KEPT` lists
+string or passes it to ``getattr`` as a constant.  An attribute read
+off a name that ``import`` bound to a module outside ``src/`` is not a
+use: ``json.dumps`` does not keep a ``dumps`` of ours alive.  :data:`KEPT` lists
 the names kept on purpose.
 
 An import that names a module of a package under ``src/`` with no file
@@ -251,13 +253,19 @@ class SourceTree:
             (path, False, None) for directory in ROOT_DIRS
             for path in python_files(os.path.join(self.root, directory))
         ]
+        tops = {name.split(".")[0] for name in self.paths}
         for path, is_init, module in sources:
             tree = self.parse(path)
-            used.update(name_references(tree, reexports=is_init))
+            foreign = {
+                alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.split(".")[0] not in tops
+            }
+            used.update(name_references(tree, is_init, foreign))
             if module is not None:
                 for node in tree.body:
                     if isinstance(node, DEFINITIONS):
-                        own = name_references(node, reexports=False)
+                        own = name_references(node, False, foreign)
                         defined.append((module, node.name, own[node.name]))
         return sorted(
             (module, name) for module, name, own in defined
@@ -265,18 +273,21 @@ class SourceTree:
         )
 
 
-def name_references(tree: ast.AST, reexports: bool) -> collections.Counter:
+def name_references(tree: ast.AST, reexports: bool, foreign: set) -> collections.Counter:
     """How often each bare name is referred to under ``tree``: loaded as
-    a name or an attribute, imported (unless ``reexports``: a package
-    ``__init__`` importing a name is not a use of it), named by a
-    ``"pkg.mod:attr"`` string, or looked up by ``getattr`` with a
-    constant."""
+    a name or an attribute (unless read off a name in ``foreign``, the
+    names bound to modules outside ``src/``), imported (unless
+    ``reexports``: a package ``__init__`` importing a name is not a use
+    of it), named by a ``"pkg.mod:attr"`` string, or looked up by
+    ``getattr`` with a constant."""
     found = collections.Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
+            receiver = node.value
+            if not (isinstance(receiver, ast.Name) and receiver.id in foreign):
+                found[node.attr] += 1
         elif isinstance(node, ast.ImportFrom) and not reexports:
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
